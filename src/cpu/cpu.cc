@@ -86,6 +86,37 @@ void Cpu::SetDbr(const DbrValue& dbr) {
   block_cache_.Flush();
 }
 
+Cpu::State Cpu::CaptureState() const {
+  State state;
+  state.cycles = cycles_;
+  state.regs = regs_;
+  state.tpr = tpr_;
+  state.checks_enabled = checks_enabled_;
+  state.timer_enabled = timer_enabled_;
+  state.timer = timer_;
+  state.trap_pending = trap_pending_;
+  state.trap_state = trap_state_;
+  state.counters = counters_;
+  state.sdw_cache = sdw_cache_.CaptureState();
+  return state;
+}
+
+void Cpu::RestoreState(const State& state) {
+  FlushSdwCache();
+  FlushInsnCache();
+  FlushTlb();
+  cycles_ = state.cycles;
+  regs_ = state.regs;
+  tpr_ = state.tpr;
+  checks_enabled_ = state.checks_enabled;
+  timer_enabled_ = state.timer_enabled;
+  timer_ = state.timer;
+  trap_pending_ = state.trap_pending;
+  trap_state_ = state.trap_state;
+  sdw_cache_.RestoreState(state.sdw_cache);
+  counters_ = state.counters;
+}
+
 void Cpu::InjectTrap(TrapCause cause, int64_t code) {
   ipr_at_fetch_ = regs_.ipr;
   tpr_ = Tpr{};

@@ -277,27 +277,28 @@ class Cpu {
     timer_ = instructions;
     timer_enabled_ = instructions > 0;
   }
-  int64_t timer() const { return timer_; }
-  bool timer_enabled() const { return timer_enabled_; }
 
-  // --- snapshot support (src/snapshot) ----------------------------------
-  // Exact state restore, used only by the snapshot reader after it has
-  // flushed every derived cache. Unlike Rett/SetDbr/SetTimer these charge
-  // nothing and flush nothing: the image already carries the exact cycle
-  // count, counters, and descriptor-cache contents to reinstate.
-  void RestoreExecutionState(const RegisterFile& regs, const Tpr& tpr, uint64_t cycles) {
-    regs_ = regs;
-    tpr_ = tpr;
-    cycles_ = cycles;
-  }
-  void RestoreTrapState(bool pending, const TrapState& state) {
-    trap_pending_ = pending;
-    trap_state_ = state;
-  }
-  void RestoreTimer(bool enabled, int64_t value) {
-    timer_enabled_ = enabled;
-    timer_ = value;
-  }
+  // --- machine state (Machine::CaptureState / RestoreState) -------------
+  // The processor's architectural state. The protection mode travels with
+  // the machine's meta state; the host caches are not state at all.
+  struct State {
+    uint64_t cycles = 0;
+    RegisterFile regs;
+    Tpr tpr;
+    bool checks_enabled = true;
+    bool timer_enabled = false;
+    int64_t timer = 0;
+    bool trap_pending = false;
+    TrapState trap_state;
+    Counters counters;
+    SdwCache::State sdw_cache;
+  };
+  State CaptureState() const;
+  // Exact restore: unlike Rett/SetDbr/SetTimer this charges nothing. Every
+  // host cache is flushed first and the counters are reinstated last, so
+  // the flushes' host-only counter bumps are overwritten by the state's
+  // exact values.
+  void RestoreState(const State& state);
 
   // Privileged SIO instructions are routed here (device = reg field,
   // operand = the IOCB word read from memory).

@@ -41,6 +41,26 @@ constexpr uint64_t kSnapshotStreamSalt = 0x534E415053484F54ull;
 FaultInjector::FaultInjector(FaultConfig config)
     : config_(config), rng_(config.seed), snapshot_rng_(config.seed ^ kSnapshotStreamSalt) {}
 
+FaultInjector::State FaultInjector::CaptureState() const {
+  State state;
+  state.config = config_;
+  state.rng = {rng_.state(0), rng_.state(1)};
+  state.snapshot_rng = {snapshot_rng_.state(0), snapshot_rng_.state(1)};
+  state.counts = counts_;
+  state.sequence = sequence_;
+  state.events = events_;
+  return state;
+}
+
+void FaultInjector::RestoreState(State state) {
+  config_ = state.config;
+  rng_.set_state(state.rng[0], state.rng[1]);
+  snapshot_rng_.set_state(state.snapshot_rng[0], state.snapshot_rng[1]);
+  counts_ = state.counts;
+  sequence_ = state.sequence;
+  events_ = std::move(state.events);
+}
+
 bool FaultInjector::Roll(FaultSite site) {
   const uint32_t ppm = config_.rate(site);
   if (!config_.enabled || ppm == 0) {

@@ -137,23 +137,19 @@ class FaultInjector {
   uint64_t total_injected() const;
   std::string Summary() const;
 
-  // --- snapshot support (src/snapshot) -----------------------------------
-  // The injector's stream is machine state: a restored machine must draw
-  // the exact fault sequence the live one would have drawn.
-  const Xorshift& rng() const { return rng_; }
-  const Xorshift& snapshot_rng() const { return snapshot_rng_; }
-  uint64_t sequence() const { return sequence_; }
-  const std::array<uint64_t, kNumFaultSites>& counts() const { return counts_; }
-  void RestoreStream(uint64_t rng_state0, uint64_t rng_state1, uint64_t snapshot_state0,
-                     uint64_t snapshot_state1,
-                     const std::array<uint64_t, kNumFaultSites>& counts, uint64_t sequence,
-                     std::vector<FaultEvent> events) {
-    rng_.set_state(rng_state0, rng_state1);
-    snapshot_rng_.set_state(snapshot_state0, snapshot_state1);
-    counts_ = counts;
-    sequence_ = sequence;
-    events_ = std::move(events);
-  }
+  // --- machine state (Machine::CaptureState / RestoreState) -------------
+  // The injector's stream is machine state: a cloned or restored machine
+  // must draw the exact fault sequence the original would have drawn.
+  struct State {
+    FaultConfig config;
+    std::array<uint64_t, 2> rng{};
+    std::array<uint64_t, 2> snapshot_rng{};
+    std::array<uint64_t, kNumFaultSites> counts{};
+    uint64_t sequence = 0;
+    std::vector<FaultEvent> events;
+  };
+  State CaptureState() const;
+  void RestoreState(State state);
 
   // Fleet self-healing: a machine restarted from a checkpoint would
   // otherwise replay the exact injected fault that killed it. Disarming

@@ -1,43 +1,41 @@
 #include "src/fleet/fingerprint.h"
 
 #include "src/base/strings.h"
+#include "src/snapshot/schema.h"
 
 namespace rings {
 
 namespace {
 
-void MixPointerRegister(FingerprintBuilder* fp, const PointerRegister& pr) {
-  fp->Mix(static_cast<uint64_t>(pr.ring));
-  fp->Mix(static_cast<uint64_t>(pr.segno));
-  fp->Mix(static_cast<uint64_t>(pr.wordno));
-}
+// Folds the visited fields of a machine-state field list
+// (src/snapshot/schema.h) into the digest, each widened to 64 bits. Build
+// geometry and host-only statistics are not identity and are skipped.
+// It visits the register file and the counters; give it the remaining
+// visits when the fingerprint grows to other state.
+class Mixer : public Visits<Mixer> {
+ public:
+  explicit Mixer(FingerprintBuilder* fp) : fp_(fp) {}
 
-void MixRegisters(FingerprintBuilder* fp, const RegisterFile& regs) {
-  fp->Mix(regs.a);
-  fp->Mix(regs.q);
-  for (const uint32_t x : regs.x) {
-    fp->Mix(static_cast<uint64_t>(x));
+  template <class T>
+  void Int(const T& v, size_t) {
+    fp_->Mix(static_cast<uint64_t>(v));
   }
-  for (const PointerRegister& pr : regs.pr) {
-    MixPointerRegister(fp, pr);
+  template <class T>
+  void Ranged(const T& v, size_t, uint64_t, const char*) {
+    fp_->Mix(static_cast<uint64_t>(v));
   }
-  MixPointerRegister(fp, regs.ipr);
-  fp->Mix(static_cast<uint64_t>(regs.dbr.base));
-  fp->Mix(static_cast<uint64_t>(regs.dbr.bound));
-  fp->Mix(static_cast<uint64_t>(regs.dbr.stack_base));
-}
+  void HostU64(uint64_t) {}
+  void Fixed(size_t, const char*) {}
 
-void MixCounters(FingerprintBuilder* fp, const Counters& counters) {
-  Counters::ForEachField(
-      [fp, &counters](const char*, uint64_t Counters::* member, bool host_only) {
-        if (!host_only) {
-          fp->Mix(counters.*member);
-        }
-      });
-  for (const uint64_t n : counters.traps) {
-    fp->Mix(n);
+  // The mixer only reads the fields it visits.
+  template <class T>
+  void Put(const T& state) {
+    Fields(*this, const_cast<T&>(state));
   }
-}
+
+ private:
+  FingerprintBuilder* fp_;
+};
 
 }  // namespace
 
@@ -59,15 +57,16 @@ std::string ProcessStatusLine(const Process& process) {
 
 uint64_t FingerprintCounters(const Counters& counters) {
   FingerprintBuilder fp;
-  MixCounters(&fp, counters);
+  Mixer(&fp).Put(counters);
   return fp.digest();
 }
 
 uint64_t FingerprintMachine(const Machine& machine) {
   FingerprintBuilder fp;
   fp.Mix(machine.cpu().cycles());
-  MixRegisters(&fp, machine.cpu().regs());
-  MixCounters(&fp, machine.cpu().counters());
+  Mixer mixer(&fp);
+  mixer.Put(machine.cpu().regs());
+  mixer.Put(machine.cpu().counters());
   if (machine.trace().enabled()) {
     for (const TraceEvent& e : machine.trace().events()) {
       if (e.kind == EventKind::kTrap || e.kind == EventKind::kRingSwitch) {

@@ -140,6 +140,21 @@ class PhysicalMemory {
   // copies plus zero-frame materializations).
   uint64_t frames_privatized() const { return frames_privatized_; }
 
+  // --- machine state (Machine::CaptureState / RestoreState) -------------
+  // The store's bookkeeping beyond its contents (a clone aliases the
+  // contents; a snapshot image carries them in its memory section).
+  struct State {
+    AbsAddr next_free = 0;
+    uint64_t fault_count = 0;
+    std::optional<MemoryFault> latched_fault;
+  };
+  State CaptureState() const { return State{next_free_, fault_count_, latched_fault_}; }
+  void RestoreState(const State& state) {
+    next_free_ = state.next_free;
+    fault_count_ = state.fault_count;
+    latched_fault_ = state.latched_fault;
+  }
+
   // --- snapshot support (src/snapshot) -----------------------------------
   // Single-word accessor for image serialization: in-range, non-latching.
   // `addr` must be < size().
@@ -153,11 +168,6 @@ class PhysicalMemory {
   // took it keeps unchanged frames shared — the restore-into-clone fast
   // path used by fleet checkpoint restarts.
   void RestoreContents(std::vector<Word> store);
-  void RestoreAllocator(AbsAddr next_free) { next_free_ = next_free; }
-  void RestoreFaultLatch(std::optional<MemoryFault> fault, uint64_t fault_count) {
-    latched_fault_ = fault;
-    fault_count_ = fault_count;
-  }
 
  private:
   struct Frame;  // refcounted frame storage, defined in the .cc

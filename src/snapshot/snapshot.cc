@@ -2,13 +2,13 @@
 
 #include <array>
 #include <cstdio>
-#include <deque>
-#include <memory>
+#include <map>
+#include <optional>
 #include <utility>
 
 #include "src/base/strings.h"
 #include "src/core/ring.h"
-#include "src/core/trap_cause.h"
+#include "src/snapshot/schema.h"
 
 namespace rings {
 
@@ -42,106 +42,221 @@ constexpr uint32_t ByteSwap32(uint32_t v) {
 }
 
 // --------------------------------------------------------------------------
-// Wire primitives: byte-explicit little-endian writer and bounds-checked
-// reader. Every reader failure carries a structured message; readers never
-// index past the buffer.
+// Image layout.
+//
+// Header (16 bytes): magic u32, version u32, section count u32, CRC-32 of
+// the first 12 bytes. Then `section count` sections, each framed as
+// id u32, payload length u64, payload CRC-32 u32, payload bytes. No
+// padding, no trailing bytes. Section payloads are the field lists of
+// src/snapshot/schema.h.
 // --------------------------------------------------------------------------
 
-class Writer {
+// An image section: its id in the section table, and its name in errors.
+struct Section {
+  uint32_t id;
+  const char* name;
+};
+constexpr Section kMetaSection{1, "meta"};
+constexpr Section kMemorySection{2, "memory"};
+constexpr Section kCpuSection{3, "cpu"};
+constexpr Section kRegistrySection{4, "registry"};
+constexpr Section kSupervisorSection{5, "supervisor"};
+constexpr Section kTraceSection{6, "trace"};
+constexpr Section kFaultSection{7, "fault"};
+constexpr Section kDeviceSection{8, "device"};
+constexpr uint32_t kNumSections = 8;
+constexpr size_t kHeaderBytes = 16;
+constexpr size_t kSectionFrameBytes = 4 + 8 + 4;
+
+// The sections after meta and memory, in image order, each with the
+// Machine::State member it carries.
+template <class Fn>
+bool ForEachStateSection(Machine::State& state, Fn&& fn) {
+  return fn(kCpuSection, state.cpu) && fn(kRegistrySection, state.registry) &&
+         fn(kSupervisorSection, state.supervisor) && fn(kTraceSection, state.trace) &&
+         fn(kFaultSection, state.fault) && fn(kDeviceSection, state.device);
+}
+
+// --------------------------------------------------------------------------
+// Archives over the schema's field lists: a byte-explicit little-endian
+// writer and a bounds-checked validating reader. Every reader failure
+// carries a structured message; the reader never indexes past the buffer.
+// --------------------------------------------------------------------------
+
+uint64_t LoadLe(const uint8_t* data, size_t bytes) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < bytes; ++i) {
+    v |= static_cast<uint64_t>(data[i]) << (8 * i);
+  }
+  return v;
+}
+
+template <class C>
+struct ListElement {
+  using type = typename C::value_type;
+};
+template <class K, class V>
+struct ListElement<std::map<K, V>> {
+  using type = std::pair<K, V>;  // the key stays assignable while decoding
+};
+
+class Writer : public Visits<Writer> {
  public:
-  void U8(uint8_t v) { buf_.push_back(v); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  using Visits::List;
+
+  template <class T>
+  void Int(const T& v, size_t bytes) {
+    for (size_t i = 0; i < bytes; ++i) {
+      buf_.push_back(static_cast<uint8_t>(static_cast<uint64_t>(v) >> (8 * i)));
     }
   }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
+  template <class T>
+  void Ranged(const T& v, size_t bytes, uint64_t, const char*) {
+    Int(v, bytes);
   }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void Bool(bool v) { U8(v ? 1 : 0); }
+  void HostU64(uint64_t v) { Int(v, 8); }
   void Str(const std::string& s) {
-    U64(s.size());
+    Int(s.size(), 8);
     buf_.insert(buf_.end(), s.begin(), s.end());
+  }
+  void Fixed(size_t n, const char*) { Int(n, 4); }
+  void Bits(bool a, bool b, bool c) { Int((a ? 1u : 0u) | (b ? 2u : 0u) | (c ? 4u : 0u), 1); }
+  template <class C, class Visit>
+  void List(C& c, Visit visit) {
+    Int(c.size(), 8);
+    for (auto& element : c) {
+      visit(element);
+    }
+  }
+  template <class T>
+  void Optional(std::optional<T>& o) {
+    Int(o.has_value(), 1);
+    if (o.has_value()) {
+      Fields(*this, *o);
+    }
+  }
+  template <class Why>
+  void Check(const Why&) {}
+
+  // Encodes `state` through its field list. A writer only reads the
+  // fields it visits, so the const_cast never leads to a store.
+  template <class T>
+  void Put(const T& state) {
+    Fields(*this, const_cast<T&>(state));
   }
 
   const std::vector<uint8_t>& buf() const { return buf_; }
+  std::vector<uint8_t> Take() { return std::move(buf_); }
 
  private:
   std::vector<uint8_t> buf_;
 };
 
-class Reader {
+class Reader : public Visits<Reader> {
  public:
+  using Visits::List;
+
   Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
-  uint8_t U8() {
-    if (!Need(1)) {
-      return 0;
-    }
-    return data_[pos_++];
+  template <class T>
+  void Int(T& v, size_t bytes) {
+    v = static_cast<T>(Le(bytes));
   }
-  uint32_t U32() {
-    if (!Need(4)) {
-      return 0;
+  template <class T>
+  void Ranged(T& v, size_t bytes, uint64_t last, const char* what) {
+    const uint64_t raw = Le(bytes);
+    if (ok_ && raw > last) {
+      Fail(StrFormat("%s %llu out of range", what, static_cast<unsigned long long>(raw)));
+      return;
     }
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data_[pos_++]) << (8 * i);
-    }
-    return v;
+    v = static_cast<T>(raw);
   }
-  uint64_t U64() {
-    if (!Need(8)) {
-      return 0;
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
-    }
-    return v;
-  }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  bool Bool() { return U8() != 0; }
-  std::string Str() {
-    const uint64_t len = U64();
+  void HostU64(uint64_t& v) { Int(v, 8); }
+  void Str(std::string& s) {
+    const uint64_t len = Le(8);
     if (!ok_) {
-      return {};
+      return;
     }
     if (len > size_ - pos_) {
       Fail(StrFormat("string length %llu exceeds remaining payload",
                      static_cast<unsigned long long>(len)));
-      return {};
+      return;
     }
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), static_cast<size_t>(len));
+    s.assign(reinterpret_cast<const char*>(data_ + pos_), static_cast<size_t>(len));
     pos_ += static_cast<size_t>(len);
-    return s;
+  }
+  void Fixed(size_t n, const char* what) {
+    const uint64_t raw = Le(4);
+    if (ok_ && raw != n) {
+      Fail(StrFormat("%s %llu does not match this build's %zu", what,
+                     static_cast<unsigned long long>(raw), n));
+    }
+  }
+  void Bits(bool& a, bool& b, bool& c) {
+    const uint64_t bits = Le(1);
+    a = (bits & 1u) != 0;
+    b = (bits & 2u) != 0;
+    c = (bits & 4u) != 0;
+  }
+  // The count is untrusted, so nothing is reserved from it: every element
+  // consumes payload bytes, and a count past the payload fails as
+  // truncated after at most one element per remaining byte.
+  template <class C, class Visit>
+  void List(C& c, Visit visit) {
+    const uint64_t count = Le(8);
+    for (uint64_t i = 0; i < count && ok_; ++i) {
+      typename ListElement<C>::type element{};
+      visit(element);
+      c.insert(c.end(), std::move(element));
+    }
+  }
+  template <class T>
+  void Optional(std::optional<T>& o) {
+    o.reset();
+    if (Le(1) != 0) {
+      Fields(*this, o.emplace());
+    }
+  }
+  template <class Why>
+  void Check(const Why& why) {
+    if (ok_) {
+      std::string problem = why();
+      if (!problem.empty()) {
+        Fail(std::move(problem));
+      }
+    }
   }
 
   bool ok() const { return ok_; }
-  const std::string& error() const { return error_; }
-  bool AtEnd() const { return !ok_ || pos_ == size_; }
-  size_t remaining() const { return size_ - pos_; }
-
   void Fail(std::string message) {
     if (ok_) {
       ok_ = false;
       error_ = std::move(message);
     }
   }
+  // Rejects leftover payload; on any failure *error names the section.
+  bool Finish(Section section, std::string* error) {
+    if (ok_ && pos_ != size_) {
+      Fail("unconsumed payload bytes");
+    }
+    if (!ok_ && error != nullptr) {
+      *error = StrFormat("section %u (%s): %s", section.id, section.name, error_.c_str());
+    }
+    return ok_;
+  }
 
  private:
-  bool Need(size_t n) {
+  // Reads `bytes` little-endian bytes; 0 once failed or truncated.
+  uint64_t Le(size_t bytes) {
     if (!ok_) {
-      return false;
+      return 0;
     }
-    if (size_ - pos_ < n) {
+    if (size_ - pos_ < bytes) {
       Fail("payload truncated");
-      return false;
+      return 0;
     }
-    return true;
+    pos_ += bytes;
+    return LoadLe(data_ + pos_ - bytes, bytes);
   }
 
   const uint8_t* data_;
@@ -151,36 +266,11 @@ class Reader {
   std::string error_;
 };
 
-// --------------------------------------------------------------------------
-// Image layout.
-//
-// Header (16 bytes): magic u32, version u32, section count u32, CRC-32 of
-// the first 12 bytes. Then `section count` sections, each framed as
-// id u32, payload length u64, payload CRC-32 u32, payload bytes. No
-// padding, no trailing bytes.
-// --------------------------------------------------------------------------
-
-enum class Section : uint32_t {
-  kMeta = 1,
-  kMemory = 2,
-  kCpu = 3,
-  kRegistry = 4,
-  kSupervisor = 5,
-  kTrace = 6,
-  kFault = 7,
-  kDevice = 8,
-};
-constexpr uint32_t kNumSections = 8;
-constexpr size_t kHeaderBytes = 16;
-constexpr size_t kSectionFrameBytes = 4 + 8 + 4;
-
-void AppendSection(std::vector<uint8_t>* image, Section id, const std::vector<uint8_t>& payload) {
-  Writer frame;
-  frame.U32(static_cast<uint32_t>(id));
-  frame.U64(payload.size());
-  frame.U32(Crc32(payload.data(), payload.size()));
-  image->insert(image->end(), frame.buf().begin(), frame.buf().end());
-  image->insert(image->end(), payload.begin(), payload.end());
+template <class T>
+std::vector<uint8_t> Encode(const T& state) {
+  Writer w;
+  w.Put(state);
+  return w.Take();
 }
 
 struct SectionSpan {
@@ -188,11 +278,29 @@ struct SectionSpan {
   size_t size = 0;
   bool present = false;
 };
+using SectionSpans = std::array<SectionSpan, kNumSections>;
+
+template <class T>
+bool Decode(const SectionSpans& spans, Section section, T* state, std::string* error) {
+  const SectionSpan& span = spans[section.id - 1];
+  Reader r(span.data, span.size);
+  Fields(r, *state);
+  return r.Finish(section, error);
+}
+
+void AppendSection(std::vector<uint8_t>* image, Section section,
+                   const std::vector<uint8_t>& payload) {
+  Writer frame;
+  frame.Int(section.id, 4);
+  frame.Int(payload.size(), 8);
+  frame.Int(Crc32(payload.data(), payload.size()), 4);
+  image->insert(image->end(), frame.buf().begin(), frame.buf().end());
+  image->insert(image->end(), payload.begin(), payload.end());
+}
 
 // Header + section-table walk shared by VerifySnapshot and the decoders.
 // Fills `spans` (indexed by section id - 1) when non-null.
-bool WalkImage(const uint8_t* data, size_t size, std::array<SectionSpan, kNumSections>* spans,
-               std::string* error) {
+bool WalkImage(const uint8_t* data, size_t size, SectionSpans* spans, std::string* error) {
   auto fail = [error](std::string message) {
     if (error != nullptr) {
       *error = std::move(message);
@@ -202,11 +310,10 @@ bool WalkImage(const uint8_t* data, size_t size, std::array<SectionSpan, kNumSec
   if (size < kHeaderBytes) {
     return fail(StrFormat("image truncated: %zu bytes, header needs %zu", size, kHeaderBytes));
   }
-  Reader header(data, kHeaderBytes);
-  const uint32_t magic = header.U32();
-  const uint32_t version = header.U32();
-  const uint32_t section_count = header.U32();
-  const uint32_t header_crc = header.U32();
+  const uint32_t magic = static_cast<uint32_t>(LoadLe(data, 4));
+  const uint32_t version = static_cast<uint32_t>(LoadLe(data + 4, 4));
+  const uint32_t section_count = static_cast<uint32_t>(LoadLe(data + 8, 4));
+  const uint32_t header_crc = static_cast<uint32_t>(LoadLe(data + 12, 4));
   if (magic != kSnapshotMagic) {
     if (magic == ByteSwap32(kSnapshotMagic)) {
       return fail("wrong-endian image (magic is byte-swapped)");
@@ -230,10 +337,9 @@ bool WalkImage(const uint8_t* data, size_t size, std::array<SectionSpan, kNumSec
       return fail(StrFormat("image truncated in section table (section %u of %u)", s + 1,
                             section_count));
     }
-    Reader frame(data + pos, kSectionFrameBytes);
-    const uint32_t id = frame.U32();
-    const uint64_t length = frame.U64();
-    const uint32_t crc = frame.U32();
+    const uint32_t id = static_cast<uint32_t>(LoadLe(data + pos, 4));
+    const uint64_t length = LoadLe(data + pos + 4, 8);
+    const uint32_t crc = static_cast<uint32_t>(LoadLe(data + pos + 12, 4));
     pos += kSectionFrameBytes;
     if (id == 0 || id > kNumSections) {
       return fail(StrFormat("unknown section id %u", id));
@@ -268,256 +374,20 @@ bool WalkImage(const uint8_t* data, size_t size, std::array<SectionSpan, kNumSec
 }
 
 // --------------------------------------------------------------------------
-// Shared codecs for architectural structures.
+// The memory section: the store's bookkeeping (its field list), then the
+// store's size and its words as zero-run RLE — the typical machine
+// allocates a few hundred K words out of a multi-megaword store, so images
+// stay compact.
 // --------------------------------------------------------------------------
 
-void WritePointerRegister(Writer* w, const PointerRegister& pr) {
-  w->U8(pr.ring);
-  w->U32(pr.segno);
-  w->U32(pr.wordno);
-}
-
-PointerRegister ReadPointerRegister(Reader* r) {
-  PointerRegister pr;
-  const uint8_t ring = r->U8();
-  pr.segno = r->U32();
-  pr.wordno = r->U32();
-  if (r->ok() && !IsValidRing(ring)) {
-    r->Fail(StrFormat("pointer-register ring %u out of range", ring));
-    return pr;
-  }
-  pr.ring = ring;
-  return pr;
-}
-
-void WriteSegAddr(Writer* w, const SegAddr& addr) {
-  w->U32(addr.segno);
-  w->U32(addr.wordno);
-}
-
-SegAddr ReadSegAddr(Reader* r) {
-  SegAddr addr;
-  addr.segno = r->U32();
-  addr.wordno = r->U32();
-  return addr;
-}
-
-void WriteRegisterFile(Writer* w, const RegisterFile& regs) {
-  w->U64(regs.a);
-  w->U64(regs.q);
-  for (const uint32_t x : regs.x) {
-    w->U32(x);
-  }
-  for (const PointerRegister& pr : regs.pr) {
-    WritePointerRegister(w, pr);
-  }
-  WritePointerRegister(w, regs.ipr);
-  w->U64(regs.dbr.base);
-  w->U32(regs.dbr.bound);
-  w->U32(regs.dbr.stack_base);
-}
-
-RegisterFile ReadRegisterFile(Reader* r) {
-  RegisterFile regs;
-  regs.a = r->U64();
-  regs.q = r->U64();
-  for (uint32_t& x : regs.x) {
-    x = r->U32();
-  }
-  for (PointerRegister& pr : regs.pr) {
-    pr = ReadPointerRegister(r);
-  }
-  regs.ipr = ReadPointerRegister(r);
-  regs.dbr.base = r->U64();
-  regs.dbr.bound = r->U32();
-  regs.dbr.stack_base = r->U32();
-  return regs;
-}
-
-void WriteSegmentAccess(Writer* w, const SegmentAccess& access) {
-  uint8_t flags = 0;
-  flags |= access.flags.read ? 1u : 0u;
-  flags |= access.flags.write ? 2u : 0u;
-  flags |= access.flags.execute ? 4u : 0u;
-  w->U8(flags);
-  w->U8(access.brackets.r1);
-  w->U8(access.brackets.r2);
-  w->U8(access.brackets.r3);
-  w->U32(access.gate_count);
-}
-
-SegmentAccess ReadSegmentAccess(Reader* r) {
-  SegmentAccess access;
-  const uint8_t flags = r->U8();
-  access.flags.read = (flags & 1u) != 0;
-  access.flags.write = (flags & 2u) != 0;
-  access.flags.execute = (flags & 4u) != 0;
-  const uint8_t r1 = r->U8();
-  const uint8_t r2 = r->U8();
-  const uint8_t r3 = r->U8();
-  access.gate_count = r->U32();
-  if (r->ok() && (!IsValidRing(r1) || !IsValidRing(r2) || !IsValidRing(r3))) {
-    r->Fail(StrFormat("bracket rings (%u,%u,%u) out of range", r1, r2, r3));
-    return access;
-  }
-  access.brackets = Brackets{r1, r2, r3};
-  return access;
-}
-
-void WriteSdw(Writer* w, const Sdw& sdw) {
-  w->Bool(sdw.present);
-  w->Bool(sdw.paged);
-  w->U64(sdw.base);
-  w->U64(sdw.bound);
-  WriteSegmentAccess(w, sdw.access);
-}
-
-Sdw ReadSdw(Reader* r) {
-  Sdw sdw;
-  sdw.present = r->Bool();
-  sdw.paged = r->Bool();
-  sdw.base = r->U64();
-  sdw.bound = r->U64();
-  sdw.access = ReadSegmentAccess(r);
-  return sdw;
-}
-
-void WriteInstruction(Writer* w, const Instruction& ins) {
-  w->U8(static_cast<uint8_t>(ins.opcode));
-  w->Bool(ins.indirect);
-  w->Bool(ins.pr_relative);
-  w->U8(ins.prnum);
-  w->U8(ins.reg);
-  w->U8(ins.tag);
-  w->I64(ins.offset);
-}
-
-Instruction ReadInstruction(Reader* r) {
-  Instruction ins;
-  ins.opcode = static_cast<Opcode>(r->U8());
-  ins.indirect = r->Bool();
-  ins.pr_relative = r->Bool();
-  ins.prnum = r->U8();
-  ins.reg = r->U8();
-  ins.tag = r->U8();
-  ins.offset = static_cast<int32_t>(r->I64());
-  return ins;
-}
-
-TrapCause ReadTrapCause(Reader* r) {
-  const uint32_t cause = r->U32();
-  if (r->ok() && cause >= static_cast<uint32_t>(TrapCause::kNumCauses)) {
-    r->Fail(StrFormat("trap cause %u out of range", cause));
-    return TrapCause::kNone;
-  }
-  return static_cast<TrapCause>(cause);
-}
-
-void WriteTrapState(Writer* w, const TrapState& trap) {
-  w->U32(static_cast<uint32_t>(trap.cause));
-  WriteRegisterFile(w, trap.regs);
-  WritePointerRegister(w, trap.tpr);
-  WriteInstruction(w, trap.instruction);
-  w->I64(trap.code);
-  WriteSegAddr(w, trap.fault_addr);
-}
-
-TrapState ReadTrapState(Reader* r) {
-  TrapState trap;
-  trap.cause = ReadTrapCause(r);
-  trap.regs = ReadRegisterFile(r);
-  trap.tpr = ReadPointerRegister(r);
-  trap.instruction = ReadInstruction(r);
-  trap.code = r->I64();
-  trap.fault_addr = ReadSegAddr(r);
-  return trap;
-}
-
-size_t CounterFieldCount() {
-  size_t count = 0;
-  Counters::ForEachField([&count](const char*, uint64_t Counters::*, bool) { ++count; });
-  return count;
-}
-
-void WriteCounters(Writer* w, const Counters& counters) {
-  w->U32(static_cast<uint32_t>(CounterFieldCount()));
-  Counters::ForEachField([w, &counters](const char*, uint64_t Counters::* member, bool) {
-    w->U64(counters.*member);
-  });
-  w->U32(static_cast<uint32_t>(counters.traps.size()));
-  for (const uint64_t n : counters.traps) {
-    w->U64(n);
-  }
-}
-
-Counters ReadCounters(Reader* r) {
-  Counters counters;
-  const uint32_t fields = r->U32();
-  if (r->ok() && fields != CounterFieldCount()) {
-    r->Fail(StrFormat("counter field count %u does not match this build's %zu", fields,
-                      CounterFieldCount()));
-    return counters;
-  }
-  Counters::ForEachField([r, &counters](const char*, uint64_t Counters::* member, bool) {
-    counters.*member = r->U64();
-  });
-  const uint32_t traps = r->U32();
-  if (r->ok() && traps != counters.traps.size()) {
-    r->Fail(StrFormat("trap array size %u does not match this build's %zu", traps,
-                      counters.traps.size()));
-    return counters;
-  }
-  for (uint64_t& n : counters.traps) {
-    n = r->U64();
-  }
-  return counters;
-}
-
-// --------------------------------------------------------------------------
-// Section payload encoders (save side).
-// --------------------------------------------------------------------------
-
-std::vector<uint8_t> EncodeMeta(const Machine& machine) {
+std::vector<uint8_t> EncodeMemory(const PhysicalMemory& memory,
+                                  const PhysicalMemory::State& state) {
   Writer w;
-  const MachineConfig& config = machine.config();
-  w.U64(machine.memory().size());
-  w.U8(static_cast<uint8_t>(machine.cpu().mode()));
-  w.I64(machine.supervisor().options().quantum);
-  w.I64(machine.supervisor().options().trap_storm_limit);
-  const CycleModel& cm = config.cycle_model;
-  w.U64(cm.instruction_base);
-  w.U64(cm.memory_ref);
-  w.U64(cm.sdw_fetch);
-  w.U64(cm.access_check);
-  w.U64(cm.trap);
-  w.U64(cm.rett);
-  w.U64(cm.supervisor_step);
-  w.U64(cm.io_latency);
-  return w.buf();
-}
-
-std::vector<uint8_t> EncodeMemory(const Machine& machine) {
-  Writer w;
-  const PhysicalMemory& memory = machine.memory();
-  w.U64(memory.allocated());
-  w.U64(memory.fault_count());
-  const auto latched = memory.fault_pending() ? memory.TakeFault() : std::nullopt;
-  if (latched.has_value()) {
-    // TakeFault cleared the latch (it models a read-to-clear hardware
-    // indicator); re-arm it so saving is observation-free.
-    const_cast<PhysicalMemory&>(memory).RestoreFaultLatch(latched, memory.fault_count());
-  }
-  w.Bool(latched.has_value());
-  if (latched.has_value()) {
-    w.U64(latched->addr);
-    w.Bool(latched->write);
-  }
-  // Zero-run RLE over the core store: the typical machine allocates a few
-  // hundred K words out of a multi-megaword store, so images stay compact.
+  w.Put(state);
   // Read through the non-latching word() accessor — the COW store has no
   // contiguous backing array to hand out.
   const size_t size = memory.size();
-  w.U64(size);
+  w.Int(size, 8);
   size_t i = 0;
   while (i < size) {
     size_t j = i;
@@ -525,314 +395,47 @@ std::vector<uint8_t> EncodeMemory(const Machine& machine) {
       while (j < size && memory.word(j) == 0) {
         ++j;
       }
-      w.U8(0);
-      w.U64(j - i);
+      w.Int(0, 1);
+      w.Int(j - i, 8);
     } else {
       while (j < size && memory.word(j) != 0) {
         ++j;
       }
-      w.U8(1);
-      w.U64(j - i);
+      w.Int(1, 1);
+      w.Int(j - i, 8);
       for (size_t k = i; k < j; ++k) {
-        w.U64(memory.word(k));
+        w.Int(memory.word(k), 8);
       }
     }
     i = j;
   }
-  return w.buf();
+  return w.Take();
 }
 
-std::vector<uint8_t> EncodeCpu(const Machine& machine) {
-  Writer w;
-  const Cpu& cpu = machine.cpu();
-  w.U64(cpu.cycles());
-  WriteRegisterFile(&w, cpu.regs());
-  WritePointerRegister(&w, cpu.tpr());
-  w.Bool(cpu.checks_enabled());
-  w.Bool(cpu.timer_enabled());
-  w.I64(cpu.timer());
-  w.Bool(cpu.trap_pending());
-  WriteTrapState(&w, cpu.trap_state());
-  WriteCounters(&w, cpu.counters());
-  const SdwCache& cache = cpu.sdw_cache();
-  w.Bool(cache.enabled());
-  w.U64(cache.hits());
-  w.U64(cache.misses());
-  w.U32(static_cast<uint32_t>(SdwCache::kEntries));
-  for (size_t e = 0; e < SdwCache::kEntries; ++e) {
-    const SdwCache::SnapshotEntry entry = cache.SnapshotAt(e);
-    w.Bool(entry.valid);
-    w.U32(entry.segno);
-    WriteSdw(&w, entry.sdw);
-  }
-  return w.buf();
-}
-
-std::vector<uint8_t> EncodeRegistry(const Machine& machine) {
-  Writer w;
-  const SegmentRegistry& registry = machine.registry();
-  w.U32(registry.next_segno());
-  w.U64(registry.segments().size());
-  for (const RegisteredSegment& seg : registry.segments()) {
-    w.Str(seg.name);
-    w.U32(seg.segno);
-    w.U64(seg.base);
-    w.Bool(seg.paged);
-    w.U64(seg.bound);
-    w.U32(seg.gate_count);
-    w.U64(seg.acl.entries().size());
-    for (const AclEntry& entry : seg.acl.entries()) {
-      w.Str(entry.user);
-      WriteSegmentAccess(&w, entry.access);
-    }
-    w.U64(seg.symbols.size());
-    for (const auto& [symbol, wordno] : seg.symbols) {
-      w.Str(symbol);
-      w.U32(wordno);
-    }
-    w.U64(seg.links.size());
-    for (const LinkTarget& link : seg.links) {
-      w.Str(link.segment);
-      w.Str(link.symbol);
-      w.I64(link.offset);
-      w.U8(link.ring);
-      w.Bool(link.indirect);
-    }
-  }
-  return w.buf();
-}
-
-std::vector<uint8_t> EncodeSupervisor(const Machine& machine) {
-  Writer w;
-  const Supervisor& sup = machine.supervisor();
-  const Supervisor::SchedulerSnapshot sched = sup.SnapshotScheduler();
-  w.I64(sched.next_pid);
-  w.I64(sched.anonymous_segments);
-  w.Bool(sched.handling_trap);
-  w.I64(sched.current_pid);
-  w.U64(sched.ready_pids.size());
-  for (const int pid : sched.ready_pids) {
-    w.I64(pid);
-  }
-  w.Str(sup.tty_output());
-  w.Str(const_cast<Supervisor&>(sup).tty_input());
-  w.U64(sup.registered_users().size());
-  for (const std::string& user : sup.registered_users()) {
-    w.Str(user);
-  }
-  w.U64(sup.processes().size());
-  for (const auto& process : sup.processes()) {
-    w.I64(process->pid);
-    w.Str(process->user);
-    w.U8(static_cast<uint8_t>(process->state));
-    w.U64(process->dbr.base);
-    w.U32(process->dbr.bound);
-    w.U32(process->dbr.stack_base);
-    WriteRegisterFile(&w, process->saved_regs);
-    w.I64(process->exit_code);
-    w.U32(static_cast<uint32_t>(process->kill_cause));
-    WriteSegAddr(&w, process->kill_pc);
-    w.U64(process->instructions_run);
-    w.U64(process->dispatches);
-    w.U64(process->trap_streak);
-    w.U64(process->last_trap_instructions);
-    w.U64(process->return_gates.size());
-    for (const ReturnGate& gate : process->return_gates) {
-      WriteSegAddr(&w, gate.expected_target);
-      w.U8(gate.caller_ring);
-      w.U8(gate.callee_ring);
-      WritePointerRegister(&w, gate.saved_sp);
-      WritePointerRegister(&w, gate.saved_sb);
-      WritePointerRegister(&w, gate.saved_ap);
-      w.U64(gate.transfer_words);
-      w.U64(gate.copied_args.size());
-      for (const ReturnGate::CopiedArg& arg : gate.copied_args) {
-        WriteSegAddr(&w, arg.original);
-        WriteSegAddr(&w, arg.transfer);
-        w.U32(arg.length);
-        w.U8(arg.effective_ring);
-      }
-    }
-  }
-  return w.buf();
-}
-
-std::vector<uint8_t> EncodeTrace(const Machine& machine) {
-  Writer w;
-  const EventTrace& trace = machine.trace();
-  w.Bool(trace.enabled());
-  w.U64(trace.events().size());
-  for (const TraceEvent& e : trace.events()) {
-    w.U8(static_cast<uint8_t>(e.kind));
-    w.U64(e.cycle);
-    w.U8(e.ring);
-    WriteSegAddr(&w, e.pc);
-    w.U32(static_cast<uint32_t>(e.cause));
-    w.U8(e.new_ring);
-    w.Str(e.note);
-  }
-  return w.buf();
-}
-
-std::vector<uint8_t> EncodeFault(const Machine& machine) {
-  Writer w;
-  const FaultInjector* injector = machine.fault_injector();
-  w.Bool(injector != nullptr);
-  if (injector == nullptr) {
-    return w.buf();
-  }
-  const FaultConfig& config = injector->config();
-  w.Bool(config.enabled);
-  w.U64(config.seed);
-  w.U32(static_cast<uint32_t>(config.rate_ppm.size()));
-  for (const uint32_t ppm : config.rate_ppm) {
-    w.U32(ppm);
-  }
-  w.U64(injector->rng().state(0));
-  w.U64(injector->rng().state(1));
-  w.U64(injector->snapshot_rng().state(0));
-  w.U64(injector->snapshot_rng().state(1));
-  w.U32(static_cast<uint32_t>(injector->counts().size()));
-  for (const uint64_t count : injector->counts()) {
-    w.U64(count);
-  }
-  w.U64(injector->sequence());
-  w.U64(injector->events().size());
-  for (const FaultEvent& e : injector->events()) {
-    w.U64(e.sequence);
-    w.U32(static_cast<uint32_t>(e.site));
-    w.U64(e.cycle);
-    w.U32(e.segno);
-    w.U32(e.wordno);
-    w.Str(e.detail);
-  }
-  return w.buf();
-}
-
-std::vector<uint8_t> EncodeDevice(const Machine& machine) {
-  Writer w;
-  w.U64(machine.tty_operations());
-  w.U64(machine.audit_runs());
-  w.U64(machine.pending_io().size());
-  for (const Machine::IoEvent& event : machine.pending_io()) {
-    w.U64(event.due_cycle);
-    w.U8(event.device);
-  }
-  return w.buf();
-}
-
-// --------------------------------------------------------------------------
-// Section payload decoders (restore side). Everything decodes into host
-// structures before any machine state is touched, so a rejected image
-// leaves the machine unchanged.
-// --------------------------------------------------------------------------
-
-struct DecodedMemory {
-  AbsAddr next_free = 0;
-  uint64_t fault_count = 0;
-  std::optional<MemoryFault> latched;
-  std::vector<Word> store;
-};
-
-struct DecodedCpu {
-  uint64_t cycles = 0;
-  RegisterFile regs;
-  Tpr tpr;
-  bool checks_enabled = true;
-  bool timer_enabled = false;
-  int64_t timer = 0;
-  bool trap_pending = false;
-  TrapState trap_state;
-  Counters counters;
-  bool sdw_cache_enabled = true;
-  uint64_t sdw_hits = 0;
-  uint64_t sdw_misses = 0;
-  std::array<SdwCache::SnapshotEntry, SdwCache::kEntries> sdw_entries{};
-};
-
-struct DecodedSupervisor {
-  Supervisor::SchedulerSnapshot sched;
-  std::string tty_output;
-  std::string tty_input;
-  std::vector<std::string> users;
-  std::vector<std::unique_ptr<Process>> processes;
-};
-
-struct DecodedFault {
-  bool present = false;
-  FaultConfig config;
-  uint64_t rng_state0 = 0;
-  uint64_t rng_state1 = 0;
-  uint64_t snapshot_rng_state0 = 0;
-  uint64_t snapshot_rng_state1 = 0;
-  std::array<uint64_t, kNumFaultSites> counts{};
-  uint64_t sequence = 0;
-  std::vector<FaultEvent> events;
-};
-
-struct DecodedDevice {
-  uint64_t tty_operations = 0;
-  uint64_t audit_runs = 0;
-  std::deque<Machine::IoEvent> pending_io;
-};
-
-bool SectionError(Reader* r, Section id, std::string* error) {
-  if (r->ok() && !r->AtEnd()) {
-    r->Fail("unconsumed payload bytes");
-  }
-  if (r->ok()) {
-    return true;
-  }
-  if (error != nullptr) {
-    *error = StrFormat("section %u: %s", static_cast<uint32_t>(id), r->error().c_str());
-  }
-  return false;
-}
-
-bool DecodeMeta(const SectionSpan& span, SnapshotMeta* meta, std::string* error) {
+// Decodes into a flat store of exactly `machine_words` words. The image's
+// word count is checked against the machine before anything is allocated,
+// so a small image cannot make restore allocate a huge store.
+bool DecodeMemory(const SectionSpans& spans, size_t machine_words, PhysicalMemory::State* state,
+                  std::vector<Word>* store, std::string* error) {
+  const SectionSpan& span = spans[kMemorySection.id - 1];
   Reader r(span.data, span.size);
-  meta->memory_words = r.U64();
-  const uint8_t mode = r.U8();
-  if (r.ok() && mode > static_cast<uint8_t>(ProtectionMode::kFlags645)) {
-    r.Fail(StrFormat("protection mode %u out of range", mode));
-  }
-  meta->mode = static_cast<ProtectionMode>(mode);
-  meta->quantum = r.I64();
-  meta->trap_storm_limit = r.I64();
-  CycleModel& cm = meta->cycle_model;
-  cm.instruction_base = r.U64();
-  cm.memory_ref = r.U64();
-  cm.sdw_fetch = r.U64();
-  cm.access_check = r.U64();
-  cm.trap = r.U64();
-  cm.rett = r.U64();
-  cm.supervisor_step = r.U64();
-  cm.io_latency = r.U64();
-  return SectionError(&r, Section::kMeta, error);
-}
-
-bool DecodeMemory(const SectionSpan& span, DecodedMemory* out, std::string* error) {
-  Reader r(span.data, span.size);
-  out->next_free = r.U64();
-  out->fault_count = r.U64();
-  if (r.Bool()) {
-    MemoryFault fault;
-    fault.addr = r.U64();
-    fault.write = r.Bool();
-    out->latched = fault;
-  }
-  const uint64_t words = r.U64();
-  if (r.ok() && words > (uint64_t{1} << 34)) {
-    r.Fail(StrFormat("implausible store size %llu words", static_cast<unsigned long long>(words)));
+  Fields(r, *state);
+  uint64_t words = 0;
+  r.U64(words);
+  if (r.ok() && words != machine_words) {
+    r.Fail(StrFormat("memory section carries %llu words for a %zu-word machine",
+                     static_cast<unsigned long long>(words), machine_words));
   }
   if (!r.ok()) {
-    return SectionError(&r, Section::kMemory, error);
+    return r.Finish(kMemorySection, error);
   }
-  out->store.assign(static_cast<size_t>(words), 0);
+  store->assign(machine_words, 0);
   uint64_t filled = 0;
   while (r.ok() && filled < words) {
-    const uint8_t tag = r.U8();
-    const uint64_t count = r.U64();
+    uint8_t tag = 0;
+    uint64_t count = 0;
+    r.U8(tag);
+    r.U64(count);
     if (!r.ok()) {
       break;
     }
@@ -846,282 +449,14 @@ bool DecodeMemory(const SectionSpan& span, DecodedMemory* out, std::string* erro
       filled += count;  // the store is pre-zeroed
     } else if (tag == 1) {
       for (uint64_t k = 0; k < count && r.ok(); ++k) {
-        out->store[static_cast<size_t>(filled + k)] = r.U64();
+        r.U64((*store)[static_cast<size_t>(filled + k)]);
       }
       filled += count;
     } else {
       r.Fail(StrFormat("unknown memory run tag %u", tag));
     }
   }
-  return SectionError(&r, Section::kMemory, error);
-}
-
-bool DecodeCpu(const SectionSpan& span, DecodedCpu* out, std::string* error) {
-  Reader r(span.data, span.size);
-  out->cycles = r.U64();
-  out->regs = ReadRegisterFile(&r);
-  out->tpr = ReadPointerRegister(&r);
-  out->checks_enabled = r.Bool();
-  out->timer_enabled = r.Bool();
-  out->timer = r.I64();
-  out->trap_pending = r.Bool();
-  out->trap_state = ReadTrapState(&r);
-  out->counters = ReadCounters(&r);
-  out->sdw_cache_enabled = r.Bool();
-  out->sdw_hits = r.U64();
-  out->sdw_misses = r.U64();
-  const uint32_t entries = r.U32();
-  if (r.ok() && entries != SdwCache::kEntries) {
-    r.Fail(StrFormat("descriptor-cache geometry %u does not match this build's %zu", entries,
-                     SdwCache::kEntries));
-  }
-  for (size_t e = 0; e < SdwCache::kEntries && r.ok(); ++e) {
-    out->sdw_entries[e].valid = r.Bool();
-    out->sdw_entries[e].segno = r.U32();
-    out->sdw_entries[e].sdw = ReadSdw(&r);
-  }
-  return SectionError(&r, Section::kCpu, error);
-}
-
-bool DecodeRegistry(const SectionSpan& span, Segno* next_segno,
-                    std::vector<RegisteredSegment>* segments, std::string* error) {
-  Reader r(span.data, span.size);
-  *next_segno = r.U32();
-  const uint64_t count = r.U64();
-  for (uint64_t i = 0; i < count && r.ok(); ++i) {
-    RegisteredSegment seg;
-    seg.name = r.Str();
-    seg.segno = r.U32();
-    seg.base = r.U64();
-    seg.paged = r.Bool();
-    seg.bound = r.U64();
-    seg.gate_count = r.U32();
-    const uint64_t acl_entries = r.U64();
-    for (uint64_t a = 0; a < acl_entries && r.ok(); ++a) {
-      AclEntry entry;
-      entry.user = r.Str();
-      entry.access = ReadSegmentAccess(&r);
-      seg.acl.Add(std::move(entry));
-    }
-    const uint64_t symbols = r.U64();
-    for (uint64_t s = 0; s < symbols && r.ok(); ++s) {
-      std::string symbol = r.Str();
-      const Wordno wordno = r.U32();
-      seg.symbols[std::move(symbol)] = wordno;
-    }
-    const uint64_t links = r.U64();
-    for (uint64_t l = 0; l < links && r.ok(); ++l) {
-      LinkTarget link;
-      link.segment = r.Str();
-      link.symbol = r.Str();
-      link.offset = r.I64();
-      const uint8_t ring = r.U8();
-      link.indirect = r.Bool();
-      if (r.ok() && !IsValidRing(ring)) {
-        r.Fail(StrFormat("link ring %u out of range", ring));
-        break;
-      }
-      link.ring = ring;
-      seg.links.push_back(std::move(link));
-    }
-    segments->push_back(std::move(seg));
-  }
-  return SectionError(&r, Section::kRegistry, error);
-}
-
-bool DecodeSupervisor(const SectionSpan& span, DecodedSupervisor* out, std::string* error) {
-  Reader r(span.data, span.size);
-  out->sched.next_pid = static_cast<int>(r.I64());
-  out->sched.anonymous_segments = static_cast<int>(r.I64());
-  out->sched.handling_trap = r.Bool();
-  out->sched.current_pid = static_cast<int>(r.I64());
-  const uint64_t ready = r.U64();
-  for (uint64_t i = 0; i < ready && r.ok(); ++i) {
-    out->sched.ready_pids.push_back(static_cast<int>(r.I64()));
-  }
-  out->tty_output = r.Str();
-  out->tty_input = r.Str();
-  const uint64_t users = r.U64();
-  for (uint64_t i = 0; i < users && r.ok(); ++i) {
-    out->users.push_back(r.Str());
-  }
-  const uint64_t processes = r.U64();
-  for (uint64_t i = 0; i < processes && r.ok(); ++i) {
-    auto process = std::make_unique<Process>();
-    process->pid = static_cast<int>(r.I64());
-    process->user = r.Str();
-    const uint8_t state = r.U8();
-    if (r.ok() && state > static_cast<uint8_t>(ProcessState::kKilled)) {
-      r.Fail(StrFormat("process state %u out of range", state));
-      break;
-    }
-    process->state = static_cast<ProcessState>(state);
-    process->dbr.base = r.U64();
-    process->dbr.bound = r.U32();
-    process->dbr.stack_base = r.U32();
-    process->saved_regs = ReadRegisterFile(&r);
-    process->exit_code = r.I64();
-    process->kill_cause = ReadTrapCause(&r);
-    process->kill_pc = ReadSegAddr(&r);
-    process->instructions_run = r.U64();
-    process->dispatches = r.U64();
-    process->trap_streak = r.U64();
-    process->last_trap_instructions = r.U64();
-    const uint64_t gates = r.U64();
-    for (uint64_t g = 0; g < gates && r.ok(); ++g) {
-      ReturnGate gate;
-      gate.expected_target = ReadSegAddr(&r);
-      const uint8_t caller_ring = r.U8();
-      const uint8_t callee_ring = r.U8();
-      if (r.ok() && (!IsValidRing(caller_ring) || !IsValidRing(callee_ring))) {
-        r.Fail(StrFormat("return-gate rings (%u,%u) out of range", caller_ring, callee_ring));
-        break;
-      }
-      gate.caller_ring = caller_ring;
-      gate.callee_ring = callee_ring;
-      gate.saved_sp = ReadPointerRegister(&r);
-      gate.saved_sb = ReadPointerRegister(&r);
-      gate.saved_ap = ReadPointerRegister(&r);
-      gate.transfer_words = r.U64();
-      const uint64_t args = r.U64();
-      for (uint64_t a = 0; a < args && r.ok(); ++a) {
-        ReturnGate::CopiedArg arg;
-        arg.original = ReadSegAddr(&r);
-        arg.transfer = ReadSegAddr(&r);
-        arg.length = r.U32();
-        const uint8_t ring = r.U8();
-        if (r.ok() && !IsValidRing(ring)) {
-          r.Fail(StrFormat("copied-arg ring %u out of range", ring));
-          break;
-        }
-        arg.effective_ring = ring;
-        gate.copied_args.push_back(arg);
-      }
-      process->return_gates.push_back(std::move(gate));
-    }
-    out->processes.push_back(std::move(process));
-  }
-  if (r.ok()) {
-    // Validate the scheduler's pid references while everything is still
-    // host-side, so applying the decoded state cannot fail.
-    auto has_pid = [out](int pid) {
-      for (const auto& p : out->processes) {
-        if (p->pid == pid) {
-          return true;
-        }
-      }
-      return false;
-    };
-    for (const int pid : out->sched.ready_pids) {
-      if (!has_pid(pid)) {
-        r.Fail(StrFormat("scheduler names unknown ready pid %d", pid));
-        break;
-      }
-    }
-    if (r.ok() && out->sched.current_pid != 0 && !has_pid(out->sched.current_pid)) {
-      r.Fail(StrFormat("scheduler names unknown current pid %d", out->sched.current_pid));
-    }
-  }
-  return SectionError(&r, Section::kSupervisor, error);
-}
-
-bool DecodeTrace(const SectionSpan& span, bool* enabled, std::deque<TraceEvent>* events,
-                 std::string* error) {
-  Reader r(span.data, span.size);
-  *enabled = r.Bool();
-  const uint64_t count = r.U64();
-  for (uint64_t i = 0; i < count && r.ok(); ++i) {
-    TraceEvent e;
-    const uint8_t kind = r.U8();
-    if (r.ok() && kind > static_cast<uint8_t>(EventKind::kProcessSwitch)) {
-      r.Fail(StrFormat("trace event kind %u out of range", kind));
-      break;
-    }
-    e.kind = static_cast<EventKind>(kind);
-    e.cycle = r.U64();
-    const uint8_t ring = r.U8();
-    e.pc = ReadSegAddr(&r);
-    e.cause = ReadTrapCause(&r);
-    const uint8_t new_ring = r.U8();
-    e.note = r.Str();
-    if (r.ok() && (!IsValidRing(ring) || !IsValidRing(new_ring))) {
-      r.Fail(StrFormat("trace event rings (%u,%u) out of range", ring, new_ring));
-      break;
-    }
-    e.ring = ring;
-    e.new_ring = new_ring;
-    events->push_back(std::move(e));
-  }
-  return SectionError(&r, Section::kTrace, error);
-}
-
-bool DecodeFault(const SectionSpan& span, DecodedFault* out, std::string* error) {
-  Reader r(span.data, span.size);
-  out->present = r.Bool();
-  if (!out->present) {
-    return SectionError(&r, Section::kFault, error);
-  }
-  out->config.enabled = r.Bool();
-  out->config.seed = r.U64();
-  const uint32_t rates = r.U32();
-  if (r.ok() && rates != kNumFaultSites) {
-    r.Fail(StrFormat("fault-site count %u does not match this build's %zu", rates,
-                     kNumFaultSites));
-  }
-  for (size_t i = 0; i < kNumFaultSites && r.ok(); ++i) {
-    out->config.rate_ppm[i] = r.U32();
-  }
-  out->rng_state0 = r.U64();
-  out->rng_state1 = r.U64();
-  out->snapshot_rng_state0 = r.U64();
-  out->snapshot_rng_state1 = r.U64();
-  const uint32_t counts = r.U32();
-  if (r.ok() && counts != kNumFaultSites) {
-    r.Fail(StrFormat("fault-count array size %u does not match this build's %zu", counts,
-                     kNumFaultSites));
-  }
-  for (size_t i = 0; i < kNumFaultSites && r.ok(); ++i) {
-    out->counts[i] = r.U64();
-  }
-  out->sequence = r.U64();
-  const uint64_t events = r.U64();
-  for (uint64_t i = 0; i < events && r.ok(); ++i) {
-    FaultEvent e;
-    e.sequence = r.U64();
-    const uint32_t site = r.U32();
-    if (r.ok() && site >= kNumFaultSites) {
-      r.Fail(StrFormat("fault site %u out of range", site));
-      break;
-    }
-    e.site = static_cast<FaultSite>(site);
-    e.cycle = r.U64();
-    e.segno = r.U32();
-    e.wordno = r.U32();
-    e.detail = r.Str();
-    out->events.push_back(std::move(e));
-  }
-  return SectionError(&r, Section::kFault, error);
-}
-
-bool DecodeDevice(const SectionSpan& span, DecodedDevice* out, std::string* error) {
-  Reader r(span.data, span.size);
-  out->tty_operations = r.U64();
-  out->audit_runs = r.U64();
-  const uint64_t count = r.U64();
-  for (uint64_t i = 0; i < count && r.ok(); ++i) {
-    Machine::IoEvent event;
-    event.due_cycle = r.U64();
-    event.device = r.U8();
-    out->pending_io.push_back(event);
-  }
-  return SectionError(&r, Section::kDevice, error);
-}
-
-bool SameCycleModel(const CycleModel& a, const CycleModel& b) {
-  return a.instruction_base == b.instruction_base && a.memory_ref == b.memory_ref &&
-         a.sdw_fetch == b.sdw_fetch && a.access_check == b.access_check && a.trap == b.trap &&
-         a.rett == b.rett && a.supervisor_step == b.supervisor_step &&
-         a.io_latency == b.io_latency;
+  return r.Finish(kMemorySection, error);
 }
 
 }  // namespace
@@ -1138,25 +473,19 @@ bool SaveSnapshot(const Machine& machine, std::vector<uint8_t>* out, std::string
     }
     return false;
   }
-  out->clear();
   Writer header;
-  header.U32(kSnapshotMagic);
-  header.U32(kSnapshotVersion);
-  header.U32(kNumSections);
-  *out = header.buf();
-  {
-    Writer crc;
-    crc.U32(Crc32(out->data(), out->size()));
-    out->insert(out->end(), crc.buf().begin(), crc.buf().end());
-  }
-  AppendSection(out, Section::kMeta, EncodeMeta(machine));
-  AppendSection(out, Section::kMemory, EncodeMemory(machine));
-  AppendSection(out, Section::kCpu, EncodeCpu(machine));
-  AppendSection(out, Section::kRegistry, EncodeRegistry(machine));
-  AppendSection(out, Section::kSupervisor, EncodeSupervisor(machine));
-  AppendSection(out, Section::kTrace, EncodeTrace(machine));
-  AppendSection(out, Section::kFault, EncodeFault(machine));
-  AppendSection(out, Section::kDevice, EncodeDevice(machine));
+  header.Int(kSnapshotMagic, 4);
+  header.Int(kSnapshotVersion, 4);
+  header.Int(kNumSections, 4);
+  header.Int(Crc32(header.buf().data(), header.buf().size()), 4);
+  *out = header.Take();
+  Machine::State state = machine.CaptureState();
+  AppendSection(out, kMetaSection, Encode(state.meta));
+  AppendSection(out, kMemorySection, EncodeMemory(machine.memory(), state.memory));
+  ForEachStateSection(state, [out](Section section, const auto& member) {
+    AppendSection(out, section, Encode(member));
+    return true;
+  });
   if (write_injector != nullptr) {
     size_t byte_index = 0;
     uint8_t mask = 0;
@@ -1169,16 +498,13 @@ bool SaveSnapshot(const Machine& machine, std::vector<uint8_t>* out, std::string
 }
 
 bool VerifySnapshot(const uint8_t* data, size_t size, std::string* error) {
-  std::array<SectionSpan, kNumSections> spans{};
+  SectionSpans spans{};
   return WalkImage(data, size, &spans, error);
 }
 
 bool PeekSnapshotMeta(const uint8_t* data, size_t size, SnapshotMeta* meta, std::string* error) {
-  std::array<SectionSpan, kNumSections> spans{};
-  if (!WalkImage(data, size, &spans, error)) {
-    return false;
-  }
-  return DecodeMeta(spans[static_cast<size_t>(Section::kMeta) - 1], meta, error);
+  SectionSpans spans{};
+  return WalkImage(data, size, &spans, error) && Decode(spans, kMetaSection, meta, error);
 }
 
 bool RestoreSnapshot(const uint8_t* data, size_t size, Machine* machine, std::string* error,
@@ -1198,116 +524,47 @@ bool RestoreSnapshot(const uint8_t* data, size_t size, Machine* machine, std::st
     }
   }
 
-  std::array<SectionSpan, kNumSections> spans{};
+  SectionSpans spans{};
   if (!WalkImage(data, size, &spans, error)) {
     return false;
   }
-  auto span = [&spans](Section id) -> const SectionSpan& {
-    return spans[static_cast<size_t>(id) - 1];
+  auto reject = [error](std::string message) {
+    if (error != nullptr) {
+      *error = std::move(message);
+    }
+    return false;
   };
 
-  // Decode everything host-side first: a structurally invalid image is
-  // rejected before any machine state changes.
-  SnapshotMeta meta;
-  DecodedMemory memory;
-  DecodedCpu cpu;
-  Segno next_segno = 0;
-  std::vector<RegisteredSegment> segments;
-  DecodedSupervisor sup;
-  bool trace_enabled = false;
-  std::deque<TraceEvent> trace_events;
-  DecodedFault fault;
-  DecodedDevice device;
-  if (!DecodeMeta(span(Section::kMeta), &meta, error) ||
-      !DecodeMemory(span(Section::kMemory), &memory, error) ||
-      !DecodeCpu(span(Section::kCpu), &cpu, error) ||
-      !DecodeRegistry(span(Section::kRegistry), &next_segno, &segments, error) ||
-      !DecodeSupervisor(span(Section::kSupervisor), &sup, error) ||
-      !DecodeTrace(span(Section::kTrace), &trace_enabled, &trace_events, error) ||
-      !DecodeFault(span(Section::kFault), &fault, error) ||
-      !DecodeDevice(span(Section::kDevice), &device, error)) {
+  // Decode and check everything host-side first: an invalid image is
+  // rejected before any machine state changes. The machine's shape is
+  // checked before the memory section is decoded, which allocates a store
+  // of the machine's size.
+  Machine::State state;
+  if (!Decode(spans, kMetaSection, &state.meta, error)) {
     return false;
   }
   if (!machine->ok()) {
-    if (error != nullptr) {
-      *error = "target machine failed construction";
-    }
-    return false;
+    return reject("target machine failed construction");
   }
-  if (meta.memory_words != machine->memory().size()) {
-    if (error != nullptr) {
-      *error = StrFormat("image memory size %llu words does not match machine's %zu",
-                         static_cast<unsigned long long>(meta.memory_words),
-                         machine->memory().size());
-    }
-    return false;
+  const size_t machine_words = machine->memory().size();
+  if (state.meta.memory_words != machine_words) {
+    return reject(StrFormat("image memory size %llu words does not match machine's %zu",
+                            static_cast<unsigned long long>(state.meta.memory_words),
+                            machine_words));
   }
-  if (memory.store.size() != machine->memory().size()) {
-    if (error != nullptr) {
-      *error = StrFormat("memory section carries %zu words for a %zu-word machine",
-                         memory.store.size(), machine->memory().size());
-    }
-    return false;
+  if (!(state.meta.cycle_model == machine->config().cycle_model)) {
+    return reject("image cycle model does not match the machine's (trajectories would diverge)");
   }
-  if (!SameCycleModel(meta.cycle_model, machine->config().cycle_model)) {
-    if (error != nullptr) {
-      *error = "image cycle model does not match the machine's (trajectories would diverge)";
-    }
+  std::vector<Word> store;
+  if (!DecodeMemory(spans, machine_words, &state.memory, &store, error) ||
+      !ForEachStateSection(state, [&spans, error](Section section, auto& member) {
+        return Decode(spans, section, &member, error);
+      })) {
     return false;
   }
 
-  // Apply, in dependency order. Core store first; then flush every derived
-  // host-side cache BEFORE reinstating counters, so the flushes' host-only
-  // counter bumps are overwritten by the image's exact values.
-  machine->memory().RestoreContents(std::move(memory.store));
-  machine->memory().RestoreAllocator(memory.next_free);
-  machine->memory().RestoreFaultLatch(memory.latched, memory.fault_count);
-
-  Cpu& c = machine->cpu();
-  c.FlushSdwCache();
-  c.FlushInsnCache();
-  c.FlushTlb();
-  c.set_mode(meta.mode);
-  c.set_checks_enabled(cpu.checks_enabled);
-  c.RestoreExecutionState(cpu.regs, cpu.tpr, cpu.cycles);
-  c.RestoreTimer(cpu.timer_enabled, cpu.timer);
-  c.RestoreTrapState(cpu.trap_pending, cpu.trap_state);
-  c.sdw_cache().set_enabled(cpu.sdw_cache_enabled);
-  for (size_t e = 0; e < SdwCache::kEntries; ++e) {
-    const SdwCache::SnapshotEntry& entry = cpu.sdw_entries[e];
-    c.sdw_cache().RestoreEntry(e, entry.valid, entry.segno, entry.sdw);
-  }
-  c.sdw_cache().RestoreStats(cpu.sdw_hits, cpu.sdw_misses);
-  c.counters() = cpu.counters;
-
-  machine->registry().RestoreState(next_segno, std::move(segments));
-
-  Supervisor& supervisor = machine->supervisor();
-  supervisor.set_quantum(meta.quantum);
-  supervisor.set_trap_storm_limit(meta.trap_storm_limit);
-  std::string restore_error;
-  if (!supervisor.RestoreProcesses(std::move(sup.processes), sup.sched, &restore_error)) {
-    if (error != nullptr) {
-      *error = restore_error;  // unreachable: pids were validated at decode
-    }
-    return false;
-  }
-  supervisor.RestoreTty(std::move(sup.tty_output), std::move(sup.tty_input));
-  supervisor.RestoreRegisteredUsers(std::move(sup.users));
-
-  machine->trace().Restore(trace_enabled, std::move(trace_events));
-
-  if (fault.present) {
-    FaultInjector* injector = machine->EnsureFaultInjector(fault.config);
-    injector->RestoreStream(fault.rng_state0, fault.rng_state1, fault.snapshot_rng_state0,
-                            fault.snapshot_rng_state1, fault.counts, fault.sequence,
-                            std::move(fault.events));
-  } else {
-    machine->ClearFaultInjector();
-  }
-
-  machine->RestorePendingIo(std::move(device.pending_io));
-  machine->RestoreDeviceCounters(device.tty_operations, device.audit_runs);
+  machine->memory().RestoreContents(std::move(store));
+  machine->RestoreState(std::move(state));
   return true;
 }
 

@@ -42,13 +42,7 @@ inline constexpr uint32_t kSnapshotVersion = 1;
 
 // Machine-shape facts needed to construct a compatible Machine before
 // restoring (ringsim --restore reads these without decoding the rest).
-struct SnapshotMeta {
-  uint64_t memory_words = 0;
-  ProtectionMode mode = ProtectionMode::kRingHardware;
-  int64_t quantum = 5000;
-  int64_t trap_storm_limit = 64;
-  CycleModel cycle_model{};
-};
+using SnapshotMeta = Machine::State::Meta;
 
 // Serializes `machine` (which must be at a Machine::Run boundary — the
 // fleet checkpoints between quanta, ringsim after Run returns). When

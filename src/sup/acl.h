@@ -49,6 +49,10 @@ class AccessControlList {
   }
 
  private:
+  // The machine-state field list (src/snapshot/schema.h) visits entries_.
+  template <class Ar>
+  friend void Fields(Ar& ar, AccessControlList& acl);
+
   std::vector<AclEntry> entries_;
 };
 

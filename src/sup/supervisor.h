@@ -93,7 +93,6 @@ class Supervisor {
   std::string& tty_output() { return tty_output_; }
   const std::string& tty_output() const { return tty_output_; }
   std::string& tty_input() { return tty_input_; }
-  const std::string& tty_input() const { return tty_input_; }
 
   // Wakes processes blocked in kSvcTtyRead (the machine calls this when
   // typewriter input arrives). Each awakened process re-executes its SVC.
@@ -112,33 +111,29 @@ class Supervisor {
   void set_quantum(int64_t quantum) { options_.quantum = quantum; }
   void set_trap_storm_limit(int64_t limit) { options_.trap_storm_limit = limit; }
 
-  // --- snapshot support (src/snapshot) ------------------------------------
-
-  // Scheduler state by pid (processes are identified by pid in the image;
-  // pointers are rebuilt on restore). current_pid 0 = no current process.
-  struct SchedulerSnapshot {
-    std::vector<int> ready_pids;
-    int current_pid = 0;
-    bool handling_trap = false;
+  // --- machine state (Machine::CaptureState / RestoreState) -------------
+  // Processes are identified by pid (pointers are rebuilt on restore);
+  // current_pid 0 = no current process. The quantum and trap-storm limit
+  // travel with the machine's meta state.
+  struct State {
     int next_pid = 1;
     int anonymous_segments = 0;
+    bool handling_trap = false;
+    int current_pid = 0;
+    std::vector<int> ready_pids;
+    std::string tty_output;
+    std::string tty_input;
+    std::vector<std::string> registered_users;
+    std::vector<Process> processes;
+
+    // Empty when every pid the scheduler names is in `processes`;
+    // otherwise a description of the first dangling one.
+    std::string DanglingPid() const;
   };
-  SchedulerSnapshot SnapshotScheduler() const;
-
-  // Replaces the process table and scheduler state. Every pid named by
-  // `sched` must exist in `processes`; returns false (with *error filled)
-  // otherwise, leaving the supervisor unusable — callers treat that as a
-  // failed restore and discard the machine.
-  bool RestoreProcesses(std::vector<std::unique_ptr<Process>> processes,
-                        const SchedulerSnapshot& sched, std::string* error);
-
-  void RestoreTty(std::string output, std::string input) {
-    tty_output_ = std::move(output);
-    tty_input_ = std::move(input);
-  }
-  void RestoreRegisteredUsers(std::vector<std::string> users) {
-    registered_users_ = std::move(users);
-  }
+  State CaptureState() const;
+  // `state` must have no dangling pid (the snapshot reader rejects images
+  // that do, and a captured state never has one).
+  void RestoreState(State state);
 
  private:
   // Charges `steps` logical supervisor steps to the cycle account.

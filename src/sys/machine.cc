@@ -19,14 +19,7 @@ Machine::Machine(MachineConfig config)
       registry_(&memory_),
       supervisor_(&cpu_, &memory_, &registry_,
                   Supervisor::Options{.quantum = config.quantum, .verbose = false}) {
-  cpu_.set_mode(config.mode);
-  cpu_.set_fast_path_enabled(config.fast_path);
-  cpu_.set_block_engine_enabled(config.block_engine);
-  cpu_.set_block_call_ablation(config.block_call_ablation);
-  cpu_.set_chain_enabled(config.chain);
-  cpu_.set_chain_ablation(config.chain_ablation);
-  cpu_.set_trace(&trace_);
-  supervisor_.set_start_io([this](uint8_t device, Word detail) { StartIo(device, detail); });
+  ConfigureComponents();
   if (config_.fault.enabled) {
     fault_injector_ = std::make_unique<FaultInjector>(config_.fault);
     cpu_.set_fault_injector(fault_injector_.get());
@@ -40,6 +33,13 @@ Machine::Machine(const Machine& parent, CloneTag)
       cpu_(&memory_, config_.cycle_model),
       registry_(&memory_),
       supervisor_(&cpu_, &memory_, &registry_, parent.supervisor_.options()) {
+  ConfigureComponents();
+  // No supervisor_.Initialize(), no program load: the cloned core store
+  // and the state CloneFrom restores already carry both.
+  ok_ = true;
+}
+
+void Machine::ConfigureComponents() {
   cpu_.set_mode(config_.mode);
   cpu_.set_fast_path_enabled(config_.fast_path);
   cpu_.set_block_engine_enabled(config_.block_engine);
@@ -48,9 +48,6 @@ Machine::Machine(const Machine& parent, CloneTag)
   cpu_.set_chain_ablation(config_.chain_ablation);
   cpu_.set_trace(&trace_);
   supervisor_.set_start_io([this](uint8_t device, Word detail) { StartIo(device, detail); });
-  // No supervisor_.Initialize(), no program load: the cloned core store
-  // and the copied registry/process state below already carry both.
-  ok_ = true;
 }
 
 std::unique_ptr<Machine> Machine::CloneFrom(const Machine& golden) {
@@ -58,60 +55,49 @@ std::unique_ptr<Machine> Machine::CloneFrom(const Machine& golden) {
     return nullptr;
   }
   std::unique_ptr<Machine> clone(new Machine(golden, CloneTag{}));
-
-  // Copy processor state in snapshot-restore order: architectural state
-  // first, host caches stay cold (they are rebuilt on demand and, like
-  // tlb_*/block_*, never feed fingerprints), counters last so nothing
-  // below perturbs them.
-  const Cpu& src = golden.cpu_;
-  Cpu& dst = clone->cpu_;
-  dst.set_checks_enabled(src.checks_enabled());
-  dst.RestoreExecutionState(src.regs(), src.tpr(), src.cycles());
-  dst.RestoreTimer(src.timer_enabled(), src.timer());
-  dst.RestoreTrapState(src.trap_pending(), src.trap_state());
-  // The SDW cache is timing-architectural (its hits and misses feed the
-  // cycle account), so its exact contents come along.
-  dst.sdw_cache().set_enabled(src.sdw_cache().enabled());
-  for (size_t e = 0; e < SdwCache::kEntries; ++e) {
-    const SdwCache::SnapshotEntry entry = src.sdw_cache().SnapshotAt(e);
-    dst.sdw_cache().RestoreEntry(e, entry.valid, entry.segno, entry.sdw);
-  }
-  dst.sdw_cache().RestoreStats(src.sdw_cache().hits(), src.sdw_cache().misses());
-  dst.CopyDecodeTablesFrom(src);
-  dst.counters() = src.counters();
-
-  clone->registry_.RestoreState(golden.registry_.next_segno(),
-                                std::vector<RegisteredSegment>(golden.registry_.segments()));
-
-  std::vector<std::unique_ptr<Process>> processes;
-  processes.reserve(golden.supervisor_.processes().size());
-  for (const auto& process : golden.supervisor_.processes()) {
-    processes.push_back(std::make_unique<Process>(*process));
-  }
-  std::string error;
-  if (!clone->supervisor_.RestoreProcesses(std::move(processes),
-                                           golden.supervisor_.SnapshotScheduler(), &error)) {
-    return nullptr;  // unreachable: the parent's pids are consistent
-  }
-  clone->supervisor_.RestoreTty(golden.supervisor_.tty_output(), golden.supervisor_.tty_input());
-  clone->supervisor_.RestoreRegisteredUsers(golden.supervisor_.registered_users());
-
-  clone->trace_.Restore(golden.trace_.enabled(),
-                        std::deque<TraceEvent>(golden.trace_.events()));
-
-  if (golden.fault_injector_ != nullptr) {
-    const FaultInjector& fi = *golden.fault_injector_;
-    FaultInjector* injector = clone->EnsureFaultInjector(fi.config());
-    injector->RestoreStream(fi.rng().state(0), fi.rng().state(1), fi.snapshot_rng().state(0),
-                            fi.snapshot_rng().state(1), fi.counts(), fi.sequence(),
-                            std::vector<FaultEvent>(fi.events()));
-  }
-
-  clone->pending_io_ = golden.pending_io_;
+  clone->RestoreState(golden.CaptureState());
+  clone->cpu_.CopyDecodeTablesFrom(golden.cpu_);
   clone->audit_findings_ = golden.audit_findings_;
-  clone->audit_runs_ = golden.audit_runs_;
-  clone->tty_operations_ = golden.tty_operations_;
   return clone;
+}
+
+Machine::State Machine::CaptureState() const {
+  State state;
+  state.meta = State::Meta{memory_.size(), cpu_.mode(), supervisor_.options().quantum,
+                           supervisor_.options().trap_storm_limit, config_.cycle_model};
+  state.memory = memory_.CaptureState();
+  state.cpu = cpu_.CaptureState();
+  state.registry = registry_.CaptureState();
+  state.supervisor = supervisor_.CaptureState();
+  state.trace = trace_.CaptureState();
+  if (fault_injector_ != nullptr) {
+    state.fault = fault_injector_->CaptureState();
+  }
+  state.device = State::Device{tty_operations_, audit_runs_, pending_io_};
+  return state;
+}
+
+void Machine::RestoreState(State state) {
+  cpu_.set_mode(state.meta.mode);
+  supervisor_.set_quantum(state.meta.quantum);
+  supervisor_.set_trap_storm_limit(state.meta.trap_storm_limit);
+  memory_.RestoreState(state.memory);
+  cpu_.RestoreState(state.cpu);
+  registry_.RestoreState(std::move(state.registry));
+  supervisor_.RestoreState(std::move(state.supervisor));
+  trace_.RestoreState(std::move(state.trace));
+  if (state.fault.has_value()) {
+    config_.fault = state.fault->config;
+    fault_injector_ = std::make_unique<FaultInjector>(config_.fault);
+    fault_injector_->RestoreState(std::move(*state.fault));
+  } else {
+    config_.fault = FaultConfig{};
+    fault_injector_.reset();
+  }
+  cpu_.set_fault_injector(fault_injector_.get());
+  tty_operations_ = state.device.tty_operations;
+  audit_runs_ = state.device.audit_runs;
+  pending_io_ = std::move(state.device.pending_io);
 }
 
 bool Machine::LoadProgram(const Program& program,
@@ -213,19 +199,6 @@ bool Machine::LoadProgramSource(std::string_view source,
     return false;
   }
   return LoadProgram(result.program, acls, error);
-}
-
-FaultInjector* Machine::EnsureFaultInjector(const FaultConfig& config) {
-  config_.fault = config;
-  fault_injector_ = std::make_unique<FaultInjector>(config);
-  cpu_.set_fault_injector(fault_injector_.get());
-  return fault_injector_.get();
-}
-
-void Machine::ClearFaultInjector() {
-  fault_injector_.reset();
-  cpu_.set_fault_injector(nullptr);
-  config_.fault = FaultConfig{};
 }
 
 void Machine::StartIo(uint8_t device, Word detail) {

@@ -153,19 +153,44 @@ class Machine {
   std::optional<Word> PeekSegment(const std::string& name, Wordno wordno) const;
   bool PokeSegment(const std::string& name, Wordno wordno, Word value);
 
-  // --- snapshot support (src/snapshot) ------------------------------------
   const MachineConfig& config() const { return config_; }
-  const std::deque<IoEvent>& pending_io() const { return pending_io_; }
-  void RestorePendingIo(std::deque<IoEvent> io) { pending_io_ = std::move(io); }
-  void RestoreDeviceCounters(uint64_t tty_operations, uint64_t audit_runs) {
-    tty_operations_ = tty_operations;
-    audit_runs_ = audit_runs;
-  }
-  // Installs (or reconfigures) the fault injector so an image's injector
-  // stream can be reinstated on a machine built without one; returns the
-  // live injector. ClearFaultInjector removes it (image had none).
-  FaultInjector* EnsureFaultInjector(const FaultConfig& config);
-  void ClearFaultInjector();
+
+  // --- machine state ------------------------------------------------------
+  // Everything the machine carries beyond its core store's words, as plain
+  // values, one member per snapshot-image section. CloneFrom and
+  // RestoreSnapshot both apply it through RestoreState, so a clone and a
+  // restore cannot copy different things; the field lists that encode,
+  // decode and fingerprint it are in src/snapshot/schema.h. Not in it: the
+  // core store's words (a clone aliases the golden's frames, an image
+  // carries them in its memory section), the host-only caches (restore
+  // flushes them), and the audit findings, which only CloneFrom copies.
+  struct State {
+    // Machine-shape facts; RestoreState applies the mode, quantum and
+    // trap-storm limit and requires the memory size and cycle model to
+    // match this machine already.
+    struct Meta {
+      uint64_t memory_words = 0;
+      ProtectionMode mode = ProtectionMode::kRingHardware;
+      int64_t quantum = 5000;
+      int64_t trap_storm_limit = 64;
+      CycleModel cycle_model{};
+    };
+    struct Device {
+      uint64_t tty_operations = 0;
+      uint64_t audit_runs = 0;
+      std::deque<IoEvent> pending_io;
+    };
+    Meta meta;
+    PhysicalMemory::State memory;
+    Cpu::State cpu;
+    SegmentRegistry::State registry;
+    Supervisor::State supervisor;
+    EventTrace::State trace;
+    std::optional<FaultInjector::State> fault;  // nullopt: no injector
+    Device device;
+  };
+  State CaptureState() const;
+  void RestoreState(State state);
 
  private:
   // Tag for the cloning constructor: builds the shell (COW memory, cpu,
@@ -173,6 +198,10 @@ class Machine {
   // CloneFrom then copies the parent's state in.
   struct CloneTag {};
   Machine(const Machine& parent, CloneTag);
+
+  // The config-driven wiring both constructors share: engine switches,
+  // trace and I/O hooks.
+  void ConfigureComponents();
 
   void StartIo(uint8_t device, Word detail);
 

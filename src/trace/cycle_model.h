@@ -36,6 +36,7 @@ struct CycleModel {
   // Start-I/O channel latency until the completion trap.
   uint64_t io_latency = 200;
 
+  bool operator==(const CycleModel&) const = default;
   static CycleModel Default() { return CycleModel{}; }
 };
 

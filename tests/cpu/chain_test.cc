@@ -173,7 +173,7 @@ TEST(ChainInvalidate, InjectedDescriptorDropsKeepTwinsIdentical) {
   off.RunTo(4000);
 
   const auto drops = [](const FaultInjector& fi) {
-    return fi.counts()[static_cast<size_t>(FaultSite::kSdwCacheDrop)];
+    return fi.injected(FaultSite::kSdwCacheDrop);
   };
   EXPECT_GT(drops(inject_on), 0u);
   EXPECT_EQ(drops(inject_on), drops(inject_off));

@@ -2,6 +2,10 @@
 // for transfer instructions other than CALL/RETURN.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <ostream>
+
 #include "tests/testutil.h"
 
 namespace rings {
@@ -133,6 +137,17 @@ struct CondCase {
   int64_t a;
   bool taken;
 };
+
+// gtest names each case after its parameter's raw bytes. Print them with the
+// padding zeroed, so the names do not pick up whatever was on the stack when
+// the cases were built.
+void PrintTo(const CondCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(CondCase)] = {};
+  std::memcpy(bytes + offsetof(CondCase, op), &c.op, sizeof c.op);
+  std::memcpy(bytes + offsetof(CondCase, a), &c.a, sizeof c.a);
+  std::memcpy(bytes + offsetof(CondCase, taken), &c.taken, sizeof c.taken);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class ConditionalTransfer : public ::testing::TestWithParam<CondCase> {};
 

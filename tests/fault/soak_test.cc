@@ -259,8 +259,8 @@ TEST(FaultSoak, MidSoakSnapshotRestoreIsFingerprintIdentical) {
   EXPECT_EQ(restored.cpu().cycles(), uninterrupted->cpu().cycles());
   ASSERT_NE(restored.fault_injector(), nullptr);
   ASSERT_NE(uninterrupted->fault_injector(), nullptr);
-  EXPECT_EQ(restored.fault_injector()->sequence(),
-            uninterrupted->fault_injector()->sequence());
+  EXPECT_EQ(restored.fault_injector()->CaptureState().sequence,
+            uninterrupted->fault_injector()->CaptureState().sequence);
   EXPECT_TRUE(AuditClean(restored.audit_findings()));
 }
 

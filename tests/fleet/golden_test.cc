@@ -342,7 +342,8 @@ TEST(GoldenImageFault, CloneReplaysInjectedFaultStreamIdentically) {
   ExpectArchCountersIdentical(clone->cpu().counters(), fresh->cpu().counters());
   ASSERT_NE(fresh->fault_injector(), nullptr);
   EXPECT_EQ(clone->fault_injector()->events().size(), fresh->fault_injector()->events().size());
-  EXPECT_EQ(clone->fault_injector()->sequence(), fresh->fault_injector()->sequence());
+  EXPECT_EQ(clone->fault_injector()->CaptureState().sequence,
+            fresh->fault_injector()->CaptureState().sequence);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -475,7 +476,7 @@ TEST(Snapshot, WriteFaultSiteCorruptsTheImage) {
   ASSERT_TRUE(SaveSnapshot(*live, &image, &error, &injector)) << error;
   // The certain-rate write fault flipped one bit; verification catches it.
   EXPECT_FALSE(VerifySnapshot(image, &error));
-  EXPECT_EQ(injector.counts()[static_cast<size_t>(FaultSite::kSnapshotWrite)], 1u);
+  EXPECT_EQ(injector.injected(FaultSite::kSnapshotWrite), 1u);
 }
 
 TEST(Snapshot, ReadFaultSiteRejectsOnTheWayIn) {
@@ -503,8 +504,7 @@ TEST(Snapshot, DisabledFaultSitesConsumeNoRandomness) {
   fault.enabled = true;
   fault.seed = 7;  // all rates zero
   FaultInjector injector(fault);
-  const uint64_t s0 = injector.rng().state(0);
-  const uint64_t s1 = injector.rng().state(1);
+  const std::array<uint64_t, 2> rng = injector.CaptureState().rng;
 
   const MachineConfig config;
   std::unique_ptr<Machine> live = MakeCallLoopMachine(config);
@@ -514,8 +514,7 @@ TEST(Snapshot, DisabledFaultSitesConsumeNoRandomness) {
   std::string error;
   ASSERT_TRUE(SaveSnapshot(*live, &image, &error, &injector)) << error;
   EXPECT_TRUE(VerifySnapshot(image, &error)) << error;
-  EXPECT_EQ(injector.rng().state(0), s0);
-  EXPECT_EQ(injector.rng().state(1), s1);
+  EXPECT_EQ(injector.CaptureState().rng, rng);
 }
 
 // The injector's own stream survives the round trip: a machine with live
@@ -538,13 +537,16 @@ TEST(Snapshot, FaultInjectorStreamRoundTrips) {
   ASSERT_TRUE(RestoreSnapshot(image, &restored, &error)) << error;
   ASSERT_NE(restored.fault_injector(), nullptr);
   ASSERT_NE(live->fault_injector(), nullptr);
-  EXPECT_EQ(restored.fault_injector()->sequence(), live->fault_injector()->sequence());
+  EXPECT_EQ(restored.fault_injector()->CaptureState().sequence,
+            live->fault_injector()->CaptureState().sequence);
 
   live->Run(100'000'000);
   restored.Run(100'000'000);
   EXPECT_EQ(FingerprintMachine(restored), FingerprintMachine(*live));
-  EXPECT_EQ(restored.fault_injector()->sequence(), live->fault_injector()->sequence());
-  EXPECT_EQ(restored.fault_injector()->counts(), live->fault_injector()->counts());
+  const FaultInjector::State restored_stream = restored.fault_injector()->CaptureState();
+  const FaultInjector::State live_stream = live->fault_injector()->CaptureState();
+  EXPECT_EQ(restored_stream.sequence, live_stream.sequence);
+  EXPECT_EQ(restored_stream.counts, live_stream.counts);
 }
 
 // ---------------------------------------------------------------------------
