@@ -143,19 +143,35 @@ PhysicalMemory::FrameStats PhysicalMemory::frame_stats() const {
   return stats;
 }
 
-void PhysicalMemory::RestoreContents(std::vector<Word> store) {
+void PhysicalMemory::RestoreContents(PhysicalMemory&& staged) {
   for (size_t i = 0; i < frames_.size(); ++i) {
-    const size_t base = i << kFrameShift;
-    const size_t count = std::min(kFrameWords, size_words_ - base);
-    const Word* incoming = store.data() + base;
-    if (std::memcmp(incoming, read_frames_[i], count * sizeof(Word)) == 0) {
+    Frame* incoming = staged.frames_[i];
+    if (incoming == frames_[i]) {
+      continue;  // both zero, or the very same frame
+    }
+    const size_t count = std::min(kFrameWords, size_words_ - (i << kFrameShift));
+    if (std::memcmp(staged.read_frames_[i], read_frames_[i], count * sizeof(Word)) == 0) {
       continue;  // unchanged frame stays shared (restore-into-clone fast path)
     }
-    Word* dst = write_frames_[i];
-    if (dst == nullptr) {
-      dst = Privatize(i);
+    if (frames_[i] != nullptr) {
+      Frame::Unref(frames_[i]);
     }
-    std::memcpy(dst, incoming, count * sizeof(Word));
+    frames_[i] = incoming;
+    if (incoming == nullptr) {
+      read_frames_[i] = kZeroFrameWords;
+      write_frames_[i] = nullptr;
+      continue;
+    }
+    staged.frames_[i] = nullptr;
+    staged.read_frames_[i] = kZeroFrameWords;
+    staged.write_frames_[i] = nullptr;
+    read_frames_[i] = incoming->words;
+    // A staged frame is exclusively owned unless the staging store was
+    // itself cloned; a shared one stays read-only and privatizes on write.
+    write_frames_[i] =
+        incoming->refs.load(std::memory_order_acquire) == 1 ? incoming->words : nullptr;
+    sealed_.store(false, std::memory_order_relaxed);
+    ++frames_privatized_;
   }
 }
 

@@ -156,18 +156,26 @@ class PhysicalMemory {
   }
 
   // --- snapshot support (src/snapshot) -----------------------------------
-  // Single-word accessor for image serialization: in-range, non-latching.
-  // `addr` must be < size().
-  Word word(AbsAddr addr) const {
-    return read_frames_[addr >> kFrameShift][addr & kFrameMask];
+  // Frame-granular read access for image encoding: frame `index`'s words,
+  // or nullptr while the frame still aliases the zero frame (so an encoder
+  // can skip a whole never-written frame in O(1)). `index` must be below
+  // the frame count, (size() + kFrameWords - 1) / kFrameWords; words of a
+  // final partial frame at or past size() read as zero.
+  const Word* frame(size_t index) const {
+    return frames_[index] == nullptr ? nullptr : read_frames_[index];
   }
-  // Replaces the store contents. `store` must already be size() words (the
-  // snapshot reader rejects size mismatches before calling this).
-  // Frame-aware: frames whose incoming contents already match are left
-  // untouched, so restoring a snapshot into a clone of the machine that
-  // took it keeps unchanged frames shared — the restore-into-clone fast
-  // path used by fleet checkpoint restarts.
-  void RestoreContents(std::vector<Word> store);
+  // Replaces the store contents with `staged`'s, frame by frame. `staged`
+  // must have size() words; a snapshot decoder fills it with only the
+  // image's non-zero words, so only their frames exist. Per frame:
+  //   - contents equal to this store's (same frame, or memcmp-equal): this
+  //     store keeps its own frame, so restoring an image into a clone of
+  //     the machine that took it keeps unchanged frames shared — the
+  //     restore-into-clone fast path used by fleet checkpoint restarts;
+  //   - a staged zero frame: this store's frame drops to the zero frame;
+  //   - otherwise the staged frame moves in, privately owned and writable
+  //     (counted in frames_privatized()).
+  // Costs O(frame count + staged frames); `staged` is left all-zero.
+  void RestoreContents(PhysicalMemory&& staged);
 
  private:
   struct Frame;  // refcounted frame storage, defined in the .cc

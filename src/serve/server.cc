@@ -102,6 +102,11 @@ uint64_t Server::Submit(Submission submission) {
     if (!VerifySnapshot(task->submission.image, &error) ||
         !PeekSnapshotMeta(task->submission.image, &meta, &error)) {
       reject = StrFormat("snapshot image invalid: %s", error.c_str());
+    } else if (meta.memory_words > config_.machine_memory_words) {
+      // Checked before any Machine of the image's size exists.
+      reject = StrFormat("snapshot image wants a %llu-word machine, server cap is %zu words",
+                         static_cast<unsigned long long>(meta.memory_words),
+                         config_.machine_memory_words);
     } else {
       memory_words = meta.memory_words;
     }
@@ -254,6 +259,10 @@ bool Server::Materialize(Task* task) {
     config.cycle_model = meta.cycle_model;
     config.quantum = meta.quantum;
     config.mode = meta.mode;
+    config.fast_path = config_.fast_path;
+    config.block_engine = config_.block_engine;
+    config.chain = config_.chain;
+    config.shared_decode = config_.shared_decode;
     machine = std::make_unique<Machine>(config);
     if (!machine->ok() || !RestoreSnapshot(sub.image, machine.get(), &error)) {
       Retire(task, ServeStatus::kFailed,

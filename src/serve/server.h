@@ -44,18 +44,18 @@ struct ServeConfig {
   // Core-store size for machines built from kasm source — the
   // MachineConfig default, so daemon fingerprints are comparable with
   // standalone ringsim runs of the same guest. COW zero frames make the
-  // large store free until written. (Image submissions dictate their own
-  // size; the tenant memory budget applies to both.)
+  // large store free until written. Image submissions dictate their own
+  // size, up to this cap: a larger image is rejected at submit. The tenant
+  // memory budget applies to both.
   size_t machine_memory_words = size_t{1} << 22;
   // Per-submission cycle cap when the submission does not set one.
   uint64_t default_max_cycles = 100'000'000;
-  // Host engine configuration for machines built from source (image
-  // submissions restore under their snapshot's own config). Host-only —
-  // simulated results are bit-identical across all settings — but folded
-  // into the golden-image identity so a golden built under one engine
-  // configuration never serves another. bench_serve wires these to the
-  // RINGS_BLOCK_ENGINE / RINGS_CHAIN / RINGS_SHARED_DECODE CI ablation
-  // hooks.
+  // Host engine configuration for every machine the server builds, from
+  // source or restored from an image. Host-only — simulated results are
+  // bit-identical across all settings — but folded into the golden-image
+  // identity so a golden built under one engine configuration never
+  // serves another. bench_serve wires these to the RINGS_BLOCK_ENGINE /
+  // RINGS_CHAIN / RINGS_SHARED_DECODE CI ablation hooks.
   bool fast_path = true;
   bool block_engine = true;
   bool chain = true;

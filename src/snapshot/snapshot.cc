@@ -1,5 +1,6 @@
 #include "src/snapshot/snapshot.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <map>
@@ -377,34 +378,50 @@ bool WalkImage(const uint8_t* data, size_t size, SectionSpans* spans, std::strin
 // The memory section: the store's bookkeeping (its field list), then the
 // store's size and its words as zero-run RLE — the typical machine
 // allocates a few hundred K words out of a multi-megaword store, so images
-// stay compact.
+// stay compact. Both directions work frame by frame, so they cost
+// O(image + touched frames), not O(store): the encoder skips a
+// never-written frame in one step, and the decoder writes only non-zero
+// words, so only their frames materialize.
 // --------------------------------------------------------------------------
 
 std::vector<uint8_t> EncodeMemory(const PhysicalMemory& memory,
                                   const PhysicalMemory::State& state) {
+  constexpr size_t kShift = PhysicalMemory::kFrameShift;
+  constexpr size_t kMask = PhysicalMemory::kFrameMask;
+  const auto word = [&memory](size_t addr) -> Word {
+    const Word* frame = memory.frame(addr >> kShift);
+    return frame == nullptr ? 0 : frame[addr & kMask];
+  };
   Writer w;
   w.Put(state);
-  // Read through the non-latching word() accessor — the COW store has no
-  // contiguous backing array to hand out.
   const size_t size = memory.size();
   w.Int(size, 8);
   size_t i = 0;
   while (i < size) {
     size_t j = i;
-    if (memory.word(i) == 0) {
-      while (j < size && memory.word(j) == 0) {
-        ++j;
+    if (word(i) == 0) {
+      // Runs merge across frame boundaries, so the bytes do not depend on
+      // which frames happen to be materialized.
+      while (j < size) {
+        const Word* frame = memory.frame(j >> kShift);
+        if (frame == nullptr) {
+          j = std::min(size, (j | kMask) + 1);  // the rest of a zero frame
+        } else if (frame[j & kMask] == 0) {
+          ++j;
+        } else {
+          break;
+        }
       }
       w.Int(0, 1);
       w.Int(j - i, 8);
     } else {
-      while (j < size && memory.word(j) != 0) {
+      while (j < size && word(j) != 0) {
         ++j;
       }
       w.Int(1, 1);
       w.Int(j - i, 8);
       for (size_t k = i; k < j; ++k) {
-        w.Int(memory.word(k), 8);
+        w.Int(word(k), 8);
       }
     }
     i = j;
@@ -412,24 +429,19 @@ std::vector<uint8_t> EncodeMemory(const PhysicalMemory& memory,
   return w.Take();
 }
 
-// Decodes into a flat store of exactly `machine_words` words. The image's
-// word count is checked against the machine before anything is allocated,
-// so a small image cannot make restore allocate a huge store.
-bool DecodeMemory(const SectionSpans& spans, size_t machine_words, PhysicalMemory::State* state,
-                  std::vector<Word>* store, std::string* error) {
+// Decodes into `staged`, a zero store of the machine's size. The image's
+// word count is checked against the machine before anything is written.
+bool DecodeMemory(const SectionSpans& spans, PhysicalMemory::State* state,
+                  PhysicalMemory* staged, std::string* error) {
   const SectionSpan& span = spans[kMemorySection.id - 1];
   Reader r(span.data, span.size);
   Fields(r, *state);
   uint64_t words = 0;
   r.U64(words);
-  if (r.ok() && words != machine_words) {
+  if (r.ok() && words != staged->size()) {
     r.Fail(StrFormat("memory section carries %llu words for a %zu-word machine",
-                     static_cast<unsigned long long>(words), machine_words));
+                     static_cast<unsigned long long>(words), staged->size()));
   }
-  if (!r.ok()) {
-    return r.Finish(kMemorySection, error);
-  }
-  store->assign(machine_words, 0);
   uint64_t filled = 0;
   while (r.ok() && filled < words) {
     uint8_t tag = 0;
@@ -445,16 +457,19 @@ bool DecodeMemory(const SectionSpans& spans, size_t machine_words, PhysicalMemor
                        static_cast<unsigned long long>(words)));
       break;
     }
-    if (tag == 0) {
-      filled += count;  // the store is pre-zeroed
-    } else if (tag == 1) {
+    if (tag == 1) {
       for (uint64_t k = 0; k < count && r.ok(); ++k) {
-        r.U64((*store)[static_cast<size_t>(filled + k)]);
+        Word value = 0;
+        r.U64(value);
+        if (value != 0) {
+          staged->Write(static_cast<AbsAddr>(filled + k), value);
+        }
       }
-      filled += count;
-    } else {
+    } else if (tag != 0) {  // a zero run writes nothing
       r.Fail(StrFormat("unknown memory run tag %u", tag));
+      break;
     }
+    filled += count;
   }
   return r.Finish(kMemorySection, error);
 }
@@ -537,8 +552,8 @@ bool RestoreSnapshot(const uint8_t* data, size_t size, Machine* machine, std::st
 
   // Decode and check everything host-side first: an invalid image is
   // rejected before any machine state changes. The machine's shape is
-  // checked before the memory section is decoded, which allocates a store
-  // of the machine's size.
+  // checked before the memory section is decoded into a staging store of
+  // the machine's size, which allocates only the frames the image writes.
   Machine::State state;
   if (!Decode(spans, kMetaSection, &state.meta, error)) {
     return false;
@@ -555,15 +570,15 @@ bool RestoreSnapshot(const uint8_t* data, size_t size, Machine* machine, std::st
   if (!(state.meta.cycle_model == machine->config().cycle_model)) {
     return reject("image cycle model does not match the machine's (trajectories would diverge)");
   }
-  std::vector<Word> store;
-  if (!DecodeMemory(spans, machine_words, &state.memory, &store, error) ||
+  PhysicalMemory staged(machine_words);
+  if (!DecodeMemory(spans, &state.memory, &staged, error) ||
       !ForEachStateSection(state, [&spans, error](Section section, auto& member) {
         return Decode(spans, section, &member, error);
       })) {
     return false;
   }
 
-  machine->memory().RestoreContents(std::move(store));
+  machine->memory().RestoreContents(std::move(staged));
   machine->RestoreState(std::move(state));
   return true;
 }

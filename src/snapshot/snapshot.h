@@ -19,6 +19,11 @@
 // run uninterrupted (pinned by tests/snapshot/ across the slow, fast, and
 // block engines and across fleet thread counts).
 //
+// Memory costs O(image + touched frames) in both directions, not O(store):
+// the encoder skips never-written frames whole, and restore decodes into
+// a staging store that materializes only the frames holding non-zero
+// words, then commits it frame by frame (PhysicalMemory::RestoreContents).
+//
 // The image is versioned and section-checksummed (CRC-32); truncated,
 // bit-flipped, or wrong-endian images are rejected with structured errors
 // — never UB, never an abort. All multi-byte fields are written
@@ -71,7 +76,9 @@ inline bool PeekSnapshotMeta(const std::vector<uint8_t>& image, SnapshotMeta* me
 // constructed with the same memory size and cycle model as the image
 // (the same factory/config that produced the snapshotted machine); the
 // image is fully verified and decoded before any machine state is
-// touched, so a rejected image leaves the machine unchanged. When
+// touched, so a rejected image leaves the machine unchanged. Frames whose
+// contents the image does not change stay as they are, so restoring into
+// a clone of the machine that took the image keeps them shared. When
 // `read_injector` is supplied, the kSnapshotRead fault site may damage
 // one byte of the image on its way in (the CRCs then reject it).
 bool RestoreSnapshot(const uint8_t* data, size_t size, Machine* machine, std::string* error,

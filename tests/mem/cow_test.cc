@@ -4,8 +4,6 @@
 // store's observable read/write/latch semantics.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "src/mem/physical_memory.h"
 
 namespace rings {
@@ -156,12 +154,12 @@ TEST(CowMemory, RestoreIdenticalContentsKeepsFramesShared) {
   parent.Write(5, 111);
   PhysicalMemory clone(parent, PhysicalMemory::CowClone{});
 
-  // Rebuild the parent's exact contents and restore them into the clone:
-  // every frame matches, so nothing privatizes (the restore-into-clone
-  // fast path).
-  std::vector<Word> store(kWords, 0);
-  store[5] = 111;
-  clone.RestoreContents(std::move(store));
+  // Rebuild the parent's exact contents in a staging store and restore
+  // them into the clone: every frame matches, so nothing privatizes (the
+  // restore-into-clone fast path).
+  PhysicalMemory staged(kWords);
+  staged.Write(5, 111);
+  clone.RestoreContents(std::move(staged));
   EXPECT_EQ(clone.frames_privatized(), 0u);
   EXPECT_EQ(clone.frame_stats().shared_frames, 1u);
   EXPECT_EQ(clone.Read(5), 111u);
@@ -173,10 +171,10 @@ TEST(CowMemory, RestoreDifferingContentsPrivatizesOnlyChangedFrames) {
   parent.Write(PhysicalMemory::kFrameWords + 3, 222);
   PhysicalMemory clone(parent, PhysicalMemory::CowClone{});
 
-  std::vector<Word> store(kWords, 0);
-  store[5] = 111;                                  // frame 0 unchanged
-  store[PhysicalMemory::kFrameWords + 3] = 555;    // frame 1 differs
-  clone.RestoreContents(std::move(store));
+  PhysicalMemory staged(kWords);
+  staged.Write(5, 111);                                // frame 0 unchanged
+  staged.Write(PhysicalMemory::kFrameWords + 3, 555);  // frame 1 differs
+  clone.RestoreContents(std::move(staged));
   EXPECT_EQ(clone.frames_privatized(), 1u);
   EXPECT_EQ(clone.Read(5), 111u);
   EXPECT_EQ(clone.Read(PhysicalMemory::kFrameWords + 3), 555u);
@@ -184,6 +182,50 @@ TEST(CowMemory, RestoreDifferingContentsPrivatizesOnlyChangedFrames) {
   const PhysicalMemory::FrameStats stats = clone.frame_stats();
   EXPECT_EQ(stats.shared_frames, 1u);   // frame 0 still aliased
   EXPECT_EQ(stats.private_frames, 1u);  // frame 1 copied
+}
+
+TEST(CowMemory, RestoreMovesStagedFramesIn) {
+  PhysicalMemory memory(kWords);
+  PhysicalMemory staged(kWords);
+  staged.Write(2 * PhysicalMemory::kFrameWords + 9, 42);
+  memory.RestoreContents(std::move(staged));
+  EXPECT_EQ(memory.Read(2 * PhysicalMemory::kFrameWords + 9), 42u);
+  EXPECT_EQ(memory.frames_privatized(), 1u);
+  PhysicalMemory::FrameStats stats = memory.frame_stats();
+  EXPECT_EQ(stats.private_frames, 1u);
+  EXPECT_EQ(stats.zero_frames, 3u);
+  // The moved-in frame is this store's own: writing it copies nothing.
+  memory.Write(2 * PhysicalMemory::kFrameWords + 10, 43);
+  EXPECT_EQ(memory.frames_privatized(), 1u);
+  // The staging store gave its frame up and reads zero again.
+  stats = staged.frame_stats();
+  EXPECT_EQ(stats.zero_frames, 4u);
+  EXPECT_EQ(staged.Read(2 * PhysicalMemory::kFrameWords + 9), 0u);
+}
+
+TEST(CowMemory, RestoredFrameStillAliasedByAStagingCloneCopiesOnWrite) {
+  PhysicalMemory staged(kWords);
+  staged.Write(7, 1);
+  PhysicalMemory other(staged, PhysicalMemory::CowClone{});
+  PhysicalMemory memory(kWords);
+  memory.RestoreContents(std::move(staged));
+  EXPECT_EQ(memory.frame_stats().shared_frames, 1u);  // with `other`
+  memory.Write(7, 2);
+  EXPECT_EQ(memory.Read(7), 2u);
+  EXPECT_EQ(other.Read(7), 1u);
+}
+
+TEST(CowMemory, RestoreZeroFrameOverNonZeroFrameReadsZero) {
+  PhysicalMemory parent(kWords);
+  parent.Write(PhysicalMemory::kFrameWords + 1, 5);  // shared with the clone
+  PhysicalMemory clone(parent, PhysicalMemory::CowClone{});
+  clone.Write(3 * PhysicalMemory::kFrameWords, 6);  // the clone's own
+  clone.RestoreContents(PhysicalMemory(kWords));
+  EXPECT_EQ(clone.Read(PhysicalMemory::kFrameWords + 1), 0u);
+  EXPECT_EQ(clone.Read(3 * PhysicalMemory::kFrameWords), 0u);
+  EXPECT_EQ(clone.frame_stats().zero_frames, 4u);
+  EXPECT_EQ(parent.Read(PhysicalMemory::kFrameWords + 1), 5u);
+  EXPECT_EQ(parent.frame_stats().private_frames, 1u);  // no longer aliased
 }
 
 TEST(CowMemory, NonFrameMultipleSizeWorks) {
@@ -197,9 +239,9 @@ TEST(CowMemory, NonFrameMultipleSizeWorks) {
 
   PhysicalMemory clone(memory, PhysicalMemory::CowClone{});
   EXPECT_EQ(clone.Read(odd - 1), 7u);
-  std::vector<Word> store(odd, 0);
-  store[odd - 1] = 7;
-  clone.RestoreContents(std::move(store));  // partial-frame compare path
+  PhysicalMemory staged(odd);
+  staged.Write(odd - 1, 7);
+  clone.RestoreContents(std::move(staged));  // partial-frame compare path
   EXPECT_EQ(clone.frames_privatized(), 0u);
 }
 

@@ -197,6 +197,60 @@ TEST(Serve, ImageSubmissionRestoresAndContinues) {
   EXPECT_EQ(completion.fingerprint, StandaloneFingerprint(kCallLoopGuest));
 }
 
+// kCallLoopGuest run for `cycles` on a machine of `memory_words`, as an
+// image.
+std::vector<uint8_t> CallLoopImage(size_t memory_words, uint64_t cycles) {
+  const AssembleResult assembled = Assemble(kCallLoopGuest);
+  EXPECT_TRUE(assembled.ok);
+  const Manifest manifest = ParseManifest(kCallLoopGuest);
+  EXPECT_TRUE(manifest.ok());
+  auto machine = std::make_unique<Machine>(MachineConfig{.memory_words = memory_words});
+  std::string error;
+  EXPECT_TRUE(InstantiateGuest(assembled.program, manifest, machine.get(), &error)) << error;
+  machine->Run(cycles);
+  std::vector<uint8_t> image;
+  EXPECT_TRUE(SaveSnapshot(*machine, &image, &error)) << error;
+  return image;
+}
+
+// The server's engine flags apply to restored machines too. The engines
+// are bit-identical by contract, so the run must land on the
+// uninterrupted run's fingerprint with every tier off.
+TEST(Serve, ImageSubmissionRunsUnderTheServersEngineFlags) {
+  Server server(ServeConfig{.threads = 1,
+                            .fast_path = false,
+                            .block_engine = false,
+                            .chain = false,
+                            .shared_decode = false});
+  Submission submission;
+  submission.image = CallLoopImage(ServeConfig{}.machine_memory_words, 5'000);
+  const Completion completion = server.Wait(server.Submit(std::move(submission)));
+  EXPECT_EQ(completion.status, ServeStatus::kCompleted) << completion.ToString();
+  EXPECT_EQ(completion.fingerprint, StandaloneFingerprint(kCallLoopGuest));
+}
+
+// An image may not ask for a larger machine than the server builds from
+// source: it is rejected at submit, before any machine of its size exists.
+TEST(Serve, OversizedImageIsRejectedAtSubmit) {
+  std::vector<uint8_t> image = CallLoopImage(size_t{1} << 23, 5'000);
+  std::string error;
+  ASSERT_TRUE(VerifySnapshot(image, &error)) << error;
+  Server server(ServeConfig{.threads = 1});
+  ASSERT_EQ(server.config().machine_memory_words, size_t{1} << 22);
+  Submission submission;
+  submission.image = image;
+  const Completion rejected = server.Wait(server.Submit(std::move(submission)));
+  EXPECT_EQ(rejected.status, ServeStatus::kRejected) << rejected.ToString();
+  EXPECT_NE(rejected.error.find("8388608-word machine, server cap is 4194304 words"),
+            std::string::npos)
+      << rejected.error;
+  // A server whose cap admits the size restores and runs it.
+  Server large(ServeConfig{.threads = 1, .machine_memory_words = size_t{1} << 23});
+  submission.image = std::move(image);
+  const Completion completion = large.Wait(large.Submit(std::move(submission)));
+  EXPECT_EQ(completion.status, ServeStatus::kCompleted) << completion.ToString();
+}
+
 TEST(Serve, SubmissionCycleCapRetiresAsBudgetExceeded) {
   Server server(ServeConfig{.threads = 1, .slice_cycles = 1'000});
   Submission submission;

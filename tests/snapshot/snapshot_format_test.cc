@@ -15,12 +15,13 @@
 
 #include "src/fleet/fingerprint.h"
 #include "src/fuzz/generator.h"
-#include "src/kasm/assembler.h"
 #include "src/snapshot/snapshot.h"
-#include "src/sys/manifest.h"
+#include "tests/snapshot/image_testutil.h"
 
 namespace rings {
 namespace {
+
+using namespace image_testutil;
 
 uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
   uint64_t h = 14695981039346656037ull;
@@ -80,45 +81,6 @@ lim:    .word 200
 cnt:    .its  6, hidata, 0
 )";
 
-std::unique_ptr<Machine> Instantiate(const std::string& source, const MachineConfig& config) {
-  const AssembleResult assembled = Assemble(source);
-  const Manifest manifest = ParseManifest(source);
-  if (!assembled.ok || !manifest.ok()) {
-    return nullptr;
-  }
-  auto machine = std::make_unique<Machine>(config);
-  machine->trace().set_enabled(true);
-  std::string error;
-  if (!machine->ok() || !InstantiateGuest(assembled.program, manifest, machine.get(), &error)) {
-    return nullptr;
-  }
-  return machine;
-}
-
-std::unique_ptr<Machine> CutAt(const std::string& source, const MachineConfig& config,
-                               uint64_t cycles) {
-  std::unique_ptr<Machine> live = Instantiate(source, config);
-  if (live != nullptr) {
-    live->Run(cycles);
-  }
-  return live;
-}
-
-// The guest run to half of its uninterrupted cycle count.
-std::unique_ptr<Machine> CutAtHalf(const std::string& source, const MachineConfig& config) {
-  std::unique_ptr<Machine> reference = Instantiate(source, config);
-  if (reference == nullptr || !reference->Run(100'000'000).idle) {
-    return nullptr;
-  }
-  return CutAt(source, config, reference->cpu().cycles() / 2);
-}
-
-MachineConfig SmallConfig() {
-  MachineConfig config;
-  config.memory_words = size_t{1} << 20;
-  return config;
-}
-
 MachineConfig FaultConfigured() {
   MachineConfig config = SmallConfig();
   config.fault = FaultConfig::Uniform(/*seed=*/11, /*ppm=*/3000);
@@ -177,93 +139,105 @@ TEST(SnapshotFormat, PinnedCutsCarryTheirState) {
   EXPECT_EQ(process.return_gates[0].copied_args.size(), 1u);
 }
 
-// ---------------------------------------------------------------------------
-// The decoder's semantic checks, reached through CRC-valid malformed images.
-// ---------------------------------------------------------------------------
-
-// Bitwise CRC-32 (IEEE, reflected; zlib.crc32 computes the same), written
-// independently of the library's table-driven one.
-uint32_t Crc32(const std::vector<uint8_t>& bytes) {
-  uint32_t crc = 0xFFFFFFFFu;
-  for (const uint8_t b : bytes) {
-    crc ^= b;
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+// A word-by-word reference for the store part of the memory section: the
+// word count, then maximal zero and non-zero runs, each a tag u8 (0 or 1)
+// and a count u64, a non-zero run followed by its words.
+std::vector<uint8_t> ReferenceStoreRuns(const PhysicalMemory& memory) {
+  std::vector<uint8_t> out;
+  const auto put = [&out](uint64_t value, size_t width) {
+    for (size_t i = 0; i < width; ++i) {
+      out.push_back(static_cast<uint8_t>(value >> (8 * i)));
     }
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-uint64_t Load(const std::vector<uint8_t>& bytes, size_t offset, size_t width) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < width; ++i) {
-    v |= static_cast<uint64_t>(bytes[offset + i]) << (8 * i);
-  }
-  return v;
-}
-
-void Store(std::vector<uint8_t>* bytes, size_t offset, uint64_t value, size_t width) {
-  for (size_t i = 0; i < width; ++i) {
-    (*bytes)[offset + i] = static_cast<uint8_t>(value >> (8 * i));
-  }
-}
-
-// Section ids of the image format.
-enum SectionId : uint32_t {
-  kMeta = 1,
-  kMemory = 2,
-  kCpu = 3,
-  kRegistry = 4,
-  kSupervisor = 5,
-  kTrace = 6,
-  kFault = 7,
-  kDevice = 8,
-};
-
-// The payload of section `id`.
-std::vector<uint8_t> Payload(const std::vector<uint8_t>& image, uint32_t id) {
-  for (size_t pos = 16; pos < image.size();) {
-    const uint64_t length = Load(image, pos + 4, 8);
-    if (Load(image, pos, 4) == id) {
-      const uint8_t* payload = image.data() + pos + 16;
-      return std::vector<uint8_t>(payload, payload + length);
+  };
+  const size_t size = memory.size();
+  put(size, 8);
+  for (size_t i = 0; i < size;) {
+    const bool zero = memory.Read(i) == 0;
+    size_t j = i;
+    while (j < size && (memory.Read(j) == 0) == zero) {
+      ++j;
     }
-    pos += 16 + length;
-  }
-  return {};
-}
-
-// `image` with section `id`'s payload replaced by `edit(payload)`, the
-// section's length and CRC rewritten to match, so the result passes
-// VerifySnapshot and only the decoder can reject it.
-std::vector<uint8_t> RewriteSection(const std::vector<uint8_t>& image, uint32_t id,
-                                    const std::function<void(std::vector<uint8_t>*)>& edit) {
-  std::vector<uint8_t> out(image.begin(), image.begin() + 16);
-  for (size_t pos = 16; pos < image.size();) {
-    const uint32_t section = static_cast<uint32_t>(Load(image, pos, 4));
-    std::vector<uint8_t> payload = Payload(image, section);
-    pos += 16 + payload.size();
-    if (section == id) {
-      edit(&payload);
+    put(zero ? 0 : 1, 1);
+    put(j - i, 8);
+    for (size_t k = i; k < j && !zero; ++k) {
+      put(memory.Read(k), 8);
     }
-    std::vector<uint8_t> frame(16);
-    Store(&frame, 0, section, 4);
-    Store(&frame, 4, payload.size(), 8);
-    Store(&frame, 12, Crc32(payload), 4);
-    out.insert(out.end(), frame.begin(), frame.end());
-    out.insert(out.end(), payload.begin(), payload.end());
+    i = j;
   }
   return out;
 }
 
-// One payload field overwritten.
-std::vector<uint8_t> Patch(const std::vector<uint8_t>& image, uint32_t id, size_t offset,
-                           uint64_t value, size_t width) {
-  return RewriteSection(image, id, [&](std::vector<uint8_t>* payload) {
-    ASSERT_LE(offset + width, payload->size());
-    Store(payload, offset, value, width);
-  });
+// The memory section is the store's bookkeeping (next_free u64,
+// fault_count u64, the optional latched fault: a presence byte, then
+// addr u64 and write u8), then the store part, which must match the
+// reference byte for byte.
+void ExpectStoreRuns(const Machine& machine) {
+  const std::vector<uint8_t> memory = Payload(Save(machine), kMemory);
+  ASSERT_GE(memory.size(), 17u);
+  const size_t bookkeeping = memory[16] == 0 ? 17 : 17 + 9;
+  EXPECT_EQ(std::vector<uint8_t>(memory.begin() + bookkeeping, memory.end()),
+            ReferenceStoreRuns(machine.memory()));
 }
+
+// The encoder walks frames and skips never-written ones whole; its bytes
+// must still be those of a word-by-word encoder, with runs merged across
+// frame boundaries whichever frames happen to be materialized.
+TEST(SnapshotFormat, MemoryRunsMatchAWordByWordEncoder) {
+  constexpr size_t kFrame = PhysicalMemory::kFrameWords;
+  const size_t small = SmallConfig().memory_words;
+  struct Case {
+    const char* what;
+    size_t words;
+    std::function<void(PhysicalMemory&)> fill;
+  };
+  const std::vector<Case> cases = {
+      {"untouched store", small, [](PhysicalMemory&) {}},
+      {"non-zero run across a frame boundary", small,
+       [](PhysicalMemory& m) {
+         for (size_t a = 100 * kFrame - 3; a < 100 * kFrame + 5; ++a) {
+           m.Write(a, a);
+         }
+         for (size_t a = 150 * kFrame - kFrame / 2; a < 152 * kFrame + 1; ++a) {
+           m.Write(a, 0x5555);  // spans one whole frame and two boundaries
+         }
+       }},
+      {"store size not a multiple of the frame", small + 100,
+       [small](PhysicalMemory& m) {
+         m.Write(small - 2, 1);  // a run across into the final partial frame
+         m.Write(small - 1, 2);
+         m.Write(small, 3);
+         m.Write(small + 40, 4);
+         m.Write(small + 99, 5);  // the store's last word
+       }},
+      {"zero run spanning many frames", small,
+       [small](PhysicalMemory& m) {
+         m.Write(80 * kFrame + 7, 9);
+         m.Write(90 * kFrame + 11, 1);  // a materialized frame that is all zero
+         m.Write(90 * kFrame + 11, 0);
+         m.Write(200 * kFrame + 12, 3);
+         m.Write(small - 1, 4);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    MachineConfig config;
+    config.memory_words = c.words;
+    Machine machine(config);
+    ASSERT_TRUE(machine.ok());
+    c.fill(machine.memory());
+    ExpectStoreRuns(machine);
+  }
+  for (const PinnedImage& pinned : PinnedImages()) {
+    SCOPED_TRACE(pinned.name);
+    std::unique_ptr<Machine> live = CutAtHalf(pinned.source, pinned.config);
+    ASSERT_NE(live, nullptr);
+    ExpectStoreRuns(*live);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The decoder's semantic checks, reached through CRC-valid malformed images.
+// ---------------------------------------------------------------------------
 
 // The payload offset just past the first string field holding `text`.
 size_t After(const std::vector<uint8_t>& payload, const std::string& text) {
@@ -273,13 +247,6 @@ size_t After(const std::vector<uint8_t>& payload, const std::string& text) {
   const auto it = std::search(payload.begin(), payload.end(), field.begin(), field.end());
   EXPECT_NE(it, payload.end()) << "no string field \"" << text << "\"";
   return static_cast<size_t>(it - payload.begin()) + field.size();
-}
-
-std::vector<uint8_t> Save(const Machine& machine) {
-  std::vector<uint8_t> image;
-  std::string error;
-  EXPECT_TRUE(SaveSnapshot(machine, &image, &error)) << error;
-  return image;
 }
 
 // Restoring `image` into a fresh machine of `config` must fail with an
