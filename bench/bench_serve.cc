@@ -226,10 +226,9 @@ std::unique_ptr<Machine> ColdBoot(const std::string& source) {
   }
   MachineConfig config;
   config.memory_words = size_t{1} << 18;
-  auto machine = std::make_unique<Machine>(config);
   std::string error;
-  if (!machine->ok() ||
-      !InstantiateGuest(assembled.program, manifest, machine.get(), &error)) {
+  auto machine = BootGuest(config, assembled.program, manifest, &error);
+  if (machine == nullptr) {
     std::fprintf(stderr, "bench_serve: cold boot failed: %s\n", error.c_str());
     std::abort();
   }

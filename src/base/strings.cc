@@ -1,6 +1,7 @@
 #include "src/base/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -80,6 +81,17 @@ std::string ToLower(std::string_view text) {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
   return out;
+}
+
+bool ParseU64(std::string_view text, uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace rings

@@ -1,5 +1,5 @@
-// Small string formatting helpers shared by the assembler, tracer, and
-// benchmark report printers.
+// Small string helpers shared by the assembler, tracer, benchmark report
+// printers and the command-line tools.
 #ifndef SRC_BASE_STRINGS_H_
 #define SRC_BASE_STRINGS_H_
 
@@ -27,6 +27,10 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 // ASCII lowercase copy.
 std::string ToLower(std::string_view text);
+
+// Strict decimal parse for command-line and protocol numbers: the whole
+// text must be digits, so a typo is an error, never a silent zero.
+bool ParseU64(std::string_view text, uint64_t* out);
 
 }  // namespace rings
 

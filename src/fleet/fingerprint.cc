@@ -1,5 +1,7 @@
 #include "src/fleet/fingerprint.h"
 
+#include <algorithm>
+
 #include "src/base/strings.h"
 #include "src/snapshot/schema.h"
 
@@ -53,6 +55,25 @@ std::string ProcessStatusLine(const Process& process) {
       return StrFormat("pid=%d user=%s state=%d", process.pid, process.user.c_str(),
                        static_cast<int>(process.state));
   }
+}
+
+GuestExit GuestExitStatus(const Machine* machine, bool stopped_early) {
+  constexpr int kUnfinished = 111;
+  if (machine == nullptr) {
+    return {kUnfinished, ""};
+  }
+  GuestExit exit;
+  for (const auto& process : machine->supervisor().processes()) {
+    if (process->state == ProcessState::kExited) {
+      exit.code = std::max(exit.code, static_cast<int>(process->exit_code & 0xFF));
+    } else if (exit.failure.empty()) {
+      exit.failure = ProcessStatusLine(*process);
+    }
+  }
+  if (!exit.failure.empty() || (stopped_early && exit.code == 0)) {
+    exit.code = kUnfinished;
+  }
+  return exit;
 }
 
 uint64_t FingerprintCounters(const Counters& counters) {

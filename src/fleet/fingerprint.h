@@ -59,6 +59,17 @@ uint64_t FingerprintCounters(const Counters& counters);
 // text shared by the fingerprint, fleet results, and ringsim output.
 std::string ProcessStatusLine(const Process& process);
 
+// The exit status ringsim, fleet results and serve completions share: 111
+// when a process was killed or did not finish, when there is no machine,
+// or when the host stopped it early (a budget ran out or the run failed)
+// with no nonzero exit; otherwise the highest exited code & 0xFF.
+// `failure` is the first unfinished process's ProcessStatusLine.
+struct GuestExit {
+  int code = 0;
+  std::string failure;
+};
+GuestExit GuestExitStatus(const Machine* machine, bool stopped_early = false);
+
 }  // namespace rings
 
 #endif  // SRC_FLEET_FINGERPRINT_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <thread>
 
 #include "src/base/log.h"
 #include "src/base/strings.h"
@@ -13,16 +12,6 @@
 #include "src/snapshot/snapshot.h"
 
 namespace rings {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double Seconds(Clock::duration d) {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(d).count();
-}
-
-}  // namespace
 
 std::string_view MachineOutcomeName(MachineOutcome outcome) {
   switch (outcome) {
@@ -75,9 +64,6 @@ std::string FleetStats::ToString() const {
 }
 
 Fleet::Fleet(FleetConfig config) : config_(config) {
-  if (config_.threads < 1) {
-    config_.threads = 1;
-  }
   if (config_.slice_cycles == 0) {
     config_.slice_cycles = 1;
   }
@@ -97,6 +83,17 @@ void Fleet::Retire(size_t index, MachineOutcome outcome, std::string host_failur
   result.failure = std::move(host_failure);
   result.quanta = slot.quanta;
   result.restarts = slot.restarts;
+  const GuestExit exit =
+      GuestExitStatus(slot.machine.get(), outcome != MachineOutcome::kCompleted);
+  result.exit_code = exit.code;
+  if (!exit.failure.empty()) {
+    if (result.outcome == MachineOutcome::kCompleted) {
+      result.outcome = MachineOutcome::kFailed;
+    }
+    if (result.failure.empty()) {
+      result.failure = exit.failure;
+    }
+  }
   if (slot.machine != nullptr) {
     const Machine& machine = *slot.machine;
     result.fingerprint = FingerprintMachine(machine);
@@ -104,27 +101,9 @@ void Fleet::Retire(size_t index, MachineOutcome outcome, std::string host_failur
     result.instructions = machine.cpu().counters().instructions;
     result.counters = machine.cpu().counters();
     result.tty = machine.TtyOutput();
-    int exit_code = 0;
     for (const auto& process : machine.supervisor().processes()) {
       result.process_status.push_back(ProcessStatusLine(*process));
-      if (process->state == ProcessState::kExited) {
-        exit_code = std::max(exit_code, static_cast<int>(process->exit_code & 0xFF));
-      } else {
-        exit_code = 111;
-        if (result.outcome == MachineOutcome::kCompleted) {
-          result.outcome = MachineOutcome::kFailed;
-        }
-        if (result.failure.empty()) {
-          result.failure = result.process_status.back();
-        }
-      }
     }
-    result.exit_code = exit_code;
-  } else if (result.exit_code == 0) {
-    result.exit_code = 111;
-  }
-  if (result.outcome == MachineOutcome::kBudgetExhausted && result.exit_code == 0) {
-    result.exit_code = 111;
   }
   result.recovered = result.restarts > 0 && result.outcome == MachineOutcome::kCompleted;
   slot.machine.reset();  // bound peak memory: one retired fleet member at a time
@@ -203,14 +182,8 @@ bool Fleet::RunQuantum(size_t index) {
     ++slot.quanta;
     slot.consumed_cycles += run.cycles;
     if (run.idle) {
-      bool clean = true;
-      for (const auto& process : slot.machine->supervisor().processes()) {
-        if (process->state != ProcessState::kExited) {
-          clean = false;
-          break;
-        }
-      }
-      if (!clean && TryRestart(index, "machine went down with a non-exited process")) {
+      if (!GuestExitStatus(slot.machine.get()).failure.empty() &&
+          TryRestart(index, "machine went down with a non-exited process")) {
         return false;
       }
       Retire(index, MachineOutcome::kCompleted, "");
@@ -239,70 +212,11 @@ bool Fleet::RunQuantum(size_t index) {
 #endif
 }
 
-std::optional<size_t> Fleet::Dequeue(size_t worker) {
-  Worker& own = *workers_[worker];
-  {
-    const std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.queue.empty()) {
-      const size_t index = own.queue.back();
-      own.queue.pop_back();
-      return index;
-    }
-  }
-  // Steal from the front of a sibling's queue (the machine its owner
-  // would touch last), scanning from the next worker around the ring.
-  for (size_t k = 1; k < workers_.size(); ++k) {
-    Worker& victim = *workers_[(worker + k) % workers_.size()];
-    const std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.queue.empty()) {
-      const size_t index = victim.queue.front();
-      victim.queue.pop_front();
-      ++own.stats.steals;
-      return index;
-    }
-  }
-  return std::nullopt;
-}
-
-void Fleet::WorkerLoop(size_t worker) {
-  Worker& own = *workers_[worker];
-  while (live_.load(std::memory_order_acquire) > 0) {
-    const std::optional<size_t> index = Dequeue(worker);
-    if (!index.has_value()) {
-      // Every live machine is in some worker's hands; nothing to do but
-      // let them finish (or requeue, when their quantum ends).
-      std::this_thread::yield();
-      continue;
-    }
-    const Clock::time_point start = Clock::now();
-    const bool retired = RunQuantum(*index);
-    own.stats.busy_seconds += Seconds(Clock::now() - start);
-    ++own.stats.quanta;
-    if (retired) {
-      live_.fetch_sub(1, std::memory_order_acq_rel);
-    } else {
-      const std::lock_guard<std::mutex> lock(own.mu);
-      own.queue.push_back(*index);
-    }
-  }
-}
-
 FleetStats Fleet::Run() {
   const size_t n = jobs_.size();
   results_.assign(n, MachineResult{});
   slots_.clear();
   slots_.resize(n);
-  const size_t threads = static_cast<size_t>(config_.threads);
-  workers_.clear();
-  for (size_t w = 0; w < threads; ++w) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  // Initial distribution: round-robin, so every worker starts with work
-  // and stealing only happens once queues drain unevenly.
-  for (size_t i = 0; i < n; ++i) {
-    workers_[i % threads]->queue.push_back(i);
-  }
-  live_.store(n, std::memory_order_release);
 
   // Keep every shared decode image and golden machine image acquired
   // during this run alive until the run ends: machines are retired one at
@@ -312,16 +226,16 @@ FleetStats Fleet::Run() {
   const SharedDecodeRegistry::Pin decode_pin;
   const GoldenImageRegistry::Pin golden_pin;
 
-  const Clock::time_point start = Clock::now();
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (size_t w = 0; w < threads; ++w) {
-    pool.emplace_back([this, w] { WorkerLoop(w); });
+  const auto start = std::chrono::steady_clock::now();
+  SlicePool pool(config_.threads);
+  // Round-robin initial distribution, so every worker starts with work
+  // and stealing only happens once queues drain unevenly.
+  for (size_t i = 0; i < n; ++i) {
+    pool.Submit(i, [this, i] { return RunQuantum(i); });
   }
-  for (std::thread& t : pool) {
-    t.join();
-  }
-  const double wall = Seconds(Clock::now() - start);
+  pool.Drain();
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
   FleetStats stats;
   stats.machines = n;
@@ -348,9 +262,7 @@ FleetStats Fleet::Run() {
   }
   stats.instructions_per_second =
       wall > 0 ? static_cast<double>(stats.total_instructions) / wall : 0.0;
-  for (const auto& worker : workers_) {
-    stats.workers.push_back(worker->stats);
-  }
+  stats.workers = pool.stats();
   return stats;
 }
 

@@ -1,8 +1,8 @@
 // The fleet engine: run N independent Machine instances across a pool of
 // host worker threads. Each machine owns its memory, supervisor, caches,
 // and (optionally) a seeded fault injector, so machines share no mutable
-// state; the engine schedules them as a work-stealing queue of
-// per-machine quanta — a quantum is Machine::Run over a fixed
+// state; the engine schedules their quanta on the work-stealing slice
+// pool (src/fleet/slice_pool.h) — a quantum is Machine::Run over a fixed
 // simulated-cycle slice — and retires each machine with a structured
 // MachineResult when it goes idle, fails, or exhausts its budget.
 //
@@ -21,17 +21,14 @@
 #ifndef SRC_FLEET_FLEET_H_
 #define SRC_FLEET_FLEET_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/fleet/slice_pool.h"
 #include "src/sys/machine.h"
 #include "src/trace/counters.h"
 
@@ -89,8 +86,7 @@ struct MachineResult {
   // Why the machine failed (empty when it completed): the status line of
   // the first killed process, or the host-side error.
   std::string failure;
-  // ringsim-style exit status: max exited code (masked to 0..255), 111
-  // when any process was killed or never finished.
+  // ringsim-style exit status (GuestExitStatus, src/fleet/fingerprint.h).
   int exit_code = 0;
 
   // Simulated face of the run — bit-identical across thread counts and
@@ -114,13 +110,6 @@ struct MachineResult {
 
   bool ok() const { return outcome == MachineOutcome::kCompleted; }
   std::string ToString() const;
-};
-
-// Per-worker host utilization for one Fleet::Run.
-struct WorkerStats {
-  double busy_seconds = 0;  // time spent inside quanta (incl. construction)
-  uint64_t quanta = 0;
-  uint64_t steals = 0;  // quanta obtained from another worker's queue
 };
 
 struct FleetStats {
@@ -174,8 +163,8 @@ class Fleet {
 
  private:
   // A live (not yet retired) machine and its scheduling state. Touched
-  // only by the worker currently holding its index, which is in exactly
-  // one queue or one worker's hands at a time.
+  // only by the worker currently running its quantum: the pool holds each
+  // machine's task in exactly one deque or one worker's hands at a time.
   struct Slot {
     std::unique_ptr<Machine> machine;
     uint64_t consumed_cycles = 0;
@@ -185,12 +174,6 @@ class Fleet {
     std::vector<uint8_t> checkpoint;
     uint64_t checkpoint_cycles = 0;
     int restarts = 0;
-  };
-
-  struct Worker {
-    std::mutex mu;
-    std::deque<size_t> queue;
-    WorkerStats stats;
   };
 
   // Runs one quantum of machine `index`; returns true when the machine
@@ -204,15 +187,11 @@ class Fleet {
   // (the caller retires the machine as it would have without healing).
   bool TryRestart(size_t index, const std::string& why);
   void Retire(size_t index, MachineOutcome outcome, std::string host_failure);
-  std::optional<size_t> Dequeue(size_t worker);
-  void WorkerLoop(size_t worker);
 
   FleetConfig config_;
   std::vector<FleetJob> jobs_;
   std::vector<MachineResult> results_;
   std::vector<Slot> slots_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<size_t> live_{0};
 };
 
 }  // namespace rings

@@ -1,19 +1,19 @@
-// Golden machine images: one booted+loaded Machine per distinct program,
+// Golden machine images: one booted+loaded Machine per distinct guest,
 // sealed and never run, from which every fleet member (and every serving-
 // daemon tenant machine, src/serve) is spawned by copy-on-write clone
 // instead of construct+load. Construction of a ring machine is dominated
 // by supervisor initialization plus program assembly/registration — work
-// that is identical for every machine running the same program. A
+// that is identical for every machine running the same guest. A
 // GoldenImage pays it once; Spawn() is then Machine::CloneFrom, which
 // costs O(registers + frame table) (see src/mem/physical_memory.h).
 //
-// The registry mirrors SharedDecodeRegistry (src/cpu/shared_decode.h):
-// keyed by program-image identity, weak references by default (a golden
-// image dies with its last user), with a Pin RAII scope that retains
-// every image handed out while any Pin is alive — the same lifetime fix
-// the decode registry needed, for the same reason (fleets retire members
-// one at a time, so per-machine lifetime alone would let the image expire
-// mid-run and force a re-boot per spawn).
+// The registry is keyed by a caller-computed identity (ProgramIdentity in
+// ringsim's fleet, a digest of the full source in the server), XORed with
+// EngineIdentityBits so a golden built under one engine configuration
+// never serves another. Like SharedDecodeRegistry it holds weak references
+// (an image dies with its last user), plus a Pin scope that retains every
+// image handed out: fleets retire members one at a time, so without it an
+// image could expire mid-run and force a re-boot per spawn.
 #ifndef SRC_FLEET_GOLDEN_IMAGE_H_
 #define SRC_FLEET_GOLDEN_IMAGE_H_
 
@@ -49,9 +49,13 @@ class GoldenImage {
   uint64_t identity_ = 0;
 };
 
-// Process-wide registry of golden images, keyed by program-image identity
-// (ProgramIdentity, src/sys/machine.h). Thread-safe: fleet machine
-// factories run concurrently on worker threads.
+// The engine-flag bits (fast path, block engine, chain, shared decode) a
+// golden identity is XORed with.
+uint64_t EngineIdentityBits(const MachineConfig& config);
+
+// Process-wide registry of golden images, keyed by caller-computed guest
+// identity (see the file comment). Thread-safe: fleet machine factories
+// run concurrently on worker threads.
 class GoldenImageRegistry {
  public:
   static GoldenImageRegistry& Instance();

@@ -21,22 +21,6 @@ MachineConfig BaseConfig() {
   return config;
 }
 
-std::unique_ptr<Machine> MakeGuestMachine(const MachineConfig& config, const Program& program,
-                                          const Manifest& manifest, std::string* error) {
-  auto machine = std::make_unique<Machine>(config);
-  if (!machine->ok()) {
-    *error = "machine construction failed";
-    return nullptr;
-  }
-  // Enabled before any process starts so every leg records the identical
-  // event sequence (the fingerprint folds the trace in when enabled).
-  machine->trace().set_enabled(true);
-  if (!InstantiateGuest(program, manifest, machine.get(), error)) {
-    return nullptr;
-  }
-  return machine;
-}
-
 RunSignature SignatureOf(const Machine& machine) {
   RunSignature sig;
   sig.fingerprint = FingerprintMachine(machine);
@@ -127,11 +111,13 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
   const Program& program = assembled.program;
 
   // --- reference leg: the per-instruction slow path ----------------------
+  // Every leg boots traced, so every leg records the identical event
+  // sequence (the fingerprint folds the trace in when enabled).
   MachineConfig slow = BaseConfig();
   slow.fast_path = false;
   slow.block_engine = false;
   std::string error;
-  auto ref_machine = MakeGuestMachine(slow, program, manifest, &error);
+  auto ref_machine = BootGuest(slow, program, manifest, &error, /*trace=*/true);
   if (ref_machine == nullptr) {
     result.error = "instantiate: " + error;
     return result;
@@ -171,7 +157,7 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
     config.shared_decode = options.shared_decode;
     config.block_call_ablation = options.ablate_block_call;
     config.chain_ablation = options.ablate_chain;
-    auto machine = MakeGuestMachine(config, program, manifest, &error);
+    auto machine = BootGuest(config, program, manifest, &error, /*trace=*/true);
     if (machine == nullptr) {
       diverged(leg.name, "instantiate: " + error);
       return result;
@@ -197,7 +183,7 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
     // fleet legs double as a clone-vs-cold bit-identity check.
     std::shared_ptr<const Machine> golden;
     if (options.fleet_clone) {
-      auto cold = MakeGuestMachine(fleet_config, program, manifest, &error);
+      auto cold = BootGuest(fleet_config, program, manifest, &error, /*trace=*/true);
       if (cold == nullptr) {
         diverged("fleet-golden", "instantiate: " + error);
         return result;
@@ -215,7 +201,7 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
           return Machine::CloneFrom(*golden);
         }
         std::string factory_error;
-        return MakeGuestMachine(fleet_config, program, manifest, &factory_error);
+        return BootGuest(fleet_config, program, manifest, &factory_error, /*trace=*/true);
       });
       fleet.Run();
       const MachineResult& res = fleet.results()[0];
@@ -243,7 +229,7 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
     config.chain = options.chain;
     config.shared_decode = options.shared_decode;
     config.chain_ablation = options.ablate_chain;
-    auto live = MakeGuestMachine(config, program, manifest, &error);
+    auto live = BootGuest(config, program, manifest, &error, /*trace=*/true);
     if (live == nullptr) {
       diverged("snapshot", "instantiate: " + error);
       return result;
@@ -254,8 +240,8 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
       diverged("snapshot", "save: " + error);
       return result;
     }
-    auto restored = std::make_unique<Machine>(config);
-    if (!restored->ok() || !RestoreSnapshot(image, restored.get(), &error)) {
+    auto restored = RestoreGuest(config, image, config.memory_words, &error);
+    if (restored == nullptr) {
       diverged("snapshot", "restore: " + error);
       return result;
     }

@@ -20,12 +20,20 @@ using Clock = std::chrono::steady_clock;
 // two sources assembling to the same program but with different ACLs,
 // start points, or tty input must not share a golden machine.
 uint64_t SourceIdentity(const std::string& source) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : source) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  FingerprintBuilder fp;
+  fp.Mix(source);
+  return fp.digest();
+}
+
+// ServeConfig's share of the MachineConfig: store size and engine flags.
+MachineConfig MachineConfigOf(const ServeConfig& config) {
+  MachineConfig machine;
+  machine.memory_words = config.machine_memory_words;
+  machine.fast_path = config.fast_path;
+  machine.block_engine = config.block_engine;
+  machine.chain = config.chain;
+  machine.shared_decode = config.shared_decode;
+  return machine;
 }
 
 }  // namespace
@@ -60,18 +68,11 @@ std::string Completion::ToString() const {
   return out;
 }
 
-Server::Server(ServeConfig config) : config_(config) {
-  if (config_.threads < 1) {
-    config_.threads = 1;
-  }
+Server::Server(ServeConfig config)
+    : config_(config), machine_config_(MachineConfigOf(config)), pool_(config.threads) {
+  config_.threads = static_cast<int>(pool_.threads());
   if (config_.slice_cycles == 0) {
     config_.slice_cycles = 1;
-  }
-  for (int w = 0; w < config_.threads; ++w) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    workers_[w]->thread = std::thread([this, w] { WorkerLoop(w); });
   }
 }
 
@@ -113,116 +114,53 @@ uint64_t Server::Submit(Submission submission) {
   }
 
   Task* raw = task.get();
-  size_t worker = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    raw->id = next_id_++;
-    raw->completion.id = raw->id;
-    if (!accepting_ && reject.empty()) {
-      reject = "server is shutting down";
+  const std::lock_guard<std::mutex> lock(mu_);
+  raw->id = next_id_++;
+  raw->completion.id = raw->id;
+  tasks_[raw->id] = std::move(task);
+  if (reject.empty()) {
+    const auto it = tenants_.find(raw->submission.tenant);
+    if (it != tenants_.end() && memory_words > it->second.budget.max_memory_words) {
+      reject = StrFormat("tenant memory budget: machine wants %llu words, budget is %llu",
+                         static_cast<unsigned long long>(memory_words),
+                         static_cast<unsigned long long>(it->second.budget.max_memory_words));
     }
-    if (reject.empty()) {
-      const auto it = tenants_.find(raw->submission.tenant);
-      if (it != tenants_.end() && memory_words > it->second.budget.max_memory_words) {
-        reject = StrFormat("tenant memory budget: machine wants %llu words, budget is %llu",
-                           static_cast<unsigned long long>(memory_words),
-                           static_cast<unsigned long long>(it->second.budget.max_memory_words));
-      }
-    }
-    if (!reject.empty()) {
-      raw->completion.status = ServeStatus::kRejected;
-      raw->completion.error = std::move(reject);
-      raw->completion.turnaround_ns = 0;
-      raw->done = true;
-      tasks_[raw->id] = std::move(task);
-      done_cv_.notify_all();
-      return raw->id;
-    }
-    ++queued_;
-    worker = static_cast<size_t>(raw->id) % workers_.size();
-    tasks_[raw->id] = std::move(task);
   }
-  Enqueue(worker, raw);
+  // Submitting under mu_ orders this against Shutdown: a pool that is
+  // already draining refuses the task, and one that is not counts it live
+  // before Shutdown can drain.
+  if (reject.empty() && !pool_.Submit(raw->id, [this, raw] { return RunSlice(raw); })) {
+    reject = "server is shutting down";
+  }
+  if (!reject.empty()) {
+    raw->completion.status = ServeStatus::kRejected;
+    raw->completion.error = std::move(reject);
+    raw->done = true;
+    done_cv_.notify_all();
+  }
   return raw->id;
 }
 
 Completion Server::Wait(uint64_t id) {
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this, id] {
-    const auto it = tasks_.find(id);
-    return it != tasks_.end() && it->second->done;
+  auto it = tasks_.end();
+  done_cv_.wait(lock, [this, id, &it] {
+    it = tasks_.find(id);
+    return it == tasks_.end() || it->second->done;
   });
-  return tasks_.find(id)->second->completion;
+  if (it == tasks_.end()) {
+    Completion unknown;
+    unknown.id = id;
+    unknown.status = ServeStatus::kRejected;
+    unknown.error = "unknown submission id";
+    return unknown;
+  }
+  Completion completion = std::move(it->second->completion);
+  tasks_.erase(it);
+  return completion;
 }
 
-void Server::Shutdown() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    accepting_ = false;
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  for (const auto& worker : workers_) {
-    if (worker->thread.joinable()) {
-      worker->thread.join();
-    }
-  }
-}
-
-void Server::Enqueue(size_t worker, Task* task) {
-  {
-    const std::lock_guard<std::mutex> lock(workers_[worker]->mu);
-    workers_[worker]->queue.push_back(task);
-  }
-  work_cv_.notify_one();
-}
-
-Server::Task* Server::Dequeue(size_t worker) {
-  Worker& own = *workers_[worker];
-  {
-    const std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.queue.empty()) {
-      Task* task = own.queue.back();
-      own.queue.pop_back();
-      return task;
-    }
-  }
-  // Steal from the front of a sibling's queue (the submission its owner
-  // would touch last), scanning from the next worker around the ring.
-  for (size_t k = 1; k < workers_.size(); ++k) {
-    Worker& victim = *workers_[(worker + k) % workers_.size()];
-    const std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.queue.empty()) {
-      Task* task = victim.queue.front();
-      victim.queue.pop_front();
-      ++own.steals;
-      return task;
-    }
-  }
-  return nullptr;
-}
-
-void Server::WorkerLoop(size_t worker) {
-  while (true) {
-    Task* task = Dequeue(worker);
-    if (task == nullptr) {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (stopping_ && queued_ == 0) {
-        return;
-      }
-      // Bounded wait instead of a precise predicate: enqueues happen
-      // under per-worker locks, so a notify can slip past a worker
-      // between its failed Dequeue and this wait; the timeout caps that
-      // stall at one millisecond.
-      work_cv_.wait_for(lock, std::chrono::milliseconds(1));
-      continue;
-    }
-    const bool retired = RunSlice(task);
-    if (!retired) {
-      Enqueue(worker, task);
-    }
-  }
-}
+void Server::Shutdown() { pool_.Drain(); }
 
 uint64_t Server::TenantRemaining(const std::string& tenant) {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -249,38 +187,18 @@ bool Server::Materialize(Task* task) {
   std::unique_ptr<Machine> machine;
   if (!sub.image.empty()) {
     std::string error;
-    SnapshotMeta meta;
-    if (!PeekSnapshotMeta(sub.image, &meta, &error)) {
+    machine = RestoreGuest(machine_config_, sub.image, config_.machine_memory_words, &error);
+    if (machine == nullptr) {
       Retire(task, ServeStatus::kFailed, std::move(error));
-      return false;
-    }
-    MachineConfig config;
-    config.memory_words = meta.memory_words;
-    config.cycle_model = meta.cycle_model;
-    config.quantum = meta.quantum;
-    config.mode = meta.mode;
-    config.fast_path = config_.fast_path;
-    config.block_engine = config_.block_engine;
-    config.chain = config_.chain;
-    config.shared_decode = config_.shared_decode;
-    machine = std::make_unique<Machine>(config);
-    if (!machine->ok() || !RestoreSnapshot(sub.image, machine.get(), &error)) {
-      Retire(task, ServeStatus::kFailed,
-             machine->ok() ? std::move(error) : "machine construction failed");
       return false;
     }
   } else {
     // Golden-image path: the first submission of a distinct source pays
     // assemble+boot+load under the registry lock; every later one clones.
-    // Engine flags join the identity (as in ringsim's fleet wiring) so a
-    // golden booted under one host configuration never serves another.
-    const uint64_t identity = SourceIdentity(sub.source) ^
-                              ((config_.fast_path ? 1u : 0u) | (config_.block_engine ? 2u : 0u) |
-                               (config_.chain ? 4u : 0u) | (config_.shared_decode ? 8u : 0u));
     std::string build_error;
-    const std::shared_ptr<const GoldenImage> golden =
-        GoldenImageRegistry::Instance().Acquire(identity, [this, &sub, &build_error,
-                                                           identity]() -> std::unique_ptr<Machine> {
+    const std::shared_ptr<const GoldenImage> golden = GoldenImageRegistry::Instance().Acquire(
+        SourceIdentity(sub.source) ^ EngineIdentityBits(machine_config_),
+        [this, &sub, &build_error]() -> std::unique_ptr<Machine> {
           const AssembleResult assembled = Assemble(sub.source);
           if (!assembled.ok) {
             build_error = assembled.error.ToString();
@@ -291,24 +209,7 @@ bool Server::Materialize(Task* task) {
             build_error = manifest.error;
             return nullptr;
           }
-          MachineConfig config;
-          config.memory_words = config_.machine_memory_words;
-          config.fast_path = config_.fast_path;
-          config.block_engine = config_.block_engine;
-          config.chain = config_.chain;
-          config.shared_decode = config_.shared_decode;
-          auto golden_machine = std::make_unique<Machine>(config);
-          if (!golden_machine->ok()) {
-            build_error = "machine construction failed";
-            return nullptr;
-          }
-          std::string error;
-          if (!InstantiateGuest(assembled.program, manifest, golden_machine.get(), &error)) {
-            build_error = std::move(error);
-            return nullptr;
-          }
-          (void)identity;
-          return golden_machine;
+          return BootGuest(machine_config_, assembled.program, manifest, &build_error);
         });
     if (golden == nullptr) {
       Retire(task, ServeStatus::kFailed,
@@ -332,32 +233,23 @@ void Server::Retire(Task* task, ServeStatus status, std::string error) {
   Completion& completion = task->completion;
   completion.status = status;
   completion.error = std::move(error);
+  const GuestExit exit =
+      GuestExitStatus(task->machine.get(), status != ServeStatus::kCompleted);
+  completion.exit_code = exit.code;
+  if (!exit.failure.empty()) {
+    if (completion.status == ServeStatus::kCompleted) {
+      completion.status = ServeStatus::kFailed;
+    }
+    if (completion.error.empty()) {
+      completion.error = exit.failure;
+    }
+  }
   if (task->machine != nullptr) {
     const Machine& machine = *task->machine;
     completion.fingerprint = FingerprintMachine(machine);
     completion.cycles = machine.cpu().cycles();
     completion.instructions = machine.cpu().counters().instructions;
     completion.tty = machine.TtyOutput();
-    int exit_code = 0;
-    for (const auto& process : machine.supervisor().processes()) {
-      if (process->state == ProcessState::kExited) {
-        exit_code = std::max(exit_code, static_cast<int>(process->exit_code & 0xFF));
-      } else {
-        exit_code = 111;
-        if (completion.status == ServeStatus::kCompleted) {
-          completion.status = ServeStatus::kFailed;
-        }
-        if (completion.error.empty()) {
-          completion.error = ProcessStatusLine(*process);
-        }
-      }
-    }
-    completion.exit_code = exit_code;
-  } else if (completion.exit_code == 0) {
-    completion.exit_code = 111;
-  }
-  if (completion.status != ServeStatus::kCompleted && completion.exit_code == 0) {
-    completion.exit_code = 111;
   }
   completion.turnaround_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - task->submitted_at)
@@ -366,10 +258,8 @@ void Server::Retire(Task* task, ServeStatus status, std::string error) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     task->done = true;
-    --queued_;
   }
   done_cv_.notify_all();
-  work_cv_.notify_all();  // drain check: sleepers re-test the exit condition
 }
 
 bool Server::RunSlice(Task* task) {

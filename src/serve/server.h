@@ -1,8 +1,8 @@
 // The multi-tenant serving core behind the `ringsimd` daemon: a
-// long-running work-stealing pool that turns workload submissions (kasm
-// source with a `;;` manifest, or a pre-assembled snapshot image, plus
-// optional tty input) into protected machines, runs them in slices, and
-// reports per-machine status + FNV-1a fingerprint.
+// long-running work-stealing pool (src/fleet/slice_pool.h) that turns
+// workload submissions (kasm source with a `;;` manifest, or a snapshot
+// image, plus optional tty input) into protected machines, runs them in
+// slices, and reports per-machine status + FNV-1a fingerprint.
 //
 // Machines are spawned from golden images (src/fleet/golden_image.h): the
 // first submission of a distinct program pays boot+assemble+load once;
@@ -22,16 +22,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/cpu/shared_decode.h"
 #include "src/fleet/golden_image.h"
+#include "src/fleet/slice_pool.h"
 #include "src/sys/machine.h"
 
 namespace rings {
@@ -126,7 +125,10 @@ class Server {
   // Wait on — a refused submission completes immediately as kRejected).
   uint64_t Submit(Submission submission);
 
-  // Blocks until submission `id` retires and returns its completion.
+  // Blocks until submission `id` retires and returns its completion; the
+  // server then forgets the submission. Waiting on an unknown or
+  // already-collected id returns at once with kRejected and the error
+  // "unknown submission id".
   Completion Wait(uint64_t id);
 
   // Stops accepting submissions, drains everything queued, joins the
@@ -146,20 +148,11 @@ class Server {
     Completion completion;
     bool done = false;
   };
-  struct Worker {
-    std::mutex mu;
-    std::deque<Task*> queue;
-    std::thread thread;
-    uint64_t steals = 0;
-  };
   struct Tenant {
     TenantBudget budget;
     uint64_t consumed_cycles = 0;
   };
 
-  void WorkerLoop(size_t worker);
-  Task* Dequeue(size_t worker);
-  void Enqueue(size_t worker, Task* task);
   // Builds the task's machine (golden clone or image restore). Returns
   // false with the completion already filled on failure.
   bool Materialize(Task* task);
@@ -171,22 +164,19 @@ class Server {
   void ChargeTenant(const std::string& tenant, uint64_t cycles);
 
   ServeConfig config_;
+  MachineConfig machine_config_;  // config_'s store size and engine flags
   // Keep golden images and shared decode alive for the server's lifetime:
   // tenants come and go, the daemon persists.
   SharedDecodeRegistry::Pin decode_pin_;
   GoldenImageRegistry::Pin golden_pin_;
 
-  std::mutex mu_;  // tasks_, tenants_, next_id_, accepting_, queued_
-  std::condition_variable work_cv_;  // workers sleep here
+  std::mutex mu_;  // tasks_, tenants_, next_id_
   std::condition_variable done_cv_;  // waiters sleep here
-  std::map<uint64_t, std::unique_ptr<Task>> tasks_;
+  std::map<uint64_t, std::unique_ptr<Task>> tasks_;  // submitted, not yet collected by Wait
   std::map<std::string, Tenant> tenants_;
   uint64_t next_id_ = 1;
-  size_t queued_ = 0;  // tasks enqueued but not yet retired
-  bool accepting_ = true;
-  bool stopping_ = false;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
+  SlicePool pool_;  // last: its workers run slices against the members above
 };
 
 }  // namespace rings

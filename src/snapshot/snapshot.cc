@@ -632,6 +632,34 @@ bool ReadSnapshotFile(const std::string& path, std::vector<uint8_t>* out, std::s
   return true;
 }
 
+std::unique_ptr<Machine> RestoreGuest(const MachineConfig& engine,
+                                      const std::vector<uint8_t>& image,
+                                      size_t max_memory_words, std::string* error) {
+  SnapshotMeta meta;
+  if (!PeekSnapshotMeta(image, &meta, error)) {
+    return nullptr;
+  }
+  if (meta.memory_words > max_memory_words) {
+    *error = StrFormat("image wants a %llu-word machine, limit is %zu words",
+                       static_cast<unsigned long long>(meta.memory_words), max_memory_words);
+    return nullptr;
+  }
+  MachineConfig config = engine;
+  config.memory_words = meta.memory_words;
+  config.cycle_model = meta.cycle_model;
+  config.quantum = meta.quantum;
+  config.mode = meta.mode;
+  auto machine = std::make_unique<Machine>(config);
+  if (!machine->ok()) {
+    *error = "machine construction failed";
+    return nullptr;
+  }
+  if (!RestoreSnapshot(image, machine.get(), error)) {
+    return nullptr;
+  }
+  return machine;
+}
+
 bool RestoreSnapshotFile(const std::string& path, Machine* machine, std::string* error,
                          FaultInjector* read_injector) {
   std::vector<uint8_t> image;

@@ -33,6 +33,7 @@
 #define SRC_SNAPSHOT_SNAPSHOT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,15 @@ inline bool RestoreSnapshot(const std::vector<uint8_t>& image, Machine* machine,
                             std::string* error, FaultInjector* read_injector = nullptr) {
   return RestoreSnapshot(image.data(), image.size(), machine, error, read_injector);
 }
+
+// BootGuest's counterpart for images: a new machine shaped by the image's
+// meta section (store, cycle model, quantum, mode) with `engine`'s host
+// flags, restored from `image`. An image wanting more than
+// `max_memory_words` is refused before any machine exists. Null with a
+// structured *error on failure.
+std::unique_ptr<Machine> RestoreGuest(const MachineConfig& engine,
+                                      const std::vector<uint8_t>& image,
+                                      size_t max_memory_words, std::string* error);
 
 // File variants (ringsim --snapshot-out / --restore).
 bool SaveSnapshotFile(const Machine& machine, const std::string& path, std::string* error,

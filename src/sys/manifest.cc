@@ -178,4 +178,20 @@ bool InstantiateGuest(const Program& program, const Manifest& manifest, Machine*
   return true;
 }
 
+std::unique_ptr<Machine> BootGuest(const MachineConfig& config, const Program& program,
+                                   const Manifest& manifest, std::string* error, bool trace) {
+  auto machine = std::make_unique<Machine>(config);
+  if (!machine->ok()) {
+    *error = "machine construction failed";
+    return nullptr;
+  }
+  if (trace) {
+    machine->trace().set_enabled(true);
+  }
+  if (!InstantiateGuest(program, manifest, machine.get(), error)) {
+    return nullptr;
+  }
+  return machine;
+}
+
 }  // namespace rings

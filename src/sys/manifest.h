@@ -17,13 +17,14 @@
 // is what lets the fuzzer emit demand-paging guests as single repro files
 // ringsim can replay directly.
 //
-// Shared by ringsim's single-machine, fleet, and fuzz modes and by the
+// Shared, through BootGuest, by ringsim, the serving core and the
 // differential fuzz harness (src/fuzz), which must build bit-comparable
 // machines from one source of truth.
 #ifndef SRC_SYS_MANIFEST_H_
 #define SRC_SYS_MANIFEST_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,14 @@ Manifest ParseManifest(const std::string& source);
 // Tracing is left to the caller.
 bool InstantiateGuest(const Program& program, const Manifest& manifest, Machine* machine,
                       std::string* error);
+
+// The one boot path for a hosted guest: constructs a machine of `config`
+// and instantiates the guest on it. `trace` enables the event trace
+// before any process starts (the trace then covers the whole run and is
+// folded into the fingerprint). Null with a structured *error on failure.
+std::unique_ptr<Machine> BootGuest(const MachineConfig& config, const Program& program,
+                                   const Manifest& manifest, std::string* error,
+                                   bool trace = false);
 
 }  // namespace rings
 

@@ -333,5 +333,25 @@ TEST(Serve, ShutdownDrainsQueuedWorkAndRefusesNew) {
   EXPECT_EQ(server->Wait(server->Submit(std::move(late))).status, ServeStatus::kRejected);
 }
 
+// Wait collects a submission: the server forgets it, and a Wait on a
+// collected or never-issued id answers at once instead of blocking.
+TEST(Serve, WaitCollectsOnceAndRejectsUnknownIds) {
+  Server server(ServeConfig{.threads = 2});
+  Submission submission;
+  submission.source = kCallLoopGuest;
+  const uint64_t id = server.Submit(std::move(submission));
+  EXPECT_EQ(server.Wait(id).status, ServeStatus::kCompleted);
+  for (const uint64_t unknown : {id, id + 1000}) {
+    const Completion completion = server.Wait(unknown);
+    EXPECT_EQ(completion.id, unknown);
+    EXPECT_EQ(completion.status, ServeStatus::kRejected);
+    EXPECT_EQ(completion.error, "unknown submission id");
+  }
+  // A rejected-at-submit id is collected the same way.
+  const uint64_t rejected = server.Submit(Submission{});
+  EXPECT_EQ(server.Wait(rejected).status, ServeStatus::kRejected);
+  EXPECT_EQ(server.Wait(rejected).error, "unknown submission id");
+}
+
 }  // namespace
 }  // namespace rings

@@ -74,9 +74,7 @@
 // Example (examples/asm/hello.asm):
 //   ;; acl main * procedure 4 4
 //   ;; start main start 4
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -84,6 +82,7 @@
 #include <vector>
 
 #include "src/base/strings.h"
+#include "src/fleet/fingerprint.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/golden_image.h"
 #include "src/fuzz/differential.h"
@@ -135,10 +134,21 @@ LoadedSource LoadSource(const std::string& path) {
   return loaded;
 }
 
-// Post-run reporting shared by program and restore modes: trace events,
-// tty output, fault summary, counters, per-process status; returns the
-// process-derived exit code (max exited code, 111 for any unfinished).
-int ReportRun(const Machine& machine, const RunResult& result, bool trace, bool stats) {
+// The rest of a program or restore run: run the machine, write the
+// snapshot if asked, then report trace events, tty output, fault summary,
+// counters and per-process status. Returns the guest's exit status
+// (GuestExitStatus), or 2 when the snapshot cannot be written.
+int RunAndReport(Machine& machine, uint64_t max_cycles, const std::string& snapshot_out,
+                 bool trace, bool stats) {
+  const RunResult result = machine.Run(max_cycles);
+  if (!snapshot_out.empty()) {
+    std::string error;
+    if (!SaveSnapshotFile(machine, snapshot_out, &error, machine.fault_injector())) {
+      std::fprintf(stderr, "ringsim: snapshot: %s\n", error.c_str());
+      return 2;
+    }
+    std::printf("snapshot: wrote %s\n", snapshot_out.c_str());
+  }
   if (trace) {
     for (const TraceEvent& e : machine.trace().events()) {
       if (e.kind == EventKind::kRingSwitch || e.kind == EventKind::kTrap) {
@@ -161,26 +171,22 @@ int ReportRun(const Machine& machine, const RunResult& result, bool trace, bool 
     std::printf("counters: %s\n", machine.cpu().counters().ToString().c_str());
   }
   std::printf("%s\n", result.ToString().c_str());
-  int exit_code = 0;
   for (const auto& p : machine.supervisor().processes()) {
     if (p->state == ProcessState::kExited) {
       std::printf("process %d ('%s'): exited with %lld\n", p->pid, p->user.c_str(),
                   static_cast<long long>(p->exit_code));
-      exit_code = std::max(exit_code, static_cast<int>(p->exit_code & 0xFF));
     } else {
       std::printf("process %d ('%s'): %s (%s at %u|%u)\n", p->pid, p->user.c_str(),
                   p->state == ProcessState::kKilled ? "KILLED" : "did not finish",
                   std::string(TrapCauseName(p->kill_cause)).c_str(), p->kill_pc.segno,
                   p->kill_pc.wordno);
-      exit_code = 111;
     }
   }
-  return exit_code;
+  return GuestExitStatus(&machine).code;
 }
 
-int Run(const std::string& path, bool list, bool trace, bool audit, bool fast_path,
-        bool block_engine, bool chain, bool shared_decode, bool stats, uint64_t max_cycles,
-        const FaultConfig& fault, const std::string& snapshot_out) {
+int Run(const std::string& path, bool list, bool trace, bool audit, bool stats,
+        uint64_t max_cycles, const MachineConfig& config, const std::string& snapshot_out) {
   const LoadedSource loaded = LoadSource(path);
   if (!loaded.ok) {
     return 2;
@@ -196,27 +202,17 @@ int Run(const std::string& path, bool list, bool trace, bool audit, bool fast_pa
     }
   }
 
-  MachineConfig config;
-  config.fault = fault;
-  config.fast_path = fast_path;
-  config.block_engine = block_engine;
-  config.chain = chain;
-  config.shared_decode = shared_decode;
-  Machine machine(config);
-  if (!machine.ok()) {
-    std::fprintf(stderr, "ringsim: machine construction failed\n");
-    return 2;
-  }
-  machine.trace().set_enabled(trace);
   std::string error;
-  if (!InstantiateGuest(assembled.program, manifest, &machine, &error)) {
+  const std::unique_ptr<Machine> machine =
+      BootGuest(config, assembled.program, manifest, &error, trace);
+  if (machine == nullptr) {
     std::fprintf(stderr, "ringsim: %s\n", error.c_str());
     return 2;
   }
 
   if (audit) {
     const auto findings =
-        AuditProtectionState(&machine.memory(), machine.registry(), machine.supervisor());
+        AuditProtectionState(&machine->memory(), machine->registry(), machine->supervisor());
     for (const AuditFinding& f : findings) {
       std::printf("audit: %s\n", f.ToString().c_str());
     }
@@ -224,67 +220,34 @@ int Run(const std::string& path, bool list, bool trace, bool audit, bool fast_pa
                 AuditClean(findings) ? "clean" : "NOT CLEAN");
   }
 
-  const RunResult result = machine.Run(max_cycles);
-
-  if (!snapshot_out.empty()) {
-    std::string snap_error;
-    if (!SaveSnapshotFile(machine, snapshot_out, &snap_error, machine.fault_injector())) {
-      std::fprintf(stderr, "ringsim: snapshot: %s\n", snap_error.c_str());
-      return 2;
-    }
-    std::printf("snapshot: wrote %s\n", snapshot_out.c_str());
-  }
-  return ReportRun(machine, result, trace, stats);
+  return RunAndReport(*machine, max_cycles, snapshot_out, trace, stats);
 }
 
 // Restore mode: rebuild a machine from a snapshot image and run it to
 // completion. The machine shape (memory size, cycle model, mode,
-// quantum) comes from the image's meta section; a corrupted, truncated,
-// or incompatible image is rejected with a structured error and exit 2.
+// quantum) comes from the image's meta section, the engine flags from
+// `engine`; a corrupted, truncated, or incompatible image, or one that
+// asks for a larger store than a default machine's, is rejected with a
+// structured error and exit 2.
 int RunRestore(const std::string& restore_path, const std::string& snapshot_out, bool trace,
-               bool fast_path, bool block_engine, bool chain, bool shared_decode, bool stats,
-               uint64_t max_cycles) {
+               bool stats, uint64_t max_cycles, const MachineConfig& engine) {
   std::vector<uint8_t> image;
   std::string error;
   if (!ReadSnapshotFile(restore_path, &image, &error)) {
     std::fprintf(stderr, "ringsim: restore: %s\n", error.c_str());
     return 2;
   }
-  SnapshotMeta meta;
-  if (!PeekSnapshotMeta(image, &meta, &error)) {
-    std::fprintf(stderr, "ringsim: restore: %s: %s\n", restore_path.c_str(), error.c_str());
-    return 2;
-  }
-  MachineConfig config;
-  config.memory_words = meta.memory_words;
-  config.cycle_model = meta.cycle_model;
-  config.quantum = meta.quantum;
-  config.mode = meta.mode;
-  config.fast_path = fast_path;
-  config.block_engine = block_engine;
-  config.chain = chain;
-  config.shared_decode = shared_decode;
-  Machine machine(config);
-  if (!machine.ok()) {
-    std::fprintf(stderr, "ringsim: machine construction failed\n");
-    return 2;
-  }
-  if (!RestoreSnapshot(image, &machine, &error)) {
+  // Capped at a default machine's store: a CRC-valid meta section can
+  // declare any size.
+  const std::unique_ptr<Machine> machine =
+      RestoreGuest(engine, image, MachineConfig{}.memory_words, &error);
+  if (machine == nullptr) {
     std::fprintf(stderr, "ringsim: restore: %s: %s\n", restore_path.c_str(), error.c_str());
     return 2;
   }
   std::printf("restored %s (cycles=%llu)\n", restore_path.c_str(),
-              static_cast<unsigned long long>(machine.cpu().cycles()));
-  const RunResult result = machine.Run(max_cycles);
-  if (!snapshot_out.empty()) {
-    std::string snap_error;
-    if (!SaveSnapshotFile(machine, snapshot_out, &snap_error, machine.fault_injector())) {
-      std::fprintf(stderr, "ringsim: snapshot: %s\n", snap_error.c_str());
-      return 2;
-    }
-    std::printf("snapshot: wrote %s\n", snapshot_out.c_str());
-  }
-  return ReportRun(machine, result, trace, stats);
+              static_cast<unsigned long long>(machine->cpu().cycles()));
+  return RunAndReport(*machine, max_cycles, snapshot_out, trace, stats);
 }
 
 // Fleet mode: N machines, each loaded with the same program, scheduled
@@ -292,9 +255,9 @@ int RunRestore(const std::string& restore_path, const std::string& snapshot_out,
 // status) are bit-identical at any --threads value; only the host
 // throughput and per-thread utilization in the summary vary.
 int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t slice_cycles,
-             uint64_t checkpoint_every, int max_restarts, bool cold_boot, bool fast_path,
-             bool block_engine, bool chain, bool shared_decode, bool stats, uint64_t max_cycles,
-             uint64_t fault_seed, uint32_t fault_rate) {
+             uint64_t checkpoint_every, int max_restarts, bool cold_boot, bool stats,
+             uint64_t max_cycles, const MachineConfig& engine, uint64_t fault_seed,
+             uint32_t fault_rate) {
   const LoadedSource loaded = LoadSource(path);
   if (!loaded.ok) {
     return 2;
@@ -306,27 +269,11 @@ int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t
   // clone of one golden would share.
   std::shared_ptr<const GoldenImage> golden;
   if (!cold_boot && fault_rate == 0) {
-    // Host engine flags are part of the identity: a golden built with
-    // the block engine off must not serve a run that wants it on.
-    const uint64_t identity = ProgramIdentity(loaded.assembled.program) ^
-                              ((fast_path ? 1u : 0u) | (block_engine ? 2u : 0u) |
-                               (chain ? 4u : 0u) | (shared_decode ? 8u : 0u));
     golden = GoldenImageRegistry::Instance().Acquire(
-        identity, [&loaded, fast_path, block_engine, chain,
-                   shared_decode]() -> std::unique_ptr<Machine> {
-          MachineConfig config;
-          config.fast_path = fast_path;
-          config.block_engine = block_engine;
-          config.chain = chain;
-          config.shared_decode = shared_decode;
-          auto machine = std::make_unique<Machine>(config);
+        ProgramIdentity(loaded.assembled.program) ^ EngineIdentityBits(engine),
+        [&loaded, &engine]() -> std::unique_ptr<Machine> {
           std::string error;
-          if (!machine->ok() ||
-              !InstantiateGuest(loaded.assembled.program, loaded.manifest, machine.get(),
-                                &error)) {
-            return nullptr;
-          }
-          return machine;
+          return BootGuest(engine, loaded.assembled.program, loaded.manifest, &error);
         });
     if (golden == nullptr) {
       std::fprintf(stderr, "ringsim: fleet: golden image construction failed\n");
@@ -343,29 +290,20 @@ int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t
   fleet_config.max_restarts = max_restarts;
   Fleet fleet(fleet_config);
   for (uint64_t i = 0; i < fleet_size; ++i) {
-    // The factory runs on a worker thread; `loaded` and `golden` outlive
-    // fleet.Run(), which blocks until every machine retires.
-    const auto factory = [&loaded, &golden, fast_path, block_engine, chain, shared_decode,
-                          fault_seed, fault_rate, i]() -> std::unique_ptr<Machine> {
+    // The factory runs on a worker thread; `loaded`, `golden` and `engine`
+    // outlive fleet.Run(), which blocks until every machine retires.
+    const auto factory = [&loaded, &golden, &engine, fault_seed, fault_rate,
+                          i]() -> std::unique_ptr<Machine> {
       if (golden != nullptr) {
         return golden->Spawn();
       }
-      MachineConfig config;
-      config.fast_path = fast_path;
-      config.block_engine = block_engine;
-      config.chain = chain;
-      config.shared_decode = shared_decode;
+      MachineConfig config = engine;
       if (fault_rate > 0) {
         // Derived seed: every machine gets its own reproducible stream.
         config.fault = FaultConfig::Uniform(fault_seed + i, fault_rate);
       }
-      auto machine = std::make_unique<Machine>(config);
       std::string error;
-      if (!machine->ok() ||
-          !InstantiateGuest(loaded.assembled.program, loaded.manifest, machine.get(), &error)) {
-        return nullptr;
-      }
-      return machine;
+      return BootGuest(config, loaded.assembled.program, loaded.manifest, &error);
     };
     fleet.Add(StrFormat("machine-%llu", static_cast<unsigned long long>(i)), factory,
               max_cycles);
@@ -393,13 +331,14 @@ int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t
 // optionally shrunk, and is written out as a self-contained repro file.
 // Exit codes: 0 all trials agree, 1 divergence found, 2 harness error
 // (a generated guest failed to assemble/instantiate — a generator bug).
+// Of `engine`, only chain and shared decode apply: the legs set the rest.
 int RunFuzz(uint64_t trials, uint64_t first_seed, bool shrink, std::string repro_out,
-            bool ablation, bool chain_ablation, bool chain, bool shared_decode) {
+            bool ablation, bool chain_ablation, const MachineConfig& engine) {
   FuzzOptions options;
   options.ablate_block_call = ablation;
   options.ablate_chain = chain_ablation;
-  options.chain = chain;
-  options.shared_decode = shared_decode;
+  options.chain = engine.chain;
+  options.shared_decode = engine.shared_decode;
   for (uint64_t i = 0; i < trials; ++i) {
     const uint64_t seed = first_seed + i;
     const GeneratedGuest guest = GenerateGuest(seed);
@@ -447,16 +386,10 @@ int RunFuzz(uint64_t trials, uint64_t first_seed, bool shrink, std::string repro
   return 0;
 }
 
-// Strict decimal parse: the whole string must be digits. strtoul alone
-// would turn a typo'd value into 0 and silently disable the feature.
-bool ParseU64(const char* s, uint64_t* out) {
-  if (*s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || *end != '\0') return false;
-  *out = v;
-  return true;
+// A malformed flag value: a structured usage error, exit 2.
+int BadFlag(const std::string& flag, const char* want) {
+  std::fprintf(stderr, "ringsim: %s: %s\n", flag.c_str(), want);
+  return 2;
 }
 
 }  // namespace
@@ -466,10 +399,7 @@ int main(int argc, char** argv) {
   bool list = false;
   bool trace = false;
   bool audit = false;
-  bool fast_path = true;
-  bool block_engine = true;
-  bool chain = true;
-  bool shared_decode = true;
+  rings::MachineConfig engine;  // host engine flags; the modes add the rest
   bool stats = false;
   uint64_t max_cycles = 100'000'000;
   uint64_t fault_seed = 1;
@@ -480,16 +410,14 @@ int main(int argc, char** argv) {
   uint64_t checkpoint_every = 0;
   uint64_t max_restarts = 0;
   bool cold_boot = false;
-  bool saw_fleet_only_flag = false;
-  std::string fleet_only_flag;
+  std::string fleet_only_flag;  // the last fleet-only flag given, for the usage check
   uint64_t fuzz_trials = 0;
   uint64_t fuzz_seed = 1;
   bool fuzz_shrink = false;
   bool fuzz_ablation = false;
   bool fuzz_chain_ablation = false;
   std::string fuzz_repro_out;
-  bool saw_fuzz_only_flag = false;
-  std::string fuzz_only_flag;
+  std::string fuzz_only_flag;  // likewise for fuzz-only flags
   std::string path;
   std::string snapshot_out;
   std::string restore_path;
@@ -516,113 +444,74 @@ int main(int argc, char** argv) {
     } else if (arg == "--audit") {
       audit = true;
     } else if (arg == "--no-fastpath") {
-      fast_path = false;
+      engine.fast_path = false;
     } else if (arg == "--no-block-engine") {
-      block_engine = false;
+      engine.block_engine = false;
     } else if (arg == "--no-chain") {
-      chain = false;
+      engine.chain = false;
     } else if (arg == "--no-shared-decode") {
-      shared_decode = false;
+      engine.shared_decode = false;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg.rfind("--max-cycles=", 0) == 0) {
-      if (!rings::ParseU64(arg.c_str() + 13, &max_cycles)) {
-        std::fprintf(stderr, "ringsim: %s: not a number\n", arg.c_str());
-        return 2;
-      }
+      if (!rings::ParseU64(arg.c_str() + 13, &max_cycles))
+        return rings::BadFlag(arg, "not a number");
     } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      if (!rings::ParseU64(arg.c_str() + 13, &fault_seed)) {
-        std::fprintf(stderr, "ringsim: %s: not a number\n", arg.c_str());
-        return 2;
-      }
+      if (!rings::ParseU64(arg.c_str() + 13, &fault_seed))
+        return rings::BadFlag(arg, "not a number");
     } else if (arg.rfind("--fault-rate=", 0) == 0) {
       uint64_t ppm = 0;
-      if (!rings::ParseU64(arg.c_str() + 13, &ppm) || ppm > 1'000'000) {
-        std::fprintf(stderr, "ringsim: %s: expected 0..1000000 ppm\n", arg.c_str());
-        return 2;
-      }
+      if (!rings::ParseU64(arg.c_str() + 13, &ppm) || ppm > 1'000'000)
+        return rings::BadFlag(arg, "expected 0..1000000 ppm");
       fault_rate = static_cast<uint32_t>(ppm);
     } else if (arg.rfind("--fleet=", 0) == 0) {
-      if (!rings::ParseU64(arg.c_str() + 8, &fleet_size) || fleet_size == 0) {
-        std::fprintf(stderr, "ringsim: %s: expected a machine count >= 1\n", arg.c_str());
-        return 2;
-      }
+      if (!rings::ParseU64(arg.c_str() + 8, &fleet_size) || fleet_size == 0)
+        return rings::BadFlag(arg, "expected a machine count >= 1");
     } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!rings::ParseU64(arg.c_str() + 10, &threads) || threads == 0 || threads > 1024) {
-        std::fprintf(stderr, "ringsim: %s: expected a thread count in 1..1024\n", arg.c_str());
-        return 2;
-      }
-      saw_fleet_only_flag = true;
+      if (!rings::ParseU64(arg.c_str() + 10, &threads) || threads == 0 || threads > 1024)
+        return rings::BadFlag(arg, "expected a thread count in 1..1024");
       fleet_only_flag = "--threads";
     } else if (arg.rfind("--slice-cycles=", 0) == 0) {
-      if (!rings::ParseU64(arg.c_str() + 15, &slice_cycles) || slice_cycles == 0) {
-        std::fprintf(stderr, "ringsim: %s: expected a cycle count >= 1\n", arg.c_str());
-        return 2;
-      }
-      saw_fleet_only_flag = true;
+      if (!rings::ParseU64(arg.c_str() + 15, &slice_cycles) || slice_cycles == 0)
+        return rings::BadFlag(arg, "expected a cycle count >= 1");
       fleet_only_flag = "--slice-cycles";
     } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      if (!rings::ParseU64(arg.c_str() + 19, &checkpoint_every) || checkpoint_every == 0) {
-        std::fprintf(stderr, "ringsim: %s: expected a quantum count >= 1\n", arg.c_str());
-        return 2;
-      }
-      saw_fleet_only_flag = true;
+      if (!rings::ParseU64(arg.c_str() + 19, &checkpoint_every) || checkpoint_every == 0)
+        return rings::BadFlag(arg, "expected a quantum count >= 1");
       fleet_only_flag = "--checkpoint-every";
     } else if (arg.rfind("--max-restarts=", 0) == 0) {
-      if (!rings::ParseU64(arg.c_str() + 15, &max_restarts) || max_restarts > 1000) {
-        std::fprintf(stderr, "ringsim: %s: expected a restart count in 0..1000\n", arg.c_str());
-        return 2;
-      }
-      saw_fleet_only_flag = true;
+      if (!rings::ParseU64(arg.c_str() + 15, &max_restarts) || max_restarts > 1000)
+        return rings::BadFlag(arg, "expected a restart count in 0..1000");
       fleet_only_flag = "--max-restarts";
     } else if (arg == "--cold-boot") {
       cold_boot = true;
-      saw_fleet_only_flag = true;
       fleet_only_flag = "--cold-boot";
     } else if (arg.rfind("--fuzz=", 0) == 0) {
-      if (!rings::ParseU64(arg.c_str() + 7, &fuzz_trials) || fuzz_trials == 0) {
-        std::fprintf(stderr, "ringsim: %s: expected a trial count >= 1\n", arg.c_str());
-        return 2;
-      }
+      if (!rings::ParseU64(arg.c_str() + 7, &fuzz_trials) || fuzz_trials == 0)
+        return rings::BadFlag(arg, "expected a trial count >= 1");
     } else if (arg.rfind("--fuzz-seed=", 0) == 0) {
-      if (!rings::ParseU64(arg.c_str() + 12, &fuzz_seed)) {
-        std::fprintf(stderr, "ringsim: %s: not a number\n", arg.c_str());
-        return 2;
-      }
-      saw_fuzz_only_flag = true;
+      if (!rings::ParseU64(arg.c_str() + 12, &fuzz_seed))
+        return rings::BadFlag(arg, "not a number");
       fuzz_only_flag = "--fuzz-seed";
     } else if (arg == "--shrink") {
       fuzz_shrink = true;
-      saw_fuzz_only_flag = true;
       fuzz_only_flag = "--shrink";
     } else if (arg == "--fuzz-ablation") {
       fuzz_ablation = true;
-      saw_fuzz_only_flag = true;
       fuzz_only_flag = "--fuzz-ablation";
     } else if (arg == "--fuzz-chain-ablation") {
       fuzz_chain_ablation = true;
-      saw_fuzz_only_flag = true;
       fuzz_only_flag = "--fuzz-chain-ablation";
     } else if (arg.rfind("--fuzz-repro-out=", 0) == 0) {
       fuzz_repro_out = arg.substr(17);
-      if (fuzz_repro_out.empty()) {
-        std::fprintf(stderr, "ringsim: %s: expected a file path\n", arg.c_str());
-        return 2;
-      }
-      saw_fuzz_only_flag = true;
+      if (fuzz_repro_out.empty()) return rings::BadFlag(arg, "expected a file path");
       fuzz_only_flag = "--fuzz-repro-out";
     } else if (arg.rfind("--snapshot-out=", 0) == 0) {
       snapshot_out = arg.substr(15);
-      if (snapshot_out.empty()) {
-        std::fprintf(stderr, "ringsim: %s: expected a file path\n", arg.c_str());
-        return 2;
-      }
+      if (snapshot_out.empty()) return rings::BadFlag(arg, "expected a file path");
     } else if (arg.rfind("--restore=", 0) == 0) {
       restore_path = arg.substr(10);
-      if (restore_path.empty()) {
-        std::fprintf(stderr, "ringsim: %s: expected a file path\n", arg.c_str());
-        return 2;
-      }
+      if (restore_path.empty()) return rings::BadFlag(arg, "expected a file path");
     } else if (arg == "--help" || arg == "-h") {
       std::printf("%s", kUsage);
       return 0;
@@ -638,11 +527,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (fleet_size == 0 && saw_fleet_only_flag) {
+  if (fleet_size == 0 && !fleet_only_flag.empty()) {
     std::fprintf(stderr, "ringsim: %s is only valid with --fleet=N\n", fleet_only_flag.c_str());
     return 2;
   }
-  if (fuzz_trials == 0 && saw_fuzz_only_flag) {
+  if (fuzz_trials == 0 && !fuzz_only_flag.empty()) {
     std::fprintf(stderr, "ringsim: %s is only valid with --fuzz=N\n", fuzz_only_flag.c_str());
     return 2;
   }
@@ -656,7 +545,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     return rings::RunFuzz(fuzz_trials, fuzz_seed, fuzz_shrink, fuzz_repro_out, fuzz_ablation,
-                          fuzz_chain_ablation, chain, shared_decode);
+                          fuzz_chain_ablation, engine);
   }
   if (!restore_path.empty()) {
     if (!path.empty()) {
@@ -668,8 +557,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "ringsim: --restore cannot be combined with --fleet\n");
       return 2;
     }
-    return rings::RunRestore(restore_path, snapshot_out, trace, fast_path, block_engine, chain,
-                             shared_decode, stats, max_cycles);
+    return rings::RunRestore(restore_path, snapshot_out, trace, stats, max_cycles, engine);
   }
   if (path.empty()) {
     std::fprintf(stderr, "%s", kUsage);
@@ -681,11 +569,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     return rings::RunFleet(path, fleet_size, static_cast<int>(threads), slice_cycles,
-                           checkpoint_every, static_cast<int>(max_restarts), cold_boot,
-                           fast_path, block_engine, chain, shared_decode, stats, max_cycles,
-                           fault_seed, fault_rate);
+                           checkpoint_every, static_cast<int>(max_restarts), cold_boot, stats,
+                           max_cycles, engine, fault_seed, fault_rate);
   }
-  const rings::FaultConfig fault = rings::FaultConfig::Uniform(fault_seed, fault_rate);
-  return rings::Run(path, list, trace, audit, fast_path, block_engine, chain, shared_decode,
-                    stats, max_cycles, fault, snapshot_out);
+  engine.fault = rings::FaultConfig::Uniform(fault_seed, fault_rate);
+  return rings::Run(path, list, trace, audit, stats, max_cycles, engine, snapshot_out);
 }

@@ -30,6 +30,9 @@
 //   ping                     replies `pong` (readiness probe)
 //   shutdown                 replies `bye`, drains queued work, exits
 //
+// A command line longer than kMaxLineBytes gets `error line too long` and
+// the connection is closed; other connections are unaffected.
+//
 // SIGINT/SIGTERM drain and exit cleanly, removing the socket file.
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -39,7 +42,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -50,6 +52,10 @@
 
 namespace rings {
 namespace {
+
+// Longest accepted command line, terminator excluded. Payloads travel as
+// raw bytes after `source`/`image`, so real command lines are short.
+constexpr size_t kMaxLineBytes = 64 * 1024;
 
 std::atomic<int> g_listen_fd{-1};
 std::atomic<bool> g_stop{false};
@@ -72,8 +78,9 @@ class ConnReader {
  public:
   explicit ConnReader(int fd) : fd_(fd) {}
 
-  // Reads one '\n'-terminated line (terminator stripped). False on EOF
-  // or error.
+  // Reads one '\n'-terminated line (terminator stripped). False on EOF,
+  // on error, or once kMaxLineBytes arrive without a terminator (then
+  // line_too_long() is true).
   bool ReadLine(std::string* line) {
     line->clear();
     while (true) {
@@ -85,11 +92,17 @@ class ConnReader {
           return true;
         }
       }
+      if (pos_ > kMaxLineBytes) {
+        line_too_long_ = true;
+        return false;
+      }
       if (!Fill()) {
         return false;
       }
     }
   }
+
+  bool line_too_long() const { return line_too_long_; }
 
   // Reads exactly `n` raw bytes. False on EOF or error.
   bool ReadBytes(size_t n, std::vector<uint8_t>* out) {
@@ -118,6 +131,7 @@ class ConnReader {
   int fd_;
   std::vector<char> buffer_;
   size_t pos_ = 0;
+  bool line_too_long_ = false;
 };
 
 bool WriteAll(int fd, const void* data, size_t n) {
@@ -138,16 +152,10 @@ bool WriteLine(int fd, const std::string& line) {
   return WriteAll(fd, out.data(), out.size());
 }
 
-// Strict decimal parse, mirroring ringsim's flag handling: a typo must
-// be an error, never a silent zero.
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || *end != '\0') return false;
-  *out = v;
-  return true;
+// A malformed flag value: a structured usage error, exit 2.
+int BadFlag(const std::string& flag, const char* want) {
+  std::fprintf(stderr, "ringsimd: %s: %s\n", flag.c_str(), want);
+  return 2;
 }
 
 std::vector<std::string> SplitWords(const std::string& line) {
@@ -254,6 +262,9 @@ void ServeConnection(Server* server, int fd) {
       if (!WriteLine(fd, StrFormat("error unknown command '%s'", cmd.c_str()))) break;
     }
   }
+  if (reader.line_too_long()) {
+    WriteLine(fd, "error line too long");
+  }
   close(fd);
 }
 
@@ -323,26 +334,18 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--socket=", 0) == 0) {
       socket_path = arg.substr(9);
-      if (socket_path.empty()) {
-        std::fprintf(stderr, "ringsimd: %s: expected a path\n", arg.c_str());
-        return 2;
-      }
+      if (socket_path.empty()) return rings::BadFlag(arg, "expected a path");
     } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!rings::ParseU64(arg.substr(10), &threads) || threads == 0 || threads > 1024) {
-        std::fprintf(stderr, "ringsimd: %s: expected a thread count in 1..1024\n", arg.c_str());
-        return 2;
-      }
+      if (!rings::ParseU64(arg.substr(10), &threads) || threads == 0 || threads > 1024)
+        return rings::BadFlag(arg, "expected a thread count in 1..1024");
       config.threads = static_cast<int>(threads);
     } else if (arg.rfind("--slice-cycles=", 0) == 0) {
-      if (!rings::ParseU64(arg.substr(15), &config.slice_cycles) || config.slice_cycles == 0) {
-        std::fprintf(stderr, "ringsimd: %s: expected a cycle count >= 1\n", arg.c_str());
-        return 2;
-      }
+      if (!rings::ParseU64(arg.substr(15), &config.slice_cycles) || config.slice_cycles == 0)
+        return rings::BadFlag(arg, "expected a cycle count >= 1");
     } else if (arg.rfind("--max-cycles=", 0) == 0) {
       if (!rings::ParseU64(arg.substr(13), &config.default_max_cycles) ||
           config.default_max_cycles == 0) {
-        std::fprintf(stderr, "ringsimd: %s: expected a cycle count >= 1\n", arg.c_str());
-        return 2;
+        return rings::BadFlag(arg, "expected a cycle count >= 1");
       }
     } else if (arg == "--help" || arg == "-h") {
       std::printf("%s", kUsage);

@@ -6,8 +6,11 @@ workloads (every ``.asm`` guest in ``--examples``, round-robin, over
 several concurrent connections), and checks that each served fingerprint
 is bit-identical to a standalone ``ringsim --fleet=1`` run of the same
 guest — the serving path (golden-image clone, work stealing, slicing)
-must be invisible to the simulated machine. Finishes with a clean
-``shutdown`` and asserts the daemon exits 0 and removes its socket.
+must be invisible to the simulated machine. Before the batch it sends
+one over-long command line and checks the daemon answers ``error line
+too long``, closes that connection and keeps serving another. Finishes
+with a clean ``shutdown`` and asserts the daemon exits 0 and removes its
+socket.
 
 Prints ``serve smoke: OK`` on success; any mismatch or protocol error is
 fatal with a nonzero exit.
@@ -22,6 +25,9 @@ import sys
 import tempfile
 import threading
 import time
+
+# ringsimd's kMaxLineBytes: the longest command line it accepts.
+MAX_LINE_BYTES = 64 * 1024
 
 
 def read_line(sock_file):
@@ -60,6 +66,26 @@ def submit(sock, sock_file, source, stdin_text=None):
     if n:
         sock_file.read(n)
     return done
+
+
+def check_line_cap(sock_path):
+    """An over-long line closes its own connection and no other."""
+    socks = [socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) for _ in range(2)]
+    for sock in socks:
+        sock.settimeout(30)  # a daemon without the cap would wait forever
+        sock.connect(sock_path)
+    bystander, capped = socks
+    # One byte over the cap and no terminator: the daemon reads all of it
+    # before deciding, so the close carries no unread data.
+    capped.sendall(b"x" * (MAX_LINE_BYTES + 1))
+    capped_file = capped.makefile("rb")
+    expect(capped_file, "error line too long")
+    if capped_file.readline():
+        raise RuntimeError("daemon kept an over-long connection open")
+    bystander.sendall(b"ping\n")
+    expect(bystander.makefile("rb"), "pong")
+    for sock in socks:
+        sock.close()
 
 
 def standalone_fingerprint(ringsim, program):
@@ -107,6 +133,8 @@ def main():
             if daemon.poll() is not None or time.time() > deadline:
                 raise RuntimeError("daemon did not come up")
             time.sleep(0.05)
+
+        check_line_cap(sock_path)
 
         # Round-robin the guests across concurrent client connections.
         jobs = [programs[i % len(programs)] for i in range(args.count)]
