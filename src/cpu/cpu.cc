@@ -9,6 +9,50 @@ namespace {
 
 constexpr uint32_t kIndexMask = (uint32_t{1} << kWordnoBits) - 1;
 
+// The one kind -> rule mapping of Figures 4-7: the Check* predicate a
+// reference of that kind must pass, the verdict bit that memoizes it, and
+// the counter its check charges. Reference, Vouches and the supervisor's
+// accesses read their rule from RuleFor; only ChargeVouchedFetch (cpu.h)
+// names the fetch row's counter itself.
+struct RefRule {
+  AccessDecision (*check)(const SegmentAccess& access, Ring ring, Ring effective);
+  bool VerdictCache::Entry::* verdict;
+  uint64_t Counters::* charge;
+};
+
+// The predicates in one (access, ring, effective ring) shape; only the
+// transfer check of Figure 7 reads the effective ring.
+AccessDecision FetchCheck(const SegmentAccess& access, Ring ring, Ring) {
+  return CheckExecute(access, ring);
+}
+AccessDecision IndirectCheck(const SegmentAccess& access, Ring ring, Ring) {
+  return CheckIndirectRead(access, ring);
+}
+AccessDecision ReadCheck(const SegmentAccess& access, Ring ring, Ring) {
+  return CheckRead(access, ring);
+}
+AccessDecision WriteCheck(const SegmentAccess& access, Ring ring, Ring) {
+  return CheckWrite(access, ring);
+}
+
+constexpr RefRule RuleFor(RefKind kind) {
+  switch (kind) {
+    case RefKind::kFetch:  // Figure 4
+      return {&FetchCheck, &VerdictCache::Entry::execute_ok, &Counters::checks_fetch};
+    case RefKind::kIndirect:  // Figure 5
+      return {&IndirectCheck, &VerdictCache::Entry::indirect_ok, &Counters::checks_indirect};
+    case RefKind::kRead:  // Figure 6
+      return {&ReadCheck, &VerdictCache::Entry::read_ok, &Counters::checks_read};
+    case RefKind::kWrite:  // Figure 6
+      return {&WriteCheck, &VerdictCache::Entry::write_ok, &Counters::checks_write};
+    case RefKind::kTransfer:
+      // Figure 7: the execute verdict answers it only when the effective
+      // ring is the ring of execution (see Vouches).
+      return {&CheckTransfer, &VerdictCache::Entry::execute_ok, &Counters::checks_transfer};
+  }
+  return {};  // not reached: the switch names every RefKind
+}
+
 }  // namespace
 
 Cpu::Cpu(PhysicalMemory* memory, CycleModel cycle_model)
@@ -176,8 +220,8 @@ bool Cpu::FetchSdw(Segno segno, Sdw* out) {
   return true;
 }
 
-bool Cpu::CheckBounds(const Sdw& sdw, Wordno wordno) {
-  if (wordno >= sdw.bound) {
+bool Cpu::CheckBounds(uint64_t bound, Wordno wordno) {
+  if (wordno >= bound) {
     RaiseTrap(TrapCause::kBoundsViolation);
     return false;
   }
@@ -188,12 +232,12 @@ bool Cpu::CheckBounds(const Sdw& sdw, Wordno wordno) {
 // segments cost one PTW fetch per reference ("paging is also taken into
 // account by the address translation logic, but is totally transparent to
 // an executing machine language program").
-TrapCause Cpu::ResolveAddress(const Sdw& sdw, Segno segno, Wordno wordno, AbsAddr* out) {
-  if (!sdw.paged) {
-    *out = sdw.base + wordno;
+TrapCause Cpu::Translate(bool paged, AbsAddr base, Segno segno, Wordno wordno, AbsAddr* out) {
+  if (!paged) {
+    *out = base + wordno;
     return TrapCause::kNone;
   }
-  return WalkPageTable(sdw.base, segno, wordno, out);
+  return WalkPageTable(base, segno, wordno, out);
 }
 
 TrapCause Cpu::WalkPageTable(AbsAddr table_base, Segno segno, Wordno wordno, AbsAddr* out) {
@@ -226,15 +270,6 @@ TrapCause Cpu::WalkPageTable(AbsAddr table_base, Segno segno, Wordno wordno, Abs
   return TrapCause::kNone;
 }
 
-bool Cpu::ResolveOrFault(const Sdw& sdw, Segno segno, Wordno wordno, AbsAddr* out) {
-  const TrapCause cause = ResolveAddress(sdw, segno, wordno, out);
-  if (cause != TrapCause::kNone) {
-    RaiseTrap(cause);
-    return false;
-  }
-  return true;
-}
-
 std::optional<Sdw> Cpu::ReadSdw(Segno segno) const {
   if (segno >= regs_.dbr.bound) {
     return std::nullopt;
@@ -243,7 +278,8 @@ std::optional<Sdw> Cpu::ReadSdw(Segno segno) const {
   return DecodeSdw(memory_->Read(addr), memory_->Read(addr + 1));
 }
 
-TrapCause Cpu::SupervisorRead(Segno segno, Wordno wordno, Ring effective_ring, Word* out) {
+TrapCause Cpu::SupervisorAccess(Segno segno, Wordno wordno, std::optional<Ring> ring, Word* word,
+                                bool store) {
   const auto sdw = ReadSdw(segno);
   if (!sdw.has_value() || !sdw->present) {
     return TrapCause::kMissingSegment;
@@ -251,74 +287,98 @@ TrapCause Cpu::SupervisorRead(Segno segno, Wordno wordno, Ring effective_ring, W
   if (wordno >= sdw->bound) {
     return TrapCause::kBoundsViolation;
   }
-  if (const auto decision = CheckRead(sdw->access, EffectiveRing(effective_ring));
-      !decision.ok()) {
-    return decision.cause;
+  if (ring.has_value()) {
+    const RefRule rule = RuleFor(store ? RefKind::kWrite : RefKind::kRead);
+    if (const AccessDecision decision = rule.check(sdw->access, *ring, *ring); !decision.ok()) {
+      return decision.cause;
+    }
   }
   AbsAddr addr = 0;
-  if (const TrapCause cause = ResolveAddress(*sdw, segno, wordno, &addr);
+  if (const TrapCause cause = Translate(sdw->paged, sdw->base, segno, wordno, &addr);
       cause != TrapCause::kNone) {
     return cause;
   }
-  *out = memory_->Read(addr);
+  if (store) {
+    memory_->Write(addr, *word);
+    NoteStore(addr, sdw->access.flags.execute, segno);
+  } else {
+    *word = memory_->Read(addr);
+  }
   return TrapCause::kNone;
 }
 
-TrapCause Cpu::SupervisorWrite(Segno segno, Wordno wordno, Ring effective_ring, Word value) {
-  const auto sdw = ReadSdw(segno);
-  if (!sdw.has_value() || !sdw->present) {
-    return TrapCause::kMissingSegment;
-  }
-  if (wordno >= sdw->bound) {
-    return TrapCause::kBoundsViolation;
-  }
-  if (const auto decision = CheckWrite(sdw->access, EffectiveRing(effective_ring));
-      !decision.ok()) {
-    return decision.cause;
-  }
-  AbsAddr addr = 0;
-  if (const TrapCause cause = ResolveAddress(*sdw, segno, wordno, &addr);
-      cause != TrapCause::kNone) {
-    return cause;
-  }
-  memory_->Write(addr, value);
-  NoteStore(addr, sdw->access.flags.execute, segno);
-  return TrapCause::kNone;
+// ---------------------------------------------------------------------------
+// The validated reference (Figures 4-7)
+// ---------------------------------------------------------------------------
+//
+// Every reference the instruction cycle makes runs this one sequence; a
+// verdict-cache hit and a descriptor walk differ only in where the
+// descriptor facts come from. The hit is exactly the walk taken with an
+// SDW-cache hit: the verdict memoizes the predicate's outcome and the
+// SDW's addressing fields, and its invariant (verdict_cache.h) keeps the
+// SDW resident, so the charges, checks and traps that follow are the
+// same either way.
+
+template <RefKind K>
+bool Cpu::Vouches(const VerdictCache::Entry& memo, Ring ring, Ring effective) const {
+  constexpr bool VerdictCache::Entry::* kVerdict = RuleFor(K).verdict;
+  return !checks_enabled_ || (effective == ring && memo.*kVerdict);
 }
 
-TrapCause Cpu::SupervisorReadRaw(Segno segno, Wordno wordno, Word* out) {
-  const auto sdw = ReadSdw(segno);
-  if (!sdw.has_value() || !sdw->present) {
-    return TrapCause::kMissingSegment;
+// Forced inline: the memo hit is the per-reference hot path, and each
+// kind's caller is where it must land.
+template <RefKind K>
+[[gnu::always_inline]] inline bool Cpu::Reference(Segno segno, Wordno wordno, Ring ring,
+                                                  Ring effective, Ref* out) {
+  constexpr RefRule kRule = RuleFor(K);
+  AbsAddr base = 0;
+  uint64_t bound = 0;
+  bool paged = false;
+  TrapCause denial = TrapCause::kNone;
+  const VerdictCache::Entry* memo = K == RefKind::kFetch ? nullptr : FastVerdict(segno, ring);
+  if (memo != nullptr && Vouches<K>(*memo, ring, effective)) {
+    CountMemoHit();
+    base = memo->base;
+    bound = memo->bound;
+    paged = memo->paged;
+    out->r1 = memo->r1;
+    out->flags_execute = memo->flags_execute;
+  } else {
+    Sdw sdw;
+    if (!FetchSdw(segno, &sdw)) {
+      return false;
+    }
+    FillVerdict(segno, ring, sdw);
+    if (checks_enabled_) {
+      denial = kRule.check(sdw.access, ring, effective).cause;
+    }
+    base = sdw.base;
+    bound = sdw.bound;
+    paged = sdw.paged;
+    out->r1 = sdw.access.brackets.r1;
+    out->flags_execute = sdw.access.flags.execute;
   }
-  if (wordno >= sdw->bound) {
-    return TrapCause::kBoundsViolation;
+  if (checks_enabled_) {
+    ++(counters_.*kRule.charge);
+    cycles_ += cycle_model_.access_check;
+    if (denial != TrapCause::kNone) {
+      RaiseTrap(denial);
+      return false;
+    }
   }
-  AbsAddr addr = 0;
-  if (const TrapCause cause = ResolveAddress(*sdw, segno, wordno, &addr);
-      cause != TrapCause::kNone) {
-    return cause;
+  if (!CheckBounds(bound, wordno)) {
+    return false;
   }
-  *out = memory_->Read(addr);
-  return TrapCause::kNone;
-}
-
-TrapCause Cpu::SupervisorWriteRaw(Segno segno, Wordno wordno, Word value) {
-  const auto sdw = ReadSdw(segno);
-  if (!sdw.has_value() || !sdw->present) {
-    return TrapCause::kMissingSegment;
+  if constexpr (K == RefKind::kTransfer) {
+    return true;  // the advance check forms no address
+  } else {
+    if (const TrapCause cause = Translate(paged, base, segno, wordno, &out->addr);
+        cause != TrapCause::kNone) {
+      RaiseTrap(cause);
+      return false;
+    }
+    return true;
   }
-  if (wordno >= sdw->bound) {
-    return TrapCause::kBoundsViolation;
-  }
-  AbsAddr addr = 0;
-  if (const TrapCause cause = ResolveAddress(*sdw, segno, wordno, &addr);
-      cause != TrapCause::kNone) {
-    return cause;
-  }
-  memory_->Write(addr, value);
-  NoteStore(addr, sdw->access.flags.execute, segno);
-  return TrapCause::kNone;
 }
 
 // ---------------------------------------------------------------------------
@@ -500,27 +560,12 @@ bool Cpu::StepBlock(uint64_t cycle_bound) {
           return StepBody();
         }
       }
-      // The fetch charges of the per-instruction fast path (identical to
-      // the slow path taken with an SDW-cache hit). The cycle portion is
-      // the block's precomputed per-op charge — one add for the
-      // instruction base, the fetch check, the page walk, and the fetch
-      // read together.
-      cycles_ += b->op_charge;
+      // The per-instruction vouched fetch's charges; the cycle portion is
+      // the block's precomputed per-op charge, which folds the
+      // instruction base in with them.
+      ChargeVouchedFetch(b->paged, b->op_charge);
       ++counters_.instructions;
       ++counters_.block_ops;
-      ++counters_.verdict_hits;
-      ++counters_.insn_cache_hits;
-      ++counters_.sdw_cache_hits;
-      sdw_cache_.CountHit();
-      if (checks_enabled_) {
-        ++counters_.checks_fetch;
-      }
-      if (b->paged) {
-        // The page-table walk the slow path would have performed.
-        ++counters_.page_walks;
-        ++counters_.tlb_hits;
-      }
-      ++counters_.memory_reads;
       current_ins_ = op.ins;
       if (op.needs_ea && !FormEffectiveAddress(op.ins)) {
         return false;
@@ -662,9 +707,7 @@ BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
   b->checks = checks_enabled_;
   b->paged = v.paged;
   b->base = v.base;
-  b->op_charge = cycle_model_.instruction_base + cycle_model_.memory_ref +
-                 (checks_enabled_ ? cycle_model_.access_check : 0) +
-                 (v.paged ? cycle_model_.memory_ref : 0);
+  b->op_charge = cycle_model_.instruction_base + VouchedFetchCycles(v.paged);
   b->chain_ok = ChainEligible(b->ops[count - 1].ins.opcode);
   b->gen = block_cache_.generation();
   ++counters_.block_builds;
@@ -697,7 +740,7 @@ bool Cpu::EndsBlock(Opcode op) {
 BlockCache::Block* Cpu::ProbeOrBuildBlock() {
   const Ring ring = EffectiveRing(regs_.ipr.ring);
   const VerdictCache::Entry* v = FastVerdict(regs_.ipr.segno, ring);
-  if (v == nullptr || (checks_enabled_ && !v->execute_ok)) {
+  if (v == nullptr || !Vouches<RefKind::kFetch>(*v, ring, ring)) {
     return nullptr;
   }
   BlockCache::Block* b = block_cache_.LookupMutable(regs_.ipr.segno, regs_.ipr.wordno);
@@ -736,85 +779,47 @@ bool Cpu::ChainEligible(Opcode op) {
 // execute flag is checked.
 bool Cpu::FetchInstruction(Instruction* ins) {
   const Ring ring = EffectiveRing(regs_.ipr.ring);
+  const Segno segno = regs_.ipr.segno;
+  const Wordno wordno = regs_.ipr.wordno;
 
-  // Fast path: a current verdict proves the SDW cache holds this segment
-  // unchanged and that execution is permitted; a cached decode whose fill
-  // address matches the address the slow path would compute proves the
-  // word is the same one the slow path would fetch. For unpaged segments
-  // that address is verdict base + wordno; for paged segments the TLB
-  // supplies the frame (keyed on the verdict's base as the table base),
-  // and the architectural walk is charged exactly as the slow path
-  // charges it. Charge what the slow path charges on an SDW-cache hit
-  // and skip the re-fetch and re-decode.
-  if (const VerdictCache::Entry* v = FastVerdict(regs_.ipr.segno, ring);
-      v != nullptr && (!checks_enabled_ || v->execute_ok) && regs_.ipr.wordno < v->bound) {
-    AbsAddr expected = 0;
-    bool have_addr = false;
-    bool paged_hit = false;
-    if (!v->paged) {
-      expected = v->base + regs_.ipr.wordno;
-      have_addr = true;
-    } else if (TlbEnabled()) {
-      if (const Tlb::Entry* t =
-              tlb_.Lookup(regs_.ipr.segno, regs_.ipr.wordno >> kPageShift, v->base)) {
-        expected = t->frame + (regs_.ipr.wordno & kPageMask);
+  // The decode cache, on top of the verdict memo: when the verdict vouches
+  // for the fetch and a cached decode's fill address matches the address
+  // the reference would form, that decode is the word the reference would
+  // read. For unpaged segments that address is verdict base + wordno; for
+  // paged ones the TLB supplies the frame (keyed on the verdict's base as
+  // the table base). Charge what the reference charges on a memo hit and
+  // skip the re-fetch and re-decode.
+  if (const VerdictCache::Entry* v = FastVerdict(segno, ring);
+      v != nullptr && Vouches<RefKind::kFetch>(*v, ring, ring) && wordno < v->bound) {
+    AbsAddr expected = v->base + wordno;
+    bool have_addr = !v->paged;
+    if (v->paged) {
+      if (const Tlb::Entry* t = tlb_.Lookup(segno, wordno >> kPageShift, v->base)) {
+        expected = t->frame + (wordno & kPageMask);
         have_addr = true;
-        paged_hit = true;
       }
     }
-    const InsnCache::Entry* cached =
-        have_addr ? insn_cache_.Lookup(regs_.ipr.segno, regs_.ipr.wordno) : nullptr;
+    const InsnCache::Entry* cached = have_addr ? insn_cache_.Lookup(segno, wordno) : nullptr;
     if (cached != nullptr && cached->addr == expected) {
-      ++counters_.verdict_hits;
-      ++counters_.insn_cache_hits;
-      ++counters_.sdw_cache_hits;
-      sdw_cache_.CountHit();
-      if (checks_enabled_) {
-        ++counters_.checks_fetch;
-        cycles_ += cycle_model_.access_check;
-      }
-      if (paged_hit) {
-        // The page-table walk the slow path would have performed.
-        ++counters_.page_walks;
-        cycles_ += cycle_model_.memory_ref;
-        ++counters_.tlb_hits;
-      }
-      ++counters_.memory_reads;
-      cycles_ += cycle_model_.memory_ref;
+      ChargeVouchedFetch(v->paged, VouchedFetchCycles(v->paged));
       *ins = cached->ins;
       return true;
     }
   }
 
-  Sdw sdw;
-  if (!FetchSdw(regs_.ipr.segno, &sdw)) {
-    return false;
-  }
-  FillVerdict(regs_.ipr.segno, ring, sdw);
-  if (checks_enabled_) {
-    ++counters_.checks_fetch;
-    cycles_ += cycle_model_.access_check;
-    if (const auto decision = CheckExecute(sdw.access, ring); !decision.ok()) {
-      RaiseTrap(decision.cause);
-      return false;
-    }
-  }
-  if (!CheckBounds(sdw, regs_.ipr.wordno)) {
-    return false;
-  }
-  AbsAddr addr = 0;
-  if (!ResolveOrFault(sdw, regs_.ipr.segno, regs_.ipr.wordno, &addr)) {
+  Ref ref;
+  if (!Reference<RefKind::kFetch>(segno, wordno, ring, ring, &ref)) {
     return false;
   }
   ++counters_.memory_reads;
   cycles_ += cycle_model_.memory_ref;
-  const Word word = memory_->Read(addr);
+  const Word word = memory_->Read(ref.addr);
   // Fleet-shared decode: if this segment is backed by a published image
   // and the live word still matches the image's raw word, reuse the
   // pre-decoded instruction instead of decoding again. A mismatch is the
   // copy-on-write split — this machine wrote (or had patched) the word,
   // so it decodes its own copy while fleet siblings keep the shared one.
-  const SharedDecodeImage::Entry* pre = DecodeImageEntry(regs_.ipr.segno, regs_.ipr.wordno);
+  const SharedDecodeImage::Entry* pre = DecodeImageEntry(segno, wordno);
   if (pre != nullptr && pre->raw != word) {
     ++counters_.shared_decode_misses;
     pre = nullptr;
@@ -835,7 +840,7 @@ bool Cpu::FetchInstruction(Instruction* ins) {
     // frame address, and a later fast-path hit revalidates it against the
     // TLB's current translation for the page.
     ++counters_.insn_cache_misses;
-    insn_cache_.Put(regs_.ipr.segno, regs_.ipr.wordno, addr, *ins);
+    insn_cache_.Put(segno, wordno, ref.addr, *ins);
   }
   return true;
 }
@@ -889,53 +894,14 @@ bool Cpu::ChaseIndirectWords() {
     // Validation is with respect to the value in TPR.RING at the time the
     // indirect word is encountered."
     const Ring ring = EffectiveRing(tpr_.ring);
-    AbsAddr addr = 0;
-    Ring sdw_r1 = 0;
-    const VerdictCache::Entry* v = FastVerdict(tpr_.segno, ring);
-    if (v != nullptr && (!checks_enabled_ || v->indirect_ok)) {
-      // Fast path: skip the SDW fetch and the bracket comparison; the
-      // indirect word itself is still read from the core store below.
-      ++counters_.verdict_hits;
-      ++counters_.sdw_cache_hits;
-      sdw_cache_.CountHit();
-      if (checks_enabled_) {
-        ++counters_.checks_indirect;
-        cycles_ += cycle_model_.access_check;
-      }
-      if (tpr_.wordno >= v->bound) {
-        RaiseTrap(TrapCause::kBoundsViolation);
-        return false;
-      }
-      if (!FastResolve(*v, tpr_.segno, tpr_.wordno, &addr)) {
-        return false;
-      }
-      sdw_r1 = v->r1;
-    } else {
-      Sdw sdw;
-      if (!FetchSdw(tpr_.segno, &sdw)) {
-        return false;
-      }
-      FillVerdict(tpr_.segno, ring, sdw);
-      if (checks_enabled_) {
-        ++counters_.checks_indirect;
-        cycles_ += cycle_model_.access_check;
-        if (const auto decision = CheckIndirectRead(sdw.access, ring); !decision.ok()) {
-          RaiseTrap(decision.cause);
-          return false;
-        }
-      }
-      if (!CheckBounds(sdw, tpr_.wordno)) {
-        return false;
-      }
-      if (!ResolveOrFault(sdw, tpr_.segno, tpr_.wordno, &addr)) {
-        return false;
-      }
-      sdw_r1 = sdw.access.brackets.r1;
+    Ref ref;
+    if (!Reference<RefKind::kIndirect>(tpr_.segno, tpr_.wordno, ring, ring, &ref)) {
+      return false;
     }
     ++counters_.memory_reads;
     ++counters_.indirect_words;
     cycles_ += cycle_model_.memory_ref;
-    IndirectWord iw = DecodeIndirectWord(memory_->Read(addr));
+    IndirectWord iw = DecodeIndirectWord(memory_->Read(ref.addr));
     if (fault_injector_ != nullptr && !iw.fault) {
       fault_injector_->MaybeCorruptIndirectRing(cycles_, tpr_.segno, tpr_.wordno, &iw);
     }
@@ -953,7 +919,7 @@ bool Cpu::ChaseIndirectWords() {
       // ring number in the indirect word (IND.RING), and the top of the
       // write bracket for the segment containing the indirect word
       // (SDW.R1)."
-      tpr_.ring = MaxRing(tpr_.ring, iw.ring, sdw_r1);
+      tpr_.ring = MaxRing(tpr_.ring, iw.ring, ref.r1);
     }
     tpr_.segno = iw.segno;
     tpr_.wordno = iw.wordno;
@@ -965,122 +931,26 @@ bool Cpu::ChaseIndirectWords() {
 // Figure 6: instructions which read or write their operands.
 bool Cpu::ReadOperand(Word* out) {
   const Ring ring = EffectiveRing(tpr_.ring);
-  if (const VerdictCache::Entry* v = FastVerdict(tpr_.segno, ring);
-      v != nullptr && (!checks_enabled_ || v->read_ok)) {
-    ++counters_.verdict_hits;
-    ++counters_.sdw_cache_hits;
-    sdw_cache_.CountHit();
-    if (checks_enabled_) {
-      ++counters_.checks_read;
-      cycles_ += cycle_model_.access_check;
-    }
-    if (tpr_.wordno >= v->bound) {
-      RaiseTrap(TrapCause::kBoundsViolation);
-      return false;
-    }
-    AbsAddr addr = 0;
-    if (!FastResolve(*v, tpr_.segno, tpr_.wordno, &addr)) {
-      return false;
-    }
-    ++counters_.memory_reads;
-    cycles_ += cycle_model_.memory_ref;
-    *out = memory_->Read(addr);
-    return true;
-  }
-
-  Sdw sdw;
-  if (!FetchSdw(tpr_.segno, &sdw)) {
-    return false;
-  }
-  FillVerdict(tpr_.segno, ring, sdw);
-  if (checks_enabled_) {
-    ++counters_.checks_read;
-    cycles_ += cycle_model_.access_check;
-    if (const auto decision = CheckRead(sdw.access, ring); !decision.ok()) {
-      RaiseTrap(decision.cause);
-      return false;
-    }
-  }
-  if (!CheckBounds(sdw, tpr_.wordno)) {
-    return false;
-  }
-  AbsAddr addr = 0;
-  if (!ResolveOrFault(sdw, tpr_.segno, tpr_.wordno, &addr)) {
+  Ref ref;
+  if (!Reference<RefKind::kRead>(tpr_.segno, tpr_.wordno, ring, ring, &ref)) {
     return false;
   }
   ++counters_.memory_reads;
   cycles_ += cycle_model_.memory_ref;
-  *out = memory_->Read(addr);
+  *out = memory_->Read(ref.addr);
   return true;
 }
 
 bool Cpu::WriteOperand(Word value) {
   const Ring ring = EffectiveRing(tpr_.ring);
-  if (const VerdictCache::Entry* v = FastVerdict(tpr_.segno, ring);
-      v != nullptr && (!checks_enabled_ || v->write_ok)) {
-    ++counters_.verdict_hits;
-    ++counters_.sdw_cache_hits;
-    sdw_cache_.CountHit();
-    if (checks_enabled_) {
-      ++counters_.checks_write;
-      cycles_ += cycle_model_.access_check;
-    }
-    if (tpr_.wordno >= v->bound) {
-      RaiseTrap(TrapCause::kBoundsViolation);
-      return false;
-    }
-    AbsAddr addr = 0;
-    if (!FastResolve(*v, tpr_.segno, tpr_.wordno, &addr)) {
-      return false;
-    }
-    ++counters_.memory_writes;
-    cycles_ += cycle_model_.memory_ref;
-    memory_->Write(addr, value);
-    NoteStore(addr, v->flags_execute, tpr_.segno);
-    return true;
-  }
-
-  Sdw sdw;
-  if (!FetchSdw(tpr_.segno, &sdw)) {
-    return false;
-  }
-  FillVerdict(tpr_.segno, ring, sdw);
-  if (checks_enabled_) {
-    ++counters_.checks_write;
-    cycles_ += cycle_model_.access_check;
-    if (const auto decision = CheckWrite(sdw.access, ring); !decision.ok()) {
-      RaiseTrap(decision.cause);
-      return false;
-    }
-  }
-  if (!CheckBounds(sdw, tpr_.wordno)) {
-    return false;
-  }
-  AbsAddr addr = 0;
-  if (!ResolveOrFault(sdw, tpr_.segno, tpr_.wordno, &addr)) {
+  Ref ref;
+  if (!Reference<RefKind::kWrite>(tpr_.segno, tpr_.wordno, ring, ring, &ref)) {
     return false;
   }
   ++counters_.memory_writes;
   cycles_ += cycle_model_.memory_ref;
-  memory_->Write(addr, value);
-  NoteStore(addr, sdw.access.flags.execute, tpr_.segno);
-  return true;
-}
-
-bool Cpu::FastResolve(const VerdictCache::Entry& v, Segno segno, Wordno wordno, AbsAddr* out) {
-  if (!v.paged) {
-    *out = v.base + wordno;
-    return true;
-  }
-  // Paged: the page-table walk is architectural, so it is performed (and
-  // charged) exactly as in ResolveAddress — only the SDW fetch and the
-  // bracket comparison were skipped. The walk itself may be answered by
-  // the TLB; the verdict's base is the table base the walk is keyed on.
-  const TrapCause cause = WalkPageTable(v.base, segno, wordno, out);
-  if (cause != TrapCause::kNone) {
-    RaiseTrap(cause);
-    return false;
-  }
+  memory_->Write(ref.addr, value);
+  NoteStore(ref.addr, ref.flags_execute, tpr_.segno);
   return true;
 }
 
@@ -1115,110 +985,87 @@ void Cpu::NoteStore(AbsAddr addr, bool target_executable, Segno segno) {
 // instruction which made the illegal transfer"; a raised effective ring is
 // rejected because these transfers cannot change the ring of execution.
 void Cpu::ExecuteTransfer() {
-  const Ring exec_ring = EffectiveRing(regs_.ipr.ring);
-  const Ring effective =
-      EffectiveRing(mode_ == ProtectionMode::kRingHardware ? tpr_.ring : regs_.ipr.ring);
-  if (const VerdictCache::Entry* v = FastVerdict(tpr_.segno, exec_ring);
-      v != nullptr && (!checks_enabled_ || (effective == exec_ring && v->execute_ok))) {
-    ++counters_.verdict_hits;
-    ++counters_.sdw_cache_hits;
-    sdw_cache_.CountHit();
-    if (checks_enabled_) {
-      ++counters_.checks_transfer;
-      cycles_ += cycle_model_.access_check;
-    }
-    if (tpr_.wordno >= v->bound) {
-      RaiseTrap(TrapCause::kBoundsViolation);
-      return;
-    }
+  // Validated for the ring of execution; in the 645 base both rings are 0.
+  Ref ref;
+  if (Reference<RefKind::kTransfer>(tpr_.segno, tpr_.wordno, EffectiveRing(regs_.ipr.ring),
+                                    EffectiveRing(tpr_.ring), &ref)) {
     regs_.ipr.segno = tpr_.segno;
     regs_.ipr.wordno = tpr_.wordno;
-    return;
   }
-
-  Sdw sdw;
-  if (!FetchSdw(tpr_.segno, &sdw)) {
-    return;
-  }
-  FillVerdict(tpr_.segno, exec_ring, sdw);
-  if (checks_enabled_) {
-    ++counters_.checks_transfer;
-    cycles_ += cycle_model_.access_check;
-    if (const auto decision = CheckTransfer(sdw.access, exec_ring, effective); !decision.ok()) {
-      RaiseTrap(decision.cause);
-      return;
-    }
-  }
-  if (!CheckBounds(sdw, tpr_.wordno)) {
-    return;
-  }
-  regs_.ipr.segno = tpr_.segno;
-  regs_.ipr.wordno = tpr_.wordno;
 }
 
-// Figure 8: the CALL instruction. The crossing cache memoizes the
+// Figures 8 and 9 share this step. The crossing cache memoizes the
 // resolution per call site (see crossing_cache.h): on a hit the SDW
 // fetch, gate check, and bracket comparison are all replayed from the
-// memo with the exact charges the slow path takes on an SDW-cache hit.
-void Cpu::ExecuteCall() {
+// memo with the exact charges the walk takes on an SDW-cache hit.
+template <bool kCall>
+[[gnu::always_inline]] inline bool Cpu::ResolveCrossing(TransferOutcome* out) {
   if (mode_ == ProtectionMode::kFlags645) {
     // The 645-style base has no call hardware; rings are crossed by MME
     // traps handled in software (src/b645).
     RaiseTrap(TrapCause::kIllegalOpcode);
+    return false;
+  }
+  uint64_t Counters::* const charge = kCall ? &Counters::checks_call : &Counters::checks_return;
+  const Ring old_ring = regs_.ipr.ring;
+  const bool memo_enabled = CrossingCacheEnabled();
+  CrossingCache::Entry& memo = crossing_cache_.SlotFor(ipr_at_fetch_.segno, ipr_at_fetch_.wordno);
+  if (memo_enabled) {
+    if (crossing_cache_.Valid(memo, kCall, ipr_at_fetch_.segno, ipr_at_fetch_.wordno, tpr_.segno,
+                              tpr_.wordno, tpr_.ring, old_ring, sdw_cache_.flush_epoch())) {
+      ++counters_.sdw_cache_hits;
+      sdw_cache_.CountHit();
+      ++(counters_.*charge);
+      cycles_ += cycle_model_.access_check;
+      ++counters_.crossing_hits;
+      *out = TransferOutcome::Enter(memo.new_ring, memo.ring_changed);
+      return true;
+    }
+  }
+
+  Sdw sdw;
+  if (!FetchSdw(tpr_.segno, &sdw)) {
+    return false;
+  }
+  ++(counters_.*charge);
+  cycles_ += cycle_model_.access_check;
+  *out = TransferOutcome::Enter(old_ring, false);
+  if (checks_enabled_) {
+    if constexpr (kCall) {
+      const bool same_segment = tpr_.segno == ipr_at_fetch_.segno;
+      *out = ResolveCall(sdw.access, old_ring, tpr_.ring, tpr_.wordno, same_segment);
+    } else {
+      *out = ResolveReturn(sdw.access, old_ring, tpr_.ring);
+    }
+    if (!out->ok()) {
+      RaiseTrap(out->cause);
+      return false;
+    }
+  }
+  if (!CheckBounds(sdw.bound, tpr_.wordno)) {
+    return false;
+  }
+  if (!kCall) {
+    out->ring_changed = out->new_ring > old_ring;  // a RETURN can only go up
+  }
+  if (memo_enabled) {
+    ++counters_.crossing_misses;
+    crossing_cache_.Fill(memo, kCall, ipr_at_fetch_.segno, ipr_at_fetch_.wordno, tpr_.segno,
+                         tpr_.wordno, tpr_.ring, old_ring, sdw_cache_.flush_epoch(), out->new_ring,
+                         out->ring_changed);
+  }
+  return true;
+}
+
+// Figure 8: the CALL instruction.
+void Cpu::ExecuteCall() {
+  TransferOutcome outcome;
+  if (!ResolveCrossing</*kCall=*/true>(&outcome)) {
     return;
   }
   const Ring old_ring = regs_.ipr.ring;
-  const bool memo_enabled = CrossingCacheEnabled();
-  Ring new_ring = old_ring;
-  bool ring_changed = false;
-  bool memo_hit = false;
-  if (memo_enabled) {
-    const CrossingCache::Entry& e =
-        crossing_cache_.SlotFor(ipr_at_fetch_.segno, ipr_at_fetch_.wordno);
-    if (crossing_cache_.Valid(e, /*is_call=*/true, ipr_at_fetch_.segno, ipr_at_fetch_.wordno,
-                              tpr_.segno, tpr_.wordno, tpr_.ring, old_ring,
-                              sdw_cache_.flush_epoch())) {
-      ++counters_.sdw_cache_hits;
-      sdw_cache_.CountHit();
-      ++counters_.checks_call;
-      cycles_ += cycle_model_.access_check;
-      ++counters_.crossing_hits;
-      new_ring = e.new_ring;
-      ring_changed = e.ring_changed;
-      memo_hit = true;
-    }
-  }
-  if (!memo_hit) {
-    Sdw sdw;
-    if (!FetchSdw(tpr_.segno, &sdw)) {
-      return;
-    }
-    ++counters_.checks_call;
-    cycles_ += cycle_model_.access_check;
-
-    const bool same_segment = tpr_.segno == ipr_at_fetch_.segno;
-    TransferOutcome outcome = TransferOutcome::Enter(old_ring, false);
-    if (checks_enabled_) {
-      outcome = ResolveCall(sdw.access, old_ring, tpr_.ring, tpr_.wordno, same_segment);
-      if (!outcome.ok()) {
-        RaiseTrap(outcome.cause);
-        return;
-      }
-    }
-    if (!CheckBounds(sdw, tpr_.wordno)) {
-      return;
-    }
-    new_ring = outcome.new_ring;
-    ring_changed = outcome.ring_changed;
-    if (memo_enabled) {
-      ++counters_.crossing_misses;
-      crossing_cache_.Fill(crossing_cache_.SlotFor(ipr_at_fetch_.segno, ipr_at_fetch_.wordno),
-                           /*is_call=*/true, ipr_at_fetch_.segno, ipr_at_fetch_.wordno,
-                           tpr_.segno, tpr_.wordno, tpr_.ring, old_ring,
-                           sdw_cache_.flush_epoch(), new_ring, ring_changed);
-    }
-  }
-
+  const Ring new_ring = outcome.new_ring;
+  const bool ring_changed = outcome.ring_changed;
   if (ring_changed) {
     ++counters_.calls_downward;
   } else {
@@ -1252,58 +1099,13 @@ void Cpu::ExecuteCall() {
 // pointer registers are replaced with the larger of their current values
 // and the new ring of execution."
 void Cpu::ExecuteReturn() {
-  if (mode_ == ProtectionMode::kFlags645) {
-    RaiseTrap(TrapCause::kIllegalOpcode);
+  TransferOutcome outcome;
+  if (!ResolveCrossing</*kCall=*/false>(&outcome)) {
     return;
   }
   const Ring old_ring = regs_.ipr.ring;
-  const bool memo_enabled = CrossingCacheEnabled();
-  Ring new_ring = old_ring;
-  bool memo_hit = false;
-  if (memo_enabled) {
-    const CrossingCache::Entry& e =
-        crossing_cache_.SlotFor(ipr_at_fetch_.segno, ipr_at_fetch_.wordno);
-    if (crossing_cache_.Valid(e, /*is_call=*/false, ipr_at_fetch_.segno, ipr_at_fetch_.wordno,
-                              tpr_.segno, tpr_.wordno, tpr_.ring, old_ring,
-                              sdw_cache_.flush_epoch())) {
-      ++counters_.sdw_cache_hits;
-      sdw_cache_.CountHit();
-      ++counters_.checks_return;
-      cycles_ += cycle_model_.access_check;
-      ++counters_.crossing_hits;
-      new_ring = e.new_ring;
-      memo_hit = true;
-    }
-  }
-  if (!memo_hit) {
-    Sdw sdw;
-    if (!FetchSdw(tpr_.segno, &sdw)) {
-      return;
-    }
-    ++counters_.checks_return;
-    cycles_ += cycle_model_.access_check;
-
-    TransferOutcome outcome = TransferOutcome::Enter(old_ring, false);
-    if (checks_enabled_) {
-      outcome = ResolveReturn(sdw.access, old_ring, tpr_.ring);
-      if (!outcome.ok()) {
-        RaiseTrap(outcome.cause);
-        return;
-      }
-    }
-    if (!CheckBounds(sdw, tpr_.wordno)) {
-      return;
-    }
-    new_ring = outcome.new_ring;
-    if (memo_enabled) {
-      ++counters_.crossing_misses;
-      crossing_cache_.Fill(crossing_cache_.SlotFor(ipr_at_fetch_.segno, ipr_at_fetch_.wordno),
-                           /*is_call=*/false, ipr_at_fetch_.segno, ipr_at_fetch_.wordno,
-                           tpr_.segno, tpr_.wordno, tpr_.ring, old_ring,
-                           sdw_cache_.flush_epoch(), new_ring, new_ring > old_ring);
-    }
-  }
-  if (new_ring > old_ring) {
+  const Ring new_ring = outcome.new_ring;
+  if (outcome.ring_changed) {
     ++counters_.returns_upward;
     for (PointerRegister& pr : regs_.pr) {
       pr.ring = MaxRing(pr.ring, new_ring);

@@ -50,6 +50,11 @@ enum class ProtectionMode {
 
 inline constexpr unsigned kMaxIndirectionDepth = 64;
 
+// The reference kinds of Figures 4-7. Each names one Check* predicate,
+// the verdict bit that memoizes it, and the checks_* counter it charges
+// (the rule table in cpu.cc).
+enum class RefKind { kFetch, kIndirect, kRead, kWrite, kTransfer };
+
 class Cpu {
  public:
   explicit Cpu(PhysicalMemory* memory, CycleModel cycle_model = CycleModel::Default());
@@ -325,12 +330,20 @@ class Cpu {
   // the access capabilities of a higher numbered ring" exactly as the
   // hardware would. Returns the trap cause on denial without freezing the
   // processor.
-  TrapCause SupervisorRead(Segno segno, Wordno wordno, Ring effective_ring, Word* out);
-  TrapCause SupervisorWrite(Segno segno, Wordno wordno, Ring effective_ring, Word value);
+  TrapCause SupervisorRead(Segno segno, Wordno wordno, Ring effective_ring, Word* out) {
+    return SupervisorAccess(segno, wordno, EffectiveRing(effective_ring), out, /*store=*/false);
+  }
+  TrapCause SupervisorWrite(Segno segno, Wordno wordno, Ring effective_ring, Word value) {
+    return SupervisorAccess(segno, wordno, EffectiveRing(effective_ring), &value, /*store=*/true);
+  }
   // Unvalidated (ring-0) variants: the supervisor touching its own or any
   // segment's words through the current virtual memory.
-  TrapCause SupervisorReadRaw(Segno segno, Wordno wordno, Word* out);
-  TrapCause SupervisorWriteRaw(Segno segno, Wordno wordno, Word value);
+  TrapCause SupervisorReadRaw(Segno segno, Wordno wordno, Word* out) {
+    return SupervisorAccess(segno, wordno, std::nullopt, out, /*store=*/false);
+  }
+  TrapCause SupervisorWriteRaw(Segno segno, Wordno wordno, Word value) {
+    return SupervisorAccess(segno, wordno, std::nullopt, &value, /*store=*/true);
+  }
 
  private:
   // --- instruction-cycle phases (see cpu.cc for figure mapping) ---
@@ -445,40 +458,98 @@ class Cpu {
 
   // SDW fetch with descriptor cache and missing-segment trap.
   bool FetchSdw(Segno segno, Sdw* out);
-  // Bounds check against an SDW; raises kBoundsViolation.
-  bool CheckBounds(const Sdw& sdw, Wordno wordno);
+  // Bounds check against a segment bound; raises kBoundsViolation.
+  bool CheckBounds(uint64_t bound, Wordno wordno);
 
-  // Final address resolution, including the page-table walk for paged
-  // segments. Returns kNone or kMissingPage; does not raise a trap (some
-  // callers report instead). Charges the PTW fetch.
-  TrapCause ResolveAddress(const Sdw& sdw, Segno segno, Wordno wordno, AbsAddr* out);
-  // Trap-raising wrapper used on the instruction-cycle paths.
-  bool ResolveOrFault(const Sdw& sdw, Segno segno, Wordno wordno, AbsAddr* out);
-  // The architectural page-table walk, shared by the slow path, the fast
-  // path, and the supervisor access paths: charges one memory reference
-  // and counts a page walk unconditionally, then answers from the TLB
-  // when it can and reads + decodes the PTW (memoizing the translation)
-  // when it cannot. Sets pending_fault_addr_ and returns kMissingPage for
-  // an absent page; never raises a trap itself.
+  // Final address formation: base + wordno for an unpaged segment, the
+  // page-table walk (keyed on `base` as the table base) for a paged one.
+  // Returns kNone or kMissingPage; never raises a trap itself.
+  TrapCause Translate(bool paged, AbsAddr base, Segno segno, Wordno wordno, AbsAddr* out);
+  // The architectural page-table walk, shared by every reference and the
+  // supervisor access paths: charges one memory reference and counts a
+  // page walk unconditionally, then answers from the TLB when it can and
+  // reads + decodes the PTW (memoizing the translation) when it cannot.
+  // Sets pending_fault_addr_ and returns kMissingPage for an absent page;
+  // never raises a trap itself.
   TrapCause WalkPageTable(AbsAddr table_base, Segno segno, Wordno wordno, AbsAddr* out);
+
+  // --- the validated reference (Figures 4-7; see DESIGN.md §7) ---
+
+  // What a validated reference hands the step that uses it.
+  struct Ref {
+    AbsAddr addr = 0;            // absolute address (not formed for transfers)
+    Ring r1 = 0;                 // SDW.R1, for Figure 5's ring maximization
+    bool flags_execute = false;  // SDW execute flag, for NoteStore
+  };
+  // The one routine every Figure 4-7 reference runs: take the descriptor
+  // facts from the verdict cache when it vouches for (segno, ring), else
+  // from FetchSdw plus the kind's Check* predicate; then charge the check,
+  // trap a denial, check bounds, and translate. `ring` keys the verdict;
+  // `effective` differs from it only for transfers. A fetch reaching here
+  // has missed the decode cache and always walks the descriptor. Raises
+  // the trap and returns false on any failure.
+  template <RefKind K>
+  bool Reference(Segno segno, Wordno wordno, Ring ring, Ring effective, Ref* out);
+  // Whether `memo` answers the kind's check at (ring, effective) without
+  // a descriptor walk.
+  template <RefKind K>
+  bool Vouches(const VerdictCache::Entry& memo, Ring ring, Ring effective) const;
+  // Counts a reference the verdict cache answered: the SDW-cache hit the
+  // descriptor walk would have counted, without the probe.
+  void CountMemoHit() {
+    ++counters_.verdict_hits;
+    ++counters_.sdw_cache_hits;
+    sdw_cache_.CountHit();
+  }
+  // The charges of a fetch the verdict and decode caches vouch for (a
+  // Reference<kFetch> answered by the memo, plus the word read); the
+  // per-instruction fetch and the block engine both charge through it.
+  // `cycles` is VouchedFetchCycles, which a block folds together with
+  // the instruction base into one precomputed add.
+  void ChargeVouchedFetch(bool paged, uint64_t cycles) {
+    cycles_ += cycles;
+    CountMemoHit();
+    ++counters_.insn_cache_hits;
+    if (checks_enabled_) {
+      ++counters_.checks_fetch;
+    }
+    if (paged) {
+      // The page-table walk the descriptor path would have performed.
+      ++counters_.page_walks;
+      ++counters_.tlb_hits;
+    }
+    ++counters_.memory_reads;
+  }
+  uint64_t VouchedFetchCycles(bool paged) const {
+    return (checks_enabled_ ? cycle_model_.access_check : 0) +
+           (paged ? cycle_model_.memory_ref : 0) + cycle_model_.memory_ref;
+  }
 
   // Operand access paths (Figure 6).
   bool ReadOperand(Word* out);
   bool WriteOperand(Word value);
 
+  // The supervisor's validated (`ring` set) and raw accesses: one
+  // uncached descriptor lookup, present and bound checks, the read or
+  // write rule when validating, translation, then the load or store.
+  TrapCause SupervisorAccess(Segno segno, Wordno wordno, std::optional<Ring> ring, Word* word,
+                             bool store);
+
   // --- host-side fast path (see DESIGN.md) ---
 
   // Probes the verdict cache for (segno, effective ring). Non-null only
-  // when the fast path may vouch for the reference: fast path enabled,
-  // SDW cache enabled, entry present with the current flush epoch.
+  // when the memo is live: fast path enabled, SDW cache enabled, entry
+  // present with the current flush epoch. Whether it answers a given
+  // reference is Vouches' call.
   const VerdictCache::Entry* FastVerdict(Segno segno, Ring ring) {
     if (!fast_path_enabled_ || !sdw_cache_.enabled()) {
       return nullptr;
     }
     return verdict_cache_.Lookup(segno, ring, sdw_cache_.flush_epoch());
   }
-  // Memoizes verdicts after a successful slow-path FetchSdw (which left
-  // the descriptor resident in the SDW cache).
+  // Memoizes the descriptor walk Reference just made (FetchSdw left the
+  // descriptor resident in the SDW cache): every kind's check outcome for
+  // `ring`, plus the SDW fields Reference reads on a later memo hit.
   void FillVerdict(Segno segno, Ring ring, const Sdw& sdw) {
     if (!fast_path_enabled_ || !sdw_cache_.enabled()) {
       return;
@@ -486,9 +557,6 @@ class Cpu {
     ++counters_.verdict_misses;
     verdict_cache_.Fill(segno, ring, sdw_cache_.flush_epoch(), sdw);
   }
-  // ResolveOrFault against a verdict entry instead of an SDW; identical
-  // charges, counters and missing-page behavior.
-  bool FastResolve(const VerdictCache::Entry& v, Segno segno, Wordno wordno, AbsAddr* out);
   // Whether the TLB may be consulted: same gating as the verdict cache,
   // so the ablation benchmarks (SDW cache off) measure what they claim.
   bool TlbEnabled() const { return fast_path_enabled_ && sdw_cache_.enabled(); }
@@ -501,6 +569,13 @@ class Cpu {
   // CALL / RETURN (Figures 8 and 9).
   void ExecuteCall();
   void ExecuteReturn();
+  // The step CALL and RETURN share: replay the site's crossing memo, or
+  // fetch the target SDW, charge the check, resolve the crossing, check
+  // bounds and memoize the outcome. On success `out` holds the new ring
+  // and whether the ring of execution changes; on failure the trap is
+  // raised and false returned.
+  template <bool kCall>
+  bool ResolveCrossing(TransferOutcome* out);
   // Transfer instructions other than CALL/RETURN (Figure 7).
   void ExecuteTransfer();
 

@@ -1,9 +1,11 @@
-// Per-(segment, effective-ring) access-verdict cache: the host-side fast
-// path's memo of the Figure 4-7 validations. The paper's hardware latches
-// a validated descriptor so consecutive references to the same segment do
-// not repeat the bracket comparisons; this cache is the simulator's
-// equivalent, collapsing CheckRead/CheckWrite/CheckExecute/
-// CheckIndirectRead plus the SDW's addressing fields into one probe.
+// Per-(segment, effective-ring) access-verdict cache: the memo of the
+// descriptor walk in Cpu::Reference, the one routine every Figure 4-7
+// reference runs. The paper's hardware latches a validated descriptor so
+// consecutive references to the same segment do not repeat the bracket
+// comparisons; this cache is the simulator's equivalent. An entry holds
+// each reference kind's predicate outcome for its ring plus the SDW
+// fields the reference reads, so a hit supplies the same facts the walk
+// would and the rest of the reference runs unchanged.
 //
 // A verdict is purely derived state: it changes nothing the simulated
 // machine can observe. Correctness therefore rests on one invariant —
@@ -15,9 +17,9 @@
 // DBR reloads); slot-level invalidation is mirrored by the Cpu on every
 // SDW insert/eviction, InvalidateSdw, and fault-injected cache drop. The
 // slot geometry is identical to SdwCache so the mirroring is index-exact.
-// Under that invariant the fast path charges exactly the cycles and
-// counters of the slow path taken with an SDW-cache hit, so simulated
-// time is bit-identical with the fast path on or off.
+// Under that invariant a memo hit charges exactly the cycles and counters
+// of the walk taken with an SDW-cache hit, so simulated time is
+// bit-identical with the fast path on or off.
 #ifndef SRC_CPU_VERDICT_CACHE_H_
 #define SRC_CPU_VERDICT_CACHE_H_
 

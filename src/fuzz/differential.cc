@@ -12,6 +12,10 @@ namespace rings {
 
 namespace {
 
+// Fleet legs to run: one single-machine fleet per thread count. The
+// fleet must agree with the standalone reference at every count.
+constexpr int kFleetThreads[] = {1, 4, 8};
+
 // All legs share one machine shape; only the engine switches differ.
 // 1M words is plenty for generated guests and keeps a leg's core store
 // cheap to construct eight times per trial.
@@ -137,6 +141,14 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
     result.divergence.detail = std::move(detail);
   };
 
+  // Every optimized leg runs the engine tiers the options allow; the
+  // standalone legs below switch some of them off again.
+  MachineConfig optimized = BaseConfig();
+  optimized.block_call_ablation = options.ablate_block_call;
+  optimized.chain = options.chain;
+  optimized.shared_decode = options.shared_decode;
+  optimized.chain_ablation = options.ablate_chain;
+
   // --- standalone legs: fast path, superblock engine, chaining off -------
   struct EngineLeg {
     const char* name;
@@ -150,13 +162,10 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
       {"block-nochain", true, true, false},
   };
   for (const EngineLeg& leg : kLegs) {
-    MachineConfig config = BaseConfig();
+    MachineConfig config = optimized;
     config.fast_path = leg.fast_path;
     config.block_engine = leg.block_engine;
     config.chain = leg.chain && options.chain;
-    config.shared_decode = options.shared_decode;
-    config.block_call_ablation = options.ablate_block_call;
-    config.chain_ablation = options.ablate_chain;
     auto machine = BootGuest(config, program, manifest, &error, /*trace=*/true);
     if (machine == nullptr) {
       diverged(leg.name, "instantiate: " + error);
@@ -172,64 +181,44 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
   // --- fleet legs: one-machine fleets at several thread counts -----------
   // (thread count must not matter, but each count exercises different
   // worker/steal interleavings of the quantum schedule).
-  MachineConfig fleet_config = BaseConfig();
-  fleet_config.block_call_ablation = options.ablate_block_call;
-  fleet_config.chain = options.chain;
-  fleet_config.shared_decode = options.shared_decode;
-  fleet_config.chain_ablation = options.ablate_chain;
-  if (options.check_fleet) {
-    // One cold build, sealed as a golden image; every fleet leg then
-    // spawns by copy-on-write clone (the serving daemon's path), so the
-    // fleet legs double as a clone-vs-cold bit-identity check.
-    std::shared_ptr<const Machine> golden;
-    if (options.fleet_clone) {
-      auto cold = BootGuest(fleet_config, program, manifest, &error, /*trace=*/true);
-      if (cold == nullptr) {
-        diverged("fleet-golden", "instantiate: " + error);
-        return result;
-      }
-      cold->memory().SealForCloning();
-      golden = std::move(cold);
-    }
-    for (const int threads : options.fleet_threads) {
-      FleetConfig fc;
-      fc.threads = threads;
-      fc.slice_cycles = 50'000;
-      Fleet fleet(fc);
-      fleet.Add("fuzz", [golden, fleet_config, program, manifest]() -> std::unique_ptr<Machine> {
-        if (golden != nullptr) {
-          return Machine::CloneFrom(*golden);
-        }
-        std::string factory_error;
-        return BootGuest(fleet_config, program, manifest, &factory_error, /*trace=*/true);
-      });
-      fleet.Run();
-      const MachineResult& res = fleet.results()[0];
-      const std::string leg = StrFormat("fleet-%d", threads);
-      RunSignature got;
-      got.fingerprint = res.fingerprint;
-      got.cycles = res.cycles;
-      got.instructions = res.instructions;
-      got.counters_digest = FingerprintCounters(res.counters);
-      got.traps = result.reference.traps;  // fleet results carry no trap list;
-                                           // the fingerprint covers it
-      got.processes = res.process_status;
-      got.tty = res.tty;
-      if (std::string diff = Compare(result.reference, got); !diff.empty()) {
-        diverged(leg, std::move(diff));
-        return result;
-      }
+  // One cold build, sealed as a golden image; every fleet leg then
+  // spawns by copy-on-write clone (the serving daemon's path), so the
+  // fleet legs double as a clone-vs-cold bit-identity check.
+  auto cold = BootGuest(optimized, program, manifest, &error, /*trace=*/true);
+  if (cold == nullptr) {
+    diverged("fleet-golden", "instantiate: " + error);
+    return result;
+  }
+  cold->memory().SealForCloning();
+  const std::shared_ptr<const Machine> golden = std::move(cold);
+  for (const int threads : kFleetThreads) {
+    FleetConfig fc;
+    fc.threads = threads;
+    fc.slice_cycles = 50'000;
+    Fleet fleet(fc);
+    fleet.Add("fuzz", [golden] { return Machine::CloneFrom(*golden); });
+    fleet.Run();
+    const MachineResult& res = fleet.results()[0];
+    const std::string leg = StrFormat("fleet-%d", threads);
+    RunSignature got;
+    got.fingerprint = res.fingerprint;
+    got.cycles = res.cycles;
+    got.instructions = res.instructions;
+    got.counters_digest = FingerprintCounters(res.counters);
+    got.traps = result.reference.traps;  // fleet results carry no trap list;
+                                         // the fingerprint covers it
+    got.processes = res.process_status;
+    got.tty = res.tty;
+    if (std::string diff = Compare(result.reference, got); !diff.empty()) {
+      diverged(leg, std::move(diff));
+      return result;
     }
   }
 
-  // --- snapshot leg: cut the block-engine run in half --------------------
-  if (options.check_snapshot && result.reference.cycles >= 2) {
-    MachineConfig config = BaseConfig();
-    config.block_call_ablation = options.ablate_block_call;
-    config.chain = options.chain;
-    config.shared_decode = options.shared_decode;
-    config.chain_ablation = options.ablate_chain;
-    auto live = BootGuest(config, program, manifest, &error, /*trace=*/true);
+  // --- snapshot leg: cut the block-engine run in half, snapshot, restore
+  // into a bare machine, and finish there --------------------------------
+  if (result.reference.cycles >= 2) {
+    auto live = BootGuest(optimized, program, manifest, &error, /*trace=*/true);
     if (live == nullptr) {
       diverged("snapshot", "instantiate: " + error);
       return result;
@@ -240,7 +229,7 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
       diverged("snapshot", "save: " + error);
       return result;
     }
-    auto restored = RestoreGuest(config, image, config.memory_words, &error);
+    auto restored = RestoreGuest(optimized, image, optimized.memory_words, &error);
     if (restored == nullptr) {
       diverged("snapshot", "restore: " + error);
       return result;

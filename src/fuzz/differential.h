@@ -24,17 +24,6 @@ struct FuzzOptions {
   // within this; a guest that does not is reported as an error, not a
   // divergence.
   uint64_t max_cycles = 2'000'000;
-  // Fleet legs to run (one single-machine fleet per thread count). The
-  // fleet must agree with the standalone reference at every count.
-  std::vector<int> fleet_threads = {1, 4, 8};
-  bool check_fleet = true;
-  // Spawn the fleet legs' machines the way the serving daemon does: by
-  // copy-on-write clone from a sealed golden image rather than a cold
-  // build, so every fuzz trial also pins clone-vs-cold bit identity.
-  bool fleet_clone = true;
-  // Snapshot leg: run the block-engine machine to roughly half the
-  // reference run, snapshot, restore into a bare machine, finish there.
-  bool check_snapshot = true;
   // Deliberately sabotage the superblock engine on every non-reference
   // leg (MachineConfig::block_call_ablation) so tests can prove the
   // oracle and shrinker actually catch a broken engine.

@@ -1,6 +1,6 @@
 #include "src/trace/counters.h"
 
-#include "src/base/strings.h"
+#include <string_view>
 
 namespace rings {
 
@@ -33,39 +33,23 @@ void Counters::Accumulate(const Counters& other) {
 }
 
 std::string Counters::ToString() const {
-  std::string out = StrFormat(
-      "instructions=%llu reads=%llu writes=%llu sdw_fetches=%llu sdw_hits=%llu checks=%llu "
-      "traps=%llu",
-      static_cast<unsigned long long>(instructions), static_cast<unsigned long long>(memory_reads),
-      static_cast<unsigned long long>(memory_writes),
-      static_cast<unsigned long long>(sdw_fetches),
-      static_cast<unsigned long long>(sdw_cache_hits),
-      static_cast<unsigned long long>(TotalChecks()),
-      static_cast<unsigned long long>(TotalTraps()));
-  if (verdict_hits + verdict_misses + insn_cache_hits + insn_cache_misses != 0) {
-    out += StrFormat(" verdict_hits=%llu verdict_misses=%llu insn_hits=%llu insn_misses=%llu",
-                     static_cast<unsigned long long>(verdict_hits),
-                     static_cast<unsigned long long>(verdict_misses),
-                     static_cast<unsigned long long>(insn_cache_hits),
-                     static_cast<unsigned long long>(insn_cache_misses));
-  }
-  if (tlb_hits + tlb_misses != 0) {
-    out += StrFormat(" tlb_hits=%llu tlb_misses=%llu",
-                     static_cast<unsigned long long>(tlb_hits),
-                     static_cast<unsigned long long>(tlb_misses));
-  }
-  if (block_builds + block_hits + block_ops != 0) {
-    out += StrFormat(" block_builds=%llu block_hits=%llu block_ops=%llu block_bailouts=%llu",
-                     static_cast<unsigned long long>(block_builds),
-                     static_cast<unsigned long long>(block_hits),
-                     static_cast<unsigned long long>(block_ops),
-                     static_cast<unsigned long long>(block_bailouts));
-  }
-  for (size_t i = 0; i < traps.size(); ++i) {
-    if (traps[i] != 0) {
-      out += StrFormat(" %s=%llu", std::string(TrapCauseName(static_cast<TrapCause>(i))).c_str(),
-                       static_cast<unsigned long long>(traps[i]));
+  std::string out;
+  auto append = [&out](std::string_view name, uint64_t value) {
+    if (value == 0) {
+      return;
     }
+    if (!out.empty()) {
+      out += ' ';
+    }
+    out += name;
+    out += '=';
+    out += std::to_string(value);
+  };
+  ForEachField([this, &append](const char* name, uint64_t Counters::* member, bool) {
+    append(name, this->*member);
+  });
+  for (size_t i = 0; i < traps.size(); ++i) {
+    append(TrapCauseName(static_cast<TrapCause>(i)), traps[i]);
   }
   return out;
 }

@@ -164,6 +164,8 @@ struct Counters {
     arch("double_faults", &Counters::double_faults);
   }
 
+  // Every non-zero counter as name=value under its ForEachField name,
+  // then every non-zero trap count under its TrapCauseName.
   std::string ToString() const;
 };
 

@@ -20,6 +20,7 @@
 #include "src/mem/descriptor_segment.h"
 #include "src/mem/page_table.h"
 #include "src/sys/machine.h"
+#include "tests/testutil.h"
 
 namespace rings {
 namespace {
@@ -551,6 +552,216 @@ wptr:   .its  0, data, 0
 TEST(FastPathDifferential, B645Crossings) {
   ExpectAllFingerprintsEqual(RunB645(kSlowPath), RunB645(kFastNoBlock),
                              RunB645(kFastWithBlock));
+}
+
+// ---------------------------------------------------------------------------
+// Per-kind charge equality. Every reference kind crossed with every
+// outcome, on paged and unpaged segments, run on a bare processor twice
+// from the same start: the first pass walks descriptors and fills the
+// verdict, decode, TLB and crossing caches, the second meets them warm
+// (a denied or out-of-bounds reference then finds a verdict that does not
+// vouch for it). Slow path, fast path and block engine must agree on
+// cycles, architectural counters and the trap cause of each pass; the
+// two configurations with a live TLB must agree on tlb_hits. Allowed
+// fetches, operands, indirections and transfers are left to the
+// workloads above; CALL and RETURN get allowed rows here too, since this
+// is where their crossing memo replays a same-segment crossing.
+// ---------------------------------------------------------------------------
+
+enum class RefCase { kFetch, kIndirect, kRead, kWrite, kTransfer, kCall, kReturn };
+enum class Outcome { kAllowed, kDenied, kOutOfBounds, kMissingSegment };
+
+struct ChargeRow {
+  RefCase kind;
+  Outcome outcome;
+  bool paged;
+};
+
+std::string RowName(const ChargeRow& row) {
+  static constexpr const char* kKinds[] = {"fetch",    "indirect", "read",  "write",
+                                           "transfer", "call",     "return"};
+  static constexpr const char* kOutcomes[] = {"allowed", "denied", "oob", "missing"};
+  return StrFormat("%s/%s/%s", kKinds[static_cast<int>(row.kind)],
+                   kOutcomes[static_cast<int>(row.outcome)], row.paged ? "paged" : "unpaged");
+}
+
+// The trap each pass of the row must end in; an allowed reference runs
+// on to the MME behind it.
+TrapCause ExpectedCause(const ChargeRow& row) {
+  switch (row.outcome) {
+    case Outcome::kAllowed:
+      return TrapCause::kMasterModeEntry;
+    case Outcome::kOutOfBounds:
+      return TrapCause::kBoundsViolation;
+    case Outcome::kMissingSegment:
+      return TrapCause::kMissingSegment;
+    case Outcome::kDenied:
+      break;
+  }
+  switch (row.kind) {
+    case RefCase::kIndirect:
+    case RefCase::kRead:
+      return TrapCause::kReadViolation;
+    case RefCase::kWrite:
+      return TrapCause::kWriteViolation;
+    case RefCase::kTransfer:
+      return TrapCause::kTransferRingViolation;
+    case RefCase::kCall:
+      return TrapCause::kGateViolation;
+    case RefCase::kFetch:
+    case RefCase::kReturn:
+      return TrapCause::kExecuteViolation;
+  }
+  return TrapCause::kNone;
+}
+
+// Adds a segment, then (paged) moves it behind a one-page page table
+// whose frame is the segment's own storage.
+Segno AddRowSegment(BareMachine& m, const std::vector<Word>& words, const SegmentAccess& access,
+                    bool paged) {
+  const Segno segno = m.AddSegment(words, access);
+  if (paged) {
+    Sdw sdw = *m.dseg().Fetch(segno);
+    const AbsAddr table = *m.memory().Allocate(1);
+    m.memory().Write(table, EncodePtw(Ptw{true, sdw.base}));
+    sdw.paged = true;
+    sdw.base = table;
+    m.dseg().Store(segno, sdw);
+    m.cpu().InvalidateSdw(segno);
+  }
+  return segno;
+}
+
+Fingerprint RunChargeRow(const ChargeRow& row, PathConfig path) {
+  // The code segment C holds the reference at word 0, an MME at word 1
+  // (every allowed row ends there), a data word and an indirect word to
+  // it. E is a ring-4 data segment (not executable), G a procedure with
+  // one gate; segment 63 is absent.
+  constexpr int32_t kEnd = 1;  // the MME
+  constexpr int32_t kData = 2;
+  constexpr int32_t kIndirect = 3;
+  constexpr int32_t kBeyond = 200;
+  constexpr Segno kCode = 0;
+  constexpr Segno kAbsent = 63;
+  constexpr uint8_t kPrAbsent = 1;
+  constexpr uint8_t kPrHigher = 2;  // ring 5 pointer into C
+  constexpr uint8_t kPrGate = 3;    // G
+  constexpr uint8_t kPrData = 4;    // E
+
+  const bool denied = row.outcome == Outcome::kDenied;
+  const bool oob = row.outcome == Outcome::kOutOfBounds;
+  const bool missing = row.outcome == Outcome::kMissingSegment;
+  auto operand = [&](Opcode op, bool indirect) {
+    Instruction ins = missing ? MakeInsPr(op, kPrAbsent, 0)
+                              : MakeIns(op, oob ? kBeyond : indirect ? kIndirect : kData);
+    ins.indirect = indirect;
+    return ins;
+  };
+  auto transfer = [&](Opcode op, uint8_t denied_pr, int32_t denied_offset) {
+    if (missing) {
+      return MakeInsPr(op, kPrAbsent, 0);
+    }
+    if (denied) {
+      return MakeInsPr(op, denied_pr, denied_offset);
+    }
+    return MakeIns(op, oob ? kBeyond : kEnd);
+  };
+  Instruction ref = MakeIns(Opcode::kNop);
+  switch (row.kind) {
+    case RefCase::kFetch:
+      break;  // the start address below is the reference
+    case RefCase::kIndirect:
+      ref = operand(Opcode::kLda, /*indirect=*/true);
+      break;
+    case RefCase::kRead:
+      ref = operand(Opcode::kLda, /*indirect=*/false);
+      break;
+    case RefCase::kWrite:
+      ref = operand(Opcode::kSta, /*indirect=*/false);
+      break;
+    case RefCase::kTransfer:
+      ref = transfer(Opcode::kTra, kPrHigher, kEnd);
+      break;
+    case RefCase::kCall:
+      ref = transfer(Opcode::kCall, kPrGate, 1);  // G has one gate: word 1 is not one
+      break;
+    case RefCase::kReturn:
+      ref = transfer(Opcode::kRet, kPrData, 0);
+      break;
+  }
+
+  BareMachine m;
+  m.cpu().set_fast_path_enabled(path.fast_path);
+  SegmentAccess code_access = MakeProcedureSegment(4, 4);
+  code_access.flags.read =
+      !(denied && (row.kind == RefCase::kRead || row.kind == RefCase::kIndirect));
+  code_access.flags.write = !(denied && row.kind == RefCase::kWrite);
+  const std::vector<Word> code = {
+      EncodeInstruction(ref), EncodeInstruction(MakeIns(Opcode::kMme)), 7,
+      EncodeIndirectWord(IndirectWord{4, false, kCode, static_cast<Wordno>(kData)})};
+  EXPECT_EQ(AddRowSegment(m, code, code_access, row.paged), kCode);
+  const Segno data = AddRowSegment(m, {0}, MakeDataSegment(4, 4), row.paged);
+  const Segno gate = AddRowSegment(
+      m, {EncodeInstruction(MakeIns(Opcode::kMme)), EncodeInstruction(MakeIns(Opcode::kMme))},
+      MakeProcedureSegment(4, 4, 5, 1), row.paged);
+
+  // Where each pass starts: fetch rows start at the fetch under test.
+  Segno start_segno = kCode;
+  Wordno start_wordno = 0;
+  if (row.kind == RefCase::kFetch) {
+    start_segno = denied ? data : missing ? kAbsent : kCode;
+    start_wordno = oob ? static_cast<Wordno>(code.size()) : 0;
+  }
+
+  Fingerprint fp;
+  for (int pass = 0; pass < 2; ++pass) {
+    m.SetIpr(4, start_segno, start_wordno);
+    m.SetPr(kPrAbsent, 4, kAbsent, 0);
+    m.SetPr(kPrHigher, 5, kCode, kEnd);
+    m.SetPr(kPrGate, 4, gate, 0);
+    m.SetPr(kPrData, 4, data, 0);
+    for (int i = 0; i < 8 && !m.cpu().trap_pending(); ++i) {
+      if (path.block_engine) {
+        m.cpu().StepBlock(UINT64_MAX);
+      } else {
+        m.cpu().Step();
+      }
+    }
+    EXPECT_TRUE(m.cpu().trap_pending());
+    fp.traps.push_back(std::string(TrapCauseName(m.cpu().TakeTrap().cause)));
+  }
+  fp.cycles = m.cpu().cycles();
+  fp.regs = m.cpu().regs();
+  fp.counters = m.cpu().counters();
+  return fp;
+}
+
+TEST(FastPathDifferential, PerKindChargesMatchForEveryOutcome) {
+  for (int kind = 0; kind <= static_cast<int>(RefCase::kReturn); ++kind) {
+    for (int outcome = 0; outcome <= static_cast<int>(Outcome::kMissingSegment); ++outcome) {
+      for (const bool paged : {false, true}) {
+        const ChargeRow row{static_cast<RefCase>(kind), static_cast<Outcome>(outcome), paged};
+        if (row.outcome == Outcome::kAllowed && row.kind != RefCase::kCall &&
+            row.kind != RefCase::kReturn) {
+          continue;  // covered by the workloads above
+        }
+        SCOPED_TRACE(RowName(row));
+        const Fingerprint slow = RunChargeRow(row, kSlowPath);
+        const Fingerprint fast = RunChargeRow(row, kFastNoBlock);
+        const Fingerprint block = RunChargeRow(row, kFastWithBlock);
+        const std::string want(TrapCauseName(ExpectedCause(row)));
+        EXPECT_EQ(slow.traps, (std::vector<std::string>{want, want}));
+        ExpectAllFingerprintsEqual(slow, fast, block);
+        EXPECT_EQ(fast.counters.tlb_hits, block.counters.tlb_hits);
+        EXPECT_EQ(slow.counters.tlb_hits, 0u);
+        // Every segment that exists got a verdict on the first pass, so
+        // the second pass met it warm.
+        if (row.kind != RefCase::kFetch || row.outcome != Outcome::kMissingSegment) {
+          EXPECT_GT(fast.counters.verdict_misses, 0u);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -43,6 +43,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -299,21 +300,40 @@ int RunDaemon(const std::string& socket_path, const ServeConfig& config) {
               server.config().threads);
   std::fflush(stdout);
 
-  std::vector<std::thread> connections;
+  // One thread per open connection. Each flags its own end, and the
+  // accept loop joins the finished ones before taking the next
+  // connection, so a long-lived daemon holds threads (and their stacks)
+  // only for connections still open.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections;
   while (!g_stop.load()) {
     const int fd = accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       break;  // listening socket closed by a signal or `shutdown`
     }
-    connections.emplace_back([&server, fd] { ServeConnection(&server, fd); });
+    std::erase_if(connections, [](Connection& c) {
+      if (!c.done.load()) {
+        return false;
+      }
+      c.thread.join();
+      return true;
+    });
+    Connection& c = connections.emplace_back();
+    c.thread = std::thread([&server, fd, &c] {
+      ServeConnection(&server, fd);
+      c.done.store(true);
+    });
   }
   g_listen_fd.store(-1);
   close(listen_fd);
   // Drain: refuse new work, finish everything queued, then join the
   // connection threads (their pending Waits complete during Shutdown).
   server.Shutdown();
-  for (std::thread& t : connections) {
-    t.join();
+  for (Connection& c : connections) {
+    c.thread.join();
   }
   unlink(socket_path.c_str());
   std::printf("ringsimd: shut down cleanly\n");
