@@ -58,7 +58,7 @@ constexpr int kCrossingsPerRun = 2000;
 // The timed guest: the tightest crossing loop the ISA expresses — one
 // downward CALL into a gated target that returns immediately, with the
 // loop count held in the accumulator (no memory indirection in the loop).
-// The wall numbers then weigh the Figure 8 crossing machinery itself;
+// The host times then weigh the Figure 8 crossing machinery itself;
 // argument passing and effective-address chasing have their own
 // experiments (bench_argval, bench_paging).
 std::string CrossingLoopSource(int iters) {
@@ -81,39 +81,22 @@ entry:  ret   pr7|0
                    iters);
 }
 
-// The simulated (deterministic) cost of the measured crossing, shared by
-// both wall-clock variants below. tools/bench_check.py gates CI on these
-// counters; the host-dependent real_time numbers are reported but not
-// gated.
-const PerCallCost& SimCost() {
-  static const PerCallCost cost = MeasureHardwareCrossing(4, MakeProcedureSegment(1, 1, 7, 1));
-  return cost;
-}
-
-// Host-time throughput of simulated downward call round trips. Machine
-// construction, assembly, and login stay outside the timed region: the
-// measurement is machine.Run() alone, so the variants isolate what the
-// address-formation fast path, the superblock engine, and block chaining
-// (with the crossing cache) buy in host wall-clock (simulated cost is
-// identical across all of them).
-void DownwardCallRoundTrip(benchmark::State& state, bool fast_path, bool block_engine,
-                           bool chain) {
+// Host-time throughput of simulated downward call round trips, once per
+// engine row. Machine construction, assembly, and login stay outside the
+// timed region: the measurement is machine.Run() alone. The sim_*
+// counters are the differential crossing cost measured at the same row;
+// tools/bench_check.py gates them, and requires them equal across rows.
+void DownwardCallRoundTrip(benchmark::State& state, const EngineRow& row) {
   const std::string source = CrossingLoopSource(kCrossingsPerRun);
   const SegmentAccess target = MakeProcedureSegment(1, 1, 7, 1);
   MachineConfig config;
-  config.fast_path = fast_path;
-  config.block_engine = block_engine && BlockEngineEnvEnabled();
-  config.chain = chain && BlockChainEnvEnabled();
-  config.shared_decode = SharedDecodeEnvEnabled();
-  WallSampler wall;
+  ApplyEngine(row, &config);
   Counters last;
   for (auto _ : state) {
     state.PauseTiming();
     HardwareRig rig = SetupHardware(source, 4, target, config);
     state.ResumeTiming();
-    wall.Begin();
     rig.machine->Run(2'000'000'000);
-    wall.End();
     benchmark::DoNotOptimize(rig.machine->cpu().cycles());
     state.PauseTiming();
     if (rig.process->state != ProcessState::kExited) {
@@ -126,12 +109,10 @@ void DownwardCallRoundTrip(benchmark::State& state, bool fast_path, bool block_e
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * kCrossingsPerRun);
-  const PerCallCost& c = SimCost();
+  const PerCallCost c = MeasureHardwareCrossing(4, target, 0, kBenchIterations, config);
   state.counters["sim_cycles_per_call"] = c.cycles;
   state.counters["sim_instructions_per_call"] = c.instructions;
   state.counters["sim_checks_per_call"] = c.checks;
-  state.counters["wall_min_ns"] = wall.MinNs();
-  state.counters["wall_median_ns"] = wall.MedianNs();
   // Host-only effectiveness counters from the last run (identical every
   // run — the workload is deterministic); excluded from the fingerprint
   // and from bench_check's sim gate.
@@ -139,28 +120,18 @@ void DownwardCallRoundTrip(benchmark::State& state, bool fast_path, bool block_e
   state.counters["crossing_hits"] = static_cast<double>(last.crossing_hits);
 }
 
-void BM_DownwardCallRoundTrip(benchmark::State& state) {
-  DownwardCallRoundTrip(state, true, true, true);
+void RegisterBenchmarks() {
+  for (auto* b : RegisterPerEngine("BM_DownwardCallRoundTrip", DownwardCallRoundTrip)) {
+    b->Iterations(20)->Unit(benchmark::kMillisecond);
+  }
 }
-void BM_DownwardCallRoundTrip_NoFastPath(benchmark::State& state) {
-  DownwardCallRoundTrip(state, false, false, false);
-}
-void BM_DownwardCallRoundTrip_NoBlockEngine(benchmark::State& state) {
-  DownwardCallRoundTrip(state, true, false, false);
-}
-void BM_DownwardCallRoundTrip_NoChain(benchmark::State& state) {
-  DownwardCallRoundTrip(state, true, true, false);
-}
-BENCHMARK(BM_DownwardCallRoundTrip)->Iterations(20)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DownwardCallRoundTrip_NoFastPath)->Iterations(20)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DownwardCallRoundTrip_NoBlockEngine)->Iterations(20)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DownwardCallRoundTrip_NoChain)->Iterations(20)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rings
 
 int main(int argc, char** argv) {
   rings::PrintReport();
+  rings::RegisterBenchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -54,8 +54,9 @@ struct RetRig {
   }
 };
 
-double RetCycles(Ring from_ring, Ring to_ring, bool* trapped = nullptr) {
+double RetCycles(const EngineRow& row, Ring from_ring, Ring to_ring, bool* trapped = nullptr) {
   RetRig rig(from_ring, to_ring);
+  ApplyEngine(row, &rig.cpu);
   const int reps = 5000;
   uint64_t total = 0;
   bool saw_trap = false;
@@ -83,7 +84,7 @@ void PrintReport() {
   std::printf("  scenario                  cycles   trapped\n");
   const auto row = [](const char* label, Ring from, Ring to, const char* suffix = "") {
     bool trapped = false;
-    const double cycles = RetCycles(from, to, &trapped);
+    const double cycles = RetCycles(kDefaultEngine, from, to, &trapped);
     std::printf("  %s     %8.2f   %s%s\n", label, cycles, trapped ? "yes" : "no", suffix);
   };
   row("same-ring  (4 -> 4)", 4, 4);
@@ -101,77 +102,36 @@ void PrintReport() {
   std::printf("\n");
 }
 
-// Wall-clock of a fixed batch of armed RETs, sampled kMinWallSamples
-// times; the min feeds the opt-in wall gate. The crossing cache is the
-// variable under test: the site is maximally monomorphic (one RET, one
-// target, every rep), so `crossing_cache` on replays the memoized
-// resolution instead of re-fetching the SDW and re-running ResolveReturn.
-double RetWallMinNs(bool crossing_cache, uint64_t* crossing_hits = nullptr) {
-  RetRig rig(1, 4);
-  rig.cpu.set_chain_enabled(crossing_cache);
-  constexpr int kBatch = 200'000;
-  WallSampler wall;
-  for (int s = 0; s < kMinWallSamples; ++s) {
-    wall.Begin();
-    for (int i = 0; i < kBatch; ++i) {
-      rig.Arm(1, 4);
-      rig.cpu.Step();
-    }
-    wall.End();
-  }
-  if (crossing_hits != nullptr) {
-    *crossing_hits = rig.cpu.counters().crossing_hits;
-  }
-  return wall.MinNs();
-}
-
-void BM_UpwardReturn(benchmark::State& state) {
-  RetRig rig(1, 4);
-  rig.cpu.set_chain_enabled(BlockChainEnvEnabled());
+// Host time of one armed RET, once per engine row. The site is maximally
+// monomorphic (one RET, one target, every rep), so with chaining on the
+// crossing cache replays the memoized resolution instead of re-fetching
+// the SDW and re-running ResolveReturn. sim_cycles_per_return is measured
+// at the same row; tools/bench_check.py gates it, and requires it equal
+// across rows.
+void Return(benchmark::State& state, const EngineRow& row, Ring from_ring, Ring to_ring) {
+  RetRig rig(from_ring, to_ring);
+  ApplyEngine(row, &rig.cpu);
   for (auto _ : state) {
-    rig.Arm(1, 4);
+    rig.Arm(from_ring, to_ring);
     rig.cpu.Step();
   }
   state.SetItemsProcessed(state.iterations());
-  // Deterministic simulated cost, gated in CI by tools/bench_check.py.
-  state.counters["sim_cycles_per_return"] = RetCycles(1, 4);
-  uint64_t hits = 0;
-  state.counters["wall_min_ns"] = RetWallMinNs(BlockChainEnvEnabled(), &hits);
+  state.counters["sim_cycles_per_return"] = RetCycles(row, from_ring, to_ring);
   // Host-only effectiveness counter (fingerprint-excluded).
-  state.counters["crossing_hits"] = static_cast<double>(hits);
+  state.counters["crossing_hits"] = static_cast<double>(rig.cpu.counters().crossing_hits);
 }
-BENCHMARK(BM_UpwardReturn);
 
-void BM_UpwardReturn_NoCrossingCache(benchmark::State& state) {
-  RetRig rig(1, 4);
-  rig.cpu.set_chain_enabled(false);
-  for (auto _ : state) {
-    rig.Arm(1, 4);
-    rig.cpu.Step();
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["sim_cycles_per_return"] = RetCycles(1, 4);
-  state.counters["wall_min_ns"] = RetWallMinNs(false);
+void RegisterBenchmarks() {
+  RegisterPerEngine("BM_UpwardReturn", Return, Ring{1}, Ring{4});
+  RegisterPerEngine("BM_SameRingReturn", Return, Ring{4}, Ring{4});
 }
-BENCHMARK(BM_UpwardReturn_NoCrossingCache);
-
-void BM_SameRingReturn(benchmark::State& state) {
-  RetRig rig(4, 4);
-  rig.cpu.set_chain_enabled(BlockChainEnvEnabled());
-  for (auto _ : state) {
-    rig.Arm(4, 4);
-    rig.cpu.Step();
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["sim_cycles_per_return"] = RetCycles(4, 4);
-}
-BENCHMARK(BM_SameRingReturn);
 
 }  // namespace
 }  // namespace rings
 
 int main(int argc, char** argv) {
   rings::PrintReport();
+  rings::RegisterBenchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -193,12 +193,10 @@ struct SearchRig {
   Process* process = nullptr;
 };
 
-SearchRig SetupSearchHardware(const std::string& source, const char* svc_seg, int n,
-                              bool paged = false, bool fast_path = true,
-                              bool block_engine = true) {
+SearchRig SetupSearchHardware(const std::string& source, const char* svc_seg, int n, bool paged,
+                              const EngineRow& row) {
   MachineConfig config;
-  config.fast_path = fast_path;
-  config.block_engine = block_engine && BlockEngineEnvEnabled();
+  ApplyEngine(row, &config);
   SearchRig rig;
   rig.machine = std::make_unique<Machine>(config);
   Machine& machine = *rig.machine;
@@ -242,9 +240,8 @@ SearchCost FinishSearch(SearchRig& rig) {
 }
 
 SearchCost RunSearchHardware(const std::string& source, const char* svc_seg, int n,
-                             bool paged = false, bool fast_path = true,
-                             bool block_engine = true) {
-  SearchRig rig = SetupSearchHardware(source, svc_seg, n, paged, fast_path, block_engine);
+                             bool paged = false, const EngineRow& row = kDefaultEngine) {
+  SearchRig rig = SetupSearchHardware(source, svc_seg, n, paged, row);
   return FinishSearch(rig);
 }
 
@@ -309,22 +306,19 @@ void PrintReport() {
 }
 
 // Host-time cost of the library-structured search (one crossing per
-// probe), machine.Run() only; the paged variants put the directory
-// behind a page table, so they additionally measure the software TLB.
-// The sim_* counters are deterministic and gated by tools/bench_check.py.
-void LibrarySearchLoop(benchmark::State& state, bool paged, bool fast_path,
-                       bool block_engine) {
+// probe), machine.Run() only, once per engine row; the paged variants put
+// the directory behind a page table, so they additionally measure the
+// software TLB. The sim_* counters come from one extra run at the same
+// row; tools/bench_check.py gates them, and requires them equal across
+// rows.
+void LibrarySearchLoop(benchmark::State& state, const EngineRow& row, bool paged) {
   constexpr int kEntries = 64;
   const std::string source = LibrarySource(kEntries);
-  WallSampler wall;
   for (auto _ : state) {
     state.PauseTiming();
-    SearchRig rig =
-        SetupSearchHardware(source, "rdsvc", kEntries, paged, fast_path, block_engine);
+    SearchRig rig = SetupSearchHardware(source, "rdsvc", kEntries, paged, row);
     state.ResumeTiming();
-    wall.Begin();
     rig.machine->Run(1'000'000'000);
-    wall.End();
     benchmark::DoNotOptimize(rig.machine->cpu().cycles());
     state.PauseTiming();
     if (rig.process->state != ProcessState::kExited) {
@@ -335,41 +329,27 @@ void LibrarySearchLoop(benchmark::State& state, bool paged, bool fast_path,
     rig.machine.reset();  // destruction stays untimed too
     state.ResumeTiming();
   }
-  const SearchCost sim =
-      RunSearchHardware(source, "rdsvc", kEntries, paged, fast_path, block_engine);
+  const SearchCost sim = RunSearchHardware(source, "rdsvc", kEntries, paged, row);
   state.counters["sim_cycles"] = static_cast<double>(sim.cycles);
   state.counters["sim_crossings"] = static_cast<double>(sim.crossings);
   state.counters["sim_traps"] = static_cast<double>(sim.traps);
-  state.counters["wall_min_ns"] = wall.MinNs();
-  state.counters["wall_median_ns"] = wall.MedianNs();
 }
 
-void BM_LibrarySearchHw(benchmark::State& state) {
-  LibrarySearchLoop(state, false, true, true);
+void RegisterBenchmarks() {
+  for (const bool paged : {false, true}) {
+    const char* name = paged ? "BM_LibrarySearchHwPagedDir" : "BM_LibrarySearchHw";
+    for (auto* b : RegisterPerEngine(name, LibrarySearchLoop, paged)) {
+      b->Iterations(5);
+    }
+  }
 }
-void BM_LibrarySearchHw_NoBlockEngine(benchmark::State& state) {
-  LibrarySearchLoop(state, false, true, false);
-}
-void BM_LibrarySearchHwPagedDir(benchmark::State& state) {
-  LibrarySearchLoop(state, true, true, true);
-}
-void BM_LibrarySearchHwPagedDir_NoFastPath(benchmark::State& state) {
-  LibrarySearchLoop(state, true, false, false);
-}
-void BM_LibrarySearchHwPagedDir_NoBlockEngine(benchmark::State& state) {
-  LibrarySearchLoop(state, true, true, false);
-}
-BENCHMARK(BM_LibrarySearchHw)->Iterations(5);
-BENCHMARK(BM_LibrarySearchHw_NoBlockEngine)->Iterations(5);
-BENCHMARK(BM_LibrarySearchHwPagedDir)->Iterations(5);
-BENCHMARK(BM_LibrarySearchHwPagedDir_NoFastPath)->Iterations(5);
-BENCHMARK(BM_LibrarySearchHwPagedDir_NoBlockEngine)->Iterations(5);
 
 }  // namespace
 }  // namespace rings
 
 int main(int argc, char** argv) {
   rings::PrintReport();
+  rings::RegisterBenchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

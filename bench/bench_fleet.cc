@@ -4,11 +4,11 @@
 // The workload is a mixed twelve-machine fleet — gate-crossing call
 // loops (the Figure 8 workload), library-structured protected-directory
 // searches (the file-search workload), and demand-paged counters — run
-// to completion at 1, 2, 4, and 8 worker threads. Every machine's final
-// state is bit-identical at every thread count (the fleet determinism
-// contract), so all sim_* counters below are thread-count invariant and
-// gated exactly by tools/bench_check.py; only the host wall-clock and
-// the aggregate instructions-per-second scale with threads.
+// to completion at 1, 2, 4, and 8 worker threads under every engine row.
+// Every machine's final state is bit-identical at every thread count (the
+// fleet determinism contract) and every row, so all sim_* counters below
+// are invariant across both and gated exactly by tools/bench_check.py;
+// only host time and the aggregate instructions-per-second vary.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
@@ -20,19 +20,12 @@
 namespace rings {
 namespace {
 
-// PrintReport's shared-vs-private decode comparison flips this between
-// fleet runs; it is written on the main thread before Fleet::Run spawns
-// the workers that read it, so the factories see a settled value.
-bool g_shared_decode = true;
-
 // Small machines: the fleet holds all members live at once, so the bench
 // keeps each core store at 2^18 words rather than the 2^22 default.
-MachineConfig FleetMachineConfig() {
+MachineConfig FleetMachineConfig(const EngineRow& row = kDefaultEngine) {
   MachineConfig config;
   config.memory_words = size_t{1} << 18;
-  config.block_engine = BlockEngineEnvEnabled();
-  config.chain = BlockChainEnvEnabled();
-  config.shared_decode = g_shared_decode && SharedDecodeEnvEnabled();
+  ApplyEngine(row, &config);
   return config;
 }
 
@@ -52,9 +45,9 @@ double PeakRssBytes() {
 
 constexpr int kCallIters = 12000;
 
-std::unique_ptr<Machine> MakeCallLoopMachine() {
+std::unique_ptr<Machine> MakeCallLoopMachine(const MachineConfig& config) {
   HardwareRig rig = SetupHardware(HardwareCallSource(4, 2, true, kCallIters), 4,
-                                  MakeProcedureSegment(1, 1, 7, 1), FleetMachineConfig());
+                                  MakeProcedureSegment(1, 1, 7, 1), config);
   return std::move(rig.machine);
 }
 
@@ -114,8 +107,8 @@ g:      .its  4, rdsvc, 0
                    kSearchEntries, 2 * kSearchEntries, kSearchRepeats);
 }
 
-std::unique_ptr<Machine> MakeSearchMachine() {
-  auto machine = std::make_unique<Machine>(FleetMachineConfig());
+std::unique_ptr<Machine> MakeSearchMachine(const MachineConfig& config) {
+  auto machine = std::make_unique<Machine>(config);
   std::vector<Word> directory;
   for (int i = 1; i <= kSearchEntries; ++i) {
     directory.push_back(static_cast<Word>(i));
@@ -146,8 +139,8 @@ std::unique_ptr<Machine> MakeSearchMachine() {
 
 constexpr int kPagerIters = 24000;
 
-std::unique_ptr<Machine> MakePagerMachine() {
-  auto machine = std::make_unique<Machine>(FleetMachineConfig());
+std::unique_ptr<Machine> MakePagerMachine(const MachineConfig& config) {
+  auto machine = std::make_unique<Machine>(config);
   machine->registry().CreatePagedSegment("bigdata", 4 * kPageWords,
                                          AccessControlList::Public(MakeDataSegment(4, 4)),
                                          /*populate=*/false);
@@ -192,15 +185,16 @@ p3:     .its  4, bigdata, 3082
 
 constexpr int kFleetMachines = 12;  // four of each workload
 
-void AddMixedFleet(Fleet* fleet) {
+void AddMixedFleet(Fleet* fleet, const MachineConfig& config = FleetMachineConfig()) {
   const struct {
     const char* name;
-    std::unique_ptr<Machine> (*make)();
+    std::unique_ptr<Machine> (*make)(const MachineConfig&);
   } kKinds[] = {
       {"call", MakeCallLoopMachine}, {"search", MakeSearchMachine}, {"pager", MakePagerMachine}};
   for (int i = 0; i < kFleetMachines; ++i) {
     const auto& kind = kKinds[i % 3];
-    fleet->Add(StrFormat("%s-%d", kind.name, i / 3), kind.make);
+    const auto make = kind.make;
+    fleet->Add(StrFormat("%s-%d", kind.name, i / 3), [make, config] { return make(config); });
   }
 }
 
@@ -215,11 +209,13 @@ double FoldFingerprints(const Fleet& fleet) {
   return static_cast<double>(builder.digest() & 0xffffffffull);
 }
 
-void BM_FleetMixed(benchmark::State& state) {
+// The mixed fleet at one thread count, once per engine row. Every sim_*
+// counter is invariant across thread counts and rows; tools/bench_check.py
+// gates it exactly and checks both invariances.
+void FleetMixed(benchmark::State& state, const EngineRow& row) {
   FleetConfig config;
   config.threads = static_cast<int>(state.range(0));
   config.slice_cycles = 100'000;
-  WallSampler wall;
   uint64_t total_instructions = 0;
   double insn_per_sec_best = 0;
   FleetStats stats;
@@ -227,11 +223,9 @@ void BM_FleetMixed(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     Fleet fleet(config);
-    AddMixedFleet(&fleet);
+    AddMixedFleet(&fleet, FleetMachineConfig(row));
     state.ResumeTiming();
-    wall.Begin();
     stats = fleet.Run();
-    wall.End();
     state.PauseTiming();
     if (stats.completed != fleet.size() || fleet.ExitCode() != 0) {
       std::fprintf(stderr, "bench_fleet: fleet did not complete cleanly:\n%s\n",
@@ -249,7 +243,7 @@ void BM_FleetMixed(benchmark::State& state) {
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<int64_t>(total_instructions));
-  // Thread-count invariant (gated exactly against the baseline).
+  // Thread-count and engine-row invariant (gated exactly).
   state.counters["sim_total_instructions"] = static_cast<double>(stats.total_instructions);
   state.counters["sim_total_cycles"] = static_cast<double>(stats.total_cycles);
   state.counters["sim_machines"] = static_cast<double>(stats.machines);
@@ -261,23 +255,24 @@ void BM_FleetMixed(benchmark::State& state) {
   // fleet-sharing evidence: 12 machines running 3 distinct programs
   // build 3 images when sharing is on, 12 when it is off.
   state.counters["fleet_insn_per_sec"] = insn_per_sec_best;
-  state.counters["wall_min_ns"] = wall.MinNs();
-  state.counters["wall_median_ns"] = wall.MedianNs();
   state.counters["chain_follows"] = static_cast<double>(stats.aggregate.chain_follows);
   state.counters["shared_decode_builds"] =
       static_cast<double>(stats.aggregate.shared_decode_builds);
   state.counters["shared_decode_hits"] = static_cast<double>(stats.aggregate.shared_decode_hits);
 }
 
-BENCHMARK(BM_FleetMixed)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Iterations(5)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+void RegisterBenchmarks() {
+  for (auto* b : RegisterPerEngine("BM_FleetMixed", FleetMixed)) {
+    b->ArgName("threads")
+        ->Arg(1)
+        ->Arg(2)
+        ->Arg(4)
+        ->Arg(8)
+        ->Iterations(5)
+        ->Unit(benchmark::kMillisecond)
+        ->UseRealTime();
+  }
+}
 
 // Human-readable scaling table (and a hard determinism check across
 // thread counts — the process aborts on any fingerprint divergence).
@@ -330,10 +325,11 @@ void PrintReport() {
 void PrintDecodeShareReport() {
   // Per-program decode-table bytes, measured once on standalone machines
   // with private images (keeps the process-wide registry untouched).
-  g_shared_decode = false;
+  MachineConfig private_decode = FleetMachineConfig();
+  private_decode.shared_decode = false;
   size_t per_program_bytes = 0;
   for (const auto make : {MakeCallLoopMachine, MakeSearchMachine, MakePagerMachine}) {
-    per_program_bytes += make()->cpu().decode_image_bytes();
+    per_program_bytes += make(private_decode)->cpu().decode_image_bytes();
   }
 
   struct ModeRow {
@@ -346,12 +342,13 @@ void PrintDecodeShareReport() {
   };
   ModeRow rows[] = {{"shared ", true}, {"private", false}};
   for (ModeRow& row : rows) {
-    g_shared_decode = row.shared;
+    MachineConfig machine_config = FleetMachineConfig();
+    machine_config.shared_decode = row.shared;
     FleetConfig config;
     config.threads = 4;
     config.slice_cycles = 100'000;
     Fleet fleet(config);
-    AddMixedFleet(&fleet);
+    AddMixedFleet(&fleet, machine_config);
     const FleetStats stats = fleet.Run();
     if (stats.completed != fleet.size()) {
       std::fprintf(stderr, "bench_fleet: decode-share fleet did not complete:\n%s\n",
@@ -365,7 +362,6 @@ void PrintDecodeShareReport() {
     row.peak_rss = PeakRssBytes();
     row.fold = FoldFingerprints(fleet);
   }
-  g_shared_decode = true;
   if (rows[0].fold != rows[1].fold) {
     std::fprintf(stderr, "bench_fleet: shared decode changed machine results\n");
     std::abort();
@@ -392,12 +388,12 @@ void PrintDecodeShareReport() {
 // fingerprint a cold-booted machine does, and peak RSS is the monotone
 // high-water mark, so sizes run smallest first.
 void PrintFrameShareReport() {
-  auto cold = MakePagerMachine();
+  auto cold = MakePagerMachine(FleetMachineConfig());
   cold->Run(2'000'000'000);
   const uint64_t reference = FingerprintMachine(*cold);
   cold.reset();
 
-  const auto golden = MakePagerMachine();
+  const auto golden = MakePagerMachine(FleetMachineConfig());
   golden->memory().SealForCloning();
 
   std::printf("\n  golden-image frame sharing (clones of one sealed pager golden,\n"
@@ -448,6 +444,7 @@ int main(int argc, char** argv) {
   rings::PrintReport();
   rings::PrintDecodeShareReport();
   rings::PrintFrameShareReport();
+  rings::RegisterBenchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

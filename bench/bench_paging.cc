@@ -4,12 +4,12 @@
 // a demand-zero page fault costs end to end (trap + supervisor fill +
 // resumed instruction).
 //
-// The BM_Sum* wall-clock benchmarks additionally isolate what the
-// software TLB buys the host: machine construction and assembly stay
-// outside the timed region, so paged-vs-unpaged and fast-path-on-vs-off
-// compare machine.Run() alone. The attached sim_* counters are
-// deterministic and gated by tools/bench_check.py; the simulated cycle
-// counts are identical with the fast path on or off.
+// The BM_Sum* benchmarks additionally time what the software TLB buys
+// the host: machine construction and assembly stay outside the timed
+// region, so paged-vs-unpaged and the engine rows compare machine.Run()
+// alone. The attached sim_* counters are deterministic and gated by
+// tools/bench_check.py; the simulated cycle counts are identical at every
+// engine row.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -25,10 +25,9 @@ struct SumRig {
   Process* process = nullptr;
 };
 
-SumRig SetupSum(bool paged, bool populate, bool fast_path, bool block_engine = true) {
+SumRig SetupSum(bool paged, bool populate, const EngineRow& row) {
   MachineConfig config;
-  config.fast_path = fast_path;
-  config.block_engine = block_engine && BlockEngineEnvEnabled();
+  ApplyEngine(row, &config);
   SumRig rig;
   rig.machine = std::make_unique<Machine>(config);
   Machine& machine = *rig.machine;
@@ -83,8 +82,8 @@ RunCost FinishSum(SumRig& rig) {
   return RunCost{rig.machine->cpu().cycles(), rig.machine->cpu().counters()};
 }
 
-RunCost RunSum(bool paged, bool populate, bool fast_path = true, bool block_engine = true) {
-  SumRig rig = SetupSum(paged, populate, fast_path, block_engine);
+RunCost RunSum(bool paged, bool populate, const EngineRow& row = kDefaultEngine) {
+  SumRig rig = SetupSum(paged, populate, row);
   return FinishSum(rig);
 }
 
@@ -128,20 +127,16 @@ void PrintReport() {
               static_cast<unsigned long long>(demand.counters.TotalChecks()));
 }
 
-// Host-time cost of one full summing run, machine.Run() only. The sim_*
-// counters come from one extra deterministic run of the same
-// configuration; tools/bench_check.py gates CI on them (and on the
-// invariant that sim_cycles does not depend on the fast path).
-void SumLoop(benchmark::State& state, bool paged, bool populate, bool fast_path,
-             bool block_engine) {
-  WallSampler wall;
+// Host-time cost of one full summing run, machine.Run() only, once per
+// engine row. The sim_* counters come from one extra deterministic run at
+// the same row; tools/bench_check.py gates them, and requires them equal
+// across rows (sim_tlb_hits aside: the reference row has no TLB).
+void SumLoop(benchmark::State& state, const EngineRow& row, bool paged, bool populate) {
   for (auto _ : state) {
     state.PauseTiming();
-    SumRig rig = SetupSum(paged, populate, fast_path, block_engine);
+    SumRig rig = SetupSum(paged, populate, row);
     state.ResumeTiming();
-    wall.Begin();
     rig.machine->Run(1'000'000'000);
-    wall.End();
     benchmark::DoNotOptimize(rig.machine->cpu().cycles());
     state.PauseTiming();
     if (rig.process->state != ProcessState::kExited) {
@@ -152,44 +147,37 @@ void SumLoop(benchmark::State& state, bool paged, bool populate, bool fast_path,
     rig.machine.reset();  // destruction stays untimed too
     state.ResumeTiming();
   }
-  const RunCost sim = RunSum(paged, populate, fast_path, block_engine);
+  const RunCost sim = RunSum(paged, populate, row);
   state.counters["sim_cycles"] = static_cast<double>(sim.cycles);
   state.counters["sim_page_walks"] = static_cast<double>(sim.counters.page_walks);
   state.counters["sim_checks"] = static_cast<double>(sim.counters.TotalChecks());
   state.counters["sim_pages_supplied"] = static_cast<double>(sim.counters.pages_supplied);
   state.counters["sim_tlb_hits"] = static_cast<double>(sim.counters.tlb_hits);
-  state.counters["wall_min_ns"] = wall.MinNs();
-  state.counters["wall_median_ns"] = wall.MedianNs();
 }
 
-void BM_SumUnpaged(benchmark::State& state) { SumLoop(state, false, true, true, true); }
-void BM_SumUnpaged_NoFastPath(benchmark::State& state) {
-  SumLoop(state, false, true, false, false);
+void RegisterBenchmarks() {
+  const struct {
+    const char* name;
+    bool paged;
+    bool populate;
+  } kWorkloads[] = {
+      {"BM_SumUnpaged", false, true},
+      {"BM_SumPaged", true, true},
+      {"BM_SumDemandZero", true, false},
+  };
+  for (const auto& w : kWorkloads) {
+    for (auto* b : RegisterPerEngine(w.name, SumLoop, w.paged, w.populate)) {
+      b->Iterations(20)->Unit(benchmark::kMicrosecond);
+    }
+  }
 }
-void BM_SumUnpaged_NoBlockEngine(benchmark::State& state) {
-  SumLoop(state, false, true, true, false);
-}
-void BM_SumPaged(benchmark::State& state) { SumLoop(state, true, true, true, true); }
-void BM_SumPaged_NoFastPath(benchmark::State& state) {
-  SumLoop(state, true, true, false, false);
-}
-void BM_SumPaged_NoBlockEngine(benchmark::State& state) {
-  SumLoop(state, true, true, true, false);
-}
-void BM_SumDemandZero(benchmark::State& state) { SumLoop(state, true, false, true, true); }
-BENCHMARK(BM_SumUnpaged)->Iterations(20)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SumUnpaged_NoFastPath)->Iterations(20)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SumUnpaged_NoBlockEngine)->Iterations(20)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SumPaged)->Iterations(20)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SumPaged_NoFastPath)->Iterations(20)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SumPaged_NoBlockEngine)->Iterations(20)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SumDemandZero)->Iterations(20)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace rings
 
 int main(int argc, char** argv) {
   rings::PrintReport();
+  rings::RegisterBenchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

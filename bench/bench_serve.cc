@@ -4,12 +4,12 @@
 //
 // Saturation: a closed batch of `load` mixed submissions (gate-crossing
 // call loops and demand pagers, as kasm source) is thrown at a Server at
-// once; the submit-to-retire turnaround of every submission and the
-// batch wall time are recorded at 1, 4, and 8 worker threads. The served
-// trajectories are deterministic — every sim_* counter below is
-// invariant across thread counts and iterations and is gated exactly by
-// tools/bench_check.py; machines/sec and the p50/p99 turnarounds are
-// host-dependent (gated one-sidedly, opt-in, see bench_check --wall).
+// once, at 1, 4, and 8 worker threads under every engine row. The served
+// trajectories are deterministic — every sim_* counter below is invariant
+// across thread counts, engine rows and iterations and is gated exactly by
+// tools/bench_check.py. Host time is reported, not gated: the batch time
+// by google-benchmark, and the turnaround percentiles by the saturation
+// table printed first.
 //
 // Spawn: submissions materialize machines by cloning a sealed golden
 // image copy-on-write instead of construct+load. BM_SpawnLatency times
@@ -94,16 +94,11 @@ const std::vector<std::string>& BenchGuests() {
 // Small machines: a saturated server holds many live at once, so the
 // bench keeps each core store at 2^18 words rather than the 2^22
 // default (COW makes even that mostly shared zero frames).
-ServeConfig BenchServeConfig(int threads) {
+ServeConfig BenchServeConfig(int threads, const EngineRow& row = kDefaultEngine) {
   ServeConfig config;
   config.threads = threads;
   config.machine_memory_words = size_t{1} << 18;
-  // CI ablation hooks: the bench gate runs the suite with the block
-  // engine and then chaining forced off, and every pass must report the
-  // same sim_* counters and fingerprint fold.
-  config.block_engine = BlockEngineEnvEnabled();
-  config.chain = BlockChainEnvEnabled();
-  config.shared_decode = SharedDecodeEnvEnabled();
+  ApplyEngine(row, &config);
   return config;
 }
 
@@ -116,20 +111,16 @@ double Percentile(std::vector<double> sorted_ns, double p) {
   return sorted_ns[index];
 }
 
-void BM_ServeSaturation(benchmark::State& state) {
+void ServeSaturation(benchmark::State& state, const EngineRow& row) {
   const int threads = static_cast<int>(state.range(0));
   const int load = static_cast<int>(state.range(1));
-  WallSampler wall;
   double fold = 0;
   double total_cycles = 0;
   double total_instructions = 0;
-  double machines_per_sec_best = 0;
-  double p50_best = 0, p99_best = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    Server server(BenchServeConfig(threads));
+    Server server(BenchServeConfig(threads, row));
     state.ResumeTiming();
-    wall.Begin();
     std::vector<uint64_t> ids;
     ids.reserve(static_cast<size_t>(load));
     for (int i = 0; i < load; ++i) {
@@ -142,10 +133,8 @@ void BM_ServeSaturation(benchmark::State& state) {
     for (const uint64_t id : ids) {
       completions.push_back(server.Wait(id));
     }
-    wall.End();
     state.PauseTiming();
     FingerprintBuilder builder;
-    std::vector<double> turnarounds_ns;
     double cycles = 0, instructions = 0;
     for (const Completion& completion : completions) {
       if (!completion.ok()) {
@@ -154,7 +143,6 @@ void BM_ServeSaturation(benchmark::State& state) {
         std::abort();
       }
       builder.Mix(completion.fingerprint);
-      turnarounds_ns.push_back(static_cast<double>(completion.turnaround_ns));
       cycles += static_cast<double>(completion.cycles);
       instructions += static_cast<double>(completion.instructions);
     }
@@ -166,45 +154,16 @@ void BM_ServeSaturation(benchmark::State& state) {
     fold = f;
     total_cycles = cycles;
     total_instructions = instructions;
-    const double wall_s = wall.MinNs() / 1e9;
-    if (wall_s > 0) {
-      machines_per_sec_best =
-          std::max(machines_per_sec_best, static_cast<double>(load) / wall_s);
-    }
-    const double p50 = Percentile(turnarounds_ns, 0.50);
-    const double p99 = Percentile(turnarounds_ns, 0.99);
-    // Noise only ever adds latency: keep the best (lowest) percentile
-    // sample across iterations, matching WallSampler's min logic.
-    p50_best = p50_best == 0 ? p50 : std::min(p50_best, p50);
-    p99_best = p99_best == 0 ? p99 : std::min(p99_best, p99);
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<int64_t>(total_instructions));
-  // Thread-count and iteration invariant (gated exactly).
+  // Thread-count, engine-row and iteration invariant (gated exactly).
   state.counters["sim_machines"] = static_cast<double>(load);
   state.counters["sim_completed"] = static_cast<double>(load);
   state.counters["sim_total_cycles"] = total_cycles;
   state.counters["sim_total_instructions"] = total_instructions;
   state.counters["sim_fingerprint_fold"] = fold;
-  // Host-dependent (one-sided opt-in gate: throughput may not drop,
-  // tail latency may not rise).
-  state.counters["wall_machines_per_sec"] = machines_per_sec_best;
-  state.counters["wall_p50_ns"] = p50_best;
-  state.counters["wall_p99_ns"] = p99_best;
-  state.counters["wall_min_ns"] = wall.MinNs();
 }
-
-BENCHMARK(BM_ServeSaturation)
-    ->ArgNames({"threads", "load"})
-    ->Args({1, 8})
-    ->Args({1, 32})
-    ->Args({4, 8})
-    ->Args({4, 32})
-    ->Args({8, 8})
-    ->Args({8, 32})
-    ->Iterations(5)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // --- spawn latency: golden clone vs cold construct+load --------------------
 
@@ -263,6 +222,21 @@ BENCHMARK(BM_SpawnLatency)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
+
+void RegisterBenchmarks() {
+  for (auto* b : RegisterPerEngine("BM_ServeSaturation", ServeSaturation)) {
+    b->ArgNames({"threads", "load"})
+        ->Args({1, 8})
+        ->Args({1, 32})
+        ->Args({4, 8})
+        ->Args({4, 32})
+        ->Args({8, 8})
+        ->Args({8, 32})
+        ->Iterations(5)
+        ->Unit(benchmark::kMillisecond)
+        ->UseRealTime();
+  }
+}
 
 // Human-readable report, and the hard floor on the clone advantage: the
 // serving design assumes spawning from a golden image beats a cold
@@ -353,6 +327,7 @@ void PrintSaturationReport() {
 int main(int argc, char** argv) {
   rings::PrintSpawnReport();
   rings::PrintSaturationReport();
+  rings::RegisterBenchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

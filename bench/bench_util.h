@@ -10,8 +10,8 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
-#include <algorithm>
-#include <chrono>
+#include <benchmark/benchmark.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -20,70 +20,60 @@
 
 #include "src/b645/b645_machine.h"
 #include "src/base/strings.h"
+#include "src/cpu/cpu.h"
 #include "src/sys/machine.h"
 
 namespace rings {
 
 inline constexpr int kBenchIterations = 2000;
 
-// Minimum number of timed-region samples a benchmark must collect before
-// the min/median are meaningful; benchmarks register Iterations(N >= 5).
-inline constexpr int kMinWallSamples = 5;
-
-// Collects one wall-clock sample per timed region and reports the min and
-// median. The min is the noise-robust statistic tools/bench_check.py can
-// gate on (scheduling and frequency jitter only ever add time); the
-// median is reported alongside for humans.
-class WallSampler {
- public:
-  void Begin() { start_ = std::chrono::steady_clock::now(); }
-  void End() {
-    samples_ns_.push_back(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count()));
-  }
-  double MinNs() const {
-    return samples_ns_.empty() ? 0.0
-                               : *std::min_element(samples_ns_.begin(), samples_ns_.end());
-  }
-  double MedianNs() const {
-    if (samples_ns_.empty()) {
-      return 0.0;
-    }
-    std::vector<double> sorted = samples_ns_;
-    std::sort(sorted.begin(), sorted.end());
-    return sorted[sorted.size() / 2];
-  }
-  size_t count() const { return samples_ns_.size(); }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-  std::vector<double> samples_ns_;
+// The host engine configurations in use, from everything on down to the
+// per-instruction reference. Each row switches off one more host-side
+// layer; none may change what the simulated machine does. Every gated
+// benchmark is registered once per row (RegisterPerEngine), and
+// tools/bench_check.py requires benchmarks whose names differ only in the
+// row suffix to report identical sim_* counters (sim_tlb_hits aside: the
+// reference row has no software TLB and reports 0).
+struct EngineRow {
+  const char* suffix;
+  bool fast_path;     // verdict/insn caches and the software TLB
+  bool block_engine;  // superblocks (ride on the fast path)
+  bool chain;         // block chaining and the CALL/RETURN crossing cache
 };
+inline constexpr EngineRow kEngineRows[] = {
+    {"", true, true, true},
+    {"_NoChain", true, true, false},
+    {"_NoBlockEngine", true, false, false},
+    {"_NoFastPath", false, false, false},
+};
+inline constexpr const EngineRow& kDefaultEngine = kEngineRows[0];
 
-// CI ablation hook: RINGS_BLOCK_ENGINE=0 forces the superblock engine off
-// for every benchmark in the process, so the whole suite can be run twice
-// (engine on and off) without a second set of binaries. Variant-specific
-// flags AND with this.
-inline bool BlockEngineEnvEnabled() {
-  const char* v = std::getenv("RINGS_BLOCK_ENGINE");
-  return v == nullptr || std::string(v) != "0";
+// Applies a row to a MachineConfig or a ServeConfig (same field names)...
+template <class Config>
+void ApplyEngine(const EngineRow& row, Config* config) {
+  config->fast_path = row.fast_path;
+  config->block_engine = row.block_engine;
+  config->chain = row.chain;
 }
 
-// RINGS_CHAIN=0: force block-to-block chaining (and the CALL/RETURN
-// crossing cache) off across the suite, same pattern as above. The CI
-// bench gate runs a third pass with this set and archives it as the
-// no-chain baseline.
-inline bool BlockChainEnvEnabled() {
-  const char* v = std::getenv("RINGS_CHAIN");
-  return v == nullptr || std::string(v) != "0";
+// ...or to a bare Cpu.
+inline void ApplyEngine(const EngineRow& row, Cpu* cpu) {
+  cpu->set_fast_path_enabled(row.fast_path);
+  cpu->set_block_engine_enabled(row.block_engine);
+  cpu->set_chain_enabled(row.chain);
 }
 
-// RINGS_SHARED_DECODE=0: every machine builds a private decode image.
-inline bool SharedDecodeEnvEnabled() {
-  const char* v = std::getenv("RINGS_SHARED_DECODE");
-  return v == nullptr || std::string(v) != "0";
+// Registers `run(state, row, args...)` once per engine row, named `name`
+// plus the row suffix; returns the registrations so the caller can set
+// their arguments, iterations and units.
+template <class Run, class... Args>
+auto RegisterPerEngine(const std::string& name, Run run, Args... args) {
+  std::vector<benchmark::internal::Benchmark*> registered;
+  for (const EngineRow& row : kEngineRows) {
+    const std::string row_name = name + row.suffix;
+    registered.push_back(benchmark::RegisterBenchmark(row_name.c_str(), run, row, args...));
+  }
+  return registered;
 }
 
 struct PerCallCost {
@@ -199,10 +189,12 @@ inline RunCost RunHardware(const std::string& source, Ring caller, const Segment
 // Differential cost of one epp+call+callee+return sequence on the ring
 // hardware.
 inline PerCallCost MeasureHardwareCrossing(Ring caller, const SegmentAccess& target,
-                                           int nargs = 0, int iters = kBenchIterations) {
-  const RunCost with = RunHardware(HardwareCallSource(caller, nargs, true, iters), caller, target);
+                                           int nargs = 0, int iters = kBenchIterations,
+                                           const MachineConfig& config = MachineConfig{}) {
+  const RunCost with =
+      RunHardware(HardwareCallSource(caller, nargs, true, iters), caller, target, config);
   const RunCost without =
-      RunHardware(HardwareCallSource(caller, nargs, false, iters), caller, target);
+      RunHardware(HardwareCallSource(caller, nargs, false, iters), caller, target, config);
   PerCallCost cost;
   cost.cycles = static_cast<double>(with.cycles - without.cycles) / iters;
   cost.instructions =

@@ -88,18 +88,21 @@ uint64_t FingerprintMachine(const Machine& machine) {
   Mixer mixer(&fp);
   mixer.Put(machine.cpu().regs());
   mixer.Put(machine.cpu().counters());
-  if (machine.trace().enabled()) {
-    for (const TraceEvent& e : machine.trace().events()) {
-      if (e.kind == EventKind::kTrap || e.kind == EventKind::kRingSwitch) {
-        fp.Mix(e.ToString());
-      }
-    }
-  }
   for (const auto& process : machine.supervisor().processes()) {
     fp.Mix(ProcessStatusLine(*process));
   }
   fp.Mix(machine.TtyOutput());
   return fp.digest();
+}
+
+std::vector<std::string> TrapSequence(const Machine& machine) {
+  std::vector<std::string> traps;
+  for (const TraceEvent& event : machine.trace().events()) {
+    if (event.kind == EventKind::kTrap || event.kind == EventKind::kRingSwitch) {
+      traps.push_back(event.ToString());
+    }
+  }
+  return traps;
 }
 
 }  // namespace rings

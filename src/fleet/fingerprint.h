@@ -2,18 +2,21 @@
 // finished run lets the simulated machine observe — the cycle count, the
 // architectural registers, every architectural event counter (host-side
 // fast-path statistics are excluded, per the Counters::ForEachField
-// host_only classification), the trap/ring-switch event sequence, each
-// process's outcome, and the typewriter output. Two runs of the same
-// program are the same run exactly when their fingerprints match, which
-// is the determinism contract the fleet engine is held to: a machine's
-// fingerprint must be bit-identical whether it ran standalone through
-// Machine::Run or inside a fleet on any number of worker threads.
+// host_only classification), each process's outcome, and the typewriter
+// output. Two runs of the same program are the same run exactly when
+// their fingerprints match, which is the determinism contract the fleet
+// engine is held to: a machine's fingerprint must be bit-identical
+// whether it ran standalone through Machine::Run or inside a fleet on any
+// number of worker threads. The trap/ring-switch sequence of a traced run
+// (TrapSequence) is held to the same contract, compared beside the
+// fingerprint rather than folded into it.
 #ifndef SRC_FLEET_FINGERPRINT_H_
 #define SRC_FLEET_FINGERPRINT_H_
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/sys/machine.h"
 
@@ -45,10 +48,15 @@ class FingerprintBuilder {
   uint64_t hash_ = 14695981039346656037ull;
 };
 
-// Digest of a finished machine. Includes the trap/ring-switch sequence
-// only when the machine's trace was enabled for the run (the trace is a
-// bounded buffer, but identically bounded in every run being compared).
+// Digest of a finished machine: cycles, registers, architectural
+// counters, process statuses and tty output. The event trace is
+// observation, not state, so tracing never changes the digest.
 uint64_t FingerprintMachine(const Machine& machine);
+
+// The trap and ring-switch events of a traced run, rendered one per
+// entry in the order they happened; empty when the trace is off.
+// Determinism checks compare it beside the fingerprint.
+std::vector<std::string> TrapSequence(const Machine& machine);
 
 // The architectural-counter digest alone (the counter subset excluded
 // from host-only statistics, plus the per-cause trap array).

@@ -101,6 +101,7 @@ void Fleet::Retire(size_t index, MachineOutcome outcome, std::string host_failur
     result.instructions = machine.cpu().counters().instructions;
     result.counters = machine.cpu().counters();
     result.tty = machine.TtyOutput();
+    result.traps = TrapSequence(machine);
     for (const auto& process : machine.supervisor().processes()) {
       result.process_status.push_back(ProcessStatusLine(*process));
     }

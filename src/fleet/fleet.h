@@ -98,6 +98,9 @@ struct MachineResult {
   Counters counters{};
   std::vector<std::string> process_status;
   std::string tty;
+  // TrapSequence: the trap/ring-switch events, empty unless the machine
+  // ran traced.
+  std::vector<std::string> traps;
 
   // Host-side bookkeeping (legitimately varies across runs).
   uint64_t quanta = 0;

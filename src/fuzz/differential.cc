@@ -31,11 +31,7 @@ RunSignature SignatureOf(const Machine& machine) {
   sig.cycles = machine.cpu().cycles();
   sig.instructions = machine.cpu().counters().instructions;
   sig.counters_digest = FingerprintCounters(machine.cpu().counters());
-  for (const TraceEvent& event : machine.trace().events()) {
-    if (event.kind == EventKind::kTrap || event.kind == EventKind::kRingSwitch) {
-      sig.traps.push_back(event.ToString());
-    }
-  }
+  sig.traps = TrapSequence(machine);
   for (const auto& process : machine.supervisor().processes()) {
     sig.processes.push_back(ProcessStatusLine(*process));
   }
@@ -115,8 +111,9 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
   const Program& program = assembled.program;
 
   // --- reference leg: the per-instruction slow path ----------------------
-  // Every leg boots traced, so every leg records the identical event
-  // sequence (the fingerprint folds the trace in when enabled).
+  // Every leg boots traced, so every leg, fleet and clone legs included,
+  // records its trap/ring-switch sequence for RunSignature::traps (the
+  // fingerprint never reads the trace).
   MachineConfig slow = BaseConfig();
   slow.fast_path = false;
   slow.block_engine = false;
@@ -205,8 +202,7 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
     got.cycles = res.cycles;
     got.instructions = res.instructions;
     got.counters_digest = FingerprintCounters(res.counters);
-    got.traps = result.reference.traps;  // fleet results carry no trap list;
-                                         // the fingerprint covers it
+    got.traps = res.traps;
     got.processes = res.process_status;
     got.tty = res.tty;
     if (std::string diff = Compare(result.reference, got); !diff.empty()) {

@@ -4,7 +4,7 @@
 // the fleet engine at several thread counts, and a snapshot/restore cut
 // mid-run — and compare the runs field by field (cycles, instructions,
 // architectural counters, trap/ring-switch sequence, process outcomes,
-// tty output, and the FNV-1a fingerprint that folds them all together).
+// tty output, and the FNV-1a fingerprint of the final machine state).
 // Any disagreement is a Divergence naming the leg and the first
 // differing field.
 #ifndef SRC_FUZZ_DIFFERENTIAL_H_

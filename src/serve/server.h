@@ -53,8 +53,8 @@ struct ServeConfig {
   // source or restored from an image. Host-only — simulated results are
   // bit-identical across all settings — but folded into the golden-image
   // identity so a golden built under one engine configuration never
-  // serves another. bench_serve wires these to the RINGS_BLOCK_ENGINE /
-  // RINGS_CHAIN / RINGS_SHARED_DECODE CI ablation hooks.
+  // serves another. bench_serve runs its saturation benchmark once per
+  // engine row (bench/bench_util.h) through these fields.
   bool fast_path = true;
   bool block_engine = true;
   bool chain = true;

@@ -70,8 +70,8 @@ bool InstantiateGuest(const Program& program, const Manifest& manifest, Machine*
 
 // The one boot path for a hosted guest: constructs a machine of `config`
 // and instantiates the guest on it. `trace` enables the event trace
-// before any process starts (the trace then covers the whole run and is
-// folded into the fingerprint). Null with a structured *error on failure.
+// before any process starts, so the trace covers the whole run. Null with
+// a structured *error on failure.
 std::unique_ptr<Machine> BootGuest(const MachineConfig& config, const Program& program,
                                    const Manifest& manifest, std::string* error,
                                    bool trace = false);

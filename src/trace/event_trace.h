@@ -59,8 +59,9 @@ class EventTrace {
   size_t capacity() const { return capacity_; }
 
   // --- machine state (Machine::CaptureState / RestoreState) -------------
-  // The event sequence feeds the machine fingerprint when enabled, so a
-  // cloned or restored machine must resume with the identical buffer.
+  // A traced run's trap sequence is compared across clones and restores
+  // (TrapSequence, src/fleet/fingerprint.h), so a cloned or restored
+  // machine must resume with the identical buffer.
   // Events past this trace's capacity are trimmed from the front on
   // restore, matching what Record would have retained.
   struct State {

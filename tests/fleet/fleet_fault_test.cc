@@ -153,6 +153,7 @@ TEST(FleetFault, SeededInjectionIsDeterministicAcrossThreadCounts) {
     for (size_t m = 0; m < runs[0].size(); ++m) {
       SCOPED_TRACE(runs[0][m].name);
       EXPECT_EQ(runs[run][m].fingerprint, runs[0][m].fingerprint);
+      EXPECT_EQ(runs[run][m].traps, runs[0][m].traps);
       EXPECT_EQ(runs[run][m].cycles, runs[0][m].cycles);
       EXPECT_EQ(runs[run][m].exit_code, runs[0][m].exit_code);
       EXPECT_EQ(runs[run][m].process_status, runs[0][m].process_status);
@@ -169,6 +170,8 @@ TEST(FleetFault, SeededInjectionIsDeterministicAcrossThreadCounts) {
     const RunResult run = standalone->Run(100'000'000);
     EXPECT_TRUE(run.idle);
     EXPECT_EQ(runs[0][i].fingerprint, FingerprintMachine(*standalone));
+    EXPECT_FALSE(runs[0][i].traps.empty());
+    EXPECT_EQ(runs[0][i].traps, TrapSequence(*standalone));
     EXPECT_EQ(runs[0][i].cycles, standalone->cpu().cycles());
   }
 }

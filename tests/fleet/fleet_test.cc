@@ -216,6 +216,8 @@ TEST(Fleet, DeterministicAcrossThreadCounts) {
       EXPECT_EQ(runs[run][m].quanta, runs[0][m].quanta);
       EXPECT_EQ(runs[run][m].process_status, runs[0][m].process_status);
       EXPECT_EQ(runs[run][m].tty, runs[0][m].tty);
+      EXPECT_FALSE(runs[0][m].traps.empty());
+      EXPECT_EQ(runs[run][m].traps, runs[0][m].traps);
       ExpectCountersIdentical(runs[run][m].counters, runs[0][m].counters,
                               /*include_host_only=*/true);
     }
@@ -245,6 +247,8 @@ TEST(Fleet, MatchesStandaloneMachineRun) {
     // legally differ: the fleet's slice boundaries bail superblocks the
     // uninterrupted standalone run commits.)
     EXPECT_EQ(fleet.results()[m].fingerprint, FingerprintMachine(*standalone));
+    EXPECT_FALSE(fleet.results()[m].traps.empty());
+    EXPECT_EQ(fleet.results()[m].traps, TrapSequence(*standalone));
     EXPECT_EQ(fleet.results()[m].cycles, standalone->cpu().cycles());
     EXPECT_EQ(fleet.results()[m].instructions, standalone->cpu().counters().instructions);
     ExpectCountersIdentical(fleet.results()[m].counters, standalone->cpu().counters(),
@@ -270,6 +274,7 @@ TEST(Fleet, AggregateStatsAreFaithful) {
   uint64_t quanta = 0;
   for (const MachineResult& result : fleet.results()) {
     EXPECT_TRUE(result.ok()) << result.ToString();
+    EXPECT_TRUE(result.traps.empty());  // untraced machines record none
     instructions += result.instructions;
     cycles += result.cycles;
     quanta += result.quanta;

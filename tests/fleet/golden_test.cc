@@ -121,6 +121,8 @@ void ExpectSameTrajectory(Machine* cloned, Machine* fresh) {
   EXPECT_TRUE(clone_run.idle);
   EXPECT_TRUE(fresh_run.idle);
   EXPECT_EQ(FingerprintMachine(*cloned), FingerprintMachine(*fresh));
+  EXPECT_FALSE(TrapSequence(*fresh).empty());
+  EXPECT_EQ(TrapSequence(*cloned), TrapSequence(*fresh));
   EXPECT_EQ(cloned->cpu().cycles(), fresh->cpu().cycles());
   EXPECT_EQ(cloned->TtyOutput(), fresh->TtyOutput());
   ExpectArchCountersIdentical(cloned->cpu().counters(), fresh->cpu().counters());
@@ -204,6 +206,7 @@ TEST(GoldenImage, CloneOfCloneMidRunContinuesIdentically) {
   EXPECT_TRUE(clone_run.idle);
   EXPECT_TRUE(fresh_run.idle);
   EXPECT_EQ(FingerprintMachine(*c2), FingerprintMachine(*b));
+  EXPECT_EQ(TrapSequence(*c2), TrapSequence(*b));
   ExpectArchCountersIdentical(c2->cpu().counters(), b->cpu().counters());
 }
 
@@ -314,6 +317,8 @@ TEST(GoldenImage, FleetSpawnedFromGoldenMatchesConstructLoadAcrossThreads) {
       EXPECT_EQ(fleet.results()[m].instructions, reference.results()[m].instructions);
       EXPECT_EQ(fleet.results()[m].exit_code, reference.results()[m].exit_code);
       EXPECT_EQ(fleet.results()[m].tty, reference.results()[m].tty);
+      EXPECT_FALSE(reference.results()[m].traps.empty());
+      EXPECT_EQ(fleet.results()[m].traps, reference.results()[m].traps);
       ExpectArchCountersIdentical(fleet.results()[m].counters, reference.results()[m].counters);
     }
   }
@@ -339,6 +344,7 @@ TEST(GoldenImageFault, CloneReplaysInjectedFaultStreamIdentically) {
   clone->Run(100'000'000);
   fresh->Run(100'000'000);
   EXPECT_EQ(FingerprintMachine(*clone), FingerprintMachine(*fresh));
+  EXPECT_EQ(TrapSequence(*clone), TrapSequence(*fresh));
   ExpectArchCountersIdentical(clone->cpu().counters(), fresh->cpu().counters());
   ASSERT_NE(fresh->fault_injector(), nullptr);
   EXPECT_EQ(clone->fault_injector()->events().size(), fresh->fault_injector()->events().size());

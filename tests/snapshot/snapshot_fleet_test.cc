@@ -123,6 +123,8 @@ TEST(SnapshotFleet, RestoreSeededFleetDeterministicAcrossThreadCounts) {
   ASSERT_TRUE(RestoreSnapshot(image, standalone.get(), &error)) << error;
   ASSERT_TRUE(standalone->Run(100'000'000).idle);
   const uint64_t want_fingerprint = FingerprintMachine(*standalone);
+  const std::vector<std::string> want_traps = TrapSequence(*standalone);
+  ASSERT_FALSE(want_traps.empty());
 
   for (const int threads : {1, 4, 8}) {
     SCOPED_TRACE(threads);
@@ -146,6 +148,7 @@ TEST(SnapshotFleet, RestoreSeededFleetDeterministicAcrossThreadCounts) {
     EXPECT_EQ(stats.completed, 4u) << stats.ToString();
     for (const MachineResult& result : fleet.results()) {
       EXPECT_EQ(result.fingerprint, want_fingerprint) << result.ToString();
+      EXPECT_EQ(result.traps, want_traps);
       EXPECT_EQ(result.exit_code, 0);
     }
   }
@@ -176,6 +179,7 @@ TEST(SnapshotFleet, CheckpointingIsObservationFree) {
   for (size_t m = 0; m < baseline.size(); ++m) {
     SCOPED_TRACE(baseline[m].name);
     EXPECT_EQ(checkpointed[m].fingerprint, baseline[m].fingerprint);
+    EXPECT_EQ(checkpointed[m].traps, baseline[m].traps);
     EXPECT_EQ(checkpointed[m].cycles, baseline[m].cycles);
     EXPECT_EQ(checkpointed[m].exit_code, baseline[m].exit_code);
     EXPECT_EQ(checkpointed[m].process_status, baseline[m].process_status);
@@ -236,6 +240,7 @@ TEST(SnapshotFleet, SelfHealingRecoversInjectedFaultMachine) {
     } else {
       for (size_t m = 0; m < first_run.size(); ++m) {
         EXPECT_EQ(fleet.results()[m].fingerprint, first_run[m].fingerprint);
+        EXPECT_EQ(fleet.results()[m].traps, first_run[m].traps);
         EXPECT_EQ(fleet.results()[m].cycles, first_run[m].cycles);
         EXPECT_EQ(fleet.results()[m].restarts, first_run[m].restarts);
       }

@@ -17,8 +17,10 @@
 
 #include "src/base/xorshift.h"
 #include "src/fleet/fingerprint.h"
+#include "src/kasm/assembler.h"
 #include "src/mem/page_table.h"
 #include "src/sys/machine.h"
+#include "src/sys/manifest.h"
 
 namespace rings {
 namespace {
@@ -238,6 +240,8 @@ TEST(Snapshot, RestoreTrajectoryMatchesUninterruptedRun) {
       ASSERT_NE(reference, nullptr);
       ASSERT_TRUE(reference->Run(100'000'000).idle);
       const uint64_t want_fingerprint = FingerprintMachine(*reference);
+      const std::vector<std::string> want_traps = TrapSequence(*reference);
+      ASSERT_FALSE(want_traps.empty());
 
       // The live machine runs a few short slices, then is snapshotted.
       std::unique_ptr<Machine> live = guest.factory(config);
@@ -257,6 +261,7 @@ TEST(Snapshot, RestoreTrajectoryMatchesUninterruptedRun) {
       ASSERT_TRUE(RestoreSnapshot(image, &restored, &error)) << error;
       EXPECT_EQ(restored.cpu().cycles(), live->cpu().cycles());
       EXPECT_EQ(FingerprintMachine(restored), FingerprintMachine(*live));
+      EXPECT_EQ(TrapSequence(restored), TrapSequence(*live));
 
       // Both the interrupted original and the restored copy must land on
       // the uninterrupted run's exact final state.
@@ -264,6 +269,8 @@ TEST(Snapshot, RestoreTrajectoryMatchesUninterruptedRun) {
       ASSERT_TRUE(restored.Run(100'000'000).idle);
       EXPECT_EQ(FingerprintMachine(*live), want_fingerprint);
       EXPECT_EQ(FingerprintMachine(restored), want_fingerprint);
+      EXPECT_EQ(TrapSequence(*live), want_traps);
+      EXPECT_EQ(TrapSequence(restored), want_traps);
       EXPECT_EQ(restored.cpu().cycles(), live->cpu().cycles());
       EXPECT_EQ(restored.TtyOutput(), live->TtyOutput());
       ExpectArchitecturalCountersIdentical(restored.cpu().counters(), live->cpu().counters());
@@ -281,6 +288,7 @@ TEST(Snapshot, EveryCutPointConverges) {
   ASSERT_NE(reference, nullptr);
   ASSERT_TRUE(reference->Run(100'000'000).idle);
   const uint64_t want_fingerprint = FingerprintMachine(*reference);
+  const std::vector<std::string> want_traps = TrapSequence(*reference);
 
   for (const uint64_t cut : {1u, 500u, 1'500u, 4'000u, 9'000u}) {
     SCOPED_TRACE(cut);
@@ -294,6 +302,7 @@ TEST(Snapshot, EveryCutPointConverges) {
     ASSERT_TRUE(RestoreSnapshot(image, &restored, &error)) << error;
     ASSERT_TRUE(restored.Run(100'000'000).idle);
     EXPECT_EQ(FingerprintMachine(restored), want_fingerprint);
+    EXPECT_EQ(TrapSequence(restored), want_traps);
   }
 }
 
@@ -311,6 +320,45 @@ TEST(Snapshot, CompletedMachineRoundTrips) {
   EXPECT_EQ(FingerprintMachine(restored), FingerprintMachine(*live));
   EXPECT_TRUE(restored.Run(1'000'000).idle);  // nothing left to run
   EXPECT_EQ(FingerprintMachine(restored), FingerprintMachine(*live));
+}
+
+// Observing never perturbs identity: the event trace is not state the
+// fingerprint reads, so a traced and an untraced boot of one guest
+// fingerprint the same, live and through images written either way.
+TEST(Snapshot, TracingNeverChangesTheFingerprint) {
+  const std::string source = std::string(R"(;; acl main * procedure 4 4
+;; acl counter * data 4 4
+;; acl target * procedure 1 1 7
+;; start main start 4
+)") + kCallLoopSource;
+  const AssembleResult assembled = Assemble(source);
+  ASSERT_TRUE(assembled.ok) << assembled.error.ToString();
+  const Manifest manifest = ParseManifest(source);
+  ASSERT_TRUE(manifest.ok()) << manifest.error;
+  const MachineConfig config;
+  uint64_t live[2] = {};
+  uint64_t restored[2] = {};
+  for (const bool trace : {false, true}) {
+    SCOPED_TRACE(trace ? "traced" : "untraced");
+    std::string error;
+    auto machine = BootGuest(config, assembled.program, manifest, &error, trace);
+    ASSERT_NE(machine, nullptr) << error;
+    machine->Run(2'000);
+    std::vector<uint8_t> image;
+    ASSERT_TRUE(SaveSnapshot(*machine, &image, &error)) << error;
+    ASSERT_TRUE(machine->Run(100'000'000).idle);
+    EXPECT_EQ(machine->trace().events().empty(), !trace);
+    live[trace] = FingerprintMachine(*machine);
+
+    Machine copy(config);
+    ASSERT_TRUE(RestoreSnapshot(image, &copy, &error)) << error;
+    EXPECT_EQ(copy.trace().enabled(), trace);
+    ASSERT_TRUE(copy.Run(100'000'000).idle);
+    restored[trace] = FingerprintMachine(copy);
+  }
+  EXPECT_EQ(live[true], live[false]);
+  EXPECT_EQ(restored[true], restored[false]);
+  EXPECT_EQ(restored[false], live[false]);
 }
 
 TEST(Snapshot, PeekMetaReportsMachineShape) {

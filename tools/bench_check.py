@@ -1,68 +1,61 @@
 #!/usr/bin/env python3
-"""Benchmark regression gate for the ring-hardware simulator.
+"""Simulated-cost gate for the ring-hardware simulator's benchmarks.
 
 The gate compares *simulated* per-operation costs — benchmark counters
 prefixed ``sim_`` (e.g. ``sim_cycles_per_call`` from bench_fig8_call,
-``sim_cycles_per_return`` from bench_fig9_return, and ``sim_cycles`` /
+``sim_cycles_per_return`` from bench_fig9_return, ``sim_cycles`` /
 ``sim_page_walks`` / ``sim_tlb_hits`` from the paged workloads in
-bench_paging and bench_filesearch). These are deterministic properties of
-the simulated machine's cycle model, so they must match the committed
-baseline exactly (up to float formatting); any drift means the change
-altered the cost of a ring crossing or a paged reference and must either
-be fixed or acknowledged by regenerating the baseline. Because the
-baseline stores fast-path and ``*_NoFastPath`` variants side by side with
-identical ``sim_cycles``, it also pins the invariant that the host-side
-fast path (verdict cache, decoded-instruction cache, software TLB,
-superblock engine) never changes simulated cost. Host wall-clock
-(``real_time``, ``wall_median_ns``) is recorded in the merged artifact
-for humans but is NOT gated by default — it varies by host.
+bench_paging and bench_filesearch, and the aggregate counters and
+fingerprint folds of bench_fleet and bench_serve). These are deterministic
+properties of the simulated machine's cycle model, so they must match the
+committed baseline exactly (up to float formatting); any drift means the
+change altered the cost of a ring crossing or a paged reference and must
+either be fixed or acknowledged by regenerating the baseline. Host time is
+not gated here.
 
-Benchmarks whose names differ only in a ``threads:N`` argument (the
-fleet-engine scaling variants from bench_fleet) must report identical
-``sim_*`` counters: the fleet determinism contract says thread count may
-change host throughput but never any simulated result. The gate enforces
-this invariance across every loaded result, independent of the baseline,
-so a determinism break fails CI even before the baseline is consulted.
+Two invariances are checked across every loaded result, independent of
+the baseline, so they cover rows the baseline does not list:
 
-Wall-clock CAN be gated opt-in, on noise-robust statistics: each
-benchmark samples its timed region at least 5 times and reports the
-minimum as ``wall_min_ns`` (scheduling and frequency jitter only ever
-add time, so the min converges on the true cost); the serving benchmark
-additionally reports ``wall_machines_per_sec`` (best observed
-throughput) and ``wall_p99_ns`` (best observed tail turnaround). The
-wall gate needs BOTH a baseline entry with those counters — produced by
-``update --include-wall`` — AND the ``check --wall`` flag; without the
-flag, wall entries in the baseline are ignored, so the same committed
-baseline serves the exact sim gate everywhere and the wall gate only
-where it is meaningful (a host comparable to the one that produced the
-baseline, running the default engine configuration — the CI ablation
-passes with the engines forced off are slower by design and check
-sim-only). When armed, the gate fails one-sided by WALL_REL_TOLERANCE:
-latencies (``wall_min_ns``, ``wall_p99_ns``) may not rise, throughput
-(``wall_machines_per_sec``) may not drop; getting better never fails.
+* Engine rows. Every gated benchmark runs once per host engine
+  configuration (bench/bench_util.h's kEngineRows, the one list of rows),
+  named with the row's suffix: ``_No`` and the layer it turns off (e.g.
+  ``_NoChain``) right before the first ``/``, none for the default row.
+  Names that differ only in that suffix must report identical ``sim_*``
+  counters: no host-side layer may change simulated cost. The one
+  exception is ``sim_tlb_hits``, which the ``_NoFastPath`` row (no
+  software TLB) reports as 0.
+* Thread counts. Names that differ only in a ``threads:N`` argument (the
+  fleet and serving benchmarks) must report identical ``sim_*``
+  counters: thread count may change host throughput but never a
+  simulated result.
 
 Usage:
 
-  # CI / local check: compare google-benchmark JSON outputs against the
-  # committed baseline, and merge them into one artifact for upload.
-  tools/bench_check.py check --baseline BENCH_baseline.json \
-      --merge-out BENCH_pr.json fig8.json fig9.json
+  # The gate: the bench_sim_gate ctest runs the six gated binaries once
+  # each and checks their results against the committed baseline.
+  ctest --test-dir build -R bench_sim_gate --output-on-failure
 
-  # Regenerate the baseline after an *intentional* cycle-model change:
-  cd build
-  ./bench/bench_fig8_call --benchmark_out=fig8.json --benchmark_out_format=json
-  ./bench/bench_fig9_return --benchmark_out=fig9.json --benchmark_out_format=json
-  ./bench/bench_paging --benchmark_out=paging.json --benchmark_out_format=json
-  ./bench/bench_filesearch --benchmark_out=filesearch.json --benchmark_out_format=json
-  cd ..
-  tools/bench_check.py update --baseline BENCH_baseline.json \
-      build/fig8.json build/fig9.json build/paging.json build/filesearch.json
+  # Regenerate the baseline after an *intentional* cycle-model change.
+  # The gate leaves one result file per binary in
+  # build/tools/bench_sim_gate/, pass or fail:
+  tools/bench_check.py update --baseline BENCH_baseline.json \\
+      build/tools/bench_sim_gate/*.json
 
-Exit status: 0 on pass, 1 on drift or missing benchmarks, 2 on bad input.
+``update`` baselines every result that has ``sim_*`` counters: every
+engine row and thread count of every gated benchmark. The committed
+baseline lists a hand-picked subset of those names (the invariance checks
+above hold the remaining rows to the same values), so a regeneration
+grows it to the full set; both shapes gate the same values. ``update``
+refuses (exit 1) when a benchmark in the current baseline is missing from
+the results, so a partial run cannot shrink the gate.
+
+Exit status: 0 on pass, 1 on drift, missing benchmarks or a refused
+update, 2 on bad input.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -71,27 +64,19 @@ import sys
 # through JSON.
 REL_TOLERANCE = 1e-9
 
-# One-sided relative tolerance for the opt-in wall-clock gate: a
-# wall_min_ns regression beyond baseline * (1 + tolerance) fails. Generous
-# on purpose — even the min-of-N statistic moves with the host's thermal
-# and scheduling state.
-WALL_REL_TOLERANCE = 0.5
+# A non-default engine row's benchmark-name suffix, matched on the part of
+# the name before its first "/". bench/bench_util.h's kEngineRows is the
+# one list of rows; this only knows their naming rule.
+ENGINE_SUFFIX = re.compile(r"_No[A-Za-z]+$")
 
-# Wall counters the opt-in gate understands, with the direction that
-# counts as a regression. "lower": the result may not exceed baseline *
-# (1 + WALL_REL_TOLERANCE) (latencies). "higher": the result may not fall
-# below baseline * (1 - WALL_REL_TOLERANCE) (throughput — the serving
-# benchmark reports machines retired per second). Getting better never
-# fails in either direction.
-WALL_GATED = {
-    "wall_min_ns": "lower",
-    "wall_p99_ns": "lower",
-    "wall_machines_per_sec": "higher",
-}
+
+def bad_input(message):
+    print(f"bench_check: {message}", file=sys.stderr)
+    sys.exit(2)
 
 
 def load_results(paths):
-    """Merge google-benchmark JSON files into {name: {real_time, time_unit, sim}}.
+    """Merge google-benchmark JSON files into {name: {sim counter: value}}.
 
     Also returns {name: {"source": json_path, "executable": binary}} so a
     failing gate can print the exact command that reruns just that
@@ -105,32 +90,45 @@ def load_results(paths):
             with open(path) as f:
                 data = json.load(f)
         except (OSError, ValueError) as e:
-            sys.exit(f"bench_check: cannot read {path}: {e}")
+            bad_input(f"cannot read {path}: {e}")
         context = data.get("context", {})
         executable = context.get("executable") if isinstance(context, dict) else None
         benches = data.get("benchmarks", [])
         if not isinstance(benches, list):
-            sys.exit(f'bench_check: {path}: "benchmarks" is not a list')
+            bad_input(f'{path}: "benchmarks" is not a list')
         for i, bench in enumerate(benches):
             if not isinstance(bench, dict):
-                sys.exit(f"bench_check: {path}: benchmark entry #{i} is not an object")
+                bad_input(f"{path}: benchmark entry #{i} is not an object")
             # Skip mean/median/stddev rows from --benchmark_repetitions.
             if bench.get("run_type") == "aggregate":
                 continue
             name = bench.get("name")
             if not isinstance(name, str):
-                sys.exit(f'bench_check: {path}: benchmark entry #{i} has no "name" key')
-            sim = {k: v for k, v in bench.items() if k.startswith("sim_")}
-            wall = {k: v for k, v in bench.items() if k.startswith("wall_")}
-            merged[name] = {
-                "real_time": bench.get("real_time"),
-                "cpu_time": bench.get("cpu_time"),
-                "time_unit": bench.get("time_unit"),
-                "sim": sim,
-                "wall": wall,
-            }
+                bad_input(f'{path}: benchmark entry #{i} has no "name" key')
+            merged[name] = {k: v for k, v in bench.items() if k.startswith("sim_")}
             origins[name] = {"source": path, "executable": executable}
     return merged, origins
+
+
+def load_baseline(path):
+    try:
+        with open(path) as f:
+            baseline = json.load(f)["benchmarks"]
+    except (OSError, ValueError, KeyError) as e:
+        bad_input(f"cannot read baseline {path}: {e}")
+    if not isinstance(baseline, dict):
+        bad_input(f'baseline {path}: "benchmarks" must map benchmark names to counter objects')
+    for name, expected in sorted(baseline.items()):
+        if not isinstance(expected, dict):
+            bad_input(
+                f'baseline {path}: entry "{name}" must be an object of counters'
+                " (regenerate with tools/bench_check.py update)"
+            )
+        for counter, value in sorted(expected.items()):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                bad_input(f'baseline {path}: "{name}" counter "{counter}" is not a number'
+                          f" (got {value!r})")
+    return baseline
 
 
 def rerun_commands(failing_names, origins, baseline_path):
@@ -162,78 +160,75 @@ def drifted(baseline_value, pr_value):
     return abs(baseline_value - pr_value) > REL_TOLERANCE * scale
 
 
-def check_thread_invariance(results):
-    """sim_* counters must be identical across thread-count variants.
+def engine_suffix(name):
+    match = ENGINE_SUFFIX.search(name.partition("/")[0])
+    return match.group(0) if match else ""
 
-    Groups benchmarks whose names differ only in a ``threads:N`` argument
-    and reports any sim_* counter that varies within a group. Returns a
-    list of failure lines (empty when the invariant holds) and the set of
-    benchmark names involved in a failure.
+
+def engine_group(name):
+    """The name with its engine-row suffix removed (every name has a row)."""
+    base, sep, rest = name.partition("/")
+    return base[: len(base) - len(engine_suffix(name))] + sep + rest
+
+
+def thread_group(name):
+    """The name with threads:N wildcarded, or None if it has no thread count."""
+    key = re.sub(r"threads:\d+", "threads:*", name)
+    return key if key != name else None
+
+
+def tlb_less(name, counter):
+    """The reference row has no software TLB, so its TLB hits are not compared."""
+    return counter == "sim_tlb_hits" and engine_suffix(name) == "_NoFastPath"
+
+
+def check_invariance(results, group_of, varies_with, exempt=lambda name, counter: False):
+    """sim_* counters must be identical within each group of benchmarks.
+
+    `group_of` maps a benchmark name to its group key (None: no group);
+    `exempt(name, counter)` leaves one member's counter out of the
+    comparison. Returns the failure lines (empty when the invariant holds)
+    and the set of benchmark names involved in a failure.
     """
     groups = {}
-    for name, entry in sorted(results.items()):
-        key = re.sub(r"threads:\d+", "threads:*", name)
-        if key != name:
-            groups.setdefault(key, []).append((name, entry["sim"]))
+    for name, sim in sorted(results.items()):
+        key = group_of(name)
+        if key is not None:
+            groups.setdefault(key, []).append((name, sim))
     failures = []
     failing_names = set()
     for key, members in sorted(groups.items()):
         if len(members) < 2:
             continue
-        ref_name, ref_sim = members[0]
-        counters = set(ref_sim)
-        for name, sim in members[1:]:
-            counters |= set(sim)
+        counters = set().union(*(sim for _, sim in members))
+        group_failures = []
         for counter in sorted(counters):
-            values = {name: sim.get(counter) for name, sim in members}
-            distinct = set(values.values())
-            if len(distinct) == 1:
+            values = {n: sim.get(counter) for n, sim in members if not exempt(n, counter)}
+            if len(set(values.values())) <= 1:
                 continue
             detail = ", ".join(f"{n}={v!r}" for n, v in sorted(values.items()))
-            failures.append(
-                f"  {key}: {counter} varies with thread count ({detail})"
-            )
+            group_failures.append(f"  {key}: {counter} varies with {varies_with} ({detail})")
             failing_names.update(values)
-        if not any(key in f for f in failures):
+        if group_failures:
+            failures += group_failures
+        else:
             print(
                 f"ok: {key}: {len(counters)} sim counter(s) invariant across"
-                f" {len(members)} thread variant(s)"
+                f" {len(members)} {varies_with} variant(s)"
             )
     return failures, failing_names
 
 
 def cmd_check(args):
-    try:
-        with open(args.baseline) as f:
-            baseline = json.load(f)["benchmarks"]
-    except (OSError, ValueError, KeyError) as e:
-        sys.exit(f"bench_check: cannot read baseline {args.baseline}: {e}")
-    if not isinstance(baseline, dict):
-        sys.exit(
-            f'bench_check: baseline {args.baseline}: "benchmarks" must map'
-            " benchmark names to counter objects"
-        )
-    for name, expected in sorted(baseline.items()):
-        if not isinstance(expected, dict):
-            sys.exit(
-                f'bench_check: baseline {args.baseline}: entry "{name}" must be'
-                " an object of counters (regenerate with"
-                " tools/bench_check.py update)"
-            )
-        for counter, value in sorted(expected.items()):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                sys.exit(
-                    f'bench_check: baseline {args.baseline}: "{name}" counter'
-                    f' "{counter}" is not a number (got {value!r})'
-                )
+    baseline = load_baseline(args.baseline)
     results, origins = load_results(args.results)
 
-    if args.merge_out:
-        with open(args.merge_out, "w") as f:
-            json.dump({"benchmarks": results}, f, indent=2, sort_keys=True)
-            f.write("\n")
-
-    failures, failing_names = check_thread_invariance(results)
+    failures, failing_names = check_invariance(results, thread_group, "thread count")
+    engine_failures, engine_failing = check_invariance(
+        results, engine_group, "engine row", exempt=tlb_less
+    )
+    failures += engine_failures
+    failing_names |= engine_failing
     for name, expected in sorted(baseline.items()):
         got = results.get(name)
         if got is None:
@@ -241,36 +236,7 @@ def cmd_check(args):
             failing_names.add(name)
             continue
         for counter, expected_value in sorted(expected.items()):
-            if counter.startswith("wall_"):
-                direction = WALL_GATED.get(counter)
-                if direction is None or not args.wall:
-                    continue  # informational unless the wall gate is armed
-                actual = got["wall"].get(counter)
-                if actual is None:
-                    failures.append(f"  {name}: counter {counter} missing")
-                    failing_names.add(name)
-                elif direction == "lower" and actual > expected_value * (
-                    1.0 + WALL_REL_TOLERANCE
-                ):
-                    failures.append(
-                        f"  {name}: {counter} regressed: baseline"
-                        f" {expected_value:.0f} vs result {actual:.0f}"
-                        f" (> {WALL_REL_TOLERANCE:.0%} slower)"
-                    )
-                    failing_names.add(name)
-                elif direction == "higher" and actual < expected_value * (
-                    1.0 - WALL_REL_TOLERANCE
-                ):
-                    failures.append(
-                        f"  {name}: {counter} regressed: baseline"
-                        f" {expected_value:.0f} vs result {actual:.0f}"
-                        f" (> {WALL_REL_TOLERANCE:.0%} throughput drop)"
-                    )
-                    failing_names.add(name)
-                else:
-                    print(f"ok: {name}: {counter} = {actual:.0f} (wall gate)")
-                continue
-            actual = got["sim"].get(counter)
+            actual = got.get(counter)
             if actual is None:
                 failures.append(f"  {name}: counter {counter} missing")
                 failing_names.add(name)
@@ -297,30 +263,37 @@ def cmd_check(args):
             file=sys.stderr,
         )
         return 1
-    print(f"bench_check: {len(baseline)} benchmark(s) match the baseline")
+    print(
+        f"bench_check: {len(baseline)} baselined benchmark(s) match; every engine row"
+        f" and thread count of {len(results)} result(s) agrees"
+    )
     return 0
 
 
 def cmd_update(args):
     results, _ = load_results(args.results)
-    benchmarks = {}
-    for name, entry in sorted(results.items()):
-        if not entry["sim"]:
-            continue
-        counters = dict(entry["sim"])
-        if args.include_wall:
-            for wall_counter in WALL_GATED:
-                if wall_counter in entry["wall"]:
-                    counters[wall_counter] = entry["wall"][wall_counter]
-        benchmarks[name] = counters
+    current = load_baseline(args.baseline) if os.path.exists(args.baseline) else {}
+    missing = sorted(set(current) - set(results))
+    if missing:
+        print(
+            f"bench_check: refusing to update {args.baseline}: these baselined"
+            " benchmark(s) are missing from the results (run the whole gate, see"
+            " --help):",
+            file=sys.stderr,
+        )
+        for name in missing:
+            print(f"  {name}", file=sys.stderr)
+        return 1
+    benchmarks = {name: sim for name, sim in sorted(results.items()) if sim}
     if not benchmarks:
-        sys.exit("bench_check: no sim_* counters found; nothing to baseline")
+        bad_input("no sim_* counters found; nothing to baseline")
     payload = {
         "comment": (
-            "Deterministic simulated-cost baseline for the CI bench gate. "
-            "Values are simulated cycles/instructions; wall_min_ns entries "
-            "(from update --include-wall) are gated only by check --wall "
-            "on a comparable host and ignored otherwise. "
+            "Deterministic simulated-cost baseline for the bench_sim_gate ctest. "
+            "Values are simulated cycles, instructions and counters; benchmarks "
+            "whose names differ only in the engine-row suffix or in threads:N must "
+            "report the same values, which tools/bench_check.py checks for every "
+            "row, baselined or not. "
             "Regenerate with tools/bench_check.py update (see its --help)."
         ),
         "benchmarks": benchmarks,
@@ -333,29 +306,18 @@ def cmd_update(args):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="compare results against the baseline")
     check.add_argument("--baseline", required=True)
-    check.add_argument("--merge-out", help="write merged results (CI artifact)")
-    check.add_argument(
-        "--wall",
-        action="store_true",
-        help="arm the one-sided wall_min_ns gate for baseline entries that"
-        " carry one (same-host, default-configuration runs only)",
-    )
     check.add_argument("results", nargs="+", help="google-benchmark JSON files")
     check.set_defaults(func=cmd_check)
 
     update = sub.add_parser("update", help="regenerate the baseline")
     update.add_argument("--baseline", required=True)
-    update.add_argument(
-        "--include-wall",
-        action="store_true",
-        help="also baseline wall_min_ns (gated only by `check --wall` on a"
-        " comparable host; ignored by the default sim-only check)",
-    )
     update.add_argument("results", nargs="+", help="google-benchmark JSON files")
     update.set_defaults(func=cmd_update)
 

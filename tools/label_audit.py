@@ -2,13 +2,13 @@
 """Audit ctest labels against test names.
 
 CI runs several suites by label (``ctest -L fuzz``, ``-L fleet``,
-``-L fault``, ``-L snapshot``, ``-L serve``). A test that belongs to one
-of those families but was registered without the label silently drops
-out of its suite — the suite stays green while covering less. This audit
+``-L fault``, ``-L snapshot``, ``-L serve``), and ``ctest -L bench`` runs
+the benchmark gate. A test that belongs to one of those families but was
+registered without the label silently drops out of its suite — the suite stays green while covering less. This audit
 walks the full test list (``ctest --show-only=json-v1``) and enforces:
 
   1. every test whose name or binary mentions fuzz/fleet/fault/soak/
-     snapshot/serve/ringsimd carries the corresponding label, and
+     snapshot/serve/ringsimd/bench carries the corresponding label, and
   2. none of the labeled suites is empty.
 
 Run by ctest itself as ``ctest_label_audit``; prints ``label audit: OK``
@@ -31,6 +31,7 @@ REQUIRED = {
     "snapshot": "snapshot",
     "serve": "serve",
     "ringsimd": "serve",  # daemon smoke tests belong to the serve suite
+    "bench": "bench",
 }
 
 
