@@ -1,5 +1,7 @@
 #include "src/cpu/cpu.h"
 
+#include <cassert>
+
 #include "src/base/bitfield.h"
 #include "src/mem/page_table.h"
 
@@ -10,14 +12,15 @@ namespace {
 constexpr uint32_t kIndexMask = (uint32_t{1} << kWordnoBits) - 1;
 
 // The one kind -> rule mapping of Figures 4-7: the Check* predicate a
-// reference of that kind must pass, the verdict bit that memoizes it, and
-// the counter its check charges. Reference, Vouches and the supervisor's
-// accesses read their rule from RuleFor; only ChargeVouchedFetch (cpu.h)
-// names the fetch row's counter itself.
+// reference of that kind must pass, the verdict bit that memoizes it, the
+// counter its check charges, and the counters its word access bumps (none
+// for a transfer, which forms no address). Reference, Vouches,
+// SettleTally and the supervisor's accesses read their rule from RuleFor.
 struct RefRule {
   AccessDecision (*check)(const SegmentAccess& access, Ring ring, Ring effective);
   bool VerdictCache::Entry::* verdict;
   uint64_t Counters::* charge;
+  std::array<uint64_t Counters::*, 2> access;
 };
 
 // The predicates in one (access, ring, effective ring) shape; only the
@@ -38,17 +41,22 @@ AccessDecision WriteCheck(const SegmentAccess& access, Ring ring, Ring) {
 constexpr RefRule RuleFor(RefKind kind) {
   switch (kind) {
     case RefKind::kFetch:  // Figure 4
-      return {&FetchCheck, &VerdictCache::Entry::execute_ok, &Counters::checks_fetch};
+      return {&FetchCheck, &VerdictCache::Entry::execute_ok, &Counters::checks_fetch,
+              {&Counters::memory_reads, nullptr}};
     case RefKind::kIndirect:  // Figure 5
-      return {&IndirectCheck, &VerdictCache::Entry::indirect_ok, &Counters::checks_indirect};
+      return {&IndirectCheck, &VerdictCache::Entry::indirect_ok, &Counters::checks_indirect,
+              {&Counters::memory_reads, &Counters::indirect_words}};
     case RefKind::kRead:  // Figure 6
-      return {&ReadCheck, &VerdictCache::Entry::read_ok, &Counters::checks_read};
+      return {&ReadCheck, &VerdictCache::Entry::read_ok, &Counters::checks_read,
+              {&Counters::memory_reads, nullptr}};
     case RefKind::kWrite:  // Figure 6
-      return {&WriteCheck, &VerdictCache::Entry::write_ok, &Counters::checks_write};
+      return {&WriteCheck, &VerdictCache::Entry::write_ok, &Counters::checks_write,
+              {&Counters::memory_writes, nullptr}};
     case RefKind::kTransfer:
       // Figure 7: the execute verdict answers it only when the effective
       // ring is the ring of execution (see Vouches).
-      return {&CheckTransfer, &VerdictCache::Entry::execute_ok, &Counters::checks_transfer};
+      return {&CheckTransfer, &VerdictCache::Entry::execute_ok, &Counters::checks_transfer,
+              {nullptr, nullptr}};
   }
   return {};  // not reached: the switch names every RefKind
 }
@@ -131,6 +139,7 @@ void Cpu::SetDbr(const DbrValue& dbr) {
 }
 
 Cpu::State Cpu::CaptureState() const {
+  assert(TallyEmpty() && "machine state is captured between dispatches");
   State state;
   state.cycles = cycles_;
   state.regs = regs_;
@@ -146,6 +155,7 @@ Cpu::State Cpu::CaptureState() const {
 }
 
 void Cpu::RestoreState(const State& state) {
+  assert(TallyEmpty() && "machine state is restored between dispatches");
   FlushSdwCache();
   FlushInsnCache();
   FlushTlb();
@@ -317,7 +327,10 @@ TrapCause Cpu::SupervisorAccess(Segno segno, Wordno wordno, std::optional<Ring> 
 // SDW-cache hit: the verdict memoizes the predicate's outcome and the
 // SDW's addressing fields, and its invariant (verdict_cache.h) keeps the
 // SDW resident, so the charges, checks and traps that follow are the
-// same either way.
+// same either way. A reference counts its word access too: the caller
+// always makes it once the reference succeeds. A memo hit that completes
+// is tallied (one slot bump for all its counters); one that traps counts
+// directly.
 
 template <RefKind K>
 bool Cpu::Vouches(const VerdictCache::Entry& memo, Ring ring, Ring effective) const {
@@ -334,10 +347,14 @@ template <RefKind K>
   AbsAddr base = 0;
   uint64_t bound = 0;
   bool paged = false;
-  TrapCause denial = TrapCause::kNone;
   const VerdictCache::Entry* memo = K == RefKind::kFetch ? nullptr : FastVerdict(segno, ring);
-  if (memo != nullptr && Vouches<K>(*memo, ring, effective)) {
-    CountMemoHit();
+  const bool memo_hit = memo != nullptr && Vouches<K>(*memo, ring, effective);
+  if (memo_hit) {
+    // Vouched: the check passes (or checks are off), so only its cycles
+    // remain to charge.
+    if (checks_enabled_) {
+      cycles_ += cycle_model_.access_check;
+    }
     base = memo->base;
     bound = memo->bound;
     paged = memo->paged;
@@ -350,7 +367,13 @@ template <RefKind K>
     }
     FillVerdict(segno, ring, sdw);
     if (checks_enabled_) {
-      denial = kRule.check(sdw.access, ring, effective).cause;
+      ++(counters_.*kRule.charge);
+      cycles_ += cycle_model_.access_check;
+      if (const TrapCause denial = kRule.check(sdw.access, ring, effective).cause;
+          denial != TrapCause::kNone) {
+        RaiseTrap(denial);
+        return false;
+      }
     }
     base = sdw.base;
     bound = sdw.bound;
@@ -358,27 +381,76 @@ template <RefKind K>
     out->r1 = sdw.access.brackets.r1;
     out->flags_execute = sdw.access.flags.execute;
   }
-  if (checks_enabled_) {
-    ++(counters_.*kRule.charge);
-    cycles_ += cycle_model_.access_check;
-    if (denial != TrapCause::kNone) {
-      RaiseTrap(denial);
-      return false;
+  TrapCause cause = wordno >= bound ? TrapCause::kBoundsViolation : TrapCause::kNone;
+  if constexpr (K != RefKind::kTransfer) {  // the advance check forms no address
+    if (cause == TrapCause::kNone) {
+      cause = Translate(paged, base, segno, wordno, &out->addr);
     }
   }
-  if (!CheckBounds(bound, wordno)) {
+  if (cause != TrapCause::kNone) {
+    if (memo_hit) {
+      CountMemoHit();
+      if (checks_enabled_) {
+        ++(counters_.*kRule.charge);
+      }
+    }
+    RaiseTrap(cause);
     return false;
   }
-  if constexpr (K == RefKind::kTransfer) {
-    return true;  // the advance check forms no address
+  if (memo_hit) {
+    Tally(static_cast<size_t>(K));
   } else {
-    if (const TrapCause cause = Translate(paged, base, segno, wordno, &out->addr);
-        cause != TrapCause::kNone) {
-      RaiseTrap(cause);
-      return false;
+    for (uint64_t Counters::* counter : kRule.access) {
+      if (counter != nullptr) {
+        ++(counters_.*counter);
+      }
     }
-    return true;
   }
+  return true;
+}
+
+void Cpu::SettleTally() {
+  if (!tallied_) {
+    return;
+  }
+  tallied_ = false;
+  uint64_t memo_hits = 0;
+  // Fully unrolled, so each slot's rule and paging fold to constants and
+  // an empty slot costs one load and one branch.
+#pragma GCC unroll 8
+  for (size_t slot = 0; slot < kTallySlots; ++slot) {
+    const uint64_t n = tally_[slot];
+    if (n == 0) {
+      continue;
+    }
+    tally_[slot] = 0;
+    memo_hits += n;
+    const RefKind kind = slot < kPagedFetchHit ? static_cast<RefKind>(slot) : RefKind::kFetch;
+    const RefRule rule = RuleFor(kind);
+    if (checks_enabled_) {
+      counters_.*rule.charge += n;
+    }
+    for (uint64_t Counters::* counter : rule.access) {
+      if (counter != nullptr) {
+        counters_.*counter += n;
+      }
+    }
+    if (kind == RefKind::kFetch) {
+      counters_.insn_cache_hits += n;
+    }
+    if (slot == kPagedFetchHit || slot == kPagedBlockOpHit) {
+      // The page-table walk the descriptor path would have performed.
+      counters_.page_walks += n;
+      counters_.tlb_hits += n;
+    }
+    if (slot == kBlockOpHit || slot == kPagedBlockOpHit) {
+      counters_.instructions += n;
+      counters_.block_ops += n;
+    }
+  }
+  counters_.verdict_hits += memo_hits;
+  counters_.sdw_cache_hits += memo_hits;
+  sdw_cache_.CountHits(memo_hits);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,7 +464,9 @@ bool Cpu::Step() {
   if (!InstructionBoundary()) {
     return false;
   }
-  return StepBody();
+  const bool retired = StepBody();
+  SettleTally();
+  return retired;
 }
 
 bool Cpu::InstructionBoundary() {
@@ -498,9 +572,17 @@ bool Cpu::StepBody() {
 // path charges on a verdict + decode hit, which — by the verdict cache's
 // invariant — is exactly what the slow path charges with an SDW-cache
 // hit. Anything a block cannot vouch for bails to StepBody, the identical
-// per-instruction path, after the boundary it already consumed.
+// per-instruction path, after the boundary it already consumed. The
+// counters of those charges are tallied, and StepBlock settles the tally
+// once, after whichever exit RunBlocks took.
 
 bool Cpu::StepBlock(uint64_t cycle_bound) {
+  const bool retired = RunBlocks(cycle_bound);
+  SettleTally();
+  return retired;
+}
+
+bool Cpu::RunBlocks(uint64_t cycle_bound) {
   if (trap_pending_) {
     return false;
   }
@@ -525,6 +607,9 @@ bool Cpu::StepBlock(uint64_t cycle_bound) {
   // probe, the cache hash, and the BlockCurrent revalidation.
   for (;;) {
     const uint64_t version = block_cache_.version();
+    // Every op of the block bumps this one slot; mark the tally once.
+    uint64_t& op_tally = tally_[b->paged ? kPagedBlockOpHit : kBlockOpHit];
+    tallied_ = true;
     for (uint16_t i = 0; i < b->count; ++i) {
       if (i != 0) {
         // Boundary conditions the caller's run loop services between
@@ -560,12 +645,11 @@ bool Cpu::StepBlock(uint64_t cycle_bound) {
           return StepBody();
         }
       }
-      // The per-instruction vouched fetch's charges; the cycle portion is
-      // the block's precomputed per-op charge, which folds the
-      // instruction base in with them.
-      ChargeVouchedFetch(b->paged, b->op_charge);
-      ++counters_.instructions;
-      ++counters_.block_ops;
+      // The per-instruction vouched fetch's charges: the cycles are the
+      // block's precomputed per-op charge, which folds the instruction
+      // base in with them, and the counters one tally bump.
+      cycles_ += b->op_charge;
+      ++op_tally;
       current_ins_ = op.ins;
       if (op.needs_ea && !FormEffectiveAddress(op.ins)) {
         return false;
@@ -811,7 +895,6 @@ bool Cpu::FetchInstruction(Instruction* ins) {
   if (!Reference<RefKind::kFetch>(segno, wordno, ring, ring, &ref)) {
     return false;
   }
-  ++counters_.memory_reads;
   cycles_ += cycle_model_.memory_ref;
   const Word word = memory_->Read(ref.addr);
   // Fleet-shared decode: if this segment is backed by a published image
@@ -898,8 +981,6 @@ bool Cpu::ChaseIndirectWords() {
     if (!Reference<RefKind::kIndirect>(tpr_.segno, tpr_.wordno, ring, ring, &ref)) {
       return false;
     }
-    ++counters_.memory_reads;
-    ++counters_.indirect_words;
     cycles_ += cycle_model_.memory_ref;
     IndirectWord iw = DecodeIndirectWord(memory_->Read(ref.addr));
     if (fault_injector_ != nullptr && !iw.fault) {
@@ -935,7 +1016,6 @@ bool Cpu::ReadOperand(Word* out) {
   if (!Reference<RefKind::kRead>(tpr_.segno, tpr_.wordno, ring, ring, &ref)) {
     return false;
   }
-  ++counters_.memory_reads;
   cycles_ += cycle_model_.memory_ref;
   *out = memory_->Read(ref.addr);
   return true;
@@ -947,7 +1027,6 @@ bool Cpu::WriteOperand(Word value) {
   if (!Reference<RefKind::kWrite>(tpr_.segno, tpr_.wordno, ring, ring, &ref)) {
     return false;
   }
-  ++counters_.memory_writes;
   cycles_ += cycle_model_.memory_ref;
   memory_->Write(ref.addr, value);
   NoteStore(ref.addr, ref.flags_execute, tpr_.segno);
@@ -1014,7 +1093,7 @@ template <bool kCall>
     if (crossing_cache_.Valid(memo, kCall, ipr_at_fetch_.segno, ipr_at_fetch_.wordno, tpr_.segno,
                               tpr_.wordno, tpr_.ring, old_ring, sdw_cache_.flush_epoch())) {
       ++counters_.sdw_cache_hits;
-      sdw_cache_.CountHit();
+      sdw_cache_.CountHits(1);
       ++(counters_.*charge);
       cycles_ += cycle_model_.access_check;
       ++counters_.crossing_hits;

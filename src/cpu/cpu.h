@@ -7,6 +7,8 @@
 #ifndef SRC_CPU_CPU_H_
 #define SRC_CPU_CPU_H_
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,8 +53,8 @@ enum class ProtectionMode {
 inline constexpr unsigned kMaxIndirectionDepth = 64;
 
 // The reference kinds of Figures 4-7. Each names one Check* predicate,
-// the verdict bit that memoizes it, and the checks_* counter it charges
-// (the rule table in cpu.cc).
+// the verdict bit that memoizes it, the checks_* counter it charges, and
+// the counters its word access bumps (the rule table in cpu.cc).
 enum class RefKind { kFetch, kIndirect, kRead, kWrite, kTransfer };
 
 class Cpu {
@@ -71,7 +73,10 @@ class Cpu {
   // When false, all Figure 4-9 validations are skipped (used by the
   // overhead-claim benchmark to measure what the checks cost).
   bool checks_enabled() const { return checks_enabled_; }
-  void set_checks_enabled(bool enabled) { checks_enabled_ = enabled; }
+  void set_checks_enabled(bool enabled) {
+    assert(TallyEmpty() && "the tally settles under the checks regime it was counted in");
+    checks_enabled_ = enabled;
+  }
 
   SdwCache& sdw_cache() { return sdw_cache_; }
   const SdwCache& sdw_cache() const { return sdw_cache_; }
@@ -315,6 +320,11 @@ class Cpu {
 
   uint64_t cycles() const { return cycles_; }
   void ChargeCycles(uint64_t cycles) { cycles_ += cycles; }
+  // Exact whenever Step or StepBlock has returned, and so everywhere
+  // outside a dispatch: the hit paths tally during a dispatch and every
+  // exit of Step and StepBlock settles the tally into these counters (and
+  // into sdw_cache()'s hit count) before returning. No code may read them
+  // during a dispatch; cycles() is exact at every point.
   Counters& counters() { return counters_; }
   const Counters& counters() const { return counters_; }
   const CycleModel& cycle_model() const { return cycle_model_; }
@@ -362,6 +372,9 @@ class Cpu {
   // (after its own boundary call) whenever a block cannot vouch for the
   // next instruction.
   bool StepBody();
+  // StepBlock before its settle: the block engine's dispatch, with every
+  // early exit (cycle bound, bailout, trap, fallback to StepBody).
+  bool RunBlocks(uint64_t cycle_bound);
   bool FetchInstruction(Instruction* ins);
   bool FormEffectiveAddress(const Instruction& ins);
   // The indirection loop of Figure 5, split out of FormEffectiveAddress
@@ -494,36 +507,52 @@ class Cpu {
   // a descriptor walk.
   template <RefKind K>
   bool Vouches(const VerdictCache::Entry& memo, Ring ring, Ring effective) const;
-  // Counts a reference the verdict cache answered: the SDW-cache hit the
-  // descriptor walk would have counted, without the probe.
+  // Counts one reference the verdict cache answered but that trapped
+  // before its word access: the SDW-cache hit the descriptor walk would
+  // have counted, without the probe. A memo hit that completes is tallied
+  // instead (see tally_).
   void CountMemoHit() {
     ++counters_.verdict_hits;
     ++counters_.sdw_cache_hits;
-    sdw_cache_.CountHit();
+    sdw_cache_.CountHits(1);
   }
   // The charges of a fetch the verdict and decode caches vouch for (a
-  // Reference<kFetch> answered by the memo, plus the word read); the
-  // per-instruction fetch and the block engine both charge through it.
-  // `cycles` is VouchedFetchCycles, which a block folds together with
-  // the instruction base into one precomputed add.
+  // Reference<kFetch> answered by the memo, plus the word read): the
+  // cycles now, the counters as one tally bump. `cycles` is
+  // VouchedFetchCycles; the block engine charges the same cycles folded
+  // into its per-op add and tallies a block op instead.
   void ChargeVouchedFetch(bool paged, uint64_t cycles) {
     cycles_ += cycles;
-    CountMemoHit();
-    ++counters_.insn_cache_hits;
-    if (checks_enabled_) {
-      ++counters_.checks_fetch;
-    }
-    if (paged) {
-      // The page-table walk the descriptor path would have performed.
-      ++counters_.page_walks;
-      ++counters_.tlb_hits;
-    }
-    ++counters_.memory_reads;
+    Tally(paged ? kPagedFetchHit : static_cast<size_t>(RefKind::kFetch));
   }
   uint64_t VouchedFetchCycles(bool paged) const {
     return (checks_enabled_ ? cycle_model_.access_check : 0) +
            (paged ? cycle_model_.memory_ref : 0) + cycle_model_.memory_ref;
   }
+
+  // --- the tally (see DESIGN.md §7) ---
+  // The hit paths charge cycles as they go but count by bumping one slot
+  // of tally_ per hit; SettleTally folds the slots into counters_ and the
+  // SDW cache's hit count at every exit of Step and StepBlock, and costs
+  // one test when nothing was tallied (with the fast path off, on every
+  // instruction). Slots 0-4 are the RefKinds: a memo-hit Reference of that
+  // kind that completed, with its word access (for kFetch: an unpaged
+  // fetch the verdict and decode caches vouch for). The rest are a paged
+  // vouched fetch, whose page-table walk is folded in (an operand's walk
+  // counts itself), and the block engine's committed op, a vouched fetch
+  // plus its retired instruction, unpaged or paged. Whether a hit charged
+  // its check is checks_enabled_, which changes only between dispatches,
+  // so SettleTally reads it.
+  static constexpr size_t kPagedFetchHit = 5;
+  static constexpr size_t kBlockOpHit = 6;
+  static constexpr size_t kPagedBlockOpHit = 7;
+  static constexpr size_t kTallySlots = 8;
+  void Tally(size_t slot) {
+    ++tally_[slot];
+    tallied_ = true;
+  }
+  void SettleTally();
+  bool TallyEmpty() const { return tally_ == decltype(tally_){}; }
 
   // Operand access paths (Figure 6).
   bool ReadOperand(Word* out);
@@ -631,6 +660,8 @@ class Cpu {
   FaultInjector* fault_injector_ = nullptr;
   uint64_t cycles_ = 0;
   Counters counters_;
+  std::array<uint64_t, kTallySlots> tally_{};
+  bool tallied_ = false;  // some slot may be non-zero
   EventTrace* trace_ = nullptr;
   std::function<void(uint8_t, Word)> sio_handler_;
 };

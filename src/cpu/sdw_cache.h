@@ -75,10 +75,11 @@ class SdwCache {
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
 
-  // Counts a hit without a lookup: the verdict fast path (src/cpu) proves
-  // residency by invariant instead of probing, but the statistics must
-  // read as if the probe happened.
-  void CountHit() const { ++hits_; }
+  // Counts `n` hits without a lookup: the verdict fast path (src/cpu)
+  // proves residency by invariant instead of probing, but the statistics
+  // must read as if the probes happened. The processor folds its tallied
+  // hits in here once per dispatch (Cpu::SettleTally).
+  void CountHits(uint64_t n) const { hits_ += n; }
 
   // Incremented by every Flush (DBR reload, enable toggle, supervisor
   // flush). Derived caches stamp entries with this epoch so a flush

@@ -58,7 +58,7 @@ std::shared_ptr<const SharedDecodeImage> SharedDecodeRegistry::Acquire(
         *built = false;
       }
       if (pin_count_ > 0) {
-        pinned_.push_back(live);
+        pinned_[identity] = live;
       }
       return live;
     }
@@ -69,7 +69,7 @@ std::shared_ptr<const SharedDecodeImage> SharedDecodeRegistry::Acquire(
     *built = true;
   }
   if (pin_count_ > 0) {
-    pinned_.push_back(image);
+    pinned_[identity] = image;
   }
   return image;
 }

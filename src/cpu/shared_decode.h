@@ -116,7 +116,8 @@ class SharedDecodeRegistry {
   std::mutex mu_;
   std::unordered_map<uint64_t, std::weak_ptr<const SharedDecodeImage>> images_;
   size_t pin_count_ = 0;
-  std::vector<std::shared_ptr<const SharedDecodeImage>> pinned_;
+  // One strong reference per pinned identity, however often it is acquired.
+  std::unordered_map<uint64_t, std::shared_ptr<const SharedDecodeImage>> pinned_;
 };
 
 }  // namespace rings

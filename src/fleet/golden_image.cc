@@ -30,7 +30,7 @@ std::shared_ptr<const GoldenImage> GoldenImageRegistry::Acquire(
         *built = false;
       }
       if (pin_count_ > 0) {
-        pinned_.push_back(live);
+        pinned_[identity] = live;
       }
       return live;
     }
@@ -45,7 +45,7 @@ std::shared_ptr<const GoldenImage> GoldenImageRegistry::Acquire(
     *built = true;
   }
   if (pin_count_ > 0) {
-    pinned_.push_back(image);
+    pinned_[identity] = image;
   }
   return image;
 }

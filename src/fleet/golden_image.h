@@ -22,7 +22,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "src/sys/machine.h"
 
@@ -88,7 +87,8 @@ class GoldenImageRegistry {
   std::mutex mu_;
   std::unordered_map<uint64_t, std::weak_ptr<const GoldenImage>> images_;
   size_t pin_count_ = 0;
-  std::vector<std::shared_ptr<const GoldenImage>> pinned_;
+  // One strong reference per pinned identity, however often it is acquired.
+  std::unordered_map<uint64_t, std::shared_ptr<const GoldenImage>> pinned_;
 };
 
 }  // namespace rings

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/cpu/shared_decode.h"
 #include "src/sys/machine.h"
@@ -63,6 +64,19 @@ int64_t RunToExit(Machine* machine) {
   machine->Run(10'000'000);
   EXPECT_EQ(process->state, ProcessState::kExited);
   return process->exit_code;
+}
+
+TEST(SharedDecode, PinRetainsEachIdentityOnce) {
+  SharedDecodeRegistry& registry = SharedDecodeRegistry::Instance();
+  const uint64_t identity = 0x0DDBA11DEC0DEull;
+  const SharedDecodeRegistry::Pin pin;
+  std::vector<std::shared_ptr<const SharedDecodeImage>> handles;
+  for (int i = 0; i < 100; ++i) {
+    handles.push_back(registry.Acquire(
+        identity, [identity] { return SharedDecodeImage::Builder().Publish(identity); }));
+  }
+  handles.resize(1);
+  EXPECT_EQ(handles.front().use_count(), 2);  // this handle + the pin's one
 }
 
 TEST(SharedDecode, SiblingsShareOneImageAndBuildOnce) {

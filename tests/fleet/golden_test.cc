@@ -279,6 +279,23 @@ TEST(GoldenImageRegistry, PinKeepsImageAliveAcrossRetirement) {
   EXPECT_TRUE(rebuilt);
 }
 
+TEST(GoldenImageRegistry, PinRetainsEachIdentityOnce) {
+  // A long-lived Pin (ringsimd holds one for its whole life) must not
+  // grow by one reference per Acquire: repeat acquisitions of one
+  // identity share a single retained reference.
+  GoldenImageRegistry& registry = GoldenImageRegistry::Instance();
+  const uint64_t identity = 0x0DDBA11C0FFEEull;
+  const GoldenImageRegistry::Pin pin;
+  std::vector<std::shared_ptr<const GoldenImage>> handles;
+  for (int i = 0; i < 100; ++i) {
+    handles.push_back(
+        registry.Acquire(identity, [] { return MakeCallLoopMachine(MachineConfig{}); }));
+    ASSERT_NE(handles.back(), nullptr);
+  }
+  handles.resize(1);
+  EXPECT_EQ(handles.front().use_count(), 2);  // this handle + the pin's one
+}
+
 // --- fleet spawning ---------------------------------------------------------
 
 TEST(GoldenImage, FleetSpawnedFromGoldenMatchesConstructLoadAcrossThreads) {
