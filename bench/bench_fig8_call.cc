@@ -82,15 +82,15 @@ entry:  ret   pr7|0
 }
 
 // Host-time throughput of simulated downward call round trips, once per
-// engine row. Machine construction, assembly, and login stay outside the
+// engine tier. Machine construction, assembly, and login stay outside the
 // timed region: the measurement is machine.Run() alone. The sim_*
-// counters are the differential crossing cost measured at the same row;
-// tools/bench_check.py gates them, and requires them equal across rows.
-void DownwardCallRoundTrip(benchmark::State& state, const EngineRow& row) {
+// counters are the differential crossing cost measured at the same tier;
+// tools/bench_check.py gates them, and requires them equal across tiers.
+void DownwardCallRoundTrip(benchmark::State& state, EngineTier tier) {
   const std::string source = CrossingLoopSource(kCrossingsPerRun);
   const SegmentAccess target = MakeProcedureSegment(1, 1, 7, 1);
   MachineConfig config;
-  ApplyEngine(row, &config);
+  ApplyTier(tier, &config);
   Counters last;
   for (auto _ : state) {
     state.PauseTiming();

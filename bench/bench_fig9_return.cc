@@ -54,9 +54,9 @@ struct RetRig {
   }
 };
 
-double RetCycles(const EngineRow& row, Ring from_ring, Ring to_ring, bool* trapped = nullptr) {
+double RetCycles(EngineTier tier, Ring from_ring, Ring to_ring, bool* trapped = nullptr) {
   RetRig rig(from_ring, to_ring);
-  ApplyEngine(row, &rig.cpu);
+  rig.cpu.set_engine_tier(tier);
   const int reps = 5000;
   uint64_t total = 0;
   bool saw_trap = false;
@@ -84,7 +84,7 @@ void PrintReport() {
   std::printf("  scenario                  cycles   trapped\n");
   const auto row = [](const char* label, Ring from, Ring to, const char* suffix = "") {
     bool trapped = false;
-    const double cycles = RetCycles(kDefaultEngine, from, to, &trapped);
+    const double cycles = RetCycles(EngineTier::kBlocks, from, to, &trapped);
     std::printf("  %s     %8.2f   %s%s\n", label, cycles, trapped ? "yes" : "no", suffix);
   };
   row("same-ring  (4 -> 4)", 4, 4);
@@ -102,21 +102,21 @@ void PrintReport() {
   std::printf("\n");
 }
 
-// Host time of one armed RET, once per engine row. The site is maximally
+// Host time of one armed RET, once per engine tier. The site is maximally
 // monomorphic (one RET, one target, every rep), so with chaining on the
 // crossing cache replays the memoized resolution instead of re-fetching
 // the SDW and re-running ResolveReturn. sim_cycles_per_return is measured
-// at the same row; tools/bench_check.py gates it, and requires it equal
-// across rows.
-void Return(benchmark::State& state, const EngineRow& row, Ring from_ring, Ring to_ring) {
+// at the same tier; tools/bench_check.py gates it, and requires it equal
+// across tiers.
+void Return(benchmark::State& state, EngineTier tier, Ring from_ring, Ring to_ring) {
   RetRig rig(from_ring, to_ring);
-  ApplyEngine(row, &rig.cpu);
+  rig.cpu.set_engine_tier(tier);
   for (auto _ : state) {
     rig.Arm(from_ring, to_ring);
     rig.cpu.Step();
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["sim_cycles_per_return"] = RetCycles(row, from_ring, to_ring);
+  state.counters["sim_cycles_per_return"] = RetCycles(tier, from_ring, to_ring);
   // Host-only effectiveness counter (fingerprint-excluded).
   state.counters["crossing_hits"] = static_cast<double>(rig.cpu.counters().crossing_hits);
 }

@@ -194,9 +194,9 @@ struct SearchRig {
 };
 
 SearchRig SetupSearchHardware(const std::string& source, const char* svc_seg, int n, bool paged,
-                              const EngineRow& row) {
+                              EngineTier tier) {
   MachineConfig config;
-  ApplyEngine(row, &config);
+  ApplyTier(tier, &config);
   SearchRig rig;
   rig.machine = std::make_unique<Machine>(config);
   Machine& machine = *rig.machine;
@@ -240,8 +240,8 @@ SearchCost FinishSearch(SearchRig& rig) {
 }
 
 SearchCost RunSearchHardware(const std::string& source, const char* svc_seg, int n,
-                             bool paged = false, const EngineRow& row = kDefaultEngine) {
-  SearchRig rig = SetupSearchHardware(source, svc_seg, n, paged, row);
+                             bool paged = false, EngineTier tier = EngineTier::kBlocks) {
+  SearchRig rig = SetupSearchHardware(source, svc_seg, n, paged, tier);
   return FinishSearch(rig);
 }
 
@@ -306,17 +306,17 @@ void PrintReport() {
 }
 
 // Host-time cost of the library-structured search (one crossing per
-// probe), machine.Run() only, once per engine row; the paged variants put
+// probe), machine.Run() only, once per engine tier; the paged variants put
 // the directory behind a page table, so they additionally measure the
 // software TLB. The sim_* counters come from one extra run at the same
-// row; tools/bench_check.py gates them, and requires them equal across
-// rows.
-void LibrarySearchLoop(benchmark::State& state, const EngineRow& row, bool paged) {
+// tier; tools/bench_check.py gates them, and requires them equal across
+// tiers.
+void LibrarySearchLoop(benchmark::State& state, EngineTier tier, bool paged) {
   constexpr int kEntries = 64;
   const std::string source = LibrarySource(kEntries);
   for (auto _ : state) {
     state.PauseTiming();
-    SearchRig rig = SetupSearchHardware(source, "rdsvc", kEntries, paged, row);
+    SearchRig rig = SetupSearchHardware(source, "rdsvc", kEntries, paged, tier);
     state.ResumeTiming();
     rig.machine->Run(1'000'000'000);
     benchmark::DoNotOptimize(rig.machine->cpu().cycles());
@@ -329,7 +329,7 @@ void LibrarySearchLoop(benchmark::State& state, const EngineRow& row, bool paged
     rig.machine.reset();  // destruction stays untimed too
     state.ResumeTiming();
   }
-  const SearchCost sim = RunSearchHardware(source, "rdsvc", kEntries, paged, row);
+  const SearchCost sim = RunSearchHardware(source, "rdsvc", kEntries, paged, tier);
   state.counters["sim_cycles"] = static_cast<double>(sim.cycles);
   state.counters["sim_crossings"] = static_cast<double>(sim.crossings);
   state.counters["sim_traps"] = static_cast<double>(sim.traps);

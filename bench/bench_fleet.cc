@@ -4,9 +4,9 @@
 // The workload is a mixed twelve-machine fleet — gate-crossing call
 // loops (the Figure 8 workload), library-structured protected-directory
 // searches (the file-search workload), and demand-paged counters — run
-// to completion at 1, 2, 4, and 8 worker threads under every engine row.
+// to completion at 1, 2, 4, and 8 worker threads under every engine tier.
 // Every machine's final state is bit-identical at every thread count (the
-// fleet determinism contract) and every row, so all sim_* counters below
+// fleet determinism contract) and every tier, so all sim_* counters below
 // are invariant across both and gated exactly by tools/bench_check.py;
 // only host time and the aggregate instructions-per-second vary.
 #include <benchmark/benchmark.h>
@@ -22,10 +22,10 @@ namespace {
 
 // Small machines: the fleet holds all members live at once, so the bench
 // keeps each core store at 2^18 words rather than the 2^22 default.
-MachineConfig FleetMachineConfig(const EngineRow& row = kDefaultEngine) {
+MachineConfig FleetMachineConfig(EngineTier tier = EngineTier::kBlocks) {
   MachineConfig config;
   config.memory_words = size_t{1} << 18;
-  ApplyEngine(row, &config);
+  ApplyTier(tier, &config);
   return config;
 }
 
@@ -204,15 +204,15 @@ void AddMixedFleet(Fleet* fleet, const MachineConfig& config = FleetMachineConfi
 double FoldFingerprints(const Fleet& fleet) {
   FingerprintBuilder builder;
   for (const MachineResult& result : fleet.results()) {
-    builder.Mix(result.fingerprint);
+    builder.Mix(result.run.fingerprint);
   }
   return static_cast<double>(builder.digest() & 0xffffffffull);
 }
 
-// The mixed fleet at one thread count, once per engine row. Every sim_*
-// counter is invariant across thread counts and rows; tools/bench_check.py
+// The mixed fleet at one thread count, once per engine tier. Every sim_*
+// counter is invariant across thread counts and tiers; tools/bench_check.py
 // gates it exactly and checks both invariances.
-void FleetMixed(benchmark::State& state, const EngineRow& row) {
+void FleetMixed(benchmark::State& state, EngineTier tier) {
   FleetConfig config;
   config.threads = static_cast<int>(state.range(0));
   config.slice_cycles = 100'000;
@@ -223,7 +223,7 @@ void FleetMixed(benchmark::State& state, const EngineRow& row) {
   for (auto _ : state) {
     state.PauseTiming();
     Fleet fleet(config);
-    AddMixedFleet(&fleet, FleetMachineConfig(row));
+    AddMixedFleet(&fleet, FleetMachineConfig(tier));
     state.ResumeTiming();
     stats = fleet.Run();
     state.PauseTiming();
@@ -243,7 +243,7 @@ void FleetMixed(benchmark::State& state, const EngineRow& row) {
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<int64_t>(total_instructions));
-  // Thread-count and engine-row invariant (gated exactly).
+  // Thread-count and engine-tier invariant (gated exactly).
   state.counters["sim_total_instructions"] = static_cast<double>(stats.total_instructions);
   state.counters["sim_total_cycles"] = static_cast<double>(stats.total_cycles);
   state.counters["sim_machines"] = static_cast<double>(stats.machines);

@@ -6,10 +6,10 @@
 //
 // The BM_Sum* benchmarks additionally time what the software TLB buys
 // the host: machine construction and assembly stay outside the timed
-// region, so paged-vs-unpaged and the engine rows compare machine.Run()
+// region, so paged-vs-unpaged and the engine tiers compare machine.Run()
 // alone. The attached sim_* counters are deterministic and gated by
 // tools/bench_check.py; the simulated cycle counts are identical at every
-// engine row.
+// engine tier.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -25,9 +25,9 @@ struct SumRig {
   Process* process = nullptr;
 };
 
-SumRig SetupSum(bool paged, bool populate, const EngineRow& row) {
+SumRig SetupSum(bool paged, bool populate, EngineTier tier) {
   MachineConfig config;
-  ApplyEngine(row, &config);
+  ApplyTier(tier, &config);
   SumRig rig;
   rig.machine = std::make_unique<Machine>(config);
   Machine& machine = *rig.machine;
@@ -82,8 +82,8 @@ RunCost FinishSum(SumRig& rig) {
   return RunCost{rig.machine->cpu().cycles(), rig.machine->cpu().counters()};
 }
 
-RunCost RunSum(bool paged, bool populate, const EngineRow& row = kDefaultEngine) {
-  SumRig rig = SetupSum(paged, populate, row);
+RunCost RunSum(bool paged, bool populate, EngineTier tier = EngineTier::kBlocks) {
+  SumRig rig = SetupSum(paged, populate, tier);
   return FinishSum(rig);
 }
 
@@ -128,13 +128,13 @@ void PrintReport() {
 }
 
 // Host-time cost of one full summing run, machine.Run() only, once per
-// engine row. The sim_* counters come from one extra deterministic run at
-// the same row; tools/bench_check.py gates them, and requires them equal
-// across rows (sim_tlb_hits aside: the reference row has no TLB).
-void SumLoop(benchmark::State& state, const EngineRow& row, bool paged, bool populate) {
+// engine tier. The sim_* counters come from one extra deterministic run at
+// the same tier; tools/bench_check.py gates them, and requires them equal
+// across tiers (sim_tlb_hits aside: the reference tier has no TLB).
+void SumLoop(benchmark::State& state, EngineTier tier, bool paged, bool populate) {
   for (auto _ : state) {
     state.PauseTiming();
-    SumRig rig = SetupSum(paged, populate, row);
+    SumRig rig = SetupSum(paged, populate, tier);
     state.ResumeTiming();
     rig.machine->Run(1'000'000'000);
     benchmark::DoNotOptimize(rig.machine->cpu().cycles());
@@ -147,7 +147,7 @@ void SumLoop(benchmark::State& state, const EngineRow& row, bool paged, bool pop
     rig.machine.reset();  // destruction stays untimed too
     state.ResumeTiming();
   }
-  const RunCost sim = RunSum(paged, populate, row);
+  const RunCost sim = RunSum(paged, populate, tier);
   state.counters["sim_cycles"] = static_cast<double>(sim.cycles);
   state.counters["sim_page_walks"] = static_cast<double>(sim.counters.page_walks);
   state.counters["sim_checks"] = static_cast<double>(sim.counters.TotalChecks());

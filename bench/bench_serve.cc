@@ -4,9 +4,9 @@
 //
 // Saturation: a closed batch of `load` mixed submissions (gate-crossing
 // call loops and demand pagers, as kasm source) is thrown at a Server at
-// once, at 1, 4, and 8 worker threads under every engine row. The served
+// once, at 1, 4, and 8 worker threads under every engine tier. The served
 // trajectories are deterministic — every sim_* counter below is invariant
-// across thread counts, engine rows and iterations and is gated exactly by
+// across thread counts, engine tiers and iterations and is gated exactly by
 // tools/bench_check.py. Host time is reported, not gated: the batch time
 // by google-benchmark, and the turnaround percentiles by the saturation
 // table printed first.
@@ -94,11 +94,11 @@ const std::vector<std::string>& BenchGuests() {
 // Small machines: a saturated server holds many live at once, so the
 // bench keeps each core store at 2^18 words rather than the 2^22
 // default (COW makes even that mostly shared zero frames).
-ServeConfig BenchServeConfig(int threads, const EngineRow& row = kDefaultEngine) {
+ServeConfig BenchServeConfig(int threads, EngineTier tier = EngineTier::kBlocks) {
   ServeConfig config;
   config.threads = threads;
   config.machine_memory_words = size_t{1} << 18;
-  ApplyEngine(row, &config);
+  config.engine = tier;
   return config;
 }
 
@@ -111,7 +111,7 @@ double Percentile(std::vector<double> sorted_ns, double p) {
   return sorted_ns[index];
 }
 
-void ServeSaturation(benchmark::State& state, const EngineRow& row) {
+void ServeSaturation(benchmark::State& state, EngineTier tier) {
   const int threads = static_cast<int>(state.range(0));
   const int load = static_cast<int>(state.range(1));
   double fold = 0;
@@ -119,7 +119,7 @@ void ServeSaturation(benchmark::State& state, const EngineRow& row) {
   double total_instructions = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    Server server(BenchServeConfig(threads, row));
+    Server server(BenchServeConfig(threads, tier));
     state.ResumeTiming();
     std::vector<uint64_t> ids;
     ids.reserve(static_cast<size_t>(load));
@@ -157,7 +157,7 @@ void ServeSaturation(benchmark::State& state, const EngineRow& row) {
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<int64_t>(total_instructions));
-  // Thread-count, engine-row and iteration invariant (gated exactly).
+  // Thread-count, engine-tier and iteration invariant (gated exactly).
   state.counters["sim_machines"] = static_cast<double>(load);
   state.counters["sim_completed"] = static_cast<double>(load);
   state.counters["sim_total_cycles"] = total_cycles;

@@ -27,51 +27,35 @@ namespace rings {
 
 inline constexpr int kBenchIterations = 2000;
 
-// The host engine configurations in use, from everything on down to the
-// per-instruction reference. Each row switches off one more host-side
-// layer; none may change what the simulated machine does. Every gated
-// benchmark is registered once per row (RegisterPerEngine), and
-// tools/bench_check.py requires benchmarks whose names differ only in the
-// row suffix to report identical sim_* counters (sim_tlb_hits aside: the
-// reference row has no software TLB and reports 0).
-struct EngineRow {
-  const char* suffix;
-  bool fast_path;     // verdict/insn caches and the software TLB
-  bool block_engine;  // superblocks (ride on the fast path)
-  bool chain;         // block chaining and the CALL/RETURN crossing cache
-};
-inline constexpr EngineRow kEngineRows[] = {
-    {"", true, true, true},
-    {"_NoChain", true, true, false},
-    {"_NoBlockEngine", true, false, false},
-    {"_NoFastPath", false, false, false},
-};
-inline constexpr const EngineRow& kDefaultEngine = kEngineRows[0];
-
-// Applies a row to a MachineConfig or a ServeConfig (same field names)...
-template <class Config>
-void ApplyEngine(const EngineRow& row, Config* config) {
-  config->fast_path = row.fast_path;
-  config->block_engine = row.block_engine;
-  config->chain = row.chain;
+// Every gated benchmark is registered once per engine tier (kEngineTiers,
+// src/cpu/cpu.h), named with the tier's suffix below; none may change
+// what the simulated machine does. tools/bench_check.py requires
+// benchmarks whose names differ only in the suffix to report identical
+// sim_* counters (sim_tlb_hits aside: the reference tier has no software
+// TLB and reports 0).
+constexpr const char* BenchSuffix(EngineTier tier) {
+  switch (tier) {
+    case EngineTier::kBlocks:
+      return "";
+    case EngineTier::kBlocksNoChain:
+      return "_NoChain";
+    case EngineTier::kCached:
+      return "_NoBlockEngine";
+    case EngineTier::kReference:
+      return "_NoFastPath";
+  }
+  return "?";
 }
 
-// ...or to a bare Cpu.
-inline void ApplyEngine(const EngineRow& row, Cpu* cpu) {
-  cpu->set_fast_path_enabled(row.fast_path);
-  cpu->set_block_engine_enabled(row.block_engine);
-  cpu->set_chain_enabled(row.chain);
-}
-
-// Registers `run(state, row, args...)` once per engine row, named `name`
-// plus the row suffix; returns the registrations so the caller can set
+// Registers `run(state, tier, args...)` once per engine tier, named `name`
+// plus the tier's suffix; returns the registrations so the caller can set
 // their arguments, iterations and units.
 template <class Run, class... Args>
 auto RegisterPerEngine(const std::string& name, Run run, Args... args) {
   std::vector<benchmark::internal::Benchmark*> registered;
-  for (const EngineRow& row : kEngineRows) {
-    const std::string row_name = name + row.suffix;
-    registered.push_back(benchmark::RegisterBenchmark(row_name.c_str(), run, row, args...));
+  for (const EngineTier tier : kEngineTiers) {
+    const std::string tier_name = name + BenchSuffix(tier);
+    registered.push_back(benchmark::RegisterBenchmark(tier_name.c_str(), run, tier, args...));
   }
   return registered;
 }

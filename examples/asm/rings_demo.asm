@@ -5,9 +5,9 @@
 ;
 ;   ./build/tools/ringsim --trace examples/asm/rings_demo.asm
 ;
-; Add --stats to see the processor's counters, and --no-fastpath /
-; --no-block-engine to ablate the host-side caches and the superblock
-; engine — the simulated cycles are identical either way.
+; Add --stats to see the processor's counters, and --engine=reference /
+; --engine=cached to ablate the host-side caches and the superblock
+; engine — the simulated cycles are identical on every engine tier.
 ;
 ;; acl subsystem * procedure 2 2 5
 ;; acl tally * data 2 4

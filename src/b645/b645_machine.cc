@@ -22,8 +22,7 @@ B645Machine::B645Machine(MachineConfig config)
     : config_(config), memory_(config.memory_words), cpu_(&memory_, config.cycle_model),
       registry_(&memory_) {
   cpu_.set_mode(ProtectionMode::kFlags645);
-  cpu_.set_fast_path_enabled(config.fast_path);
-  cpu_.set_block_engine_enabled(config.block_engine);
+  cpu_.set_engine_tier(EngineTierOf(config));
   ok_ = true;
 }
 

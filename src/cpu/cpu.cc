@@ -115,13 +115,7 @@ void Cpu::Rett(const RegisterFile& state) {
   trap_pending_ = false;
   cycles_ += cycle_model_.rett;
   if (dbr_changed) {
-    // The flush bumps the SDW-cache epoch, retiring every verdict; the
-    // decoded-instruction cache, the TLB, and the block cache must also
-    // go, since the same segment numbers may now name different segments.
-    sdw_cache_.Flush();
-    insn_cache_.Flush();
-    tlb_.Flush();
-    block_cache_.Flush();
+    FlushForNewDbr();
   }
   if (trace_ != nullptr && trace_->enabled()) {
     trace_->Record(TraceEvent{EventKind::kTrapReturn, cycles_, regs_.ipr.ring,
@@ -132,6 +126,13 @@ void Cpu::Rett(const RegisterFile& state) {
 
 void Cpu::SetDbr(const DbrValue& dbr) {
   regs_.dbr = dbr;
+  FlushForNewDbr();
+}
+
+void Cpu::FlushForNewDbr() {
+  // The flush bumps the SDW-cache epoch, retiring every verdict; the
+  // decoded-instruction cache, the TLB, and the block cache must also go,
+  // since the same segment numbers may now name different segments.
   sdw_cache_.Flush();
   insn_cache_.Flush();
   tlb_.Flush();
@@ -589,7 +590,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
   if (!InstructionBoundary()) {
     return false;
   }
-  if (!block_engine_enabled_ || !fast_path_enabled_ || !sdw_cache_.enabled()) {
+  if (tier_ > EngineTier::kBlocksNoChain || !sdw_cache_.enabled()) {
     return StepBody();
   }
   BlockCache::Block* b = ProbeOrBuildBlock();
@@ -671,7 +672,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
 
     // Chain point: the block completed without a trap, so regs_.ipr names
     // the architectural successor (transfer target or fall-through).
-    if (!chain_enabled_ || !b->chain_ok) {
+    if (tier_ != EngineTier::kBlocks || !b->chain_ok) {
       return true;
     }
     if (cycles_ >= cycle_bound || memory_->fault_pending()) {
@@ -918,7 +919,7 @@ bool Cpu::FetchInstruction(Instruction* ins) {
     RaiseTrap(TrapCause::kIllegalOpcode);
     return false;
   }
-  if (fast_path_enabled_ && sdw_cache_.enabled()) {
+  if (tier_ != EngineTier::kReference && sdw_cache_.enabled()) {
     // Paged decodes are cacheable too: the fill address is an absolute
     // frame address, and a later fast-path hit revalidates it against the
     // TLB's current translation for the page.

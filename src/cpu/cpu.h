@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "src/core/access.h"
@@ -57,6 +58,37 @@ inline constexpr unsigned kMaxIndirectionDepth = 64;
 // the counters its word access bumps (the rule table in cpu.cc).
 enum class RefKind { kFetch, kIndirect, kRead, kWrite, kTransfer };
 
+// The host engine tiers, fastest first. Each tier runs every host-side
+// layer of the tiers after it plus its own; none changes what the
+// simulated machine does: cycles, counters, trap sequences and the
+// fault-injection stream are bit-identical on every tier (every
+// engine-equivalence test and the fuzz oracle run all of kEngineTiers).
+//   kBlocks:        superblocks (StepBlock) with block-to-block chaining
+//                   and the monomorphic CALL/RETURN crossing cache.
+//   kBlocksNoChain: superblocks, one block per dispatch.
+//   kCached:        the access-verdict and decoded-instruction caches and
+//                   the software TLB, one instruction per dispatch.
+//   kReference:     the per-instruction reference path, no host caches.
+enum class EngineTier { kBlocks, kBlocksNoChain, kCached, kReference };
+inline constexpr EngineTier kEngineTiers[] = {EngineTier::kBlocks, EngineTier::kBlocksNoChain,
+                                              EngineTier::kCached, EngineTier::kReference};
+
+// "blocks", "blocks-nochain", "cached", "reference": ringsim's --engine=
+// values and the fuzz oracle's leg names.
+constexpr std::string_view EngineTierName(EngineTier tier) {
+  switch (tier) {
+    case EngineTier::kBlocks:
+      return "blocks";
+    case EngineTier::kBlocksNoChain:
+      return "blocks-nochain";
+    case EngineTier::kCached:
+      return "cached";
+    case EngineTier::kReference:
+      return "reference";
+  }
+  return "?";
+}
+
 class Cpu {
  public:
   explicit Cpu(PhysicalMemory* memory, CycleModel cycle_model = CycleModel::Default());
@@ -81,15 +113,12 @@ class Cpu {
   SdwCache& sdw_cache() { return sdw_cache_; }
   const SdwCache& sdw_cache() const { return sdw_cache_; }
 
-  // Host-side fast path: the access-verdict and decoded-instruction
-  // caches. Purely a host optimization — simulated cycles, counters, trap
-  // sequences and the fault-injection stream are bit-identical with the
-  // fast path on or off (tests/integration/fastpath_differential_test.cc).
-  // It also disengages automatically while the SDW cache is disabled, so
-  // the ablation benchmarks measure what they claim to.
-  bool fast_path_enabled() const { return fast_path_enabled_; }
-  void set_fast_path_enabled(bool enabled) {
-    fast_path_enabled_ = enabled;
+  // The host engine tier (EngineTier). Switching flushes every host-side
+  // cache, so no entry filled under one tier answers under another. The
+  // host caches also disengage while the SDW cache is disabled, so the
+  // ablation benchmarks measure what they claim to.
+  void set_engine_tier(EngineTier tier) {
+    tier_ = tier;
     verdict_cache_.Flush();
     insn_cache_.Flush();
     tlb_.Flush();
@@ -99,33 +128,7 @@ class Cpu {
   const VerdictCache& verdict_cache() const { return verdict_cache_; }
   const InsnCache& insn_cache() const { return insn_cache_; }
   const Tlb& tlb() const { return tlb_; }
-
-  // Superblock execution engine (see DESIGN.md): decoded straight-line
-  // blocks executed by StepBlock through a tight pre-decoded inner loop.
-  // Rides on the fast path (disengages while fast_path or the SDW cache
-  // is off); like the other host-side caches it never changes simulated
-  // cycles, counters, trap sequences, or the fault-injection stream.
-  bool block_engine_enabled() const { return block_engine_enabled_; }
-  void set_block_engine_enabled(bool enabled) {
-    block_engine_enabled_ = enabled;
-    block_cache_.Flush();
-  }
   const BlockCache& block_cache() const { return block_cache_; }
-
-  // Direct block chaining + the monomorphic CALL/RETURN crossing cache
-  // (see DESIGN.md §7). Both ride on the block engine / fast path and,
-  // like them, never change simulated cycles, counters, trap sequences,
-  // or the fault-injection stream. One switch governs both: they are two
-  // halves of the same dispatch optimization (the crossing cache is what
-  // lets a CALL-terminated block chain straight into its callee).
-  bool chain_enabled() const { return chain_enabled_; }
-  void set_chain_enabled(bool enabled) {
-    chain_enabled_ = enabled;
-    // Retire every patched link (the generation bump kills their stamps)
-    // and every memoized crossing.
-    block_cache_.Flush();
-    crossing_cache_.Flush();
-  }
   const CrossingCache& crossing_cache() const { return crossing_cache_; }
 
   // Test-only sabotage of the chaining engine, the chaining analog of
@@ -197,8 +200,8 @@ class Cpu {
   // at which the caller's loop would stop stepping (its cycle budget or
   // the next due I/O completion), and a latched physical-store fault,
   // timer runout, pending trap, or any cache invalidation under the block
-  // ends it early. Degrades to exactly Step() when the block engine or
-  // fast path is off. Returns what Step would have returned for the last
+  // ends it early. Degrades to exactly Step() on the kCached and
+  // kReference tiers. Returns what Step would have returned for the last
   // instruction executed.
   bool StepBlock(uint64_t cycle_bound);
 
@@ -356,6 +359,9 @@ class Cpu {
   }
 
  private:
+  // The four-cache flush a DBR change (SetDbr, or Rett to a new DBR) needs.
+  void FlushForNewDbr();
+
   // --- instruction-cycle phases (see cpu.cc for figure mapping) ---
   // The per-instruction boundary work shared by Step and the block inner
   // loop: trap-capture state reset, the quantum timer, and the
@@ -411,7 +417,7 @@ class Cpu {
   // Whether the CALL/RETURN crossing cache may fill and answer: ring
   // hardware with checks on, riding the same host caches as chaining.
   bool CrossingCacheEnabled() const {
-    return chain_enabled_ && checks_enabled_ && fast_path_enabled_ && sdw_cache_.enabled() &&
+    return tier_ == EngineTier::kBlocks && checks_enabled_ && sdw_cache_.enabled() &&
            mode_ == ProtectionMode::kRingHardware;
   }
   // The shared-decode entry covering (segno, wordno), if any.
@@ -571,7 +577,7 @@ class Cpu {
   // present with the current flush epoch. Whether it answers a given
   // reference is Vouches' call.
   const VerdictCache::Entry* FastVerdict(Segno segno, Ring ring) {
-    if (!fast_path_enabled_ || !sdw_cache_.enabled()) {
+    if (tier_ == EngineTier::kReference || !sdw_cache_.enabled()) {
       return nullptr;
     }
     return verdict_cache_.Lookup(segno, ring, sdw_cache_.flush_epoch());
@@ -580,7 +586,7 @@ class Cpu {
   // descriptor resident in the SDW cache): every kind's check outcome for
   // `ring`, plus the SDW fields Reference reads on a later memo hit.
   void FillVerdict(Segno segno, Ring ring, const Sdw& sdw) {
-    if (!fast_path_enabled_ || !sdw_cache_.enabled()) {
+    if (tier_ == EngineTier::kReference || !sdw_cache_.enabled()) {
       return;
     }
     ++counters_.verdict_misses;
@@ -588,7 +594,7 @@ class Cpu {
   }
   // Whether the TLB may be consulted: same gating as the verdict cache,
   // so the ablation benchmarks (SDW cache off) measure what they claim.
-  bool TlbEnabled() const { return fast_path_enabled_ && sdw_cache_.enabled(); }
+  bool TlbEnabled() const { return tier_ != EngineTier::kReference && sdw_cache_.enabled(); }
   // Post-store bookkeeping shared by the guest and supervisor write
   // paths: invalidates cached decodes when the target is executable, and
   // snoops stores that land inside the descriptor segment (an SDW edit
@@ -643,14 +649,12 @@ class Cpu {
   int64_t timer_ = 0;
 
   SdwCache sdw_cache_;
-  bool fast_path_enabled_ = true;
+  EngineTier tier_ = EngineTier::kBlocks;
   VerdictCache verdict_cache_;
   InsnCache insn_cache_;
   Tlb tlb_;
-  bool block_engine_enabled_ = true;
   bool block_call_ablation_ = false;
   BlockCache block_cache_;
-  bool chain_enabled_ = true;
   bool chain_ablation_ = false;
   CrossingCache crossing_cache_;
   // Shared decode: refcounts pin the attached images; decode_map_ indexes

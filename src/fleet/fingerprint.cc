@@ -76,12 +76,6 @@ GuestExit GuestExitStatus(const Machine* machine, bool stopped_early) {
   return exit;
 }
 
-uint64_t FingerprintCounters(const Counters& counters) {
-  FingerprintBuilder fp;
-  Mixer(&fp).Put(counters);
-  return fp.digest();
-}
-
 uint64_t FingerprintMachine(const Machine& machine) {
   FingerprintBuilder fp;
   fp.Mix(machine.cpu().cycles());
@@ -103,6 +97,90 @@ std::vector<std::string> TrapSequence(const Machine& machine) {
     }
   }
   return traps;
+}
+
+RunSignature CpuSignature(const Cpu& cpu) {
+  RunSignature sig;
+  sig.cycles = cpu.cycles();
+  sig.regs = cpu.regs();
+  sig.counters = cpu.counters();
+  sig.sdw_cache_hits = cpu.sdw_cache().hits();
+  sig.sdw_cache_misses = cpu.sdw_cache().misses();
+  return sig;
+}
+
+RunSignature SignatureOf(const Machine& machine) {
+  RunSignature sig = CpuSignature(machine.cpu());
+  sig.fingerprint = FingerprintMachine(machine);
+  sig.traps = TrapSequence(machine);
+  for (const auto& process : machine.supervisor().processes()) {
+    sig.processes.push_back(ProcessStatusLine(*process));
+  }
+  sig.tty = machine.TtyOutput();
+  return sig;
+}
+
+namespace {
+
+std::string CompareU64(const std::string& what, uint64_t want, uint64_t got) {
+  if (want == got) {
+    return "";
+  }
+  return StrFormat("%s %llu vs %llu", what.c_str(), static_cast<unsigned long long>(want),
+                   static_cast<unsigned long long>(got));
+}
+
+std::string CompareLists(const char* what, const std::vector<std::string>& want,
+                         const std::vector<std::string>& got) {
+  if (want.size() != got.size()) {
+    return StrFormat("%s count %zu vs %zu", what, want.size(), got.size());
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (want[i] != got[i]) {
+      return StrFormat("%s[%zu] '%s' vs '%s'", what, i, want[i].c_str(), got[i].c_str());
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
+std::string Compare(const RunSignature& want, const RunSignature& got) {
+  std::string diff = CompareU64("cycles", want.cycles, got.cycles);
+  Counters::ForEachField([&](const char* name, uint64_t Counters::* field, bool host_only) {
+    if (diff.empty() && !host_only) {
+      diff = CompareU64(name, want.counters.*field, got.counters.*field);
+    }
+  });
+  for (size_t i = 0; diff.empty() && i < want.counters.traps.size(); ++i) {
+    diff = CompareU64("traps." + std::string(TrapCauseName(static_cast<TrapCause>(i))),
+                      want.counters.traps[i], got.counters.traps[i]);
+  }
+  if (diff.empty()) {
+    diff = CompareU64("sdw_cache.hits", want.sdw_cache_hits, got.sdw_cache_hits);
+  }
+  if (diff.empty()) {
+    diff = CompareU64("sdw_cache.misses", want.sdw_cache_misses, got.sdw_cache_misses);
+  }
+  if (diff.empty() && !(want.regs == got.regs)) {
+    diff = StrFormat("registers %s vs %s", want.regs.ToString().c_str(),
+                     got.regs.ToString().c_str());
+  }
+  if (diff.empty()) {
+    diff = CompareLists("trap", want.traps, got.traps);
+  }
+  if (diff.empty()) {
+    diff = CompareLists("process", want.processes, got.processes);
+  }
+  if (diff.empty() && want.tty != got.tty) {
+    diff = StrFormat("tty '%s' vs '%s'", want.tty.c_str(), got.tty.c_str());
+  }
+  if (diff.empty() && want.fingerprint != got.fingerprint) {
+    diff = StrFormat("fingerprint %016llx vs %016llx",
+                     static_cast<unsigned long long>(want.fingerprint),
+                     static_cast<unsigned long long>(got.fingerprint));
+  }
+  return diff;
 }
 
 }  // namespace rings

@@ -58,9 +58,35 @@ uint64_t FingerprintMachine(const Machine& machine);
 // Determinism checks compare it beside the fingerprint.
 std::vector<std::string> TrapSequence(const Machine& machine);
 
-// The architectural-counter digest alone (the counter subset excluded
-// from host-only statistics, plus the per-cause trap array).
-uint64_t FingerprintCounters(const Counters& counters);
+// What a run looks like to every engine-equivalence check: the fuzz
+// oracle's legs, the fleet's retired machines, and the tests that hold
+// each EngineTier to the reference. Captured between dispatches (a
+// finished run or a paused one).
+struct RunSignature {
+  uint64_t fingerprint = 0;  // FingerprintMachine
+  uint64_t cycles = 0;
+  RegisterFile regs{};
+  // Every counter; Compare skips the host-only ones (Counters::ForEachField).
+  Counters counters{};
+  // The descriptor cache's own hit and miss counts (timing-architectural:
+  // a snapshot carries them).
+  uint64_t sdw_cache_hits = 0;
+  uint64_t sdw_cache_misses = 0;
+  std::vector<std::string> traps;  // TrapSequence: empty unless traced
+  std::vector<std::string> processes;  // ProcessStatusLine, one per process
+  std::string tty;
+};
+
+RunSignature SignatureOf(const Machine& machine);
+// The processor's share alone (cycles, registers, counters, SDW cache),
+// for runs without a Machine: a bare Cpu or a B645Machine. The caller
+// adds traps and process lines.
+RunSignature CpuSignature(const Cpu& cpu);
+
+// The one run comparator: empty when the signatures agree, otherwise the
+// first differing field with both values. Counters are named by their
+// ForEachField name and trap counts by TrapCauseName ("traps.timer_runout").
+std::string Compare(const RunSignature& want, const RunSignature& got);
 
 // One line per process: "pid=1 user=alice state=exited code=0" /
 // "pid=2 user=bob state=killed cause=machine_fault at 12|34". Stable

@@ -30,8 +30,9 @@ std::string MachineResult::ToString() const {
       "machine %zu '%s': %s exit=%d cycles=%llu instructions=%llu fingerprint=%016llx "
       "quanta=%llu",
       index, name.c_str(), std::string(MachineOutcomeName(outcome)).c_str(), exit_code,
-      static_cast<unsigned long long>(cycles), static_cast<unsigned long long>(instructions),
-      static_cast<unsigned long long>(fingerprint), static_cast<unsigned long long>(quanta));
+      static_cast<unsigned long long>(run.cycles),
+      static_cast<unsigned long long>(run.counters.instructions),
+      static_cast<unsigned long long>(run.fingerprint), static_cast<unsigned long long>(quanta));
   if (restarts > 0) {
     out += StrFormat(" restarts=%d%s", restarts, recovered ? " (recovered)" : "");
   }
@@ -95,16 +96,7 @@ void Fleet::Retire(size_t index, MachineOutcome outcome, std::string host_failur
     }
   }
   if (slot.machine != nullptr) {
-    const Machine& machine = *slot.machine;
-    result.fingerprint = FingerprintMachine(machine);
-    result.cycles = machine.cpu().cycles();
-    result.instructions = machine.cpu().counters().instructions;
-    result.counters = machine.cpu().counters();
-    result.tty = machine.TtyOutput();
-    result.traps = TrapSequence(machine);
-    for (const auto& process : machine.supervisor().processes()) {
-      result.process_status.push_back(ProcessStatusLine(*process));
-    }
+    result.run = SignatureOf(*slot.machine);
   }
   result.recovered = result.restarts > 0 && result.outcome == MachineOutcome::kCompleted;
   slot.machine.reset();  // bound peak memory: one retired fleet member at a time
@@ -253,13 +245,13 @@ FleetStats Fleet::Run() {
         ++stats.budget_exhausted;
         break;
     }
-    stats.total_instructions += result.instructions;
-    stats.total_cycles += result.cycles;
+    stats.total_instructions += result.run.counters.instructions;
+    stats.total_cycles += result.run.cycles;
     stats.restarts += static_cast<size_t>(result.restarts);
     if (result.recovered) {
       ++stats.recovered;
     }
-    stats.aggregate.Accumulate(result.counters);
+    stats.aggregate.Accumulate(result.run.counters);
   }
   stats.instructions_per_second =
       wall > 0 ? static_cast<double>(stats.total_instructions) / wall : 0.0;

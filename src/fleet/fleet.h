@@ -28,6 +28,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/fleet/fingerprint.h"
 #include "src/fleet/slice_pool.h"
 #include "src/sys/machine.h"
 #include "src/trace/counters.h"
@@ -89,18 +90,10 @@ struct MachineResult {
   // ringsim-style exit status (GuestExitStatus, src/fleet/fingerprint.h).
   int exit_code = 0;
 
-  // Simulated face of the run — bit-identical across thread counts and
-  // vs. standalone execution (host-only counters excluded from the
-  // fingerprint; see src/fleet/fingerprint.h).
-  uint64_t fingerprint = 0;
-  uint64_t cycles = 0;
-  uint64_t instructions = 0;
-  Counters counters{};
-  std::vector<std::string> process_status;
-  std::string tty;
-  // TrapSequence: the trap/ring-switch events, empty unless the machine
-  // ran traced.
-  std::vector<std::string> traps;
+  // Simulated face of the run (SignatureOf at retirement; its trap
+  // sequence is empty unless the machine ran traced) — bit-identical
+  // across thread counts and vs. standalone execution.
+  RunSignature run;
 
   // Host-side bookkeeping (legitimately varies across runs).
   uint64_t quanta = 0;

@@ -12,8 +12,7 @@ GoldenImage::GoldenImage(std::unique_ptr<Machine> machine, uint64_t identity)
 }
 
 uint64_t EngineIdentityBits(const MachineConfig& config) {
-  return (config.fast_path ? 1u : 0u) | (config.block_engine ? 2u : 0u) |
-         (config.chain ? 4u : 0u) | (config.shared_decode ? 8u : 0u);
+  return static_cast<uint64_t>(EngineTierOf(config)) | (config.shared_decode ? 8u : 0u);
 }
 
 GoldenImageRegistry& GoldenImageRegistry::Instance() {

@@ -48,8 +48,8 @@ class GoldenImage {
   uint64_t identity_ = 0;
 };
 
-// The engine-flag bits (fast path, block engine, chain, shared decode) a
-// golden identity is XORed with.
+// The engine bits (EngineTierOf, shared decode) a golden identity is
+// XORed with.
 uint64_t EngineIdentityBits(const MachineConfig& config);
 
 // Process-wide registry of golden images, keyed by caller-computed guest

@@ -16,74 +16,13 @@ namespace {
 // fleet must agree with the standalone reference at every count.
 constexpr int kFleetThreads[] = {1, 4, 8};
 
-// All legs share one machine shape; only the engine switches differ.
+// All legs share one machine shape; only the engine tiers differ.
 // 1M words is plenty for generated guests and keeps a leg's core store
 // cheap to construct eight times per trial.
 MachineConfig BaseConfig() {
   MachineConfig config;
   config.memory_words = size_t{1} << 20;
   return config;
-}
-
-RunSignature SignatureOf(const Machine& machine) {
-  RunSignature sig;
-  sig.fingerprint = FingerprintMachine(machine);
-  sig.cycles = machine.cpu().cycles();
-  sig.instructions = machine.cpu().counters().instructions;
-  sig.counters_digest = FingerprintCounters(machine.cpu().counters());
-  sig.traps = TrapSequence(machine);
-  for (const auto& process : machine.supervisor().processes()) {
-    sig.processes.push_back(ProcessStatusLine(*process));
-  }
-  sig.tty = machine.TtyOutput();
-  return sig;
-}
-
-std::string CompareLists(const char* what, const std::vector<std::string>& ref,
-                         const std::vector<std::string>& got) {
-  if (ref.size() != got.size()) {
-    return StrFormat("%s count %zu vs %zu", what, ref.size(), got.size());
-  }
-  for (size_t i = 0; i < ref.size(); ++i) {
-    if (ref[i] != got[i]) {
-      return StrFormat("%s[%zu] '%s' vs '%s'", what, i, ref[i].c_str(), got[i].c_str());
-    }
-  }
-  return "";
-}
-
-// Empty string when the signatures agree; otherwise the first differing
-// field with both values.
-std::string Compare(const RunSignature& ref, const RunSignature& got) {
-  if (ref.cycles != got.cycles) {
-    return StrFormat("cycles %llu vs %llu", static_cast<unsigned long long>(ref.cycles),
-                     static_cast<unsigned long long>(got.cycles));
-  }
-  if (ref.instructions != got.instructions) {
-    return StrFormat("instructions %llu vs %llu",
-                     static_cast<unsigned long long>(ref.instructions),
-                     static_cast<unsigned long long>(got.instructions));
-  }
-  if (ref.counters_digest != got.counters_digest) {
-    return StrFormat("counters digest %016llx vs %016llx",
-                     static_cast<unsigned long long>(ref.counters_digest),
-                     static_cast<unsigned long long>(got.counters_digest));
-  }
-  if (std::string diff = CompareLists("trap", ref.traps, got.traps); !diff.empty()) {
-    return diff;
-  }
-  if (std::string diff = CompareLists("process", ref.processes, got.processes); !diff.empty()) {
-    return diff;
-  }
-  if (ref.tty != got.tty) {
-    return StrFormat("tty '%s' vs '%s'", ref.tty.c_str(), got.tty.c_str());
-  }
-  if (ref.fingerprint != got.fingerprint) {
-    return StrFormat("fingerprint %016llx vs %016llx",
-                     static_cast<unsigned long long>(ref.fingerprint),
-                     static_cast<unsigned long long>(got.fingerprint));
-  }
-  return "";
 }
 
 }  // namespace
@@ -110,13 +49,12 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
   }
   const Program& program = assembled.program;
 
-  // --- reference leg: the per-instruction slow path ----------------------
+  // --- reference leg: the reference tier -------------------------------
   // Every leg boots traced, so every leg, fleet and clone legs included,
   // records its trap/ring-switch sequence for RunSignature::traps (the
   // fingerprint never reads the trace).
   MachineConfig slow = BaseConfig();
-  slow.fast_path = false;
-  slow.block_engine = false;
+  ApplyTier(EngineTier::kReference, &slow);
   std::string error;
   auto ref_machine = BootGuest(slow, program, manifest, &error, /*trace=*/true);
   if (ref_machine == nullptr) {
@@ -138,39 +76,28 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
     result.divergence.detail = std::move(detail);
   };
 
-  // Every optimized leg runs the engine tiers the options allow; the
-  // standalone legs below switch some of them off again.
+  // Every other leg runs with the options' sabotage switched on; only the
+  // tiers that run blocks (or chain them) can trip it.
   MachineConfig optimized = BaseConfig();
   optimized.block_call_ablation = options.ablate_block_call;
-  optimized.chain = options.chain;
-  optimized.shared_decode = options.shared_decode;
   optimized.chain_ablation = options.ablate_chain;
 
-  // --- standalone legs: fast path, superblock engine, chaining off -------
-  struct EngineLeg {
-    const char* name;
-    bool fast_path;
-    bool block_engine;
-    bool chain;
-  };
-  static constexpr EngineLeg kLegs[] = {
-      {"fast", true, false, false},
-      {"block", true, true, true},
-      {"block-nochain", true, true, false},
-  };
-  for (const EngineLeg& leg : kLegs) {
+  // --- standalone legs: one per other tier, fastest first ----------------
+  for (const EngineTier tier : kEngineTiers) {
+    if (tier == EngineTier::kReference) {
+      continue;
+    }
+    const std::string leg(EngineTierName(tier));
     MachineConfig config = optimized;
-    config.fast_path = leg.fast_path;
-    config.block_engine = leg.block_engine;
-    config.chain = leg.chain && options.chain;
+    ApplyTier(tier, &config);
     auto machine = BootGuest(config, program, manifest, &error, /*trace=*/true);
     if (machine == nullptr) {
-      diverged(leg.name, "instantiate: " + error);
+      diverged(leg, "instantiate: " + error);
       return result;
     }
     machine->Run(options.max_cycles);
     if (std::string diff = Compare(result.reference, SignatureOf(*machine)); !diff.empty()) {
-      diverged(leg.name, std::move(diff));
+      diverged(leg, std::move(diff));
       return result;
     }
   }
@@ -195,18 +122,8 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
     Fleet fleet(fc);
     fleet.Add("fuzz", [golden] { return Machine::CloneFrom(*golden); });
     fleet.Run();
-    const MachineResult& res = fleet.results()[0];
-    const std::string leg = StrFormat("fleet-%d", threads);
-    RunSignature got;
-    got.fingerprint = res.fingerprint;
-    got.cycles = res.cycles;
-    got.instructions = res.instructions;
-    got.counters_digest = FingerprintCounters(res.counters);
-    got.traps = res.traps;
-    got.processes = res.process_status;
-    got.tty = res.tty;
-    if (std::string diff = Compare(result.reference, got); !diff.empty()) {
-      diverged(leg, std::move(diff));
+    if (std::string diff = Compare(result.reference, fleet.results()[0].run); !diff.empty()) {
+      diverged(StrFormat("fleet-%d", threads), std::move(diff));
       return result;
     }
   }

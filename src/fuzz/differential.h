@@ -1,10 +1,8 @@
 // The differential oracle: run one guest program under every execution
-// configuration the simulator promises is bit-identical — the
-// per-instruction slow path, the host fast path, the superblock engine,
-// the fleet engine at several thread counts, and a snapshot/restore cut
-// mid-run — and compare the runs field by field (cycles, instructions,
-// architectural counters, trap/ring-switch sequence, process outcomes,
-// tty output, and the FNV-1a fingerprint of the final machine state).
+// configuration the simulator promises is bit-identical — every
+// EngineTier, the fleet engine at several thread counts, and a
+// snapshot/restore cut mid-run — and compare each run with the reference
+// tier's through the one run comparator (Compare, src/fleet/fingerprint.h).
 // Any disagreement is a Divergence naming the leg and the first
 // differing field.
 #ifndef SRC_FUZZ_DIFFERENTIAL_H_
@@ -14,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/fleet/fingerprint.h"
 #include "src/sys/machine.h"
 #include "src/sys/manifest.h"
 
@@ -31,27 +30,11 @@ struct FuzzOptions {
   // Same, for block-to-block chaining (MachineConfig::chain_ablation):
   // one spurious cycle per followed link on every chaining leg.
   bool ablate_chain = false;
-  // Host-side features under test on the optimized legs. Chaining also
-  // gets its own dedicated leg (block-nochain) so a chain bug shows up as
-  // a block-vs-nochain split even when both default knobs are on.
-  bool chain = true;
-  bool shared_decode = true;
-};
-
-// What one leg's finished run looks like to the comparator.
-struct RunSignature {
-  uint64_t fingerprint = 0;
-  uint64_t cycles = 0;
-  uint64_t instructions = 0;
-  uint64_t counters_digest = 0;
-  std::vector<std::string> traps;  // trap + ring-switch events, rendered
-  std::vector<std::string> processes;
-  std::string tty;
 };
 
 struct Divergence {
   bool found = false;
-  std::string leg;     // "fast", "block", "fleet-4", "snapshot", ...
+  std::string leg;     // an EngineTierName, "fleet-4", "snapshot", ...
   std::string detail;  // first differing field, ref vs leg values
 
   std::string ToString() const;
@@ -64,7 +47,7 @@ struct CheckResult {
   bool ok = false;
   std::string error;
   Divergence divergence;
-  RunSignature reference;  // the slow-path signature, for reporting
+  RunSignature reference;  // the reference tier's signature, for reporting
 };
 
 // Runs the full differential check on one guest source file (manifest

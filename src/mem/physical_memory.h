@@ -47,13 +47,6 @@ class PhysicalMemory {
   static constexpr size_t kFrameMask = kFrameWords - 1;
   static constexpr size_t kFrameBytes = kFrameWords * sizeof(Word);
 
-  // What to do on an out-of-range absolute address.
-  //   kLatchFault: record the access in a sticky latch, make the reference
-  //     inert (reads return 0, writes are dropped) and keep running — the
-  //     machine's run loop converts the latch into a kMachineFault trap.
-  //   kAbort: legacy behaviour for debugging the simulator itself.
-  enum class OutOfRangePolicy { kLatchFault, kAbort };
-
   // Tag selecting the copy-on-write cloning constructor below.
   struct CowClone {};
 
@@ -71,9 +64,6 @@ class PhysicalMemory {
   ~PhysicalMemory();
 
   size_t size() const { return size_words_; }
-
-  OutOfRangePolicy out_of_range_policy() const { return policy_; }
-  void set_out_of_range_policy(OutOfRangePolicy policy) { policy_ = policy; }
 
   // Read/Write are the simulator's hottest calls (every simulated memory
   // reference lands here); they stay in the header so the in-range path
@@ -204,7 +194,6 @@ class PhysicalMemory {
   mutable std::atomic<bool> sealed_{true};
   uint64_t frames_privatized_ = 0;
   AbsAddr next_free_ = 0;
-  OutOfRangePolicy policy_ = OutOfRangePolicy::kLatchFault;
   // Mutable so that a const Read can latch: the latch models a hardware
   // fault indicator, not logical store state.
   mutable std::optional<MemoryFault> latched_fault_;

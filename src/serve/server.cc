@@ -25,25 +25,12 @@ uint64_t SourceIdentity(const std::string& source) {
   return fp.digest();
 }
 
-// ServeConfig's share of the MachineConfig: store size and engine flags.
-MachineConfig MachineConfigOf(const ServeConfig& config) {
-  MachineConfig machine;
-  machine.memory_words = config.machine_memory_words;
-  machine.fast_path = config.fast_path;
-  machine.block_engine = config.block_engine;
-  machine.chain = config.chain;
-  machine.shared_decode = config.shared_decode;
-  return machine;
-}
-
 }  // namespace
 
 std::string_view ServeStatusName(ServeStatus status) {
   switch (status) {
     case ServeStatus::kQueued:
       return "queued";
-    case ServeStatus::kRunning:
-      return "running";
     case ServeStatus::kCompleted:
       return "completed";
     case ServeStatus::kFailed:
@@ -68,8 +55,9 @@ std::string Completion::ToString() const {
   return out;
 }
 
-Server::Server(ServeConfig config)
-    : config_(config), machine_config_(MachineConfigOf(config)), pool_(config.threads) {
+Server::Server(ServeConfig config) : config_(config), pool_(config.threads) {
+  machine_config_.memory_words = config_.machine_memory_words;
+  ApplyTier(config_.engine, &machine_config_);
   config_.threads = static_cast<int>(pool_.threads());
   if (config_.slice_cycles == 0) {
     config_.slice_cycles = 1;

@@ -49,16 +49,12 @@ struct ServeConfig {
   size_t machine_memory_words = size_t{1} << 22;
   // Per-submission cycle cap when the submission does not set one.
   uint64_t default_max_cycles = 100'000'000;
-  // Host engine configuration for every machine the server builds, from
-  // source or restored from an image. Host-only — simulated results are
-  // bit-identical across all settings — but folded into the golden-image
-  // identity so a golden built under one engine configuration never
-  // serves another. bench_serve runs its saturation benchmark once per
-  // engine row (bench/bench_util.h) through these fields.
-  bool fast_path = true;
-  bool block_engine = true;
-  bool chain = true;
-  bool shared_decode = true;
+  // Host engine tier for every machine the server builds, from source or
+  // restored from an image. Host-only — simulated results are
+  // bit-identical on every tier — but folded into the golden-image
+  // identity so a golden built under one tier never serves another.
+  // bench_serve runs its saturation benchmark once per tier through it.
+  EngineTier engine = EngineTier::kBlocks;
 };
 
 // Per-tenant resource ceilings. Defaults are unlimited.
@@ -67,10 +63,11 @@ struct TenantBudget {
   uint64_t max_memory_words = UINT64_MAX;  // per-machine core-store ceiling
 };
 
+// The values are pinned: perfbench folds them into its expected digest,
+// so a deleted status leaves its number unused (1 was never assigned).
 enum class ServeStatus {
-  kQueued,
-  kRunning,
-  kCompleted,       // every process exited
+  kQueued = 0,
+  kCompleted = 2,   // every process exited
   kFailed,          // assembly/instantiation/restore failure or dirty exit
   kBudgetExceeded,  // submission or tenant cycle budget exhausted
   kRejected,        // refused at submit (memory budget, malformed submission)
@@ -164,7 +161,7 @@ class Server {
   void ChargeTenant(const std::string& tenant, uint64_t cycles);
 
   ServeConfig config_;
-  MachineConfig machine_config_;  // config_'s store size and engine flags
+  MachineConfig machine_config_;  // config_'s store size and engine tier
   // Keep golden images and shared decode alive for the server's lifetime:
   // tenants come and go, the daemon persists.
   SharedDecodeRegistry::Pin decode_pin_;

@@ -41,10 +41,8 @@ Machine::Machine(const Machine& parent, CloneTag)
 
 void Machine::ConfigureComponents() {
   cpu_.set_mode(config_.mode);
-  cpu_.set_fast_path_enabled(config_.fast_path);
-  cpu_.set_block_engine_enabled(config_.block_engine);
+  cpu_.set_engine_tier(EngineTierOf(config_));
   cpu_.set_block_call_ablation(config_.block_call_ablation);
-  cpu_.set_chain_enabled(config_.chain);
   cpu_.set_chain_ablation(config_.chain_ablation);
   cpu_.set_trace(&trace_);
   supervisor_.set_start_io([this](uint8_t device, Word detail) { StartIo(device, detail); });

@@ -29,22 +29,16 @@ struct MachineConfig {
   CycleModel cycle_model{};
   int64_t quantum = 5000;
   ProtectionMode mode = ProtectionMode::kRingHardware;
-  // Host-side address-formation fast path (verdict + decoded-instruction
-  // caches). Simulated cycles and counters are bit-identical either way;
-  // off is useful for differential testing and host-cost ablation.
+  // The host engine tier, as three bools perfbench names: read only by
+  // EngineTierOf and set only by ApplyTier below. Host-side only; the
+  // simulation is bit-identical on every tier.
   bool fast_path = true;
-  // Superblock execution engine: chains cached decodes into straight-line
-  // blocks executed one dispatch at a time (see DESIGN.md §7). Host-side
-  // only, like the fast path; bit-identical simulation either way.
   bool block_engine = true;
+  bool chain = true;
   // Test-only: deliberately break the block engine (one spurious cycle
   // per CALL executed inside a block) so the differential fuzz oracle's
   // catch-and-shrink path can be exercised. See Cpu::block_call_ablation.
   bool block_call_ablation = false;
-  // Block-to-block chaining inside the superblock engine, plus the
-  // monomorphic CALL/RETURN crossing cache (see DESIGN.md §7). Host-side
-  // only, like the fast path; bit-identical simulation either way.
-  bool chain = true;
   // Test-only: deliberately break chaining (one spurious cycle per
   // followed link) for the fuzz oracle. See Cpu::chain_ablation.
   bool chain_ablation = false;
@@ -62,6 +56,26 @@ struct MachineConfig {
   // segment of every process.
   bool audit_every_quantum = false;
 };
+
+// The one reading of MachineConfig's engine bools: !fast_path is the
+// reference tier, else !block_engine is cached, else !chain is
+// blocks-nochain, else blocks.
+inline EngineTier EngineTierOf(const MachineConfig& config) {
+  if (!config.fast_path) {
+    return EngineTier::kReference;
+  }
+  if (!config.block_engine) {
+    return EngineTier::kCached;
+  }
+  return config.chain ? EngineTier::kBlocks : EngineTier::kBlocksNoChain;
+}
+
+// The one writing of them: sets `config` to run `tier`.
+inline void ApplyTier(EngineTier tier, MachineConfig* config) {
+  config->fast_path = tier != EngineTier::kReference;
+  config->block_engine = tier <= EngineTier::kBlocksNoChain;
+  config->chain = tier == EngineTier::kBlocks;
+}
 
 struct RunResult {
   // True when every process finished (exited or was killed); false when

@@ -1,10 +1,11 @@
 // Block-to-block chaining and the CALL/RETURN crossing cache: directed
 // coverage of every invalidation site. Each site test runs a chained
 // twin against an unchained twin through the same mid-run invalidation
-// and requires the full architectural face (cycles, registers, traps,
-// every non-host counter) to stay bit-identical — a patched successor
-// link or crossing memo that survived the site would execute stale
-// decode or skip a revalidation and split the twins. The five sites:
+// and requires the full architectural face (cycles, registers, the
+// pending trap, every non-host counter, compared by the one run
+// comparator) to stay bit-identical — a patched successor link or
+// crossing memo that survived the site would execute stale decode or skip
+// a revalidation and split the twins. The five sites:
 //
 //   1. SDW cache epoch flush        (Cpu::FlushSdwCache)
 //   2. descriptor snoop             (Cpu::InvalidateSdw)
@@ -17,42 +18,29 @@
 // the edited SDW forbids, and assert the trap fires.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/fault/fault_injector.h"
+#include "src/fleet/fingerprint.h"
 #include "tests/testutil.h"
 
 namespace rings {
 namespace {
 
-void ExpectSimCountersEqual(const Counters& a, const Counters& b) {
-  Counters::ForEachField(
-      [&a, &b](const char* name, uint64_t Counters::* member, bool host_only) {
-        if (host_only) {
-          return;  // cache statistics legitimately differ with chaining
-        }
-        EXPECT_EQ(a.*member, b.*member) << "counter " << name;
-      });
-  for (size_t i = 0; i < a.traps.size(); ++i) {
-    EXPECT_EQ(a.traps[i], b.traps[i])
-        << "trap count for " << TrapCauseName(static_cast<TrapCause>(i));
+// A twin's face for the run comparator: the processor's signature plus
+// the pending trap's cause, if any.
+RunSignature TwinSignature(const Cpu& cpu) {
+  RunSignature sig = CpuSignature(cpu);
+  if (cpu.trap_pending()) {
+    sig.traps.push_back(std::string(TrapCauseName(cpu.trap_state().cause)));
   }
+  return sig;
 }
 
 // The whole architectural face of two machines must agree; only host-side
 // cache effectiveness may differ between the chained and unchained twins.
 void ExpectTwinsAgree(BareMachine& on, BareMachine& off) {
-  Cpu& c1 = on.cpu();
-  Cpu& c2 = off.cpu();
-  EXPECT_EQ(c1.cycles(), c2.cycles());
-  EXPECT_EQ(c1.regs().ipr.ring, c2.regs().ipr.ring);
-  EXPECT_EQ(c1.regs().ipr.segno, c2.regs().ipr.segno);
-  EXPECT_EQ(c1.regs().ipr.wordno, c2.regs().ipr.wordno);
-  EXPECT_EQ(c1.regs().a, c2.regs().a);
-  EXPECT_EQ(c1.regs().q, c2.regs().q);
-  EXPECT_EQ(c1.trap_pending(), c2.trap_pending());
-  if (c1.trap_pending() && c2.trap_pending()) {
-    EXPECT_EQ(c1.trap_state().cause, c2.trap_state().cause);
-  }
-  ExpectSimCountersEqual(c1.counters(), c2.counters());
+  EXPECT_TRUE(SameRun(TwinSignature(off.cpu()), TwinSignature(on.cpu())));
 }
 
 // ---------------------------------------------------------------------------
@@ -69,7 +57,7 @@ struct LoopRig {
   Segno code = 0;
 
   explicit LoopRig(bool chain) {
-    m.cpu().set_chain_enabled(chain);
+    m.cpu().set_engine_tier(chain ? EngineTier::kBlocks : EngineTier::kBlocksNoChain);
     code = m.AddCode(
         {MakeIns(Opcode::kAdai, 1), MakeIns(Opcode::kTra, 2), MakeIns(Opcode::kAdai, 2),
          MakeIns(Opcode::kTra, 0)},
@@ -198,7 +186,7 @@ TEST(ChainInvalidate, InjectedDescriptorDropsKeepTwinsIdentical) {
 TEST(ChainInvalidate, GuestStoreIntoCodeDropsPatchedLinks) {
   const auto run = [](bool chain, BareMachine* out_machine) -> Cpu* {
     auto& m = *out_machine;
-    m.cpu().set_chain_enabled(chain);
+    m.cpu().set_engine_tier(chain ? EngineTier::kBlocks : EngineTier::kBlocksNoChain);
     const Segno data = m.AddSegment({0, 40}, UserData());  // cnt, limit
     SegmentAccess writable_code = MakeProcedureSegment(4, 4);
     writable_code.flags.write = true;

@@ -124,7 +124,7 @@ struct LoopRig {
   Segno code = 0;
 
   explicit LoopRig(bool fast_path, int steps = 300) {
-    m.cpu().set_fast_path_enabled(fast_path);
+    m.cpu().set_engine_tier(fast_path ? EngineTier::kBlocks : EngineTier::kReference);
     data = m.AddSegment({100, 200}, MakeDataSegment(4, 4));
     code = m.AddCode(
         {

@@ -14,6 +14,7 @@
 #include "src/fleet/fleet.h"
 #include "src/mem/descriptor_segment.h"
 #include "src/sys/machine.h"
+#include "tests/testutil.h"
 
 namespace rings {
 namespace {
@@ -112,15 +113,15 @@ TEST(FleetFault, MachineFaultIsIsolatedToItsMachine) {
   EXPECT_FALSE(doomed.ok());
   EXPECT_EQ(doomed.exit_code, 111);
   EXPECT_NE(doomed.failure.find("machine_fault"), std::string::npos) << doomed.failure;
-  EXPECT_EQ(doomed.counters.machine_faults, 1u);
-  ASSERT_EQ(doomed.process_status.size(), 1u);
-  EXPECT_NE(doomed.process_status[0].find("state=killed"), std::string::npos);
+  EXPECT_EQ(doomed.run.counters.machine_faults, 1u);
+  ASSERT_EQ(doomed.run.processes.size(), 1u);
+  EXPECT_NE(doomed.run.processes[0].find("state=killed"), std::string::npos);
 
   for (const size_t sibling : {size_t{0}, size_t{2}, size_t{3}}) {
     SCOPED_TRACE(fleet.results()[sibling].name);
     EXPECT_TRUE(fleet.results()[sibling].ok());
     EXPECT_EQ(fleet.results()[sibling].exit_code, 0);
-    EXPECT_EQ(fleet.results()[sibling].counters.machine_faults, 0u);
+    EXPECT_EQ(fleet.results()[sibling].run.counters.machine_faults, 0u);
   }
   EXPECT_EQ(fleet.ExitCode(), 111);
 }
@@ -152,11 +153,8 @@ TEST(FleetFault, SeededInjectionIsDeterministicAcrossThreadCounts) {
   for (size_t run = 1; run < runs.size(); ++run) {
     for (size_t m = 0; m < runs[0].size(); ++m) {
       SCOPED_TRACE(runs[0][m].name);
-      EXPECT_EQ(runs[run][m].fingerprint, runs[0][m].fingerprint);
-      EXPECT_EQ(runs[run][m].traps, runs[0][m].traps);
-      EXPECT_EQ(runs[run][m].cycles, runs[0][m].cycles);
+      EXPECT_TRUE(SameRun(runs[0][m].run, runs[run][m].run));
       EXPECT_EQ(runs[run][m].exit_code, runs[0][m].exit_code);
-      EXPECT_EQ(runs[run][m].process_status, runs[0][m].process_status);
     }
   }
 
@@ -169,10 +167,8 @@ TEST(FleetFault, SeededInjectionIsDeterministicAcrossThreadCounts) {
     ASSERT_NE(standalone, nullptr);
     const RunResult run = standalone->Run(100'000'000);
     EXPECT_TRUE(run.idle);
-    EXPECT_EQ(runs[0][i].fingerprint, FingerprintMachine(*standalone));
-    EXPECT_FALSE(runs[0][i].traps.empty());
-    EXPECT_EQ(runs[0][i].traps, TrapSequence(*standalone));
-    EXPECT_EQ(runs[0][i].cycles, standalone->cpu().cycles());
+    EXPECT_FALSE(runs[0][i].run.traps.empty());
+    EXPECT_TRUE(SameRun(SignatureOf(*standalone), runs[0][i].run));
   }
 }
 

@@ -15,6 +15,7 @@
 #include "src/fleet/fleet.h"
 #include "src/mem/page_table.h"
 #include "src/sys/machine.h"
+#include "tests/testutil.h"
 
 namespace rings {
 namespace {
@@ -164,28 +165,22 @@ void AddMixedJobs(Fleet* fleet, bool enable_trace) {
   fleet->Add("pair-b", [enable_trace] { return MakePairMachine(enable_trace); });
 }
 
-void ExpectCountersIdentical(const Counters& a, const Counters& b, bool include_host_only) {
+// The host-only counters the run comparator skips: identical across
+// thread counts, because the quantum sequence is identical no matter
+// which worker runs each slice.
+void ExpectHostCountersIdentical(const Counters& a, const Counters& b) {
   Counters::ForEachField(
-      [&a, &b, include_host_only](const char* name, uint64_t Counters::* member,
-                                  bool host_only) {
-        if (host_only && !include_host_only) {
-          return;
-        }
+      [&a, &b](const char* name, uint64_t Counters::* member, bool host_only) {
         // Shared-decode build attribution is first-acquirer-wins in the
         // process-wide registry: which of two machines running the same
         // program pays the build depends on worker scheduling. The fleet
         // AGGREGATE build count is deterministic (one per distinct live
         // program); the per-machine split is the one host counter that
         // is not, so it is the one exclusion here.
-        if (std::string_view(name) == "shared_decode_builds") {
-          return;
+        if (host_only && std::string_view(name) != "shared_decode_builds") {
+          EXPECT_EQ(a.*member, b.*member) << "counter " << name;
         }
-        EXPECT_EQ(a.*member, b.*member) << "counter " << name;
       });
-  for (size_t i = 0; i < a.traps.size(); ++i) {
-    EXPECT_EQ(a.traps[i], b.traps[i])
-        << "trap count for " << TrapCauseName(static_cast<TrapCause>(i));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -206,20 +201,12 @@ TEST(Fleet, DeterministicAcrossThreadCounts) {
     ASSERT_EQ(runs[run].size(), runs[0].size());
     for (size_t m = 0; m < runs[0].size(); ++m) {
       SCOPED_TRACE(runs[0][m].name);
-      // The whole simulated face — including host-only cache statistics,
-      // because the quantum sequence is identical no matter which worker
-      // runs each slice.
-      EXPECT_EQ(runs[run][m].fingerprint, runs[0][m].fingerprint);
-      EXPECT_EQ(runs[run][m].cycles, runs[0][m].cycles);
-      EXPECT_EQ(runs[run][m].instructions, runs[0][m].instructions);
+      // The whole simulated face, and the host-only cache statistics too.
+      EXPECT_FALSE(runs[0][m].run.traps.empty());
+      EXPECT_TRUE(SameRun(runs[0][m].run, runs[run][m].run));
       EXPECT_EQ(runs[run][m].exit_code, runs[0][m].exit_code);
       EXPECT_EQ(runs[run][m].quanta, runs[0][m].quanta);
-      EXPECT_EQ(runs[run][m].process_status, runs[0][m].process_status);
-      EXPECT_EQ(runs[run][m].tty, runs[0][m].tty);
-      EXPECT_FALSE(runs[0][m].traps.empty());
-      EXPECT_EQ(runs[run][m].traps, runs[0][m].traps);
-      ExpectCountersIdentical(runs[run][m].counters, runs[0][m].counters,
-                              /*include_host_only=*/true);
+      ExpectHostCountersIdentical(runs[run][m].run.counters, runs[0][m].run.counters);
     }
   }
 }
@@ -246,13 +233,8 @@ TEST(Fleet, MatchesStandaloneMachineRun) {
     // Architectural identity is exact. (Host-only cache statistics may
     // legally differ: the fleet's slice boundaries bail superblocks the
     // uninterrupted standalone run commits.)
-    EXPECT_EQ(fleet.results()[m].fingerprint, FingerprintMachine(*standalone));
-    EXPECT_FALSE(fleet.results()[m].traps.empty());
-    EXPECT_EQ(fleet.results()[m].traps, TrapSequence(*standalone));
-    EXPECT_EQ(fleet.results()[m].cycles, standalone->cpu().cycles());
-    EXPECT_EQ(fleet.results()[m].instructions, standalone->cpu().counters().instructions);
-    ExpectCountersIdentical(fleet.results()[m].counters, standalone->cpu().counters(),
-                            /*include_host_only=*/false);
+    EXPECT_FALSE(fleet.results()[m].run.traps.empty());
+    EXPECT_TRUE(SameRun(SignatureOf(*standalone), fleet.results()[m].run));
   }
 }
 
@@ -274,9 +256,9 @@ TEST(Fleet, AggregateStatsAreFaithful) {
   uint64_t quanta = 0;
   for (const MachineResult& result : fleet.results()) {
     EXPECT_TRUE(result.ok()) << result.ToString();
-    EXPECT_TRUE(result.traps.empty());  // untraced machines record none
-    instructions += result.instructions;
-    cycles += result.cycles;
+    EXPECT_TRUE(result.run.traps.empty());  // untraced machines record none
+    instructions += result.run.counters.instructions;
+    cycles += result.run.cycles;
     quanta += result.quanta;
   }
   EXPECT_EQ(stats.total_instructions, instructions);
@@ -354,7 +336,7 @@ start:  tra   start
   EXPECT_EQ(result.outcome, MachineOutcome::kBudgetExhausted);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.exit_code, 111);
-  EXPECT_GE(result.cycles, 20'000u);
+  EXPECT_GE(result.run.cycles, 20'000u);
   EXPECT_NE(fleet.ExitCode(), 0);
 }
 

@@ -1,8 +1,7 @@
 // The differential oracle end to end: a population of generated guests
-// runs bit-identically across the slow path, fast path, superblock
-// engine, fleet thread counts, and a snapshot/restore cut (this is the
-// ctest face of `ringsim --fuzz`); a machine with a sabotaged block
-// engine is caught with a precise first-differing-field report; and a
+// runs bit-identically on every engine tier, fleet thread counts, and a
+// snapshot/restore cut (this is the ctest face of `ringsim --fuzz`); a
+// machine with a sabotaged block engine is caught with a precise first-differing-field report; and a
 // guest the engines genuinely disagree on is impossible to construct from
 // the generator population (smoke over many seeds).
 #include "src/fuzz/differential.h"
@@ -31,7 +30,7 @@ TEST(FuzzDifferentialTest, ReferenceSignatureIsPopulated) {
   const CheckResult result = CheckGuest(GenerateGuest(3).source);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_GT(result.reference.cycles, 0u);
-  EXPECT_GT(result.reference.instructions, 0u);
+  EXPECT_GT(result.reference.counters.instructions, 0u);
   EXPECT_NE(result.reference.fingerprint, 0u);
   EXPECT_FALSE(result.reference.processes.empty());
   // Gate calls ring-switch on every program, so the trap/ring-switch
@@ -45,9 +44,9 @@ TEST(FuzzDifferentialTest, SabotagedBlockEngineIsCaughtOnTheBlockLeg) {
   const CheckResult result = CheckGuest(GenerateGuest(1).source, options);
   ASSERT_TRUE(result.ok) << result.error;
   ASSERT_TRUE(result.divergence.found);
-  // The fast leg runs without the block engine, so the ablation must
-  // surface on the block leg first, as a cycle-count mismatch.
-  EXPECT_EQ(result.divergence.leg, "block");
+  // The blocks tier's leg runs first, so the ablation must surface there,
+  // as a cycle-count mismatch.
+  EXPECT_EQ(result.divergence.leg, EngineTierName(EngineTier::kBlocks));
   EXPECT_NE(result.divergence.detail.find("cycles"), std::string::npos)
       << result.divergence.detail;
 }
@@ -71,9 +70,10 @@ TEST(FuzzDifferentialTest, SabotagedChainingIsCaughtOnTheBlockLeg) {
   ASSERT_TRUE(result.ok) << result.error;
   ASSERT_TRUE(result.divergence.found);
   // The ablation charges a spurious cycle per followed successor link, so
-  // it can only surface on the leg that chains: `block`. The fast leg has
-  // no block engine and the block-nochain leg never follows a link.
-  EXPECT_EQ(result.divergence.leg, "block");
+  // it can only surface on the leg that chains: the blocks tier's. The
+  // cached tier has no block engine and blocks-nochain never follows a
+  // link.
+  EXPECT_EQ(result.divergence.leg, EngineTierName(EngineTier::kBlocks));
   EXPECT_NE(result.divergence.detail.find("cycles"), std::string::npos)
       << result.divergence.detail;
 }

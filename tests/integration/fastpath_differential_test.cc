@@ -1,10 +1,11 @@
 // The fast-path identity: the host-side verdict and decoded-instruction
-// caches — and the superblock engine built on top of them — must change
-// NOTHING the simulated machine can observe. Every workload here runs
-// three times — caches forced off, caches on with the block engine off,
-// caches and block engine on — and all runs must agree bit-for-bit on
-// architectural state (registers), the simulated cycle count, every
-// architectural event counter, the trap sequence, and process outcomes.
+// caches — and the superblock engine and chaining built on top of them —
+// must change NOTHING the simulated machine can observe. Every workload
+// here runs once per engine tier (kEngineTiers), and every run must match
+// the reference tier's through the one run comparator (SameRun): the
+// simulated cycle count, architectural state (registers), every
+// architectural event counter, the SDW cache's hits and misses, the trap
+// sequence, and process outcomes.
 // The workloads cover the tier-1 surface: hot loops, indirection, demand
 // paging, gate crossings, the supervisor services, fault injection (whose
 // RNG stream consumption must also be identical), self-modifying code,
@@ -16,6 +17,7 @@
 
 #include "src/b645/b645_machine.h"
 #include "src/base/strings.h"
+#include "src/fleet/fingerprint.h"
 #include "src/kasm/assembler.h"
 #include "src/mem/descriptor_segment.h"
 #include "src/mem/page_table.h"
@@ -24,96 +26,6 @@
 
 namespace rings {
 namespace {
-
-// The observable face of a finished run. Fast-path statistics
-// (verdict_*/insn_cache_*) are intentionally absent: they describe host
-// work saved, and are the only counters allowed to differ.
-struct Fingerprint {
-  uint64_t cycles = 0;
-  RegisterFile regs{};
-  Counters counters{};
-  std::vector<std::string> traps;  // kTrap / kRingSwitch events, in order
-  std::vector<std::string> processes;
-  std::string tty;
-
-  void CaptureTraps(const EventTrace& trace) {
-    for (const TraceEvent& e : trace.events()) {
-      if (e.kind == EventKind::kTrap || e.kind == EventKind::kRingSwitch) {
-        traps.push_back(e.ToString());
-      }
-    }
-  }
-};
-
-void ExpectArchitecturalCountersEqual(const Counters& off, const Counters& on) {
-  EXPECT_EQ(off.instructions, on.instructions);
-  EXPECT_EQ(off.memory_reads, on.memory_reads);
-  EXPECT_EQ(off.memory_writes, on.memory_writes);
-  EXPECT_EQ(off.sdw_fetches, on.sdw_fetches);
-  EXPECT_EQ(off.sdw_cache_hits, on.sdw_cache_hits);
-  EXPECT_EQ(off.indirect_words, on.indirect_words);
-  EXPECT_EQ(off.page_walks, on.page_walks);
-  EXPECT_EQ(off.pages_supplied, on.pages_supplied);
-  EXPECT_EQ(off.links_snapped, on.links_snapped);
-  EXPECT_EQ(off.checks_fetch, on.checks_fetch);
-  EXPECT_EQ(off.checks_read, on.checks_read);
-  EXPECT_EQ(off.checks_write, on.checks_write);
-  EXPECT_EQ(off.checks_indirect, on.checks_indirect);
-  EXPECT_EQ(off.checks_transfer, on.checks_transfer);
-  EXPECT_EQ(off.checks_call, on.checks_call);
-  EXPECT_EQ(off.checks_return, on.checks_return);
-  EXPECT_EQ(off.calls_same_ring, on.calls_same_ring);
-  EXPECT_EQ(off.calls_downward, on.calls_downward);
-  EXPECT_EQ(off.returns_same_ring, on.returns_same_ring);
-  EXPECT_EQ(off.returns_upward, on.returns_upward);
-  EXPECT_EQ(off.supervisor_steps, on.supervisor_steps);
-  EXPECT_EQ(off.upward_calls_emulated, on.upward_calls_emulated);
-  EXPECT_EQ(off.downward_returns_emulated, on.downward_returns_emulated);
-  EXPECT_EQ(off.argument_words_copied, on.argument_words_copied);
-  EXPECT_EQ(off.sdw_recoveries, on.sdw_recoveries);
-  EXPECT_EQ(off.spurious_pages_ignored, on.spurious_pages_ignored);
-  EXPECT_EQ(off.machine_faults, on.machine_faults);
-  EXPECT_EQ(off.trap_storm_kills, on.trap_storm_kills);
-  EXPECT_EQ(off.double_faults, on.double_faults);
-  for (size_t i = 0; i < off.traps.size(); ++i) {
-    EXPECT_EQ(off.traps[i], on.traps[i])
-        << "trap count for " << TrapCauseName(static_cast<TrapCause>(i));
-  }
-}
-
-void ExpectFingerprintsEqual(const Fingerprint& off, const Fingerprint& on) {
-  EXPECT_EQ(off.cycles, on.cycles);
-  EXPECT_EQ(off.regs, on.regs);
-  EXPECT_EQ(off.traps, on.traps);
-  EXPECT_EQ(off.processes, on.processes);
-  EXPECT_EQ(off.tty, on.tty);
-  ExpectArchitecturalCountersEqual(off.counters, on.counters);
-}
-
-// The fast-path combinations every workload must agree across. Block
-// without fast path is not a combination: the engine chains fast-path
-// decodes, so it self-disables when the caches are off (asserted in
-// FastPathEngages below).
-struct PathConfig {
-  bool fast_path = true;
-  bool block_engine = true;
-};
-
-inline constexpr PathConfig kSlowPath{false, false};
-inline constexpr PathConfig kFastNoBlock{true, false};
-inline constexpr PathConfig kFastWithBlock{true, true};
-
-void ExpectAllFingerprintsEqual(const Fingerprint& slow, const Fingerprint& fast_no_block,
-                                const Fingerprint& fast_with_block) {
-  {
-    SCOPED_TRACE("slow vs fast(no block)");
-    ExpectFingerprintsEqual(slow, fast_no_block);
-  }
-  {
-    SCOPED_TRACE("fast(no block) vs fast(block)");
-    ExpectFingerprintsEqual(fast_no_block, fast_with_block);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Hardware machine: the soak fleet (hot spinner, demand pager touching all
@@ -170,12 +82,11 @@ std::map<std::string, AccessControlList> FleetAcls() {
   return acls;
 }
 
-Fingerprint RunFleet(PathConfig path, uint64_t fault_seed, uint32_t fault_rate_ppm) {
+RunSignature RunFleet(EngineTier tier, uint64_t fault_seed, uint32_t fault_rate_ppm) {
   MachineConfig config;
   config.memory_words = size_t{1} << 24;
   config.quantum = 500;  // frequent dispatches
-  config.fast_path = path.fast_path;
-  config.block_engine = path.block_engine;
+  ApplyTier(tier, &config);
   if (fault_rate_ppm != 0) {
     config.fault = FaultConfig::Uniform(fault_seed, fault_rate_ppm);
   }
@@ -204,25 +115,11 @@ Fingerprint RunFleet(PathConfig path, uint64_t fault_seed, uint32_t fault_rate_p
   for (int i = 0; i < 4; ++i) {
     machine.Run(400'000);
   }
-
-  Fingerprint fp;
-  fp.cycles = machine.cpu().cycles();
-  fp.regs = machine.cpu().regs();
-  fp.counters = machine.cpu().counters();
-  fp.CaptureTraps(machine.trace());
-  fp.tty = machine.TtyOutput();
-  for (const auto& process : machine.supervisor().processes()) {
-    fp.processes.push_back(StrFormat(
-        "pid=%lld state=%d cause=%s", static_cast<long long>(process->pid),
-        static_cast<int>(process->state),
-        std::string(TrapCauseName(process->kill_cause)).c_str()));
-  }
-  return fp;
+  return SignatureOf(machine);
 }
 
 TEST(FastPathDifferential, FleetNoFaults) {
-  ExpectAllFingerprintsEqual(RunFleet(kSlowPath, 0, 0), RunFleet(kFastNoBlock, 0, 0),
-                             RunFleet(kFastWithBlock, 0, 0));
+  ExpectSameRunOnEveryTier([](EngineTier tier) { return RunFleet(tier, 0, 0); });
 }
 
 // With fault injection the identity is stronger: the injector's RNG
@@ -230,32 +127,32 @@ TEST(FastPathDifferential, FleetNoFaults) {
 // indirect-word retrievals, so any divergence in what the fast path
 // skips would desynchronize every subsequent injection.
 TEST(FastPathDifferential, FleetFaultSeedA) {
-  ExpectAllFingerprintsEqual(RunFleet(kSlowPath, 0xA11CE, 2'000),
-                             RunFleet(kFastNoBlock, 0xA11CE, 2'000),
-                             RunFleet(kFastWithBlock, 0xA11CE, 2'000));
+  ExpectSameRunOnEveryTier([](EngineTier tier) { return RunFleet(tier, 0xA11CE, 2'000); });
 }
 
 TEST(FastPathDifferential, FleetFaultSeedB) {
-  ExpectAllFingerprintsEqual(RunFleet(kSlowPath, 0xB0B, 5'000),
-                             RunFleet(kFastNoBlock, 0xB0B, 5'000),
-                             RunFleet(kFastWithBlock, 0xB0B, 5'000));
+  ExpectSameRunOnEveryTier([](EngineTier tier) { return RunFleet(tier, 0xB0B, 5'000); });
 }
 
 // The fast path must actually engage for the runs above to mean anything.
 // The fleet's pager pounds a paged segment, so the TLB must be taking
 // hits as well as the verdict and instruction caches.
 TEST(FastPathDifferential, FastPathEngages) {
-  const Fingerprint on = RunFleet(kFastWithBlock, 0, 0);
+  const RunSignature on = RunFleet(EngineTier::kBlocks, 0, 0);
   EXPECT_GT(on.counters.verdict_hits, 0u);
   EXPECT_GT(on.counters.insn_cache_hits, 0u);
   EXPECT_GT(on.counters.tlb_hits, 0u);
   EXPECT_GT(on.counters.block_builds, 0u);
   EXPECT_GT(on.counters.block_hits, 0u);
   EXPECT_GT(on.counters.block_ops, 0u);
-  const Fingerprint no_block = RunFleet(kFastNoBlock, 0, 0);
+  EXPECT_GT(on.counters.chain_follows, 0u);
+  const RunSignature no_chain = RunFleet(EngineTier::kBlocksNoChain, 0, 0);
+  EXPECT_GT(no_chain.counters.block_ops, 0u);
+  EXPECT_EQ(no_chain.counters.chain_follows, 0u);
+  const RunSignature no_block = RunFleet(EngineTier::kCached, 0, 0);
   EXPECT_GT(no_block.counters.verdict_hits, 0u);
   EXPECT_EQ(no_block.counters.block_ops, 0u);
-  const Fingerprint off = RunFleet(kSlowPath, 0, 0);
+  const RunSignature off = RunFleet(EngineTier::kReference, 0, 0);
   EXPECT_EQ(off.counters.verdict_hits, 0u);
   EXPECT_EQ(off.counters.insn_cache_hits, 0u);
   EXPECT_EQ(off.counters.tlb_hits, 0u);
@@ -268,10 +165,9 @@ TEST(FastPathDifferential, FastPathEngages) {
 // decode would leave A at 1 instead of 99.
 // ---------------------------------------------------------------------------
 
-Fingerprint RunSelfModify(PathConfig path) {
+RunSignature RunSelfModify(EngineTier tier) {
   MachineConfig config;
-  config.fast_path = path.fast_path;
-  config.block_engine = path.block_engine;
+  ApplyTier(tier, &config);
   Machine machine(config);
   EXPECT_TRUE(machine.ok());
   // A procedure segment ring 4 may also write into: write bracket [0,4],
@@ -296,22 +192,13 @@ patch:  ldai  99
   EXPECT_TRUE(machine.Start(p, "main", "start", kUserRing));
   machine.trace().set_enabled(true);
   machine.Run(50'000);
-
-  Fingerprint fp;
-  fp.cycles = machine.cpu().cycles();
-  fp.regs = machine.cpu().regs();
-  fp.counters = machine.cpu().counters();
-  fp.CaptureTraps(machine.trace());
   // The patched instruction must have taken effect (this is what a stale
   // cached decode would break).
-  EXPECT_EQ(fp.regs.a, 99u);
-  return fp;
+  EXPECT_EQ(machine.cpu().regs().a, 99u);
+  return SignatureOf(machine);
 }
 
-TEST(FastPathDifferential, SelfModifyingCode) {
-  ExpectAllFingerprintsEqual(RunSelfModify(kSlowPath), RunSelfModify(kFastNoBlock),
-                             RunSelfModify(kFastWithBlock));
-}
+TEST(FastPathDifferential, SelfModifyingCode) { ExpectSameRunOnEveryTier(RunSelfModify); }
 
 // ---------------------------------------------------------------------------
 // Self-modifying PAGED code: the same patch-and-jump program, but the
@@ -320,10 +207,9 @@ TEST(FastPathDifferential, SelfModifyingCode) {
 // stale translation revalidating one) would leave A at 1 instead of 99.
 // ---------------------------------------------------------------------------
 
-Fingerprint RunSelfModifyPaged(PathConfig path) {
+RunSignature RunSelfModifyPaged(EngineTier tier) {
   MachineConfig config;
-  config.fast_path = path.fast_path;
-  config.block_engine = path.block_engine;
+  ApplyTier(tier, &config);
   Machine machine(config);
   EXPECT_TRUE(machine.ok());
   SegmentAccess access = MakeProcedureSegment(4, 4);
@@ -352,19 +238,12 @@ patch:  ldai  99
   EXPECT_TRUE(machine.Start(p, "pmain", "", kUserRing));
   machine.trace().set_enabled(true);
   machine.Run(50'000);
-
-  Fingerprint fp;
-  fp.cycles = machine.cpu().cycles();
-  fp.regs = machine.cpu().regs();
-  fp.counters = machine.cpu().counters();
-  fp.CaptureTraps(machine.trace());
-  EXPECT_EQ(fp.regs.a, 99u);
-  return fp;
+  EXPECT_EQ(machine.cpu().regs().a, 99u);
+  return SignatureOf(machine);
 }
 
 TEST(FastPathDifferential, SelfModifyingPagedCode) {
-  ExpectAllFingerprintsEqual(RunSelfModifyPaged(kSlowPath), RunSelfModifyPaged(kFastNoBlock),
-                             RunSelfModifyPaged(kFastWithBlock));
+  ExpectSameRunOnEveryTier(RunSelfModifyPaged);
 }
 
 // ---------------------------------------------------------------------------
@@ -394,10 +273,9 @@ d1:     .its  4, pdata, 1034
 out:    .its  4, pdata, 2058
 )";
 
-Fingerprint RunPageTableUpheaval(PathConfig path) {
+RunSignature RunPageTableUpheaval(EngineTier tier) {
   MachineConfig config;
-  config.fast_path = path.fast_path;
-  config.block_engine = path.block_engine;
+  ApplyTier(tier, &config);
   Machine machine(config);
   EXPECT_TRUE(machine.ok());
   EXPECT_TRUE(machine.registry()
@@ -453,12 +331,7 @@ Fingerprint RunPageTableUpheaval(PathConfig path) {
 
   machine.Run(50'000);
 
-  Fingerprint fp;
-  fp.cycles = machine.cpu().cycles();
-  fp.regs = machine.cpu().regs();
-  fp.counters = machine.cpu().counters();
-  fp.CaptureTraps(machine.trace());
-  fp.tty = machine.TtyOutput();
+  RunSignature sig = SignatureOf(machine);
   // The data pages themselves survived both moves: the counters kept
   // counting, and the published sum is exactly d0 + d1.
   const auto d0 = machine.PeekSegment("pdata", 10);
@@ -471,16 +344,14 @@ Fingerprint RunPageTableUpheaval(PathConfig path) {
   // before the sum is republished, so `out` may trail by up to 2.
   EXPECT_LE(*out, *d0 + *d1);
   EXPECT_GE(*out + 2, *d0 + *d1);
-  fp.processes.push_back(
+  sig.processes.push_back(
       StrFormat("d0=%llu d1=%llu out=%llu", static_cast<unsigned long long>(*d0),
                 static_cast<unsigned long long>(*d1), static_cast<unsigned long long>(*out)));
-  return fp;
+  return sig;
 }
 
 TEST(FastPathDifferential, PageTableRelocationAndFrameMove) {
-  ExpectAllFingerprintsEqual(RunPageTableUpheaval(kSlowPath),
-                             RunPageTableUpheaval(kFastNoBlock),
-                             RunPageTableUpheaval(kFastWithBlock));
+  ExpectSameRunOnEveryTier(RunPageTableUpheaval);
 }
 
 // ---------------------------------------------------------------------------
@@ -488,10 +359,9 @@ TEST(FastPathDifferential, PageTableRelocationAndFrameMove) {
 // stressing the flush/epoch machinery.
 // ---------------------------------------------------------------------------
 
-Fingerprint RunB645(PathConfig path) {
+RunSignature RunB645(EngineTier tier) {
   MachineConfig config;
-  config.fast_path = path.fast_path;
-  config.block_engine = path.block_engine;
+  ApplyTier(tier, &config);
   B645Machine machine(config);
   EXPECT_TRUE(machine.ok());
   std::map<std::string, SegmentAccess> specs;
@@ -533,11 +403,8 @@ wptr:   .its  0, data, 0
   EXPECT_TRUE(machine.PokeWordForTest("main", 8, PackB645Target(writer_segno, 0)));
   machine.Run(2'000'000);
 
-  Fingerprint fp;
-  fp.cycles = machine.cpu().cycles();
-  fp.regs = machine.cpu().regs();
-  fp.counters = machine.cpu().counters();
-  fp.processes.push_back(StrFormat(
+  RunSignature sig = CpuSignature(machine.cpu());
+  sig.processes.push_back(StrFormat(
       "exited=%d cause=%s code=%lld crossings=%llu", machine.exited() ? 1 : 0,
       std::string(TrapCauseName(machine.kill_cause())).c_str(),
       static_cast<long long>(machine.exit_code()),
@@ -546,13 +413,10 @@ wptr:   .its  0, data, 0
   EXPECT_TRUE(machine.exited()) << TrapCauseName(machine.kill_cause());
   EXPECT_EQ(machine.crossings(), 12u);
   EXPECT_EQ(machine.PeekWordForTest("data", 0), 12u);
-  return fp;
+  return sig;
 }
 
-TEST(FastPathDifferential, B645Crossings) {
-  ExpectAllFingerprintsEqual(RunB645(kSlowPath), RunB645(kFastNoBlock),
-                             RunB645(kFastWithBlock));
-}
+TEST(FastPathDifferential, B645Crossings) { ExpectSameRunOnEveryTier(RunB645); }
 
 // ---------------------------------------------------------------------------
 // Per-kind charge equality. Every reference kind crossed with every
@@ -560,9 +424,9 @@ TEST(FastPathDifferential, B645Crossings) {
 // from the same start: the first pass walks descriptors and fills the
 // verdict, decode, TLB and crossing caches, the second meets them warm
 // (a denied or out-of-bounds reference then finds a verdict that does not
-// vouch for it). Slow path, fast path and block engine must agree on
-// cycles, architectural counters and the trap cause of each pass; the
-// two configurations with a live TLB must agree on tlb_hits. Allowed
+// vouch for it). Every engine tier must agree on cycles, architectural
+// counters and the trap cause of each pass; the tiers with a live TLB
+// must agree on tlb_hits. Allowed
 // fetches, operands, indirections and transfers are left to the
 // workloads above; CALL and RETURN get allowed rows here too, since this
 // is where their crossing memo replays a same-segment crossing.
@@ -632,7 +496,7 @@ Segno AddRowSegment(BareMachine& m, const std::vector<Word>& words, const Segmen
   return segno;
 }
 
-Fingerprint RunChargeRow(const ChargeRow& row, PathConfig path) {
+RunSignature RunChargeRow(const ChargeRow& row, EngineTier tier) {
   // The code segment C holds the reference at word 0, an MME at word 1
   // (every allowed row ends there), a data word and an indirect word to
   // it. E is a ring-4 data segment (not executable), G a procedure with
@@ -691,7 +555,7 @@ Fingerprint RunChargeRow(const ChargeRow& row, PathConfig path) {
   }
 
   BareMachine m;
-  m.cpu().set_fast_path_enabled(path.fast_path);
+  m.cpu().set_engine_tier(tier);
   SegmentAccess code_access = MakeProcedureSegment(4, 4);
   code_access.flags.read =
       !(denied && (row.kind == RefCase::kRead || row.kind == RefCase::kIndirect));
@@ -713,7 +577,7 @@ Fingerprint RunChargeRow(const ChargeRow& row, PathConfig path) {
     start_wordno = oob ? static_cast<Wordno>(code.size()) : 0;
   }
 
-  Fingerprint fp;
+  std::vector<std::string> traps;
   for (int pass = 0; pass < 2; ++pass) {
     m.SetIpr(4, start_segno, start_wordno);
     m.SetPr(kPrAbsent, 4, kAbsent, 0);
@@ -721,19 +585,14 @@ Fingerprint RunChargeRow(const ChargeRow& row, PathConfig path) {
     m.SetPr(kPrGate, 4, gate, 0);
     m.SetPr(kPrData, 4, data, 0);
     for (int i = 0; i < 8 && !m.cpu().trap_pending(); ++i) {
-      if (path.block_engine) {
-        m.cpu().StepBlock(UINT64_MAX);
-      } else {
-        m.cpu().Step();
-      }
+      m.cpu().StepBlock(UINT64_MAX);
     }
     EXPECT_TRUE(m.cpu().trap_pending());
-    fp.traps.push_back(std::string(TrapCauseName(m.cpu().TakeTrap().cause)));
+    traps.push_back(std::string(TrapCauseName(m.cpu().TakeTrap().cause)));
   }
-  fp.cycles = m.cpu().cycles();
-  fp.regs = m.cpu().regs();
-  fp.counters = m.cpu().counters();
-  return fp;
+  RunSignature sig = CpuSignature(m.cpu());
+  sig.traps = std::move(traps);
+  return sig;
 }
 
 TEST(FastPathDifferential, PerKindChargesMatchForEveryOutcome) {
@@ -746,18 +605,21 @@ TEST(FastPathDifferential, PerKindChargesMatchForEveryOutcome) {
           continue;  // covered by the workloads above
         }
         SCOPED_TRACE(RowName(row));
-        const Fingerprint slow = RunChargeRow(row, kSlowPath);
-        const Fingerprint fast = RunChargeRow(row, kFastNoBlock);
-        const Fingerprint block = RunChargeRow(row, kFastWithBlock);
+        const std::vector<RunSignature> runs = ExpectSameRunOnEveryTier(
+            [&row](EngineTier tier) { return RunChargeRow(row, tier); });
         const std::string want(TrapCauseName(ExpectedCause(row)));
-        EXPECT_EQ(slow.traps, (std::vector<std::string>{want, want}));
-        ExpectAllFingerprintsEqual(slow, fast, block);
-        EXPECT_EQ(fast.counters.tlb_hits, block.counters.tlb_hits);
-        EXPECT_EQ(slow.counters.tlb_hits, 0u);
-        // Every segment that exists got a verdict on the first pass, so
-        // the second pass met it warm.
-        if (row.kind != RefCase::kFetch || row.outcome != Outcome::kMissingSegment) {
-          EXPECT_GT(fast.counters.verdict_misses, 0u);
+        for (size_t i = 0; i < runs.size(); ++i) {
+          EXPECT_EQ(runs[i].traps, (std::vector<std::string>{want, want}));
+          if (kEngineTiers[i] == EngineTier::kReference) {
+            EXPECT_EQ(runs[i].counters.tlb_hits, 0u);
+            continue;
+          }
+          EXPECT_EQ(runs[i].counters.tlb_hits, runs[0].counters.tlb_hits);
+          // Every segment that exists got a verdict on the first pass, so
+          // the second pass met it warm.
+          if (row.kind != RefCase::kFetch || row.outcome != Outcome::kMissingSegment) {
+            EXPECT_GT(runs[i].counters.verdict_misses, 0u);
+          }
         }
       }
     }

@@ -1,13 +1,13 @@
 // Counter exactness at every dispatch exit. The processor's hit paths
 // tally their counters during a dispatch and settle the tally when Step or
 // StepBlock returns (see Cpu::counters()). So after every Machine::Run
-// slice, however short, a default machine's architectural counters, trap
-// counts and SDW-cache statistics must equal those of a reference machine
-// whose host caches, block engine and chaining are all off. A slice of 1
-// cycle stops the block engine after every instruction; slices of 7 and 64
-// cycles stop it mid-block, after a chain, at a due I/O completion, and on
-// every trap, bailout and fallback to the per-instruction path the guests
-// provoke.
+// slice, however short, a machine on each engine tier must match a
+// reference-tier machine through the one run comparator: cycles,
+// architectural counters, trap counts, SDW-cache statistics, registers,
+// process states and tty output. A slice of 1 cycle stops the block engine
+// after every instruction; slices of 7 and 64 cycles stop it mid-block,
+// after a chain, at a due I/O completion, and on every trap, bailout and
+// fallback to the per-instruction path the guests provoke.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -17,9 +17,11 @@
 #include <vector>
 
 #include "src/core/trap_cause.h"
+#include "src/fleet/fingerprint.h"
 #include "src/kasm/assembler.h"
 #include "src/mem/page_table.h"
 #include "src/sys/machine.h"
+#include "tests/testutil.h"
 
 namespace rings {
 namespace {
@@ -254,52 +256,18 @@ std::unique_ptr<Machine> UncheckedCallLoop(const MachineConfig& config) {
   return machine;
 }
 
-MachineConfig DefaultConfig() { return MachineConfig{.memory_words = size_t{1} << 20}; }
-
-MachineConfig ReferenceConfig() {
-  MachineConfig config = DefaultConfig();
-  config.fast_path = false;
-  config.block_engine = false;
-  config.chain = false;
+MachineConfig TierConfig(EngineTier tier) {
+  MachineConfig config{.memory_words = size_t{1} << 20};
+  ApplyTier(tier, &config);
   return config;
 }
 
-// Every non-host counter, every trap count, the SDW cache's hits and
-// misses, and the cycle count.
-testing::AssertionResult SameCounts(const Machine& reference, const Machine& machine) {
-  const Cpu& want = reference.cpu();
-  const Cpu& got = machine.cpu();
-  std::string diff;
-  auto compare = [&diff](const std::string& name, uint64_t want_value, uint64_t got_value) {
-    if (want_value != got_value) {
-      diff += " " + name + "=" + std::to_string(got_value) + " (want " +
-              std::to_string(want_value) + ")";
-    }
-  };
-  Counters::ForEachField([&](const char* name, uint64_t Counters::* field, bool host_only) {
-    if (!host_only) {
-      compare(name, want.counters().*field, got.counters().*field);
-    }
-  });
-  for (size_t i = 0; i < want.counters().traps.size(); ++i) {
-    compare("traps." + std::string(TrapCauseName(static_cast<TrapCause>(i))),
-            want.counters().traps[i], got.counters().traps[i]);
-  }
-  compare("sdw_cache.hits", want.sdw_cache().hits(), got.sdw_cache().hits());
-  compare("sdw_cache.misses", want.sdw_cache().misses(), got.sdw_cache().misses());
-  compare("cycles", want.cycles(), got.cycles());
-  if (diff.empty()) {
-    return testing::AssertionSuccess();
-  }
-  return testing::AssertionFailure() << diff;
-}
-
-// Runs the guest on both machines in `slice`-cycle Run calls until both
-// are idle, comparing after every slice. Returns the default machine's
-// final counters.
-Counters RunInSlices(GuestFactory guest, uint64_t slice) {
-  std::unique_ptr<Machine> reference = guest(ReferenceConfig());
-  std::unique_ptr<Machine> machine = guest(DefaultConfig());
+// Runs the guest on a reference-tier machine and a `tier` machine in
+// `slice`-cycle Run calls until both are idle, comparing after every
+// slice. Returns the `tier` machine's final counters.
+Counters RunInSlices(GuestFactory guest, EngineTier tier, uint64_t slice) {
+  std::unique_ptr<Machine> reference = guest(TierConfig(EngineTier::kReference));
+  std::unique_ptr<Machine> machine = guest(TierConfig(tier));
   if (reference == nullptr || machine == nullptr) {
     ADD_FAILURE() << "guest did not boot";
     return {};
@@ -308,10 +276,10 @@ Counters RunInSlices(GuestFactory guest, uint64_t slice) {
   for (uint64_t n = 0; reference->cpu().cycles() < kMaxCycles; ++n) {
     const RunResult want = reference->Run(slice);
     const RunResult got = machine->Run(slice);
-    const testing::AssertionResult same = SameCounts(*reference, *machine);
+    const testing::AssertionResult same = SameRun(SignatureOf(*reference), SignatureOf(*machine));
     if (!same) {
       ADD_FAILURE() << "after slice " << n << " (cycle " << reference->cpu().cycles()
-                    << "):" << same.message();
+                    << "): " << same.message();
       return machine->cpu().counters();
     }
     EXPECT_EQ(want.idle, got.idle) << "slice " << n;
@@ -323,16 +291,26 @@ Counters RunInSlices(GuestFactory guest, uint64_t slice) {
   return machine->cpu().counters();
 }
 
-// Returns the counters of the last (64-cycle) run.
+// Checks every other tier at slices of 1, 7 and 64 cycles. Returns the
+// blocks tier's counters of the last (64-cycle) run.
 Counters ExpectExactAtEverySlice(GuestFactory guest) {
   Counters counters;
-  for (const uint64_t slice : {1, 7, 64}) {
-    SCOPED_TRACE("slice " + std::to_string(slice));
-    counters = RunInSlices(guest, slice);
-    // The engine under test must actually run: blocks, chains and the
-    // memo hits the tally stands in for.
-    EXPECT_GT(counters.block_ops, 0u);
-    EXPECT_GT(counters.verdict_hits, 0u);
+  for (const EngineTier tier : kEngineTiers) {
+    if (tier == EngineTier::kReference) {
+      continue;
+    }
+    for (const uint64_t slice : {1, 7, 64}) {
+      SCOPED_TRACE("tier " + std::string(EngineTierName(tier)) + " slice " +
+                   std::to_string(slice));
+      const Counters got = RunInSlices(guest, tier, slice);
+      if (tier == EngineTier::kBlocks) {
+        // The engine under test must actually run: blocks, chains and the
+        // memo hits the tally stands in for.
+        EXPECT_GT(got.block_ops, 0u);
+        EXPECT_GT(got.verdict_hits, 0u);
+        counters = got;
+      }
+    }
   }
   return counters;
 }

@@ -112,7 +112,7 @@ TEST(CowMemory, SealIsIdempotentAndPreservesContents) {
   EXPECT_EQ(memory.Read(4), 44u);
 }
 
-TEST(CowMemory, AllocatorAndPolicyCarryIntoClone) {
+TEST(CowMemory, AllocatorCarriesIntoClone) {
   PhysicalMemory parent(kWords);
   ASSERT_TRUE(parent.Allocate(100).has_value());
   PhysicalMemory clone(parent, PhysicalMemory::CowClone{});
@@ -121,7 +121,6 @@ TEST(CowMemory, AllocatorAndPolicyCarryIntoClone) {
   ASSERT_TRUE(base.has_value());
   EXPECT_EQ(*base, 100u);
   EXPECT_EQ(parent.allocated(), 100u);  // clone allocation is private
-  EXPECT_EQ(clone.out_of_range_policy(), parent.out_of_range_policy());
 }
 
 TEST(CowMemory, OutOfRangeLatchSemanticsSurviveCloning) {

@@ -60,7 +60,7 @@ TEST(KilledGuest, StandaloneFleetAndServerAgree) {
     EXPECT_EQ(result.outcome, MachineOutcome::kFailed);
     EXPECT_EQ(result.exit_code, exit.code);
     EXPECT_EQ(result.failure, exit.failure);
-    EXPECT_EQ(result.fingerprint, fingerprint);
+    EXPECT_EQ(result.run.fingerprint, fingerprint);
     EXPECT_EQ(fleet.ExitCode(), exit.code);
 
     Server server(ServeConfig{.threads = threads});

@@ -213,20 +213,20 @@ std::vector<uint8_t> CallLoopImage(size_t memory_words, uint64_t cycles) {
   return image;
 }
 
-// The server's engine flags apply to restored machines too. The engines
+// The server's engine tier applies to restored machines too. The tiers
 // are bit-identical by contract, so the run must land on the
-// uninterrupted run's fingerprint with every tier off.
+// uninterrupted run's fingerprint on every tier.
 TEST(Serve, ImageSubmissionRunsUnderTheServersEngineFlags) {
-  Server server(ServeConfig{.threads = 1,
-                            .fast_path = false,
-                            .block_engine = false,
-                            .chain = false,
-                            .shared_decode = false});
-  Submission submission;
-  submission.image = CallLoopImage(ServeConfig{}.machine_memory_words, 5'000);
-  const Completion completion = server.Wait(server.Submit(std::move(submission)));
-  EXPECT_EQ(completion.status, ServeStatus::kCompleted) << completion.ToString();
-  EXPECT_EQ(completion.fingerprint, StandaloneFingerprint(kCallLoopGuest));
+  const std::vector<uint8_t> image = CallLoopImage(ServeConfig{}.machine_memory_words, 5'000);
+  for (const EngineTier tier : kEngineTiers) {
+    SCOPED_TRACE(EngineTierName(tier));
+    Server server(ServeConfig{.threads = 1, .engine = tier});
+    Submission submission;
+    submission.image = image;
+    const Completion completion = server.Wait(server.Submit(std::move(submission)));
+    EXPECT_EQ(completion.status, ServeStatus::kCompleted) << completion.ToString();
+    EXPECT_EQ(completion.fingerprint, StandaloneFingerprint(kCallLoopGuest));
+  }
 }
 
 // An image may not ask for a larger machine than the server builds from

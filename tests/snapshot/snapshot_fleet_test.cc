@@ -15,6 +15,7 @@
 #include "src/mem/descriptor_segment.h"
 #include "src/snapshot/snapshot.h"
 #include "src/sys/machine.h"
+#include "tests/testutil.h"
 
 namespace rings {
 namespace {
@@ -147,8 +148,8 @@ TEST(SnapshotFleet, RestoreSeededFleetDeterministicAcrossThreadCounts) {
     const FleetStats stats = fleet.Run();
     EXPECT_EQ(stats.completed, 4u) << stats.ToString();
     for (const MachineResult& result : fleet.results()) {
-      EXPECT_EQ(result.fingerprint, want_fingerprint) << result.ToString();
-      EXPECT_EQ(result.traps, want_traps);
+      EXPECT_EQ(result.run.fingerprint, want_fingerprint) << result.ToString();
+      EXPECT_EQ(result.run.traps, want_traps);
       EXPECT_EQ(result.exit_code, 0);
     }
   }
@@ -178,11 +179,8 @@ TEST(SnapshotFleet, CheckpointingIsObservationFree) {
   ASSERT_EQ(baseline.size(), checkpointed.size());
   for (size_t m = 0; m < baseline.size(); ++m) {
     SCOPED_TRACE(baseline[m].name);
-    EXPECT_EQ(checkpointed[m].fingerprint, baseline[m].fingerprint);
-    EXPECT_EQ(checkpointed[m].traps, baseline[m].traps);
-    EXPECT_EQ(checkpointed[m].cycles, baseline[m].cycles);
+    EXPECT_TRUE(SameRun(baseline[m].run, checkpointed[m].run));
     EXPECT_EQ(checkpointed[m].exit_code, baseline[m].exit_code);
-    EXPECT_EQ(checkpointed[m].process_status, baseline[m].process_status);
     EXPECT_EQ(checkpointed[m].restarts, 0);
   }
 }
@@ -239,9 +237,7 @@ TEST(SnapshotFleet, SelfHealingRecoversInjectedFaultMachine) {
       first_run = fleet.results();
     } else {
       for (size_t m = 0; m < first_run.size(); ++m) {
-        EXPECT_EQ(fleet.results()[m].fingerprint, first_run[m].fingerprint);
-        EXPECT_EQ(fleet.results()[m].traps, first_run[m].traps);
-        EXPECT_EQ(fleet.results()[m].cycles, first_run[m].cycles);
+        EXPECT_TRUE(SameRun(first_run[m].run, fleet.results()[m].run));
         EXPECT_EQ(fleet.results()[m].restarts, first_run[m].restarts);
       }
     }

@@ -1,8 +1,7 @@
 // Snapshot/restore correctness. The headline contract: restoring a
 // mid-run image into a fresh machine and running to completion produces
 // the exact fingerprint, counters, and trap sequence the live machine
-// produces uninterrupted — across the slow path, the fast path, and the
-// superblock engine. The robustness contract: truncated, bit-flipped,
+// produces uninterrupted — on every engine tier. The robustness contract: truncated, bit-flipped,
 // wrong-endian, and wrong-shape images are rejected with structured
 // errors and leave the target machine untouched.
 #include "src/snapshot/snapshot.h"
@@ -21,6 +20,7 @@
 #include "src/mem/page_table.h"
 #include "src/sys/machine.h"
 #include "src/sys/manifest.h"
+#include "tests/testutil.h"
 
 namespace rings {
 namespace {
@@ -193,55 +193,23 @@ constexpr Guest kGuests[] = {
     {"dir-search", MakeSearchMachine},
 };
 
-struct Engine {
-  const char* name;
-  bool fast_path;
-  bool block_engine;
-};
-constexpr Engine kEngines[] = {
-    {"slow", false, false},
-    {"fast", true, false},
-    {"block", true, true},
-};
-
-MachineConfig ConfigFor(const Engine& engine) {
-  MachineConfig config;
-  config.fast_path = engine.fast_path;
-  config.block_engine = engine.block_engine;
-  return config;
-}
-
-void ExpectArchitecturalCountersIdentical(const Counters& a, const Counters& b) {
-  Counters::ForEachField(
-      [&a, &b](const char* name, uint64_t Counters::* member, bool host_only) {
-        if (host_only) {
-          return;  // the restored machine re-warms host caches
-        }
-        EXPECT_EQ(a.*member, b.*member) << "counter " << name;
-      });
-  for (size_t i = 0; i < a.traps.size(); ++i) {
-    EXPECT_EQ(a.traps[i], b.traps[i])
-        << "trap count for " << TrapCauseName(static_cast<TrapCause>(i));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Exact-restore determinism: every guest, every engine.
 // ---------------------------------------------------------------------------
 
 TEST(Snapshot, RestoreTrajectoryMatchesUninterruptedRun) {
   for (const Guest& guest : kGuests) {
-    for (const Engine& engine : kEngines) {
-      SCOPED_TRACE(std::string(guest.name) + "/" + engine.name);
-      const MachineConfig config = ConfigFor(engine);
+    for (const EngineTier tier : kEngineTiers) {
+      SCOPED_TRACE(std::string(guest.name) + "/" + std::string(EngineTierName(tier)));
+      MachineConfig config;
+      ApplyTier(tier, &config);
 
       // The reference: the same machine run uninterrupted to completion.
       std::unique_ptr<Machine> reference = guest.factory(config);
       ASSERT_NE(reference, nullptr);
       ASSERT_TRUE(reference->Run(100'000'000).idle);
-      const uint64_t want_fingerprint = FingerprintMachine(*reference);
-      const std::vector<std::string> want_traps = TrapSequence(*reference);
-      ASSERT_FALSE(want_traps.empty());
+      const RunSignature want = SignatureOf(*reference);
+      ASSERT_FALSE(want.traps.empty());
 
       // The live machine runs a few short slices, then is snapshotted.
       std::unique_ptr<Machine> live = guest.factory(config);
@@ -259,23 +227,14 @@ TEST(Snapshot, RestoreTrajectoryMatchesUninterruptedRun) {
       Machine restored(config);
       ASSERT_TRUE(restored.ok());
       ASSERT_TRUE(RestoreSnapshot(image, &restored, &error)) << error;
-      EXPECT_EQ(restored.cpu().cycles(), live->cpu().cycles());
-      EXPECT_EQ(FingerprintMachine(restored), FingerprintMachine(*live));
-      EXPECT_EQ(TrapSequence(restored), TrapSequence(*live));
+      EXPECT_TRUE(SameRun(SignatureOf(*live), SignatureOf(restored)));
 
       // Both the interrupted original and the restored copy must land on
       // the uninterrupted run's exact final state.
       ASSERT_TRUE(live->Run(100'000'000).idle);
       ASSERT_TRUE(restored.Run(100'000'000).idle);
-      EXPECT_EQ(FingerprintMachine(*live), want_fingerprint);
-      EXPECT_EQ(FingerprintMachine(restored), want_fingerprint);
-      EXPECT_EQ(TrapSequence(*live), want_traps);
-      EXPECT_EQ(TrapSequence(restored), want_traps);
-      EXPECT_EQ(restored.cpu().cycles(), live->cpu().cycles());
-      EXPECT_EQ(restored.TtyOutput(), live->TtyOutput());
-      ExpectArchitecturalCountersIdentical(restored.cpu().counters(), live->cpu().counters());
-      ExpectArchitecturalCountersIdentical(restored.cpu().counters(),
-                                           reference->cpu().counters());
+      EXPECT_TRUE(SameRun(want, SignatureOf(*live)));
+      EXPECT_TRUE(SameRun(want, SignatureOf(restored)));
     }
   }
 }

@@ -1,13 +1,18 @@
 // Shared test fixtures: a bare-metal harness (memory + CPU + one
 // descriptor segment, no supervisor) for exercising single instructions
-// against hand-built SDWs, plus helpers for whole-machine tests.
+// against hand-built SDWs, plus helpers for whole-machine tests and the
+// gtest face of the engine-tier run comparator.
 #ifndef TESTS_TESTUTIL_H_
 #define TESTS_TESTUTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/cpu/cpu.h"
+#include "src/fleet/fingerprint.h"
 #include "src/isa/indirect_word.h"
 #include "src/isa/instruction.h"
 #include "src/mem/descriptor_segment.h"
@@ -113,6 +118,30 @@ class BareMachine {
 // Common access shapes used across CPU tests.
 inline SegmentAccess UserCode() { return MakeProcedureSegment(4, 4); }
 inline SegmentAccess UserData() { return MakeDataSegment(4, 4); }
+
+// The one run comparator (Compare, src/fleet/fingerprint.h) as a gtest
+// assertion: EXPECT_TRUE(SameRun(want, got)) reports the first differing
+// field by name.
+inline testing::AssertionResult SameRun(const RunSignature& want, const RunSignature& got) {
+  const std::string diff = Compare(want, got);
+  if (diff.empty()) {
+    return testing::AssertionSuccess();
+  }
+  return testing::AssertionFailure() << diff;
+}
+
+// Runs `run(tier)` once per engine tier, expects every tier's signature
+// to match the reference tier's, and returns them in kEngineTiers order.
+template <class Run>
+std::vector<RunSignature> ExpectSameRunOnEveryTier(Run run) {
+  const RunSignature reference = run(EngineTier::kReference);
+  std::vector<RunSignature> runs;
+  for (const EngineTier tier : kEngineTiers) {
+    runs.push_back(tier == EngineTier::kReference ? reference : run(tier));
+    EXPECT_TRUE(SameRun(reference, runs.back())) << "tier " << EngineTierName(tier);
+  }
+  return runs;
+}
 
 }  // namespace rings
 

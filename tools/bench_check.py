@@ -16,10 +16,11 @@ not gated here.
 Two invariances are checked across every loaded result, independent of
 the baseline, so they cover rows the baseline does not list:
 
-* Engine rows. Every gated benchmark runs once per host engine
-  configuration (bench/bench_util.h's kEngineRows, the one list of rows),
-  named with the row's suffix: ``_No`` and the layer it turns off (e.g.
-  ``_NoChain``) right before the first ``/``, none for the default row.
+* Engine rows. Every gated benchmark runs once per host engine tier
+  (src/cpu/cpu.h's kEngineTiers, the one list of tiers), named with the
+  tier's suffix (bench/bench_util.h's BenchSuffix): ``_No`` and the layer
+  it turns off (e.g. ``_NoChain``) right before the first ``/``, none for
+  the default tier.
   Names that differ only in that suffix must report identical ``sim_*``
   counters: no host-side layer may change simulated cost. The one
   exception is ``sim_tlb_hits``, which the ``_NoFastPath`` row (no
@@ -64,9 +65,9 @@ import sys
 # through JSON.
 REL_TOLERANCE = 1e-9
 
-# A non-default engine row's benchmark-name suffix, matched on the part of
-# the name before its first "/". bench/bench_util.h's kEngineRows is the
-# one list of rows; this only knows their naming rule.
+# A non-default engine tier's benchmark-name suffix, matched on the part of
+# the name before its first "/". src/cpu/cpu.h's kEngineTiers is the one
+# list of tiers; this only knows their naming rule.
 ENGINE_SUFFIX = re.compile(r"_No[A-Za-z]+$")
 
 

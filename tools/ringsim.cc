@@ -11,15 +11,9 @@
 //                    N parts per million per opportunity
 //   --fault-seed=N   fault-injection RNG seed (default 1); a (seed, rate)
 //                    pair replays exactly
-//   --no-fastpath    disable the host-side verdict/decoded-instruction
-//                    caches (simulated cycles are identical either way)
-//   --no-block-engine disable the superblock execution engine while
-//                    keeping the caches (same guarantee: host-only)
-//   --no-chain       disable block-to-block chaining and the monomorphic
-//                    CALL/RETURN crossing cache (host-only; simulated
-//                    cycles identical either way)
-//   --no-shared-decode  each machine builds a private decode image
-//                    instead of sharing one per distinct program
+//   --engine=TIER    host engine tier: blocks (default), blocks-nochain,
+//                    cached or reference (src/cpu/cpu.h's EngineTier;
+//                    simulated results are identical on every tier)
 //   --stats          print the processor's event counters after the run
 //   --fleet=N        run N independent machines, each loaded with the
 //                    same program, across a worker-thread pool; prints a
@@ -46,10 +40,9 @@
 //                    program) and run it to completion
 //   --fuzz=N         differential fuzzing: generate N random guest
 //                    programs (seeds S, S+1, ...) and check each under
-//                    the slow path, fast path, superblock engine, fleet
-//                    (1/4/8 threads), and a snapshot/restore cut; exits 1
-//                    on the first divergence, writing a self-contained
-//                    repro file
+//                    every engine tier, fleet (1/4/8 threads), and a
+//                    snapshot/restore cut; exits 1 on the first
+//                    divergence, writing a self-contained repro file
 //   --fuzz-seed=S    first generator seed (default 1); a seed fully
 //                    determines the program, so a seed is a repro
 //   --shrink         (fuzz) minimize a diverging program before writing
@@ -74,9 +67,11 @@
 // Example (examples/asm/hello.asm):
 //   ;; acl main * procedure 4 4
 //   ;; start main start 4
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -225,7 +220,7 @@ int Run(const std::string& path, bool list, bool trace, bool audit, bool stats,
 
 // Restore mode: rebuild a machine from a snapshot image and run it to
 // completion. The machine shape (memory size, cycle model, mode,
-// quantum) comes from the image's meta section, the engine flags from
+// quantum) comes from the image's meta section, the engine tier from
 // `engine`; a corrupted, truncated, or incompatible image, or one that
 // asks for a larger store than a default machine's, is rejected with a
 // structured error and exit 2.
@@ -312,11 +307,11 @@ int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t
   const FleetStats fleet_stats = fleet.Run();
   for (const MachineResult& result : fleet.results()) {
     std::printf("%s\n", result.ToString().c_str());
-    for (const std::string& line : result.process_status) {
+    for (const std::string& line : result.run.processes) {
       std::printf("  %s\n", line.c_str());
     }
-    if (!result.tty.empty()) {
-      std::printf("  tty: %s\n", result.tty.c_str());
+    if (!result.run.tty.empty()) {
+      std::printf("  tty: %s\n", result.run.tty.c_str());
     }
   }
   if (stats) {
@@ -331,14 +326,11 @@ int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t
 // optionally shrunk, and is written out as a self-contained repro file.
 // Exit codes: 0 all trials agree, 1 divergence found, 2 harness error
 // (a generated guest failed to assemble/instantiate — a generator bug).
-// Of `engine`, only chain and shared decode apply: the legs set the rest.
 int RunFuzz(uint64_t trials, uint64_t first_seed, bool shrink, std::string repro_out,
-            bool ablation, bool chain_ablation, const MachineConfig& engine) {
+            bool ablation, bool chain_ablation) {
   FuzzOptions options;
   options.ablate_block_call = ablation;
   options.ablate_chain = chain_ablation;
-  options.chain = engine.chain;
-  options.shared_decode = engine.shared_decode;
   for (uint64_t i = 0; i < trials; ++i) {
     const uint64_t seed = first_seed + i;
     const GeneratedGuest guest = GenerateGuest(seed);
@@ -399,7 +391,8 @@ int main(int argc, char** argv) {
   bool list = false;
   bool trace = false;
   bool audit = false;
-  rings::MachineConfig engine;  // host engine flags; the modes add the rest
+  rings::MachineConfig engine;  // the --engine tier; the modes add the rest
+  bool engine_given = false;
   bool stats = false;
   uint64_t max_cycles = 100'000'000;
   uint64_t fault_seed = 1;
@@ -422,19 +415,17 @@ int main(int argc, char** argv) {
   std::string snapshot_out;
   std::string restore_path;
   constexpr char kUsage[] =
-      "usage: ringsim [--list] [--trace] [--audit] [--stats] [--no-fastpath]\n"
-      "               [--no-block-engine] [--no-chain] [--no-shared-decode]\n"
+      "usage: ringsim [--list] [--trace] [--audit] [--stats] [--engine=TIER]\n"
       "               [--max-cycles=N] [--fault-rate=PPM]\n"
       "               [--fault-seed=N] [--snapshot-out=FILE]\n"
       "               [--fleet=N [--threads=T] [--slice-cycles=N]\n"
       "                [--checkpoint-every=N] [--max-restarts=R] [--cold-boot]]\n"
       "               program.asm\n"
       "       ringsim --restore=FILE [--trace] [--stats] [--max-cycles=N]\n"
-      "               [--no-fastpath] [--no-block-engine] [--no-chain]\n"
-      "               [--no-shared-decode] [--snapshot-out=FILE]\n"
+      "               [--engine=TIER] [--snapshot-out=FILE]\n"
       "       ringsim --fuzz=N [--fuzz-seed=S] [--shrink] [--fuzz-repro-out=FILE]\n"
-      "               [--fuzz-ablation] [--fuzz-chain-ablation] [--no-chain]\n"
-      "               [--no-shared-decode]\n";
+      "               [--fuzz-ablation] [--fuzz-chain-ablation]\n"
+      "TIER: blocks (default), blocks-nochain, cached, reference\n";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--list") {
@@ -443,14 +434,14 @@ int main(int argc, char** argv) {
       trace = true;
     } else if (arg == "--audit") {
       audit = true;
-    } else if (arg == "--no-fastpath") {
-      engine.fast_path = false;
-    } else if (arg == "--no-block-engine") {
-      engine.block_engine = false;
-    } else if (arg == "--no-chain") {
-      engine.chain = false;
-    } else if (arg == "--no-shared-decode") {
-      engine.shared_decode = false;
+    } else if (arg.rfind("--engine=", 0) == 0) {
+      const auto tier = std::find_if(
+          std::begin(rings::kEngineTiers), std::end(rings::kEngineTiers),
+          [&arg](rings::EngineTier t) { return rings::EngineTierName(t) == arg.substr(9); });
+      if (tier == std::end(rings::kEngineTiers))
+        return rings::BadFlag(arg, "expected blocks, blocks-nochain, cached or reference");
+      rings::ApplyTier(*tier, &engine);
+      engine_given = true;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg.rfind("--max-cycles=", 0) == 0) {
@@ -540,12 +531,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "ringsim: --fuzz takes no program file (got '%s')\n", path.c_str());
       return 2;
     }
-    if (fleet_size > 0 || !restore_path.empty()) {
-      std::fprintf(stderr, "ringsim: --fuzz cannot be combined with --fleet or --restore\n");
+    if (fleet_size > 0 || !restore_path.empty() || engine_given) {
+      // The fuzz oracle runs every engine tier itself.
+      std::fprintf(stderr,
+                   "ringsim: --fuzz cannot be combined with --fleet, --restore or --engine\n");
       return 2;
     }
     return rings::RunFuzz(fuzz_trials, fuzz_seed, fuzz_shrink, fuzz_repro_out, fuzz_ablation,
-                          fuzz_chain_ablation, engine);
+                          fuzz_chain_ablation);
   }
   if (!restore_path.empty()) {
     if (!path.empty()) {
