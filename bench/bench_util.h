@@ -37,8 +37,6 @@ constexpr const char* BenchSuffix(EngineTier tier) {
   switch (tier) {
     case EngineTier::kBlocks:
       return "";
-    case EngineTier::kBlocksNoChain:
-      return "_NoChain";
     case EngineTier::kCached:
       return "_NoBlockEngine";
     case EngineTier::kReference:

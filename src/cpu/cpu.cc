@@ -590,7 +590,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
   if (!InstructionBoundary()) {
     return false;
   }
-  if (tier_ > EngineTier::kBlocksNoChain || !sdw_cache_.enabled()) {
+  if (tier_ != EngineTier::kBlocks || !sdw_cache_.enabled()) {
     return StepBody();
   }
   BlockCache::Block* b = ProbeOrBuildBlock();
@@ -672,7 +672,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
 
     // Chain point: the block completed without a trap, so regs_.ipr names
     // the architectural successor (transfer target or fall-through).
-    if (tier_ != EngineTier::kBlocks || !b->chain_ok) {
+    if (!b->chain_ok) {
       return true;
     }
     if (cycles_ >= cycle_bound || memory_->fault_pending()) {
@@ -708,7 +708,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
       next = ProbeOrBuildBlock();
       if (next == nullptr) {
         // The boundary was consumed; fall back exactly as a dispatch miss
-        // does, so block formation is identical with chaining on or off.
+        // does, so block formation is identical to a fresh dispatch's.
         return StepBody();
       }
       // Patch (or repatch — a conditional site flips between targets) the
@@ -898,24 +898,7 @@ bool Cpu::FetchInstruction(Instruction* ins) {
   }
   cycles_ += cycle_model_.memory_ref;
   const Word word = memory_->Read(ref.addr);
-  // Fleet-shared decode: if this segment is backed by a published image
-  // and the live word still matches the image's raw word, reuse the
-  // pre-decoded instruction instead of decoding again. A mismatch is the
-  // copy-on-write split — this machine wrote (or had patched) the word,
-  // so it decodes its own copy while fleet siblings keep the shared one.
-  const SharedDecodeImage::Entry* pre = DecodeImageEntry(segno, wordno);
-  if (pre != nullptr && pre->raw != word) {
-    ++counters_.shared_decode_misses;
-    pre = nullptr;
-  }
-  if (pre != nullptr) {
-    ++counters_.shared_decode_hits;
-    if (!pre->decodable) {
-      RaiseTrap(TrapCause::kIllegalOpcode);
-      return false;
-    }
-    *ins = pre->ins;
-  } else if (!DecodeInstruction(word, ins)) {
+  if (!DecodeInstruction(word, ins)) {
     RaiseTrap(TrapCause::kIllegalOpcode);
     return false;
   }

@@ -11,10 +11,8 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "src/core/access.h"
 #include "src/core/transfer.h"
@@ -24,7 +22,6 @@
 #include "src/cpu/registers.h"
 #include "src/fault/fault_injector.h"
 #include "src/cpu/sdw_cache.h"
-#include "src/cpu/shared_decode.h"
 #include "src/cpu/tlb.h"
 #include "src/cpu/trap.h"
 #include "src/cpu/verdict_cache.h"
@@ -65,22 +62,19 @@ enum class RefKind { kFetch, kIndirect, kRead, kWrite, kTransfer };
 // engine-equivalence test and the fuzz oracle run all of kEngineTiers).
 //   kBlocks:        superblocks (StepBlock) with block-to-block chaining
 //                   and the monomorphic CALL/RETURN crossing cache.
-//   kBlocksNoChain: superblocks, one block per dispatch.
 //   kCached:        the access-verdict and decoded-instruction caches and
 //                   the software TLB, one instruction per dispatch.
 //   kReference:     the per-instruction reference path, no host caches.
-enum class EngineTier { kBlocks, kBlocksNoChain, kCached, kReference };
-inline constexpr EngineTier kEngineTiers[] = {EngineTier::kBlocks, EngineTier::kBlocksNoChain,
-                                              EngineTier::kCached, EngineTier::kReference};
+enum class EngineTier { kBlocks, kCached, kReference };
+inline constexpr EngineTier kEngineTiers[] = {EngineTier::kBlocks, EngineTier::kCached,
+                                              EngineTier::kReference};
 
-// "blocks", "blocks-nochain", "cached", "reference": ringsim's --engine=
+// "blocks", "cached", "reference": ringsim's --engine=
 // values and the fuzz oracle's leg names.
 constexpr std::string_view EngineTierName(EngineTier tier) {
   switch (tier) {
     case EngineTier::kBlocks:
       return "blocks";
-    case EngineTier::kBlocksNoChain:
-      return "blocks-nochain";
     case EngineTier::kCached:
       return "cached";
     case EngineTier::kReference:
@@ -138,40 +132,6 @@ class Cpu {
   // a chaining bug. Never set outside tests and --fuzz-ablation paths.
   bool chain_ablation() const { return chain_ablation_; }
   void set_chain_ablation(bool enabled) { chain_ablation_ = enabled; }
-
-  // Fleet-shared read-only decode (see src/cpu/shared_decode.h). The
-  // machine attaches the per-segno decoded tables after program load; the
-  // slow fetch path consults them after reading the live word and falls
-  // back to live decode on any mismatch (the CoW split). Host-only: the
-  // image never changes what a fetch charges or traps.
-  void AttachDecodeImage(
-      std::shared_ptr<const SharedDecodeImage> image,
-      const std::vector<std::pair<Segno, const SharedDecodeImage::Segment*>>& map) {
-    for (const auto& [segno, seg] : map) {
-      if (decode_map_.size() <= segno) {
-        decode_map_.resize(static_cast<size_t>(segno) + 1, nullptr);
-      }
-      decode_map_[segno] = seg;
-    }
-    decode_images_.push_back(std::move(image));
-  }
-  bool has_decode_image() const { return !decode_images_.empty(); }
-  // Clone support (Machine::CloneFrom): share the parent's attached decode
-  // images and per-segno map wholesale. The images are immutable after
-  // publication, so aliasing them is free and safe across threads.
-  void CopyDecodeTablesFrom(const Cpu& parent) {
-    decode_images_ = parent.decode_images_;
-    decode_map_ = parent.decode_map_;
-  }
-  // Host bytes of decoded tables this machine references (shared or
-  // private); bench_fleet reports the fleet-wide dedup from this.
-  size_t decode_image_bytes() const {
-    size_t total = 0;
-    for (const auto& image : decode_images_) {
-      total += image->bytes();
-    }
-    return total;
-  }
 
   // Test-only sabotage of the superblock engine, used by the fuzz
   // harness (src/fuzz) to prove its differential oracle catches a broken
@@ -420,18 +380,6 @@ class Cpu {
     return tier_ == EngineTier::kBlocks && checks_enabled_ && sdw_cache_.enabled() &&
            mode_ == ProtectionMode::kRingHardware;
   }
-  // The shared-decode entry covering (segno, wordno), if any.
-  const SharedDecodeImage::Entry* DecodeImageEntry(Segno segno, Wordno wordno) const {
-    if (segno >= decode_map_.size()) {
-      return nullptr;
-    }
-    const SharedDecodeImage::Segment* seg = decode_map_[segno];
-    if (seg == nullptr || wordno >= seg->words.size()) {
-      return nullptr;
-    }
-    return &seg->words[wordno];
-  }
-
   // --- per-opcode execute handlers; both the per-instruction path and
   // the block inner loop dispatch through the Execute switch so the
   // compiler can inline the hot handlers ---
@@ -657,10 +605,6 @@ class Cpu {
   BlockCache block_cache_;
   bool chain_ablation_ = false;
   CrossingCache crossing_cache_;
-  // Shared decode: refcounts pin the attached images; decode_map_ indexes
-  // their per-segment tables by segno.
-  std::vector<std::shared_ptr<const SharedDecodeImage>> decode_images_;
-  std::vector<const SharedDecodeImage::Segment*> decode_map_;
   FaultInjector* fault_injector_ = nullptr;
   uint64_t cycles_ = 0;
   Counters counters_;

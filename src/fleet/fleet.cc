@@ -6,7 +6,6 @@
 
 #include "src/base/log.h"
 #include "src/base/strings.h"
-#include "src/cpu/shared_decode.h"
 #include "src/fleet/fingerprint.h"
 #include "src/fleet/golden_image.h"
 #include "src/snapshot/snapshot.h"
@@ -211,12 +210,10 @@ FleetStats Fleet::Run() {
   slots_.clear();
   slots_.resize(n);
 
-  // Keep every shared decode image and golden machine image acquired
-  // during this run alive until the run ends: machines are retired one at
-  // a time to bound memory, so without the pins a program's image would
-  // expire with its last live machine and the next wave would rebuild
-  // (or re-boot) it.
-  const SharedDecodeRegistry::Pin decode_pin;
+  // Keep every golden machine image acquired during this run alive until
+  // the run ends: machines are retired one at a time to bound memory, so
+  // without the pin a program's image would expire with its last live
+  // machine and the next wave would re-boot it.
   const GoldenImageRegistry::Pin golden_pin;
 
   const auto start = std::chrono::steady_clock::now();

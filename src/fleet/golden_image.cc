@@ -12,7 +12,7 @@ GoldenImage::GoldenImage(std::unique_ptr<Machine> machine, uint64_t identity)
 }
 
 uint64_t EngineIdentityBits(const MachineConfig& config) {
-  return static_cast<uint64_t>(EngineTierOf(config)) | (config.shared_decode ? 8u : 0u);
+  return static_cast<uint64_t>(EngineTierOf(config));
 }
 
 GoldenImageRegistry& GoldenImageRegistry::Instance() {

@@ -10,10 +10,10 @@
 // The registry is keyed by a caller-computed identity (ProgramIdentity in
 // ringsim's fleet, a digest of the full source in the server), XORed with
 // EngineIdentityBits so a golden built under one engine configuration
-// never serves another. Like SharedDecodeRegistry it holds weak references
-// (an image dies with its last user), plus a Pin scope that retains every
-// image handed out: fleets retire members one at a time, so without it an
-// image could expire mid-run and force a re-boot per spawn.
+// never serves another. It holds weak references (an image dies with its
+// last user), plus a Pin scope that retains every image handed out:
+// fleets retire members one at a time, so without it an image could
+// expire mid-run and force a re-boot per spawn.
 #ifndef SRC_FLEET_GOLDEN_IMAGE_H_
 #define SRC_FLEET_GOLDEN_IMAGE_H_
 
@@ -48,8 +48,7 @@ class GoldenImage {
   uint64_t identity_ = 0;
 };
 
-// The engine bits (EngineTierOf, shared decode) a golden identity is
-// XORed with.
+// The engine bits (EngineTierOf) a golden identity is XORed with.
 uint64_t EngineIdentityBits(const MachineConfig& config);
 
 // Process-wide registry of golden images, keyed by caller-computed guest
@@ -72,9 +71,9 @@ class GoldenImageRegistry {
   // Live (still-referenced) images; purges expired slots. For tests.
   size_t LiveImages();
 
-  // RAII retention scope, same contract as SharedDecodeRegistry::Pin:
-  // while any Pin is alive the registry keeps a strong reference to every
-  // image Acquire hands out; the last Pin's release drops them.
+  // RAII retention scope: while any Pin is alive the registry keeps a
+  // strong reference to every image Acquire hands out; the last Pin's
+  // release drops them.
   class Pin {
    public:
     Pin();

@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "src/cpu/shared_decode.h"
 #include "src/fleet/golden_image.h"
 #include "src/fleet/slice_pool.h"
 #include "src/sys/machine.h"
@@ -56,6 +55,15 @@ struct ServeConfig {
   // bench_serve runs its saturation benchmark once per tier through it.
   EngineTier engine = EngineTier::kBlocks;
 };
+
+// Payload caps at the socket boundary: ringsimd refuses a larger `source`
+// or `image` payload before buffering any of it. A kasm source may take
+// kMaxSourceBytes (the largest example guest is 1.3 KiB). An image may
+// take kMaxImageBytesPerWord bytes per word of machine_memory_words: its
+// memory section costs at most 13 per word (alternating one-word runs,
+// 17 + 9 bytes per pair) and the other sections fit in the rest.
+inline constexpr size_t kMaxSourceBytes = size_t{1} << 20;
+inline constexpr size_t kMaxImageBytesPerWord = 16;
 
 // Per-tenant resource ceilings. Defaults are unlimited.
 struct TenantBudget {
@@ -162,9 +170,8 @@ class Server {
 
   ServeConfig config_;
   MachineConfig machine_config_;  // config_'s store size and engine tier
-  // Keep golden images and shared decode alive for the server's lifetime:
-  // tenants come and go, the daemon persists.
-  SharedDecodeRegistry::Pin decode_pin_;
+  // Keep golden images alive for the server's lifetime: tenants come and
+  // go, the daemon persists.
   GoldenImageRegistry::Pin golden_pin_;
 
   std::mutex mu_;  // tasks_, tenants_, next_id_

@@ -54,7 +54,6 @@ std::unique_ptr<Machine> Machine::CloneFrom(const Machine& golden) {
   }
   std::unique_ptr<Machine> clone(new Machine(golden, CloneTag{}));
   clone->RestoreState(golden.CaptureState());
-  clone->cpu_.CopyDecodeTablesFrom(golden.cpu_);
   clone->audit_findings_ = golden.audit_findings_;
   return clone;
 }
@@ -108,16 +107,13 @@ bool Machine::LoadProgram(const Program& program,
   // core store.
   cpu_.FlushInsnCache();
   cpu_.FlushTlb();
-  if (ok) {
-    AttachSharedDecode(program);
-  }
   return ok;
 }
 
-// Program-image identity for the shared-decode and golden-image
-// registries: FNV-1a over the segment names, gate counts, reserve sizes,
-// and assembled words. Two machines loading byte-identical programs hash
-// to the same image; any difference (even one word) yields a distinct one.
+// Program-image identity for the golden-image registry: FNV-1a over the
+// segment names, gate counts, reserve sizes, and assembled words. Two
+// machines loading byte-identical programs hash to the same image; any
+// difference (even one word) yields a distinct one.
 uint64_t ProgramIdentity(const Program& program) {
   uint64_t h = 1469598103934665603ull;
   const auto mix_byte = [&h](uint8_t b) {
@@ -142,46 +138,6 @@ uint64_t ProgramIdentity(const Program& program) {
     }
   }
   return h;
-}
-
-namespace {
-
-std::shared_ptr<const SharedDecodeImage> BuildDecodeImage(const Program& program,
-                                                          uint64_t identity) {
-  SharedDecodeImage::Builder builder;
-  for (const AssembledSegment& seg : program.segments) {
-    builder.AddSegment(seg.name, seg.words);
-  }
-  return builder.Publish(identity);
-}
-
-}  // namespace
-
-void Machine::AttachSharedDecode(const Program& program) {
-  const uint64_t identity = ProgramIdentity(program);
-  bool built = false;
-  std::shared_ptr<const SharedDecodeImage> image;
-  if (config_.shared_decode) {
-    image = SharedDecodeRegistry::Instance().Acquire(
-        identity, [&] { return BuildDecodeImage(program, identity); }, &built);
-  } else {
-    // Private image, never registered: the decode results are identical,
-    // only the cross-machine sharing is ablated.
-    image = BuildDecodeImage(program, identity);
-    built = true;
-  }
-  if (built) {
-    ++cpu_.counters().shared_decode_builds;
-  }
-  std::vector<std::pair<Segno, const SharedDecodeImage::Segment*>> map;
-  for (const AssembledSegment& seg : program.segments) {
-    const RegisteredSegment* reg = registry_.Find(seg.name);
-    const SharedDecodeImage::Segment* img = image->FindSegment(seg.name);
-    if (reg != nullptr && img != nullptr) {
-      map.emplace_back(reg->segno, img);
-    }
-  }
-  cpu_.AttachDecodeImage(std::move(image), map);
 }
 
 bool Machine::LoadProgramSource(std::string_view source,

@@ -29,12 +29,11 @@ struct MachineConfig {
   CycleModel cycle_model{};
   int64_t quantum = 5000;
   ProtectionMode mode = ProtectionMode::kRingHardware;
-  // The host engine tier, as three bools perfbench names: read only by
+  // The host engine tier, as two bools perfbench names: read only by
   // EngineTierOf and set only by ApplyTier below. Host-side only; the
   // simulation is bit-identical on every tier.
   bool fast_path = true;
   bool block_engine = true;
-  bool chain = true;
   // Test-only: deliberately break the block engine (one spurious cycle
   // per CALL executed inside a block) so the differential fuzz oracle's
   // catch-and-shrink path can be exercised. See Cpu::block_call_ablation.
@@ -42,10 +41,10 @@ struct MachineConfig {
   // Test-only: deliberately break chaining (one spurious cycle per
   // followed link) for the fuzz oracle. See Cpu::chain_ablation.
   bool chain_ablation = false;
-  // Share one read-only pre-decoded image per distinct program across all
-  // machines in this process (fleet members running the same guest).
-  // Off = each machine builds a private image; decode results are
-  // identical either way, only the host sharing differs.
+  // `chain` and `shared_decode` have no reader: perfbench/ledger.cc still
+  // names them, and the benchmark change that stops naming them deletes
+  // them.
+  bool chain = true;
   bool shared_decode = true;
   // Deterministic fault injection (see DESIGN.md, "Fault model &
   // recovery"). Disabled by default; zero overhead when disabled.
@@ -58,23 +57,18 @@ struct MachineConfig {
 };
 
 // The one reading of MachineConfig's engine bools: !fast_path is the
-// reference tier, else !block_engine is cached, else !chain is
-// blocks-nochain, else blocks.
+// reference tier, else !block_engine is cached, else blocks.
 inline EngineTier EngineTierOf(const MachineConfig& config) {
   if (!config.fast_path) {
     return EngineTier::kReference;
   }
-  if (!config.block_engine) {
-    return EngineTier::kCached;
-  }
-  return config.chain ? EngineTier::kBlocks : EngineTier::kBlocksNoChain;
+  return config.block_engine ? EngineTier::kBlocks : EngineTier::kCached;
 }
 
 // The one writing of them: sets `config` to run `tier`.
 inline void ApplyTier(EngineTier tier, MachineConfig* config) {
   config->fast_path = tier != EngineTier::kReference;
-  config->block_engine = tier <= EngineTier::kBlocksNoChain;
-  config->chain = tier == EngineTier::kBlocks;
+  config->block_engine = tier == EngineTier::kBlocks;
 }
 
 struct RunResult {
@@ -219,10 +213,6 @@ class Machine {
 
   void StartIo(uint8_t device, Word detail);
 
-  // Builds or acquires the program's shared decode image and maps its
-  // segments onto the segnos the registry just assigned.
-  void AttachSharedDecode(const Program& program);
-
   // Runs the protection auditor once and accumulates findings.
   void RunAudit();
 
@@ -243,8 +233,8 @@ class Machine {
 // Program-image identity: FNV-1a over the segment names, gate counts,
 // reserve sizes, and assembled words. Two machines loading byte-identical
 // programs hash to the same identity; any difference (even one word)
-// yields a distinct one. Keys both the shared-decode registry and the
-// golden-image registry (src/fleet/golden_image.h).
+// yields a distinct one. Keys the golden-image registry
+// (src/fleet/golden_image.h).
 uint64_t ProgramIdentity(const Program& program);
 
 }  // namespace rings

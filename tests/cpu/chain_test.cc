@@ -1,6 +1,6 @@
 // Block-to-block chaining and the CALL/RETURN crossing cache: directed
 // coverage of every invalidation site. Each site test runs a chained
-// twin against an unchained twin through the same mid-run invalidation
+// twin against a reference-tier twin through the same mid-run invalidation
 // and requires the full architectural face (cycles, registers, the
 // pending trap, every non-host counter, compared by the one run
 // comparator) to stay bit-identical — a patched successor link or
@@ -38,7 +38,7 @@ RunSignature TwinSignature(const Cpu& cpu) {
 }
 
 // The whole architectural face of two machines must agree; only host-side
-// cache effectiveness may differ between the chained and unchained twins.
+// cache effectiveness may differ between the chained and reference twins.
 void ExpectTwinsAgree(BareMachine& on, BareMachine& off) {
   EXPECT_TRUE(SameRun(TwinSignature(off.cpu()), TwinSignature(on.cpu())));
 }
@@ -57,7 +57,7 @@ struct LoopRig {
   Segno code = 0;
 
   explicit LoopRig(bool chain) {
-    m.cpu().set_engine_tier(chain ? EngineTier::kBlocks : EngineTier::kBlocksNoChain);
+    m.cpu().set_engine_tier(chain ? EngineTier::kBlocks : EngineTier::kReference);
     code = m.AddCode(
         {MakeIns(Opcode::kAdai, 1), MakeIns(Opcode::kTra, 2), MakeIns(Opcode::kAdai, 2),
          MakeIns(Opcode::kTra, 0)},
@@ -82,7 +82,7 @@ struct LoopRig {
   }
 };
 
-// Runs the same scenario on a chained and an unchained twin and checks
+// Runs the same scenario on a chained and a reference twin and checks
 // the twins agree afterwards; returns the chained twin's final A for
 // rewrite-visibility assertions.
 template <typename Scenario>
@@ -186,7 +186,7 @@ TEST(ChainInvalidate, InjectedDescriptorDropsKeepTwinsIdentical) {
 TEST(ChainInvalidate, GuestStoreIntoCodeDropsPatchedLinks) {
   const auto run = [](bool chain, BareMachine* out_machine) -> Cpu* {
     auto& m = *out_machine;
-    m.cpu().set_engine_tier(chain ? EngineTier::kBlocks : EngineTier::kBlocksNoChain);
+    m.cpu().set_engine_tier(chain ? EngineTier::kBlocks : EngineTier::kReference);
     const Segno data = m.AddSegment({0, 40}, UserData());  // cnt, limit
     SegmentAccess writable_code = MakeProcedureSegment(4, 4);
     writable_code.flags.write = true;

@@ -8,7 +8,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/fleet/fingerprint.h"
@@ -171,13 +170,7 @@ void AddMixedJobs(Fleet* fleet, bool enable_trace) {
 void ExpectHostCountersIdentical(const Counters& a, const Counters& b) {
   Counters::ForEachField(
       [&a, &b](const char* name, uint64_t Counters::* member, bool host_only) {
-        // Shared-decode build attribution is first-acquirer-wins in the
-        // process-wide registry: which of two machines running the same
-        // program pays the build depends on worker scheduling. The fleet
-        // AGGREGATE build count is deterministic (one per distinct live
-        // program); the per-machine split is the one host counter that
-        // is not, so it is the one exclusion here.
-        if (host_only && std::string_view(name) != "shared_decode_builds") {
+        if (host_only) {
           EXPECT_EQ(a.*member, b.*member) << "counter " << name;
         }
       });

@@ -71,8 +71,7 @@ TEST(FuzzDifferentialTest, SabotagedChainingIsCaughtOnTheBlockLeg) {
   ASSERT_TRUE(result.divergence.found);
   // The ablation charges a spurious cycle per followed successor link, so
   // it can only surface on the leg that chains: the blocks tier's. The
-  // cached tier has no block engine and blocks-nochain never follows a
-  // link.
+  // cached and reference tiers have no block engine.
   EXPECT_EQ(result.divergence.leg, EngineTierName(EngineTier::kBlocks));
   EXPECT_NE(result.divergence.detail.find("cycles"), std::string::npos)
       << result.divergence.detail;

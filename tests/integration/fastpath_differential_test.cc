@@ -146,9 +146,6 @@ TEST(FastPathDifferential, FastPathEngages) {
   EXPECT_GT(on.counters.block_hits, 0u);
   EXPECT_GT(on.counters.block_ops, 0u);
   EXPECT_GT(on.counters.chain_follows, 0u);
-  const RunSignature no_chain = RunFleet(EngineTier::kBlocksNoChain, 0, 0);
-  EXPECT_GT(no_chain.counters.block_ops, 0u);
-  EXPECT_EQ(no_chain.counters.chain_follows, 0u);
   const RunSignature no_block = RunFleet(EngineTier::kCached, 0, 0);
   EXPECT_GT(no_block.counters.verdict_hits, 0u);
   EXPECT_EQ(no_block.counters.block_ops, 0u);

@@ -251,6 +251,23 @@ TEST(Serve, OversizedImageIsRejectedAtSubmit) {
   EXPECT_EQ(completion.status, ServeStatus::kCompleted) << completion.ToString();
 }
 
+// ringsimd's image cap admits the costliest store encoding: alternating
+// one-word runs, 13 bytes per word in the memory section.
+TEST(Serve, WorstCaseStoreImageFitsUnderTheImageCap) {
+  MachineConfig config;
+  config.memory_words = size_t{1} << 20;
+  Machine machine(config);
+  ASSERT_TRUE(machine.ok());
+  for (AbsAddr a = 0; a < config.memory_words; ++a) {
+    machine.memory().Write(a, a % 2 == 0 ? 1 : 0);
+  }
+  std::vector<uint8_t> image;
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(machine, &image, &error)) << error;
+  EXPECT_GE(image.size(), 13 * config.memory_words);
+  EXPECT_LE(image.size(), kMaxImageBytesPerWord * config.memory_words);
+}
+
 TEST(Serve, SubmissionCycleCapRetiresAsBudgetExceeded) {
   Server server(ServeConfig{.threads = 1, .slice_cycles = 1'000});
   Submission submission;

@@ -96,13 +96,13 @@ struct PinnedImage {
 
 std::vector<PinnedImage> PinnedImages() {
   return {
-      {"hello.asm", ReadExample("hello.asm"), SmallConfig(), 0xb3318c8d7bb24bb6ull},
-      {"generated seed 1", GenerateGuest(1).source, SmallConfig(), 0x6ab9685db9f3292bull},
+      {"hello.asm", ReadExample("hello.asm"), SmallConfig(), 0xb6e75db3109dc050ull},
+      {"generated seed 1", GenerateGuest(1).source, SmallConfig(), 0xd3e5edbbc8e140b5ull},
       {"generated seed 2, fault injector", GenerateGuest(2).source, FaultConfigured(),
-       0xa69d1175fc9c88a1ull},
-      {"generated seed 5", GenerateGuest(5).source, SmallConfig(), 0x30a64546f3e73214ull},
+       0x050234d4ec242a12ull},
+      {"generated seed 5", GenerateGuest(5).source, SmallConfig(), 0xafb4fd435cd0a9c2ull},
       {"upward call, live return gate", kUpwardCallGuest, SmallConfig(),
-       0x3c5bd9de4a11f6dbull},
+       0x885950b620d108d4ull},
   };
 }
 

@@ -19,7 +19,7 @@ the baseline, so they cover rows the baseline does not list:
 * Engine rows. Every gated benchmark runs once per host engine tier
   (src/cpu/cpu.h's kEngineTiers, the one list of tiers), named with the
   tier's suffix (bench/bench_util.h's BenchSuffix): ``_No`` and the layer
-  it turns off (e.g. ``_NoChain``) right before the first ``/``, none for
+  it turns off (e.g. ``_NoBlockEngine``) right before the first ``/``, none for
   the default tier.
   Names that differ only in that suffix must report identical ``sim_*``
   counters: no host-side layer may change simulated cost. The one

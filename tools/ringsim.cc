@@ -11,9 +11,9 @@
 //                    N parts per million per opportunity
 //   --fault-seed=N   fault-injection RNG seed (default 1); a (seed, rate)
 //                    pair replays exactly
-//   --engine=TIER    host engine tier: blocks (default), blocks-nochain,
-//                    cached or reference (src/cpu/cpu.h's EngineTier;
-//                    simulated results are identical on every tier)
+//   --engine=TIER    host engine tier: blocks (default), cached or
+//                    reference (src/cpu/cpu.h's EngineTier; simulated
+//                    results are identical on every tier)
 //   --stats          print the processor's event counters after the run
 //   --fleet=N        run N independent machines, each loaded with the
 //                    same program, across a worker-thread pool; prints a
@@ -425,7 +425,7 @@ int main(int argc, char** argv) {
       "               [--engine=TIER] [--snapshot-out=FILE]\n"
       "       ringsim --fuzz=N [--fuzz-seed=S] [--shrink] [--fuzz-repro-out=FILE]\n"
       "               [--fuzz-ablation] [--fuzz-chain-ablation]\n"
-      "TIER: blocks (default), blocks-nochain, cached, reference\n";
+      "TIER: blocks (default), cached, reference\n";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--list") {
@@ -439,7 +439,7 @@ int main(int argc, char** argv) {
           std::begin(rings::kEngineTiers), std::end(rings::kEngineTiers),
           [&arg](rings::EngineTier t) { return rings::EngineTierName(t) == arg.substr(9); });
       if (tier == std::end(rings::kEngineTiers))
-        return rings::BadFlag(arg, "expected blocks, blocks-nochain, cached or reference");
+        return rings::BadFlag(arg, "expected blocks, cached or reference");
       rings::ApplyTier(*tier, &engine);
       engine_given = true;
     } else if (arg == "--stats") {

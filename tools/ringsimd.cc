@@ -31,7 +31,10 @@
 //   shutdown                 replies `bye`, drains queued work, exits
 //
 // A command line longer than kMaxLineBytes gets `error line too long` and
-// the connection is closed; other connections are unaffected.
+// the connection is closed; other connections are unaffected. So does a
+// payload over its cap (kMaxSourceBytes, or kMaxImageBytesPerWord per
+// store word, src/serve/server.h): `error <cmd>: payload over N bytes`,
+// sent before any of the payload is buffered.
 //
 // SIGINT/SIGTERM drain and exit cleanly, removing the socket file.
 #include <sys/socket.h>
@@ -228,9 +231,17 @@ void ServeConnection(Server* server, int fd) {
       if (!WriteLine(fd, "ok")) break;
     } else if ((cmd == "source" || cmd == "image") && words.size() == 2) {
       uint64_t n = 0;
-      if (!ParseU64(words[1], &n) || n == 0 || n > (uint64_t{1} << 30)) {
+      if (!ParseU64(words[1], &n) || n == 0) {
         if (!WriteLine(fd, StrFormat("error %s: expected a byte count", cmd.c_str()))) break;
         continue;
+      }
+      const uint64_t cap = cmd == "source"
+                               ? kMaxSourceBytes
+                               : kMaxImageBytesPerWord * server->config().machine_memory_words;
+      if (n > cap) {
+        WriteLine(fd, StrFormat("error %s: payload over %llu bytes", cmd.c_str(),
+                                static_cast<unsigned long long>(cap)));
+        break;
       }
       std::vector<uint8_t> bytes;
       if (!reader.ReadBytes(static_cast<size_t>(n), &bytes)) {

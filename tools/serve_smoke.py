@@ -7,8 +7,9 @@ several concurrent connections), and checks that each served fingerprint
 is bit-identical to a standalone ``ringsim --fleet=1`` run of the same
 guest — the serving path (golden-image clone, work stealing, slicing)
 must be invisible to the simulated machine. Before the batch it sends
-one over-long command line and checks the daemon answers ``error line
-too long``, closes that connection and keeps serving another. It then
+one over-long command line, and one ``source`` and one ``image`` header
+over their payload caps, and checks that the daemon answers each with an
+error, closes that connection and keeps serving another. It then
 opens a few hundred short sequential connections and checks, through
 the daemon's ``VmSize`` in ``/proc/<pid>/status``, that closed
 connections do not each leave a thread stack behind. Finishes with a
@@ -32,6 +33,11 @@ import threading
 
 # ringsimd's kMaxLineBytes: the longest command line it accepts.
 MAX_LINE_BYTES = 64 * 1024
+
+# src/serve/server.h's payload caps at the daemon's default store of
+# 2^22 words: kMaxSourceBytes, and kMaxImageBytesPerWord per word.
+MAX_SOURCE_BYTES = 1 << 20
+MAX_IMAGE_BYTES = 16 << 22
 
 # Short connections the reaping check opens one after another.
 SEQUENTIAL_CONNECTIONS = 300
@@ -83,24 +89,33 @@ def submit(sock, sock_file, source, stdin_text=None):
     return done
 
 
-def check_line_cap(sock_path):
-    """An over-long line closes its own connection and no other."""
+def check_cap(sock_path, send, reply):
+    """Sending `send` gets `reply` and closes that connection and no other."""
     socks = [socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) for _ in range(2)]
     for sock in socks:
         sock.settimeout(30)  # a daemon without the cap would wait forever
         sock.connect(sock_path)
     bystander, capped = socks
-    # One byte over the cap and no terminator: the daemon reads all of it
-    # before deciding, so the close carries no unread data.
-    capped.sendall(b"x" * (MAX_LINE_BYTES + 1))
+    capped.sendall(send)
     capped_file = capped.makefile("rb")
-    expect(capped_file, "error line too long")
+    expect(capped_file, reply)
     if capped_file.readline():
-        raise RuntimeError("daemon kept an over-long connection open")
+        raise RuntimeError("daemon kept a connection open after %r" % reply)
     bystander.sendall(b"ping\n")
     expect(bystander.makefile("rb"), "pong")
     for sock in socks:
         sock.close()
+
+
+def check_caps(sock_path):
+    # One byte over the line cap and no terminator: the daemon reads all
+    # of it before deciding, so the close carries no unread data.
+    check_cap(sock_path, b"x" * (MAX_LINE_BYTES + 1), "error line too long")
+    # A payload header one byte over its cap, and no payload: the daemon
+    # must refuse before it waits for (or buffers) any payload byte.
+    for cmd, cap in (("source", MAX_SOURCE_BYTES), ("image", MAX_IMAGE_BYTES)):
+        check_cap(sock_path, b"%s %d\n" % (cmd.encode(), cap + 1),
+                  "error %s: payload over %d bytes" % (cmd, cap))
 
 
 def vm_size_kib(pid):
@@ -192,7 +207,7 @@ def main():
         if not ready or not daemon.stdout.readline().startswith("ringsimd: listening on"):
             raise RuntimeError("daemon did not come up")
 
-        check_line_cap(sock_path)
+        check_caps(sock_path)
         check_connection_reaping(sock_path, daemon.pid, SEQUENTIAL_CONNECTIONS)
 
         # Round-robin the guests across concurrent client connections.
