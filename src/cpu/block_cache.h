@@ -19,6 +19,15 @@
 // block. Paged blocks additionally revalidate each op's fetch address
 // through the live TLB, so a moved or snooped translation can never
 // replay a stale decode.
+//
+// An op of an unpaged block whose operand is `L,*` with L in the block's
+// own segment may also carry L's resolved Figure 5 step (Op::hop): the
+// word was read and its ring maximized at build, so the op charges the
+// hop as one add and reads only its final operand. The hop is derived
+// from the block's segment exactly as the decodes are, so the same
+// retirements keep it current: a store into L through the executable
+// SDW, an SDW edit or eviction, or a flush (DESIGN.md §7, "Resolved link
+// words").
 #ifndef SRC_CPU_BLOCK_CACHE_H_
 #define SRC_CPU_BLOCK_CACHE_H_
 
@@ -41,12 +50,23 @@ class BlockCache {
   // Sentinel for Block::link_slot: no successor patched in.
   static constexpr uint16_t kNoLink = 0xFFFF;
 
+  // One pre-decoded instruction; its word number is the block's start plus
+  // its index. An op whose operand is an indirect word in the block's own
+  // segment may also carry that word's Figure 5 step, resolved at build
+  // (Cpu::TryBuildBlock): the TPR it leaves behind and whether the chase
+  // goes on. The hop_* fields keep the op at 32 bytes.
   struct Op {
     Instruction ins{};
-    Wordno wordno = 0;
+    Wordno hop_wordno = 0;
     AbsAddr addr = 0;  // absolute fetch address the decode was filled from
     bool needs_ea = false;
+    bool hop = false;           // the hop_* fields hold the resolved first hop
+    bool hop_indirect = false;  // the link word's I bit: the chase continues
+    Ring hop_ring = 0;          // max(IPR.RING, IND.RING, SDW.R1)
+    uint16_t hop_segno = 0;
   };
+  static_assert(sizeof(Op) == 32);
+  static_assert(kSegnoBits <= 16, "Op::hop_segno holds any segment number");
 
   struct Block {
     uint64_t gen = 0;  // valid iff equal to the cache's current generation
@@ -76,6 +96,9 @@ class BlockCache {
     // folded into one add at build time. Identical to the sum the
     // per-instruction path charges piecewise.
     uint64_t op_charge = 0;
+    // The same fold for a resolved hop: the indirect word's check (when
+    // checks are on) plus its read.
+    uint64_t hop_charge = 0;
     std::array<Op, kMaxOps> ops{};
   };
 

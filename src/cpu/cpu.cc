@@ -634,14 +634,15 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
         }
       }
       const BlockCache::Op& op = b->ops[i];
+      const Wordno wordno = b->start + i;
       if (b->paged) {
         // Paged fetches revalidate through the live TLB every op: a moved
         // page, snooped PTW, or evicted translation makes the comparison
         // fail and the op re-fetches on the slow path (which re-walks and,
         // if the page vanished, takes the same missing-page trap the
         // per-instruction path would take).
-        const Tlb::Entry* t = tlb_.Lookup(b->segno, op.wordno >> kPageShift, b->base);
-        if (t == nullptr || t->frame + (op.wordno & kPageMask) != op.addr) {
+        const Tlb::Entry* t = tlb_.Lookup(b->segno, wordno >> kPageShift, b->base);
+        if (t == nullptr || t->frame + (wordno & kPageMask) != op.addr) {
           ++counters_.block_bailouts;
           return StepBody();
         }
@@ -652,10 +653,23 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
       cycles_ += b->op_charge;
       ++op_tally;
       current_ins_ = op.ins;
-      if (op.needs_ea && !FormEffectiveAddress(op.ins)) {
+      if (op.hop && fault_injector_ == nullptr) {
+        // The first hop TryBuildBlock resolved: the charges of Figure 5's
+        // first indirect word on a verdict hit (its check and read as one
+        // add, its counters as one tally bump) and the TPR it leaves. A
+        // further `,*` chases on from depth 1, so the indirection limit
+        // fires at the same hop. An attached injector draws once per hop,
+        // so then the op takes the full formation.
+        cycles_ += b->hop_charge;
+        ++tally_[static_cast<size_t>(RefKind::kIndirect)];
+        tpr_ = Tpr{op.hop_ring, op.hop_segno, op.hop_wordno};
+        if (op.hop_indirect && !ChaseIndirectWords(1)) {
+          return false;
+        }
+      } else if (op.needs_ea && !FormEffectiveAddress(op.ins)) {
         return false;
       }
-      regs_.ipr.wordno = op.wordno + 1;
+      regs_.ipr.wordno = wordno + 1;
       Execute(op.ins);
       if (block_call_ablation_ && op.ins.opcode == Opcode::kCall) {
         ++cycles_;  // deliberately broken (fuzz-oracle test hook); see cpu.h
@@ -741,6 +755,14 @@ BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
   // block has not resolved one yet.
   b->link_slot = BlockCache::kNoLink;
   b->link_version = 0;
+  // Whether an op's IPR-relative link word may be resolved now (see
+  // DESIGN.md §7): unpaged, so its address is fixed under the block's
+  // verdict; executable, so a store through this SDW retires the block
+  // (with checks off a segment without the flag can still run); ring
+  // hardware, so Figure 5 raises the ring; the verdict vouches for the
+  // indirect read; and no injector draws on the hop.
+  const bool hops = !v.paged && v.flags_execute && mode_ == ProtectionMode::kRingHardware &&
+                    (!checks_enabled_ || v.indirect_ok) && fault_injector_ == nullptr;
   uint16_t count = 0;
   while (count < BlockCache::kMaxOps) {
     const Wordno w = start + count;
@@ -773,10 +795,27 @@ BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
     }
     BlockCache::Op& op = b->ops[count];
     op.ins = e->ins;
-    op.wordno = w;
     op.addr = expected;
     op.needs_ea =
         info.operand != OperandKind::kNone && info.operand != OperandKind::kImmediate;
+    op.hop = false;
+    const int32_t link = e->ins.offset;
+    if (hops && op.needs_ea && e->ins.indirect && !e->ins.pr_relative && e->ins.tag == 0 &&
+        link >= 0 && static_cast<uint64_t>(link) < v.bound &&
+        v.base + link < memory_->size()) {
+      // In bounds and in store: this read can latch no fault. A store into
+      // the word through this executable segment drops the block
+      // (NoteStore), so the hop lives exactly as long as the decodes. An
+      // unsnapped link (F bit) is left to trap on the full path.
+      const IndirectWord iw = DecodeIndirectWord(memory_->Read(v.base + link));
+      if (!iw.fault) {
+        op.hop = true;
+        op.hop_indirect = iw.indirect;
+        op.hop_ring = MaxRing(regs_.ipr.ring, iw.ring, v.r1);
+        op.hop_segno = static_cast<uint16_t>(iw.segno);
+        op.hop_wordno = iw.wordno;
+      }
+    }
     ++count;
     if (EndsBlock(e->ins.opcode)) {
       break;
@@ -793,6 +832,7 @@ BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
   b->paged = v.paged;
   b->base = v.base;
   b->op_charge = cycle_model_.instruction_base + VouchedFetchCycles(v.paged);
+  b->hop_charge = (checks_enabled_ ? cycle_model_.access_check : 0) + cycle_model_.memory_ref;
   b->chain_ok = ChainEligible(b->ops[count - 1].ins.opcode);
   b->gen = block_cache_.generation();
   ++counters_.block_builds;
@@ -945,12 +985,11 @@ bool Cpu::FormEffectiveAddress(const Instruction& ins) {
   if (!ins.indirect) {
     return true;
   }
-  return ChaseIndirectWords();
+  return ChaseIndirectWords(0);
 }
 
-bool Cpu::ChaseIndirectWords() {
+bool Cpu::ChaseIndirectWords(unsigned depth) {
   bool indirect = true;
-  unsigned depth = 0;
   while (indirect) {
     if (++depth > kMaxIndirectionDepth) {
       RaiseTrap(TrapCause::kIndirectionLimit);

@@ -345,8 +345,10 @@ class Cpu {
   bool FormEffectiveAddress(const Instruction& ins);
   // The indirection loop of Figure 5, split out of FormEffectiveAddress
   // so the direct-operand case (the overwhelming majority) inlines into
-  // the per-op loops without dragging the chase along.
-  bool ChaseIndirectWords();
+  // the per-op loops without dragging the chase along. `depth` counts the
+  // hops already taken (the block engine's resolved first hop is one);
+  // the TPR holds the address of the next indirect word.
+  bool ChaseIndirectWords(unsigned depth);
   void Execute(const Instruction& ins);
 
   // --- superblock engine (see DESIGN.md) ---

@@ -16,12 +16,21 @@
 // The crossing-cache tests are sharper still: they restrict the target
 // descriptor between crossings so a stale memo would *grant* a crossing
 // the edited SDW forbids, and assert the trap fires.
+//
+// The resolved-hop tests cover the link words a block resolves at build
+// (DESIGN.md §7): each edits, snaps, or lengthens what the first hop of an
+// IPR-relative `,*` operand reads, or runs it where it must not be
+// resolved, and requires every engine tier to agree.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <vector>
 
 #include "src/fault/fault_injector.h"
 #include "src/fleet/fingerprint.h"
+#include "src/mem/page_table.h"
+#include "src/sys/machine.h"
 #include "tests/testutil.h"
 
 namespace rings {
@@ -313,6 +322,298 @@ TEST(CrossingCacheInvalidate, WithdrawnReturnTargetTrapsAfterWarmMemo) {
   m.cpu().InvalidateSdw(target);
   arm();
   EXPECT_EQ(m.StepTrap(), TrapCause::kMissingSegment);
+}
+
+// ---------------------------------------------------------------------------
+// Resolved link words. The hot loops below reach their data through a
+// link word in their own procedure segment (`aos L,*`, the `.its` idiom),
+// so the block engine resolves that first hop when it builds the block.
+// ---------------------------------------------------------------------------
+
+// `op L,*` with L an IPR-relative word number; `reg` names the PR of EPP.
+Instruction ViaLink(Opcode op, Wordno link, uint8_t reg = 0) {
+  Instruction ins = MakeInsReg(op, reg, static_cast<int32_t>(link));
+  ins.indirect = true;
+  return ins;
+}
+
+Word Its(Segno segno, Wordno wordno, bool indirect = false) {
+  return EncodeIndirectWord(IndirectWord{4, indirect, segno, wordno});
+}
+
+// Drives the superblock engine (Step on the other tiers) until the cycle
+// bound or a trap.
+void RunTo(BareMachine& m, uint64_t bound) {
+  while (m.cpu().cycles() < bound && !m.cpu().trap_pending()) {
+    m.cpu().StepBlock(bound);
+  }
+}
+
+// Whether the block held at (segno, start) resolved op `index`'s first
+// hop at build. Only the blocks tier builds blocks.
+bool HopResolved(const Cpu& cpu, Segno segno, Wordno start, size_t index) {
+  const BlockCache::Block* b = cpu.block_cache().Lookup(segno, start);
+  return b != nullptr && index < b->count && b->ops[index].hop;
+}
+
+// Runs `scenario(machine, tier)` on a fresh bare machine per tier and
+// expects every tier's face to match the reference tier's.
+template <class Scenario>
+std::vector<RunSignature> ExpectHopScenarioAgrees(Scenario scenario) {
+  return ExpectSameRunOnEveryTier([&](EngineTier tier) {
+    BareMachine m;
+    m.cpu().set_engine_tier(tier);
+    scenario(m, tier);
+    return TwinSignature(m.cpu());
+  });
+}
+
+// A hot loop re-points its own `.its` word: after ten passes it stores Q
+// (a pointer to c1) over `cnt`, and the remaining thirty passes count c1.
+// A hop that survived the store would keep counting c0. The store waits
+// for the loop to be hot because blocks form only from decodes an earlier
+// pass left in the insn cache. Returns whether the loop's block resolved
+// its first hop.
+bool RunItsRewriteLoop(BareMachine& m, const SegmentAccess& code_access) {
+  const Segno data = m.AddSegment({0, 0, 0, 10, 40}, UserData());  // c0 c1 iter half limit
+  constexpr Wordno kCnt = 15, kIter = 16, kHalf = 17, kLimit = 18, kC0 = 19, kC1 = 20;
+  std::vector<Word> words;
+  for (const Instruction& ins :
+       {ViaLink(Opcode::kLda, kCnt), MakeIns(Opcode::kAdai, 1), ViaLink(Opcode::kSta, kCnt),
+        ViaLink(Opcode::kAos, kIter), ViaLink(Opcode::kLda, kIter),
+        ViaLink(Opcode::kSba, kHalf), MakeIns(Opcode::kTnz, 9),
+        MakeIns(Opcode::kStq, kCnt),  // iter == half: re-point cnt at c1
+        MakeIns(Opcode::kTra, 0), ViaLink(Opcode::kLda, kIter), ViaLink(Opcode::kSba, kLimit),
+        MakeIns(Opcode::kTmi, 0), ViaLink(Opcode::kLda, kC0), ViaLink(Opcode::kLdq, kC1),
+        MakeIns(Opcode::kMme)}) {
+    words.push_back(EncodeInstruction(ins));
+  }
+  for (const Wordno target : {0u, 2u, 3u, 4u, 0u, 1u}) {
+    words.push_back(Its(data, target));
+  }
+  const Segno code = m.AddSegment(words, code_access);
+  m.SetIpr(4, code, 0);
+  m.cpu().regs().q = Its(data, 1);
+  RunTo(m, 100'000);
+  EXPECT_TRUE(m.cpu().trap_pending());
+  EXPECT_EQ(m.cpu().trap_state().cause, TrapCause::kMasterModeEntry);
+  EXPECT_EQ(m.cpu().regs().a, 10u);  // c0: the passes before the store
+  EXPECT_EQ(m.cpu().regs().q, 30u);  // c1: the passes after it
+  return HopResolved(m.cpu(), code, 0, 0);
+}
+
+TEST(ResolvedHop, GuestStoreIntoItsWordRetiresHop) {
+  ExpectHopScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    SegmentAccess writable_code = UserCode();
+    writable_code.flags.write = true;
+    EXPECT_EQ(RunItsRewriteLoop(m, writable_code), tier == EngineTier::kBlocks);
+  });
+}
+
+// With checks off a segment without the execute flag still runs, but a
+// store through its SDW is not a code store and retires nothing, so its
+// link words must not be resolved.
+TEST(ResolvedHop, ChecksOffNonExecutableSegmentIsNotResolved) {
+  ExpectHopScenarioAgrees([](BareMachine& m, EngineTier) {
+    m.cpu().set_checks_enabled(false);
+    EXPECT_FALSE(RunItsRewriteLoop(m, UserData()));
+  });
+}
+
+// A `.link` word traps on first use; the supervisor snaps it through
+// SupervisorWriteRaw, and the re-executed loop resolves the snapped word.
+RunSignature RunLinkFaultLoop(EngineTier tier) {
+  constexpr char kSource[] = R"(
+        .segment main
+start:  lda   lk,*          ; the first pass takes the link fault
+        adai  1
+        sta   lk,*
+        aos   it,*
+        lda   it,*
+        sba   lim,*
+        tmi   start
+        lda   lk,*
+        mme   0
+lk:     .link 4, counts, 0
+it:     .its  4, counts, 1
+lim:    .its  4, counts, 2
+
+        .segment counts
+        .word 0
+        .word 0
+        .word 30
+)";
+  MachineConfig config;
+  ApplyTier(tier, &config);
+  Machine machine(config);
+  EXPECT_TRUE(machine.ok());
+  std::map<std::string, AccessControlList> acls;
+  acls["main"] = AccessControlList::Public(UserCode());
+  acls["counts"] = AccessControlList::Public(UserData());
+  EXPECT_TRUE(machine.LoadProgramSource(kSource, acls));
+  Process* p = machine.Login("linker");
+  EXPECT_NE(p, nullptr);
+  machine.supervisor().InitiateAll(p);
+  EXPECT_TRUE(machine.Start(p, "main", "start", kUserRing));
+  machine.trace().set_enabled(true);
+  machine.Run(200'000);
+  return SignatureOf(machine);
+}
+
+TEST(ResolvedHop, LinkFaultSnapThenReexecution) {
+  const std::vector<RunSignature> runs = ExpectSameRunOnEveryTier(RunLinkFaultLoop);
+  const RunSignature& blocks = runs[0];
+  EXPECT_EQ(blocks.counters.TrapCount(TrapCause::kLinkFault), 1u);
+  EXPECT_GT(blocks.counters.block_ops, 0u);
+  ASSERT_EQ(blocks.processes.size(), 1u);
+  EXPECT_NE(blocks.processes[0].find("code=30"), std::string::npos) << blocks.processes[0];
+}
+
+// Withdrawing the procedure segment's read flag (announced by
+// InvalidateSdw) must make the next indirect read of its link word trap.
+TEST(ResolvedHop, ProcedureAclEditRetiresHop) {
+  const std::vector<RunSignature> runs = ExpectHopScenarioAgrees([](BareMachine& m,
+                                                                    EngineTier tier) {
+    const Segno data = m.AddSegment({0}, UserData());
+    const Segno code = m.AddSegment({EncodeInstruction(ViaLink(Opcode::kAos, 2)),
+                                     EncodeInstruction(MakeIns(Opcode::kTra, 0)), Its(data, 0)},
+                                    UserCode());
+    m.SetIpr(4, code, 0);
+    RunTo(m, 3'000);
+    ASSERT_FALSE(m.cpu().trap_pending());
+    EXPECT_EQ(HopResolved(m.cpu(), code, 0, 0), tier == EngineTier::kBlocks);
+    Sdw sdw = *m.dseg().Fetch(code);
+    sdw.access.flags.read = false;
+    m.dseg().Store(code, sdw);
+    m.cpu().InvalidateSdw(code);
+    RunTo(m, 6'000);
+  });
+  EXPECT_EQ(runs[0].traps, std::vector<std::string>{"read_violation"});
+}
+
+// Checks off: the verdict vouches for every read, so the hop resolves
+// whatever the brackets say, and Figure 5 still raises the ring to
+// SDW.R1. An R1 edit between passes must reach the pointer EPP loads.
+TEST(ResolvedHop, ChecksOffHopFollowsR1Edit) {
+  const std::vector<RunSignature> runs = ExpectHopScenarioAgrees([](BareMachine& m,
+                                                                    EngineTier tier) {
+    m.cpu().set_checks_enabled(false);
+    const Segno data = m.AddSegment({0}, UserData());
+    const Segno code = m.AddSegment({EncodeInstruction(ViaLink(Opcode::kEpp, 3, /*reg=*/2)),
+                                     EncodeInstruction(ViaLink(Opcode::kAos, 3)),
+                                     EncodeInstruction(MakeIns(Opcode::kTra, 0)), Its(data, 0)},
+                                    UserCode());
+    m.SetIpr(4, code, 0);
+    RunTo(m, 3'000);
+    EXPECT_EQ(m.cpu().regs().pr[2].ring, 4);
+    EXPECT_EQ(HopResolved(m.cpu(), code, 0, 0), tier == EngineTier::kBlocks);
+    Sdw sdw = *m.dseg().Fetch(code);
+    sdw.access.brackets = Brackets{6, 6, 6};
+    m.dseg().Store(code, sdw);
+    m.cpu().InvalidateSdw(code);
+    RunTo(m, 6'000);
+    EXPECT_EQ(m.cpu().regs().pr[2].ring, 6);
+  });
+  EXPECT_EQ(runs[0].counters.checks_indirect, 0u);
+}
+
+// An injector attached to a warm machine draws once per hop, so ops whose
+// hop was resolved before it arrived must take the full formation: the
+// MaybeCorruptIndirectRing stream, and the trap its first raised ring
+// causes, then land at the same cycle on every tier.
+TEST(ResolvedHop, InjectorAttachedMidRunDrawsEveryHop) {
+  ExpectHopScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const Segno data = m.AddSegment({0}, UserData());
+    const Segno code = m.AddSegment({EncodeInstruction(ViaLink(Opcode::kAos, 3)),
+                                     EncodeInstruction(ViaLink(Opcode::kLda, 3)),
+                                     EncodeInstruction(MakeIns(Opcode::kTra, 0)), Its(data, 0)},
+                                    UserCode());
+    m.SetIpr(4, code, 0);
+    RunTo(m, 3'000);
+    EXPECT_EQ(HopResolved(m.cpu(), code, 0, 0), tier == EngineTier::kBlocks);
+    FaultConfig config;
+    config.set_rate(FaultSite::kIndirectRingCorruption, 5'000);  // 0.5% per hop
+    config.seed = 11;
+    FaultInjector injector(config);
+    m.cpu().set_fault_injector(&injector);
+    RunTo(m, 1'000'000);
+    m.cpu().set_fault_injector(nullptr);
+    EXPECT_EQ(injector.injected(FaultSite::kIndirectRingCorruption), 1u);
+    ASSERT_TRUE(m.cpu().trap_pending());
+  });
+}
+
+// A 65-word chain headed by the procedure segment's link word: the
+// resolved hop is the first, so the limit must fire when the 65th word
+// is due, as on the full path. The chain grows between passes through a
+// data-segment store, which leaves the block and its hop in place.
+TEST(ResolvedHop, DeepChainHitsIndirectionLimitAtSameHop) {
+  const std::vector<RunSignature> runs = ExpectHopScenarioAgrees([](BareMachine& m,
+                                                                    EngineTier tier) {
+    constexpr Segno kData = 0;  // the bare machine's first segment
+    constexpr Wordno kTarget = kMaxIndirectionDepth;
+    // Word k < 63 points at word k + 1 and goes on; word 63 ends the
+    // chain at the target. Word 0 starts out ending it directly.
+    std::vector<Word> chain;
+    for (Wordno k = 0; k + 1 < kMaxIndirectionDepth; ++k) {
+      chain.push_back(Its(kData, k + 1, /*indirect=*/true));
+    }
+    chain.push_back(Its(kData, kTarget));
+    chain.push_back(777);
+    chain[0] = Its(kData, kTarget);
+    const Segno data = m.AddSegment(chain, UserData());
+    ASSERT_EQ(data, kData);
+    const Segno code = m.AddSegment(
+        {EncodeInstruction(ViaLink(Opcode::kLda, 3)), EncodeInstruction(MakeIns(Opcode::kAdai, 1)),
+         EncodeInstruction(MakeIns(Opcode::kTra, 0)), Its(data, 0, /*indirect=*/true)},
+        UserCode());
+    m.SetIpr(4, code, 0);
+    RunTo(m, 3'000);
+    ASSERT_FALSE(m.cpu().trap_pending());
+    EXPECT_EQ(m.cpu().regs().a, 778u);
+    EXPECT_EQ(HopResolved(m.cpu(), code, 0, 0), tier == EngineTier::kBlocks);
+    ASSERT_EQ(m.cpu().SupervisorWriteRaw(data, 0, Its(data, 1, /*indirect=*/true)),
+              TrapCause::kNone);
+    RunTo(m, 6'000);
+  });
+  EXPECT_EQ(runs[0].traps, std::vector<std::string>{"indirection_limit"});
+}
+
+// A paged procedure segment's link word has no address fixed by the
+// block's verdict, so no hop is resolved; the page moving under the hot
+// loop (a relocated frame whose link word points elsewhere) must be seen.
+TEST(ResolvedHop, PagedProcedureSegmentIsNotResolved) {
+  ExpectHopScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const Segno data = m.AddSegment({0, 0}, UserData());
+    constexpr Segno kCode = 10;
+    const AbsAddr table = *AllocatePageTable(&m.memory(), 1);
+    const auto install = [&](Wordno counter) {
+      const AbsAddr frame = *InstallZeroPage(&m.memory(), table, 0);
+      m.memory().Write(frame + 0, EncodeInstruction(ViaLink(Opcode::kAos, 2)));
+      m.memory().Write(frame + 1, EncodeInstruction(MakeIns(Opcode::kTra, 0)));
+      m.memory().Write(frame + 2, Its(data, counter));
+    };
+    install(0);
+    Sdw sdw;
+    sdw.present = true;
+    sdw.paged = true;
+    sdw.base = table;
+    sdw.bound = 3;
+    sdw.access = UserCode();
+    m.dseg().Store(kCode, sdw);
+    m.cpu().InvalidateSdw(kCode);
+    m.SetIpr(4, kCode, 0);
+    RunTo(m, 3'000);
+    EXPECT_FALSE(HopResolved(m.cpu(), kCode, 0, 0));
+    if (tier == EngineTier::kBlocks) {
+      EXPECT_NE(m.cpu().block_cache().Lookup(kCode, 0), nullptr);
+    }
+    install(1);  // the supervisor relocates the page and announces the PTW
+    m.cpu().NotePtwStore(table);
+    RunTo(m, 6'000);
+    EXPECT_GT(m.Peek(data, 0), 0u);
+    EXPECT_GT(m.Peek(data, 1), 0u);
+  });
 }
 
 }  // namespace

@@ -41,6 +41,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -60,6 +61,8 @@ namespace {
 // Longest accepted command line, terminator excluded. Payloads travel as
 // raw bytes after `source`/`image`, so real command lines are short.
 constexpr size_t kMaxLineBytes = 64 * 1024;
+// Largest single read() of a source/image payload.
+constexpr size_t kReadChunkBytes = 64 * 1024;
 
 std::atomic<int> g_listen_fd{-1};
 std::atomic<bool> g_stop{false};
@@ -108,16 +111,29 @@ class ConnReader {
 
   bool line_too_long() const { return line_too_long_; }
 
-  // Reads exactly `n` raw bytes. False on EOF or error.
+  // Reads exactly `n` raw bytes into `out`, which holds the payload's
+  // only copy: the bytes already buffered behind the command line move
+  // over, and the rest is read from the socket straight into place.
+  // `out` reserves address space up front but grows (touching pages) only
+  // as bytes arrive, so a header alone commits no payload-sized memory.
+  // False on EOF or error.
   bool ReadBytes(size_t n, std::vector<uint8_t>* out) {
-    while (buffer_.size() < n) {
-      if (!Fill()) {
+    const size_t buffered = std::min(n, buffer_.size());
+    out->clear();
+    out->reserve(n);
+    out->insert(out->end(), buffer_.begin(), buffer_.begin() + buffered);
+    buffer_.erase(buffer_.begin(), buffer_.begin() + buffered);
+    buffer_.shrink_to_fit();
+    pos_ = 0;
+    while (out->size() < n) {
+      const size_t have = out->size();
+      out->resize(std::min(n, have + kReadChunkBytes));
+      const ssize_t got = read(fd_, out->data() + have, out->size() - have);
+      if (got <= 0) {
         return false;
       }
+      out->resize(have + static_cast<size_t>(got));
     }
-    out->assign(buffer_.begin(), buffer_.begin() + n);
-    buffer_.erase(buffer_.begin(), buffer_.begin() + n);
-    pos_ = 0;
     return true;
   }
 

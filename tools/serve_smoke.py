@@ -9,9 +9,12 @@ guest — the serving path (golden-image clone, work stealing, slicing)
 must be invisible to the simulated machine. Before the batch it sends
 one over-long command line, and one ``source`` and one ``image`` header
 over their payload caps, and checks that the daemon answers each with an
-error, closes that connection and keeps serving another. It then
+error, closes that connection and keeps serving another. It sends one
+near-cap ``image`` payload and checks, through the daemon's ``VmHWM``
+in ``/proc/<pid>/status``, that the daemon holds it once, while a
+bystander connection is still served. It then
 opens a few hundred short sequential connections and checks, through
-the daemon's ``VmSize`` in ``/proc/<pid>/status``, that closed
+the daemon's ``VmSize``, that closed
 connections do not each leave a thread stack behind. Finishes with a
 clean ``shutdown`` and asserts the daemon exits 0 and removes its
 socket.
@@ -38,6 +41,12 @@ MAX_LINE_BYTES = 64 * 1024
 # 2^22 words: kMaxSourceBytes, and kMaxImageBytesPerWord per word.
 MAX_SOURCE_BYTES = 1 << 20
 MAX_IMAGE_BYTES = 16 << 22
+
+# The near-cap image payload: the daemon may peak at this many times its
+# size above its peak before it (one copy, plus allocator slack). A
+# daemon that buffers the payload and then copies it peaks at over 2x.
+IMAGE_PAYLOAD_BYTES = MAX_IMAGE_BYTES - 4096
+IMAGE_PEAK_FACTOR = 1.2
 
 # Short connections the reaping check opens one after another.
 SEQUENTIAL_CONNECTIONS = 300
@@ -118,16 +127,57 @@ def check_caps(sock_path):
                   "error %s: payload over %d bytes" % (cmd, cap))
 
 
-def vm_size_kib(pid):
-    """The process's VmSize in KiB, or None where /proc is unavailable."""
+def status_kib(pid, field):
+    """A ``/proc/<pid>/status`` field in KiB, or None where /proc is unavailable."""
     try:
         with open("/proc/%d/status" % pid) as status:
             for line in status:
-                if line.startswith("VmSize:"):
+                if line.startswith(field + ":"):
                     return int(line.split()[1])
     except OSError:
         pass
     return None
+
+
+def thread_sanitized(binary):
+    """Whether `binary` is built with ThreadSanitizer, whose shadow memory
+    grows by several bytes per byte the program touches, so VmHWM does not
+    count payload copies there (a 64 MiB payload raised it by 5x)."""
+    with open(binary, "rb") as f:
+        return b"__tsan_init" in f.read()
+
+
+def check_image_payload_memory(sock_path, pid, bound_peak):
+    """One near-cap image payload is held once; another connection is served.
+
+    The VmHWM bound applies only when `bound_peak` is set."""
+    socks = [socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) for _ in range(2)]
+    for sock in socks:
+        sock.settimeout(30)
+        sock.connect(sock_path)
+    bystander, sender = socks
+    before = status_kib(pid, "VmHWM")
+    sender.sendall(b"image %d\n" % IMAGE_PAYLOAD_BYTES)
+    chunk = bytes(1 << 20)
+    left = IMAGE_PAYLOAD_BYTES
+    while left:
+        n = min(left, len(chunk))
+        sender.sendall(chunk[:n])
+        left -= n
+    expect(sender.makefile("rb"), "ok")
+    after = status_kib(pid, "VmHWM")
+    bystander.sendall(b"ping\n")
+    expect(bystander.makefile("rb"), "pong")
+    for sock in socks:
+        sock.close()
+    if not bound_peak or before is None or after is None:
+        return
+    payload_kib = IMAGE_PAYLOAD_BYTES // 1024
+    if after - before > IMAGE_PEAK_FACTOR * payload_kib:
+        raise RuntimeError(
+            "VmHWM grew %d KiB for one %d KiB image payload: the daemon holds it more"
+            " than once" % (after - before, payload_kib)
+        )
 
 
 def check_connection_reaping(sock_path, pid, count):
@@ -143,10 +193,10 @@ def check_connection_reaping(sock_path, pid, count):
 
     for _ in range(16):  # warm up: the malloc heap, glibc's thread-stack cache
         ping_once()
-    before = vm_size_kib(pid)
+    before = status_kib(pid, "VmSize")
     for _ in range(count):
         ping_once()
-    after = vm_size_kib(pid)
+    after = status_kib(pid, "VmSize")
     if before is None or after is None:
         return
     # Default thread stacks are RLIMIT_STACK-sized; a daemon that never
@@ -208,6 +258,9 @@ def main():
             raise RuntimeError("daemon did not come up")
 
         check_caps(sock_path)
+        check_image_payload_memory(
+            sock_path, daemon.pid, bound_peak=not thread_sanitized(args.ringsimd)
+        )
         check_connection_reaping(sock_path, daemon.pid, SEQUENTIAL_CONNECTIONS)
 
         # Round-robin the guests across concurrent client connections.
