@@ -113,11 +113,10 @@ void DownwardCallRoundTrip(benchmark::State& state, EngineTier tier) {
   state.counters["sim_cycles_per_call"] = c.cycles;
   state.counters["sim_instructions_per_call"] = c.instructions;
   state.counters["sim_checks_per_call"] = c.checks;
-  // Host-only effectiveness counters from the last run (identical every
+  // Host-only effectiveness counter from the last run (identical every
   // run — the workload is deterministic); excluded from the fingerprint
   // and from bench_check's sim gate.
   state.counters["chain_follows"] = static_cast<double>(last.chain_follows);
-  state.counters["crossing_hits"] = static_cast<double>(last.crossing_hits);
 }
 
 void RegisterBenchmarks() {

@@ -102,12 +102,10 @@ void PrintReport() {
   std::printf("\n");
 }
 
-// Host time of one armed RET, once per engine tier. The site is maximally
-// monomorphic (one RET, one target, every rep), so with chaining on the
-// crossing cache replays the memoized resolution instead of re-fetching
-// the SDW and re-running ResolveReturn. sim_cycles_per_return is measured
-// at the same tier; tools/bench_check.py gates it, and requires it equal
-// across tiers.
+// Host time of one armed RET, once per engine tier. Every rep fetches the
+// target's SDW (an SDW-cache hit after the first) and re-runs
+// ResolveReturn. sim_cycles_per_return is measured at the same tier;
+// tools/bench_check.py gates it, and requires it equal across tiers.
 void Return(benchmark::State& state, EngineTier tier, Ring from_ring, Ring to_ring) {
   RetRig rig(from_ring, to_ring);
   rig.cpu.set_engine_tier(tier);
@@ -117,8 +115,6 @@ void Return(benchmark::State& state, EngineTier tier, Ring from_ring, Ring to_ri
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["sim_cycles_per_return"] = RetCycles(tier, from_ring, to_ring);
-  // Host-only effectiveness counter (fingerprint-excluded).
-  state.counters["crossing_hits"] = static_cast<double>(rig.cpu.counters().crossing_hits);
 }
 
 void RegisterBenchmarks() {

@@ -214,10 +214,8 @@ bool Cpu::FetchSdw(Segno segno, Sdw* out) {
     }
   }
   // Whatever the insert evicts from this slot, the matching verdict slot
-  // can no longer vouch for it (verdict validity implies SDW residency),
-  // and neither can any crossing memo whose target mapped there.
+  // can no longer vouch for it (verdict validity implies SDW residency).
   verdict_cache_.InvalidateSlot(segno % SdwCache::kEntries);
-  crossing_cache_.InvalidateSdwSlot(segno % SdwCache::kEntries);
   // A running block's per-op charges assume its segment's SDW stays
   // resident; this insert may have just evicted it (or cached a damaged
   // copy), so any in-flight block must bail and revalidate.
@@ -509,7 +507,6 @@ bool Cpu::BoundaryInjectionHooks() {
     }
     sdw_cache_.InvalidateIndex(index);
     verdict_cache_.InvalidateSlot(index);
-    crossing_cache_.InvalidateSdwSlot(index);
     ++counters_.verdict_invalidations;
   }
   if (fault_injector_->MaybeSpuriousMissingPage(cycles_, regs_.ipr.segno, regs_.ipr.wordno)) {
@@ -757,11 +754,9 @@ BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
   b->link_version = 0;
   // Whether an op's IPR-relative link word may be resolved now (see
   // DESIGN.md §7): unpaged, so its address is fixed under the block's
-  // verdict; executable, so a store through this SDW retires the block
-  // (with checks off a segment without the flag can still run); ring
-  // hardware, so Figure 5 raises the ring; the verdict vouches for the
-  // indirect read; and no injector draws on the hop.
-  const bool hops = !v.paged && v.flags_execute && mode_ == ProtectionMode::kRingHardware &&
+  // verdict; ring hardware, so Figure 5 raises the ring; the verdict
+  // vouches for the indirect read; and no injector draws on the hop.
+  const bool hops = !v.paged && mode_ == ProtectionMode::kRingHardware &&
                     (!checks_enabled_ || v.indirect_ok) && fault_injector_ == nullptr;
   uint16_t count = 0;
   while (count < BlockCache::kMaxOps) {
@@ -942,10 +937,13 @@ bool Cpu::FetchInstruction(Instruction* ins) {
     RaiseTrap(TrapCause::kIllegalOpcode);
     return false;
   }
-  if (tier_ != EngineTier::kReference && sdw_cache_.enabled()) {
-    // Paged decodes are cacheable too: the fill address is an absolute
-    // frame address, and a later fast-path hit revalidates it against the
-    // TLB's current translation for the page.
+  if (tier_ != EngineTier::kReference && sdw_cache_.enabled() && ref.flags_execute) {
+    // Only a segment with the execute flag caches its decodes: a store
+    // through its SDW retires them (NoteStore), while with checks off a
+    // segment without the flag can still run and a store through it
+    // retires nothing. Paged decodes are cacheable too: the fill address
+    // is an absolute frame address, and a later fast-path hit revalidates
+    // it against the TLB's current translation for the page.
     ++counters_.insn_cache_misses;
     insn_cache_.Put(segno, wordno, ref.addr, *ins);
   }
@@ -1096,10 +1094,9 @@ void Cpu::ExecuteTransfer() {
   }
 }
 
-// Figures 8 and 9 share this step. The crossing cache memoizes the
-// resolution per call site (see crossing_cache.h): on a hit the SDW
-// fetch, gate check, and bracket comparison are all replayed from the
-// memo with the exact charges the walk takes on an SDW-cache hit.
+// Figures 8 and 9 share this step. Every crossing fetches the target's
+// SDW (from the SDW cache, the paper's associative memory, when it holds
+// it) and checks the gate and brackets against it, on every engine tier.
 template <bool kCall>
 [[gnu::always_inline]] inline bool Cpu::ResolveCrossing(TransferOutcome* out) {
   if (mode_ == ProtectionMode::kFlags645) {
@@ -1110,21 +1107,6 @@ template <bool kCall>
   }
   uint64_t Counters::* const charge = kCall ? &Counters::checks_call : &Counters::checks_return;
   const Ring old_ring = regs_.ipr.ring;
-  const bool memo_enabled = CrossingCacheEnabled();
-  CrossingCache::Entry& memo = crossing_cache_.SlotFor(ipr_at_fetch_.segno, ipr_at_fetch_.wordno);
-  if (memo_enabled) {
-    if (crossing_cache_.Valid(memo, kCall, ipr_at_fetch_.segno, ipr_at_fetch_.wordno, tpr_.segno,
-                              tpr_.wordno, tpr_.ring, old_ring, sdw_cache_.flush_epoch())) {
-      ++counters_.sdw_cache_hits;
-      sdw_cache_.CountHits(1);
-      ++(counters_.*charge);
-      cycles_ += cycle_model_.access_check;
-      ++counters_.crossing_hits;
-      *out = TransferOutcome::Enter(memo.new_ring, memo.ring_changed);
-      return true;
-    }
-  }
-
   Sdw sdw;
   if (!FetchSdw(tpr_.segno, &sdw)) {
     return false;
@@ -1149,12 +1131,6 @@ template <bool kCall>
   }
   if (!kCall) {
     out->ring_changed = out->new_ring > old_ring;  // a RETURN can only go up
-  }
-  if (memo_enabled) {
-    ++counters_.crossing_misses;
-    crossing_cache_.Fill(memo, kCall, ipr_at_fetch_.segno, ipr_at_fetch_.wordno, tpr_.segno,
-                         tpr_.wordno, tpr_.ring, old_ring, sdw_cache_.flush_epoch(), out->new_ring,
-                         out->ring_changed);
   }
   return true;
 }

@@ -17,7 +17,6 @@
 #include "src/core/access.h"
 #include "src/core/transfer.h"
 #include "src/cpu/block_cache.h"
-#include "src/cpu/crossing_cache.h"
 #include "src/cpu/insn_cache.h"
 #include "src/cpu/registers.h"
 #include "src/fault/fault_injector.h"
@@ -60,8 +59,7 @@ enum class RefKind { kFetch, kIndirect, kRead, kWrite, kTransfer };
 // simulated machine does: cycles, counters, trap sequences and the
 // fault-injection stream are bit-identical on every tier (every
 // engine-equivalence test and the fuzz oracle run all of kEngineTiers).
-//   kBlocks:        superblocks (StepBlock) with block-to-block chaining
-//                   and the monomorphic CALL/RETURN crossing cache.
+//   kBlocks:        superblocks (StepBlock) with block-to-block chaining.
 //   kCached:        the access-verdict and decoded-instruction caches and
 //                   the software TLB, one instruction per dispatch.
 //   kReference:     the per-instruction reference path, no host caches.
@@ -117,13 +115,11 @@ class Cpu {
     insn_cache_.Flush();
     tlb_.Flush();
     block_cache_.Flush();
-    crossing_cache_.Flush();
   }
   const VerdictCache& verdict_cache() const { return verdict_cache_; }
   const InsnCache& insn_cache() const { return insn_cache_; }
   const Tlb& tlb() const { return tlb_; }
   const BlockCache& block_cache() const { return block_cache_; }
-  const CrossingCache& crossing_cache() const { return crossing_cache_; }
 
   // Test-only sabotage of the chaining engine, the chaining analog of
   // block_call_ablation: every followed successor link charges one
@@ -189,9 +185,6 @@ class Cpu {
   void InvalidateSdw(Segno segno) {
     sdw_cache_.Invalidate(segno);
     verdict_cache_.InvalidateSegment(segno);
-    // Crossing memos targeting this segment were resolved through the
-    // edited descriptor.
-    crossing_cache_.InvalidateTarget(segno);
     insn_cache_.InvalidateSegment(segno);
     // The descriptor may have pointed the segment at a different page
     // table; every translation derived through it is suspect.
@@ -376,12 +369,6 @@ class Cpu {
   // LDBR are excluded — SIO schedules I/O the run loop must fold into its
   // next cycle bound, and LDBR's flush kills every link stamp anyway.
   static bool ChainEligible(Opcode op);
-  // Whether the CALL/RETURN crossing cache may fill and answer: ring
-  // hardware with checks on, riding the same host caches as chaining.
-  bool CrossingCacheEnabled() const {
-    return tier_ == EngineTier::kBlocks && checks_enabled_ && sdw_cache_.enabled() &&
-           mode_ == ProtectionMode::kRingHardware;
-  }
   // --- per-opcode execute handlers; both the per-instruction path and
   // the block inner loop dispatch through the Execute switch so the
   // compiler can inline the hot handlers ---
@@ -554,11 +541,10 @@ class Cpu {
   // CALL / RETURN (Figures 8 and 9).
   void ExecuteCall();
   void ExecuteReturn();
-  // The step CALL and RETURN share: replay the site's crossing memo, or
-  // fetch the target SDW, charge the check, resolve the crossing, check
-  // bounds and memoize the outcome. On success `out` holds the new ring
-  // and whether the ring of execution changes; on failure the trap is
-  // raised and false returned.
+  // The step CALL and RETURN share: fetch the target SDW, charge the
+  // check, resolve the crossing and check bounds. On success `out` holds
+  // the new ring and whether the ring of execution changes; on failure
+  // the trap is raised and false returned.
   template <bool kCall>
   bool ResolveCrossing(TransferOutcome* out);
   // Transfer instructions other than CALL/RETURN (Figure 7).
@@ -606,7 +592,6 @@ class Cpu {
   bool block_call_ablation_ = false;
   BlockCache block_cache_;
   bool chain_ablation_ = false;
-  CrossingCache crossing_cache_;
   FaultInjector* fault_injector_ = nullptr;
   uint64_t cycles_ = 0;
   Counters counters_;

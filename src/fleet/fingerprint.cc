@@ -11,7 +11,8 @@ namespace {
 
 // Folds the visited fields of a machine-state field list
 // (src/snapshot/schema.h) into the digest, each widened to 64 bits. Build
-// geometry and host-only statistics are not identity and are skipped.
+// geometry is not identity and is skipped; the lists never visit the
+// host-only counters.
 // It visits the register file and the counters; give it the remaining
 // visits when the fingerprint grows to other state.
 class Mixer : public Visits<Mixer> {
@@ -26,7 +27,6 @@ class Mixer : public Visits<Mixer> {
   void Ranged(const T& v, size_t, uint64_t, const char*) {
     fp_->Mix(static_cast<uint64_t>(v));
   }
-  void HostU64(uint64_t) {}
   void Fixed(size_t, const char*) {}
 
   // The mixer only reads the fields it visits.

@@ -7,12 +7,13 @@
 // CloneFrom and RestoreSnapshot both apply a Machine::State, so a new
 // piece of state is a member in its component's State plus one edit here;
 // encoding, decoding, cloning and fingerprinting follow. Changing a list's
-// order or widths changes the kSnapshotVersion 1 format, which
-// tests/snapshot/snapshot_format_test.cc pins.
+// order or widths changes the kSnapshotVersion 2 format, which
+// tests/snapshot/snapshot_format_test.cc pins. Lists hold machine state
+// only: the host-only counters (Counters::ForEachField) are not visited,
+// so adding or deleting a host layer leaves images unchanged.
 //
 // The visits (the shared ones are class Visits, at the end):
 //   Bool, U8, U32, U64, I64, Str  a field at that wire width
-//   HostU64                       a host-only counter: imaged, not fingerprinted
 //   Ring(x, what)                 a ring number (u8); the reader rejects >= 8
 //   Enum8/Enum32(x, last, what)   an enum; the reader rejects > last
 //   Fixed(n, what)                this build's geometry (u32); the reader
@@ -112,15 +113,17 @@ void Fields(Ar& ar, TrapState& trap) {
   Fields(ar, trap.fault_addr);
 }
 
+// The architectural counters only; a decoded image leaves the host-only
+// ones at zero.
 template <class Ar>
 void Fields(Ar& ar, Counters& counters) {
   size_t fields = 0;
-  Counters::ForEachField([&fields](const char*, uint64_t Counters::*, bool) { ++fields; });
+  Counters::ForEachField([&fields](const char*, uint64_t Counters::*, bool host_only) {
+    fields += host_only ? 0 : 1;
+  });
   ar.Fixed(fields, "counter field count");
   Counters::ForEachField([&](const char*, uint64_t Counters::* member, bool host_only) {
-    if (host_only) {
-      ar.HostU64(counters.*member);
-    } else {
+    if (!host_only) {
       ar.U64(counters.*member);
     }
   });
@@ -373,7 +376,7 @@ void Fields(Ar& ar, Machine::State::Device& device) {
 // The typed visits Fields() makes, written once in terms of the two
 // primitives each archive implements: Int(v, bytes) moves an integer, bool
 // or enum at a wire width, and Ranged(v, bytes, last, what) moves one the
-// reader rejects above `last`. Each archive adds HostU64, Str, Fixed, Bits,
+// reader rejects above `last`. Each archive adds Str, Fixed, Bits,
 // List(c, visit), Optional and Check itself.
 template <class Archive>
 class Visits {

@@ -115,7 +115,6 @@ class Writer : public Visits<Writer> {
   void Ranged(const T& v, size_t bytes, uint64_t, const char*) {
     Int(v, bytes);
   }
-  void HostU64(uint64_t v) { Int(v, 8); }
   void Str(const std::string& s) {
     Int(s.size(), 8);
     buf_.insert(buf_.end(), s.begin(), s.end());
@@ -172,7 +171,6 @@ class Reader : public Visits<Reader> {
     }
     v = static_cast<T>(raw);
   }
-  void HostU64(uint64_t& v) { Int(v, 8); }
   void Str(std::string& s) {
     const uint64_t len = Le(8);
     if (!ok_) {

@@ -9,15 +9,16 @@
 // supervisor's process table and scheduler, the event trace, the fault
 // injector's stream, and the device layer (pending I/O completions, tty
 // buffers). Host-only derived caches — verdicts, decoded instructions,
-// the TLB, superblocks — are NOT serialized; restore flushes and rebuilds
-// them, which is invisible to the simulation by the fast path's
-// bit-identical contract.
+// the TLB, superblocks — and the host-only counters that describe them
+// are NOT serialized; restore flushes the caches and rebuilds them, which
+// is invisible to the simulation by the fast path's bit-identical
+// contract, and a restored machine's host counters start at zero.
 //
 // The restore contract is exact: a machine restored from a snapshot taken
 // at a Machine::Run boundary produces the same FNV-1a fingerprint,
-// counters, and trap sequence the live machine would have produced had it
-// run uninterrupted (pinned by tests/snapshot/ across the slow, fast, and
-// block engines and across fleet thread counts).
+// architectural counters, and trap sequence the live machine would have
+// produced had it run uninterrupted (pinned by tests/snapshot/ across the
+// slow, fast, and block engines and across fleet thread counts).
 //
 // Memory costs O(image + touched frames) in both directions, not O(store):
 // the encoder skips never-written frames whole, and restore decodes into
@@ -44,7 +45,7 @@ namespace rings {
 // "RING" when the little-endian header is viewed byte-reversed; the
 // byte-swapped value is recognized and rejected as wrong-endian.
 inline constexpr uint32_t kSnapshotMagic = 0x52494E47u;
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 // Machine-shape facts needed to construct a compatible Machine before
 // restoring (ringsim --restore reads these without decoding the rest).

@@ -172,6 +172,9 @@ class Machine {
   // core store's words (a clone aliases the golden's frames, an image
   // carries them in its memory section), the host-only caches (restore
   // flushes them), and the audit findings, which only CloneFrom copies.
+  // cpu.counters holds every counter, but an image carries only the
+  // architectural ones, so a restore starts the host-only ones at zero
+  // while a clone copies them.
   struct State {
     // Machine-shape facts; RestoreState applies the mode, quantum and
     // trap-storm limit and requires the memory size and cycle model to

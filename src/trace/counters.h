@@ -65,12 +65,11 @@ struct Counters {
   uint64_t block_invalidations = 0;     // blocks retired (stores, SDW edits, drops, flushes)
   uint64_t chain_links = 0;             // successor links patched into blocks
   uint64_t chain_follows = 0;           // dispatches served by following a patched link
-  uint64_t crossing_hits = 0;           // CALL/RETURNs resolved by the crossing cache
-  uint64_t crossing_misses = 0;         // CALL/RETURNs that re-resolved (and refilled a site)
   // Always zero; nothing counts them. They stay only because
-  // perfbench/ledger.cc names them and every snapshot image pins the
-  // counter field count; the benchmark change that stops naming them
-  // deletes them.
+  // perfbench/ledger.cc names them; the benchmark change that stops
+  // naming them deletes them.
+  uint64_t crossing_hits = 0;
+  uint64_t crossing_misses = 0;
   uint64_t shared_decode_hits = 0;
   uint64_t shared_decode_misses = 0;
   uint64_t shared_decode_builds = 0;
@@ -103,11 +102,12 @@ struct Counters {
 
   // Visits every scalar counter as fn(name, member_pointer, host_only).
   // host_only marks the host-side fast-path statistics (verdict_* /
-  // insn_cache_* / tlb_* / block_* / chain_* / crossing_* / the
-  // always-zero shared_decode_*): they describe host work saved, not
-  // simulated events, and are the only counters excluded from
-  // differential fingerprints. The traps array is architectural and is
-  // visited by callers directly.
+  // insn_cache_* / tlb_* / block_* / chain_* / the always-zero
+  // crossing_* and shared_decode_*): they describe host work saved, not
+  // simulated events, so differential fingerprints skip them and
+  // snapshot images do not carry them (a restored machine's start at
+  // zero). The traps array is architectural and is visited by callers
+  // directly.
   template <typename Fn>
   static void ForEachField(Fn&& fn) {
     auto arch = [&fn](const char* name, uint64_t Counters::* member) {

@@ -1,11 +1,11 @@
-// Block-to-block chaining and the CALL/RETURN crossing cache: directed
+// Block-to-block chaining and CALL/RETURN revalidation: directed
 // coverage of every invalidation site. Each site test runs a chained
 // twin against a reference-tier twin through the same mid-run invalidation
 // and requires the full architectural face (cycles, registers, the
 // pending trap, every non-host counter, compared by the one run
-// comparator) to stay bit-identical — a patched successor link or
-// crossing memo that survived the site would execute stale decode or skip
-// a revalidation and split the twins. The five sites:
+// comparator) to stay bit-identical — a patched successor link that
+// survived the site would execute stale decode and split the twins. The
+// five sites:
 //
 //   1. SDW cache epoch flush        (Cpu::FlushSdwCache)
 //   2. descriptor snoop             (Cpu::InvalidateSdw)
@@ -13,9 +13,10 @@
 //   4. injected descriptor drop     (fault boundary, kSdwCacheDrop)
 //   5. DBR reload                   (Cpu::SetDbr)
 //
-// The crossing-cache tests are sharper still: they restrict the target
-// descriptor between crossings so a stale memo would *grant* a crossing
-// the edited SDW forbids, and assert the trap fires.
+// The crossing tests are sharper still: they restrict the target
+// descriptor between crossings so a stale cached SDW would *grant* a
+// crossing the edited SDW forbids, and assert the trap fires on every
+// engine tier.
 //
 // The resolved-hop tests cover the link words a block resolves at build
 // (DESIGN.md §7): each edits, snaps, or lengthens what the first hop of an
@@ -232,9 +233,10 @@ TEST(ChainInvalidate, GuestStoreIntoCodeDropsPatchedLinks) {
 }
 
 // ---------------------------------------------------------------------------
-// The CALL/RETURN crossing cache. A monomorphic gate-call site is warmed
-// until the memo answers, then the target descriptor is restricted; a
-// stale memo would grant the crossing the edited SDW forbids.
+// CALL/RETURN revalidation. A gate-call site is warmed until the target's
+// SDW answers from the SDW cache, then the target descriptor is
+// restricted; a stale cached SDW would grant the crossing the edited SDW
+// forbids. Each test runs on every engine tier.
 // ---------------------------------------------------------------------------
 
 struct GateRig {
@@ -242,7 +244,8 @@ struct GateRig {
   Segno target = 0;
   Segno code = 0;
 
-  GateRig() {
+  explicit GateRig(EngineTier tier) {
+    m.cpu().set_engine_tier(tier);
     for (Ring r = 0; r < kRingCount; ++r) {
       m.AddSegment({}, MakeStackSegment(r), /*extra=*/64);
     }
@@ -259,13 +262,14 @@ struct GateRig {
     m.SetPr(kPrStack, 4, 4, 16);
   }
 
-  // Warms the call site until the crossing cache answers.
-  void WarmMemo() {
+  // Crosses twice; the second crossing fetches no descriptor, so its
+  // target's SDW came from the SDW cache.
+  void WarmCallSite() {
     ASSERT_EQ(m.StepTrap(), TrapCause::kNone);
-    EXPECT_GT(m.cpu().counters().crossing_misses, 0u);
     Arm();
+    const uint64_t fetches = m.cpu().counters().sdw_fetches;
     ASSERT_EQ(m.StepTrap(), TrapCause::kNone);
-    EXPECT_GT(m.cpu().counters().crossing_hits, 0u);
+    EXPECT_EQ(m.cpu().counters().sdw_fetches, fetches);
     Arm();
   }
 
@@ -278,50 +282,60 @@ struct GateRig {
 };
 
 TEST(CrossingCacheInvalidate, DescriptorSnoopRevalidatesWarmCallSite) {
-  GateRig rig;
-  rig.WarmMemo();
-  rig.WithdrawGates();
-  rig.m.cpu().InvalidateSdw(rig.target);
-  // The memoized "gate ok" verdict must not answer for the edited SDW.
-  EXPECT_EQ(rig.m.StepTrap(), TrapCause::kGateViolation);
+  for (const EngineTier tier : kEngineTiers) {
+    SCOPED_TRACE(EngineTierName(tier));
+    GateRig rig(tier);
+    rig.WarmCallSite();
+    rig.WithdrawGates();
+    rig.m.cpu().InvalidateSdw(rig.target);
+    // The cached "gate ok" descriptor must not answer for the edited SDW.
+    EXPECT_EQ(rig.m.StepTrap(), TrapCause::kGateViolation);
+  }
 }
 
 TEST(CrossingCacheInvalidate, SdwCacheFlushRevalidatesWarmCallSite) {
-  GateRig rig;
-  rig.WarmMemo();
-  rig.WithdrawGates();
-  rig.m.cpu().FlushSdwCache();  // epoch bump alone must retire the memo
-  EXPECT_EQ(rig.m.StepTrap(), TrapCause::kGateViolation);
+  for (const EngineTier tier : kEngineTiers) {
+    SCOPED_TRACE(EngineTierName(tier));
+    GateRig rig(tier);
+    rig.WarmCallSite();
+    rig.WithdrawGates();
+    rig.m.cpu().FlushSdwCache();  // the flush alone must refetch the SDW
+    EXPECT_EQ(rig.m.StepTrap(), TrapCause::kGateViolation);
+  }
 }
 
-// RETURN side: the slow path fetches the return target's SDW on every
-// RET; the memo skips that fetch, so a stale memo would return into a
-// segment whose descriptor has since been withdrawn.
+// RETURN side: every RET fetches the return target's SDW, so a withdrawn
+// descriptor must stop the return even after the SDW cache held it.
 TEST(CrossingCacheInvalidate, WithdrawnReturnTargetTrapsAfterWarmMemo) {
-  BareMachine m;
-  const Segno retseg = m.AddCode({MakeInsPr(Opcode::kRet, 7, 0)}, MakeProcedureSegment(1, 1));
-  const Segno target =
-      m.AddCode({MakeIns(Opcode::kNop), MakeIns(Opcode::kNop)}, MakeProcedureSegment(4, 4));
-  const auto arm = [&] {
-    m.cpu().regs().ipr = Ipr{1, retseg, 0};
-    for (PointerRegister& pr : m.cpu().regs().pr) {
-      pr = PointerRegister{1, 0, 0};
-    }
-    m.cpu().regs().pr[kPrReturn] = PointerRegister{4, target, 0};
-  };
+  for (const EngineTier tier : kEngineTiers) {
+    SCOPED_TRACE(EngineTierName(tier));
+    BareMachine m;
+    m.cpu().set_engine_tier(tier);
+    const Segno retseg = m.AddCode({MakeInsPr(Opcode::kRet, 7, 0)}, MakeProcedureSegment(1, 1));
+    const Segno target =
+        m.AddCode({MakeIns(Opcode::kNop), MakeIns(Opcode::kNop)}, MakeProcedureSegment(4, 4));
+    const auto arm = [&] {
+      m.cpu().regs().ipr = Ipr{1, retseg, 0};
+      for (PointerRegister& pr : m.cpu().regs().pr) {
+        pr = PointerRegister{1, 0, 0};
+      }
+      m.cpu().regs().pr[kPrReturn] = PointerRegister{4, target, 0};
+    };
 
-  arm();
-  ASSERT_EQ(m.StepTrap(), TrapCause::kNone);
-  arm();
-  ASSERT_EQ(m.StepTrap(), TrapCause::kNone);
-  EXPECT_GT(m.cpu().counters().crossing_hits, 0u);
+    arm();
+    ASSERT_EQ(m.StepTrap(), TrapCause::kNone);
+    arm();
+    const uint64_t fetches = m.cpu().counters().sdw_fetches;
+    ASSERT_EQ(m.StepTrap(), TrapCause::kNone);
+    EXPECT_EQ(m.cpu().counters().sdw_fetches, fetches);  // the target's SDW was cached
 
-  Sdw sdw = *m.dseg().Fetch(target);
-  sdw.present = false;
-  m.dseg().Store(target, sdw);
-  m.cpu().InvalidateSdw(target);
-  arm();
-  EXPECT_EQ(m.StepTrap(), TrapCause::kMissingSegment);
+    Sdw sdw = *m.dseg().Fetch(target);
+    sdw.present = false;
+    m.dseg().Store(target, sdw);
+    m.cpu().InvalidateSdw(target);
+    arm();
+    EXPECT_EQ(m.StepTrap(), TrapCause::kMissingSegment);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -417,6 +431,40 @@ TEST(ResolvedHop, ChecksOffNonExecutableSegmentIsNotResolved) {
   ExpectHopScenarioAgrees([](BareMachine& m, EngineTier) {
     m.cpu().set_checks_enabled(false);
     EXPECT_FALSE(RunItsRewriteLoop(m, UserData()));
+  });
+}
+
+// The same hazard for decodes: with checks off a loop runs from a
+// read/write segment and, after twenty passes, stores over its own hot
+// `aos c0` an `aos c1` (held in Q). The store goes through an SDW without
+// the execute flag and retires nothing, so a decode cached from that
+// segment would keep counting c0 (A=40 Q=0 instead of A=20 Q=20).
+TEST(CodeStore, ChecksOffNonExecutableSegmentRunsItsPatchedWord) {
+  ExpectSameRunOnEveryTier([](EngineTier tier) {
+    BareMachine m;
+    m.cpu().set_engine_tier(tier);
+    m.cpu().set_checks_enabled(false);
+    constexpr Wordno kC0 = 12, kC1 = 13, kIter = 14, kHalf = 15, kLimit = 16;
+    std::vector<Word> words;
+    for (const Instruction& ins :
+         {MakeIns(Opcode::kAos, kC0),  // patched to `aos c1`
+          MakeIns(Opcode::kAos, kIter), MakeIns(Opcode::kLda, kIter),
+          MakeIns(Opcode::kSba, kHalf), MakeIns(Opcode::kTnz, 6),
+          MakeIns(Opcode::kStq, 0),  // iter == half: patch w0
+          MakeIns(Opcode::kLda, kIter), MakeIns(Opcode::kSba, kLimit),
+          MakeIns(Opcode::kTmi, 0), MakeIns(Opcode::kLda, kC0), MakeIns(Opcode::kLdq, kC1),
+          MakeIns(Opcode::kMme)}) {
+      words.push_back(EncodeInstruction(ins));
+    }
+    words.insert(words.end(), {0, 0, 0, 20, 40});  // c0 c1 iter half limit
+    const Segno code = m.AddSegment(words, UserData());
+    m.SetIpr(4, code, 0);
+    m.cpu().regs().q = EncodeInstruction(MakeIns(Opcode::kAos, kC1));
+    RunTo(m, 100'000);
+    EXPECT_EQ(m.cpu().trap_state().cause, TrapCause::kMasterModeEntry);
+    EXPECT_EQ(m.cpu().regs().a, 20u);
+    EXPECT_EQ(m.cpu().regs().q, 20u);
+    return TwinSignature(m.cpu());
   });
 }
 

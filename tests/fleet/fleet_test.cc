@@ -164,18 +164,6 @@ void AddMixedJobs(Fleet* fleet, bool enable_trace) {
   fleet->Add("pair-b", [enable_trace] { return MakePairMachine(enable_trace); });
 }
 
-// The host-only counters the run comparator skips: identical across
-// thread counts, because the quantum sequence is identical no matter
-// which worker runs each slice.
-void ExpectHostCountersIdentical(const Counters& a, const Counters& b) {
-  Counters::ForEachField(
-      [&a, &b](const char* name, uint64_t Counters::* member, bool host_only) {
-        if (host_only) {
-          EXPECT_EQ(a.*member, b.*member) << "counter " << name;
-        }
-      });
-}
-
 // ---------------------------------------------------------------------------
 
 TEST(Fleet, DeterministicAcrossThreadCounts) {

@@ -419,14 +419,14 @@ TEST(FastPathDifferential, B645Crossings) { ExpectSameRunOnEveryTier(RunB645); }
 // Per-kind charge equality. Every reference kind crossed with every
 // outcome, on paged and unpaged segments, run on a bare processor twice
 // from the same start: the first pass walks descriptors and fills the
-// verdict, decode, TLB and crossing caches, the second meets them warm
+// verdict, decode and TLB caches, the second meets them warm
 // (a denied or out-of-bounds reference then finds a verdict that does not
 // vouch for it). Every engine tier must agree on cycles, architectural
 // counters and the trap cause of each pass; the tiers with a live TLB
 // must agree on tlb_hits. Allowed
 // fetches, operands, indirections and transfers are left to the
-// workloads above; CALL and RETURN get allowed rows here too, since this
-// is where their crossing memo replays a same-segment crossing.
+// workloads above; CALL and RETURN get allowed rows here too, so a
+// same-segment crossing also resolves through a warm SDW cache.
 // ---------------------------------------------------------------------------
 
 enum class RefCase { kFetch, kIndirect, kRead, kWrite, kTransfer, kCall, kReturn };

@@ -317,7 +317,7 @@ Counters ExpectExactAtEverySlice(GuestFactory guest) {
 
 TEST(TallyExactness, CallLoop) {
   const Counters counters = ExpectExactAtEverySlice(&CallLoop);
-  EXPECT_GT(counters.crossing_hits, 0u);
+  EXPECT_GT(counters.calls_downward, 0u);
 }
 
 TEST(TallyExactness, CallLoopWithChecksOff) {

@@ -158,30 +158,38 @@ TEST(SnapshotFleet, RestoreSeededFleetDeterministicAcrossThreadCounts) {
 TEST(SnapshotFleet, CheckpointingIsObservationFree) {
   // Checkpointing must never perturb a machine's trajectory (snapshot
   // fault sites at rate zero consume no randomness, serialization reads
-  // const state): results with and without checkpointing are identical.
+  // const state): results with and without checkpointing are identical,
+  // host-only counters included, at every thread count.
   std::vector<MachineResult> baseline;
-  std::vector<MachineResult> checkpointed;
-  for (const uint64_t every : {uint64_t{0}, uint64_t{2}}) {
-    FleetConfig config;
-    config.threads = 4;
-    config.slice_cycles = 1'000;
-    config.checkpoint_every_quanta = every;
-    Fleet fleet(config);
-    for (uint64_t i = 0; i < 3; ++i) {
-      MachineConfig machine_config;
-      machine_config.fault = FaultConfig::Uniform(/*seed=*/0x5eed + i, /*ppm=*/2'000);
-      fleet.Add(std::string("m") + std::to_string(i),
-                [machine_config] { return MakeCallLoopMachine(machine_config); });
+  for (const int threads : {1, 4, 8}) {
+    for (const uint64_t every : {uint64_t{0}, uint64_t{2}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " every " + std::to_string(every));
+      FleetConfig config;
+      config.threads = threads;
+      config.slice_cycles = 1'000;
+      config.checkpoint_every_quanta = every;
+      Fleet fleet(config);
+      for (uint64_t i = 0; i < 3; ++i) {
+        MachineConfig machine_config;
+        machine_config.fault = FaultConfig::Uniform(/*seed=*/0x5eed + i, /*ppm=*/2'000);
+        fleet.Add(std::string("m") + std::to_string(i),
+                  [machine_config] { return MakeCallLoopMachine(machine_config); });
+      }
+      fleet.Run();
+      if (baseline.empty()) {
+        baseline = fleet.results();
+        continue;
+      }
+      const std::vector<MachineResult>& got = fleet.results();
+      ASSERT_EQ(got.size(), baseline.size());
+      for (size_t m = 0; m < baseline.size(); ++m) {
+        SCOPED_TRACE(baseline[m].name);
+        EXPECT_TRUE(SameRun(baseline[m].run, got[m].run));
+        ExpectHostCountersIdentical(baseline[m].run.counters, got[m].run.counters);
+        EXPECT_EQ(got[m].exit_code, baseline[m].exit_code);
+        EXPECT_EQ(got[m].restarts, 0);
+      }
     }
-    fleet.Run();
-    (every == 0 ? baseline : checkpointed) = fleet.results();
-  }
-  ASSERT_EQ(baseline.size(), checkpointed.size());
-  for (size_t m = 0; m < baseline.size(); ++m) {
-    SCOPED_TRACE(baseline[m].name);
-    EXPECT_TRUE(SameRun(baseline[m].run, checkpointed[m].run));
-    EXPECT_EQ(checkpointed[m].exit_code, baseline[m].exit_code);
-    EXPECT_EQ(checkpointed[m].restarts, 0);
   }
 }
 
@@ -204,7 +212,7 @@ TEST(SnapshotFleet, SelfHealingRecoversInjectedFaultMachine) {
   // restart disarms the injector (the transient fault was repaired) and
   // replays from the last verified checkpoint.
   std::vector<MachineResult> first_run;
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 4, 8}) {
     SCOPED_TRACE(threads);
     FleetConfig fleet_config;
     fleet_config.threads = threads;
@@ -232,12 +240,14 @@ TEST(SnapshotFleet, SelfHealingRecoversInjectedFaultMachine) {
     EXPECT_EQ(stats.recovered, 1u);
     EXPECT_EQ(fleet.ExitCode(), 0);
 
-    // Recovery itself is deterministic and thread-count invariant.
+    // Recovery itself is deterministic and thread-count invariant, down
+    // to the host-only counters a restart starts from zero.
     if (first_run.empty()) {
       first_run = fleet.results();
     } else {
       for (size_t m = 0; m < first_run.size(); ++m) {
         EXPECT_TRUE(SameRun(first_run[m].run, fleet.results()[m].run));
+        ExpectHostCountersIdentical(first_run[m].run.counters, fleet.results()[m].run.counters);
         EXPECT_EQ(fleet.results()[m].restarts, first_run[m].restarts);
       }
     }

@@ -1,7 +1,7 @@
 // The snapshot image format, pinned. Images of fixed guests saved at
 // fixed cuts must hash to fixed FNV-1a digests: any change to a field's
 // order, width or encoding moves a digest, so a refactor of the encoder
-// cannot silently change kSnapshotVersion 1's byte layout.
+// cannot silently change kSnapshotVersion 2's byte layout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,18 +96,18 @@ struct PinnedImage {
 
 std::vector<PinnedImage> PinnedImages() {
   return {
-      {"hello.asm", ReadExample("hello.asm"), SmallConfig(), 0xb6e75db3109dc050ull},
-      {"generated seed 1", GenerateGuest(1).source, SmallConfig(), 0xd3e5edbbc8e140b5ull},
+      {"hello.asm", ReadExample("hello.asm"), SmallConfig(), 0xb86ee91cb539aca1ull},
+      {"generated seed 1", GenerateGuest(1).source, SmallConfig(), 0xb2f14ba024325d28ull},
       {"generated seed 2, fault injector", GenerateGuest(2).source, FaultConfigured(),
-       0x050234d4ec242a12ull},
-      {"generated seed 5", GenerateGuest(5).source, SmallConfig(), 0xafb4fd435cd0a9c2ull},
+       0x36f597b08bf569a4ull},
+      {"generated seed 5", GenerateGuest(5).source, SmallConfig(), 0x823c279ff6fad272ull},
       {"upward call, live return gate", kUpwardCallGuest, SmallConfig(),
-       0x885950b620d108d4ull},
+       0x25b98405a645261bull},
   };
 }
 
 TEST(SnapshotFormat, PinnedImagesAreByteStable) {
-  EXPECT_EQ(kSnapshotVersion, 1u);
+  EXPECT_EQ(kSnapshotVersion, 2u);
   for (const PinnedImage& pinned : PinnedImages()) {
     SCOPED_TRACE(pinned.name);
     std::unique_ptr<Machine> live = CutAtHalf(pinned.source, pinned.config);
@@ -268,8 +268,8 @@ void ExpectRejected(const std::vector<uint8_t>& image, const MachineConfig& conf
 // Payload offsets of the cpu section (all fixed-width): cycles u64, then
 // the register file (a, q, 8 index registers, 8 pointer registers of
 // ring u8 + segno u32 + wordno u32, the IPR, the DBR), the TPR, three
-// flags and the timer, then the trap state, the counters and the
-// descriptor cache.
+// flags and the timer, then the trap state, the architectural counters
+// and the descriptor cache.
 constexpr size_t kRegisterFileBytes = 8 + 8 + 8 * 4 + 9 * 9 + 16;
 constexpr size_t kPr0Ring = 8 + 8 + 8 + 8 * 4;
 constexpr size_t kTrapCause = 8 + kRegisterFileBytes + 9 + 1 + 1 + 8 + 1;
@@ -277,7 +277,9 @@ constexpr size_t kCounterCount = kTrapCause + 4 + kRegisterFileBytes + 9 + 14 + 
 
 size_t CounterFields() {
   size_t fields = 0;
-  Counters::ForEachField([&fields](const char*, uint64_t Counters::*, bool) { ++fields; });
+  Counters::ForEachField([&fields](const char*, uint64_t Counters::*, bool host_only) {
+    fields += host_only ? 0 : 1;
+  });
   return fields;
 }
 size_t TrapArraySize() { return kCounterCount + 4 + 8 * CounterFields(); }
@@ -399,6 +401,27 @@ TEST(SnapshotDecoder, RejectsOutOfRangeLinkRingAndFaultSite) {
   ASSERT_FALSE(faulty->fault_injector()->events().empty());
   ExpectRejected(Patch(Save(*faulty), kFault, kFirstFaultSite, kNumFaultSites, 4),
                  FaultConfigured(), "fault", "fault site 7 out of range");
+}
+
+// A version-1 image (which carried the host-only counters) is refused by
+// the header check, with a structured error and the target untouched.
+TEST(SnapshotDecoder, RefusesVersionOneImages) {
+  const MachineConfig config = SmallConfig();
+  std::unique_ptr<Machine> hello = CutAtHalf(ReadExample("hello.asm"), config);
+  ASSERT_NE(hello, nullptr);
+  std::vector<uint8_t> image = Save(*hello);
+  Store(&image, 4, 1, 4);
+  Store(&image, 12, Crc32(std::vector<uint8_t>(image.begin(), image.begin() + 12)), 4);
+  std::string error;
+  EXPECT_FALSE(VerifySnapshot(image, &error));
+  EXPECT_NE(error.find("unsupported snapshot version 1"), std::string::npos) << error;
+  Machine target(config);
+  ASSERT_TRUE(target.ok());
+  const uint64_t untouched = FingerprintMachine(target);
+  error.clear();
+  EXPECT_FALSE(RestoreSnapshot(image, &target, &error));
+  EXPECT_NE(error.find("unsupported snapshot version 1"), std::string::npos) << error;
+  EXPECT_EQ(FingerprintMachine(target), untouched);
 }
 
 // The store's size is checked against the machine before the decoder

@@ -130,6 +130,19 @@ inline testing::AssertionResult SameRun(const RunSignature& want, const RunSigna
   return testing::AssertionFailure() << diff;
 }
 
+// The host-only counters the run comparator skips, compared one by one.
+// A fleet's are identical across thread counts, because the quantum
+// sequence (checkpoint restarts included) is identical no matter which
+// worker runs each slice.
+inline void ExpectHostCountersIdentical(const Counters& a, const Counters& b) {
+  Counters::ForEachField(
+      [&a, &b](const char* name, uint64_t Counters::* member, bool host_only) {
+        if (host_only) {
+          EXPECT_EQ(a.*member, b.*member) << "counter " << name;
+        }
+      });
+}
+
 // Runs `run(tier)` once per engine tier, expects every tier's signature
 // to match the reference tier's, and returns them in kEngineTiers order.
 template <class Run>

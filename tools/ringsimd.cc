@@ -34,7 +34,8 @@
 // the connection is closed; other connections are unaffected. So does a
 // payload over its cap (kMaxSourceBytes, or kMaxImageBytesPerWord per
 // store word, src/serve/server.h): `error <cmd>: payload over N bytes`,
-// sent before any of the payload is buffered.
+// sent before any of the payload is buffered. At most kMaxConnections
+// connections are open at once; one more gets `error busy` and is closed.
 //
 // SIGINT/SIGTERM drain and exit cleanly, removing the socket file.
 #include <sys/socket.h>
@@ -63,6 +64,10 @@ namespace {
 constexpr size_t kMaxLineBytes = 64 * 1024;
 // Largest single read() of a source/image payload.
 constexpr size_t kReadChunkBytes = 64 * 1024;
+// Most connections open at once. Each may hold a payload up to its cap
+// (64 MiB for an image at the default store), so this bounds what open
+// connections can pin.
+constexpr size_t kMaxConnections = 32;
 
 std::atomic<int> g_listen_fd{-1};
 std::atomic<bool> g_stop{false};
@@ -330,7 +335,7 @@ int RunDaemon(const std::string& socket_path, const ServeConfig& config) {
   // One thread per open connection. Each flags its own end, and the
   // accept loop joins the finished ones before taking the next
   // connection, so a long-lived daemon holds threads (and their stacks)
-  // only for connections still open.
+  // only for connections still open, and at most kMaxConnections.
   struct Connection {
     std::thread thread;
     std::atomic<bool> done{false};
@@ -348,6 +353,11 @@ int RunDaemon(const std::string& socket_path, const ServeConfig& config) {
       c.thread.join();
       return true;
     });
+    if (connections.size() >= kMaxConnections) {
+      WriteLine(fd, "error busy");
+      close(fd);
+      continue;
+    }
     Connection& c = connections.emplace_back();
     c.thread = std::thread([&server, fd, &c] {
       ServeConnection(&server, fd);

@@ -15,7 +15,10 @@ in ``/proc/<pid>/status``, that the daemon holds it once, while a
 bystander connection is still served. It then
 opens a few hundred short sequential connections and checks, through
 the daemon's ``VmSize``, that closed
-connections do not each leave a thread stack behind. Finishes with a
+connections do not each leave a thread stack behind. After the batch it
+fills the daemon's connection cap with idle connections, checks that
+one more gets ``error busy`` and is closed, and that a bystander is
+served once an idle connection closes. Finishes with a
 clean ``shutdown`` and asserts the daemon exits 0 and removes its
 socket.
 
@@ -33,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 # ringsimd's kMaxLineBytes: the longest command line it accepts.
 MAX_LINE_BYTES = 64 * 1024
@@ -47,6 +51,14 @@ MAX_IMAGE_BYTES = 16 << 22
 # daemon that buffers the payload and then copies it peaks at over 2x.
 IMAGE_PAYLOAD_BYTES = MAX_IMAGE_BYTES - 4096
 IMAGE_PEAK_FACTOR = 1.2
+
+# ringsimd's kMaxConnections: the most connections it holds open at once.
+MAX_CONNECTIONS = 32
+
+# How long a connection refused as busy keeps retrying: the daemon frees
+# a closed connection's slot when it next accepts, once that
+# connection's thread has seen the close.
+BUSY_RETRY_SECONDS = 10
 
 # Short connections the reaping check opens one after another.
 SEQUENTIAL_CONNECTIONS = 300
@@ -210,6 +222,45 @@ def check_connection_reaping(sock_path, pid, count):
         )
 
 
+def open_served(sock_path):
+    """A connection the daemon answers ``ping`` on, retrying while it is busy."""
+    deadline = time.monotonic() + BUSY_RETRY_SECONDS
+    while True:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(30)
+        sock.connect(sock_path)
+        try:
+            sock.sendall(b"ping\n")
+        except BrokenPipeError:
+            pass  # refused before the ping arrived; the refusal is waiting
+        sock_file = sock.makefile("rb")
+        reply = read_line(sock_file)
+        if reply == "pong":
+            return sock, sock_file
+        sock.close()
+        if reply != "error busy" or time.monotonic() > deadline:
+            raise RuntimeError("expected pong, got %r" % reply)
+        time.sleep(0.05)
+
+
+def check_connection_cap(sock_path):
+    """Over kMaxConnections open connections, one more is refused and closed."""
+    idle = [open_served(sock_path) for _ in range(MAX_CONNECTIONS)]
+    extra = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    extra.settimeout(30)
+    extra.connect(sock_path)
+    extra_file = extra.makefile("rb")
+    expect(extra_file, "error busy")
+    if extra_file.readline():
+        raise RuntimeError("daemon kept an over-cap connection open")
+    extra.close()
+    idle.pop()[0].close()
+    bystander, _ = open_served(sock_path)
+    bystander.close()
+    for sock, _ in idle:
+        sock.close()
+
+
 def standalone_fingerprint(ringsim, program):
     """Fingerprint of a standalone run (fleet of one prints it)."""
     out = subprocess.run(
@@ -293,10 +344,10 @@ def main():
         for t in clients:
             t.join()
 
+        check_connection_cap(sock_path)
+
         # Clean shutdown over the protocol.
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.connect(sock_path)
-        sock_file = sock.makefile("rb")
+        sock, sock_file = open_served(sock_path)
         sock.sendall(b"shutdown\n")
         expect(sock_file, "bye")
         sock.close()
