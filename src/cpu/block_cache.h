@@ -28,6 +28,14 @@
 // retirements keep it current: a store into L through the executable
 // SDW, an SDW edit or eviction, or a flush (DESIGN.md §7, "Resolved link
 // words").
+//
+// An op whose final operand address is fixed at build (Op::direct, or a
+// hop that ends the chase) may also keep its operand memo: the absolute
+// address and SDW execute flag of a validated read or write of an unpaged
+// segment, stamped with the cache version it was filled at. Every event
+// that could retire the verdict or the SDW residency behind it bumps the
+// version, so the memo answers only while the stamp is current
+// (DESIGN.md §7, "Resolved operands").
 #ifndef SRC_CPU_BLOCK_CACHE_H_
 #define SRC_CPU_BLOCK_CACHE_H_
 
@@ -54,18 +62,32 @@ class BlockCache {
   // its index. An op whose operand is an indirect word in the block's own
   // segment may also carry that word's Figure 5 step, resolved at build
   // (Cpu::TryBuildBlock): the TPR it leaves behind and whether the chase
-  // goes on. The hop_* fields keep the op at 32 bytes.
+  // goes on. An op whose final TPR is fixed at build (`direct`, or a hop
+  // that ends the chase) may also keep its operand memo: the absolute
+  // address and SDW execute flag of a validated read or write, valid for
+  // the kinds in `memo` while the cache version equals `memo_version`
+  // (DESIGN.md §7, "Resolved operands").
   struct Op {
+    // Bits of `memo`: the reference kinds the memo answers, and the SDW
+    // execute flag a memoised store hands NoteStore.
+    static constexpr uint8_t kMemoRead = 1;
+    static constexpr uint8_t kMemoWrite = 2;
+    static constexpr uint8_t kMemoExecute = 4;
+
     Instruction ins{};
     Wordno hop_wordno = 0;
-    AbsAddr addr = 0;  // absolute fetch address the decode was filled from
+    AbsAddr addr = 0;       // absolute fetch address the decode was filled from
+    AbsAddr memo_addr = 0;  // the operand's absolute address
+    uint64_t memo_version = 0;
     bool needs_ea = false;
     bool hop = false;           // the hop_* fields hold the resolved first hop
     bool hop_indirect = false;  // the link word's I bit: the chase continues
     Ring hop_ring = 0;          // max(IPR.RING, IND.RING, SDW.R1)
     uint16_t hop_segno = 0;
+    bool direct = false;  // untagged IPR-relative operand at a word number in range
+    uint8_t memo = 0;     // kMemo* bits; none until a reference fills it
   };
-  static_assert(sizeof(Op) == 32);
+  static_assert(sizeof(Op) <= 48, "a block of kMaxOps ops stays within 1.5 KiB");
   static_assert(kSegnoBits <= 16, "Op::hop_segno holds any segment number");
 
   struct Block {

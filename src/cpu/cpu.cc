@@ -359,6 +359,7 @@ template <RefKind K>
     paged = memo->paged;
     out->r1 = memo->r1;
     out->flags_execute = memo->flags_execute;
+    out->memoizable = !paged;
   } else {
     Sdw sdw;
     if (!FetchSdw(segno, &sdw)) {
@@ -456,19 +457,9 @@ void Cpu::SettleTally() {
 // Instruction cycle
 // ---------------------------------------------------------------------------
 
-bool Cpu::Step() {
-  if (trap_pending_) {
-    return false;
-  }
-  if (!InstructionBoundary()) {
-    return false;
-  }
-  const bool retired = StepBody();
-  SettleTally();
-  return retired;
-}
-
-bool Cpu::InstructionBoundary() {
+// Forced inline: Step and RunBlocks (its entry, each op after the first,
+// the chain point) each run their own copy.
+[[gnu::always_inline]] inline bool Cpu::InstructionBoundary() {
   ipr_at_fetch_ = regs_.ipr;
   tpr_ = Tpr{};
   current_ins_ = Instruction{};
@@ -484,12 +475,24 @@ bool Cpu::InstructionBoundary() {
     --timer_;
   }
 
-  // Fault-injection opportunities at the instruction boundary (split out
-  // so the injector-free boundary inlines into the per-op loops).
+  // Fault-injection opportunities at the instruction boundary (out of
+  // line, so the injector-free boundary stays a few instructions).
   if (fault_injector_ != nullptr) {
     return BoundaryInjectionHooks();
   }
   return true;
+}
+
+bool Cpu::Step() {
+  if (trap_pending_) {
+    return false;
+  }
+  if (!InstructionBoundary()) {
+    return false;
+  }
+  const bool retired = StepBody();
+  SettleTally();
+  return retired;
 }
 
 bool Cpu::BoundaryInjectionHooks() {
@@ -630,7 +633,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
           return StepBody();
         }
       }
-      const BlockCache::Op& op = b->ops[i];
+      BlockCache::Op& op = b->ops[i];
       const Wordno wordno = b->start + i;
       if (b->paged) {
         // Paged fetches revalidate through the live TLB every op: a moved
@@ -650,6 +653,9 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
       cycles_ += b->op_charge;
       ++op_tally;
       current_ins_ = op.ins;
+      // The op whose final TPR was fixed at build, and so whose operand
+      // memo ReadOperand and WriteOperand may use (see operand_memo_).
+      BlockCache::Op* memo = nullptr;
       if (op.hop && fault_injector_ == nullptr) {
         // The first hop TryBuildBlock resolved: the charges of Figure 5's
         // first indirect word on a verdict hit (its check and read as one
@@ -660,14 +666,23 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
         cycles_ += b->hop_charge;
         ++tally_[static_cast<size_t>(RefKind::kIndirect)];
         tpr_ = Tpr{op.hop_ring, op.hop_segno, op.hop_wordno};
-        if (op.hop_indirect && !ChaseIndirectWords(1)) {
+        if (!op.hop_indirect) {
+          memo = &op;
+        } else if (!ChaseIndirectWords(1)) {
           return false;
         }
+      } else if (op.direct) {
+        // Figure 5 for an untagged IPR-relative operand without `,*`, whose
+        // offset TryBuildBlock checked is a word number.
+        tpr_ = Tpr{regs_.ipr.ring, regs_.ipr.segno, static_cast<Wordno>(op.ins.offset)};
+        memo = &op;
       } else if (op.needs_ea && !FormEffectiveAddress(op.ins)) {
         return false;
       }
       regs_.ipr.wordno = wordno + 1;
+      operand_memo_ = memo;
       Execute(op.ins);
+      operand_memo_ = nullptr;
       if (block_call_ablation_ && op.ins.opcode == Opcode::kCall) {
         ++cycles_;  // deliberately broken (fuzz-oracle test hook); see cpu.h
       }
@@ -794,6 +809,10 @@ BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
     op.needs_ea =
         info.operand != OperandKind::kNone && info.operand != OperandKind::kImmediate;
     op.hop = false;
+    // A negative offset is left to FormEffectiveAddress, which traps.
+    op.direct = op.needs_ea && !e->ins.indirect && !e->ins.pr_relative && e->ins.tag == 0 &&
+                e->ins.offset >= 0 && e->ins.offset <= static_cast<int32_t>(kMaxWordno);
+    op.memo = 0;
     const int32_t link = e->ins.offset;
     if (hops && op.needs_ea && e->ins.indirect && !e->ins.pr_relative && e->ins.tag == 0 &&
         link >= 0 && static_cast<uint64_t>(link) < v.bound &&
@@ -1030,24 +1049,73 @@ bool Cpu::ChaseIndirectWords(unsigned depth) {
   return true;
 }
 
-// Figure 6: instructions which read or write their operands.
-bool Cpu::ReadOperand(Word* out) {
+// Figure 6: instructions which read or write their operands. The head
+// answers from the running block op's operand memo, which a reference the
+// verdict cache answered for an unpaged segment filled at the current
+// block-cache version: every event that could retire that verdict, the
+// SDW behind it or its residency bumps the version (DESIGN.md §7,
+// "Resolved operands"). A hit charges and tallies exactly what that
+// memo-hit reference did.
+[[gnu::always_inline]] inline bool Cpu::ReadOperand(Word* out) {
+  if (const BlockCache::Op* op = operand_memo_;
+      op != nullptr && (op->memo & BlockCache::Op::kMemoRead) != 0 &&
+      op->memo_version == block_cache_.version()) {
+    cycles_ += (checks_enabled_ ? cycle_model_.access_check : 0) + cycle_model_.memory_ref;
+    Tally(static_cast<size_t>(RefKind::kRead));
+    *out = memory_->Read(op->memo_addr);
+    return true;
+  }
+  return ReadOperandReferenced(out);
+}
+
+[[gnu::always_inline]] inline bool Cpu::WriteOperand(Word value) {
+  if (const BlockCache::Op* op = operand_memo_;
+      op != nullptr && (op->memo & BlockCache::Op::kMemoWrite) != 0 &&
+      op->memo_version == block_cache_.version()) {
+    cycles_ += (checks_enabled_ ? cycle_model_.access_check : 0) + cycle_model_.memory_ref;
+    Tally(static_cast<size_t>(RefKind::kWrite));
+    memory_->Write(op->memo_addr, value);
+    NoteStore(op->memo_addr, (op->memo & BlockCache::Op::kMemoExecute) != 0, tpr_.segno);
+    return true;
+  }
+  return WriteOperandReferenced(value);
+}
+
+void Cpu::KeepOperand(uint8_t kind, const Ref& ref) {
+  BlockCache::Op* op = operand_memo_;
+  if (op == nullptr || !ref.memoizable) {
+    return;
+  }
+  if (const uint64_t version = block_cache_.version(); op->memo_version != version) {
+    op->memo = 0;
+    op->memo_version = version;
+  }
+  op->memo_addr = ref.addr;
+  op->memo |= kind | (ref.flags_execute ? BlockCache::Op::kMemoExecute : 0);
+}
+
+[[gnu::noinline]] bool Cpu::ReadOperandReferenced(Word* out) {
   const Ring ring = EffectiveRing(tpr_.ring);
   Ref ref;
   if (!Reference<RefKind::kRead>(tpr_.segno, tpr_.wordno, ring, ring, &ref)) {
     return false;
   }
+  KeepOperand(BlockCache::Op::kMemoRead, ref);
   cycles_ += cycle_model_.memory_ref;
   *out = memory_->Read(ref.addr);
   return true;
 }
 
-bool Cpu::WriteOperand(Word value) {
+[[gnu::noinline]] bool Cpu::WriteOperandReferenced(Word value) {
   const Ring ring = EffectiveRing(tpr_.ring);
   Ref ref;
   if (!Reference<RefKind::kWrite>(tpr_.segno, tpr_.wordno, ring, ring, &ref)) {
     return false;
   }
+  // Filled before the store: NoteStore may retire this very verdict (a
+  // store into the descriptor segment), and then bumps the version past
+  // the memo's.
+  KeepOperand(BlockCache::Op::kMemoWrite, ref);
   cycles_ += cycle_model_.memory_ref;
   memory_->Write(ref.addr, value);
   NoteStore(ref.addr, ref.flags_execute, tpr_.segno);
@@ -1404,7 +1472,9 @@ void Cpu::OpSvc(const Instruction& ins) {
 void Cpu::OpLdbr(const Instruction& ins) {
   (void)ins;
   // Privileged: load the DBR from the operand pair (base word and
-  // bound/stack word) and flush the descriptor cache.
+  // bound/stack word) and flush the descriptor cache. The second word is
+  // not the op's operand, so neither read may use or fill its memo.
+  operand_memo_ = nullptr;
   Word w0 = 0;
   Word w1 = 0;
   if (!ReadOperand(&w0)) {

@@ -321,10 +321,11 @@ class Cpu {
   // fault-injection hooks. Runs exactly once before every instruction so
   // the injector's RNG stream is identical with blocks on or off. Returns
   // false when a boundary trap (timer runout, injected fault) was raised.
+  // Forced inline (cpu.cc), so Step and each of RunBlocks' three
+  // boundaries carry their own copy and make no call.
   bool InstructionBoundary();
-  // The fault-injection opportunities of the boundary, split out so the
-  // common no-injector boundary stays small enough to inline into the
-  // block inner loop.
+  // The fault-injection opportunities of the boundary, kept out of line
+  // so the common no-injector boundary stays small.
   bool BoundaryInjectionHooks();
   // Fetches, validates, and executes one instruction; the remainder of
   // Step after InstructionBoundary. The block engine falls back to this
@@ -436,6 +437,10 @@ class Cpu {
     AbsAddr addr = 0;            // absolute address (not formed for transfers)
     Ring r1 = 0;                 // SDW.R1, for Figure 5's ring maximization
     bool flags_execute = false;  // SDW execute flag, for NoteStore
+    // The verdict cache answered and the segment is unpaged: `addr` stays
+    // valid for this (segno, ring) until the block-cache version moves, so
+    // a block op's operand memo may keep it (KeepOperand).
+    bool memoizable = false;
   };
   // The one routine every Figure 4-7 reference runs: take the descriptor
   // facts from the verdict cache when it vouches for (segno, ring), else
@@ -497,9 +502,18 @@ class Cpu {
   void SettleTally();
   bool TallyEmpty() const { return tally_ == decltype(tally_){}; }
 
-  // Operand access paths (Figure 6).
+  // Operand access paths (Figure 6). Forced inline (cpu.cc): the head
+  // answers from the running block op's operand memo (operand_memo_) when
+  // it holds the kind at the current block-cache version, charging what a
+  // memo-hit Reference charges; otherwise the out-of-line tail runs the
+  // validated reference and may fill the memo.
   bool ReadOperand(Word* out);
   bool WriteOperand(Word value);
+  bool ReadOperandReferenced(Word* out);
+  bool WriteOperandReferenced(Word value);
+  // Fills operand_memo_ for `kind` from a reference that `ref` says the
+  // verdict cache answered for an unpaged segment.
+  void KeepOperand(uint8_t kind, const Ref& ref);
 
   // The supervisor's validated (`ring` set) and raw accesses: one
   // uncached descriptor lookup, present and bound checks, the read or
@@ -592,6 +606,12 @@ class Cpu {
   bool block_call_ablation_ = false;
   BlockCache block_cache_;
   bool chain_ablation_ = false;
+  // The block op being executed when its final TPR was fixed at build
+  // (BlockCache::Op::direct, or a resolved hop that ends the chase), else
+  // nullptr: the operand memo ReadOperand and WriteOperand may use and
+  // fill. Set and cleared around each such op's Execute by RunBlocks;
+  // OpLdbr clears it, since LDBR reads two words.
+  BlockCache::Op* operand_memo_ = nullptr;
   FaultInjector* fault_injector_ = nullptr;
   uint64_t cycles_ = 0;
   Counters counters_;

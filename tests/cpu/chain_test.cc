@@ -22,6 +22,11 @@
 // (DESIGN.md §7): each edits, snaps, or lengthens what the first hop of an
 // IPR-relative `,*` operand reads, or runs it where it must not be
 // resolved, and requires every engine tier to agree.
+//
+// The resolved-operand tests cover the operand memo of a block op whose
+// final address is fixed at build (DESIGN.md §7, "Resolved operands"):
+// each lands an event mid-loop that could make a kept reference stale,
+// and requires every engine tier to agree.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -662,6 +667,498 @@ TEST(ResolvedHop, PagedProcedureSegmentIsNotResolved) {
     EXPECT_GT(m.Peek(data, 0), 0u);
     EXPECT_GT(m.Peek(data, 1), 0u);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Resolved operands. The hot loops below reach their data through link
+// words whose I bit is clear (resolved hops) and their limits through
+// direct operands, so each such op's final address is fixed at build and
+// the block op keeps its validated reference.
+// ---------------------------------------------------------------------------
+
+constexpr uint8_t kMemoRead = BlockCache::Op::kMemoRead;
+constexpr uint8_t kMemoWrite = BlockCache::Op::kMemoWrite;
+
+// Whether op `index` of the block at (segno, start) holds an operand memo
+// for `kind` at the current block-cache version. Only the blocks tier
+// builds blocks.
+bool OperandMemoised(const Cpu& cpu, Segno segno, Wordno start, size_t index, uint8_t kind) {
+  const BlockCache::Block* b = cpu.block_cache().Lookup(segno, start);
+  return b != nullptr && index < b->count && (b->ops[index].memo & kind) != 0 &&
+         b->ops[index].memo_version == cpu.block_cache().version();
+}
+
+// TwinSignature plus the saved IPR of the pending trap, so a trap taken
+// one instruction early or late on some tier shows.
+RunSignature TrapSiteSignature(const Cpu& cpu) {
+  RunSignature sig = TwinSignature(cpu);
+  if (cpu.trap_pending()) {
+    const Ipr& at = cpu.trap_state().regs.ipr;
+    sig.traps.push_back(std::to_string(at.segno) + "|" + std::to_string(at.wordno));
+  }
+  return sig;
+}
+
+template <class Scenario>
+std::vector<RunSignature> ExpectOperandScenarioAgrees(Scenario scenario) {
+  return ExpectSameRunOnEveryTier([&](EngineTier tier) {
+    BareMachine m;
+    m.cpu().set_engine_tier(tier);
+    scenario(m, tier);
+    return TrapSiteSignature(m.cpu());
+  });
+}
+
+// The supervisor's SDW edit: rewrite the descriptor, then announce it.
+template <class Edit>
+void EditSdw(BareMachine& m, Segno segno, Edit edit) {
+  Sdw sdw = *m.dseg().Fetch(segno);
+  edit(sdw);
+  m.dseg().Store(segno, sdw);
+  m.cpu().InvalidateSdw(segno);
+}
+
+Word Encode(const Instruction& ins) { return EncodeInstruction(ins); }
+
+// The counting loop every event lands in. Its data segment is the bare
+// machine's first, so a colliding segment number is 16.
+//
+//   w0: lda cnt,*    w1: adai 1     w2: sta cnt,*   w3: aos iter,*
+//   w4: lda iter,*   w5: sba lim    w6: tmi 0       w7: lda cnt,*   w8: mme
+//
+// w0, w2, w3 and w4 are resolved hops and w5 is direct: the block at w0
+// memoises all five. It ends with A = cnt = lim.
+struct MemoLoop {
+  Segno data = 0;
+  Segno code = 0;
+};
+constexpr Wordno kLoopLimit = 200;
+
+MemoLoop AddMemoLoop(BareMachine& m, SegmentAccess data_access = UserData(),
+                     SegmentAccess code_access = UserCode()) {
+  MemoLoop loop;
+  loop.data = m.AddSegment({0, 0}, data_access);  // cnt iter
+  loop.code = m.AddSegment(
+      {Encode(ViaLink(Opcode::kLda, 10)), Encode(MakeIns(Opcode::kAdai, 1)),
+       Encode(ViaLink(Opcode::kSta, 10)), Encode(ViaLink(Opcode::kAos, 11)),
+       Encode(ViaLink(Opcode::kLda, 11)), Encode(MakeIns(Opcode::kSba, 9)),
+       Encode(MakeIns(Opcode::kTmi, 0)), Encode(ViaLink(Opcode::kLda, 10)),
+       Encode(MakeIns(Opcode::kMme)), kLoopLimit, Its(loop.data, 0), Its(loop.data, 1)},
+      code_access);
+  m.SetIpr(4, loop.code, 0);
+  return loop;
+}
+
+// Steps single instructions, the same on every tier, until the IPR is at
+// `wordno`: an event landing there meets the memoised block at its start,
+// not a fresh block built mid-loop with no memo.
+void StepToWord(BareMachine& m, Wordno wordno) {
+  for (int i = 0; i < 100 && m.cpu().regs().ipr.wordno != wordno; ++i) {
+    m.cpu().Step();
+  }
+  ASSERT_EQ(m.cpu().regs().ipr.wordno, wordno);
+}
+
+// Runs the loop until it is hot and stops it at w0: on the blocks tier
+// every fixed operand of the block at w0 is memoised.
+void WarmMemoLoop(BareMachine& m, const MemoLoop& loop, EngineTier tier) {
+  RunTo(m, 2'000);
+  StepToWord(m, 0);
+  ASSERT_FALSE(m.cpu().trap_pending());
+  const bool blocks = tier == EngineTier::kBlocks;
+  EXPECT_EQ(OperandMemoised(m.cpu(), loop.code, 0, 0, kMemoRead), blocks);
+  EXPECT_EQ(OperandMemoised(m.cpu(), loop.code, 0, 2, kMemoWrite), blocks);
+  EXPECT_EQ(OperandMemoised(m.cpu(), loop.code, 0, 3, kMemoRead | kMemoWrite), blocks);
+  EXPECT_EQ(OperandMemoised(m.cpu(), loop.code, 0, 5, kMemoRead), blocks);
+}
+
+// The loop's last `lda cnt,*` left cnt in A and the MME pending.
+void ExpectLoopFinished(BareMachine& m, Word cnt) {
+  ASSERT_TRUE(m.cpu().trap_pending());
+  EXPECT_EQ(m.cpu().trap_state().cause, TrapCause::kMasterModeEntry);
+  EXPECT_EQ(m.cpu().regs().a, cnt);
+}
+
+TEST(ResolvedOperand, NarrowedWriteBracketTrapsNextMemoisedStore) {
+  const std::vector<RunSignature> runs =
+      ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
+        const MemoLoop loop = AddMemoLoop(m);
+        WarmMemoLoop(m, loop, tier);
+        EditSdw(m, loop.data, [](Sdw& sdw) { sdw.access.brackets.r1 = 3; });
+        RunTo(m, 100'000);
+      });
+  ASSERT_EQ(runs[0].traps.size(), 2u);
+  EXPECT_EQ(runs[0].traps[0], "write_violation");
+}
+
+// The supervisor moves the data segment and poisons its old words: a kept
+// absolute address would count on from the poison.
+TEST(ResolvedOperand, RelocatedSegmentIsReadAtItsNewBase) {
+  ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const MemoLoop loop = AddMemoLoop(m);
+    WarmMemoLoop(m, loop, tier);
+    const AbsAddr old_base = m.dseg().Fetch(loop.data)->base;
+    const AbsAddr new_base = *m.memory().Allocate(2);
+    for (Wordno w = 0; w < 2; ++w) {
+      m.memory().Write(new_base + w, m.memory().Read(old_base + w));
+      m.memory().Write(old_base + w, 1'000);
+    }
+    EditSdw(m, loop.data, [&](Sdw& sdw) { sdw.base = new_base; });
+    RunTo(m, 100'000);
+    ExpectLoopFinished(m, kLoopLimit);
+  });
+}
+
+TEST(ResolvedOperand, ShrunkBoundTrapsTheMemoisedOperand) {
+  const std::vector<RunSignature> runs =
+      ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
+        const MemoLoop loop = AddMemoLoop(m);
+        WarmMemoLoop(m, loop, tier);
+        EditSdw(m, loop.data, [](Sdw& sdw) { sdw.bound = 1; });  // iter falls outside
+        RunTo(m, 100'000);
+      });
+  ASSERT_EQ(runs[0].traps.size(), 2u);
+  EXPECT_EQ(runs[0].traps[0], "bounds_violation");
+}
+
+// An SDW edited without InvalidateSdw stays in force from the SDW cache,
+// on every tier, until something evicts it. Here the loop itself evicts
+// it at iter == 100 by reading segment 16, which shares the data
+// segment's SDW-cache slot; the next store then refetches the narrowed
+// descriptor and traps.
+TEST(ResolvedOperand, CollidingSegnoEvictsTheSdwUnderTheMemo) {
+  const std::vector<RunSignature> runs =
+      ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
+        const Segno data = m.AddSegment({0, 0}, UserData());  // cnt iter
+        //   w0-w4 as in MemoLoop, w5: sba half, w6: tnz 0, w7: lda other,*, w8: tra 0
+        const Segno code = m.AddSegment(
+            {Encode(ViaLink(Opcode::kLda, 10)), Encode(MakeIns(Opcode::kAdai, 1)),
+             Encode(ViaLink(Opcode::kSta, 10)), Encode(ViaLink(Opcode::kAos, 11)),
+             Encode(ViaLink(Opcode::kLda, 11)), Encode(MakeIns(Opcode::kSba, 9)),
+             Encode(MakeIns(Opcode::kTnz, 0)), Encode(ViaLink(Opcode::kLda, 12)),
+             Encode(MakeIns(Opcode::kTra, 0)), 100, Its(data, 0), Its(data, 1), Its(16, 0)},
+            UserCode());
+        while (m.AddSegment({7}, UserData()) < 16) {
+        }
+        ASSERT_EQ(data % SdwCache::kEntries, 16 % SdwCache::kEntries);
+        m.SetIpr(4, code, 0);
+        RunTo(m, 2'000);
+        ASSERT_FALSE(m.cpu().trap_pending());
+        EXPECT_EQ(OperandMemoised(m.cpu(), code, 0, 2, kMemoWrite), tier == EngineTier::kBlocks);
+        Sdw sdw = *m.dseg().Fetch(data);
+        sdw.access.brackets.r1 = 3;
+        m.dseg().Store(data, sdw);  // announced to no one
+        RunTo(m, 100'000);
+        EXPECT_EQ(m.Peek(data, 1), 100u);  // stores went on until the eviction
+      });
+  ASSERT_EQ(runs[0].traps.size(), 2u);
+  EXPECT_EQ(runs[0].traps[0], "write_violation");
+}
+
+// A DBR reload to a copy of the descriptor segment whose data SDW names a
+// copy of the data, with iter 50 passes further on: the loop ends 50
+// passes early. A kept reference would count on in the old words.
+TEST(ResolvedOperand, DbrReloadRetiresEveryMemo) {
+  ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const MemoLoop loop = AddMemoLoop(m);
+    WarmMemoLoop(m, loop, tier);
+    const DbrValue dbr = m.dseg().dbr();
+    DescriptorSegment copy = *DescriptorSegment::Create(&m.memory(), dbr.bound, dbr.stack_base);
+    for (Segno s = 0; s < dbr.bound; ++s) {
+      copy.Store(s, *m.dseg().Fetch(s));
+    }
+    Sdw data = *m.dseg().Fetch(loop.data);
+    data.base = *m.memory().Allocate(2);
+    m.memory().Write(data.base + 0, m.Peek(loop.data, 0));
+    m.memory().Write(data.base + 1, m.Peek(loop.data, 1) + 50);
+    copy.Store(loop.data, data);
+    m.cpu().SetDbr(copy.dbr());
+    RunTo(m, 100'000);
+    ASSERT_TRUE(m.cpu().trap_pending());
+    EXPECT_EQ(m.cpu().trap_state().cause, TrapCause::kMasterModeEntry);
+    EXPECT_NEAR(static_cast<double>(m.cpu().regs().a), kLoopLimit - 50, 1);
+  });
+}
+
+// With checks off every verdict vouches, so the store into a segment whose
+// write bracket excludes ring 4 is memoised; once checks are back on, the
+// next store must trap.
+TEST(ResolvedOperand, ChecksToggledBetweenSlices) {
+  const std::vector<RunSignature> runs =
+      ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
+        const MemoLoop loop = AddMemoLoop(m, MakeDataSegment(3, 4));
+        m.cpu().set_checks_enabled(false);
+        WarmMemoLoop(m, loop, tier);
+        m.cpu().set_checks_enabled(true);
+        RunTo(m, 100'000);
+      });
+  ASSERT_EQ(runs[0].traps.size(), 2u);
+  EXPECT_EQ(runs[0].traps[0], "write_violation");
+}
+
+// The data segment becomes paged, then its page moves to a frame whose
+// words differ: a paged operand has no address fixed by its verdict, so
+// it is never memoised, and the move must be seen.
+TEST(ResolvedOperand, SegmentBecomesPagedAndItsPageMoves) {
+  ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const MemoLoop loop = AddMemoLoop(m);
+    WarmMemoLoop(m, loop, tier);
+    const AbsAddr table = *AllocatePageTable(&m.memory(), 1);
+    const AbsAddr first = *InstallZeroPage(&m.memory(), table, 0);
+    m.memory().Write(first + 0, m.Peek(loop.data, 0));
+    m.memory().Write(first + 1, m.Peek(loop.data, 1));
+    EditSdw(m, loop.data, [&](Sdw& sdw) {
+      sdw.paged = true;
+      sdw.base = table;
+    });
+    RunTo(m, 3'000);
+    ASSERT_FALSE(m.cpu().trap_pending());
+    EXPECT_FALSE(OperandMemoised(m.cpu(), loop.code, 0, 0, kMemoRead));
+    EXPECT_FALSE(OperandMemoised(m.cpu(), loop.code, 0, 2, kMemoWrite));
+    const AbsAddr second = *InstallZeroPage(&m.memory(), table, 0);
+    m.memory().Write(second + 0, m.memory().Read(first + 0) + 1'000);
+    m.memory().Write(second + 1, m.memory().Read(first + 1));
+    m.cpu().NotePtwStore(table);
+    RunTo(m, 100'000);
+    ExpectLoopFinished(m, kLoopLimit + 1'000);
+  });
+}
+
+// AOS on a word ring 4 may read but not write: each pass memoises the read
+// and traps on the write, and the harness resumes after the AOS. The read
+// memo must never answer the write.
+TEST(ResolvedOperand, AosWithReadAllowedAndWriteDenied) {
+  const std::vector<RunSignature> runs =
+      ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
+        const Segno ro = m.AddSegment({41}, MakeDataSegment(3, 4));
+        const Segno data = m.AddSegment({0}, UserData());
+        //   w0: aos ro,*  w1: aos iter,*  w2: lda iter,*  w3: sba lim  w4: tmi 0  w5: mme
+        const Segno code = m.AddSegment(
+            {Encode(ViaLink(Opcode::kAos, 7)), Encode(ViaLink(Opcode::kAos, 8)),
+             Encode(ViaLink(Opcode::kLda, 8)), Encode(MakeIns(Opcode::kSba, 6)),
+             Encode(MakeIns(Opcode::kTmi, 0)), Encode(MakeIns(Opcode::kMme)), 50, Its(ro, 0),
+             Its(data, 0)},
+            UserCode());
+        m.SetIpr(4, code, 0);
+        bool memoised = false;
+        for (int pass = 0; pass < 100; ++pass) {
+          RunTo(m, m.cpu().cycles() + 10'000);
+          if (m.cpu().trap_state().cause != TrapCause::kWriteViolation) {
+            break;
+          }
+          memoised |= OperandMemoised(m.cpu(), code, 0, 0, kMemoRead);
+          EXPECT_FALSE(OperandMemoised(m.cpu(), code, 0, 0, kMemoWrite));
+          TrapState trap = m.cpu().TakeTrap();
+          ++trap.regs.ipr.wordno;
+          m.cpu().Rett(trap.regs);
+        }
+        EXPECT_EQ(memoised, tier == EngineTier::kBlocks);
+        EXPECT_EQ(m.cpu().trap_state().cause, TrapCause::kMasterModeEntry);
+        EXPECT_EQ(m.Peek(ro, 0), 41u);
+      });
+  EXPECT_EQ(runs[0].counters.TrapCount(TrapCause::kWriteViolation), 50u);
+}
+
+// A memoised store into an executable segment retires its decodes. The
+// loop stores Q over its own hot `aos c0` on every pass; the harness sets
+// Q to `aos c1` mid-run, and from the next store on c1 counts.
+TEST(ResolvedOperand, StoreIntoExecutableSegmentRetiresItsDecodes) {
+  ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier) {
+    constexpr Wordno kC0 = 9, kC1 = 10, kIter = 11, kLimit = 12;
+    SegmentAccess writable_code = UserCode();
+    writable_code.flags.write = true;
+    const Segno code = m.AddSegment(
+        {Encode(MakeIns(Opcode::kAos, kC0)),  // rewritten by the store below
+         Encode(MakeIns(Opcode::kStq, 0)), Encode(MakeIns(Opcode::kAos, kIter)),
+         Encode(MakeIns(Opcode::kLda, kIter)), Encode(MakeIns(Opcode::kSba, kLimit)),
+         Encode(MakeIns(Opcode::kTmi, 0)), Encode(MakeIns(Opcode::kLda, kC0)),
+         Encode(MakeIns(Opcode::kLdq, kC1)), Encode(MakeIns(Opcode::kMme)), 0, 0, 0, 100},
+        writable_code);
+    m.SetIpr(4, code, 0);
+    m.cpu().regs().q = Encode(MakeIns(Opcode::kAos, kC0));
+    RunTo(m, 1'500);
+    ASSERT_FALSE(m.cpu().trap_pending());
+    const Word before = m.Peek(code, kC0);
+    m.cpu().regs().q = Encode(MakeIns(Opcode::kAos, kC1));
+    RunTo(m, 100'000);
+    EXPECT_EQ(m.cpu().trap_state().cause, TrapCause::kMasterModeEntry);
+    EXPECT_GE(m.cpu().regs().a, before);
+    EXPECT_LE(m.cpu().regs().a, before + 1);
+    EXPECT_EQ(m.cpu().regs().a + m.cpu().regs().q, 100u);
+  });
+}
+
+// A store into the descriptor segment edits an SDW behind the SDW cache,
+// so NoteStore invalidates it. Here the loop stores, through a segment
+// that aliases the descriptor segment, over its own SDW's access word;
+// once the harness puts a narrowed write bracket in Q, the store after
+// the one that wrote it must trap.
+TEST(ResolvedOperand, StoreIntoDescriptorSegmentRetiresItsOwnVerdict) {
+  const std::vector<RunSignature> runs =
+      ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier) {
+        const Segno data = m.AddSegment({0}, UserData());
+        const Segno alias = m.AddSegment({}, UserData());
+        //   w0: stq own,*  w1: aos iter,*  w2: lda iter,*  w3: sba lim  w4: tmi 0  w5: mme
+        const Segno code = m.AddSegment(
+            {Encode(ViaLink(Opcode::kStq, 7)), Encode(ViaLink(Opcode::kAos, 8)),
+             Encode(ViaLink(Opcode::kLda, 8)), Encode(MakeIns(Opcode::kSba, 6)),
+             Encode(MakeIns(Opcode::kTmi, 0)), Encode(MakeIns(Opcode::kMme)), 200,
+             Its(alias, 2 * alias + 1), Its(data, 0)},
+            UserCode());
+        EditSdw(m, alias, [&](Sdw& sdw) {
+          sdw.base = m.dseg().dbr().base;
+          sdw.bound = 2 * m.dseg().bound();
+        });
+        Sdw sdw = *m.dseg().Fetch(alias);
+        Word w0 = 0, w1 = 0;
+        EncodeSdw(sdw, &w0, &w1);
+        m.cpu().regs().q = w1;  // the same access word: each store changes nothing
+        m.SetIpr(4, code, 0);
+        RunTo(m, 2'000);
+        ASSERT_FALSE(m.cpu().trap_pending());
+        sdw.access.brackets.r1 = 3;
+        EncodeSdw(sdw, &w0, &w1);
+        m.cpu().regs().q = w1;
+        RunTo(m, 100'000);
+      });
+  ASSERT_EQ(runs[0].traps.size(), 2u);
+  EXPECT_EQ(runs[0].traps[0], "write_violation");
+}
+
+// NoteStore also snoops a store onto a page-table word. The loop reads a
+// paged segment's word and stores Q over that segment's PTW through an
+// unpaged segment aliasing the page table, on every pass. Mid-run the
+// harness puts a PTW for another frame in Q, and the memoised store that
+// writes it must drop the TLB's translation: the next read sees the new
+// frame's word.
+TEST(ResolvedOperand, MemoisedStoreIntoPageTableDropsTheTranslation) {
+  ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const AbsAddr table = *AllocatePageTable(&m.memory(), 1);
+    Word ptw[3] = {};
+    for (Word value : {3, 2, 1}) {  // frame 1 is installed last, so mapped first
+      const AbsAddr frame = *InstallZeroPage(&m.memory(), table, 0);
+      m.memory().Write(frame, value);
+      ptw[value - 1] = m.memory().Read(table);
+    }
+    const Segno iter = m.AddSegment({0, 0}, UserData());  // iter total
+    const Segno paged = m.AddSegment({}, UserData());
+    const Segno ptws = m.AddSegment({}, UserData());
+    EditSdw(m, paged, [&](Sdw& sdw) {
+      sdw.paged = true;
+      sdw.base = table;
+      sdw.bound = 1;
+    });
+    EditSdw(m, ptws, [&](Sdw& sdw) {
+      sdw.base = table;
+      sdw.bound = 1;
+    });
+    //   w0: lda word,*   w1: ada total,*  w2: sta total,*  w3: stq ptw,*
+    //   w4: aos iter,*   w5: lda iter,*   w6: sba lim      w7: tmi 0
+    //   w8: lda total,*  w9: mme
+    const Segno code = m.AddSegment(
+        {Encode(ViaLink(Opcode::kLda, 11)), Encode(ViaLink(Opcode::kAda, 12)),
+         Encode(ViaLink(Opcode::kSta, 12)), Encode(ViaLink(Opcode::kStq, 13)),
+         Encode(ViaLink(Opcode::kAos, 14)), Encode(ViaLink(Opcode::kLda, 14)),
+         Encode(MakeIns(Opcode::kSba, 10)), Encode(MakeIns(Opcode::kTmi, 0)),
+         Encode(ViaLink(Opcode::kLda, 12)), Encode(MakeIns(Opcode::kMme)), 100,
+         Its(paged, 0), Its(iter, 1), Its(ptws, 0), Its(iter, 0)},
+        UserCode());
+    m.SetIpr(4, code, 0);
+    m.cpu().regs().q = ptw[1];  // frame 2 from the first store on
+    RunTo(m, 2'000);
+    ASSERT_FALSE(m.cpu().trap_pending());
+    StepToWord(m, 0);
+    EXPECT_EQ(OperandMemoised(m.cpu(), code, 0, 3, kMemoWrite), tier == EngineTier::kBlocks);
+    EXPECT_LT(m.Peek(iter, 0), 90u);
+    m.cpu().regs().q = ptw[2];  // frame 3
+    RunTo(m, 100'000);
+    EXPECT_EQ(m.cpu().trap_state().cause, TrapCause::kMasterModeEntry);
+    // The first pass read frame 1 and the rest at least 2; more than 199
+    // means frame 3 was read.
+    EXPECT_GT(m.cpu().regs().a, 1 + 2 * 99u);
+  });
+}
+
+// An injector attached to a warm machine may corrupt the ring of a link
+// word, so a hop op then takes the full formation and must neither use
+// nor fill its memo: the first raised ring traps on every tier.
+TEST(ResolvedOperand, InjectorAttachedMidRunBypassesHopMemos) {
+  const std::vector<RunSignature> runs =
+      ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
+        const MemoLoop loop = AddMemoLoop(m);
+        WarmMemoLoop(m, loop, tier);
+        FaultConfig config;
+        config.set_rate(FaultSite::kIndirectRingCorruption, 20'000);  // 2% per hop
+        config.seed = 5;
+        FaultInjector injector(config);
+        m.cpu().set_fault_injector(&injector);
+        RunTo(m, 100'000);
+        m.cpu().set_fault_injector(nullptr);
+        // The corruption only raises a ring, past the data's brackets.
+        EXPECT_EQ(injector.injected(FaultSite::kIndirectRingCorruption), 1u);
+      });
+  ASSERT_EQ(runs[0].traps.size(), 2u);
+  EXPECT_TRUE(runs[0].traps[0] == "read_violation" || runs[0].traps[0] == "write_violation")
+      << runs[0].traps[0];
+}
+
+// A verdict refilled for the same segment at another ring bumps no
+// version: the SDW is unchanged, so the memo stays right and only the
+// host split of verdict hits and misses moves. From iter == 100 on, each
+// pass ends with a read of the data at ring 5 (a link word with RING=5)
+// right before the memoised ring-4 `lda cnt,*`, whose verdict the
+// per-instruction tiers then refill.
+TEST(ResolvedOperand, VerdictRefilledAtAnotherRingKeepsTheMemo) {
+  const std::vector<RunSignature> runs =
+      ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
+        const Segno data = m.AddSegment({0, 0}, MakeDataSegment(4, 5));  // cnt iter
+        //   w0-w4 as in MemoLoop, w5: sba lim  w6: tpl 12  w7: lda iter,*  w8: sba half
+        //   w9: tmi 0  w10: lda r5,*  w11: tra 0  w12: lda cnt,*  w13: mme
+        const Segno code = m.AddSegment(
+            {Encode(ViaLink(Opcode::kLda, 16)), Encode(MakeIns(Opcode::kAdai, 1)),
+             Encode(ViaLink(Opcode::kSta, 16)), Encode(ViaLink(Opcode::kAos, 17)),
+             Encode(ViaLink(Opcode::kLda, 17)), Encode(MakeIns(Opcode::kSba, 15)),
+             Encode(MakeIns(Opcode::kTpl, 12)), Encode(ViaLink(Opcode::kLda, 17)),
+             Encode(MakeIns(Opcode::kSba, 14)), Encode(MakeIns(Opcode::kTmi, 0)),
+             Encode(ViaLink(Opcode::kLda, 18)), Encode(MakeIns(Opcode::kTra, 0)),
+             Encode(ViaLink(Opcode::kLda, 16)), Encode(MakeIns(Opcode::kMme)), 100, 200,
+             Its(data, 0), Its(data, 1), EncodeIndirectWord(IndirectWord{5, false, data, 1})},
+            UserCode());
+        m.SetIpr(4, code, 0);
+        RunTo(m, 2'000);
+        ASSERT_FALSE(m.cpu().trap_pending());
+        EXPECT_EQ(OperandMemoised(m.cpu(), code, 0, 0, kMemoRead), tier == EngineTier::kBlocks);
+        RunTo(m, 100'000);
+        EXPECT_EQ(OperandMemoised(m.cpu(), code, 0, 0, kMemoRead), tier == EngineTier::kBlocks);
+        ExpectLoopFinished(m, 200);
+      });
+  EXPECT_LT(runs[0].counters.verdict_misses, runs[1].counters.verdict_misses);
+}
+
+// LDBR reads two words, so it takes no memo: a kept first word would be
+// read again as the second. The LDBR's decode is cached by a ring-4 pass
+// that traps on it (privileged), so that the ring-0 pass runs it inside a
+// block; its operand pair reloads the DBR it already has.
+TEST(ResolvedOperand, LdbrInABlockReadsBothWordsOfItsPair) {
+  const std::vector<RunSignature> runs =
+      ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier) {
+        const DbrValue dbr = m.dseg().dbr();
+        //   w0: adai 1  w1: ldbr pair  w2: mme  w3, w4: pair
+        const Segno code = m.AddSegment(
+            {Encode(MakeIns(Opcode::kAdai, 1)), Encode(MakeIns(Opcode::kLdbr, 3)),
+             Encode(MakeIns(Opcode::kMme)), dbr.base,
+             dbr.bound | (Word{dbr.stack_base} << kSegnoBits)},
+            MakeProcedureSegment(0, 4));
+        m.SetIpr(4, code, 0);
+        RunTo(m, 1'000);
+        ASSERT_EQ(m.cpu().trap_state().cause, TrapCause::kPrivilegedViolation);
+        m.cpu().TakeTrap();
+        m.SetIpr(0, code, 0);
+        RunTo(m, 2'000);
+        EXPECT_EQ(m.cpu().trap_state().cause, TrapCause::kMasterModeEntry);
+        EXPECT_EQ(m.cpu().regs().dbr, dbr);
+      });
+  EXPECT_GT(runs[0].counters.block_ops, 0u);
 }
 
 }  // namespace

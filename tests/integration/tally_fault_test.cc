@@ -13,12 +13,14 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/core/trap_cause.h"
 #include "src/fleet/fingerprint.h"
 #include "src/kasm/assembler.h"
+#include "src/mem/descriptor_segment.h"
 #include "src/mem/page_table.h"
 #include "src/sys/machine.h"
 #include "tests/testutil.h"
@@ -256,6 +258,93 @@ std::unique_ptr<Machine> UncheckedCallLoop(const MachineConfig& config) {
   return machine;
 }
 
+// One process in ring 4 and one in ring 5 run the same counting loop over
+// one shared data segment. Every data operand is a resolved hop and the
+// limit a direct operand, so the block engine memoises them all. The
+// supervisor edits the data SDW twice mid-run (SharedDataEdits): it
+// narrows the write bracket to ring 4, which traps the ring-5 process at
+// its next store, and later it moves the segment, poisoning its old words.
+constexpr char kSharedDataSource[] = R"(
+        .segment worker
+start:  lda   cnt,*
+        adai  1
+        sta   cnt,*
+        aos   iter,*
+        lda   iter,*
+        sba   limit
+        tmi   start
+        mme   0
+limit:  .word 600
+cnt:    .its  4, shared, 0
+iter:   .its  4, shared, 1
+
+        .segment shared
+        .block 2
+)";
+
+std::unique_ptr<Machine> SharedDataLoop(const MachineConfig& config) {
+  MachineConfig short_quantum = config;
+  short_quantum.quantum = 150;
+  auto machine = std::make_unique<Machine>(short_quantum);
+  std::map<std::string, AccessControlList> acls;
+  acls["worker"] = AccessControlList::Public(MakeProcedureSegment(4, 5));
+  acls["shared"] = AccessControlList::Public(MakeDataSegment(5, 5));
+  std::string error;
+  if (!machine->LoadProgramSource(kSharedDataSource, acls, &error)) {
+    ADD_FAILURE() << "load failed: " << error;
+    return nullptr;
+  }
+  for (const Ring ring : {kUserRing, Ring{kUserRing + 1}}) {
+    Process* p = machine->Login("worker");
+    machine->supervisor().InitiateAll(p);
+    if (!machine->Start(p, "worker", "start", ring)) {
+      ADD_FAILURE() << "start failed in ring " << int{ring};
+      return nullptr;
+    }
+  }
+  return machine;
+}
+
+// The supervisor's edit of `shared`'s SDW in every process's descriptor
+// segment, announced to the processor.
+template <class Edit>
+void EditSharedSdw(Machine& machine, Edit edit) {
+  const Segno segno = machine.registry().Find("shared")->segno;
+  for (const auto& process : machine.supervisor().processes()) {
+    DescriptorSegment dseg(&machine.memory(), process->dbr);
+    Sdw sdw = *dseg.Fetch(segno);
+    edit(sdw);
+    dseg.Store(segno, sdw);
+  }
+  machine.cpu().InvalidateSdw(segno);
+}
+
+void NarrowSharedWriteBracket(Machine& machine) {
+  EditSharedSdw(machine, [](Sdw& sdw) { sdw.access.brackets.r1 = kUserRing; });
+}
+
+void MoveSharedSegment(Machine& machine) {
+  const AbsAddr to = *machine.memory().Allocate(2);
+  EditSharedSdw(machine, [&](Sdw& sdw) {
+    if (sdw.base != to) {
+      for (Wordno w = 0; w < 2; ++w) {
+        machine.memory().Write(to + w, machine.memory().Read(sdw.base + w));
+        machine.memory().Write(sdw.base + w, 1'000'000);
+      }
+      sdw.base = to;
+    }
+  });
+}
+
+// A supervisor action applied to both machines between slices, once, after
+// the first slice that ends at or past `at` cycles.
+struct SliceEdit {
+  uint64_t at;
+  void (*apply)(Machine&);
+};
+constexpr SliceEdit kSharedDataEdits[] = {{4'000, &NarrowSharedWriteBracket},
+                                          {9'000, &MoveSharedSegment}};
+
 MachineConfig TierConfig(EngineTier tier) {
   MachineConfig config{.memory_words = size_t{1} << 20};
   ApplyTier(tier, &config);
@@ -264,8 +353,10 @@ MachineConfig TierConfig(EngineTier tier) {
 
 // Runs the guest on a reference-tier machine and a `tier` machine in
 // `slice`-cycle Run calls until both are idle, comparing after every
-// slice. Returns the `tier` machine's final counters.
-Counters RunInSlices(GuestFactory guest, EngineTier tier, uint64_t slice) {
+// slice and applying `edits` to both. Returns the `tier` machine's final
+// counters.
+Counters RunInSlices(GuestFactory guest, EngineTier tier, uint64_t slice,
+                     std::span<const SliceEdit> edits) {
   std::unique_ptr<Machine> reference = guest(TierConfig(EngineTier::kReference));
   std::unique_ptr<Machine> machine = guest(TierConfig(tier));
   if (reference == nullptr || machine == nullptr) {
@@ -273,6 +364,7 @@ Counters RunInSlices(GuestFactory guest, EngineTier tier, uint64_t slice) {
     return {};
   }
   constexpr uint64_t kMaxCycles = 400'000;
+  size_t applied = 0;
   for (uint64_t n = 0; reference->cpu().cycles() < kMaxCycles; ++n) {
     const RunResult want = reference->Run(slice);
     const RunResult got = machine->Run(slice);
@@ -286,14 +378,19 @@ Counters RunInSlices(GuestFactory guest, EngineTier tier, uint64_t slice) {
     if (want.idle) {
       break;
     }
+    for (; applied < edits.size() && reference->cpu().cycles() >= edits[applied].at; ++applied) {
+      edits[applied].apply(*reference);
+      edits[applied].apply(*machine);
+    }
   }
+  EXPECT_EQ(applied, edits.size()) << "the guest finished before every edit";
   EXPECT_LT(reference->cpu().cycles(), kMaxCycles) << "guest did not finish";
   return machine->cpu().counters();
 }
 
 // Checks every other tier at slices of 1, 7 and 64 cycles. Returns the
 // blocks tier's counters of the last (64-cycle) run.
-Counters ExpectExactAtEverySlice(GuestFactory guest) {
+Counters ExpectExactAtEverySlice(GuestFactory guest, std::span<const SliceEdit> edits = {}) {
   Counters counters;
   for (const EngineTier tier : kEngineTiers) {
     if (tier == EngineTier::kReference) {
@@ -302,7 +399,7 @@ Counters ExpectExactAtEverySlice(GuestFactory guest) {
     for (const uint64_t slice : {1, 7, 64}) {
       SCOPED_TRACE("tier " + std::string(EngineTierName(tier)) + " slice " +
                    std::to_string(slice));
-      const Counters got = RunInSlices(guest, tier, slice);
+      const Counters got = RunInSlices(guest, tier, slice, edits);
       if (tier == EngineTier::kBlocks) {
         // The engine under test must actually run: blocks, chains and the
         // memo hits the tally stands in for.
@@ -336,6 +433,11 @@ TEST(TallyExactness, TwoProcessTty) {
   const Counters counters = ExpectExactAtEverySlice(&TwoProcessTty);
   EXPECT_GT(counters.TrapCount(TrapCause::kIoCompletion), 0u);
   EXPECT_GT(counters.TrapCount(TrapCause::kTimerRunout), 0u);
+}
+
+TEST(TallyExactness, SharedDataSdwEditedUnderMemoisedOperands) {
+  const Counters counters = ExpectExactAtEverySlice(&SharedDataLoop, kSharedDataEdits);
+  EXPECT_EQ(counters.TrapCount(TrapCause::kWriteViolation), 1u);
 }
 
 TEST(TallyExactness, FaultInjection) {
