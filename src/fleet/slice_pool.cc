@@ -50,14 +50,21 @@ std::vector<WorkerStats> SlicePool::stats() const {
 
 void SlicePool::Push(size_t worker, Task task) {
   {
-    const std::lock_guard<std::mutex> lock(workers_[worker]->mu);
-    workers_[worker]->queue.push_back(std::move(task));
+    // Lock order: mu_, then a worker's mu. Pop never holds a worker's mu
+    // while it takes mu_.
+    const std::lock_guard<std::mutex> lock(mu_);
+    {
+      const std::lock_guard<std::mutex> queue_lock(workers_[worker]->mu);
+      workers_[worker]->queue.push_back(std::move(task));
+    }
+    ++queued_;
   }
   cv_.notify_one();
 }
 
 bool SlicePool::Pop(size_t worker, Task* task) {
-  for (size_t k = 0; k < workers_.size(); ++k) {
+  bool found = false;
+  for (size_t k = 0; k < workers_.size() && !found; ++k) {
     Worker& victim = *workers_[(worker + k) % workers_.size()];
     const std::lock_guard<std::mutex> lock(victim.mu);
     if (victim.queue.empty()) {
@@ -71,9 +78,13 @@ bool SlicePool::Pop(size_t worker, Task* task) {
       victim.queue.pop_front();
       ++workers_[worker]->stats.steals;
     }
-    return true;
+    found = true;
   }
-  return false;
+  if (found) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    --queued_;
+  }
+  return found;
 }
 
 void SlicePool::WorkerLoop(size_t worker) {
@@ -81,14 +92,13 @@ void SlicePool::WorkerLoop(size_t worker) {
   Task task;
   while (true) {
     if (!Pop(worker, &task)) {
+      // A task pushed since the failed Pop is already counted, so the
+      // predicate sees it and the worker scans again instead of sleeping.
       std::unique_lock<std::mutex> lock(mu_);
-      if (draining_ && live_ == 0) {
+      cv_.wait(lock, [this] { return queued_ > 0 || (draining_ && live_ == 0); });
+      if (queued_ == 0) {
         return;
       }
-      // Bounded wait instead of a precise predicate: pushes happen under
-      // per-worker locks, so a notify can slip past a worker between its
-      // failed Pop and this wait; the timeout caps that stall at 1 ms.
-      cv_.wait_for(lock, std::chrono::milliseconds(1));
       continue;
     }
     const auto start = std::chrono::steady_clock::now();

@@ -7,7 +7,7 @@
 // pops from the back of its own deque and requeues an unfinished task at
 // that back; an idle worker steals from the front of a sibling's deque
 // (the task its owner would touch last), scanning from the next worker
-// around the ring, and sleeps at most 1 ms when there is nothing to steal.
+// around the ring, and sleeps while no task is queued anywhere.
 // Which worker runs a slice is host scheduling only: callers keep every
 // simulated result a function of the task's own slice sequence.
 #ifndef SRC_FLEET_SLICE_POOL_H_
@@ -64,9 +64,15 @@ class SlicePool {
   bool Pop(size_t worker, Task* task);
   void WorkerLoop(size_t worker);
 
-  std::mutex mu_;               // live_, draining_
+  std::mutex mu_;               // live_, queued_, draining_
   std::condition_variable cv_;  // idle workers sleep here
   size_t live_ = 0;             // submitted tasks not yet finished
+  // Tasks sitting in some worker's deque. Push queues and counts a task
+  // in one critical section of mu_, and a successful Pop uncounts it
+  // under mu_ after taking it, so an idle worker that re-checks queued_
+  // under mu_ before it sleeps cannot miss a Push, and queued_ never
+  // drops below zero.
+  size_t queued_ = 0;
   bool draining_ = false;
   std::vector<std::unique_ptr<Worker>> workers_;  // last: their threads use the members above
 };

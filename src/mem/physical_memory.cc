@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace rings {
 
@@ -45,6 +46,17 @@ PhysicalMemory::PhysicalMemory(size_t size_words) : size_words_(size_words) {
   read_frames_.assign(frame_count, kZeroFrameWords);
   write_frames_.assign(frame_count, nullptr);
 }
+
+PhysicalMemory::PhysicalMemory(PhysicalMemory&& other) noexcept
+    : size_words_(std::exchange(other.size_words_, 0)),
+      frames_(std::move(other.frames_)),
+      read_frames_(std::move(other.read_frames_)),
+      write_frames_(std::move(other.write_frames_)),
+      sealed_(other.sealed_.load(std::memory_order_relaxed)),
+      frames_privatized_(other.frames_privatized_),
+      next_free_(other.next_free_),
+      latched_fault_(other.latched_fault_),
+      fault_count_(other.fault_count_) {}
 
 PhysicalMemory::PhysicalMemory(const PhysicalMemory& parent, CowClone)
     : size_words_(parent.size_words_),

@@ -59,6 +59,11 @@ class PhysicalMemory {
   // parent (a golden image is sealed once and never run again).
   PhysicalMemory(const PhysicalMemory& parent, CowClone);
 
+  // Takes `other`'s frames and bookkeeping; `other` is left a zero-word
+  // store. This is how a staged store becomes a machine's own
+  // (Machine::FromState).
+  PhysicalMemory(PhysicalMemory&& other) noexcept;
+
   PhysicalMemory(const PhysicalMemory&) = delete;
   PhysicalMemory& operator=(const PhysicalMemory&) = delete;
   ~PhysicalMemory();

@@ -13,30 +13,50 @@
 
 namespace rings {
 
-namespace {
-
 // --------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected) — table-driven, no dependencies.
+// CRC-32 (IEEE 802.3, reflected), sliced by eight: table k maps a byte to
+// its CRC contribution followed by k zero bytes, so eight lookups fold
+// eight input bytes at once. Table 0 is the classic byte-at-a-time table,
+// which finishes the tail.
 // --------------------------------------------------------------------------
 
 uint32_t Crc32(const uint8_t* data, size_t size) {
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> table{};
+  using Tables = std::array<std::array<uint32_t, 256>, 8>;
+  static const Tables kTables = [] {
+    Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      table[i] = c;
+      t[0][i] = c;
     }
-    return table;
+    for (size_t k = 1; k < t.size(); ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
+    }
+    return t;
   }();
+  const auto load32 = [](const uint8_t* p) {
+    return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+  };
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = crc ^ load32(data);
+    const uint32_t hi = load32(data + 4);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^ kTables[3][hi & 0xFFu] ^
+          kTables[2][(hi >> 8) & 0xFFu] ^ kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = kTables[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
+
+namespace {
 
 constexpr uint32_t ByteSwap32(uint32_t v) {
   return (v >> 24) | ((v >> 8) & 0xFF00u) | ((v << 8) & 0xFF0000u) | (v << 24);
@@ -472,6 +492,24 @@ bool DecodeMemory(const SectionSpans& spans, PhysicalMemory::State* state,
   return r.Finish(kMemorySection, error);
 }
 
+// The CRC pass and the meta section: the one walk every consumer makes
+// before it needs the machine's shape.
+bool WalkMeta(const uint8_t* data, size_t size, SectionSpans* spans, SnapshotMeta* meta,
+              std::string* error) {
+  return WalkImage(data, size, spans, error) && Decode(*spans, kMetaSection, meta, error);
+}
+
+// The rest of the image, after WalkMeta: the memory section into `staged`
+// (a zero store of the image's size) and every other section into
+// `state`. Both restores decode through here, before any machine changes.
+bool DecodeSections(const SectionSpans& spans, Machine::State* state, PhysicalMemory* staged,
+                    std::string* error) {
+  return DecodeMemory(spans, &state->memory, staged, error) &&
+         ForEachStateSection(*state, [&spans, error](Section section, auto& member) {
+           return Decode(spans, section, &member, error);
+         });
+}
+
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -517,7 +555,7 @@ bool VerifySnapshot(const uint8_t* data, size_t size, std::string* error) {
 
 bool PeekSnapshotMeta(const uint8_t* data, size_t size, SnapshotMeta* meta, std::string* error) {
   SectionSpans spans{};
-  return WalkImage(data, size, &spans, error) && Decode(spans, kMetaSection, meta, error);
+  return WalkMeta(data, size, &spans, meta, error);
 }
 
 bool RestoreSnapshot(const uint8_t* data, size_t size, Machine* machine, std::string* error,
@@ -538,7 +576,8 @@ bool RestoreSnapshot(const uint8_t* data, size_t size, Machine* machine, std::st
   }
 
   SectionSpans spans{};
-  if (!WalkImage(data, size, &spans, error)) {
+  Machine::State state;
+  if (!WalkMeta(data, size, &spans, &state.meta, error)) {
     return false;
   }
   auto reject = [error](std::string message) {
@@ -552,10 +591,6 @@ bool RestoreSnapshot(const uint8_t* data, size_t size, Machine* machine, std::st
   // rejected before any machine state changes. The machine's shape is
   // checked before the memory section is decoded into a staging store of
   // the machine's size, which allocates only the frames the image writes.
-  Machine::State state;
-  if (!Decode(spans, kMetaSection, &state.meta, error)) {
-    return false;
-  }
   if (!machine->ok()) {
     return reject("target machine failed construction");
   }
@@ -569,10 +604,7 @@ bool RestoreSnapshot(const uint8_t* data, size_t size, Machine* machine, std::st
     return reject("image cycle model does not match the machine's (trajectories would diverge)");
   }
   PhysicalMemory staged(machine_words);
-  if (!DecodeMemory(spans, &state.memory, &staged, error) ||
-      !ForEachStateSection(state, [&spans, error](Section section, auto& member) {
-        return Decode(spans, section, &member, error);
-      })) {
+  if (!DecodeSections(spans, &state, &staged, error)) {
     return false;
   }
 
@@ -633,29 +665,30 @@ bool ReadSnapshotFile(const std::string& path, std::vector<uint8_t>* out, std::s
 std::unique_ptr<Machine> RestoreGuest(const MachineConfig& engine,
                                       const std::vector<uint8_t>& image,
                                       size_t max_memory_words, std::string* error) {
-  SnapshotMeta meta;
-  if (!PeekSnapshotMeta(image, &meta, error)) {
+  SectionSpans spans{};
+  Machine::State state;
+  if (!WalkMeta(image.data(), image.size(), &spans, &state.meta, error)) {
     return nullptr;
   }
+  const SnapshotMeta& meta = state.meta;
   if (meta.memory_words > max_memory_words) {
     *error = StrFormat("image wants a %llu-word machine, limit is %zu words",
                        static_cast<unsigned long long>(meta.memory_words), max_memory_words);
     return nullptr;
   }
+  // The staged store becomes the machine's own, so the shape checks
+  // RestoreSnapshot makes against a constructed machine hold by
+  // construction here.
+  PhysicalMemory staged(static_cast<size_t>(meta.memory_words));
+  if (!DecodeSections(spans, &state, &staged, error)) {
+    return nullptr;
+  }
   MachineConfig config = engine;
-  config.memory_words = meta.memory_words;
+  config.memory_words = staged.size();
   config.cycle_model = meta.cycle_model;
   config.quantum = meta.quantum;
   config.mode = meta.mode;
-  auto machine = std::make_unique<Machine>(config);
-  if (!machine->ok()) {
-    *error = "machine construction failed";
-    return nullptr;
-  }
-  if (!RestoreSnapshot(image, machine.get(), error)) {
-    return nullptr;
-  }
-  return machine;
+  return Machine::FromState(config, std::move(staged), std::move(state));
 }
 
 bool RestoreSnapshotFile(const std::string& path, Machine* machine, std::string* error,

@@ -51,6 +51,10 @@ inline constexpr uint32_t kSnapshotVersion = 2;
 // restoring (ringsim --restore reads these without decoding the rest).
 using SnapshotMeta = Machine::State::Meta;
 
+// The image's checksum: CRC-32 (IEEE 802.3, reflected; zlib.crc32
+// computes the same) of `size` bytes at `data`.
+uint32_t Crc32(const uint8_t* data, size_t size);
+
 // Serializes `machine` (which must be at a Machine::Run boundary — the
 // fleet checkpoints between quanta, ringsim after Run returns). When
 // `write_injector` is supplied, the kSnapshotWrite fault site may damage
@@ -67,7 +71,9 @@ inline bool VerifySnapshot(const std::vector<uint8_t>& image, std::string* error
   return VerifySnapshot(image.data(), image.size(), error);
 }
 
-// Reads the meta section (after a full VerifySnapshot pass).
+// Reads the meta section after the same full CRC pass VerifySnapshot
+// makes, with the same errors, so a caller that needs the meta need not
+// verify first.
 bool PeekSnapshotMeta(const uint8_t* data, size_t size, SnapshotMeta* meta, std::string* error);
 inline bool PeekSnapshotMeta(const std::vector<uint8_t>& image, SnapshotMeta* meta,
                              std::string* error) {
@@ -92,9 +98,11 @@ inline bool RestoreSnapshot(const std::vector<uint8_t>& image, Machine* machine,
 
 // BootGuest's counterpart for images: a new machine shaped by the image's
 // meta section (store, cycle model, quantum, mode) with `engine`'s host
-// flags, restored from `image`. An image wanting more than
-// `max_memory_words` is refused before any machine exists. Null with a
-// structured *error on failure.
+// flags, restored from `image`. One CRC pass; the image's decoded store
+// becomes the machine's, and no supervisor is booted (Machine::FromState).
+// An image wanting more than `max_memory_words` is refused before any
+// store of that size exists. Null with a structured *error on failure;
+// no machine exists then.
 std::unique_ptr<Machine> RestoreGuest(const MachineConfig& engine,
                                       const std::vector<uint8_t>& image,
                                       size_t max_memory_words, std::string* error);

@@ -1,5 +1,7 @@
 #include "src/sys/machine.h"
 
+#include <utility>
+
 #include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/mem/page_table.h"
@@ -27,15 +29,14 @@ Machine::Machine(MachineConfig config)
   ok_ = supervisor_.Initialize();
 }
 
-Machine::Machine(const Machine& parent, CloneTag)
-    : config_(parent.config_),
-      memory_(parent.memory_, PhysicalMemory::CowClone{}),
-      cpu_(&memory_, config_.cycle_model),
+Machine::Machine(const MachineConfig& config, PhysicalMemory memory)
+    : config_(config),
+      memory_(std::move(memory)),
+      cpu_(&memory_, config.cycle_model),
       registry_(&memory_),
-      supervisor_(&cpu_, &memory_, &registry_, parent.supervisor_.options()) {
+      supervisor_(&cpu_, &memory_, &registry_,
+                  Supervisor::Options{.quantum = config.quantum, .verbose = false}) {
   ConfigureComponents();
-  // No supervisor_.Initialize(), no program load: the cloned core store
-  // and the state CloneFrom restores already carry both.
   ok_ = true;
 }
 
@@ -52,10 +53,18 @@ std::unique_ptr<Machine> Machine::CloneFrom(const Machine& golden) {
   if (!golden.ok()) {
     return nullptr;
   }
-  std::unique_ptr<Machine> clone(new Machine(golden, CloneTag{}));
-  clone->RestoreState(golden.CaptureState());
+  std::unique_ptr<Machine> clone =
+      FromState(golden.config_, PhysicalMemory(golden.memory_, PhysicalMemory::CowClone{}),
+                golden.CaptureState());
   clone->audit_findings_ = golden.audit_findings_;
   return clone;
+}
+
+std::unique_ptr<Machine> Machine::FromState(const MachineConfig& config, PhysicalMemory contents,
+                                            State&& state) {
+  std::unique_ptr<Machine> machine(new Machine(config, std::move(contents)));
+  machine->RestoreState(std::move(state));
+  return machine;
 }
 
 Machine::State Machine::CaptureState() const {
@@ -74,7 +83,7 @@ Machine::State Machine::CaptureState() const {
   return state;
 }
 
-void Machine::RestoreState(State state) {
+void Machine::RestoreState(State&& state) {
   cpu_.set_mode(state.meta.mode);
   supervisor_.set_quantum(state.meta.quantum);
   supervisor_.set_trap_storm_limit(state.meta.trap_storm_limit);

@@ -201,14 +201,26 @@ class Machine {
     Device device;
   };
   State CaptureState() const;
-  void RestoreState(State state);
+  // Taken by rvalue reference, as FromState takes it: a State is a few KiB
+  // of counters and cache entries plus deques whose move allocates, so
+  // each by-value hop would cost a clone a copy.
+  void RestoreState(State&& state);
+
+  // A machine made from state alone: `contents` becomes its core store and
+  // `state` is applied to it, with no supervisor initialization and no
+  // program load, since the state already carries both. `config` gives
+  // the host flags and the shape, which must match `contents` (its size)
+  // and `state.meta` (cycle model). CloneFrom builds its clone this way
+  // from a COW copy of the golden's store; RestoreGuest from an image's
+  // decoded store.
+  static std::unique_ptr<Machine> FromState(const MachineConfig& config,
+                                            PhysicalMemory contents, State&& state);
 
  private:
-  // Tag for the cloning constructor: builds the shell (COW memory, cpu,
-  // empty registry/supervisor) without running supervisor initialization;
-  // CloneFrom then copies the parent's state in.
-  struct CloneTag {};
-  Machine(const Machine& parent, CloneTag);
+  // The shell FromState fills: `memory` as the core store, a cpu, and an
+  // empty registry and supervisor, without supervisor initialization.
+  // Never handed out before a State is applied.
+  Machine(const MachineConfig& config, PhysicalMemory memory);
 
   // The config-driven wiring both constructors share: engine switches,
   // trace and I/O hooks.

@@ -324,6 +324,14 @@ TEST(Serve, MalformedSubmissionsAreRejectedOrFailed) {
   Submission corrupt;
   corrupt.image = {0xDE, 0xAD, 0xBE, 0xEF};
   EXPECT_EQ(server.Wait(server.Submit(std::move(corrupt))).status, ServeStatus::kRejected);
+  // A real image with one payload bit flipped: Submit's one CRC pass
+  // catches it.
+  Submission flipped;
+  flipped.image = CallLoopImage(size_t{1} << 22, 5'000);
+  flipped.image.back() ^= 0x01;
+  const Completion bad_crc = server.Wait(server.Submit(std::move(flipped)));
+  EXPECT_EQ(bad_crc.status, ServeStatus::kRejected);
+  EXPECT_EQ(bad_crc.error, "snapshot image invalid: section 8 payload CRC mismatch");
   // Assembly failure surfaces as a failed completion with the error text.
   Submission bad;
   bad.source = ";; start main start 4\n        .segment main\nstart:  frobnicate x\n";

@@ -62,7 +62,7 @@ inline MachineConfig SmallConfig() {
 }
 
 // Bitwise CRC-32 (IEEE, reflected; zlib.crc32 computes the same), written
-// independently of the library's table-driven one.
+// independently of the library's sliced, table-driven one.
 inline uint32_t Crc32(const std::vector<uint8_t>& bytes) {
   uint32_t crc = 0xFFFFFFFFu;
   for (const uint8_t b : bytes) {

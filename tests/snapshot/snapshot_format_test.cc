@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/xorshift.h"
 #include "src/fleet/fingerprint.h"
 #include "src/fuzz/generator.h"
 #include "src/snapshot/snapshot.h"
@@ -119,6 +120,38 @@ TEST(SnapshotFormat, PinnedImagesAreByteStable) {
         << std::hex << "digest 0x" << Fnv1a(image) << std::dec << ", " << image.size()
         << " bytes";
   }
+}
+
+// The library's sliced CRC equals image_testutil's bitwise one at every
+// length and alignment the slicing can split differently, and on long
+// random buffers.
+TEST(SnapshotFormat, SlicedCrcMatchesTheBitwiseCrc) {
+  Xorshift rng(7);
+  std::vector<uint8_t> buffer(64 + 8);
+  for (uint8_t& b : buffer) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const uint8_t* data = buffer.data() + offset;
+      EXPECT_EQ(Crc32(data, length), Crc32(std::vector<uint8_t>(data, data + length)))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  for (int trial = 0; trial < 32; ++trial) {
+    std::vector<uint8_t> random(rng.Below((size_t{16} << 10) + 1));
+    for (uint8_t& b : random) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    EXPECT_EQ(Crc32(random.data(), random.size()), Crc32(random))
+        << "trial " << trial << ", " << random.size() << " bytes";
+  }
+}
+
+// The CRC-32 check value.
+TEST(SnapshotFormat, CrcOfTheCheckStringIsTheStandardValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()), check.size()), 0xCBF43926u);
 }
 
 // The pinned images exercise what they claim to: injected faults in the

@@ -332,15 +332,19 @@ int RunDaemon(const std::string& socket_path, const ServeConfig& config) {
               server.config().threads);
   std::fflush(stdout);
 
-  // One thread per open connection. Each flags its own end, and the
-  // accept loop joins the finished ones before taking the next
-  // connection, so a long-lived daemon holds threads (and their stacks)
-  // only for connections still open, and at most kMaxConnections.
+  // One thread per open connection. A connection thread gives back its
+  // slot in `open` as soon as it has closed its socket, and the cap is
+  // checked against that count, so a closed connection's slot is free for
+  // the next accept whether or not its thread has been joined yet. Each
+  // thread also flags its own end, and the accept loop joins the finished
+  // ones before taking the next connection, so a long-lived daemon holds
+  // threads (and their stacks) only for connections still open.
   struct Connection {
     std::thread thread;
     std::atomic<bool> done{false};
   };
   std::list<Connection> connections;
+  std::atomic<size_t> open{0};
   while (!g_stop.load()) {
     const int fd = accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
@@ -353,14 +357,16 @@ int RunDaemon(const std::string& socket_path, const ServeConfig& config) {
       c.thread.join();
       return true;
     });
-    if (connections.size() >= kMaxConnections) {
+    if (open.load() >= kMaxConnections) {
       WriteLine(fd, "error busy");
       close(fd);
       continue;
     }
+    open.fetch_add(1);
     Connection& c = connections.emplace_back();
-    c.thread = std::thread([&server, fd, &c] {
+    c.thread = std::thread([&server, fd, &c, &open] {
       ServeConnection(&server, fd);
+      open.fetch_sub(1);
       c.done.store(true);
     });
   }

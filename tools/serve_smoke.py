@@ -56,8 +56,8 @@ IMAGE_PEAK_FACTOR = 1.2
 MAX_CONNECTIONS = 32
 
 # How long a connection refused as busy keeps retrying: the daemon frees
-# a closed connection's slot when it next accepts, once that
-# connection's thread has seen the close.
+# a closed connection's slot as soon as that connection's thread has seen
+# the close, which can be just after the client's next connect arrives.
 BUSY_RETRY_SECONDS = 10
 
 # Short connections the reaping check opens one after another.
