@@ -32,10 +32,12 @@
 // An op whose final operand address is fixed at build (Op::direct, or a
 // hop that ends the chase) may also keep its operand memo: the absolute
 // address and SDW execute flag of a validated read or write of an unpaged
-// segment, stamped with the cache version it was filled at. Every event
-// that could retire the verdict or the SDW residency behind it bumps the
-// version, so the memo answers only while the stamp is current
-// (DESIGN.md §7, "Resolved operands").
+// segment, or that a transfer to an unpaged segment was validated,
+// stamped with the cache version it was filled at. Every event that could
+// retire the verdict or the SDW residency behind it bumps the version, so
+// the memo answers only while the stamp is current (DESIGN.md §7,
+// "Resolved operands"). While it answers, Cpu::RunBlocks runs the op in
+// its own loop (DESIGN.md §7, "Ops run in the loop").
 #ifndef SRC_CPU_BLOCK_CACHE_H_
 #define SRC_CPU_BLOCK_CACHE_H_
 
@@ -64,15 +66,18 @@ class BlockCache {
   // (Cpu::TryBuildBlock): the TPR it leaves behind and whether the chase
   // goes on. An op whose final TPR is fixed at build (`direct`, or a hop
   // that ends the chase) may also keep its operand memo: the absolute
-  // address and SDW execute flag of a validated read or write, valid for
-  // the kinds in `memo` while the cache version equals `memo_version`
-  // (DESIGN.md §7, "Resolved operands").
+  // address and SDW execute flag of a validated read or write, or the
+  // verdict of a validated transfer, valid for the kinds in `memo` while
+  // the cache version equals `memo_version` (DESIGN.md §7, "Resolved
+  // operands" and "Ops run in the loop").
   struct Op {
     // Bits of `memo`: the reference kinds the memo answers, and the SDW
-    // execute flag a memoised store hands NoteStore.
+    // execute flag a memoised store hands NoteStore. A transfer's memo
+    // holds no address: its target's bound was checked when it was kept.
     static constexpr uint8_t kMemoRead = 1;
     static constexpr uint8_t kMemoWrite = 2;
     static constexpr uint8_t kMemoExecute = 4;
+    static constexpr uint8_t kMemoTransfer = 8;
 
     Instruction ins{};
     Wordno hop_wordno = 0;
@@ -195,13 +200,14 @@ class BlockCache {
   uint64_t gen_ = 1;  // blocks zero-initialize to gen 0 == invalid
   uint64_t version_ = 0;
   // The backing store is calloc'd on first build, not an inline array:
-  // 256 blocks of 32 decoded ops each are ~270 KiB, and paying for that
-  // at construction (whether as inline zero-fill or as an eager mmap-class
-  // allocation) dominated Machine construction — which a fleet daemon pays
-  // per spawned clone. A null store reads as an empty cache; the first
-  // SlotFor call allocates, and calloc's zero bytes are a valid empty
-  // state because gen 0 == invalid. Block is an implicit-lifetime
-  // aggregate, so the calloc'd array is usable without placement-new.
+  // 256 blocks of 32 decoded ops each are 402 KiB (256 x 1608 B), and
+  // paying for that at construction (whether as inline zero-fill or as an
+  // eager mmap-class allocation) dominated Machine construction — which a
+  // fleet daemon pays per spawned clone. A null store reads as an empty
+  // cache; the first SlotFor call allocates, and calloc's zero bytes are a
+  // valid empty state because gen 0 == invalid. Block is an
+  // implicit-lifetime aggregate, so the calloc'd array is usable without
+  // placement-new.
   static_assert(std::is_trivially_destructible_v<Block>);
   static_assert(std::is_trivially_copyable_v<Block>);
   struct FreeDeleter {

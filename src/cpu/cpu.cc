@@ -654,7 +654,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
       ++op_tally;
       current_ins_ = op.ins;
       // The op whose final TPR was fixed at build, and so whose operand
-      // memo ReadOperand and WriteOperand may use (see operand_memo_).
+      // memo RunInLoop may use and the handlers fill (see operand_memo_).
       BlockCache::Op* memo = nullptr;
       if (op.hop && fault_injector_ == nullptr) {
         // The first hop TryBuildBlock resolved: the charges of Figure 5's
@@ -680,14 +680,18 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
         return false;
       }
       regs_.ipr.wordno = wordno + 1;
-      operand_memo_ = memo;
-      Execute(op.ins);
-      operand_memo_ = nullptr;
-      if (block_call_ablation_ && op.ins.opcode == Opcode::kCall) {
-        ++cycles_;  // deliberately broken (fuzz-oracle test hook); see cpu.h
-      }
-      if (trap_pending_) {
-        return false;
+      // An in-loop form raises no trap. Any other op, or one whose memo
+      // cannot answer, runs its handler, which may fill the memo.
+      if (!RunInLoop(op.ins, memo, version)) {
+        operand_memo_ = memo;
+        Execute(op.ins);
+        operand_memo_ = nullptr;
+        if (block_call_ablation_ && op.ins.opcode == Opcode::kCall) {
+          ++cycles_;  // deliberately broken (fuzz-oracle test hook); see cpu.h
+        }
+        if (trap_pending_) {
+          return false;
+        }
       }
       if (trace_ != nullptr && trace_->enabled()) {
         trace_->Record(TraceEvent{EventKind::kInstruction, cycles_, regs_.ipr.ring,
@@ -1049,36 +1053,38 @@ bool Cpu::ChaseIndirectWords(unsigned depth) {
   return true;
 }
 
-// Figure 6: instructions which read or write their operands. The head
-// answers from the running block op's operand memo, which a reference the
-// verdict cache answered for an unpaged segment filled at the current
-// block-cache version: every event that could retire that verdict, the
-// SDW behind it or its residency bumps the version (DESIGN.md §7,
-// "Resolved operands"). A hit charges and tallies exactly what that
-// memo-hit reference did.
-[[gnu::always_inline]] inline bool Cpu::ReadOperand(Word* out) {
-  if (const BlockCache::Op* op = operand_memo_;
-      op != nullptr && (op->memo & BlockCache::Op::kMemoRead) != 0 &&
-      op->memo_version == block_cache_.version()) {
-    cycles_ += (checks_enabled_ ? cycle_model_.access_check : 0) + cycle_model_.memory_ref;
-    Tally(static_cast<size_t>(RefKind::kRead));
-    *out = memory_->Read(op->memo_addr);
-    return true;
-  }
-  return ReadOperandReferenced(out);
+// The memo-hit accesses of RunBlocks' in-loop forms. A block op's operand
+// memo is filled by a reference the verdict cache answered for an unpaged
+// segment, at the block-cache version of the fill: every event that could
+// retire that verdict, the SDW behind it or its residency bumps the
+// version (DESIGN.md §7, "Resolved operands"). A hit charges and tallies
+// exactly what that memo-hit reference did, with its word access.
+[[gnu::always_inline]] inline bool Cpu::MemoAnswers(const BlockCache::Op* op, uint8_t kinds,
+                                                    uint64_t version) const {
+  return op != nullptr && (op->memo & kinds) == kinds && op->memo_version == version;
 }
 
-[[gnu::always_inline]] inline bool Cpu::WriteOperand(Word value) {
-  if (const BlockCache::Op* op = operand_memo_;
-      op != nullptr && (op->memo & BlockCache::Op::kMemoWrite) != 0 &&
-      op->memo_version == block_cache_.version()) {
-    cycles_ += (checks_enabled_ ? cycle_model_.access_check : 0) + cycle_model_.memory_ref;
-    Tally(static_cast<size_t>(RefKind::kWrite));
-    memory_->Write(op->memo_addr, value);
-    NoteStore(op->memo_addr, (op->memo & BlockCache::Op::kMemoExecute) != 0, tpr_.segno);
-    return true;
+[[gnu::always_inline]] inline Word Cpu::MemoRead(const BlockCache::Op& op) {
+  cycles_ += (checks_enabled_ ? cycle_model_.access_check : 0) + cycle_model_.memory_ref;
+  Tally(static_cast<size_t>(RefKind::kRead));
+  return memory_->Read(op.memo_addr);
+}
+
+[[gnu::always_inline]] inline void Cpu::MemoWrite(const BlockCache::Op& op, Word value) {
+  cycles_ += (checks_enabled_ ? cycle_model_.access_check : 0) + cycle_model_.memory_ref;
+  Tally(static_cast<size_t>(RefKind::kWrite));
+  memory_->Write(op.memo_addr, value);
+  NoteStore(op.memo_addr, (op.memo & BlockCache::Op::kMemoExecute) != 0, tpr_.segno);
+}
+
+// A memo-hit Reference<kTransfer> and the transfer it validates.
+[[gnu::always_inline]] inline void Cpu::MemoTransfer() {
+  if (checks_enabled_) {
+    cycles_ += cycle_model_.access_check;
   }
-  return WriteOperandReferenced(value);
+  Tally(static_cast<size_t>(RefKind::kTransfer));
+  regs_.ipr.segno = tpr_.segno;
+  regs_.ipr.wordno = tpr_.wordno;
 }
 
 void Cpu::KeepOperand(uint8_t kind, const Ref& ref) {
@@ -1094,7 +1100,10 @@ void Cpu::KeepOperand(uint8_t kind, const Ref& ref) {
   op->memo |= kind | (ref.flags_execute ? BlockCache::Op::kMemoExecute : 0);
 }
 
-[[gnu::noinline]] bool Cpu::ReadOperandReferenced(Word* out) {
+// Figure 6: instructions which read or write their operands. Every call
+// runs the validated reference: a block op whose memo answers runs in
+// RunBlocks' loop instead (RunInLoop), so these stay out of line.
+[[gnu::noinline]] bool Cpu::ReadOperand(Word* out) {
   const Ring ring = EffectiveRing(tpr_.ring);
   Ref ref;
   if (!Reference<RefKind::kRead>(tpr_.segno, tpr_.wordno, ring, ring, &ref)) {
@@ -1106,7 +1115,7 @@ void Cpu::KeepOperand(uint8_t kind, const Ref& ref) {
   return true;
 }
 
-[[gnu::noinline]] bool Cpu::WriteOperandReferenced(Word value) {
+[[gnu::noinline]] bool Cpu::WriteOperand(Word value) {
   const Ring ring = EffectiveRing(tpr_.ring);
   Ref ref;
   if (!Reference<RefKind::kWrite>(tpr_.segno, tpr_.wordno, ring, ring, &ref)) {
@@ -1154,9 +1163,15 @@ void Cpu::NoteStore(AbsAddr addr, bool target_executable, Segno segno) {
 // rejected because these transfers cannot change the ring of execution.
 void Cpu::ExecuteTransfer() {
   // Validated for the ring of execution; in the 645 base both rings are 0.
+  const Ring ring = EffectiveRing(regs_.ipr.ring);
+  const Ring effective = EffectiveRing(tpr_.ring);
   Ref ref;
-  if (Reference<RefKind::kTransfer>(tpr_.segno, tpr_.wordno, EffectiveRing(regs_.ipr.ring),
-                                    EffectiveRing(tpr_.ring), &ref)) {
+  if (Reference<RefKind::kTransfer>(tpr_.segno, tpr_.wordno, ring, effective, &ref)) {
+    // Only a transfer the execute verdict answered is kept: with checks
+    // off one at a raised effective ring vouches too.
+    if (effective == ring) {
+      KeepOperand(BlockCache::Op::kMemoTransfer, ref);
+    }
     regs_.ipr.segno = tpr_.segno;
     regs_.ipr.wordno = tpr_.wordno;
   }
@@ -1268,130 +1283,118 @@ void Cpu::ExecuteReturn() {
 }
 
 // Per-opcode execute handlers, dispatched through the Execute switch by
-// both the per-instruction path and the superblock inner loop.
+// the per-instruction path and by RunBlocks for the ops it does not run
+// itself. Each opcode's register effect is written once, below, and
+// shared by its handler and RunBlocks' in-loop form (RunInLoop).
 
-void Cpu::OpNop(const Instruction& ins) { (void)ins; }
-
-void Cpu::OpLda(const Instruction& ins) {
-  (void)ins;
-  Word value = 0;
-  if (ReadOperand(&value)) {
+// What an operand-reading op does with the word it read.
+template <Opcode O>
+[[gnu::always_inline]] inline void Cpu::ReadEffect(const Instruction& ins, Word value) {
+  if constexpr (O == Opcode::kLda) {
     regs_.a = value;
-  }
-}
-
-void Cpu::OpLdq(const Instruction& ins) {
-  (void)ins;
-  Word value = 0;
-  if (ReadOperand(&value)) {
+  } else if constexpr (O == Opcode::kLdq) {
     regs_.q = value;
-  }
-}
-
-void Cpu::OpLdx(const Instruction& ins) {
-  Word value = 0;
-  if (ReadOperand(&value)) {
+  } else if constexpr (O == Opcode::kLdx) {
     regs_.x[ins.reg] = static_cast<uint32_t>(value) & kIndexMask;
-  }
-}
-
-void Cpu::OpSta(const Instruction& ins) {
-  (void)ins;
-  WriteOperand(regs_.a);
-}
-
-void Cpu::OpStq(const Instruction& ins) {
-  (void)ins;
-  WriteOperand(regs_.q);
-}
-
-void Cpu::OpStx(const Instruction& ins) { WriteOperand(regs_.x[ins.reg]); }
-
-void Cpu::OpStz(const Instruction& ins) {
-  (void)ins;
-  WriteOperand(0);
-}
-
-void Cpu::OpLdai(const Instruction& ins) {
-  regs_.a = static_cast<Word>(static_cast<int64_t>(ins.offset));
-}
-
-void Cpu::OpLdqi(const Instruction& ins) {
-  regs_.q = static_cast<Word>(static_cast<int64_t>(ins.offset));
-}
-
-void Cpu::OpLdxi(const Instruction& ins) {
-  regs_.x[ins.reg] = static_cast<uint32_t>(ins.offset) & kIndexMask;
-}
-
-void Cpu::OpAdai(const Instruction& ins) {
-  regs_.a += static_cast<Word>(static_cast<int64_t>(ins.offset));
-}
-
-void Cpu::OpAda(const Instruction& ins) {
-  (void)ins;
-  Word value = 0;
-  if (ReadOperand(&value)) {
+  } else if constexpr (O == Opcode::kAda) {
     regs_.a += value;
-  }
-}
-
-void Cpu::OpSba(const Instruction& ins) {
-  (void)ins;
-  Word value = 0;
-  if (ReadOperand(&value)) {
+  } else if constexpr (O == Opcode::kSba) {
     regs_.a -= value;
-  }
-}
-
-void Cpu::OpMpy(const Instruction& ins) {
-  (void)ins;
-  Word value = 0;
-  if (ReadOperand(&value)) {
+  } else if constexpr (O == Opcode::kMpy) {
     regs_.a *= value;
-  }
-}
-
-void Cpu::OpAna(const Instruction& ins) {
-  (void)ins;
-  Word value = 0;
-  if (ReadOperand(&value)) {
+  } else if constexpr (O == Opcode::kAna) {
     regs_.a &= value;
-  }
-}
-
-void Cpu::OpOra(const Instruction& ins) {
-  (void)ins;
-  Word value = 0;
-  if (ReadOperand(&value)) {
+  } else if constexpr (O == Opcode::kOra) {
     regs_.a |= value;
-  }
-}
-
-void Cpu::OpEra(const Instruction& ins) {
-  (void)ins;
-  Word value = 0;
-  if (ReadOperand(&value)) {
+  } else {
+    static_assert(O == Opcode::kEra);
     regs_.a ^= value;
   }
 }
 
-void Cpu::OpAls(const Instruction& ins) {
-  regs_.a = ins.offset >= 64 ? 0 : regs_.a << (ins.offset & 63);
+// The word a storing op writes.
+template <Opcode O>
+[[gnu::always_inline]] inline Word Cpu::StoredWord(const Instruction& ins) const {
+  if constexpr (O == Opcode::kSta) {
+    return regs_.a;
+  } else if constexpr (O == Opcode::kStq) {
+    return regs_.q;
+  } else if constexpr (O == Opcode::kStx) {
+    return regs_.x[ins.reg];
+  } else if constexpr (O == Opcode::kStz) {
+    return 0;
+  } else {
+    // Store PRn as an indirect word. The stored RING field is the PR's
+    // ring, so an argument address saved to memory keeps its validation
+    // level ("If PR1 is then stored as an indirect word, this effective
+    // ring is put into the RING field of the indirect word").
+    static_assert(O == Opcode::kSpp);
+    const PointerRegister& pr = regs_.pr[ins.reg];
+    return EncodeIndirectWord(IndirectWord{pr.ring, false, pr.segno, pr.wordno});
+  }
 }
 
-void Cpu::OpArs(const Instruction& ins) {
-  regs_.a = ins.offset >= 64 ? 0 : regs_.a >> (ins.offset & 63);
+// Whether a transfer other than CALL and RETURN is taken.
+template <Opcode O>
+[[gnu::always_inline]] inline bool Cpu::Taken() const {
+  if constexpr (O == Opcode::kTra) {
+    return true;
+  } else if constexpr (O == Opcode::kTze) {
+    return regs_.a == 0;
+  } else if constexpr (O == Opcode::kTnz) {
+    return regs_.a != 0;
+  } else if constexpr (O == Opcode::kTmi) {
+    return static_cast<int64_t>(regs_.a) < 0;
+  } else {
+    static_assert(O == Opcode::kTpl);
+    return static_cast<int64_t>(regs_.a) >= 0;
+  }
 }
 
-void Cpu::OpNega(const Instruction& ins) {
+// The ops without a memory operand: the whole op is its register effect.
+template <Opcode O>
+[[gnu::always_inline]] inline void Cpu::OpRegister(const Instruction& ins) {
+  if constexpr (O == Opcode::kNop) {
+    (void)ins;
+  } else if constexpr (O == Opcode::kLdai) {
+    regs_.a = static_cast<Word>(static_cast<int64_t>(ins.offset));
+  } else if constexpr (O == Opcode::kLdqi) {
+    regs_.q = static_cast<Word>(static_cast<int64_t>(ins.offset));
+  } else if constexpr (O == Opcode::kLdxi) {
+    regs_.x[ins.reg] = static_cast<uint32_t>(ins.offset) & kIndexMask;
+  } else if constexpr (O == Opcode::kAdai) {
+    regs_.a += static_cast<Word>(static_cast<int64_t>(ins.offset));
+  } else if constexpr (O == Opcode::kAls) {
+    regs_.a = ins.offset >= 64 ? 0 : regs_.a << (ins.offset & 63);
+  } else if constexpr (O == Opcode::kArs) {
+    regs_.a = ins.offset >= 64 ? 0 : regs_.a >> (ins.offset & 63);
+  } else if constexpr (O == Opcode::kNega) {
+    regs_.a = ~regs_.a + 1;
+  } else {
+    static_assert(O == Opcode::kXaq);
+    std::swap(regs_.a, regs_.q);
+  }
+}
+
+template <Opcode O>
+void Cpu::OpRead(const Instruction& ins) {
+  Word value = 0;
+  if (ReadOperand(&value)) {
+    ReadEffect<O>(ins, value);
+  }
+}
+
+template <Opcode O>
+void Cpu::OpWrite(const Instruction& ins) {
+  WriteOperand(StoredWord<O>(ins));
+}
+
+template <Opcode O>
+void Cpu::OpTransfer(const Instruction& ins) {
   (void)ins;
-  regs_.a = ~regs_.a + 1;
-}
-
-void Cpu::OpXaq(const Instruction& ins) {
-  (void)ins;
-  std::swap(regs_.a, regs_.q);
+  if (Taken<O>()) {
+    ExecuteTransfer();
+  }
 }
 
 void Cpu::OpAos(const Instruction& ins) {
@@ -1402,53 +1405,11 @@ void Cpu::OpAos(const Instruction& ins) {
   }
 }
 
-void Cpu::OpEpp(const Instruction& ins) {
+[[gnu::always_inline]] inline void Cpu::OpEpp(const Instruction& ins) {
   // EAP-type (Figure 7): "instructions which load the RING, SEGNO and
   // WORDNO fields of PRn with the corresponding fields of TPR. The
   // operand is not referenced, so no access validation is required."
   regs_.pr[ins.reg] = PointerRegister{tpr_.ring, tpr_.segno, tpr_.wordno};
-}
-
-void Cpu::OpSpp(const Instruction& ins) {
-  // Store PRn as an indirect word. The stored RING field is the PR's
-  // ring, so an argument address saved to memory keeps its validation
-  // level ("If PR1 is then stored as an indirect word, this effective
-  // ring is put into the RING field of the indirect word").
-  const PointerRegister& pr = regs_.pr[ins.reg];
-  WriteOperand(EncodeIndirectWord(IndirectWord{pr.ring, false, pr.segno, pr.wordno}));
-}
-
-void Cpu::OpTra(const Instruction& ins) {
-  (void)ins;
-  ExecuteTransfer();
-}
-
-void Cpu::OpTze(const Instruction& ins) {
-  (void)ins;
-  if (regs_.a == 0) {
-    ExecuteTransfer();
-  }
-}
-
-void Cpu::OpTnz(const Instruction& ins) {
-  (void)ins;
-  if (regs_.a != 0) {
-    ExecuteTransfer();
-  }
-}
-
-void Cpu::OpTmi(const Instruction& ins) {
-  (void)ins;
-  if (static_cast<int64_t>(regs_.a) < 0) {
-    ExecuteTransfer();
-  }
-}
-
-void Cpu::OpTpl(const Instruction& ins) {
-  (void)ins;
-  if (static_cast<int64_t>(regs_.a) >= 0) {
-    ExecuteTransfer();
-  }
 }
 
 void Cpu::OpCall(const Instruction& ins) {
@@ -1472,9 +1433,7 @@ void Cpu::OpSvc(const Instruction& ins) {
 void Cpu::OpLdbr(const Instruction& ins) {
   (void)ins;
   // Privileged: load the DBR from the operand pair (base word and
-  // bound/stack word) and flush the descriptor cache. The second word is
-  // not the op's operand, so neither read may use or fill its memo.
-  operand_memo_ = nullptr;
+  // bound/stack word) and flush the descriptor cache.
   Word w0 = 0;
   Word w1 = 0;
   if (!ReadOperand(&w0)) {
@@ -1518,42 +1477,42 @@ void Cpu::OpIllegal(const Instruction& ins) {
   RaiseTrap(TrapCause::kIllegalOpcode);
 }
 
-// Both the per-instruction path and the block inner loop dispatch through
-// this switch: the handlers live in this translation unit, so the switch
-// lets the compiler inline the hot ones, which an indirect member-pointer
-// call could not.
+// The per-instruction path dispatches every op through this switch, and
+// RunBlocks every op it does not run itself: the handlers live in this
+// translation unit, so the switch lets the compiler inline the hot ones,
+// which an indirect member-pointer call could not.
 void Cpu::Execute(const Instruction& ins) {
   switch (ins.opcode) {
-    case Opcode::kNop: return OpNop(ins);
-    case Opcode::kLda: return OpLda(ins);
-    case Opcode::kLdq: return OpLdq(ins);
-    case Opcode::kLdx: return OpLdx(ins);
-    case Opcode::kSta: return OpSta(ins);
-    case Opcode::kStq: return OpStq(ins);
-    case Opcode::kStx: return OpStx(ins);
-    case Opcode::kStz: return OpStz(ins);
-    case Opcode::kLdai: return OpLdai(ins);
-    case Opcode::kLdqi: return OpLdqi(ins);
-    case Opcode::kLdxi: return OpLdxi(ins);
-    case Opcode::kAdai: return OpAdai(ins);
-    case Opcode::kAda: return OpAda(ins);
-    case Opcode::kSba: return OpSba(ins);
-    case Opcode::kMpy: return OpMpy(ins);
-    case Opcode::kAna: return OpAna(ins);
-    case Opcode::kOra: return OpOra(ins);
-    case Opcode::kEra: return OpEra(ins);
-    case Opcode::kAls: return OpAls(ins);
-    case Opcode::kArs: return OpArs(ins);
-    case Opcode::kNega: return OpNega(ins);
-    case Opcode::kXaq: return OpXaq(ins);
+    case Opcode::kNop: return OpRegister<Opcode::kNop>(ins);
+    case Opcode::kLda: return OpRead<Opcode::kLda>(ins);
+    case Opcode::kLdq: return OpRead<Opcode::kLdq>(ins);
+    case Opcode::kLdx: return OpRead<Opcode::kLdx>(ins);
+    case Opcode::kSta: return OpWrite<Opcode::kSta>(ins);
+    case Opcode::kStq: return OpWrite<Opcode::kStq>(ins);
+    case Opcode::kStx: return OpWrite<Opcode::kStx>(ins);
+    case Opcode::kStz: return OpWrite<Opcode::kStz>(ins);
+    case Opcode::kLdai: return OpRegister<Opcode::kLdai>(ins);
+    case Opcode::kLdqi: return OpRegister<Opcode::kLdqi>(ins);
+    case Opcode::kLdxi: return OpRegister<Opcode::kLdxi>(ins);
+    case Opcode::kAdai: return OpRegister<Opcode::kAdai>(ins);
+    case Opcode::kAda: return OpRead<Opcode::kAda>(ins);
+    case Opcode::kSba: return OpRead<Opcode::kSba>(ins);
+    case Opcode::kMpy: return OpRead<Opcode::kMpy>(ins);
+    case Opcode::kAna: return OpRead<Opcode::kAna>(ins);
+    case Opcode::kOra: return OpRead<Opcode::kOra>(ins);
+    case Opcode::kEra: return OpRead<Opcode::kEra>(ins);
+    case Opcode::kAls: return OpRegister<Opcode::kAls>(ins);
+    case Opcode::kArs: return OpRegister<Opcode::kArs>(ins);
+    case Opcode::kNega: return OpRegister<Opcode::kNega>(ins);
+    case Opcode::kXaq: return OpRegister<Opcode::kXaq>(ins);
     case Opcode::kAos: return OpAos(ins);
     case Opcode::kEpp: return OpEpp(ins);
-    case Opcode::kSpp: return OpSpp(ins);
-    case Opcode::kTra: return OpTra(ins);
-    case Opcode::kTze: return OpTze(ins);
-    case Opcode::kTnz: return OpTnz(ins);
-    case Opcode::kTmi: return OpTmi(ins);
-    case Opcode::kTpl: return OpTpl(ins);
+    case Opcode::kSpp: return OpWrite<Opcode::kSpp>(ins);
+    case Opcode::kTra: return OpTransfer<Opcode::kTra>(ins);
+    case Opcode::kTze: return OpTransfer<Opcode::kTze>(ins);
+    case Opcode::kTnz: return OpTransfer<Opcode::kTnz>(ins);
+    case Opcode::kTmi: return OpTransfer<Opcode::kTmi>(ins);
+    case Opcode::kTpl: return OpTransfer<Opcode::kTpl>(ins);
     case Opcode::kCall: return OpCall(ins);
     case Opcode::kRet: return OpRet(ins);
     case Opcode::kMme: return OpMme(ins);
@@ -1563,6 +1522,112 @@ void Cpu::Execute(const Instruction& ins) {
     case Opcode::kSio: return OpSio(ins);
     case Opcode::kHlt: return OpHlt(ins);
     default: return OpIllegal(ins);
+  }
+}
+
+template <Opcode O>
+[[gnu::always_inline]] inline bool Cpu::ReadInLoop(const Instruction& ins,
+                                                   const BlockCache::Op* memo, uint64_t version) {
+  if (!MemoAnswers(memo, BlockCache::Op::kMemoRead, version)) {
+    return false;
+  }
+  ReadEffect<O>(ins, MemoRead(*memo));
+  return true;
+}
+
+template <Opcode O>
+[[gnu::always_inline]] inline bool Cpu::WriteInLoop(const Instruction& ins,
+                                                    const BlockCache::Op* memo, uint64_t version) {
+  if (!MemoAnswers(memo, BlockCache::Op::kMemoWrite, version)) {
+    return false;
+  }
+  MemoWrite(*memo, StoredWord<O>(ins));
+  return true;
+}
+
+template <Opcode O>
+[[gnu::always_inline]] inline bool Cpu::TransferInLoop(const BlockCache::Op* memo,
+                                                       uint64_t version) {
+  if (!Taken<O>()) {
+    return true;
+  }
+  if (!MemoAnswers(memo, BlockCache::Op::kMemoTransfer, version)) {
+    return false;
+  }
+  MemoTransfer();
+  return true;
+}
+
+// RunBlocks' in-loop forms (DESIGN.md §7, "Ops run in the loop"). An op
+// that references nothing runs here always: the immediate and
+// register-only forms, EPP, and a transfer not taken. One that reads,
+// writes or transfers runs here when `memo`, the op whose final TPR was
+// fixed at build (else nullptr), answers each of its references at
+// `version`. Each form applies its handler's register effect and charges
+// what its handler's memo-hit references charge. Returns whether the op
+// ran; if not, it did nothing and Execute takes it.
+[[gnu::always_inline]] inline bool Cpu::RunInLoop(const Instruction& ins,
+                                                  const BlockCache::Op* memo, uint64_t version) {
+  constexpr uint8_t kRead = BlockCache::Op::kMemoRead;
+  constexpr uint8_t kWrite = BlockCache::Op::kMemoWrite;
+  switch (ins.opcode) {
+    case Opcode::kNop:
+      OpRegister<Opcode::kNop>(ins);
+      return true;
+    case Opcode::kLda: return ReadInLoop<Opcode::kLda>(ins, memo, version);
+    case Opcode::kLdq: return ReadInLoop<Opcode::kLdq>(ins, memo, version);
+    case Opcode::kLdx: return ReadInLoop<Opcode::kLdx>(ins, memo, version);
+    case Opcode::kSta: return WriteInLoop<Opcode::kSta>(ins, memo, version);
+    case Opcode::kStq: return WriteInLoop<Opcode::kStq>(ins, memo, version);
+    case Opcode::kStx: return WriteInLoop<Opcode::kStx>(ins, memo, version);
+    case Opcode::kStz: return WriteInLoop<Opcode::kStz>(ins, memo, version);
+    case Opcode::kLdai:
+      OpRegister<Opcode::kLdai>(ins);
+      return true;
+    case Opcode::kLdqi:
+      OpRegister<Opcode::kLdqi>(ins);
+      return true;
+    case Opcode::kLdxi:
+      OpRegister<Opcode::kLdxi>(ins);
+      return true;
+    case Opcode::kAdai:
+      OpRegister<Opcode::kAdai>(ins);
+      return true;
+    case Opcode::kAda: return ReadInLoop<Opcode::kAda>(ins, memo, version);
+    case Opcode::kSba: return ReadInLoop<Opcode::kSba>(ins, memo, version);
+    case Opcode::kMpy: return ReadInLoop<Opcode::kMpy>(ins, memo, version);
+    case Opcode::kAna: return ReadInLoop<Opcode::kAna>(ins, memo, version);
+    case Opcode::kOra: return ReadInLoop<Opcode::kOra>(ins, memo, version);
+    case Opcode::kEra: return ReadInLoop<Opcode::kEra>(ins, memo, version);
+    case Opcode::kAls:
+      OpRegister<Opcode::kAls>(ins);
+      return true;
+    case Opcode::kArs:
+      OpRegister<Opcode::kArs>(ins);
+      return true;
+    case Opcode::kNega:
+      OpRegister<Opcode::kNega>(ins);
+      return true;
+    case Opcode::kXaq:
+      OpRegister<Opcode::kXaq>(ins);
+      return true;
+    case Opcode::kAos:
+      if (!MemoAnswers(memo, kRead | kWrite, version)) {
+        return false;
+      }
+      MemoWrite(*memo, MemoRead(*memo) + 1);
+      return true;
+    case Opcode::kEpp:
+      OpEpp(ins);
+      return true;
+    case Opcode::kTra: return TransferInLoop<Opcode::kTra>(memo, version);
+    case Opcode::kTze: return TransferInLoop<Opcode::kTze>(memo, version);
+    case Opcode::kTnz: return TransferInLoop<Opcode::kTnz>(memo, version);
+    case Opcode::kTmi: return TransferInLoop<Opcode::kTmi>(memo, version);
+    case Opcode::kTpl: return TransferInLoop<Opcode::kTpl>(memo, version);
+    default:
+      // CALL, RETURN, LDBR, SIO, SPP and the trap raisers.
+      return false;
   }
 }
 

@@ -370,39 +370,26 @@ class Cpu {
   // LDBR are excluded — SIO schedules I/O the run loop must fold into its
   // next cycle bound, and LDBR's flush kills every link stamp anyway.
   static bool ChainEligible(Opcode op);
-  // --- per-opcode execute handlers; both the per-instruction path and
-  // the block inner loop dispatch through the Execute switch so the
-  // compiler can inline the hot handlers ---
-  void OpNop(const Instruction& ins);
-  void OpLda(const Instruction& ins);
-  void OpLdq(const Instruction& ins);
-  void OpLdx(const Instruction& ins);
-  void OpSta(const Instruction& ins);
-  void OpStq(const Instruction& ins);
-  void OpStx(const Instruction& ins);
-  void OpStz(const Instruction& ins);
-  void OpLdai(const Instruction& ins);
-  void OpLdqi(const Instruction& ins);
-  void OpLdxi(const Instruction& ins);
-  void OpAdai(const Instruction& ins);
-  void OpAda(const Instruction& ins);
-  void OpSba(const Instruction& ins);
-  void OpMpy(const Instruction& ins);
-  void OpAna(const Instruction& ins);
-  void OpOra(const Instruction& ins);
-  void OpEra(const Instruction& ins);
-  void OpAls(const Instruction& ins);
-  void OpArs(const Instruction& ins);
-  void OpNega(const Instruction& ins);
-  void OpXaq(const Instruction& ins);
+  // --- per-opcode execute handlers, dispatched through the Execute
+  // switch. Each opcode's register effect is written once (ReadEffect,
+  // StoredWord, Taken, OpRegister) and shared by its handler and its
+  // RunInLoop form ---
+  template <Opcode O>
+  void ReadEffect(const Instruction& ins, Word value);  // LDA..LDX, ADA..ERA
+  template <Opcode O>
+  Word StoredWord(const Instruction& ins) const;  // STA..STZ, SPP
+  template <Opcode O>
+  bool Taken() const;  // TRA, TZE, TNZ, TMI, TPL
+  template <Opcode O>
+  void OpRegister(const Instruction& ins);  // the ops without a memory operand
+  template <Opcode O>
+  void OpRead(const Instruction& ins);
+  template <Opcode O>
+  void OpWrite(const Instruction& ins);
+  template <Opcode O>
+  void OpTransfer(const Instruction& ins);
   void OpAos(const Instruction& ins);
   void OpEpp(const Instruction& ins);
-  void OpSpp(const Instruction& ins);
-  void OpTra(const Instruction& ins);
-  void OpTze(const Instruction& ins);
-  void OpTnz(const Instruction& ins);
-  void OpTmi(const Instruction& ins);
-  void OpTpl(const Instruction& ins);
   void OpCall(const Instruction& ins);
   void OpRet(const Instruction& ins);
   void OpMme(const Instruction& ins);
@@ -412,6 +399,18 @@ class Cpu {
   void OpSio(const Instruction& ins);
   void OpHlt(const Instruction& ins);
   void OpIllegal(const Instruction& ins);
+  // RunBlocks' in-loop forms: runs `ins` whole and returns true when it
+  // references nothing or `memo` (the running op whose final TPR was
+  // fixed at build, else nullptr) answers each of its references at
+  // `version`; otherwise does nothing and returns false, and Execute
+  // takes the op. Forced inline (cpu.cc), with the per-kind forms below.
+  bool RunInLoop(const Instruction& ins, const BlockCache::Op* memo, uint64_t version);
+  template <Opcode O>
+  bool ReadInLoop(const Instruction& ins, const BlockCache::Op* memo, uint64_t version);
+  template <Opcode O>
+  bool WriteInLoop(const Instruction& ins, const BlockCache::Op* memo, uint64_t version);
+  template <Opcode O>
+  bool TransferInLoop(const BlockCache::Op* memo, uint64_t version);
 
   // SDW fetch with descriptor cache and missing-segment trap.
   bool FetchSdw(Segno segno, Sdw* out);
@@ -502,15 +501,19 @@ class Cpu {
   void SettleTally();
   bool TallyEmpty() const { return tally_ == decltype(tally_){}; }
 
-  // Operand access paths (Figure 6). Forced inline (cpu.cc): the head
-  // answers from the running block op's operand memo (operand_memo_) when
-  // it holds the kind at the current block-cache version, charging what a
-  // memo-hit Reference charges; otherwise the out-of-line tail runs the
-  // validated reference and may fill the memo.
+  // Operand access paths (Figure 6): the validated reference and the word
+  // access, filling the running block op's operand memo (operand_memo_)
+  // when the reference may be kept.
   bool ReadOperand(Word* out);
   bool WriteOperand(Word value);
-  bool ReadOperandReferenced(Word* out);
-  bool WriteOperandReferenced(Word value);
+  // The memo-hit accesses of RunInLoop: whether `op`'s memo answers every
+  // kind in `kinds` at `version`, and a read, write or transfer it answers,
+  // charged, tallied and (for a write) snooped exactly as the memo-hit
+  // Reference with its word access. Forced inline (cpu.cc).
+  bool MemoAnswers(const BlockCache::Op* op, uint8_t kinds, uint64_t version) const;
+  Word MemoRead(const BlockCache::Op& op);
+  void MemoWrite(const BlockCache::Op& op, Word value);
+  void MemoTransfer();
   // Fills operand_memo_ for `kind` from a reference that `ref` says the
   // verdict cache answered for an unpaged segment.
   void KeepOperand(uint8_t kind, const Ref& ref);
@@ -608,9 +611,9 @@ class Cpu {
   bool chain_ablation_ = false;
   // The block op being executed when its final TPR was fixed at build
   // (BlockCache::Op::direct, or a resolved hop that ends the chase), else
-  // nullptr: the operand memo ReadOperand and WriteOperand may use and
-  // fill. Set and cleared around each such op's Execute by RunBlocks;
-  // OpLdbr clears it, since LDBR reads two words.
+  // nullptr: the memo ReadOperand, WriteOperand and ExecuteTransfer fill
+  // (KeepOperand) and RunInLoop answers from. Set and cleared by RunBlocks
+  // around each op it hands to Execute.
   BlockCache::Op* operand_memo_ = nullptr;
   FaultInjector* fault_injector_ = nullptr;
   uint64_t cycles_ = 0;

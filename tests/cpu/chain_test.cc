@@ -26,7 +26,9 @@
 // The resolved-operand tests cover the operand memo of a block op whose
 // final address is fixed at build (DESIGN.md §7, "Resolved operands"):
 // each lands an event mid-loop that could make a kept reference stale,
-// and requires every engine tier to agree.
+// and requires every engine tier to agree. The resolved-transfer tests do
+// the same for the memo a transfer keeps (DESIGN.md §7, "Ops run in the
+// loop").
 #include <gtest/gtest.h>
 
 #include <map>
@@ -700,9 +702,10 @@ RunSignature TrapSiteSignature(const Cpu& cpu) {
 }
 
 template <class Scenario>
-std::vector<RunSignature> ExpectOperandScenarioAgrees(Scenario scenario) {
+std::vector<RunSignature> ExpectOperandScenarioAgrees(
+    Scenario scenario, CycleModel cycle_model = CycleModel::Default()) {
   return ExpectSameRunOnEveryTier([&](EngineTier tier) {
-    BareMachine m;
+    BareMachine m(64, 0, cycle_model);
     m.cpu().set_engine_tier(tier);
     scenario(m, tier);
     return TrapSiteSignature(m.cpu());
@@ -1159,6 +1162,312 @@ TEST(ResolvedOperand, LdbrInABlockReadsBothWordsOfItsPair) {
         EXPECT_EQ(m.cpu().regs().dbr, dbr);
       });
   EXPECT_GT(runs[0].counters.block_ops, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Resolved transfers. A TRA, TZE, TNZ, TMI or TPL whose final TPR is fixed
+// at build keeps the verdict its validated transfer check answered from
+// (kMemoTransfer), and a later execution at the same version charges the
+// check without the reference. The loops below branch between two
+// procedure segments through resolved hops and a direct transfer; each
+// retires what such a memo stands for mid-loop, and every tier must trap
+// at the same instruction or finish the same way.
+// ---------------------------------------------------------------------------
+
+constexpr uint8_t kMemoTransfer = BlockCache::Op::kMemoTransfer;
+
+// ExpectOperandScenarioAgrees on machines whose access check costs a
+// cycle (the default model charges none), so a memo hit that skips the
+// check's charge shows in the cycle count.
+template <class Scenario>
+std::vector<RunSignature> ExpectTransferScenarioAgrees(Scenario scenario) {
+  CycleModel checked = CycleModel::Default();
+  checked.access_check = 1;
+  return ExpectOperandScenarioAgrees(scenario, checked);
+}
+
+// The pending trap's cause and saved IPR. A service trap (MME) saves the
+// IPR of the instruction after it.
+void ExpectTrapAt(const Cpu& cpu, TrapCause cause, Segno segno, Wordno wordno) {
+  ASSERT_TRUE(cpu.trap_pending());
+  EXPECT_EQ(cpu.trap_state().cause, cause);
+  EXPECT_EQ(cpu.trap_state().regs.ipr.segno, segno);
+  EXPECT_EQ(cpu.trap_state().regs.ipr.wordno, wordno);
+}
+
+Word Mme(int32_t code) { return Encode(MakeIns(Opcode::kMme, code)); }
+
+// The branch loop. B, the target segment, is added first (so a colliding
+// segment number is 16), then the data, then A.
+//
+//   A: w0: aos iter,*  w1: lda iter,*  w2: sba lim  w3: tmi into,*  w4: lda iter,*
+//      w5: mme 0       w6: lim         w7: iter     w8: into -> B|2
+//   B: w0, w1: mme 9   w2: nop         w3: tra 5    w4: mme 9       w5: tra back,*
+//      w6: back -> A|0
+//
+// Once hot, the blocks tier keeps all three taken transfers: A's `tmi
+// into,*` (op 3 of the block at A|0) and B's `tra back,*` (op 0 at B|5)
+// through resolved hops, and B's `tra 5` (op 1 at B|2) direct. The loop
+// ends at A|5 with A = lim.
+struct BranchLoop {
+  Segno target = 0;
+  Segno data = 0;
+  Segno code = 0;
+};
+constexpr Wordno kEntry = 2;
+constexpr Word kBranchLimit = 200;
+
+BranchLoop AddBranchLoop(BareMachine& m, SegmentAccess target_access = UserCode()) {
+  BranchLoop loop;
+  loop.target = m.AddSegment({Mme(9), Mme(9), Encode(MakeIns(Opcode::kNop)),
+                              Encode(MakeIns(Opcode::kTra, 5)), Mme(9),
+                              Encode(ViaLink(Opcode::kTra, 6)), 0},
+                             target_access);
+  loop.data = m.AddSegment({0}, UserData());
+  loop.code = m.AddSegment(
+      {Encode(ViaLink(Opcode::kAos, 7)), Encode(ViaLink(Opcode::kLda, 7)),
+       Encode(MakeIns(Opcode::kSba, 6)), Encode(ViaLink(Opcode::kTmi, 8)),
+       Encode(ViaLink(Opcode::kLda, 7)), Mme(0), kBranchLimit, Its(loop.data, 0),
+       Its(loop.target, kEntry)},
+      UserCode());
+  m.Poke(loop.target, 6, Its(loop.code, 0));
+  m.SetIpr(4, loop.code, 0);
+  return loop;
+}
+
+// Runs the loop until it is hot and stops it at A|0: on the blocks tier
+// every taken transfer of the loop is memoised.
+void WarmBranchLoop(BareMachine& m, const BranchLoop& loop, EngineTier tier) {
+  RunTo(m, 2'000);
+  StepToWord(m, 0);
+  ASSERT_FALSE(m.cpu().trap_pending());
+  ASSERT_EQ(m.cpu().regs().ipr.segno, loop.code);
+  const bool blocks = tier == EngineTier::kBlocks;
+  EXPECT_EQ(OperandMemoised(m.cpu(), loop.code, 0, 3, kMemoTransfer), blocks);
+  EXPECT_EQ(OperandMemoised(m.cpu(), loop.target, kEntry, 1, kMemoTransfer), blocks);
+  EXPECT_EQ(OperandMemoised(m.cpu(), loop.target, 5, 0, kMemoTransfer), blocks);
+}
+
+// B's bound shrinks to its entry word: A's next `tmi into,*` must check
+// the new bound and trap, not jump on its memo into B.
+TEST(ResolvedTransfer, ShrunkBoundTrapsTheMemoisedTransfer) {
+  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const BranchLoop loop = AddBranchLoop(m);
+    WarmBranchLoop(m, loop, tier);
+    EditSdw(m, loop.target, [](Sdw& sdw) { sdw.bound = kEntry; });
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kBoundsViolation, loop.code, 3);
+  });
+}
+
+// The supervisor moves B and poisons its old words with `mme 9`: the loop
+// must run on from the new base.
+TEST(ResolvedTransfer, RelocatedTargetRunsFromItsNewBase) {
+  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const BranchLoop loop = AddBranchLoop(m);
+    WarmBranchLoop(m, loop, tier);
+    const Sdw old_sdw = *m.dseg().Fetch(loop.target);
+    const AbsAddr new_base = *m.memory().Allocate(old_sdw.bound);
+    for (Wordno w = 0; w < old_sdw.bound; ++w) {
+      m.memory().Write(new_base + w, m.memory().Read(old_sdw.base + w));
+      m.memory().Write(old_sdw.base + w, Mme(9));
+    }
+    EditSdw(m, loop.target, [&](Sdw& sdw) { sdw.base = new_base; });
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kMasterModeEntry, loop.code, 6);
+    EXPECT_EQ(m.cpu().regs().a, kBranchLimit);
+  });
+}
+
+// A DBR reload to a copy of the descriptor segment in which ring 4 may no
+// longer execute B: the first transfer into B after the reload traps.
+TEST(ResolvedTransfer, DbrReloadRetiresEveryTransferMemo) {
+  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const BranchLoop loop = AddBranchLoop(m);
+    WarmBranchLoop(m, loop, tier);
+    const DbrValue dbr = m.dseg().dbr();
+    DescriptorSegment copy = *DescriptorSegment::Create(&m.memory(), dbr.bound, dbr.stack_base);
+    for (Segno s = 0; s < dbr.bound; ++s) {
+      copy.Store(s, *m.dseg().Fetch(s));
+    }
+    Sdw target = *m.dseg().Fetch(loop.target);
+    target.access = MakeProcedureSegment(3, 3);
+    copy.Store(loop.target, target);
+    m.cpu().SetDbr(copy.dbr());
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kExecuteViolation, loop.code, 3);
+  });
+}
+
+// With checks off every transfer vouches, so transfers into a B that ring
+// 4 may not execute are memoised; once checks are back on, the next one
+// must trap.
+TEST(ResolvedTransfer, ChecksToggledBetweenSlices) {
+  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const BranchLoop loop = AddBranchLoop(m, MakeProcedureSegment(3, 3));
+    m.cpu().set_checks_enabled(false);
+    WarmBranchLoop(m, loop, tier);
+    m.cpu().set_checks_enabled(true);
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kExecuteViolation, loop.code, 3);
+  });
+}
+
+// B's SDW is narrowed so that ring 4 may not execute it, announced to no
+// one: it stays in force from the SDW cache until the loop itself evicts
+// it at iter == half by reading segment 16, which shares B's SDW-cache
+// slot. The next transfer into B refetches the narrowed descriptor and
+// traps.
+//
+//   A: w0: aos iter,*  w1: lda iter,*  w2: sba half  w3: tze 6  w4: tra into,*
+//      w5: mme 9       w6: lda other,* w7: tra 4     w8: half   w9: iter
+//      w10: into -> B|2  w11: other -> 16|0
+//   B: w0, w1: mme 9   w2: nop         w3: tra back,*  w4: back -> A|0
+TEST(ResolvedTransfer, CollidingSegnoEvictsTheTargetSdw) {
+  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const Segno target =
+        m.AddSegment({Mme(9), Mme(9), Encode(MakeIns(Opcode::kNop)),
+                      Encode(ViaLink(Opcode::kTra, 4)), 0},
+                     UserCode());
+    const Segno data = m.AddSegment({0}, UserData());
+    const Segno code = m.AddSegment(
+        {Encode(ViaLink(Opcode::kAos, 9)), Encode(ViaLink(Opcode::kLda, 9)),
+         Encode(MakeIns(Opcode::kSba, 8)), Encode(MakeIns(Opcode::kTze, 6)),
+         Encode(ViaLink(Opcode::kTra, 10)), Mme(9), Encode(ViaLink(Opcode::kLda, 11)),
+         Encode(MakeIns(Opcode::kTra, 4)), 100, Its(data, 0), Its(target, kEntry), Its(16, 0)},
+        UserCode());
+    m.Poke(target, 4, Its(code, 0));
+    while (m.AddSegment({7}, UserData()) < 16) {
+    }
+    ASSERT_EQ(target % SdwCache::kEntries, 16 % SdwCache::kEntries);
+    m.SetIpr(4, code, 0);
+    RunTo(m, 2'000);
+    ASSERT_FALSE(m.cpu().trap_pending());
+    EXPECT_EQ(OperandMemoised(m.cpu(), code, 4, 0, kMemoTransfer), tier == EngineTier::kBlocks);
+    Sdw sdw = *m.dseg().Fetch(target);
+    sdw.access = MakeProcedureSegment(3, 3);
+    m.dseg().Store(target, sdw);  // announced to no one
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kExecuteViolation, code, 4);
+    EXPECT_EQ(m.Peek(data, 0), 100u);  // transfers went on until the eviction
+  });
+}
+
+// An injector attached to a warm machine may corrupt the ring of a link
+// word, so a hop op then takes the full formation and must neither use
+// nor fill its memo: the first raised ring traps on every tier, at a
+// transfer or at an operand.
+TEST(ResolvedTransfer, InjectorAttachedMidRun) {
+  const std::vector<RunSignature> runs =
+      ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+        const BranchLoop loop = AddBranchLoop(m);
+        WarmBranchLoop(m, loop, tier);
+        FaultConfig config;
+        config.set_rate(FaultSite::kIndirectRingCorruption, 20'000);  // 2% per hop
+        config.seed = 5;
+        FaultInjector injector(config);
+        m.cpu().set_fault_injector(&injector);
+        RunTo(m, 100'000);
+        m.cpu().set_fault_injector(nullptr);
+        EXPECT_EQ(injector.injected(FaultSite::kIndirectRingCorruption), 1u);
+        ASSERT_TRUE(m.cpu().trap_pending());
+      });
+  ASSERT_EQ(runs[0].traps.size(), 2u);
+  EXPECT_TRUE(runs[0].traps[0] == "transfer_ring_violation" ||
+              runs[0].traps[0] == "read_violation" || runs[0].traps[0] == "write_violation")
+      << runs[0].traps[0];
+}
+
+// A's link into B carries RING=5, so `tmi into,*` runs at an effective
+// ring above IPR.RING. With checks off it transfers, but it is never
+// memoised: only a transfer the execute verdict answers at the ring of
+// execution is. With checks on it traps.
+TEST(ResolvedTransfer, HopAboveTheRingOfExecutionIsNeverMemoised) {
+  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const BranchLoop loop = AddBranchLoop(m);
+    m.Poke(loop.code, 8, EncodeIndirectWord(IndirectWord{5, false, loop.target, kEntry}));
+    m.cpu().set_checks_enabled(false);
+    RunTo(m, 2'000);
+    StepToWord(m, 0);
+    ASSERT_FALSE(m.cpu().trap_pending());
+    const bool blocks = tier == EngineTier::kBlocks;
+    EXPECT_EQ(HopResolved(m.cpu(), loop.code, 0, 3), blocks);
+    EXPECT_FALSE(OperandMemoised(m.cpu(), loop.code, 0, 3, kMemoTransfer));
+    EXPECT_EQ(OperandMemoised(m.cpu(), loop.target, 5, 0, kMemoTransfer), blocks);
+    m.cpu().set_checks_enabled(true);
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kTransferRingViolation, loop.code, 3);
+  });
+}
+
+// A `tze into,*` taken on even passes and not on odd ones: the memo the
+// taken passes keep must survive the passes that fall through, and the
+// fall-through must never transfer.
+//
+//   A: w0: aos iter,*  w1: lda iter,*  w2: ana one  w3: tze into,*  w4: aos odd,*
+//      w5: lda iter,*  w6: sba lim     w7: tmi 0    w8: lda odd,*   w9: mme 0
+//      w10: one  w11: lim  w12: iter  w13: odd  w14: into -> B|2
+//   B: w0, w1: mme 9   w2: nop  w3: tra back,*  w4: back -> A|5
+TEST(ResolvedTransfer, ConditionalBranchFlipsDirection) {
+  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const Segno target =
+        m.AddSegment({Mme(9), Mme(9), Encode(MakeIns(Opcode::kNop)),
+                      Encode(ViaLink(Opcode::kTra, 4)), 0},
+                     UserCode());
+    const Segno data = m.AddSegment({0, 0}, UserData());  // iter odd
+    const Segno code = m.AddSegment(
+        {Encode(ViaLink(Opcode::kAos, 12)), Encode(ViaLink(Opcode::kLda, 12)),
+         Encode(MakeIns(Opcode::kAna, 10)), Encode(ViaLink(Opcode::kTze, 14)),
+         Encode(ViaLink(Opcode::kAos, 13)), Encode(ViaLink(Opcode::kLda, 12)),
+         Encode(MakeIns(Opcode::kSba, 11)), Encode(MakeIns(Opcode::kTmi, 0)),
+         Encode(ViaLink(Opcode::kLda, 13)), Mme(0), 1, kBranchLimit, Its(data, 0),
+         Its(data, 1), Its(target, kEntry)},
+        UserCode());
+    m.Poke(target, 4, Its(code, 5));
+    m.SetIpr(4, code, 0);
+    RunTo(m, 2'000);
+    ASSERT_FALSE(m.cpu().trap_pending());
+    const bool blocks = tier == EngineTier::kBlocks;
+    EXPECT_EQ(OperandMemoised(m.cpu(), code, 0, 3, kMemoTransfer), blocks);
+    EXPECT_EQ(OperandMemoised(m.cpu(), code, 4, 3, kMemoTransfer), blocks);
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kMasterModeEntry, code, 10);
+    EXPECT_EQ(m.cpu().regs().a, kBranchLimit / 2);
+    EXPECT_EQ(OperandMemoised(m.cpu(), code, 0, 3, kMemoTransfer), blocks);
+  });
+}
+
+// B is paged. A transfer checks only B's bound, but its memo stands for a
+// verdict on an unpaged segment, so a transfer into a paged one is never
+// memoised. B's page then moves to a frame whose entry word is `mme 7`,
+// and the next transfer must run it.
+TEST(ResolvedTransfer, PagedTargetIsNeverMemoised) {
+  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const BranchLoop loop = AddBranchLoop(m);
+    const Sdw unpaged = *m.dseg().Fetch(loop.target);
+    const AbsAddr table = *AllocatePageTable(&m.memory(), 1);
+    const auto install = [&](Word entry) {
+      const AbsAddr frame = *InstallZeroPage(&m.memory(), table, 0);
+      for (Wordno w = 0; w < unpaged.bound; ++w) {
+        m.memory().Write(frame + w, m.memory().Read(unpaged.base + w));
+      }
+      m.memory().Write(frame + kEntry, entry);
+    };
+    install(Encode(MakeIns(Opcode::kNop)));
+    EditSdw(m, loop.target, [&](Sdw& sdw) {
+      sdw.paged = true;
+      sdw.base = table;
+    });
+    RunTo(m, 3'000);
+    ASSERT_FALSE(m.cpu().trap_pending());
+    EXPECT_EQ(HopResolved(m.cpu(), loop.code, 0, 3), tier == EngineTier::kBlocks);
+    EXPECT_FALSE(OperandMemoised(m.cpu(), loop.code, 0, 3, kMemoTransfer));
+    install(Mme(7));  // the supervisor moves the page and announces the PTW
+    m.cpu().NotePtwStore(table);
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kMasterModeEntry, loop.target, kEntry + 1);
+    EXPECT_EQ(m.cpu().trap_state().code, 7);
+  });
 }
 
 }  // namespace

@@ -345,6 +345,103 @@ struct SliceEdit {
 constexpr SliceEdit kSharedDataEdits[] = {{4'000, &NarrowSharedWriteBracket},
                                           {9'000, &MoveSharedSegment}};
 
+// One process in ring 4 and one in ring 5 run a loop over one shared data
+// segment that uses every opcode the block engine runs in its own loop
+// (Cpu::RunInLoop): the register-only and immediate forms, EPP, loads,
+// arithmetic and stores through resolved hops and direct operands (memo
+// hits once hot), one load through a pointer register (never memoised),
+// AOS, and each non-crossing transfer both taken and not taken, directly
+// and through a hop. The short quantum switches rings every few passes,
+// so the blocks are rebuilt and every memo refilled at first execution.
+constexpr char kInLoopSource[] = R"(
+        .segment inloop
+start:  nop
+        ldai  3
+        ldqi  5
+        ldxi  x1, 1
+        adai  2
+        als   3
+        ars   1
+        nega
+        xaq
+        epp   pr2, cnt,*
+        epp   pr3, one
+        lda   pr2|0
+        ldq   iter,*
+        ldx   x2, one
+        ada   one
+        sba   one
+        mpy   two
+        ana   mask
+        ora   one
+        era   one
+        sta   tmp,*
+        stq   tmp,*
+        stx   x2, tmp,*
+        stz   tmp,*
+        aos   cnt,*
+        lda   cnt,*
+        ana   one
+        tze   even
+        tnz   odd
+        mme   1
+even:   tnz   bad
+        lda   cnt,*
+        tmi   bad
+        tpl   nextp,*
+        mme   2
+odd:    lda   cnt,*
+        nega
+        tpl   bad
+        tmi   next
+        mme   3
+next:   aos   iter,*
+        lda   iter,*
+        sba   limit
+        tmi   start
+        tra   donep,*
+bad:    mme   4
+done:   mme   0
+one:    .word 1
+two:    .word 2
+mask:   .word 7
+limit:  .word 100
+cnt:    .its  4, shared, 0
+iter:   .its  4, shared, 1
+tmp:    .its  4, shared, 2
+nextp:  .its  4, inloop, next
+donep:  .its  4, inloop, done
+
+        .segment shared
+        .block 3
+)";
+
+std::unique_ptr<Machine> InLoopGuest(const MachineConfig& config) {
+  MachineConfig short_quantum = config;
+  short_quantum.quantum = 150;
+  // Every check costs a cycle (the default model charges none), so an
+  // in-loop form that skips a check's charge shows in the cycle count.
+  short_quantum.cycle_model.access_check = 1;
+  auto machine = std::make_unique<Machine>(short_quantum);
+  std::map<std::string, AccessControlList> acls;
+  acls["inloop"] = AccessControlList::Public(MakeProcedureSegment(4, 5));
+  acls["shared"] = AccessControlList::Public(MakeDataSegment(5, 5));
+  std::string error;
+  if (!machine->LoadProgramSource(kInLoopSource, acls, &error)) {
+    ADD_FAILURE() << "load failed: " << error;
+    return nullptr;
+  }
+  for (const Ring ring : {kUserRing, Ring{kUserRing + 1}}) {
+    Process* p = machine->Login("inloop");
+    machine->supervisor().InitiateAll(p);
+    if (!machine->Start(p, "inloop", "start", ring)) {
+      ADD_FAILURE() << "start failed in ring " << int{ring};
+      return nullptr;
+    }
+  }
+  return machine;
+}
+
 MachineConfig TierConfig(EngineTier tier) {
   MachineConfig config{.memory_words = size_t{1} << 20};
   ApplyTier(tier, &config);
@@ -438,6 +535,22 @@ TEST(TallyExactness, TwoProcessTty) {
 TEST(TallyExactness, SharedDataSdwEditedUnderMemoisedOperands) {
   const Counters counters = ExpectExactAtEverySlice(&SharedDataLoop, kSharedDataEdits);
   EXPECT_EQ(counters.TrapCount(TrapCause::kWriteViolation), 1u);
+}
+
+TEST(TallyExactness, InLoopForms) {
+  const Counters counters = ExpectExactAtEverySlice(&InLoopGuest);
+  EXPECT_GT(counters.TrapCount(TrapCause::kTimerRunout), 2u);
+  EXPECT_GT(counters.checks_transfer, 0u);
+  EXPECT_GT(counters.checks_write, 0u);
+  // Both processes reach their `mme 0`: no branch went the wrong way into
+  // an `mme` that kills.
+  std::unique_ptr<Machine> machine = InLoopGuest(TierConfig(EngineTier::kBlocks));
+  ASSERT_NE(machine, nullptr);
+  for (int i = 0; i < 100 && !machine->Run(10'000).idle; ++i) {
+  }
+  for (const auto& process : machine->supervisor().processes()) {
+    EXPECT_EQ(process->state, ProcessState::kExited) << ProcessStatusLine(*process);
+  }
 }
 
 TEST(TallyExactness, FaultInjection) {

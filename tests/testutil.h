@@ -25,10 +25,11 @@ namespace rings {
 // from 0.
 class BareMachine {
  public:
-  explicit BareMachine(Segno slots = 64, Segno stack_base = 0)
+  explicit BareMachine(Segno slots = 64, Segno stack_base = 0,
+                       CycleModel cycle_model = CycleModel::Default())
       : memory_(1 << 20) {
     dseg_.emplace(*DescriptorSegment::Create(&memory_, slots, stack_base));
-    cpu_.emplace(&memory_);
+    cpu_.emplace(&memory_, cycle_model);
     cpu_->SetDbr(dseg_->dbr());
   }
 

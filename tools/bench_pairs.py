@@ -16,7 +16,12 @@ BENCHMARK.json, it prints each side's median [q1, q3], the pairs the change
 won (ties count for neither), and whether the gain rule holds: at least
 ten pairs, the change winning at least nine tenths of them, and the
 medians differing in the better direction by more than the parent's
-quartile distance. Last it runs `perfbench/run.py compare` on the records.
+quartile distance. Under a metric the ledger scales to a reference host
+speed, a `raw.<name>` row gives the same figures as measured, and flags
+`disagree` when the scaled and raw metrics each have a majority winner
+(a side that won more than half the pairs) and they differ. The raw row
+decides nothing: the gain rule reads the scaled metric only. Last it runs
+`perfbench/run.py compare` on the records.
 
     python3 tools/bench_pairs.py summarize --out-dir OUT_DIR
 
@@ -54,35 +59,72 @@ def quartiles(values):
     return statistics.median(values), q[0], q[2]
 
 
+def compare_sides(name, unit, sign, p, c):
+    """Each side's (median, q1, q3) of one metric and the pairs each won.
+
+    `sign` is 1 when higher is better and -1 when lower is; ties count for
+    neither side.
+    """
+    return {"name": name, "unit": unit, "parent": quartiles(p), "change": quartiles(c),
+            "won": sum(1 for a, b in zip(p, c) if sign * (b - a) > 0),
+            "lost": sum(1 for a, b in zip(p, c) if sign * (a - b) > 0), "pairs": len(p)}
+
+
+def majority(row):
+    """The side that won more than half of `row`'s pairs, or None."""
+    for side, won in (("change", row["won"]), ("parent", row["lost"])):
+        if 2 * won > row["pairs"]:
+            return side
+    return None
+
+
 def summarize(metrics, parent, change):
-    """One row per end-to-end metric of `metrics` (BENCHMARK.json's list).
+    """Rows for the end-to-end metrics of `metrics` (BENCHMARK.json's list).
 
     `parent` and `change` are records in pair order. A row holds each
     side's (median, q1, q3), the pairs the change won, the pairs compared,
-    and whether the gain rule holds.
+    and whether the gain rule holds. A metric whose records also carry
+    `raw.<name>` is followed by a row for it, whose `holds` is None and
+    whose `disagree` says whether its majority winner and the scaled
+    metric's are both set and differ.
     """
     pairs = min(len(parent), len(change))
+    parent, change = parent[:pairs], change[:pairs]
+
+    def values(records, name):
+        return [r["end_to_end"][name]["value"] for r in records]
+
     rows = []
     for m in metrics:
-        p = [r["end_to_end"][m["name"]]["value"] for r in parent[:pairs]]
-        c = [r["end_to_end"][m["name"]]["value"] for r in change[:pairs]]
         sign = 1 if m["better"] == "higher" else -1
-        won = sum(1 for a, b in zip(p, c) if sign * (b - a) > 0)
-        pq, cq = quartiles(p), quartiles(c)
+        row = compare_sides(m["name"], m["unit"], sign, values(parent, m["name"]),
+                            values(change, m["name"]))
+        pq, cq = row["parent"], row["change"]
         gain = sign * (cq[0] - pq[0])
-        holds = pairs >= 10 and won >= 0.9 * pairs and gain > pq[2] - pq[1]
-        rows.append({"name": m["name"], "unit": m["unit"], "parent": pq, "change": cq,
-                     "won": won, "pairs": pairs, "holds": holds})
+        row["holds"] = pairs >= 10 and row["won"] >= 0.9 * pairs and gain > pq[2] - pq[1]
+        rows.append(row)
+        raw = "raw." + m["name"]
+        if all(raw in r["end_to_end"] for r in parent + change):
+            raw_row = compare_sides(raw, m["unit"], sign, values(parent, raw),
+                                    values(change, raw))
+            raw_row["holds"] = None
+            winners = (majority(row), majority(raw_row))
+            raw_row["disagree"] = None not in winners and winners[0] != winners[1]
+            rows.append(raw_row)
     return rows
 
 
 def print_summary(rows):
-    print(f"{'metric':20s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} "
+    print(f"{'metric':24s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} "
           f"{'won':>7s}  gain rule")
     for row in rows:
         sides = ["{:.6g} [{:.6g}, {:.6g}]".format(*row[s]) for s in SIDES]
-        print(f"{row['name']:20s} {sides[0]:>34s} {sides[1]:>34s} "
-              f"{row['won']:>3d}/{row['pairs']:<3d}  {'holds' if row['holds'] else 'no'}")
+        if row["holds"] is None:
+            verdict = "disagree" if row["disagree"] else "-"
+        else:
+            verdict = "holds" if row["holds"] else "no"
+        print(f"{row['name']:24s} {sides[0]:>34s} {sides[1]:>34s} "
+              f"{row['won']:>3d}/{row['pairs']:<3d}  {verdict}")
 
 
 def records(out_dir, side):

@@ -32,13 +32,19 @@ METRICS = [
 ]
 
 
-def record(capacity, p50=1.0):
-    """A perfbench --out record holding every BENCHMARK.json end-to-end metric."""
+def record(capacity, p50=1.0, raw_capacity=None):
+    """A perfbench --out record holding every BENCHMARK.json end-to-end metric.
+
+    With `raw_capacity` it also holds `raw.capacity_per_s`, as the ledger
+    writes beside each metric it scales.
+    """
     with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json")) as f:
         names = [m["name"] for m in json.load(f)["end_to_end"]]
     e2e = {name: {"value": 1.0, "unit": "x", "base": 1} for name in names}
     e2e["capacity_per_s"]["value"] = capacity
     e2e["turnaround_p50_ms"]["value"] = p50
+    if raw_capacity is not None:
+        e2e["raw.capacity_per_s"] = {"value": raw_capacity, "unit": "1/s", "base": 1}
     return {"workload": "serve_images", "seed": 3, "scale": "full", "trace": 0,
             "context": {"nproc": 4, "compiler": "cc", "build_type": "RelWithDebInfo",
                         "workers": 4, "effective_parallelism": 1.0},
@@ -92,6 +98,50 @@ class SummaryTest(unittest.TestCase):
         self.assertTrue(rows_by_name(parent, change)["turnaround_p50_ms"]["holds"])
 
 
+class RawRowTest(unittest.TestCase):
+    def rows(self, parent, change):
+        return bench_pairs.summarize(METRICS, parent, change)
+
+    def test_raw_row_follows_its_metric_and_decides_nothing(self):
+        parent = [record(100 + i, raw_capacity=90 + i) for i in range(10)]
+        change = [record(130 + i, raw_capacity=120 + i) for i in range(10)]
+        rows = self.rows(parent, change)
+        self.assertEqual([r["name"] for r in rows],
+                         ["capacity_per_s", "raw.capacity_per_s", "turnaround_p50_ms"])
+        raw = rows[1]
+        self.assertEqual(raw["parent"][0], 94.5)
+        self.assertEqual(raw["change"][0], 124.5)
+        self.assertEqual(raw["won"], 10)
+        self.assertIsNone(raw["holds"])
+        self.assertFalse(raw["disagree"])
+        self.assertTrue(rows[0]["holds"])
+
+    def test_opposite_majorities_disagree(self):
+        # Scaled: the change wins 8 of 10. Raw: the parent wins 7 of 10.
+        parent = [record(100, raw_capacity=100) for _ in range(10)]
+        change = ([record(110, raw_capacity=90) for _ in range(7)] +
+                  [record(110, raw_capacity=110)] + [record(90, raw_capacity=110)] * 2)
+        rows = {r["name"]: r for r in self.rows(parent, change)}
+        self.assertEqual(rows["capacity_per_s"]["won"], 8)
+        self.assertEqual((rows["raw.capacity_per_s"]["won"], rows["raw.capacity_per_s"]["lost"]),
+                         (3, 7))
+        self.assertTrue(rows["raw.capacity_per_s"]["disagree"])
+        self.assertFalse(rows["capacity_per_s"]["holds"])
+
+    def test_no_majority_is_no_disagreement(self):
+        # Raw splits 5 to 5, so only the scaled metric has a winner.
+        parent = [record(100, raw_capacity=100) for _ in range(10)]
+        change = [record(110, raw_capacity=90 + 20 * (i % 2)) for i in range(10)]
+        rows = {r["name"]: r for r in self.rows(parent, change)}
+        self.assertEqual(rows["raw.capacity_per_s"]["won"], 5)
+        self.assertFalse(rows["raw.capacity_per_s"]["disagree"])
+
+    def test_no_raw_row_unless_every_record_has_it(self):
+        parent = [record(100, raw_capacity=100) for _ in range(10)]
+        change = [record(110, raw_capacity=110) for _ in range(9)] + [record(110)]
+        self.assertNotIn("raw.capacity_per_s", [r["name"] for r in self.rows(parent, change)])
+
+
 class OrderTest(unittest.TestCase):
     def test_pairs_alternate_which_side_runs_first(self):
         self.assertEqual(bench_pairs.pair_order(4), [("parent", "change"), ("change", "parent"),
@@ -138,8 +188,10 @@ class SummarizeCommandTest(unittest.TestCase):
             # Record 10 sorts after record 9, not after record 1.
             for i in range(11):
                 for side, capacity in (("parent", 100 + i), ("change", 130 + i)):
+                    # Raw capacity: the parent ahead in every pair.
+                    raw = 200 - capacity
                     with open(os.path.join(out_dir, f"{side}-{i}.json"), "w") as f:
-                        json.dump(record(capacity), f)
+                        json.dump(record(capacity, raw_capacity=raw), f)
             self.assertEqual([os.path.basename(p) for p in
                               bench_pairs.records(out_dir, "parent")][-2:],
                              ["parent-9.json", "parent-10.json"])
@@ -154,6 +206,10 @@ class SummarizeCommandTest(unittest.TestCase):
         self.assertIn("11/11", capacity[0])
         self.assertTrue(capacity[0].endswith("holds"), capacity[0])
         self.assertIn("within bound", capacity[1])
+        raw = [line for line in run.stdout.splitlines() if line.startswith("raw.capacity_per_s")]
+        self.assertEqual(len(raw), 1, run.stdout)
+        self.assertIn("0/11", raw[0])
+        self.assertTrue(raw[0].endswith("disagree"), raw[0])
 
     def test_summarize_without_records_fails(self):
         with tempfile.TemporaryDirectory() as out_dir:
