@@ -48,11 +48,11 @@ bool B645Machine::LoadProgram(const Program& program,
     acls[seg.name] = AccessControlList::Public(spec->second);
   }
   if (!registry_.LoadProgram(program, acls, err)) {
-    cpu_.FlushInsnCache();
+    cpu_.FlushBlockCache();
     cpu_.FlushTlb();
     return false;
   }
-  cpu_.FlushInsnCache();
+  cpu_.FlushBlockCache();
   cpu_.FlushTlb();
   for (const AssembledSegment& seg : program.segments) {
     const RegisteredSegment* reg = registry_.Find(seg.name);
@@ -82,7 +82,7 @@ bool B645Machine::PokeWordForTest(const std::string& name, Wordno wordno, Word v
     return false;
   }
   memory_.Write(seg->base + wordno, value);
-  cpu_.FlushInsnCache();
+  cpu_.FlushBlockCache();
   cpu_.FlushTlb();
   return true;
 }

@@ -1,7 +1,7 @@
 // Superblock cache: the host-side memo of straight-line decoded runs. The
-// PR-3 fast path made each simulated instruction cheap; this cache makes
-// the *dispatch between* instructions cheap by chaining already-decoded
-// InsnCache entries into blocks that a single Cpu::StepBlock call executes
+// verdict cache makes each simulated instruction cheap; this cache makes
+// the *dispatch between* instructions cheap by decoding a run of words
+// once, at build, into a block that a single Cpu::StepBlock call executes
 // straight through, paying the fetch-probe and address revalidation once
 // per block instead of once per instruction.
 //

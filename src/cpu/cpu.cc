@@ -130,11 +130,10 @@ void Cpu::SetDbr(const DbrValue& dbr) {
 }
 
 void Cpu::FlushForNewDbr() {
-  // The flush bumps the SDW-cache epoch, retiring every verdict; the
-  // decoded-instruction cache, the TLB, and the block cache must also go,
-  // since the same segment numbers may now name different segments.
+  // The flush bumps the SDW-cache epoch, retiring every verdict; the TLB
+  // and the block cache must also go, since the same segment numbers may
+  // now name different segments.
   sdw_cache_.Flush();
-  insn_cache_.Flush();
   tlb_.Flush();
   block_cache_.Flush();
 }
@@ -158,7 +157,7 @@ Cpu::State Cpu::CaptureState() const {
 void Cpu::RestoreState(const State& state) {
   assert(TallyEmpty() && "machine state is restored between dispatches");
   FlushSdwCache();
-  FlushInsnCache();
+  FlushBlockCache();
   FlushTlb();
   cycles_ = state.cycles;
   regs_ = state.regs;
@@ -346,7 +345,7 @@ template <RefKind K>
   AbsAddr base = 0;
   uint64_t bound = 0;
   bool paged = false;
-  const VerdictCache::Entry* memo = K == RefKind::kFetch ? nullptr : FastVerdict(segno, ring);
+  const VerdictCache::Entry* memo = FastVerdict(segno, ring);
   const bool memo_hit = memo != nullptr && Vouches<K>(*memo, ring, effective);
   if (memo_hit) {
     // Vouched: the check passes (or checks are off), so only its cycles
@@ -417,7 +416,7 @@ void Cpu::SettleTally() {
   uint64_t memo_hits = 0;
   // Fully unrolled, so each slot's rule and paging fold to constants and
   // an empty slot costs one load and one branch.
-#pragma GCC unroll 8
+#pragma GCC unroll 7
   for (size_t slot = 0; slot < kTallySlots; ++slot) {
     const uint64_t n = tally_[slot];
     if (n == 0) {
@@ -425,7 +424,7 @@ void Cpu::SettleTally() {
     }
     tally_[slot] = 0;
     memo_hits += n;
-    const RefKind kind = slot < kPagedFetchHit ? static_cast<RefKind>(slot) : RefKind::kFetch;
+    const RefKind kind = slot < kBlockOpHit ? static_cast<RefKind>(slot) : RefKind::kFetch;
     const RefRule rule = RuleFor(kind);
     if (checks_enabled_) {
       counters_.*rule.charge += n;
@@ -435,10 +434,7 @@ void Cpu::SettleTally() {
         counters_.*counter += n;
       }
     }
-    if (kind == RefKind::kFetch) {
-      counters_.insn_cache_hits += n;
-    }
-    if (slot == kPagedFetchHit || slot == kPagedBlockOpHit) {
+    if (slot == kPagedBlockOpHit) {
       // The page-table walk the descriptor path would have performed.
       counters_.page_walks += n;
       counters_.tlb_hits += n;
@@ -570,9 +566,9 @@ bool Cpu::StepBody() {
 // straight-line block per dispatch instead of re-entering Step per
 // instruction. Each op runs the same instruction boundary (timer, fault
 // hooks, trap-capture state) and charges exactly what the per-instruction
-// path charges on a verdict + decode hit, which — by the verdict cache's
-// invariant — is exactly what the slow path charges with an SDW-cache
-// hit. Anything a block cannot vouch for bails to StepBody, the identical
+// path charges when the verdict cache vouches for its fetch, which — by
+// the verdict cache's invariant — is exactly what the slow path charges
+// with an SDW-cache hit. Anything a block cannot vouch for bails to StepBody, the identical
 // per-instruction path, after the boundary it already consumed. The
 // counters of those charges are tallied, and StepBlock settles the tally
 // once, after whichever exit RunBlocks took.
@@ -752,12 +748,19 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
   }
 }
 
-// Block formation: chain consecutive cached decodes, stopping at the
-// segment bound, the gate-region boundary, the first missing or
-// unverifiable decode, an op the current ring may not execute (it must
+// Block formation: decode consecutive words live from the addresses the
+// fetches would form under the verdict `v`, stopping at the segment bound,
+// the gate-region boundary, a paged word without a TLB translation, a word
+// outside the core store or that does not decode (the per-instruction path
+// latches or traps on it), an op the current ring may not execute (it must
 // trap on the per-instruction path), and — inclusively — any control
-// transfer or trap-raising/privileged terminator.
+// transfer or trap-raising/privileged terminator. A segment without the
+// execute flag builds nothing: with checks off it still runs, but a store
+// through its SDW retires no block (NoteStore).
 BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
+  if (!v.flags_execute) {
+    return nullptr;
+  }
   const Segno segno = regs_.ipr.segno;
   const Wordno start = regs_.ipr.wordno;
   // The verdict's invariant guarantees the SDW is resident; its gate
@@ -786,39 +789,33 @@ BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
     if (count != 0 && start < gate && w >= gate) {
       break;  // falling out of the gate region ends the block
     }
-    const InsnCache::Entry* e = insn_cache_.Lookup(segno, w);
-    if (e == nullptr) {
-      break;
-    }
-    AbsAddr expected = 0;
-    if (!v.paged) {
-      expected = v.base + w;
-    } else {
+    AbsAddr addr = v.base + w;
+    if (v.paged) {
       const Tlb::Entry* t = tlb_.Lookup(segno, w >> kPageShift, v.base);
       if (t == nullptr) {
         break;
       }
-      expected = t->frame + (w & kPageMask);
+      addr = t->frame + (w & kPageMask);
     }
-    if (e->addr != expected) {
+    BlockCache::Op& op = b->ops[count];
+    if (addr >= memory_->size() || !DecodeInstruction(memory_->Read(addr), &op.ins)) {
       break;
     }
-    const OpcodeInfo& info = GetOpcodeInfo(e->ins.opcode);
+    const Instruction& ins = op.ins;
+    const OpcodeInfo& info = GetOpcodeInfo(ins.opcode);
     if (regs_.ipr.ring > info.max_ring) {
       break;  // privileged violation; the slow path raises it
     }
-    BlockCache::Op& op = b->ops[count];
-    op.ins = e->ins;
-    op.addr = expected;
+    op.addr = addr;
     op.needs_ea =
         info.operand != OperandKind::kNone && info.operand != OperandKind::kImmediate;
     op.hop = false;
     // A negative offset is left to FormEffectiveAddress, which traps.
-    op.direct = op.needs_ea && !e->ins.indirect && !e->ins.pr_relative && e->ins.tag == 0 &&
-                e->ins.offset >= 0 && e->ins.offset <= static_cast<int32_t>(kMaxWordno);
+    op.direct = op.needs_ea && !ins.indirect && !ins.pr_relative && ins.tag == 0 &&
+                ins.offset >= 0 && ins.offset <= static_cast<int32_t>(kMaxWordno);
     op.memo = 0;
-    const int32_t link = e->ins.offset;
-    if (hops && op.needs_ea && e->ins.indirect && !e->ins.pr_relative && e->ins.tag == 0 &&
+    const int32_t link = ins.offset;
+    if (hops && op.needs_ea && ins.indirect && !ins.pr_relative && ins.tag == 0 &&
         link >= 0 && static_cast<uint64_t>(link) < v.bound &&
         v.base + link < memory_->size()) {
       // In bounds and in store: this read can latch no fault. A store into
@@ -835,7 +832,7 @@ BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
       }
     }
     ++count;
-    if (EndsBlock(e->ins.opcode)) {
+    if (EndsBlock(ins.opcode)) {
       break;
     }
   }
@@ -892,7 +889,7 @@ BlockCache::Block* Cpu::ProbeOrBuildBlock() {
     return b;
   }
   // Miss or stale under the current verdict/mode: rebuild in place from
-  // whatever decodes the insn cache holds right now.
+  // the words the store holds right now.
   return TryBuildBlock(*v);
 }
 
@@ -919,56 +916,18 @@ bool Cpu::ChainEligible(Opcode op) {
 // Figure 4: "Retrieval of next instruction to be executed." At the point
 // the SDW for the segment containing the instruction is available, the
 // ring of execution is matched against the execute bracket and the
-// execute flag is checked.
+// execute flag is checked. The fetch is one validated reference like
+// every other, plus the word read and its decode.
 bool Cpu::FetchInstruction(Instruction* ins) {
   const Ring ring = EffectiveRing(regs_.ipr.ring);
-  const Segno segno = regs_.ipr.segno;
-  const Wordno wordno = regs_.ipr.wordno;
-
-  // The decode cache, on top of the verdict memo: when the verdict vouches
-  // for the fetch and a cached decode's fill address matches the address
-  // the reference would form, that decode is the word the reference would
-  // read. For unpaged segments that address is verdict base + wordno; for
-  // paged ones the TLB supplies the frame (keyed on the verdict's base as
-  // the table base). Charge what the reference charges on a memo hit and
-  // skip the re-fetch and re-decode.
-  if (const VerdictCache::Entry* v = FastVerdict(segno, ring);
-      v != nullptr && Vouches<RefKind::kFetch>(*v, ring, ring) && wordno < v->bound) {
-    AbsAddr expected = v->base + wordno;
-    bool have_addr = !v->paged;
-    if (v->paged) {
-      if (const Tlb::Entry* t = tlb_.Lookup(segno, wordno >> kPageShift, v->base)) {
-        expected = t->frame + (wordno & kPageMask);
-        have_addr = true;
-      }
-    }
-    const InsnCache::Entry* cached = have_addr ? insn_cache_.Lookup(segno, wordno) : nullptr;
-    if (cached != nullptr && cached->addr == expected) {
-      ChargeVouchedFetch(v->paged, VouchedFetchCycles(v->paged));
-      *ins = cached->ins;
-      return true;
-    }
-  }
-
   Ref ref;
-  if (!Reference<RefKind::kFetch>(segno, wordno, ring, ring, &ref)) {
+  if (!Reference<RefKind::kFetch>(regs_.ipr.segno, regs_.ipr.wordno, ring, ring, &ref)) {
     return false;
   }
   cycles_ += cycle_model_.memory_ref;
-  const Word word = memory_->Read(ref.addr);
-  if (!DecodeInstruction(word, ins)) {
+  if (!DecodeInstruction(memory_->Read(ref.addr), ins)) {
     RaiseTrap(TrapCause::kIllegalOpcode);
     return false;
-  }
-  if (tier_ != EngineTier::kReference && sdw_cache_.enabled() && ref.flags_execute) {
-    // Only a segment with the execute flag caches its decodes: a store
-    // through its SDW retires them (NoteStore), while with checks off a
-    // segment without the flag can still run and a store through it
-    // retires nothing. Paged decodes are cacheable too: the fill address
-    // is an absolute frame address, and a later fast-path hit revalidates
-    // it against the TLB's current translation for the page.
-    ++counters_.insn_cache_misses;
-    insn_cache_.Put(segno, wordno, ref.addr, *ins);
   }
   return true;
 }
@@ -1133,13 +1092,10 @@ void Cpu::KeepOperand(uint8_t kind, const Ref& ref) {
 
 void Cpu::NoteStore(AbsAddr addr, bool target_executable, Segno segno) {
   if (target_executable) {
-    // Self-modifying (or link-snapped) code: drop any cached decodes for
-    // the segment so the next fetch re-reads the stored word. Blocks
-    // chained from those decodes retire with them — including the block
+    // Self-modifying (or link-snapped) code: retire the segment's blocks
+    // so the next fetch re-reads the stored word — including the block
     // this store may be executing from (the version bump bails it).
-    insn_cache_.InvalidateSegment(segno);
     counters_.block_invalidations += block_cache_.InvalidateSegment(segno);
-    ++counters_.insn_cache_invalidations;
   }
   // The store may have landed on a page-table word some TLB entry
   // memoized; the snoop drops exactly those translations.

@@ -17,7 +17,6 @@
 #include "src/core/access.h"
 #include "src/core/transfer.h"
 #include "src/cpu/block_cache.h"
-#include "src/cpu/insn_cache.h"
 #include "src/cpu/registers.h"
 #include "src/fault/fault_injector.h"
 #include "src/cpu/sdw_cache.h"
@@ -60,8 +59,8 @@ enum class RefKind { kFetch, kIndirect, kRead, kWrite, kTransfer };
 // fault-injection stream are bit-identical on every tier (every
 // engine-equivalence test and the fuzz oracle run all of kEngineTiers).
 //   kBlocks:        superblocks (StepBlock) with block-to-block chaining.
-//   kCached:        the access-verdict and decoded-instruction caches and
-//                   the software TLB, one instruction per dispatch.
+//   kCached:        the access-verdict cache and the software TLB, one
+//                   instruction per dispatch.
 //   kReference:     the per-instruction reference path, no host caches.
 enum class EngineTier { kBlocks, kCached, kReference };
 inline constexpr EngineTier kEngineTiers[] = {EngineTier::kBlocks, EngineTier::kCached,
@@ -112,12 +111,10 @@ class Cpu {
   void set_engine_tier(EngineTier tier) {
     tier_ = tier;
     verdict_cache_.Flush();
-    insn_cache_.Flush();
     tlb_.Flush();
     block_cache_.Flush();
   }
   const VerdictCache& verdict_cache() const { return verdict_cache_; }
-  const InsnCache& insn_cache() const { return insn_cache_; }
   const Tlb& tlb() const { return tlb_; }
   const BlockCache& block_cache() const { return block_cache_; }
 
@@ -185,38 +182,31 @@ class Cpu {
   void InvalidateSdw(Segno segno) {
     sdw_cache_.Invalidate(segno);
     verdict_cache_.InvalidateSegment(segno);
-    insn_cache_.InvalidateSegment(segno);
     // The descriptor may have pointed the segment at a different page
     // table; every translation derived through it is suspect.
     tlb_.InvalidateSegment(segno);
     counters_.block_invalidations += block_cache_.InvalidateSegment(segno);
     ++counters_.verdict_invalidations;
-    ++counters_.insn_cache_invalidations;
     ++counters_.tlb_invalidations;
   }
   void FlushSdwCache() {
     sdw_cache_.Flush();  // epoch bump retires every verdict
-    insn_cache_.Flush();
     tlb_.Flush();
     block_cache_.Flush();
     ++counters_.verdict_invalidations;
-    ++counters_.insn_cache_invalidations;
     ++counters_.tlb_invalidations;
     ++counters_.block_invalidations;
   }
 
   // Must be called after memory is written behind the processor's back
   // (program loading, test pokes, DMA-style stores): any of those words
-  // may be a cached decoded instruction.
-  void FlushInsnCache() {
-    insn_cache_.Flush();
-    // Blocks are chains of cached decodes; they go with them.
+  // may be one a block decoded.
+  void FlushBlockCache() {
     block_cache_.Flush();
-    ++counters_.insn_cache_invalidations;
     ++counters_.block_invalidations;
   }
 
-  // Companion to FlushInsnCache for the same behind-the-back stores: any
+  // Companion to FlushBlockCache for the same behind-the-back stores: any
   // written word may be a page-table word some cached translation was
   // decoded from.
   void FlushTlb() {
@@ -312,7 +302,8 @@ class Cpu {
   }
 
  private:
-  // The four-cache flush a DBR change (SetDbr, or Rett to a new DBR) needs.
+  // The flush a DBR change (SetDbr, or Rett to a new DBR) needs: the SDW
+  // cache (and with it every verdict), the TLB and the block cache.
   void FlushForNewDbr();
 
   // --- instruction-cycle phases (see cpu.cc for figure mapping) ---
@@ -353,9 +344,10 @@ class Cpu {
            block.paged == v.paged && block.base == v.base &&
            static_cast<uint64_t>(block.start) + block.count <= v.bound;
   }
-  // Chains cached decodes starting at the current IPR into a block;
-  // returns nullptr when nothing is cacheable there yet. Mutable: the
-  // chaining engine patches successor links into published blocks.
+  // Decodes the straight-line run starting at the current IPR into a
+  // block under the verdict `v`; returns nullptr when not even its first
+  // word may be held. Mutable: the chaining engine patches successor
+  // links into published blocks.
   BlockCache::Block* TryBuildBlock(const VerdictCache::Entry& v);
   // The full dispatch preamble of StepBlock: verdict probe, block lookup
   // (counting a hit) or build. Returns nullptr when the per-instruction
@@ -445,9 +437,8 @@ class Cpu {
   // facts from the verdict cache when it vouches for (segno, ring), else
   // from FetchSdw plus the kind's Check* predicate; then charge the check,
   // trap a denial, check bounds, and translate. `ring` keys the verdict;
-  // `effective` differs from it only for transfers. A fetch reaching here
-  // has missed the decode cache and always walks the descriptor. Raises
-  // the trap and returns false on any failure.
+  // `effective` differs from it only for transfers. Raises the trap and
+  // returns false on any failure.
   template <RefKind K>
   bool Reference(Segno segno, Wordno wordno, Ring ring, Ring effective, Ref* out);
   // Whether `memo` answers the kind's check at (ring, effective) without
@@ -463,15 +454,9 @@ class Cpu {
     ++counters_.sdw_cache_hits;
     sdw_cache_.CountHits(1);
   }
-  // The charges of a fetch the verdict and decode caches vouch for (a
-  // Reference<kFetch> answered by the memo, plus the word read): the
-  // cycles now, the counters as one tally bump. `cycles` is
-  // VouchedFetchCycles; the block engine charges the same cycles folded
-  // into its per-op add and tallies a block op instead.
-  void ChargeVouchedFetch(bool paged, uint64_t cycles) {
-    cycles_ += cycles;
-    Tally(paged ? kPagedFetchHit : static_cast<size_t>(RefKind::kFetch));
-  }
+  // The cycles of a fetch the verdict cache vouches for (a memo-hit
+  // Reference<kFetch> with a TLB-hit page walk when paged, plus the word
+  // read): what a block folds into each op's charge (Block::op_charge).
   uint64_t VouchedFetchCycles(bool paged) const {
     return (checks_enabled_ ? cycle_model_.access_check : 0) +
            (paged ? cycle_model_.memory_ref : 0) + cycle_model_.memory_ref;
@@ -483,17 +468,15 @@ class Cpu {
   // SDW cache's hit count at every exit of Step and StepBlock, and costs
   // one test when nothing was tallied (with the fast path off, on every
   // instruction). Slots 0-4 are the RefKinds: a memo-hit Reference of that
-  // kind that completed, with its word access (for kFetch: an unpaged
-  // fetch the verdict and decode caches vouch for). The rest are a paged
-  // vouched fetch, whose page-table walk is folded in (an operand's walk
-  // counts itself), and the block engine's committed op, a vouched fetch
-  // plus its retired instruction, unpaged or paged. Whether a hit charged
-  // its check is checks_enabled_, which changes only between dispatches,
-  // so SettleTally reads it.
-  static constexpr size_t kPagedFetchHit = 5;
-  static constexpr size_t kBlockOpHit = 6;
-  static constexpr size_t kPagedBlockOpHit = 7;
-  static constexpr size_t kTallySlots = 8;
+  // kind that completed, with its word access (its page-table walk counts
+  // itself). The rest are the block engine's committed op, a vouched
+  // fetch plus its retired instruction, unpaged or paged (the paged op's
+  // page-table walk folded in). Whether a hit charged its check is
+  // checks_enabled_, which changes only between dispatches, so
+  // SettleTally reads it.
+  static constexpr size_t kBlockOpHit = 5;
+  static constexpr size_t kPagedBlockOpHit = 6;
+  static constexpr size_t kTallySlots = 7;
   void Tally(size_t slot) {
     ++tally_[slot];
     tallied_ = true;
@@ -550,7 +533,7 @@ class Cpu {
   // so the ablation benchmarks (SDW cache off) measure what they claim.
   bool TlbEnabled() const { return tier_ != EngineTier::kReference && sdw_cache_.enabled(); }
   // Post-store bookkeeping shared by the guest and supervisor write
-  // paths: invalidates cached decodes when the target is executable, and
+  // paths: retires the segment's blocks when the target is executable, and
   // snoops stores that land inside the descriptor segment (an SDW edit
   // the processor may have cached).
   void NoteStore(AbsAddr addr, bool target_executable, Segno segno);
@@ -604,7 +587,6 @@ class Cpu {
   SdwCache sdw_cache_;
   EngineTier tier_ = EngineTier::kBlocks;
   VerdictCache verdict_cache_;
-  InsnCache insn_cache_;
   Tlb tlb_;
   bool block_call_ablation_ = false;
   BlockCache block_cache_;

@@ -18,10 +18,13 @@ constexpr int kFleetThreads[] = {1, 4, 8};
 
 // All legs share one machine shape; only the engine tiers differ.
 // 1M words is plenty for generated guests and keeps a leg's core store
-// cheap to construct eight times per trial.
+// cheap to construct eight times per trial. Each access check costs a
+// cycle, so a host path that skips a check's charge shows as a cycle
+// divergence (the default model prices the check at zero).
 MachineConfig BaseConfig() {
   MachineConfig config;
   config.memory_words = size_t{1} << 20;
+  config.cycle_model.access_check = 1;
   return config;
 }
 

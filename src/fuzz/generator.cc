@@ -423,7 +423,7 @@ std::string Gen::Build() {
       rng_.Between(static_cast<uint64_t>(config_.min_steps), static_cast<uint64_t>(config_.max_steps)));
   for (int s = 0; s < steps; ++s) {
     // The first step is always a gate-call loop: calls re-executed from
-    // cached decodes are where the superblock engine earns its keep (and
+    // blocks are where the superblock engine earns its keep (and
     // where the ablation oracle must be able to bite).
     const uint64_t pick = s == 0 ? 0 : rng_.Below(10);
     switch (pick) {

@@ -16,7 +16,7 @@
 //   - indirect-word chains through planted .its words, including chains
 //     that deepen inside data segments;
 //   - stores into an executable segment (self-modifying code, the block
-//     and insn cache store-invalidation site);
+//     store-invalidation site);
 //   - demand-paged segments whose pages fault in mid-run;
 //   - access-violation probes that kill a process mid-program;
 //   - loop counts sized to straddle scheduling-quantum boundaries, and

@@ -114,7 +114,7 @@ bool Machine::LoadProgram(const Program& program,
   const bool ok = registry_.LoadProgram(program, acls, err);
   // Loading writes segment contents (and page tables) directly into the
   // core store.
-  cpu_.FlushInsnCache();
+  cpu_.FlushBlockCache();
   cpu_.FlushTlb();
   return ok;
 }
@@ -284,7 +284,7 @@ bool Machine::PokeSegment(const std::string& name, Wordno wordno, Word value) {
     return false;
   }
   memory_.Write(*addr, value);
-  cpu_.FlushInsnCache();
+  cpu_.FlushBlockCache();
   cpu_.FlushTlb();
   return true;
 }

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "src/cpu/block_cache.h"
-#include "src/cpu/insn_cache.h"
 #include "src/cpu/tlb.h"
 #include "src/cpu/verdict_cache.h"
 #include "src/mem/page_table.h"
@@ -79,75 +78,6 @@ TEST(VerdictCachePressure, EpochBumpRetiresEveryResidentVerdict) {
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->base, 4242u);
   EXPECT_EQ(cache.Lookup(5, 4, /*epoch=*/1), nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// InsnCache: 512 direct-mapped entries, index (wordno ^ segno*0x9E3779B1)
-// & 511. For a fixed segment, wordno and wordno + kEntries collide.
-// ---------------------------------------------------------------------------
-
-TEST(InsnCachePressure, CollidingWordsDisplaceWithoutAliasing) {
-  InsnCache cache;
-  constexpr Segno kSeg = 9;
-  // Two full waves over one segment: the second wave's wordno w + 512
-  // lands on the first wave's slot for w.
-  for (Wordno w = 0; w < InsnCache::kEntries; ++w) {
-    cache.Put(kSeg, w, 1000 + w, MakeIns(Opcode::kLda, static_cast<int32_t>(w)));
-  }
-  for (Wordno w = 0; w < InsnCache::kEntries; ++w) {
-    const Wordno hi = w + InsnCache::kEntries;
-    cache.Put(kSeg, hi, 1000 + hi, MakeIns(Opcode::kSta, static_cast<int32_t>(hi)));
-  }
-  for (Wordno w = 0; w < InsnCache::kEntries; ++w) {
-    const Wordno hi = w + InsnCache::kEntries;
-    EXPECT_EQ(cache.Lookup(kSeg, w), nullptr) << "stale hit for wordno " << w;
-    const InsnCache::Entry* e = cache.Lookup(kSeg, hi);
-    ASSERT_NE(e, nullptr) << "lost fill for wordno " << hi;
-    EXPECT_EQ(e->ins.opcode, Opcode::kSta);
-    EXPECT_EQ(e->ins.offset, static_cast<int32_t>(hi));
-    EXPECT_EQ(e->addr, 1000u + hi);
-  }
-  // Displaced word refills with current contents.
-  cache.Put(kSeg, 7, 2007, MakeIns(Opcode::kAda, 7));
-  const InsnCache::Entry* e = cache.Lookup(kSeg, 7);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->ins.opcode, Opcode::kAda);
-  EXPECT_EQ(e->addr, 2007u);
-}
-
-TEST(InsnCachePressure, GenerationBumpRetiresAllThenRefills) {
-  InsnCache cache;
-  for (Wordno w = 0; w < InsnCache::kEntries; ++w) {
-    cache.Put(2, w, 5000 + w, MakeIns(Opcode::kNop));
-  }
-  cache.Flush();  // generation bump: O(1) wholesale invalidation
-  for (Wordno w = 0; w < InsnCache::kEntries; ++w) {
-    EXPECT_EQ(cache.Lookup(2, w), nullptr) << "stale post-flush hit, wordno " << w;
-  }
-  cache.Put(2, 11, 6011, MakeIns(Opcode::kLdq, 11));
-  const InsnCache::Entry* e = cache.Lookup(2, 11);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->ins.opcode, Opcode::kLdq);
-  EXPECT_EQ(e->addr, 6011u);
-}
-
-TEST(InsnCachePressure, SegmentInvalidationSurvivesPressure) {
-  InsnCache cache;
-  // Interleave two segments whose entries share slots, then drop one
-  // segment; the survivor's entries must be exactly the other segment's.
-  for (Wordno w = 0; w < InsnCache::kEntries / 2; ++w) {
-    cache.Put(1, w, 1000 + w, MakeIns(Opcode::kLda));
-    cache.Put(2, w, 9000 + w, MakeIns(Opcode::kLdq));
-  }
-  cache.InvalidateSegment(2);
-  for (Wordno w = 0; w < InsnCache::kEntries / 2; ++w) {
-    EXPECT_EQ(cache.Lookup(2, w), nullptr) << "stale hit after invalidation, wordno " << w;
-    const InsnCache::Entry* e = cache.Lookup(1, w);
-    if (e != nullptr) {  // entries displaced by segment 2's puts stay gone
-      EXPECT_EQ(e->ins.opcode, Opcode::kLda);
-      EXPECT_EQ(e->addr, 1000u + w);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@
 // and requires every engine tier to agree. The resolved-transfer tests do
 // the same for the memo a transfer keeps (DESIGN.md §7, "Ops run in the
 // loop").
+//
+// The live-decode tests cover block formation itself: a block decodes its
+// words straight from the store, so code runs in blocks on its first
+// pass, and the build stops before any word the per-instruction path
+// would trap or latch a store fault on.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -391,10 +396,9 @@ std::vector<RunSignature> ExpectHopScenarioAgrees(Scenario scenario) {
 
 // A hot loop re-points its own `.its` word: after ten passes it stores Q
 // (a pointer to c1) over `cnt`, and the remaining thirty passes count c1.
-// A hop that survived the store would keep counting c0. The store waits
-// for the loop to be hot because blocks form only from decodes an earlier
-// pass left in the insn cache. Returns whether the loop's block resolved
-// its first hop.
+// A hop that survived the store would keep counting c0. The store comes
+// after ten passes, so it meets a block that resolved the hop on an
+// earlier pass. Returns whether the loop's block resolved its first hop.
 bool RunItsRewriteLoop(BareMachine& m, const SegmentAccess& code_access) {
   const Segno data = m.AddSegment({0, 0, 0, 10, 40}, UserData());  // c0 c1 iter half limit
   constexpr Wordno kCnt = 15, kIter = 16, kHalf = 17, kLimit = 18, kC0 = 19, kC1 = 20;
@@ -444,7 +448,7 @@ TEST(ResolvedHop, ChecksOffNonExecutableSegmentIsNotResolved) {
 // The same hazard for decodes: with checks off a loop runs from a
 // read/write segment and, after twenty passes, stores over its own hot
 // `aos c0` an `aos c1` (held in Q). The store goes through an SDW without
-// the execute flag and retires nothing, so a decode cached from that
+// the execute flag and retires nothing, so a block decoded from that
 // segment would keep counting c0 (A=40 Q=0 instead of A=20 Q=20).
 TEST(CodeStore, ChecksOffNonExecutableSegmentRunsItsPatchedWord) {
   ExpectSameRunOnEveryTier([](EngineTier tier) {
@@ -1467,6 +1471,92 @@ TEST(ResolvedTransfer, PagedTargetIsNeverMemoised) {
     RunTo(m, 100'000);
     ExpectTrapAt(m.cpu(), TrapCause::kMasterModeEntry, loop.target, kEntry + 1);
     EXPECT_EQ(m.cpu().trap_state().code, 7);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Live-decode build.
+// ---------------------------------------------------------------------------
+
+// The number of ops in the block held at (segno, start), 0 if none.
+size_t BlockLength(const Cpu& cpu, Segno segno, Wordno start) {
+  const BlockCache::Block* b = cpu.block_cache().Lookup(segno, start);
+  return b == nullptr ? 0 : b->count;
+}
+
+// The blocks tier's first instruction walks the code segment's descriptor
+// and fills its verdict; every instruction after it decodes into a block
+// on its first and only pass.
+constexpr Word kOps = 20;
+
+TEST(LiveDecode, FirstPassRunsInBlocks) {
+  ExpectSameRunOnEveryTier([](EngineTier tier) {
+    BareMachine m;
+    m.cpu().set_engine_tier(tier);
+    std::vector<Word> words(kOps, Encode(MakeIns(Opcode::kAdai, 1)));
+    words.push_back(Mme(0));
+    const Segno code = m.AddSegment(words, UserCode());
+    m.SetIpr(4, code, 0);
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kMasterModeEntry, code, kOps + 1);
+    EXPECT_EQ(m.cpu().regs().a, kOps);
+    const Counters& c = m.cpu().counters();
+    EXPECT_EQ(c.instructions, kOps + 1);
+    if (tier == EngineTier::kBlocks) {
+      EXPECT_GE(c.block_ops, c.instructions - 1);
+    } else {
+      EXPECT_EQ(c.block_ops, 0u);
+    }
+    return TrapSiteSignature(m.cpu());
+  });
+}
+
+// The build stops before a word that does not decode: the block at w1 ends
+// at w5, and the illegal w6 traps from the per-instruction path at the
+// same cycle on every tier.
+TEST(LiveDecode, BuildStopsBeforeAnIllegalOpcode) {
+  ExpectSameRunOnEveryTier([](EngineTier tier) {
+    BareMachine m;
+    m.cpu().set_engine_tier(tier);
+    std::vector<Word> words(6, Encode(MakeIns(Opcode::kAdai, 1)));
+    words.push_back(uint64_t{255} << 56);  // no such opcode
+    words.push_back(Mme(0));
+    const Segno code = m.AddSegment(words, UserCode());
+    m.SetIpr(4, code, 0);
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kIllegalOpcode, code, 6);
+    EXPECT_EQ(m.cpu().regs().a, 6u);
+    EXPECT_EQ(BlockLength(m.cpu(), code, 1), tier == EngineTier::kBlocks ? 5u : 0u);
+    return TrapSiteSignature(m.cpu());
+  });
+}
+
+// A code segment whose bound runs past the core store: its last four
+// words in store are three `adai 1` and an `lda` beyond the bound, which
+// traps, and w4 lies past the store. The build at w1 must stop at the
+// store's end rather than read w4, which would latch a physical-store
+// fault that no per-instruction run ever takes.
+TEST(LiveDecode, BuildStopsBeforeAWordPastTheStore) {
+  ExpectSameRunOnEveryTier([](EngineTier tier) {
+    BareMachine m;
+    m.cpu().set_engine_tier(tier);
+    const Segno code = m.AddSegment({0}, UserCode());
+    const AbsAddr base = m.memory().size() - 4;
+    for (Wordno w = 0; w < 3; ++w) {
+      m.memory().Write(base + w, Encode(MakeIns(Opcode::kAdai, 1)));
+    }
+    m.memory().Write(base + 3, Encode(MakeIns(Opcode::kLda, 100)));
+    EditSdw(m, code, [base](Sdw& sdw) {
+      sdw.base = base;
+      sdw.bound = 8;
+    });
+    m.SetIpr(4, code, 0);
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kBoundsViolation, code, 3);
+    EXPECT_EQ(m.cpu().regs().a, 3u);
+    EXPECT_EQ(m.memory().fault_count(), 0u);
+    EXPECT_EQ(BlockLength(m.cpu(), code, 1), tier == EngineTier::kBlocks ? 3u : 0u);
+    return TrapSiteSignature(m.cpu());
   });
 }
 

@@ -1,10 +1,9 @@
-// The access-verdict and decoded-instruction caches (the host-side fast
-// path): unit behavior of the caches themselves, plus bare-machine checks
-// that the fast path engages, never changes simulated cycles, retires
-// verdicts on flush/ring/epoch changes, and sees self-modifying code.
+// The access-verdict cache (the host-side fast path): unit behavior of the
+// cache itself, plus bare-machine checks that the fast path engages, never
+// changes simulated cycles, retires verdicts on flush/ring/epoch changes,
+// and sees self-modifying code.
 #include <gtest/gtest.h>
 
-#include "src/cpu/insn_cache.h"
 #include "src/cpu/verdict_cache.h"
 #include "tests/testutil.h"
 
@@ -89,30 +88,6 @@ TEST(VerdictCacheUnit, ExecuteVerdictTracksBracketFloor) {
 }
 
 // ---------------------------------------------------------------------------
-// InsnCache unit behavior.
-// ---------------------------------------------------------------------------
-
-TEST(InsnCacheUnit, PutLookupFlushInvalidate) {
-  InsnCache cache;
-  const Instruction ins = MakeIns(Opcode::kLdai, 42);
-  cache.Put(12, 5, 2000, ins);
-
-  const InsnCache::Entry* e = cache.Lookup(12, 5);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->addr, 2000u);
-  EXPECT_EQ(e->ins, ins);
-  EXPECT_EQ(cache.Lookup(12, 6), nullptr);
-  EXPECT_EQ(cache.Lookup(13, 5), nullptr);
-
-  cache.InvalidateSegment(12);
-  EXPECT_EQ(cache.Lookup(12, 5), nullptr);
-
-  cache.Put(12, 5, 2000, ins);
-  cache.Flush();
-  EXPECT_EQ(cache.Lookup(12, 5), nullptr);
-}
-
-// ---------------------------------------------------------------------------
 // Bare-machine behavior of the combined fast path.
 // ---------------------------------------------------------------------------
 
@@ -148,8 +123,10 @@ struct LoopRig {
 TEST(FastPathBare, SimulatedCostIdenticalOnAndOff) {
   LoopRig on(true);
   LoopRig off(false);
-  EXPECT_GT(on.m.cpu().counters().verdict_hits, 0u);
-  EXPECT_GT(on.m.cpu().counters().insn_cache_hits, 0u);
+  // Every fetch after the first is a memo-hit Reference<kFetch>, on top
+  // of the operand hits: the verdict cache answers more references than
+  // there are instructions.
+  EXPECT_GT(on.m.cpu().counters().verdict_hits, on.m.cpu().counters().instructions);
   EXPECT_EQ(off.m.cpu().counters().verdict_hits, 0u);
   EXPECT_EQ(on.m.cpu().cycles(), off.m.cpu().cycles());
   EXPECT_EQ(on.m.cpu().counters().instructions, off.m.cpu().counters().instructions);
@@ -173,11 +150,14 @@ TEST(FastPathBare, DisengagesWhileSdwCacheDisabled) {
       UserCode());
   m.SetIpr(4, code, 0);
   m.SetPr(2, 4, data, 0);
+  // Through the block engine's entry: with the SDW cache off it must
+  // degrade to one per-instruction step per call.
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(m.StepTrap(), TrapCause::kNone);
+    ASSERT_TRUE(m.cpu().StepBlock(UINT64_MAX));
   }
+  EXPECT_EQ(m.cpu().counters().instructions, 50u);
   EXPECT_EQ(m.cpu().counters().verdict_hits, 0u);
-  EXPECT_EQ(m.cpu().counters().insn_cache_hits, 0u);
+  EXPECT_EQ(m.cpu().counters().block_ops, 0u);
   EXPECT_EQ(m.cpu().regs().a, 100u);
 }
 
@@ -230,8 +210,10 @@ TEST(FastPathBare, VerdictsArePerRing) {
 
 TEST(FastPathBare, SelfModifyingStoreInvalidatesCachedDecode) {
   // [0] tra 2 / [2] nop / [3] sta ->code[2] / [4] tra 2: the second trip
-  // through word 2 must execute the newly stored `ldai 77`, not the
-  // cached nop decode.
+  // through word 2 must execute the newly stored `ldai 77`, not the nop
+  // decoded into the block built at word 2 on the first trip. A bound one
+  // cycle ahead makes each StepBlock run one block op, so the run stops
+  // right after the patched word.
   BareMachine m;
   SegmentAccess access = MakeProcedureSegment(4, 4);
   access.flags.write = true;
@@ -248,11 +230,13 @@ TEST(FastPathBare, SelfModifyingStoreInvalidatesCachedDecode) {
   m.SetPr(3, 4, code, 0);
   m.cpu().regs().a = EncodeInstruction(MakeIns(Opcode::kLdai, 77));
   for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(m.StepTrap(), TrapCause::kNone) << "step " << i;
+    ASSERT_TRUE(m.cpu().StepBlock(m.cpu().cycles() + 1)) << "step " << i;
   }
-  // tra, nop, sta, tra, then the patched instruction.
+  // tra, nop, sta, tra, then the patched instruction: each a block op but
+  // the first, whose walk fills the code segment's verdict.
   EXPECT_EQ(m.cpu().regs().a, 77u);
-  EXPECT_GT(m.cpu().counters().insn_cache_invalidations, 0u);
+  EXPECT_EQ(m.cpu().counters().block_ops, 4u);
+  EXPECT_GT(m.cpu().counters().block_invalidations, 0u);
 }
 
 TEST(FastPathBare, Works645Flags) {

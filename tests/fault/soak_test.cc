@@ -150,14 +150,14 @@ void RunSoak(uint64_t seed) {
   EXPECT_GT(machine.audit_runs(), 0u);
   EXPECT_GE(machine.cpu().counters().TrapCount(TrapCause::kTimerRunout), kTargetQuanta);
 
-  // ...including the fast path: the hot loops ran on cached verdicts, the
-  // injected SDW corruption and cache drops retired them (recovery fills
-  // fresh verdicts from re-fetched descriptors), and the whole soak still
-  // audits clean with the caches engaged.
+  // ...including the fast path: the hot loops ran on cached verdicts and
+  // in blocks, the injected SDW corruption and cache drops retired them
+  // (recovery fills fresh verdicts from re-fetched descriptors), and the
+  // whole soak still audits clean with the caches engaged.
   EXPECT_GT(machine.cpu().counters().verdict_hits, 0u);
   EXPECT_GT(machine.cpu().counters().verdict_misses, 0u);
   EXPECT_GT(machine.cpu().counters().verdict_invalidations, 0u);
-  EXPECT_GT(machine.cpu().counters().insn_cache_hits, 0u);
+  EXPECT_GT(machine.cpu().counters().block_ops, 0u);
   EXPECT_GT(machine.cpu().counters().sdw_recoveries, 0u);
 
   // The TLB engaged on the pager's paged references (hits), kept taking

@@ -61,7 +61,7 @@ TEST(GeneratorTest, RiskyRegionWeightingCoversTheSeedPopulation) {
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     const std::string& source = GenerateGuest(seed).source;
     // Every program drives the block engine's riskiest region: a CALL
-    // re-executed from cached decodes inside a counted loop.
+    // re-executed from a block inside a counted loop.
     EXPECT_NE(source.find("call  pr2|0"), std::string::npos) << "seed " << seed;
     any_paged |= source.find(" paged ") != std::string::npos;
     any_smc |= source.find("procedure 4 4 write") != std::string::npos ||

@@ -1,5 +1,5 @@
-// The fast-path identity: the host-side verdict and decoded-instruction
-// caches — and the superblock engine and chaining built on top of them —
+// The fast-path identity: the host-side verdict cache and TLB — and the
+// superblock engine and chaining built on top of them —
 // must change NOTHING the simulated machine can observe. Every workload
 // here runs once per engine tier (kEngineTiers), and every run must match
 // the reference tier's through the one run comparator (SameRun): the
@@ -136,11 +136,10 @@ TEST(FastPathDifferential, FleetFaultSeedB) {
 
 // The fast path must actually engage for the runs above to mean anything.
 // The fleet's pager pounds a paged segment, so the TLB must be taking
-// hits as well as the verdict and instruction caches.
+// hits as well as the verdict cache and the block engine.
 TEST(FastPathDifferential, FastPathEngages) {
   const RunSignature on = RunFleet(EngineTier::kBlocks, 0, 0);
   EXPECT_GT(on.counters.verdict_hits, 0u);
-  EXPECT_GT(on.counters.insn_cache_hits, 0u);
   EXPECT_GT(on.counters.tlb_hits, 0u);
   EXPECT_GT(on.counters.block_builds, 0u);
   EXPECT_GT(on.counters.block_hits, 0u);
@@ -151,15 +150,15 @@ TEST(FastPathDifferential, FastPathEngages) {
   EXPECT_EQ(no_block.counters.block_ops, 0u);
   const RunSignature off = RunFleet(EngineTier::kReference, 0, 0);
   EXPECT_EQ(off.counters.verdict_hits, 0u);
-  EXPECT_EQ(off.counters.insn_cache_hits, 0u);
   EXPECT_EQ(off.counters.tlb_hits, 0u);
   EXPECT_EQ(off.counters.block_ops, 0u);
+  EXPECT_EQ(off.counters.block_builds, 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Self-modifying code: a program overwrites the instruction it then jumps
-// back to. The decoded-instruction cache must see the store; a stale
-// decode would leave A at 1 instead of 99.
+// back to. The block engine must see the store; a stale decode in a block
+// would leave A at 1 instead of 99.
 // ---------------------------------------------------------------------------
 
 RunSignature RunSelfModify(EngineTier tier) {
@@ -190,7 +189,7 @@ patch:  ldai  99
   machine.trace().set_enabled(true);
   machine.Run(50'000);
   // The patched instruction must have taken effect (this is what a stale
-  // cached decode would break).
+  // block decode would break).
   EXPECT_EQ(machine.cpu().regs().a, 99u);
   return SignatureOf(machine);
 }
@@ -200,8 +199,8 @@ TEST(FastPathDifferential, SelfModifyingCode) { ExpectSameRunOnEveryTier(RunSelf
 // ---------------------------------------------------------------------------
 // Self-modifying PAGED code: the same patch-and-jump program, but the
 // procedure segment lives behind a page table, so instruction fetches run
-// through the TLB + decoded-instruction fast path. A stale decode (or a
-// stale translation revalidating one) would leave A at 1 instead of 99.
+// through the TLB and paged blocks. A stale decode (or a stale
+// translation revalidating one) would leave A at 1 instead of 99.
 // ---------------------------------------------------------------------------
 
 RunSignature RunSelfModifyPaged(EngineTier tier) {

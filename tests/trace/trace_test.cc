@@ -100,11 +100,11 @@ TEST(Counters, ToStringMentionsNonzeroTraps) {
   EXPECT_EQ(text.find("read_violation"), std::string::npos);
   // Counters print under their ForEachField names, zero ones not at all.
   c.memory_reads = 3;
-  c.insn_cache_hits = 2;
+  c.block_ops = 2;
   const std::string named = c.ToString();
   EXPECT_NE(named.find("instructions=5"), std::string::npos);
   EXPECT_NE(named.find("memory_reads=3"), std::string::npos);
-  EXPECT_NE(named.find("insn_cache_hits=2"), std::string::npos);
+  EXPECT_NE(named.find("block_ops=2"), std::string::npos);
   EXPECT_EQ(named.find("memory_writes"), std::string::npos);
 }
 
