@@ -1,5 +1,5 @@
 // Superblock cache: the host-side memo of straight-line decoded runs. The
-// verdict cache makes each simulated instruction cheap; this cache makes
+// access verdicts make each simulated instruction cheap; this cache makes
 // the *dispatch between* instructions cheap by decoding a run of words
 // once, at build, into a block that a single Cpu::StepBlock call executes
 // straight through, paying the fetch-probe and address revalidation once
@@ -46,6 +46,7 @@
 #include <cstdlib>
 #include <memory>
 #include <type_traits>
+#include <utility>
 
 #include "src/core/ring.h"
 #include "src/isa/instruction.h"
@@ -141,16 +142,9 @@ class BlockCache {
   }
 
   // Mutable lookup for the chaining engine (links are patched into live
-  // blocks); same validity test as Lookup.
+  // blocks): Lookup's answer, which points into the cache's own store.
   Block* LookupMutable(Segno segno, Wordno start) {
-    if (blocks_ == nullptr) {
-      return nullptr;
-    }
-    Block& b = blocks_[Index(segno, start)];
-    if (b.gen == gen_ && b.segno == segno && b.start == start) {
-      return &b;
-    }
-    return nullptr;
+    return const_cast<Block*>(std::as_const(*this).Lookup(segno, start));
   }
 
   // Link-follow accessors: a patched link names a slot, not a pointer, so

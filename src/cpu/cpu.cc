@@ -18,7 +18,7 @@ constexpr uint32_t kIndexMask = (uint32_t{1} << kWordnoBits) - 1;
 // SettleTally and the supervisor's accesses read their rule from RuleFor.
 struct RefRule {
   AccessDecision (*check)(const SegmentAccess& access, Ring ring, Ring effective);
-  bool VerdictCache::Entry::* verdict;
+  bool SdwCache::Verdict::* verdict;
   uint64_t Counters::* charge;
   std::array<uint64_t Counters::*, 2> access;
 };
@@ -41,21 +41,21 @@ AccessDecision WriteCheck(const SegmentAccess& access, Ring ring, Ring) {
 constexpr RefRule RuleFor(RefKind kind) {
   switch (kind) {
     case RefKind::kFetch:  // Figure 4
-      return {&FetchCheck, &VerdictCache::Entry::execute_ok, &Counters::checks_fetch,
+      return {&FetchCheck, &SdwCache::Verdict::execute_ok, &Counters::checks_fetch,
               {&Counters::memory_reads, nullptr}};
-    case RefKind::kIndirect:  // Figure 5
-      return {&IndirectCheck, &VerdictCache::Entry::indirect_ok, &Counters::checks_indirect,
+    case RefKind::kIndirect:  // Figure 5: CheckIndirectRead is CheckRead
+      return {&IndirectCheck, &SdwCache::Verdict::read_ok, &Counters::checks_indirect,
               {&Counters::memory_reads, &Counters::indirect_words}};
     case RefKind::kRead:  // Figure 6
-      return {&ReadCheck, &VerdictCache::Entry::read_ok, &Counters::checks_read,
+      return {&ReadCheck, &SdwCache::Verdict::read_ok, &Counters::checks_read,
               {&Counters::memory_reads, nullptr}};
     case RefKind::kWrite:  // Figure 6
-      return {&WriteCheck, &VerdictCache::Entry::write_ok, &Counters::checks_write,
+      return {&WriteCheck, &SdwCache::Verdict::write_ok, &Counters::checks_write,
               {&Counters::memory_writes, nullptr}};
     case RefKind::kTransfer:
       // Figure 7: the execute verdict answers it only when the effective
       // ring is the ring of execution (see Vouches).
-      return {&CheckTransfer, &VerdictCache::Entry::execute_ok, &Counters::checks_transfer,
+      return {&CheckTransfer, &SdwCache::Verdict::execute_ok, &Counters::checks_transfer,
               {nullptr, nullptr}};
   }
   return {};  // not reached: the switch names every RefKind
@@ -130,9 +130,9 @@ void Cpu::SetDbr(const DbrValue& dbr) {
 }
 
 void Cpu::FlushForNewDbr() {
-  // The flush bumps the SDW-cache epoch, retiring every verdict; the TLB
-  // and the block cache must also go, since the same segment numbers may
-  // now name different segments.
+  // The SDW-cache flush takes every verdict with it; the TLB and the
+  // block cache must also go, since the same segment numbers may now name
+  // different segments.
   sdw_cache_.Flush();
   tlb_.Flush();
   block_cache_.Flush();
@@ -212,12 +212,10 @@ bool Cpu::FetchSdw(Segno segno, Sdw* out) {
       ++counters_.tlb_invalidations;
     }
   }
-  // Whatever the insert evicts from this slot, the matching verdict slot
-  // can no longer vouch for it (verdict validity implies SDW residency).
-  verdict_cache_.InvalidateSlot(segno % SdwCache::kEntries);
-  // A running block's per-op charges assume its segment's SDW stays
-  // resident; this insert may have just evicted it (or cached a damaged
-  // copy), so any in-flight block must bail and revalidate.
+  // The insert drops the slot's verdict with whatever it evicts. A running
+  // block's per-op charges assume its segment's SDW stays resident; this
+  // insert may have just evicted it (or cached a damaged copy), so any
+  // in-flight block must bail and revalidate.
   block_cache_.BumpVersion();
   sdw_cache_.Insert(segno, sdw);
   if (!sdw.present) {
@@ -320,20 +318,20 @@ TrapCause Cpu::SupervisorAccess(Segno segno, Wordno wordno, std::optional<Ring> 
 // ---------------------------------------------------------------------------
 //
 // Every reference the instruction cycle makes runs this one sequence; a
-// verdict-cache hit and a descriptor walk differ only in where the
-// descriptor facts come from. The hit is exactly the walk taken with an
-// SDW-cache hit: the verdict memoizes the predicate's outcome and the
-// SDW's addressing fields, and its invariant (verdict_cache.h) keeps the
-// SDW resident, so the charges, checks and traps that follow are the
-// same either way. A reference counts its word access too: the caller
-// always makes it once the reference succeeds. A memo hit that completes
-// is tallied (one slot bump for all its counters); one that traps counts
-// directly.
+// memo hit and a descriptor walk differ only in where the check's outcome
+// comes from. The hit is exactly the walk taken with an SDW-cache hit: it
+// reads the descriptor the SDW cache holds, and the slot's verdict
+// memoizes the predicate's outcome against that descriptor and lives only
+// as long as it does (sdw_cache.h), so the charges, checks and traps that
+// follow are the same either way. A reference counts its word access too:
+// the caller always makes it once the reference succeeds. A memo hit that
+// completes is tallied (one slot bump for all its counters); one that
+// traps counts directly.
 
 template <RefKind K>
-bool Cpu::Vouches(const VerdictCache::Entry& memo, Ring ring, Ring effective) const {
-  constexpr bool VerdictCache::Entry::* kVerdict = RuleFor(K).verdict;
-  return !checks_enabled_ || (effective == ring && memo.*kVerdict);
+bool Cpu::Vouches(const SdwCache::Verdict& verdict, Ring ring, Ring effective) const {
+  constexpr bool SdwCache::Verdict::* kBit = RuleFor(K).verdict;
+  return !checks_enabled_ || (effective == ring && verdict.*kBit);
 }
 
 // Forced inline: the memo hit is the per-reference hot path, and each
@@ -342,48 +340,38 @@ template <RefKind K>
 [[gnu::always_inline]] inline bool Cpu::Reference(Segno segno, Wordno wordno, Ring ring,
                                                   Ring effective, Ref* out) {
   constexpr RefRule kRule = RuleFor(K);
-  AbsAddr base = 0;
-  uint64_t bound = 0;
-  bool paged = false;
-  const VerdictCache::Entry* memo = FastVerdict(segno, ring);
-  const bool memo_hit = memo != nullptr && Vouches<K>(*memo, ring, effective);
+  const SdwCache::Memo memo = sdw_cache_.Vouching(segno, ring);
+  const bool memo_hit = memo.sdw != nullptr && Vouches<K>(memo.verdict, ring, effective);
+  Sdw walked;
   if (memo_hit) {
     // Vouched: the check passes (or checks are off), so only its cycles
     // remain to charge.
     if (checks_enabled_) {
       cycles_ += cycle_model_.access_check;
     }
-    base = memo->base;
-    bound = memo->bound;
-    paged = memo->paged;
-    out->r1 = memo->r1;
-    out->flags_execute = memo->flags_execute;
-    out->memoizable = !paged;
+    out->memoizable = !memo.sdw->paged;
   } else {
-    Sdw sdw;
-    if (!FetchSdw(segno, &sdw)) {
+    if (!FetchSdw(segno, &walked)) {
       return false;
     }
-    FillVerdict(segno, ring, sdw);
+    FillVerdict(segno, ring);
     if (checks_enabled_) {
       ++(counters_.*kRule.charge);
       cycles_ += cycle_model_.access_check;
-      if (const TrapCause denial = kRule.check(sdw.access, ring, effective).cause;
+      if (const TrapCause denial = kRule.check(walked.access, ring, effective).cause;
           denial != TrapCause::kNone) {
         RaiseTrap(denial);
         return false;
       }
     }
-    base = sdw.base;
-    bound = sdw.bound;
-    paged = sdw.paged;
-    out->r1 = sdw.access.brackets.r1;
-    out->flags_execute = sdw.access.flags.execute;
   }
-  TrapCause cause = wordno >= bound ? TrapCause::kBoundsViolation : TrapCause::kNone;
+  const Sdw& sdw = memo_hit ? *memo.sdw : walked;
+  out->r1 = sdw.access.brackets.r1;
+  out->flags_execute = sdw.access.flags.execute;
+  TrapCause cause = wordno >= sdw.bound ? TrapCause::kBoundsViolation : TrapCause::kNone;
   if constexpr (K != RefKind::kTransfer) {  // the advance check forms no address
     if (cause == TrapCause::kNone) {
-      cause = Translate(paged, base, segno, wordno, &out->addr);
+      cause = Translate(sdw.paged, sdw.base, segno, wordno, &out->addr);
     }
   }
   if (cause != TrapCause::kNone) {
@@ -505,7 +493,6 @@ bool Cpu::BoundaryInjectionHooks() {
       counters_.block_invalidations += block_cache_.InvalidateSegment(*dropped);
     }
     sdw_cache_.InvalidateIndex(index);
-    verdict_cache_.InvalidateSlot(index);
     ++counters_.verdict_invalidations;
   }
   if (fault_injector_->MaybeSpuriousMissingPage(cycles_, regs_.ipr.segno, regs_.ipr.wordno)) {
@@ -566,12 +553,13 @@ bool Cpu::StepBody() {
 // straight-line block per dispatch instead of re-entering Step per
 // instruction. Each op runs the same instruction boundary (timer, fault
 // hooks, trap-capture state) and charges exactly what the per-instruction
-// path charges when the verdict cache vouches for its fetch, which — by
-// the verdict cache's invariant — is exactly what the slow path charges
-// with an SDW-cache hit. Anything a block cannot vouch for bails to StepBody, the identical
-// per-instruction path, after the boundary it already consumed. The
-// counters of those charges are tallied, and StepBlock settles the tally
-// once, after whichever exit RunBlocks took.
+// path charges when a verdict vouches for its fetch, which — since a
+// verdict lives only as long as its SDW-cache slot — is exactly what the
+// slow path charges with an SDW-cache hit. Anything a block cannot vouch
+// for bails to StepBody, the identical per-instruction path, after the
+// boundary it already consumed. The counters of those charges are
+// tallied, and StepBlock settles the tally once, after whichever exit
+// RunBlocks took.
 
 bool Cpu::StepBlock(uint64_t cycle_bound) {
   const bool retired = RunBlocks(cycle_bound);
@@ -586,7 +574,9 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
   if (!InstructionBoundary()) {
     return false;
   }
-  if (tier_ != EngineTier::kBlocks || !sdw_cache_.enabled()) {
+  // A disabled SDW cache holds no verdict, so ProbeOrBuildBlock builds
+  // nothing under it.
+  if (tier_ != EngineTier::kBlocks) {
     return StepBody();
   }
   BlockCache::Block* b = ProbeOrBuildBlock();
@@ -749,24 +739,24 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
 }
 
 // Block formation: decode consecutive words live from the addresses the
-// fetches would form under the verdict `v`, stopping at the segment bound,
-// the gate-region boundary, a paged word without a TLB translation, a word
-// outside the core store or that does not decode (the per-instruction path
-// latches or traps on it), an op the current ring may not execute (it must
-// trap on the per-instruction path), and — inclusively — any control
-// transfer or trap-raising/privileged terminator. A segment without the
-// execute flag builds nothing: with checks off it still runs, but a store
-// through its SDW retires no block (NoteStore).
-BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
-  if (!v.flags_execute) {
+// fetches would form under the fetch verdict `v` and its resident SDW,
+// stopping at the segment bound, the gate-region boundary, a paged word
+// without a TLB translation, a word outside the core store or that does
+// not decode (the per-instruction path latches or traps on it), an op the
+// current ring may not execute (it must trap on the per-instruction path),
+// and — inclusively — any control transfer or trap-raising/privileged
+// terminator. A segment without the execute flag builds nothing: with
+// checks off it still runs, but a store through its SDW retires no block
+// (NoteStore).
+BlockCache::Block* Cpu::TryBuildBlock(const SdwCache::Memo& v) {
+  const Sdw& sdw = *v.sdw;
+  if (!sdw.access.flags.execute) {
     return nullptr;
   }
   const Segno segno = regs_.ipr.segno;
   const Wordno start = regs_.ipr.wordno;
-  // The verdict's invariant guarantees the SDW is resident; its gate
-  // count marks the boundary a straight-line run may not cross.
-  const auto sdw = sdw_cache_.Peek(segno);
-  const uint32_t gate = sdw.has_value() ? sdw->access.gate_count : 0;
+  // The gate count marks the boundary a straight-line run may not cross.
+  const uint32_t gate = sdw.access.gate_count;
 
   BlockCache::Block* b = block_cache_.SlotFor(segno, start);
   b->gen = 0;  // unpublish whatever the slot held while we fill it
@@ -778,20 +768,22 @@ BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
   // DESIGN.md §7): unpaged, so its address is fixed under the block's
   // verdict; ring hardware, so Figure 5 raises the ring; the verdict
   // vouches for the indirect read; and no injector draws on the hop.
-  const bool hops = !v.paged && mode_ == ProtectionMode::kRingHardware &&
-                    (!checks_enabled_ || v.indirect_ok) && fault_injector_ == nullptr;
+  const Ring ring = v.verdict.ring;
+  const bool hops = !sdw.paged && mode_ == ProtectionMode::kRingHardware &&
+                    Vouches<RefKind::kIndirect>(v.verdict, ring, ring) &&
+                    fault_injector_ == nullptr;
   uint16_t count = 0;
   while (count < BlockCache::kMaxOps) {
     const Wordno w = start + count;
-    if (w >= v.bound) {
+    if (w >= sdw.bound) {
       break;
     }
     if (count != 0 && start < gate && w >= gate) {
       break;  // falling out of the gate region ends the block
     }
-    AbsAddr addr = v.base + w;
-    if (v.paged) {
-      const Tlb::Entry* t = tlb_.Lookup(segno, w >> kPageShift, v.base);
+    AbsAddr addr = sdw.base + w;
+    if (sdw.paged) {
+      const Tlb::Entry* t = tlb_.Lookup(segno, w >> kPageShift, sdw.base);
       if (t == nullptr) {
         break;
       }
@@ -816,17 +808,17 @@ BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
     op.memo = 0;
     const int32_t link = ins.offset;
     if (hops && op.needs_ea && ins.indirect && !ins.pr_relative && ins.tag == 0 &&
-        link >= 0 && static_cast<uint64_t>(link) < v.bound &&
-        v.base + link < memory_->size()) {
+        link >= 0 && static_cast<uint64_t>(link) < sdw.bound &&
+        sdw.base + link < memory_->size()) {
       // In bounds and in store: this read can latch no fault. A store into
       // the word through this executable segment drops the block
       // (NoteStore), so the hop lives exactly as long as the decodes. An
       // unsnapped link (F bit) is left to trap on the full path.
-      const IndirectWord iw = DecodeIndirectWord(memory_->Read(v.base + link));
+      const IndirectWord iw = DecodeIndirectWord(memory_->Read(sdw.base + link));
       if (!iw.fault) {
         op.hop = true;
         op.hop_indirect = iw.indirect;
-        op.hop_ring = MaxRing(regs_.ipr.ring, iw.ring, v.r1);
+        op.hop_ring = MaxRing(regs_.ipr.ring, iw.ring, sdw.access.brackets.r1);
         op.hop_segno = static_cast<uint16_t>(iw.segno);
         op.hop_wordno = iw.wordno;
       }
@@ -844,9 +836,9 @@ BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
   b->count = count;
   b->ring = regs_.ipr.ring;
   b->checks = checks_enabled_;
-  b->paged = v.paged;
-  b->base = v.base;
-  b->op_charge = cycle_model_.instruction_base + VouchedFetchCycles(v.paged);
+  b->paged = sdw.paged;
+  b->base = sdw.base;
+  b->op_charge = cycle_model_.instruction_base + VouchedFetchCycles(sdw.paged);
   b->hop_charge = (checks_enabled_ ? cycle_model_.access_check : 0) + cycle_model_.memory_ref;
   b->chain_ok = ChainEligible(b->ops[count - 1].ins.opcode);
   b->gen = block_cache_.generation();
@@ -879,18 +871,18 @@ bool Cpu::EndsBlock(Opcode op) {
 // verdict probe, block-cache probe with revalidation, rebuild on miss.
 BlockCache::Block* Cpu::ProbeOrBuildBlock() {
   const Ring ring = EffectiveRing(regs_.ipr.ring);
-  const VerdictCache::Entry* v = FastVerdict(regs_.ipr.segno, ring);
-  if (v == nullptr || !Vouches<RefKind::kFetch>(*v, ring, ring)) {
+  const SdwCache::Memo v = sdw_cache_.Vouching(regs_.ipr.segno, ring);
+  if (v.sdw == nullptr || !Vouches<RefKind::kFetch>(v.verdict, ring, ring)) {
     return nullptr;
   }
   BlockCache::Block* b = block_cache_.LookupMutable(regs_.ipr.segno, regs_.ipr.wordno);
-  if (b != nullptr && BlockCurrent(*b, *v)) {
+  if (b != nullptr && BlockCurrent(*b, *v.sdw)) {
     ++counters_.block_hits;
     return b;
   }
-  // Miss or stale under the current verdict/mode: rebuild in place from
+  // Miss or stale under the current descriptor/mode: rebuild in place from
   // the words the store holds right now.
-  return TryBuildBlock(*v);
+  return TryBuildBlock(v);
 }
 
 // Whether a block ending in `op` may chain straight into its successor.
@@ -1013,7 +1005,7 @@ bool Cpu::ChaseIndirectWords(unsigned depth) {
 }
 
 // The memo-hit accesses of RunBlocks' in-loop forms. A block op's operand
-// memo is filled by a reference the verdict cache answered for an unpaged
+// memo is filled by a reference a verdict answered for an unpaged
 // segment, at the block-cache version of the fill: every event that could
 // retire that verdict, the SDW behind it or its residency bumps the
 // version (DESIGN.md §7, "Resolved operands"). A hit charges and tallies

@@ -22,7 +22,6 @@
 #include "src/cpu/sdw_cache.h"
 #include "src/cpu/tlb.h"
 #include "src/cpu/trap.h"
-#include "src/cpu/verdict_cache.h"
 #include "src/isa/indirect_word.h"
 #include "src/isa/instruction.h"
 #include "src/mem/descriptor_segment.h"
@@ -59,8 +58,8 @@ enum class RefKind { kFetch, kIndirect, kRead, kWrite, kTransfer };
 // fault-injection stream are bit-identical on every tier (every
 // engine-equivalence test and the fuzz oracle run all of kEngineTiers).
 //   kBlocks:        superblocks (StepBlock) with block-to-block chaining.
-//   kCached:        the access-verdict cache and the software TLB, one
-//                   instruction per dispatch.
+//   kCached:        the access verdicts (SdwCache) and the software TLB,
+//                   one instruction per dispatch.
 //   kReference:     the per-instruction reference path, no host caches.
 enum class EngineTier { kBlocks, kCached, kReference };
 inline constexpr EngineTier kEngineTiers[] = {EngineTier::kBlocks, EngineTier::kCached,
@@ -104,17 +103,17 @@ class Cpu {
   SdwCache& sdw_cache() { return sdw_cache_; }
   const SdwCache& sdw_cache() const { return sdw_cache_; }
 
-  // The host engine tier (EngineTier). Switching flushes every host-side
-  // cache, so no entry filled under one tier answers under another. The
-  // host caches also disengage while the SDW cache is disabled, so the
+  // The host engine tier (EngineTier). Switching drops every host-side
+  // memo (the SDW cache keeps its descriptors, which are architectural),
+  // so no entry filled under one tier answers under another. The host
+  // caches also disengage while the SDW cache is disabled, so the
   // ablation benchmarks measure what they claim to.
   void set_engine_tier(EngineTier tier) {
     tier_ = tier;
-    verdict_cache_.Flush();
+    sdw_cache_.ClearVerdicts();
     tlb_.Flush();
     block_cache_.Flush();
   }
-  const VerdictCache& verdict_cache() const { return verdict_cache_; }
   const Tlb& tlb() const { return tlb_; }
   const BlockCache& block_cache() const { return block_cache_; }
 
@@ -176,12 +175,11 @@ class Cpu {
   void SetDbr(const DbrValue& dbr);
 
   // Must be called whenever supervisor code edits an SDW that this
-  // processor may have cached. Also drops the derived fast-path state: a
-  // new descriptor may change verdicts, the segment's base, or what the
-  // segment's words decode to.
+  // processor may have cached. The SDW cache drops the slot's verdict with
+  // it; this also drops the other derived fast-path state: a new
+  // descriptor may change the segment's base or what its words decode to.
   void InvalidateSdw(Segno segno) {
     sdw_cache_.Invalidate(segno);
-    verdict_cache_.InvalidateSegment(segno);
     // The descriptor may have pointed the segment at a different page
     // table; every translation derived through it is suspect.
     tlb_.InvalidateSegment(segno);
@@ -190,7 +188,7 @@ class Cpu {
     ++counters_.tlb_invalidations;
   }
   void FlushSdwCache() {
-    sdw_cache_.Flush();  // epoch bump retires every verdict
+    sdw_cache_.Flush();  // and every verdict with it
     tlb_.Flush();
     block_cache_.Flush();
     ++counters_.verdict_invalidations;
@@ -338,17 +336,17 @@ class Cpu {
 
   // --- superblock engine (see DESIGN.md) ---
   // Whether `block` still describes what the per-instruction path would
-  // do at (segno, start) under the current verdict `v`.
-  bool BlockCurrent(const BlockCache::Block& block, const VerdictCache::Entry& v) const {
+  // do at (segno, start) under the resident descriptor `sdw`.
+  bool BlockCurrent(const BlockCache::Block& block, const Sdw& sdw) const {
     return block.ring == regs_.ipr.ring && block.checks == checks_enabled_ &&
-           block.paged == v.paged && block.base == v.base &&
-           static_cast<uint64_t>(block.start) + block.count <= v.bound;
+           block.paged == sdw.paged && block.base == sdw.base &&
+           static_cast<uint64_t>(block.start) + block.count <= sdw.bound;
   }
   // Decodes the straight-line run starting at the current IPR into a
-  // block under the verdict `v`; returns nullptr when not even its first
-  // word may be held. Mutable: the chaining engine patches successor
+  // block under the fetch verdict `v`; returns nullptr when not even its
+  // first word may be held. Mutable: the chaining engine patches successor
   // links into published blocks.
-  BlockCache::Block* TryBuildBlock(const VerdictCache::Entry& v);
+  BlockCache::Block* TryBuildBlock(const SdwCache::Memo& v);
   // The full dispatch preamble of StepBlock: verdict probe, block lookup
   // (counting a hit) or build. Returns nullptr when the per-instruction
   // path must take this dispatch.
@@ -428,24 +426,24 @@ class Cpu {
     AbsAddr addr = 0;            // absolute address (not formed for transfers)
     Ring r1 = 0;                 // SDW.R1, for Figure 5's ring maximization
     bool flags_execute = false;  // SDW execute flag, for NoteStore
-    // The verdict cache answered and the segment is unpaged: `addr` stays
+    // A verdict answered and the segment is unpaged: `addr` stays
     // valid for this (segno, ring) until the block-cache version moves, so
     // a block op's operand memo may keep it (KeepOperand).
     bool memoizable = false;
   };
   // The one routine every Figure 4-7 reference runs: take the descriptor
-  // facts from the verdict cache when it vouches for (segno, ring), else
+  // from the SDW cache slot whose verdict vouches for (segno, ring), else
   // from FetchSdw plus the kind's Check* predicate; then charge the check,
   // trap a denial, check bounds, and translate. `ring` keys the verdict;
   // `effective` differs from it only for transfers. Raises the trap and
   // returns false on any failure.
   template <RefKind K>
   bool Reference(Segno segno, Wordno wordno, Ring ring, Ring effective, Ref* out);
-  // Whether `memo` answers the kind's check at (ring, effective) without
-  // a descriptor walk.
+  // Whether `verdict` answers the kind's check at (ring, effective)
+  // without a descriptor walk.
   template <RefKind K>
-  bool Vouches(const VerdictCache::Entry& memo, Ring ring, Ring effective) const;
-  // Counts one reference the verdict cache answered but that trapped
+  bool Vouches(const SdwCache::Verdict& verdict, Ring ring, Ring effective) const;
+  // Counts one reference a verdict answered but that trapped
   // before its word access: the SDW-cache hit the descriptor walk would
   // have counted, without the probe. A memo hit that completes is tallied
   // instead (see tally_).
@@ -454,7 +452,7 @@ class Cpu {
     ++counters_.sdw_cache_hits;
     sdw_cache_.CountHits(1);
   }
-  // The cycles of a fetch the verdict cache vouches for (a memo-hit
+  // The cycles of a fetch a verdict vouches for (a memo-hit
   // Reference<kFetch> with a TLB-hit page walk when paged, plus the word
   // read): what a block folds into each op's charge (Block::op_charge).
   uint64_t VouchedFetchCycles(bool paged) const {
@@ -497,8 +495,8 @@ class Cpu {
   Word MemoRead(const BlockCache::Op& op);
   void MemoWrite(const BlockCache::Op& op, Word value);
   void MemoTransfer();
-  // Fills operand_memo_ for `kind` from a reference that `ref` says the
-  // verdict cache answered for an unpaged segment.
+  // Fills operand_memo_ for `kind` from a reference that `ref` says a
+  // verdict answered for an unpaged segment.
   void KeepOperand(uint8_t kind, const Ref& ref);
 
   // The supervisor's validated (`ring` set) and raw accesses: one
@@ -509,28 +507,18 @@ class Cpu {
 
   // --- host-side fast path (see DESIGN.md) ---
 
-  // Probes the verdict cache for (segno, effective ring). Non-null only
-  // when the memo is live: fast path enabled, SDW cache enabled, entry
-  // present with the current flush epoch. Whether it answers a given
-  // reference is Vouches' call.
-  const VerdictCache::Entry* FastVerdict(Segno segno, Ring ring) {
-    if (tier_ == EngineTier::kReference || !sdw_cache_.enabled()) {
-      return nullptr;
-    }
-    return verdict_cache_.Lookup(segno, ring, sdw_cache_.flush_epoch());
-  }
   // Memoizes the descriptor walk Reference just made (FetchSdw left the
-  // descriptor resident in the SDW cache): every kind's check outcome for
-  // `ring`, plus the SDW fields Reference reads on a later memo hit.
-  void FillVerdict(Segno segno, Ring ring, const Sdw& sdw) {
-    if (tier_ == EngineTier::kReference || !sdw_cache_.enabled()) {
-      return;
+  // descriptor resident in the SDW cache) as the slot's verdict for
+  // `ring`. The reference tier fills none, and set_engine_tier clears
+  // them, so on that tier no probe (SdwCache::Vouching) ever hits.
+  void FillVerdict(Segno segno, Ring ring) {
+    if (tier_ != EngineTier::kReference && sdw_cache_.FillVerdict(segno, ring)) {
+      ++counters_.verdict_misses;
     }
-    ++counters_.verdict_misses;
-    verdict_cache_.Fill(segno, ring, sdw_cache_.flush_epoch(), sdw);
   }
-  // Whether the TLB may be consulted: same gating as the verdict cache,
-  // so the ablation benchmarks (SDW cache off) measure what they claim.
+  // Whether the TLB may be consulted: off on the reference tier and while
+  // the SDW cache (and so every verdict) is off, so the ablation
+  // benchmarks (SDW cache off) measure what they claim.
   bool TlbEnabled() const { return tier_ != EngineTier::kReference && sdw_cache_.enabled(); }
   // Post-store bookkeeping shared by the guest and supervisor write
   // paths: retires the segment's blocks when the target is executable, and
@@ -586,7 +574,6 @@ class Cpu {
 
   SdwCache sdw_cache_;
   EngineTier tier_ = EngineTier::kBlocks;
-  VerdictCache verdict_cache_;
   Tlb tlb_;
   bool block_call_ablation_ = false;
   BlockCache block_cache_;

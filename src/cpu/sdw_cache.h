@@ -3,6 +3,16 @@
 // translation did not walk the descriptor segment on every reference; the
 // cycle model charges a descriptor fetch only on a miss. The cache must be
 // flushed whenever the DBR changes or the supervisor edits an SDW.
+//
+// Each slot also carries a host-only access verdict: the bracket checks
+// of Figures 4-6 evaluated once against the slot's descriptor for one
+// effective ring. The processor answers a reference from it instead of
+// re-running the checks (Cpu::Reference). A verdict is valid only while
+// its SDW stays resident, unchanged, in the same slot: every operation
+// that writes a slot (Insert, Invalidate, InvalidateIndex, Flush, and so
+// RestoreState) clears that slot's verdict, so the invariant holds by
+// construction. Verdicts change nothing the simulated machine can
+// observe and are not machine state: State does not carry them.
 #ifndef SRC_CPU_SDW_CACHE_H_
 #define SRC_CPU_SDW_CACHE_H_
 
@@ -10,6 +20,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "src/core/ring.h"
 #include "src/mem/sdw.h"
 #include "src/mem/word.h"
 
@@ -57,7 +68,9 @@ class SdwCache {
     if (!enabled_) {
       return;
     }
-    entries_[segno % kEntries] = Entry{true, segno, sdw};
+    const size_t index = segno % kEntries;
+    entries_[index] = Entry{true, segno, sdw};
+    verdicts_[index] = Verdict{};
   }
   void Invalidate(Segno segno);
   // Invalidates by cache index rather than segment number (fault injection:
@@ -81,30 +94,63 @@ class SdwCache {
   // hits in here once per dispatch (Cpu::SettleTally).
   void CountHits(uint64_t n) const { hits_ += n; }
 
-  // Incremented by every Flush (DBR reload, enable toggle, supervisor
-  // flush). Derived caches stamp entries with this epoch so a flush
-  // invalidates them in O(1).
-  uint64_t flush_epoch() const { return flush_epoch_; }
+  // --- access verdicts (host-only; see the file comment) ----------------
+  // The outcome of each Check* predicate for `ring` against the slot's
+  // descriptor. CheckIndirectRead is CheckRead, so read_ok answers both.
+  struct Verdict {
+    bool valid = false;
+    Ring ring = 0;
+    bool read_ok = false;
+    bool write_ok = false;
+    bool execute_ok = false;
+  };
+  // A probe hit: the resident descriptor and the verdict derived from it.
+  // `sdw` points into the slot, so it holds only until the next operation
+  // that writes a slot.
+  struct Memo {
+    const Sdw* sdw = nullptr;  // nullptr: no verdict for (segno, ring)
+    Verdict verdict;
+  };
+  // The slot's verdict when it holds `segno` with a verdict for `ring`.
+  // Pure probe: no statistics, no state change.
+  Memo Vouching(Segno segno, Ring ring) const {
+    const size_t index = segno % kEntries;
+    const Verdict& v = verdicts_[index];
+    const Entry& e = entries_[index];
+    if (v.valid && v.ring == ring && e.segno == segno) {
+      return Memo{&e.sdw, v};
+    }
+    return Memo{};
+  }
+  // Derives the verdict for `ring` from the descriptor resident for
+  // `segno`. Returns false, filling nothing, when the slot does not hold
+  // `segno` (a disabled cache holds nothing).
+  bool FillVerdict(Segno segno, Ring ring);
+  // Drops every verdict and keeps every descriptor (an engine-tier switch:
+  // flushing the descriptors would change the simulated machine's misses).
+  void ClearVerdicts() { verdicts_ = {}; }
 
   // --- machine state (Machine::CaptureState / RestoreState) -------------
   // The descriptor cache is timing-architectural: the cycle model charges
   // a descriptor fetch only on a miss and hits/misses feed architectural
   // counters, so a cloned or restored machine must resume with the exact
-  // entries and statistics the original had (unlike the host-only verdict,
-  // insn, TLB and block caches, which are dropped and rebuilt).
+  // entries and statistics the original had (unlike the host-only
+  // verdicts, TLB and block cache, which are dropped and rebuilt).
   struct Entry {
     bool valid = false;
     Segno segno = 0;
     Sdw sdw;
+    bool operator==(const Entry&) const = default;
   };
   struct State {
     bool enabled = true;
     uint64_t hits = 0;
     uint64_t misses = 0;
     std::array<Entry, kEntries> entries{};
+    bool operator==(const State&) const = default;
   };
   State CaptureState() const { return State{enabled_, hits_, misses_, entries_}; }
-  // Bumps the flush epoch, so derived caches drop whatever they stamped.
+  // Restores with no verdicts: set_enabled flushes them with the entries.
   void RestoreState(const State& state) {
     set_enabled(state.enabled);
     hits_ = state.hits;
@@ -116,8 +162,8 @@ class SdwCache {
   bool enabled_ = true;
   mutable uint64_t hits_ = 0;
   mutable uint64_t misses_ = 0;
-  uint64_t flush_epoch_ = 0;
   std::array<Entry, kEntries> entries_{};
+  std::array<Verdict, kEntries> verdicts_{};  // verdicts_[i] derives from entries_[i]
 };
 
 }  // namespace rings

@@ -2,19 +2,19 @@
 // treats paging as "totally transparent to an executing machine language
 // program", so the walk is pure per-reference overhead for the simulator
 // to re-derive; this cache holds (segno, pageno) -> frame translations the
-// way the verdict cache holds access verdicts.
+// way the SDW cache's slots hold access verdicts.
 //
 // An entry is a fact about the core store: "the PTW at table_base + pageno
 // decodes to a present page at `frame`". It is keyed by the page table's
 // base address as well as by (segno, pageno), so a descriptor edit that
 // moves a segment's page table can never revalidate a stale translation —
 // the caller always probes with the base of the descriptor it currently
-// trusts (a current verdict entry or a freshly fetched SDW). What remains
+// trusts (the resident SDW behind a verdict, or a fresh fetch). What remains
 // is exactly one staleness vector, a store to the PTW word itself, and
 // NoteStore snoops every store for that (a membership filter keeps the
 // common non-PTW store to one bit test).
 //
-// Like the verdict cache, the TLB is purely derived state: the walk's
+// Like the access verdicts, the TLB is purely derived state: the walk's
 // cycle charge and page_walks counter are applied by the processor whether
 // the translation comes from the TLB or from the core store, missing pages
 // always take the slow path (absent PTWs are never cached), and the

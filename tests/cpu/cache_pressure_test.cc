@@ -5,7 +5,7 @@
 //
 //   1. a displaced entry never answers for its old key (no stale hits
 //      after eviction), and
-//   2. a re-fill after displacement or an epoch/generation bump serves
+//   2. a re-fill after displacement or a flush/generation bump serves
 //      the *new* contents, not a resurrected old entry.
 //
 // The caches are purely derived state, so these are host-only unit tests:
@@ -13,8 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "src/cpu/block_cache.h"
+#include "src/cpu/sdw_cache.h"
 #include "src/cpu/tlb.h"
-#include "src/cpu/verdict_cache.h"
 #include "src/mem/page_table.h"
 #include "tests/testutil.h"
 
@@ -22,8 +22,8 @@ namespace rings {
 namespace {
 
 // ---------------------------------------------------------------------------
-// VerdictCache: 16 direct-mapped slots, indexed segno % kEntries. Segments
-// segno and segno + kEntries collide.
+// SdwCache verdicts: 16 direct-mapped slots, indexed segno % kEntries.
+// Segments segno and segno + kEntries collide.
 // ---------------------------------------------------------------------------
 
 Sdw PressureSdw(AbsAddr base, uint64_t bound = 32) {
@@ -35,49 +35,56 @@ Sdw PressureSdw(AbsAddr base, uint64_t bound = 32) {
   return sdw;
 }
 
-TEST(VerdictCachePressure, CollidingFillDisplacesAndNeverAliases) {
-  VerdictCache cache;
-  constexpr uint64_t kEpoch = 1;
-  // Fill every slot, then a full second wave that collides slot-for-slot.
-  for (Segno s = 0; s < VerdictCache::kEntries; ++s) {
-    cache.Fill(s, 4, kEpoch, PressureSdw(1000 + 100 * s));
-  }
-  for (Segno s = 0; s < VerdictCache::kEntries; ++s) {
-    const Segno hi = s + VerdictCache::kEntries;
-    cache.Fill(hi, 4, kEpoch, PressureSdw(5000 + 100 * s));
-  }
-  for (Segno s = 0; s < VerdictCache::kEntries; ++s) {
-    const Segno hi = s + VerdictCache::kEntries;
-    // The displaced first-wave segment must miss, not alias the winner.
-    EXPECT_EQ(cache.Lookup(s, 4, kEpoch), nullptr) << "stale hit for segno " << s;
-    const VerdictCache::Entry* e = cache.Lookup(hi, 4, kEpoch);
-    ASSERT_NE(e, nullptr) << "lost fill for segno " << hi;
-    EXPECT_EQ(e->base, 5000u + 100 * s);
-  }
-  // Re-fill of a displaced segment reclaims its slot with fresh contents.
-  cache.Fill(3, 4, kEpoch, PressureSdw(7777));
-  const VerdictCache::Entry* e = cache.Lookup(3, 4, kEpoch);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->base, 7777u);
-  EXPECT_EQ(cache.Lookup(3 + VerdictCache::kEntries, 4, kEpoch), nullptr);
+// Makes `sdw` resident for `segno` with its ring-4 verdict filled.
+void Fill(SdwCache& cache, Segno segno, const Sdw& sdw) {
+  cache.Insert(segno, sdw);
+  ASSERT_TRUE(cache.FillVerdict(segno, 4));
 }
 
-TEST(VerdictCachePressure, EpochBumpRetiresEveryResidentVerdict) {
-  VerdictCache cache;
-  for (Segno s = 0; s < VerdictCache::kEntries; ++s) {
-    cache.Fill(s, 4, /*epoch=*/1, PressureSdw(1000 + s));
+TEST(SdwCacheVerdictPressure, CollidingFillDisplacesAndNeverAliases) {
+  SdwCache cache;
+  // Fill every slot, then a full second wave that collides slot-for-slot.
+  for (Segno s = 0; s < SdwCache::kEntries; ++s) {
+    Fill(cache, s, PressureSdw(1000 + 100 * s));
   }
-  // The SDW cache flushed: every probe at the new epoch must miss even
-  // though the slots are still populated.
-  for (Segno s = 0; s < VerdictCache::kEntries; ++s) {
-    EXPECT_EQ(cache.Lookup(s, 4, /*epoch=*/2), nullptr) << "stale epoch hit, segno " << s;
+  for (Segno s = 0; s < SdwCache::kEntries; ++s) {
+    const Segno hi = s + SdwCache::kEntries;
+    Fill(cache, hi, PressureSdw(5000 + 100 * s));
   }
-  // Refill at the new epoch supersedes the stale entry.
-  cache.Fill(5, 4, /*epoch=*/2, PressureSdw(4242));
-  const VerdictCache::Entry* e = cache.Lookup(5, 4, /*epoch=*/2);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->base, 4242u);
-  EXPECT_EQ(cache.Lookup(5, 4, /*epoch=*/1), nullptr);
+  for (Segno s = 0; s < SdwCache::kEntries; ++s) {
+    const Segno hi = s + SdwCache::kEntries;
+    // The displaced first-wave segment must miss, not alias the winner.
+    EXPECT_EQ(cache.Vouching(s, 4).sdw, nullptr) << "stale hit for segno " << s;
+    const SdwCache::Memo m = cache.Vouching(hi, 4);
+    ASSERT_NE(m.sdw, nullptr) << "lost fill for segno " << hi;
+    EXPECT_EQ(m.sdw->base, 5000u + 100 * s);
+  }
+  // Re-fill of a displaced segment reclaims its slot with fresh contents.
+  Fill(cache, 3, PressureSdw(7777));
+  const SdwCache::Memo m = cache.Vouching(3, 4);
+  ASSERT_NE(m.sdw, nullptr);
+  EXPECT_EQ(m.sdw->base, 7777u);
+  EXPECT_EQ(cache.Vouching(3 + SdwCache::kEntries, 4).sdw, nullptr);
+}
+
+TEST(SdwCacheVerdictPressure, FlushRetiresEveryResidentVerdict) {
+  SdwCache cache;
+  for (Segno s = 0; s < SdwCache::kEntries; ++s) {
+    Fill(cache, s, PressureSdw(1000 + s));
+  }
+  // The SDW cache flushed: every probe must miss.
+  cache.Flush();
+  for (Segno s = 0; s < SdwCache::kEntries; ++s) {
+    EXPECT_EQ(cache.Vouching(s, 4).sdw, nullptr) << "stale hit after flush, segno " << s;
+  }
+  // A descriptor fetched again after the flush holds no verdict until one
+  // is filled from it, and the refill serves the new descriptor.
+  cache.Insert(5, PressureSdw(4242));
+  EXPECT_EQ(cache.Vouching(5, 4).sdw, nullptr);
+  ASSERT_TRUE(cache.FillVerdict(5, 4));
+  const SdwCache::Memo m = cache.Vouching(5, 4);
+  ASSERT_NE(m.sdw, nullptr);
+  EXPECT_EQ(m.sdw->base, 4242u);
 }
 
 // ---------------------------------------------------------------------------

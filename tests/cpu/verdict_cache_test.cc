@@ -1,17 +1,18 @@
-// The access-verdict cache (the host-side fast path): unit behavior of the
-// cache itself, plus bare-machine checks that the fast path engages, never
-// changes simulated cycles, retires verdicts on flush/ring/epoch changes,
-// and sees self-modifying code.
+// The access verdicts the SDW cache keeps per slot (the host-side fast
+// path): unit behavior of the verdict API, plus bare-machine checks that
+// the fast path engages, never changes simulated cycles, retires verdicts
+// on flush/ring changes, and sees self-modifying code.
 #include <gtest/gtest.h>
 
-#include "src/cpu/verdict_cache.h"
+#include "src/core/access.h"
+#include "src/cpu/sdw_cache.h"
 #include "tests/testutil.h"
 
 namespace rings {
 namespace {
 
 // ---------------------------------------------------------------------------
-// VerdictCache unit behavior.
+// SdwCache verdict unit behavior.
 // ---------------------------------------------------------------------------
 
 Sdw TestSdw(const SegmentAccess& access, AbsAddr base = 1000, uint64_t bound = 16) {
@@ -23,68 +24,128 @@ Sdw TestSdw(const SegmentAccess& access, AbsAddr base = 1000, uint64_t bound = 1
   return sdw;
 }
 
-TEST(VerdictCacheUnit, FillComputesPerRingVerdicts) {
-  VerdictCache cache;
+// Makes `sdw` resident for `segno` and fills its verdict for `ring`.
+void InsertAndFill(SdwCache& cache, Segno segno, Ring ring, const Sdw& sdw) {
+  cache.Insert(segno, sdw);
+  ASSERT_TRUE(cache.FillVerdict(segno, ring));
+}
+
+TEST(SdwCacheVerdict, FillComputesPerRingVerdicts) {
+  SdwCache cache;
   // Data segment: write bracket [0,2], read bracket [0,4].
-  cache.Fill(7, 4, 1, TestSdw(MakeDataSegment(2, 4)));
-  const VerdictCache::Entry* e = cache.Lookup(7, 4, 1);
-  ASSERT_NE(e, nullptr);
-  EXPECT_TRUE(e->read_ok);
-  EXPECT_FALSE(e->write_ok);  // ring 4 above the write bracket
-  EXPECT_FALSE(e->execute_ok);
-  EXPECT_TRUE(e->indirect_ok);
-  EXPECT_EQ(e->base, 1000u);
-  EXPECT_EQ(e->bound, 16u);
-  EXPECT_FALSE(e->paged);
-  EXPECT_FALSE(e->flags_execute);
+  InsertAndFill(cache, 7, 4, TestSdw(MakeDataSegment(2, 4)));
+  SdwCache::Memo m = cache.Vouching(7, 4);
+  ASSERT_NE(m.sdw, nullptr);
+  EXPECT_TRUE(m.verdict.read_ok);
+  EXPECT_FALSE(m.verdict.write_ok);  // ring 4 above the write bracket
+  EXPECT_FALSE(m.verdict.execute_ok);
+  // The read bit answers Figure 5's indirect read too.
+  EXPECT_TRUE(CheckIndirectRead(m.sdw->access, 4).ok());
+  EXPECT_EQ(m.sdw->base, 1000u);
+  EXPECT_EQ(m.sdw->bound, 16u);
+  EXPECT_FALSE(m.sdw->paged);
+  EXPECT_FALSE(m.sdw->access.flags.execute);
 
-  cache.Fill(7, 2, 1, TestSdw(MakeDataSegment(2, 4)));
-  e = cache.Lookup(7, 2, 1);
-  ASSERT_NE(e, nullptr);
-  EXPECT_TRUE(e->write_ok);  // ring 2 is inside the write bracket
+  ASSERT_TRUE(cache.FillVerdict(7, 2));
+  m = cache.Vouching(7, 2);
+  ASSERT_NE(m.sdw, nullptr);
+  EXPECT_TRUE(m.verdict.write_ok);  // ring 2 is inside the write bracket
 }
 
-TEST(VerdictCacheUnit, LookupDemandsExactSegnoRingEpoch) {
-  VerdictCache cache;
-  cache.Fill(7, 4, 3, TestSdw(MakeDataSegment(2, 4)));
-  EXPECT_NE(cache.Lookup(7, 4, 3), nullptr);
+TEST(SdwCacheVerdict, ProbeDemandsExactSegnoAndRing) {
+  SdwCache cache;
+  InsertAndFill(cache, 7, 4, TestSdw(MakeDataSegment(2, 4)));
+  EXPECT_NE(cache.Vouching(7, 4).sdw, nullptr);
   // A different ring was never vouched for.
-  EXPECT_EQ(cache.Lookup(7, 3, 3), nullptr);
-  // A flush-epoch bump retires the verdict.
-  EXPECT_EQ(cache.Lookup(7, 4, 4), nullptr);
+  EXPECT_EQ(cache.Vouching(7, 3).sdw, nullptr);
   // A different segment mapping to the same slot misses.
-  EXPECT_EQ(cache.Lookup(7 + static_cast<Segno>(VerdictCache::kEntries), 4, 3), nullptr);
-}
-
-TEST(VerdictCacheUnit, InvalidateSegmentSlotAndFlush) {
-  VerdictCache cache;
-  cache.Fill(7, 4, 1, TestSdw(MakeDataSegment(2, 4)));
-  cache.InvalidateSegment(7);
-  EXPECT_EQ(cache.Lookup(7, 4, 1), nullptr);
-
-  cache.Fill(7, 4, 1, TestSdw(MakeDataSegment(2, 4)));
-  cache.InvalidateSlot(7 % VerdictCache::kEntries);
-  EXPECT_EQ(cache.Lookup(7, 4, 1), nullptr);
-
-  cache.Fill(7, 4, 1, TestSdw(MakeDataSegment(2, 4)));
+  EXPECT_EQ(cache.Vouching(7 + static_cast<Segno>(SdwCache::kEntries), 4).sdw, nullptr);
+  // Flush retires the verdict, and the descriptor coming back brings no
+  // verdict with it.
   cache.Flush();
-  EXPECT_EQ(cache.Lookup(7, 4, 1), nullptr);
+  EXPECT_EQ(cache.Vouching(7, 4).sdw, nullptr);
+  cache.Insert(7, TestSdw(MakeDataSegment(2, 4)));
+  EXPECT_EQ(cache.Vouching(7, 4).sdw, nullptr);
+  // Only a resident descriptor can be vouched for, and a disabled cache
+  // holds none.
+  EXPECT_FALSE(cache.FillVerdict(8, 4));
+  cache.set_enabled(false);
+  cache.Insert(7, TestSdw(MakeDataSegment(2, 4)));
+  EXPECT_FALSE(cache.FillVerdict(7, 4));
+  EXPECT_EQ(cache.Vouching(7, 4).sdw, nullptr);
 }
 
-TEST(VerdictCacheUnit, ExecuteVerdictTracksBracketFloor) {
-  VerdictCache cache;
-  // Procedure segment executable only in [2,3].
-  cache.Fill(9, 4, 1, TestSdw(MakeProcedureSegment(2, 3)));
-  const VerdictCache::Entry* e = cache.Lookup(9, 4, 1);
-  ASSERT_NE(e, nullptr);
-  EXPECT_FALSE(e->execute_ok);  // ring 4 above the execute bracket
-  EXPECT_TRUE(e->flags_execute);
-  EXPECT_EQ(e->r1, 2u);
+TEST(SdwCacheVerdict, InvalidateSegmentSlotAndFlush) {
+  SdwCache cache;
+  InsertAndFill(cache, 7, 4, TestSdw(MakeDataSegment(2, 4)));
+  cache.Invalidate(7);
+  EXPECT_EQ(cache.Vouching(7, 4).sdw, nullptr);
 
-  cache.Fill(9, 3, 1, TestSdw(MakeProcedureSegment(2, 3)));
-  e = cache.Lookup(9, 3, 1);
-  ASSERT_NE(e, nullptr);
-  EXPECT_TRUE(e->execute_ok);
+  InsertAndFill(cache, 7, 4, TestSdw(MakeDataSegment(2, 4)));
+  cache.InvalidateIndex(7 % SdwCache::kEntries);
+  EXPECT_EQ(cache.Vouching(7, 4).sdw, nullptr);
+
+  InsertAndFill(cache, 7, 4, TestSdw(MakeDataSegment(2, 4)));
+  cache.Flush();
+  EXPECT_EQ(cache.Vouching(7, 4).sdw, nullptr);
+
+  // Invalidating another segment that maps to the slot leaves it alone.
+  InsertAndFill(cache, 7, 4, TestSdw(MakeDataSegment(2, 4)));
+  cache.Invalidate(7 + static_cast<Segno>(SdwCache::kEntries));
+  EXPECT_NE(cache.Vouching(7, 4).sdw, nullptr);
+}
+
+TEST(SdwCacheVerdict, ExecuteVerdictTracksBracketFloor) {
+  SdwCache cache;
+  // Procedure segment executable only in [2,3].
+  InsertAndFill(cache, 9, 4, TestSdw(MakeProcedureSegment(2, 3)));
+  SdwCache::Memo m = cache.Vouching(9, 4);
+  ASSERT_NE(m.sdw, nullptr);
+  EXPECT_FALSE(m.verdict.execute_ok);  // ring 4 above the execute bracket
+  EXPECT_TRUE(m.sdw->access.flags.execute);
+  EXPECT_EQ(m.sdw->access.brackets.r1, 2u);
+
+  ASSERT_TRUE(cache.FillVerdict(9, 3));
+  m = cache.Vouching(9, 3);
+  ASSERT_NE(m.sdw, nullptr);
+  EXPECT_TRUE(m.verdict.execute_ok);
+}
+
+// The verdict may not outlive the descriptor it was derived from: an
+// Insert into the slot drops it, whether it displaces another segment or
+// replaces the same segment's descriptor. Re-inserting the displaced
+// segment must not bring its old verdict back.
+TEST(SdwCacheVerdict, InsertDisplacingTheSlotDropsItsVerdict) {
+  SdwCache cache;
+  const Segno rival = 7 + static_cast<Segno>(SdwCache::kEntries);
+  InsertAndFill(cache, 7, 4, TestSdw(MakeDataSegment(4, 4)));
+  cache.Insert(rival, TestSdw(MakeReadOnlyDataSegment(5), 2000));
+  EXPECT_EQ(cache.Vouching(7, 4).sdw, nullptr);
+  EXPECT_EQ(cache.Vouching(rival, 4).sdw, nullptr);
+  cache.Insert(7, TestSdw(MakeDataSegment(4, 4)));
+  EXPECT_EQ(cache.Vouching(7, 4).sdw, nullptr);
+
+  // The same segment's descriptor edited to deny writes: the write verdict
+  // filled from the old one is gone, and the refill denies.
+  ASSERT_TRUE(cache.FillVerdict(7, 4));
+  ASSERT_TRUE(cache.Vouching(7, 4).verdict.write_ok);
+  cache.Insert(7, TestSdw(MakeReadOnlyDataSegment(5)));
+  EXPECT_EQ(cache.Vouching(7, 4).sdw, nullptr);
+  ASSERT_TRUE(cache.FillVerdict(7, 4));
+  EXPECT_FALSE(cache.Vouching(7, 4).verdict.write_ok);
+}
+
+// A dropped associative register (fault injection) takes its verdict with
+// it: when the descriptor is fetched again, it comes back without one.
+TEST(SdwCacheVerdict, InvalidateIndexDropsItsVerdict) {
+  SdwCache cache;
+  InsertAndFill(cache, 7, 4, TestSdw(MakeDataSegment(4, 4)));
+  InsertAndFill(cache, 8, 4, TestSdw(MakeDataSegment(4, 4), 2000));
+  cache.InvalidateIndex(7 % SdwCache::kEntries);
+  EXPECT_EQ(cache.Vouching(7, 4).sdw, nullptr);
+  EXPECT_NE(cache.Vouching(8, 4).sdw, nullptr);  // other slots keep theirs
+  cache.Insert(7, TestSdw(MakeDataSegment(4, 4)));
+  EXPECT_EQ(cache.Vouching(7, 4).sdw, nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "src/cpu/verdict_cache.h"
+#include "src/cpu/sdw_cache.h"
 #include "src/fault/fault_injector.h"
 #include "src/fleet/fingerprint.h"
 #include "src/mem/page_table.h"
@@ -264,8 +264,8 @@ TEST(FaultSoak, MidSoakSnapshotRestoreIsFingerprintIdentical) {
   EXPECT_TRUE(AuditClean(restored.audit_findings()));
 }
 
-// The injector's restriction-only guarantee, pinned against the verdict
-// cache: a verdict filled from a corrupted SDW may only DENY accesses the
+// The injector's restriction-only guarantee, pinned against the SDW
+// cache's verdicts: a verdict filled from a corrupted SDW may only DENY accesses the
 // clean descriptor would allow, never the reverse. (A corruption that
 // widened a verdict would be a silently-granted capability — the failure
 // class DESIGN.md rules out of scope for software above the TCB.)
@@ -294,24 +294,25 @@ TEST(FaultSoak, CorruptionOnlyRestrictsVerdicts) {
       }
       ++corrupted;
 
-      VerdictCache clean_cache;
-      VerdictCache damaged_cache;
+      SdwCache clean_cache;
+      SdwCache damaged_cache;
+      clean_cache.Insert(9, clean);
+      damaged_cache.Insert(9, damaged);
       for (Ring ring = 0; ring <= kMaxRing; ++ring) {
-        clean_cache.Fill(9, ring, 1, clean);
-        damaged_cache.Fill(9, ring, 1, damaged);
-        const VerdictCache::Entry* c = clean_cache.Lookup(9, ring, 1);
-        const VerdictCache::Entry* d = damaged_cache.Lookup(9, ring, 1);
-        ASSERT_NE(c, nullptr);
-        ASSERT_NE(d, nullptr);
+        ASSERT_TRUE(clean_cache.FillVerdict(9, ring));
+        ASSERT_TRUE(damaged_cache.FillVerdict(9, ring));
+        const SdwCache::Memo c = clean_cache.Vouching(9, ring);
+        const SdwCache::Memo d = damaged_cache.Vouching(9, ring);
+        ASSERT_NE(c.sdw, nullptr);
+        ASSERT_NE(d.sdw, nullptr);
         // Every verdict the damaged descriptor allows, the clean one
-        // already allowed.
-        EXPECT_TRUE(!d->read_ok || c->read_ok) << "ring " << unsigned(ring);
-        EXPECT_TRUE(!d->write_ok || c->write_ok) << "ring " << unsigned(ring);
-        EXPECT_TRUE(!d->execute_ok || c->execute_ok) << "ring " << unsigned(ring);
-        EXPECT_TRUE(!d->indirect_ok || c->indirect_ok) << "ring " << unsigned(ring);
+        // already allowed. The read bit answers indirect reads too.
+        EXPECT_TRUE(!d.verdict.read_ok || c.verdict.read_ok) << "ring " << unsigned(ring);
+        EXPECT_TRUE(!d.verdict.write_ok || c.verdict.write_ok) << "ring " << unsigned(ring);
+        EXPECT_TRUE(!d.verdict.execute_ok || c.verdict.execute_ok) << "ring " << unsigned(ring);
         // Addressing may only shrink, never grow or move.
-        EXPECT_EQ(d->base, c->base);
-        EXPECT_LE(d->bound, c->bound);
+        EXPECT_EQ(d.sdw->base, c.sdw->base);
+        EXPECT_LE(d.sdw->bound, c.sdw->bound);
       }
     }
   }

@@ -84,6 +84,39 @@ TEST(RestoreGuest, MatchesARestoreIntoABootedMachine) {
   }
 }
 
+// Verdicts are host memos, not machine state: the SDW cache's slots travel
+// into a clone and into an image, the verdicts filled from them do not. A
+// clone and a restore of the same cut therefore start from equal SDW-cache
+// state and re-derive the same verdicts over the same slice, while the
+// cut machine, which keeps its own, derives fewer.
+TEST(RestoreGuest, ClonesAndRestoresStartWithNoVerdicts) {
+  const MachineConfig config = SmallConfig();
+  std::unique_ptr<Machine> live = CutAtHalf(GenerateGuest(1).source, config);
+  ASSERT_NE(live, nullptr);
+  const std::vector<uint8_t> image = Save(*live);
+  const std::unique_ptr<Machine> clone = Machine::CloneFrom(*live);
+  std::string error;
+  const std::unique_ptr<Machine> restored =
+      RestoreGuest(config, image, config.memory_words, &error);
+  ASSERT_NE(clone, nullptr);
+  ASSERT_NE(restored, nullptr) << error;
+
+  const SdwCache::State state = live->cpu().sdw_cache().CaptureState();
+  EXPECT_EQ(clone->cpu().sdw_cache().CaptureState(), state);
+  EXPECT_EQ(restored->cpu().sdw_cache().CaptureState(), state);
+
+  const auto verdict_misses_over_slice = [](Machine& machine) {
+    const uint64_t before = machine.cpu().counters().verdict_misses;
+    machine.Run(20'000);
+    return machine.cpu().counters().verdict_misses - before;
+  };
+  const uint64_t clone_misses = verdict_misses_over_slice(*clone);
+  EXPECT_GT(clone_misses, 0u);
+  EXPECT_EQ(verdict_misses_over_slice(*restored), clone_misses);
+  EXPECT_LT(verdict_misses_over_slice(*live), clone_misses);
+  EXPECT_EQ(clone->cpu().sdw_cache().CaptureState(), restored->cpu().sdw_cache().CaptureState());
+}
+
 // Each refusal names the same problem VerifySnapshot or the size cap
 // names, and leaves no machine behind.
 TEST(RestoreGuest, RefusesBadImagesWithTheirErrors) {
