@@ -47,13 +47,11 @@ bool B645Machine::LoadProgram(const Program& program,
     }
     acls[seg.name] = AccessControlList::Public(spec->second);
   }
-  if (!registry_.LoadProgram(program, acls, err)) {
-    cpu_.FlushBlockCache();
-    cpu_.FlushTlb();
+  const bool loaded = registry_.LoadProgram(program, acls, err);
+  cpu_.FlushForExternalStores();
+  if (!loaded) {
     return false;
   }
-  cpu_.FlushBlockCache();
-  cpu_.FlushTlb();
   for (const AssembledSegment& seg : program.segments) {
     const RegisteredSegment* reg = registry_.Find(seg.name);
     SegmentAccess access = ring_specs.at(seg.name);
@@ -82,8 +80,7 @@ bool B645Machine::PokeWordForTest(const std::string& name, Wordno wordno, Word v
     return false;
   }
   memory_.Write(seg->base + wordno, value);
-  cpu_.FlushBlockCache();
-  cpu_.FlushTlb();
+  cpu_.FlushForExternalStores();
   return true;
 }
 

@@ -11,23 +11,24 @@
 // fault-injection hooks, trap capture state) runs before every op, and
 // any event that could make the recorded run diverge from what the
 // per-instruction path would do bails the remaining ops back to that
-// path. Correctness rests on the dispatch-time validation (the block's
-// segment has a current verdict with matching base/paging/ring/bound) and
-// on a monotonically increasing `version` that every invalidation bumps:
-// the inner loop re-reads it before each op, so a mid-block SDW eviction,
-// fault-injected cache drop, or store into code retires the rest of the
-// block. Paged blocks additionally revalidate each op's fetch address
-// through the live TLB, so a moved or snooped translation can never
-// replay a stale decode.
+// path. Blocks are built only from unpaged segments and only while the
+// checks are on (Cpu::ProbeOrBuildBlock); paged code and code run with the
+// checks off take the per-instruction path. So an op's fetch address is
+// the block's base plus its word number, fixed by the descriptor, and no
+// translation can go stale under a block. Correctness rests on the
+// dispatch-time validation (the block's segment has a current verdict with
+// matching base/ring/bound) and on a monotonically increasing `version`
+// that every invalidation bumps: the inner loop re-reads it before each
+// op, so a mid-block SDW eviction, fault-injected cache drop, or store
+// into code retires the rest of the block.
 //
-// An op of an unpaged block whose operand is `L,*` with L in the block's
-// own segment may also carry L's resolved Figure 5 step (Op::hop): the
-// word was read and its ring maximized at build, so the op charges the
-// hop as one add and reads only its final operand. The hop is derived
-// from the block's segment exactly as the decodes are, so the same
-// retirements keep it current: a store into L through the executable
-// SDW, an SDW edit or eviction, or a flush (DESIGN.md §7, "Resolved link
-// words").
+// An op whose operand is `L,*` with L in the block's own segment may also
+// carry L's resolved Figure 5 step (Op::hop): the word was read and its
+// ring maximized at build, so the op charges the hop as one add and reads
+// only its final operand. The hop is derived from the block's segment
+// exactly as the decodes are, so the same retirements keep it current: a
+// store into L through the executable SDW, an SDW edit or eviction, or a
+// flush (DESIGN.md §7, "Resolved link words").
 //
 // An op whose final operand address is fixed at build (Op::direct, or a
 // hop that ends the chase) may also keep its operand memo: the absolute
@@ -46,7 +47,6 @@
 #include <cstdlib>
 #include <memory>
 #include <type_traits>
-#include <utility>
 
 #include "src/core/ring.h"
 #include "src/isa/instruction.h"
@@ -82,7 +82,6 @@ class BlockCache {
 
     Instruction ins{};
     Wordno hop_wordno = 0;
-    AbsAddr addr = 0;       // absolute fetch address the decode was filled from
     AbsAddr memo_addr = 0;  // the operand's absolute address
     uint64_t memo_version = 0;
     bool needs_ea = false;
@@ -93,7 +92,7 @@ class BlockCache {
     bool direct = false;  // untagged IPR-relative operand at a word number in range
     uint8_t memo = 0;     // kMemo* bits; none until a reference fills it
   };
-  static_assert(sizeof(Op) <= 48, "a block of kMaxOps ops stays within 1.5 KiB");
+  static_assert(sizeof(Op) <= 40, "a block of kMaxOps ops stays within 1.25 KiB");
   static_assert(kSegnoBits <= 16, "Op::hop_segno holds any segment number");
 
   struct Block {
@@ -101,10 +100,8 @@ class BlockCache {
     Segno segno = 0;
     Wordno start = 0;
     uint16_t count = 0;
-    Ring ring = 0;        // IPR.RING the block was built under
-    bool checks = false;  // checks_enabled() at build time
-    bool paged = false;   // the verdict's paging shape at build time
-    AbsAddr base = 0;     // the verdict's base (page-table base if paged)
+    Ring ring = 0;     // IPR.RING the block was built under
+    AbsAddr base = 0;  // the segment's base at build time
     // Direct chaining (see DESIGN.md §7): the slot of the successor block
     // this one last transferred into, stamped with the cache version at
     // patch time. A link is only followed when link_version equals the
@@ -119,32 +116,27 @@ class BlockCache {
     // tests one flag instead of re-deriving it per transition).
     bool chain_ok = false;
     // Host shortcut: the fixed simulated-cycle charge every op in this
-    // block pays before execution (instruction base + fetch check under
-    // this block's checks regime + page walk if paged + the fetch read),
-    // folded into one add at build time. Identical to the sum the
-    // per-instruction path charges piecewise.
+    // block pays before execution (instruction base + fetch check + the
+    // fetch read), folded into one add at build time. Identical to the sum
+    // the per-instruction path charges piecewise.
     uint64_t op_charge = 0;
-    // The same fold for a resolved hop: the indirect word's check (when
-    // checks are on) plus its read.
+    // The same fold for a resolved hop: the indirect word's check plus its
+    // read.
     uint64_t hop_charge = 0;
     std::array<Op, kMaxOps> ops{};
   };
 
-  const Block* Lookup(Segno segno, Wordno start) const {
+  // The published block starting at (segno, start), or nullptr. Mutable:
+  // the chaining engine patches successor links into live blocks.
+  Block* Lookup(Segno segno, Wordno start) const {
     if (blocks_ == nullptr) {
       return nullptr;
     }
-    const Block& b = blocks_[Index(segno, start)];
+    Block& b = blocks_[Index(segno, start)];
     if (b.gen == gen_ && b.segno == segno && b.start == start) {
       return &b;
     }
     return nullptr;
-  }
-
-  // Mutable lookup for the chaining engine (links are patched into live
-  // blocks): Lookup's answer, which points into the cache's own store.
-  Block* LookupMutable(Segno segno, Wordno start) {
-    return const_cast<Block*>(std::as_const(*this).Lookup(segno, start));
   }
 
   // Link-follow accessors: a patched link names a slot, not a pointer, so
@@ -194,7 +186,7 @@ class BlockCache {
   uint64_t gen_ = 1;  // blocks zero-initialize to gen 0 == invalid
   uint64_t version_ = 0;
   // The backing store is calloc'd on first build, not an inline array:
-  // 256 blocks of 32 decoded ops each are 402 KiB (256 x 1608 B), and
+  // 256 blocks of 32 decoded ops each are 338 KiB (256 x 1352 B), and
   // paying for that at construction (whether as inline zero-fill or as an
   // eager mmap-class allocation) dominated Machine construction — which a
   // fleet daemon pays per spawned clone. A null store reads as an empty

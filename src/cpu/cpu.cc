@@ -157,8 +157,6 @@ Cpu::State Cpu::CaptureState() const {
 void Cpu::RestoreState(const State& state) {
   assert(TallyEmpty() && "machine state is restored between dispatches");
   FlushSdwCache();
-  FlushBlockCache();
-  FlushTlb();
   cycles_ = state.cycles;
   regs_ = state.regs;
   tpr_ = state.tpr;
@@ -402,9 +400,9 @@ void Cpu::SettleTally() {
   }
   tallied_ = false;
   uint64_t memo_hits = 0;
-  // Fully unrolled, so each slot's rule and paging fold to constants and
-  // an empty slot costs one load and one branch.
-#pragma GCC unroll 7
+  // Fully unrolled, so each slot's rule folds to constants and an empty
+  // slot costs one load and one branch.
+#pragma GCC unroll 6
   for (size_t slot = 0; slot < kTallySlots; ++slot) {
     const uint64_t n = tally_[slot];
     if (n == 0) {
@@ -422,12 +420,7 @@ void Cpu::SettleTally() {
         counters_.*counter += n;
       }
     }
-    if (slot == kPagedBlockOpHit) {
-      // The page-table walk the descriptor path would have performed.
-      counters_.page_walks += n;
-      counters_.tlb_hits += n;
-    }
-    if (slot == kBlockOpHit || slot == kPagedBlockOpHit) {
+    if (slot == kBlockOpHit) {
       counters_.instructions += n;
       counters_.block_ops += n;
     }
@@ -575,7 +568,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
     return false;
   }
   // A disabled SDW cache holds no verdict, so ProbeOrBuildBlock builds
-  // nothing under it.
+  // nothing under it; nor with the checks off, nor from a paged segment.
   if (tier_ != EngineTier::kBlocks) {
     return StepBody();
   }
@@ -595,7 +588,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
   for (;;) {
     const uint64_t version = block_cache_.version();
     // Every op of the block bumps this one slot; mark the tally once.
-    uint64_t& op_tally = tally_[b->paged ? kPagedBlockOpHit : kBlockOpHit];
+    uint64_t& op_tally = tally_[kBlockOpHit];
     tallied_ = true;
     for (uint16_t i = 0; i < b->count; ++i) {
       if (i != 0) {
@@ -621,18 +614,6 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
       }
       BlockCache::Op& op = b->ops[i];
       const Wordno wordno = b->start + i;
-      if (b->paged) {
-        // Paged fetches revalidate through the live TLB every op: a moved
-        // page, snooped PTW, or evicted translation makes the comparison
-        // fail and the op re-fetches on the slow path (which re-walks and,
-        // if the page vanished, takes the same missing-page trap the
-        // per-instruction path would take).
-        const Tlb::Entry* t = tlb_.Lookup(b->segno, wordno >> kPageShift, b->base);
-        if (t == nullptr || t->frame + (wordno & kPageMask) != op.addr) {
-          ++counters_.block_bailouts;
-          return StepBody();
-        }
-      }
       // The per-instruction vouched fetch's charges: the cycles are the
       // block's precomputed per-op charge, which folds the instruction
       // base in with them, and the counters one tally bump.
@@ -704,15 +685,15 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
     if (b->link_slot != BlockCache::kNoLink && b->link_version == now) {
       // The stamp proves the linked slot held a block valid under the
       // current version when the link was patched, and that no
-      // invalidation has landed since — so base/paging/bound revalidation
+      // invalidation has landed since — so base/bound revalidation
       // (BlockCurrent) is already implied. The key compare handles
       // everything the version does not pin: slot repurposing for a
       // different start, a conditional transfer going the other way this
-      // time, and ring or checks regime changes.
+      // time, and a ring change. The checks stay on for the whole dispatch
+      // (ProbeOrBuildBlock entered it).
       BlockCache::Block* cand = block_cache_.BlockAt(b->link_slot);
       if (cand->gen == block_cache_.generation() && cand->segno == regs_.ipr.segno &&
-          cand->start == regs_.ipr.wordno && cand->ring == regs_.ipr.ring &&
-          cand->checks == checks_enabled_) {
+          cand->start == regs_.ipr.wordno && cand->ring == regs_.ipr.ring) {
         next = cand;
         ++counters_.chain_follows;
         if (chain_ablation_) {
@@ -739,20 +720,16 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
 }
 
 // Block formation: decode consecutive words live from the addresses the
-// fetches would form under the fetch verdict `v` and its resident SDW,
-// stopping at the segment bound, the gate-region boundary, a paged word
-// without a TLB translation, a word outside the core store or that does
-// not decode (the per-instruction path latches or traps on it), an op the
-// current ring may not execute (it must trap on the per-instruction path),
-// and — inclusively — any control transfer or trap-raising/privileged
-// terminator. A segment without the execute flag builds nothing: with
-// checks off it still runs, but a store through its SDW retires no block
-// (NoteStore).
+// fetches would form under the fetch verdict `v` and its resident unpaged
+// SDW, stopping at the segment bound, the gate-region boundary, a word
+// outside the core store or that does not decode (the per-instruction
+// path latches or traps on it), an op the current ring may not execute
+// (it must trap on the per-instruction path), and — inclusively — any
+// control transfer or trap-raising/privileged terminator. The verdict's
+// execute bit implies the SDW's execute flag, so a store through this SDW
+// retires the block (NoteStore).
 BlockCache::Block* Cpu::TryBuildBlock(const SdwCache::Memo& v) {
   const Sdw& sdw = *v.sdw;
-  if (!sdw.access.flags.execute) {
-    return nullptr;
-  }
   const Segno segno = regs_.ipr.segno;
   const Wordno start = regs_.ipr.wordno;
   // The gate count marks the boundary a straight-line run may not cross.
@@ -765,11 +742,11 @@ BlockCache::Block* Cpu::TryBuildBlock(const SdwCache::Memo& v) {
   b->link_slot = BlockCache::kNoLink;
   b->link_version = 0;
   // Whether an op's IPR-relative link word may be resolved now (see
-  // DESIGN.md §7): unpaged, so its address is fixed under the block's
-  // verdict; ring hardware, so Figure 5 raises the ring; the verdict
-  // vouches for the indirect read; and no injector draws on the hop.
+  // DESIGN.md §7): ring hardware, so Figure 5 raises the ring; the verdict
+  // vouches for the indirect read; and no injector draws on the hop. The
+  // segment is unpaged, so the word's address is fixed under the verdict.
   const Ring ring = v.verdict.ring;
-  const bool hops = !sdw.paged && mode_ == ProtectionMode::kRingHardware &&
+  const bool hops = mode_ == ProtectionMode::kRingHardware &&
                     Vouches<RefKind::kIndirect>(v.verdict, ring, ring) &&
                     fault_injector_ == nullptr;
   uint16_t count = 0;
@@ -781,14 +758,7 @@ BlockCache::Block* Cpu::TryBuildBlock(const SdwCache::Memo& v) {
     if (count != 0 && start < gate && w >= gate) {
       break;  // falling out of the gate region ends the block
     }
-    AbsAddr addr = sdw.base + w;
-    if (sdw.paged) {
-      const Tlb::Entry* t = tlb_.Lookup(segno, w >> kPageShift, sdw.base);
-      if (t == nullptr) {
-        break;
-      }
-      addr = t->frame + (w & kPageMask);
-    }
+    const AbsAddr addr = sdw.base + w;
     BlockCache::Op& op = b->ops[count];
     if (addr >= memory_->size() || !DecodeInstruction(memory_->Read(addr), &op.ins)) {
       break;
@@ -798,7 +768,6 @@ BlockCache::Block* Cpu::TryBuildBlock(const SdwCache::Memo& v) {
     if (regs_.ipr.ring > info.max_ring) {
       break;  // privileged violation; the slow path raises it
     }
-    op.addr = addr;
     op.needs_ea =
         info.operand != OperandKind::kNone && info.operand != OperandKind::kImmediate;
     op.hop = false;
@@ -835,11 +804,11 @@ BlockCache::Block* Cpu::TryBuildBlock(const SdwCache::Memo& v) {
   b->start = start;
   b->count = count;
   b->ring = regs_.ipr.ring;
-  b->checks = checks_enabled_;
-  b->paged = sdw.paged;
   b->base = sdw.base;
-  b->op_charge = cycle_model_.instruction_base + VouchedFetchCycles(sdw.paged);
-  b->hop_charge = (checks_enabled_ ? cycle_model_.access_check : 0) + cycle_model_.memory_ref;
+  // A memo-hit Reference<kFetch> of an unpaged segment plus the word read.
+  b->op_charge =
+      cycle_model_.instruction_base + cycle_model_.access_check + cycle_model_.memory_ref;
+  b->hop_charge = cycle_model_.access_check + cycle_model_.memory_ref;
   b->chain_ok = ChainEligible(b->ops[count - 1].ins.opcode);
   b->gen = block_cache_.generation();
   ++counters_.block_builds;
@@ -869,13 +838,19 @@ bool Cpu::EndsBlock(Opcode op) {
 
 // The dispatch preamble shared by StepBlock's entry and its chain point:
 // verdict probe, block-cache probe with revalidation, rebuild on miss.
+// Blocks hold only code run under the checks from an unpaged segment
+// (DESIGN.md §7); the rest takes the per-instruction path, which gives
+// the same results.
 BlockCache::Block* Cpu::ProbeOrBuildBlock() {
-  const Ring ring = EffectiveRing(regs_.ipr.ring);
-  const SdwCache::Memo v = sdw_cache_.Vouching(regs_.ipr.segno, ring);
-  if (v.sdw == nullptr || !Vouches<RefKind::kFetch>(v.verdict, ring, ring)) {
+  if (!checks_enabled_) {
     return nullptr;
   }
-  BlockCache::Block* b = block_cache_.LookupMutable(regs_.ipr.segno, regs_.ipr.wordno);
+  const Ring ring = EffectiveRing(regs_.ipr.ring);
+  const SdwCache::Memo v = sdw_cache_.Vouching(regs_.ipr.segno, ring);
+  if (v.sdw == nullptr || v.sdw->paged || !Vouches<RefKind::kFetch>(v.verdict, ring, ring)) {
+    return nullptr;
+  }
+  BlockCache::Block* b = block_cache_.Lookup(regs_.ipr.segno, regs_.ipr.wordno);
   if (b != nullptr && BlockCurrent(*b, *v.sdw)) {
     ++counters_.block_hits;
     return b;
@@ -1009,20 +984,21 @@ bool Cpu::ChaseIndirectWords(unsigned depth) {
 // segment, at the block-cache version of the fill: every event that could
 // retire that verdict, the SDW behind it or its residency bumps the
 // version (DESIGN.md §7, "Resolved operands"). A hit charges and tallies
-// exactly what that memo-hit reference did, with its word access.
+// exactly what that memo-hit reference did, with its word access; blocks
+// run only under the checks, so that includes the check.
 [[gnu::always_inline]] inline bool Cpu::MemoAnswers(const BlockCache::Op* op, uint8_t kinds,
                                                     uint64_t version) const {
   return op != nullptr && (op->memo & kinds) == kinds && op->memo_version == version;
 }
 
 [[gnu::always_inline]] inline Word Cpu::MemoRead(const BlockCache::Op& op) {
-  cycles_ += (checks_enabled_ ? cycle_model_.access_check : 0) + cycle_model_.memory_ref;
+  cycles_ += cycle_model_.access_check + cycle_model_.memory_ref;
   Tally(static_cast<size_t>(RefKind::kRead));
   return memory_->Read(op.memo_addr);
 }
 
 [[gnu::always_inline]] inline void Cpu::MemoWrite(const BlockCache::Op& op, Word value) {
-  cycles_ += (checks_enabled_ ? cycle_model_.access_check : 0) + cycle_model_.memory_ref;
+  cycles_ += cycle_model_.access_check + cycle_model_.memory_ref;
   Tally(static_cast<size_t>(RefKind::kWrite));
   memory_->Write(op.memo_addr, value);
   NoteStore(op.memo_addr, (op.memo & BlockCache::Op::kMemoExecute) != 0, tpr_.segno);
@@ -1030,9 +1006,7 @@ bool Cpu::ChaseIndirectWords(unsigned depth) {
 
 // A memo-hit Reference<kTransfer> and the transfer it validates.
 [[gnu::always_inline]] inline void Cpu::MemoTransfer() {
-  if (checks_enabled_) {
-    cycles_ += cycle_model_.access_check;
-  }
+  cycles_ += cycle_model_.access_check;
   Tally(static_cast<size_t>(RefKind::kTransfer));
   regs_.ipr.segno = tpr_.segno;
   regs_.ipr.wordno = tpr_.wordno;
@@ -1115,11 +1089,10 @@ void Cpu::ExecuteTransfer() {
   const Ring effective = EffectiveRing(tpr_.ring);
   Ref ref;
   if (Reference<RefKind::kTransfer>(tpr_.segno, tpr_.wordno, ring, effective, &ref)) {
-    // Only a transfer the execute verdict answered is kept: with checks
-    // off one at a raised effective ring vouches too.
-    if (effective == ring) {
-      KeepOperand(BlockCache::Op::kMemoTransfer, ref);
-    }
+    // Only a transfer the execute verdict answered is kept, and under the
+    // checks (the only regime blocks run in) it answers only at the ring
+    // of execution.
+    KeepOperand(BlockCache::Op::kMemoTransfer, ref);
     regs_.ipr.segno = tpr_.segno;
     regs_.ipr.wordno = tpr_.wordno;
   }

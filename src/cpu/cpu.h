@@ -93,7 +93,8 @@ class Cpu {
   void set_mode(ProtectionMode mode) { mode_ = mode; }
 
   // When false, all Figure 4-9 validations are skipped (used by the
-  // overhead-claim benchmark to measure what the checks cost).
+  // overhead-claim benchmark to measure what the checks cost), and every
+  // instruction takes the per-instruction path: no block is built or run.
   bool checks_enabled() const { return checks_enabled_; }
   void set_checks_enabled(bool enabled) {
     assert(TallyEmpty() && "the tally settles under the checks regime it was counted in");
@@ -198,23 +199,19 @@ class Cpu {
 
   // Must be called after memory is written behind the processor's back
   // (program loading, test pokes, DMA-style stores): any of those words
-  // may be one a block decoded.
-  void FlushBlockCache() {
+  // may be one a block decoded or a page-table word some cached
+  // translation was decoded from.
+  void FlushForExternalStores() {
     block_cache_.Flush();
-    ++counters_.block_invalidations;
-  }
-
-  // Companion to FlushBlockCache for the same behind-the-back stores: any
-  // written word may be a page-table word some cached translation was
-  // decoded from.
-  void FlushTlb() {
     tlb_.Flush();
+    ++counters_.block_invalidations;
     ++counters_.tlb_invalidations;
   }
 
   // Must be called when supervisor software stores a page-table word it
   // can name precisely (demand fill, page-table edits); `ptw_addr` is the
-  // absolute address of the stored PTW. Cheaper than FlushTlb and exact.
+  // absolute address of the stored PTW. Cheaper than FlushForExternalStores
+  // and exact.
   void NotePtwStore(AbsAddr ptw_addr) {
     tlb_.NoteStore(ptw_addr);
     ++counters_.tlb_invalidations;
@@ -336,20 +333,20 @@ class Cpu {
 
   // --- superblock engine (see DESIGN.md) ---
   // Whether `block` still describes what the per-instruction path would
-  // do at (segno, start) under the resident descriptor `sdw`.
+  // do at (segno, start) under the resident unpaged descriptor `sdw`.
   bool BlockCurrent(const BlockCache::Block& block, const Sdw& sdw) const {
-    return block.ring == regs_.ipr.ring && block.checks == checks_enabled_ &&
-           block.paged == sdw.paged && block.base == sdw.base &&
+    return block.ring == regs_.ipr.ring && block.base == sdw.base &&
            static_cast<uint64_t>(block.start) + block.count <= sdw.bound;
   }
   // Decodes the straight-line run starting at the current IPR into a
-  // block under the fetch verdict `v`; returns nullptr when not even its
-  // first word may be held. Mutable: the chaining engine patches successor
-  // links into published blocks.
+  // block under the fetch verdict `v` of an unpaged segment; returns
+  // nullptr when not even its first word may be held. Mutable: the
+  // chaining engine patches successor links into published blocks.
   BlockCache::Block* TryBuildBlock(const SdwCache::Memo& v);
   // The full dispatch preamble of StepBlock: verdict probe, block lookup
   // (counting a hit) or build. Returns nullptr when the per-instruction
-  // path must take this dispatch.
+  // path must take this dispatch: with the checks off, or when the fetch
+  // verdict's segment is paged.
   BlockCache::Block* ProbeOrBuildBlock();
   // True for opcodes that must end a block: control transfers, trap
   // raisers, and state-changing privileged instructions.
@@ -452,14 +449,6 @@ class Cpu {
     ++counters_.sdw_cache_hits;
     sdw_cache_.CountHits(1);
   }
-  // The cycles of a fetch a verdict vouches for (a memo-hit
-  // Reference<kFetch> with a TLB-hit page walk when paged, plus the word
-  // read): what a block folds into each op's charge (Block::op_charge).
-  uint64_t VouchedFetchCycles(bool paged) const {
-    return (checks_enabled_ ? cycle_model_.access_check : 0) +
-           (paged ? cycle_model_.memory_ref : 0) + cycle_model_.memory_ref;
-  }
-
   // --- the tally (see DESIGN.md §7) ---
   // The hit paths charge cycles as they go but count by bumping one slot
   // of tally_ per hit; SettleTally folds the slots into counters_ and the
@@ -467,14 +456,12 @@ class Cpu {
   // one test when nothing was tallied (with the fast path off, on every
   // instruction). Slots 0-4 are the RefKinds: a memo-hit Reference of that
   // kind that completed, with its word access (its page-table walk counts
-  // itself). The rest are the block engine's committed op, a vouched
-  // fetch plus its retired instruction, unpaged or paged (the paged op's
-  // page-table walk folded in). Whether a hit charged its check is
+  // itself). Slot 5 is the block engine's committed op: a vouched fetch
+  // plus its retired instruction. Whether a hit charged its check is
   // checks_enabled_, which changes only between dispatches, so
   // SettleTally reads it.
   static constexpr size_t kBlockOpHit = 5;
-  static constexpr size_t kPagedBlockOpHit = 6;
-  static constexpr size_t kTallySlots = 7;
+  static constexpr size_t kTallySlots = 6;
   void Tally(size_t slot) {
     ++tally_[slot];
     tallied_ = true;

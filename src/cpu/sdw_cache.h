@@ -16,7 +16,9 @@
 #ifndef SRC_CPU_SDW_CACHE_H_
 #define SRC_CPU_SDW_CACHE_H_
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 
@@ -148,10 +150,20 @@ class SdwCache {
     uint64_t misses = 0;
     std::array<Entry, kEntries> entries{};
     bool operator==(const State&) const = default;
+    // Whether the state holds a valid entry while disabled, which no
+    // captured cache does (set_enabled flushes, a disabled Insert writes
+    // nothing). Restored, such entries would vouch for references that
+    // Lookup, and so the reference tier, never answers from the cache.
+    bool HoldsWhileDisabled() const {
+      return !enabled && std::any_of(entries.begin(), entries.end(),
+                                     [](const Entry& e) { return e.valid; });
+    }
   };
   State CaptureState() const { return State{enabled_, hits_, misses_, entries_}; }
   // Restores with no verdicts: set_enabled flushes them with the entries.
+  // The snapshot decoder rejects a state that HoldsWhileDisabled.
   void RestoreState(const State& state) {
+    assert(!state.HoldsWhileDisabled());
     set_enabled(state.enabled);
     hits_ = state.hits;
     misses_ = state.misses;

@@ -12,7 +12,9 @@
 // trusts (the resident SDW behind a verdict, or a fresh fetch). What remains
 // is exactly one staleness vector, a store to the PTW word itself, and
 // NoteStore snoops every store for that (a membership filter keeps the
-// common non-PTW store to one bit test).
+// common non-PTW store to one bit test). Only the page-table walk reads
+// the TLB: blocks are built only from unpaged segments, so no decoded
+// block, resolved hop or operand memo holds a translation.
 //
 // Like the access verdicts, the TLB is purely derived state: the walk's
 // cycle charge and page_walks counter are applied by the processor whether

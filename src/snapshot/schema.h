@@ -26,6 +26,7 @@
 #define SRC_SNAPSHOT_SCHEMA_H_
 
 #include <optional>
+#include <string>
 
 #include "src/sys/machine.h"
 
@@ -314,6 +315,10 @@ void Fields(Ar& ar, Cpu::State& cpu) {
   for (SdwCache::Entry& entry : cache.entries) {
     Fields(ar, entry);
   }
+  ar.Check([&cache] {
+    return std::string(cache.HoldsWhileDisabled() ? "disabled descriptor cache holds an entry"
+                                                  : "");
+  });
 }
 
 template <class Ar>

@@ -114,8 +114,7 @@ bool Machine::LoadProgram(const Program& program,
   const bool ok = registry_.LoadProgram(program, acls, err);
   // Loading writes segment contents (and page tables) directly into the
   // core store.
-  cpu_.FlushBlockCache();
-  cpu_.FlushTlb();
+  cpu_.FlushForExternalStores();
   return ok;
 }
 
@@ -284,8 +283,7 @@ bool Machine::PokeSegment(const std::string& name, Wordno wordno, Word value) {
     return false;
   }
   memory_.Write(*addr, value);
-  cpu_.FlushBlockCache();
-  cpu_.FlushTlb();
+  cpu_.FlushForExternalStores();
   return true;
 }
 

@@ -177,8 +177,6 @@ BlockCache::Block* FillBlock(BlockCache& cache, Segno segno, Wordno start, uint1
   b->start = start;
   b->count = count;
   b->ring = 4;
-  b->checks = false;
-  b->paged = false;
   b->base = 0;
   b->gen = cache.generation();
   return b;

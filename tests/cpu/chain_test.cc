@@ -550,9 +550,9 @@ TEST(ResolvedHop, ProcedureAclEditRetiresHop) {
   EXPECT_EQ(runs[0].traps, std::vector<std::string>{"read_violation"});
 }
 
-// Checks off: the verdict vouches for every read, so the hop resolves
-// whatever the brackets say, and Figure 5 still raises the ring to
-// SDW.R1. An R1 edit between passes must reach the pointer EPP loads.
+// Checks off: no tier builds a block, so no hop is resolved, and Figure 5
+// still raises the ring to SDW.R1 on the per-instruction path. An R1 edit
+// between passes must reach the pointer EPP loads.
 TEST(ResolvedHop, ChecksOffHopFollowsR1Edit) {
   const std::vector<RunSignature> runs = ExpectHopScenarioAgrees([](BareMachine& m,
                                                                     EngineTier tier) {
@@ -565,7 +565,8 @@ TEST(ResolvedHop, ChecksOffHopFollowsR1Edit) {
     m.SetIpr(4, code, 0);
     RunTo(m, 3'000);
     EXPECT_EQ(m.cpu().regs().pr[2].ring, 4);
-    EXPECT_EQ(HopResolved(m.cpu(), code, 0, 0), tier == EngineTier::kBlocks);
+    EXPECT_FALSE(HopResolved(m.cpu(), code, 0, 0));
+    EXPECT_EQ(m.cpu().counters().block_builds, 0u) << EngineTierName(tier);
     Sdw sdw = *m.dseg().Fetch(code);
     sdw.access.brackets = Brackets{6, 6, 6};
     m.dseg().Store(code, sdw);
@@ -638,9 +639,10 @@ TEST(ResolvedHop, DeepChainHitsIndirectionLimitAtSameHop) {
   EXPECT_EQ(runs[0].traps, std::vector<std::string>{"indirection_limit"});
 }
 
-// A paged procedure segment's link word has no address fixed by the
-// block's verdict, so no hop is resolved; the page moving under the hot
-// loop (a relocated frame whose link word points elsewhere) must be seen.
+// A paged procedure segment builds no block (its words have no address
+// fixed by the verdict), so no hop is resolved; the page moving under the
+// hot loop (a relocated frame whose link word points elsewhere) must be
+// seen.
 TEST(ResolvedHop, PagedProcedureSegmentIsNotResolved) {
   ExpectHopScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const Segno data = m.AddSegment({0, 0}, UserData());
@@ -664,9 +666,8 @@ TEST(ResolvedHop, PagedProcedureSegmentIsNotResolved) {
     m.SetIpr(4, kCode, 0);
     RunTo(m, 3'000);
     EXPECT_FALSE(HopResolved(m.cpu(), kCode, 0, 0));
-    if (tier == EngineTier::kBlocks) {
-      EXPECT_NE(m.cpu().block_cache().Lookup(kCode, 0), nullptr);
-    }
+    EXPECT_EQ(m.cpu().block_cache().Lookup(kCode, 0), nullptr);
+    EXPECT_EQ(m.cpu().counters().block_builds, 0u) << EngineTierName(tier);
     install(1);  // the supervisor relocates the page and announces the PTW
     m.cpu().NotePtwStore(table);
     RunTo(m, 6'000);
@@ -887,17 +888,22 @@ TEST(ResolvedOperand, DbrReloadRetiresEveryMemo) {
   });
 }
 
-// With checks off every verdict vouches, so the store into a segment whose
-// write bracket excludes ring 4 is memoised; once checks are back on, the
-// next store must trap.
+// With checks off every verdict vouches for the store into a segment
+// whose write bracket excludes ring 4, and no tier builds a block; once
+// checks are back on, the next store must trap, from a block on the
+// blocks tier.
 TEST(ResolvedOperand, ChecksToggledBetweenSlices) {
   const std::vector<RunSignature> runs =
       ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
-        const MemoLoop loop = AddMemoLoop(m, MakeDataSegment(3, 4));
+        AddMemoLoop(m, MakeDataSegment(3, 4));
         m.cpu().set_checks_enabled(false);
-        WarmMemoLoop(m, loop, tier);
+        RunTo(m, 2'000);
+        StepToWord(m, 0);
+        ASSERT_FALSE(m.cpu().trap_pending());
+        EXPECT_EQ(m.cpu().counters().block_builds, 0u) << EngineTierName(tier);
         m.cpu().set_checks_enabled(true);
         RunTo(m, 100'000);
+        EXPECT_EQ(m.cpu().counters().block_ops > 0, tier == EngineTier::kBlocks);
       });
   ASSERT_EQ(runs[0].traps.size(), 2u);
   EXPECT_EQ(runs[0].traps[0], "write_violation");
@@ -1303,16 +1309,21 @@ TEST(ResolvedTransfer, DbrReloadRetiresEveryTransferMemo) {
   });
 }
 
-// With checks off every transfer vouches, so transfers into a B that ring
-// 4 may not execute are memoised; once checks are back on, the next one
-// must trap.
+// With checks off every transfer vouches, so ring 4 runs into a B it may
+// not execute, and no tier builds a block; once checks are back on, the
+// next transfer must trap, from a block on the blocks tier.
 TEST(ResolvedTransfer, ChecksToggledBetweenSlices) {
   ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const BranchLoop loop = AddBranchLoop(m, MakeProcedureSegment(3, 3));
     m.cpu().set_checks_enabled(false);
-    WarmBranchLoop(m, loop, tier);
+    RunTo(m, 2'000);
+    StepToWord(m, 0);
+    ASSERT_FALSE(m.cpu().trap_pending());
+    ASSERT_EQ(m.cpu().regs().ipr.segno, loop.code);
+    EXPECT_EQ(m.cpu().counters().block_builds, 0u) << EngineTierName(tier);
     m.cpu().set_checks_enabled(true);
     RunTo(m, 100'000);
+    EXPECT_EQ(m.cpu().counters().block_ops > 0, tier == EngineTier::kBlocks);
     ExpectTrapAt(m.cpu(), TrapCause::kExecuteViolation, loop.code, 3);
   });
 }
@@ -1357,6 +1368,45 @@ TEST(ResolvedTransfer, CollidingSegnoEvictsTheTargetSdw) {
   });
 }
 
+// A verdict lives only as long as its SDW-cache slot holds the segment it
+// was derived from. D (segment n) and E (segment n + 16) share a slot and
+// may both be written and executed by ring 4's code, except that E's
+// write bracket ends at ring 3. D's hot loop fills the slot's verdict at
+// ring 4 (execute, read and write all allowed), then calls E: the CALL's
+// descriptor fetch puts E's SDW in the slot without deriving a verdict
+// (only a validated reference does). E's first instruction stores into E
+// and must trap, at E|0. A verdict that outlived D's SDW would vouch for
+// both the fetch and the store.
+//
+//   D: w0: aos cnt,*  w1: lda cnt,*  w2: sba lim  w3: tmi 0  w4: call into,*
+//      w5: mme 0      w6: lim = 20   w7: cnt -> counter|0    w8: into -> E|0
+//   E: w0: sta 2      w1: mme 9      w2: 0
+TEST(SdwSlotReuse, CallIntoACollidingSegmentTrapsItsNarrowerWrite) {
+  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    SegmentAccess wide = MakeProcedureSegment(4, 4);
+    wide.flags.write = true;
+    SegmentAccess narrow = MakeProcedureSegment(3, 4, 4, /*gate_count=*/1);
+    narrow.flags.write = true;
+    const Segno counter = m.AddSegment({0}, UserData());
+    const Segno d = m.AddSegment(
+        {Encode(ViaLink(Opcode::kAos, 7)), Encode(ViaLink(Opcode::kLda, 7)),
+         Encode(MakeIns(Opcode::kSba, 6)), Encode(MakeIns(Opcode::kTmi, 0)),
+         Encode(ViaLink(Opcode::kCall, 8)), Mme(0), 20, Its(counter, 0), 0},
+        wide);
+    while (m.AddSegment({7}, UserData()) + 1 < d + SdwCache::kEntries) {
+    }
+    const Segno e = m.AddSegment({Encode(MakeIns(Opcode::kSta, 2)), Mme(9), 0}, narrow);
+    ASSERT_EQ(e, d + SdwCache::kEntries);
+    m.Poke(d, 8, Its(e, 0));
+    m.SetIpr(4, d, 0);
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kWriteViolation, e, 0);
+    EXPECT_EQ(m.Peek(counter, 0), 20u);
+    EXPECT_EQ(m.Peek(e, 2), 0u);
+    EXPECT_EQ(m.cpu().counters().block_ops > 0, tier == EngineTier::kBlocks);
+  });
+}
+
 // An injector attached to a warm machine may corrupt the ring of a link
 // word, so a hop op then takes the full formation and must neither use
 // nor fill its memo: the first raised ring traps on every tier, at a
@@ -1383,9 +1433,10 @@ TEST(ResolvedTransfer, InjectorAttachedMidRun) {
 }
 
 // A's link into B carries RING=5, so `tmi into,*` runs at an effective
-// ring above IPR.RING. With checks off it transfers, but it is never
-// memoised: only a transfer the execute verdict answers at the ring of
-// execution is. With checks on it traps.
+// ring above IPR.RING. With checks off it transfers, on the
+// per-instruction path: no tier builds a block. With checks on the block
+// at A|0 resolves the hop, but only a transfer the execute verdict answers
+// at the ring of execution is memoised, so it traps.
 TEST(ResolvedTransfer, HopAboveTheRingOfExecutionIsNeverMemoised) {
   ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const BranchLoop loop = AddBranchLoop(m);
@@ -1394,10 +1445,9 @@ TEST(ResolvedTransfer, HopAboveTheRingOfExecutionIsNeverMemoised) {
     RunTo(m, 2'000);
     StepToWord(m, 0);
     ASSERT_FALSE(m.cpu().trap_pending());
-    const bool blocks = tier == EngineTier::kBlocks;
-    EXPECT_EQ(HopResolved(m.cpu(), loop.code, 0, 3), blocks);
+    EXPECT_FALSE(HopResolved(m.cpu(), loop.code, 0, 3));
     EXPECT_FALSE(OperandMemoised(m.cpu(), loop.code, 0, 3, kMemoTransfer));
-    EXPECT_EQ(OperandMemoised(m.cpu(), loop.target, 5, 0, kMemoTransfer), blocks);
+    EXPECT_EQ(m.cpu().counters().block_builds, 0u) << EngineTierName(tier);
     m.cpu().set_checks_enabled(true);
     RunTo(m, 100'000);
     ExpectTrapAt(m.cpu(), TrapCause::kTransferRingViolation, loop.code, 3);

@@ -199,8 +199,8 @@ TEST(FastPathDifferential, SelfModifyingCode) { ExpectSameRunOnEveryTier(RunSelf
 // ---------------------------------------------------------------------------
 // Self-modifying PAGED code: the same patch-and-jump program, but the
 // procedure segment lives behind a page table, so instruction fetches run
-// through the TLB and paged blocks. A stale decode (or a stale
-// translation revalidating one) would leave A at 1 instead of 99.
+// through the TLB on the per-instruction path (no tier builds a block
+// from paged code). A stale translation would leave A at 1 instead of 99.
 // ---------------------------------------------------------------------------
 
 RunSignature RunSelfModifyPaged(EngineTier tier) {

@@ -358,6 +358,11 @@ TEST(SnapshotDecoder, RejectsOutOfRangeFieldsInCrcValidImages) {
   ASSERT_GE(Load(Payload(image, kTrace), 1, 8), 1u) << "the cut needs a trace event";
   ASSERT_EQ(Payload(image, kMemory)[16], 0u) << "the cut must not latch a memory fault";
   const uint64_t store_words = Load(Payload(image, kMemory), 17, 8);
+  ASSERT_EQ(Payload(image, kCpu)[SdwCacheStart()], 1u) << "the cut needs an enabled SDW cache";
+  const SdwCache::State cache = hello->cpu().sdw_cache().CaptureState();
+  ASSERT_TRUE(std::any_of(cache.entries.begin(), cache.entries.end(),
+                          [](const SdwCache::Entry& e) { return e.valid; }))
+      << "the cut needs a cached SDW";
 
   struct Case {
     const char* what;
@@ -382,6 +387,8 @@ TEST(SnapshotDecoder, RejectsOutOfRangeFieldsInCrcValidImages) {
       {"trap-array size", Patch(image, kCpu, TrapArraySize(), 3, 4), "cpu", "trap array size 3"},
       {"descriptor-cache geometry", Patch(image, kCpu, SdwCacheGeometry(), 17, 4), "cpu",
        "descriptor-cache geometry 17"},
+      {"disabled descriptor cache holding an entry", Patch(image, kCpu, SdwCacheStart(), 0, 1),
+       "cpu", "disabled descriptor cache holds an entry"},
       {"unknown ready pid", Patch(image, kSupervisor, kFirstReadyPid, 99, 8), "supervisor",
        "unknown ready pid 99"},
       {"unknown current pid", Patch(image, kSupervisor, kCurrentPid, 77, 8), "supervisor",

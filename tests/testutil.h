@@ -67,11 +67,11 @@ class BareMachine {
   }
 
   // Rewrites one word of a segment (behind the processor's back, so any
-  // block decoded from that word must go).
+  // block decoded from that word, or translation read from it, must go).
   void Poke(Segno segno, Wordno wordno, Word value) {
     const Sdw sdw = *dseg_->Fetch(segno);
     memory_.Write(sdw.base + wordno, value);
-    cpu_->FlushBlockCache();
+    cpu_->FlushForExternalStores();
   }
 
   Word Peek(Segno segno, Wordno wordno) {
