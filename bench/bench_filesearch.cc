@@ -186,8 +186,7 @@ struct SearchCost {
 
 // A loaded, started (but not yet run) search machine. `paged` backs the
 // protected directory with a demand-paged segment (prefilled), so every
-// service-side probe takes a page-table walk — the workload the software
-// TLB memoizes.
+// service-side probe takes a page-table walk.
 struct SearchRig {
   std::unique_ptr<Machine> machine;
   Process* process = nullptr;
@@ -308,7 +307,7 @@ void PrintReport() {
 // Host-time cost of the library-structured search (one crossing per
 // probe), machine.Run() only, once per engine tier; the paged variants put
 // the directory behind a page table, so they additionally measure the
-// software TLB. The sim_* counters come from one extra run at the same
+// page-table walk. The sim_* counters come from one extra run at the same
 // tier; tools/bench_check.py gates them, and requires them equal across
 // tiers.
 void LibrarySearchLoop(benchmark::State& state, EngineTier tier, bool paged) {

@@ -133,8 +133,8 @@ std::unique_ptr<Machine> MakeSearchMachine(const MachineConfig& config) {
 
 // --- workload 3: the demand-paged counter ----------------------------------
 // Touches four pages of an initially absent paged segment every lap, so
-// the run front-loads missing-page service and then exercises the
-// software TLB on every reference.
+// the run front-loads missing-page service and then walks a page table
+// on every reference.
 
 constexpr int kPagerIters = 24000;
 

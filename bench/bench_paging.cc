@@ -4,8 +4,8 @@
 // a demand-zero page fault costs end to end (trap + supervisor fill +
 // resumed instruction).
 //
-// The BM_Sum* benchmarks additionally time what the software TLB buys
-// the host: machine construction and assembly stay outside the timed
+// The BM_Sum* benchmarks additionally time what the walk costs the
+// host: machine construction and assembly stay outside the timed
 // region, so paged-vs-unpaged and the engine tiers compare machine.Run()
 // alone. The attached sim_* counters are deterministic and gated by
 // tools/bench_check.py; the simulated cycle counts are identical at every
@@ -130,7 +130,7 @@ void PrintReport() {
 // Host-time cost of one full summing run, machine.Run() only, once per
 // engine tier. The sim_* counters come from one extra deterministic run at
 // the same tier; tools/bench_check.py gates them, and requires them equal
-// across tiers (sim_tlb_hits aside: the reference tier has no TLB).
+// across tiers.
 void SumLoop(benchmark::State& state, EngineTier tier, bool paged, bool populate) {
   for (auto _ : state) {
     state.PauseTiming();
@@ -152,7 +152,6 @@ void SumLoop(benchmark::State& state, EngineTier tier, bool paged, bool populate
   state.counters["sim_page_walks"] = static_cast<double>(sim.counters.page_walks);
   state.counters["sim_checks"] = static_cast<double>(sim.counters.TotalChecks());
   state.counters["sim_pages_supplied"] = static_cast<double>(sim.counters.pages_supplied);
-  state.counters["sim_tlb_hits"] = static_cast<double>(sim.counters.tlb_hits);
 }
 
 void RegisterBenchmarks() {

@@ -31,8 +31,7 @@ inline constexpr int kBenchIterations = 2000;
 // src/cpu/cpu.h), named with the tier's suffix below; none may change
 // what the simulated machine does. tools/bench_check.py requires
 // benchmarks whose names differ only in the suffix to report identical
-// sim_* counters (sim_tlb_hits aside: the reference tier has no software
-// TLB and reports 0).
+// sim_* counters.
 constexpr const char* BenchSuffix(EngineTier tier) {
   switch (tier) {
     case EngineTier::kBlocks:

@@ -130,11 +130,10 @@ void Cpu::SetDbr(const DbrValue& dbr) {
 }
 
 void Cpu::FlushForNewDbr() {
-  // The SDW-cache flush takes every verdict with it; the TLB and the
-  // block cache must also go, since the same segment numbers may now name
-  // different segments.
+  // The SDW-cache flush takes every verdict with it; the block cache must
+  // also go, since the same segment numbers may now name different
+  // segments.
   sdw_cache_.Flush();
-  tlb_.Flush();
   block_cache_.Flush();
 }
 
@@ -202,13 +201,7 @@ bool Cpu::FetchSdw(Segno segno, Sdw* out) {
     // Injected bit damage lands in the fetched copy (and thus the cache),
     // never in the descriptor segment itself: the authoritative SDW stays
     // intact, so the supervisor can detect and recover from the mismatch.
-    if (fault_injector_->MaybeCorruptSdw(cycles_, segno, &sdw)) {
-      // Translations memoized for this segment were derived through the
-      // clean descriptor; they must not survive alongside the damaged
-      // copy about to be cached.
-      tlb_.InvalidateSegment(segno);
-      ++counters_.tlb_invalidations;
-    }
+    fault_injector_->MaybeCorruptSdw(cycles_, segno, &sdw);
   }
   // The insert drops the slot's verdict with whatever it evicts. A running
   // block's per-op charges assume its segment's SDW stays resident; this
@@ -245,30 +238,14 @@ TrapCause Cpu::Translate(bool paged, AbsAddr base, Segno segno, Wordno wordno, A
 }
 
 TrapCause Cpu::WalkPageTable(AbsAddr table_base, Segno segno, Wordno wordno, AbsAddr* out) {
-  // The walk's simulated cost is charged unconditionally: whether the
-  // translation comes from the TLB or from the PTW read below, the
-  // simulated machine performed one page-table reference.
+  // One PTW reference, read and decoded on every walk: no translation is
+  // memoised, so a page-table word stored by anyone is seen at once.
   ++counters_.page_walks;
   cycles_ += cycle_model_.memory_ref;
-  const uint64_t pageno = wordno >> kPageShift;
-  if (TlbEnabled()) {
-    if (const Tlb::Entry* t = tlb_.Lookup(segno, pageno, table_base)) {
-      ++counters_.tlb_hits;
-      *out = t->frame + (wordno & kPageMask);
-      return TrapCause::kNone;
-    }
-    ++counters_.tlb_misses;
-  }
-  const Ptw ptw = DecodePtw(memory_->Read(table_base + pageno));
+  const Ptw ptw = DecodePtw(memory_->Read(table_base + (wordno >> kPageShift)));
   if (!ptw.present) {
     pending_fault_addr_ = SegAddr{segno, wordno};
     return TrapCause::kMissingPage;
-  }
-  if (TlbEnabled()) {
-    // Only present pages are memoized, and only after the Read above
-    // succeeded — so a later TLB hit can never skip a read the slow path
-    // would have faulted on, and missing-page traps always re-walk.
-    tlb_.Fill(segno, pageno, table_base, ptw.frame);
   }
   *out = ptw.frame + (wordno & kPageMask);
   return TrapCause::kNone;
@@ -475,14 +452,11 @@ bool Cpu::Step() {
 bool Cpu::BoundaryInjectionHooks() {
   size_t index = 0;
   if (fault_injector_->MaybeDropCacheEntry(cycles_, SdwCache::kEntries, &index)) {
-    // The dropped register's verdict goes with it, as do any TLB
-    // translations and decoded blocks derived through the descriptor it
-    // held; the next reference takes the slow path and re-walks the
-    // descriptor segment, exactly as it would have without the fast
-    // path.
+    // The dropped register's verdict goes with it, as do any decoded
+    // blocks derived through the descriptor it held; the next reference
+    // takes the slow path and re-walks the descriptor segment, exactly as
+    // it would have without the fast path.
     if (const auto dropped = sdw_cache_.SegnoAtIndex(index); dropped.has_value()) {
-      tlb_.InvalidateSegment(*dropped);
-      ++counters_.tlb_invalidations;
       counters_.block_invalidations += block_cache_.InvalidateSegment(*dropped);
     }
     sdw_cache_.InvalidateIndex(index);
@@ -1062,11 +1036,6 @@ void Cpu::NoteStore(AbsAddr addr, bool target_executable, Segno segno) {
     // so the next fetch re-reads the stored word — including the block
     // this store may be executing from (the version bump bails it).
     counters_.block_invalidations += block_cache_.InvalidateSegment(segno);
-  }
-  // The store may have landed on a page-table word some TLB entry
-  // memoized; the snoop drops exactly those translations.
-  if (const size_t dropped = tlb_.NoteStore(addr); dropped != 0) {
-    counters_.tlb_invalidations += dropped;
   }
   // A store that lands inside the descriptor segment edits an SDW behind
   // the processor's associative registers; treat it exactly like a

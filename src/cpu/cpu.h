@@ -20,7 +20,6 @@
 #include "src/cpu/registers.h"
 #include "src/fault/fault_injector.h"
 #include "src/cpu/sdw_cache.h"
-#include "src/cpu/tlb.h"
 #include "src/cpu/trap.h"
 #include "src/isa/indirect_word.h"
 #include "src/isa/instruction.h"
@@ -58,8 +57,8 @@ enum class RefKind { kFetch, kIndirect, kRead, kWrite, kTransfer };
 // fault-injection stream are bit-identical on every tier (every
 // engine-equivalence test and the fuzz oracle run all of kEngineTiers).
 //   kBlocks:        superblocks (StepBlock) with block-to-block chaining.
-//   kCached:        the access verdicts (SdwCache) and the software TLB,
-//                   one instruction per dispatch.
+//   kCached:        the access verdicts (SdwCache), one instruction per
+//                   dispatch.
 //   kReference:     the per-instruction reference path, no host caches.
 enum class EngineTier { kBlocks, kCached, kReference };
 inline constexpr EngineTier kEngineTiers[] = {EngineTier::kBlocks, EngineTier::kCached,
@@ -112,10 +111,8 @@ class Cpu {
   void set_engine_tier(EngineTier tier) {
     tier_ = tier;
     sdw_cache_.ClearVerdicts();
-    tlb_.Flush();
     block_cache_.Flush();
   }
-  const Tlb& tlb() const { return tlb_; }
   const BlockCache& block_cache() const { return block_cache_; }
 
   // Test-only sabotage of the chaining engine, the chaining analog of
@@ -181,40 +178,23 @@ class Cpu {
   // descriptor may change the segment's base or what its words decode to.
   void InvalidateSdw(Segno segno) {
     sdw_cache_.Invalidate(segno);
-    // The descriptor may have pointed the segment at a different page
-    // table; every translation derived through it is suspect.
-    tlb_.InvalidateSegment(segno);
     counters_.block_invalidations += block_cache_.InvalidateSegment(segno);
     ++counters_.verdict_invalidations;
-    ++counters_.tlb_invalidations;
   }
   void FlushSdwCache() {
     sdw_cache_.Flush();  // and every verdict with it
-    tlb_.Flush();
     block_cache_.Flush();
     ++counters_.verdict_invalidations;
-    ++counters_.tlb_invalidations;
     ++counters_.block_invalidations;
   }
 
   // Must be called after memory is written behind the processor's back
   // (program loading, test pokes, DMA-style stores): any of those words
-  // may be one a block decoded or a page-table word some cached
-  // translation was decoded from.
+  // may be one a block decoded. Page-table words need no call: every
+  // paged reference reads its PTW afresh.
   void FlushForExternalStores() {
     block_cache_.Flush();
-    tlb_.Flush();
     ++counters_.block_invalidations;
-    ++counters_.tlb_invalidations;
-  }
-
-  // Must be called when supervisor software stores a page-table word it
-  // can name precisely (demand fill, page-table edits); `ptw_addr` is the
-  // absolute address of the stored PTW. Cheaper than FlushForExternalStores
-  // and exact.
-  void NotePtwStore(AbsAddr ptw_addr) {
-    tlb_.NoteStore(ptw_addr);
-    ++counters_.tlb_invalidations;
   }
 
   // Injects an asynchronous trap (timer runout, I/O completion) that will
@@ -298,7 +278,7 @@ class Cpu {
 
  private:
   // The flush a DBR change (SetDbr, or Rett to a new DBR) needs: the SDW
-  // cache (and with it every verdict), the TLB and the block cache.
+  // cache (and with it every verdict) and the block cache.
   void FlushForNewDbr();
 
   // --- instruction-cycle phases (see cpu.cc for figure mapping) ---
@@ -409,9 +389,8 @@ class Cpu {
   // Returns kNone or kMissingPage; never raises a trap itself.
   TrapCause Translate(bool paged, AbsAddr base, Segno segno, Wordno wordno, AbsAddr* out);
   // The architectural page-table walk, shared by every reference and the
-  // supervisor access paths: charges one memory reference and counts a
-  // page walk unconditionally, then answers from the TLB when it can and
-  // reads + decodes the PTW (memoizing the translation) when it cannot.
+  // supervisor access paths: charges one memory reference, counts a page
+  // walk, and reads + decodes the PTW at table_base + pageno.
   // Sets pending_fault_addr_ and returns kMissingPage for an absent page;
   // never raises a trap itself.
   TrapCause WalkPageTable(AbsAddr table_base, Segno segno, Wordno wordno, AbsAddr* out);
@@ -503,10 +482,6 @@ class Cpu {
       ++counters_.verdict_misses;
     }
   }
-  // Whether the TLB may be consulted: off on the reference tier and while
-  // the SDW cache (and so every verdict) is off, so the ablation
-  // benchmarks (SDW cache off) measure what they claim.
-  bool TlbEnabled() const { return tier_ != EngineTier::kReference && sdw_cache_.enabled(); }
   // Post-store bookkeeping shared by the guest and supervisor write
   // paths: retires the segment's blocks when the target is executable, and
   // snoops stores that land inside the descriptor segment (an SDW edit
@@ -561,7 +536,6 @@ class Cpu {
 
   SdwCache sdw_cache_;
   EngineTier tier_ = EngineTier::kBlocks;
-  Tlb tlb_;
   bool block_call_ablation_ = false;
   BlockCache block_cache_;
   bool chain_ablation_ = false;

@@ -79,7 +79,7 @@ class SdwCache {
   // a dropped associative register, whatever it happened to hold).
   void InvalidateIndex(size_t index);
   // The segment number held by the register at `index`, if any — lets the
-  // fault-drop site retire derived state (TLB translations) for whatever
+  // fault-drop site retire derived state (decoded blocks) for whatever
   // segment the dropped register happened to describe.
   std::optional<Segno> SegnoAtIndex(size_t index) const {
     const Entry& e = entries_[index % kEntries];
@@ -137,7 +137,7 @@ class SdwCache {
   // a descriptor fetch only on a miss and hits/misses feed architectural
   // counters, so a cloned or restored machine must resume with the exact
   // entries and statistics the original had (unlike the host-only
-  // verdicts, TLB and block cache, which are dropped and rebuilt).
+  // verdicts and block cache, which are dropped and rebuilt).
   struct Entry {
     bool valid = false;
     Segno segno = 0;

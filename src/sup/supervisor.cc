@@ -438,11 +438,6 @@ bool Supervisor::HandleTrapImpl() {
           return true;
         }
         if (InstallZeroPage(memory_, sdw->base, fault.wordno >> kPageShift).has_value()) {
-          // The install stored the PTW behind the processor's back; retire
-          // any translation memoized from that word (there should be none
-          // — absent pages are never cached — but a snoop is exact and
-          // keeps the invariant local).
-          cpu_->NotePtwStore(sdw->base + (fault.wordno >> kPageShift));
           ++cpu_->counters().pages_supplied;
           Charge(8);
           ResumeCurrent(trap.regs);

@@ -52,9 +52,6 @@ struct Counters {
   uint64_t verdict_hits = 0;
   uint64_t verdict_misses = 0;          // slow-path reference that filled a verdict
   uint64_t verdict_invalidations = 0;   // slots dropped (SDW edits, evictions, drops)
-  uint64_t tlb_hits = 0;                // page walks answered by the software TLB
-  uint64_t tlb_misses = 0;              // walks that read the PTW and filled the TLB
-  uint64_t tlb_invalidations = 0;       // invalidation events (stores, SDW edits, flushes)
   uint64_t block_builds = 0;            // superblocks decoded from the store
   uint64_t block_hits = 0;              // dispatches served by a cached block
   uint64_t block_ops = 0;               // instructions executed inside blocks
@@ -68,6 +65,8 @@ struct Counters {
   uint64_t insn_cache_hits = 0;
   uint64_t insn_cache_misses = 0;
   uint64_t insn_cache_invalidations = 0;
+  uint64_t tlb_hits = 0;
+  uint64_t tlb_misses = 0;
   uint64_t crossing_hits = 0;
   uint64_t crossing_misses = 0;
   uint64_t shared_decode_hits = 0;
@@ -102,7 +101,7 @@ struct Counters {
 
   // Visits every scalar counter as fn(name, member_pointer, host_only).
   // host_only marks the host-side fast-path statistics (verdict_* /
-  // tlb_* / block_* / chain_* / the always-zero insn_cache_*,
+  // block_* / chain_* / the always-zero insn_cache_*, tlb_*,
   // crossing_* and shared_decode_*): they describe host work saved, not
   // simulated events, so differential fingerprints skip them and
   // snapshot images do not carry them (a restored machine's start at
@@ -148,7 +147,6 @@ struct Counters {
     host("insn_cache_invalidations", &Counters::insn_cache_invalidations);
     host("tlb_hits", &Counters::tlb_hits);
     host("tlb_misses", &Counters::tlb_misses);
-    host("tlb_invalidations", &Counters::tlb_invalidations);
     host("block_builds", &Counters::block_builds);
     host("block_hits", &Counters::block_hits);
     host("block_ops", &Counters::block_ops);

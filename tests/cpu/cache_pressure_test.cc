@@ -14,8 +14,6 @@
 
 #include "src/cpu/block_cache.h"
 #include "src/cpu/sdw_cache.h"
-#include "src/cpu/tlb.h"
-#include "src/mem/page_table.h"
 #include "tests/testutil.h"
 
 namespace rings {
@@ -85,85 +83,6 @@ TEST(SdwCacheVerdictPressure, FlushRetiresEveryResidentVerdict) {
   const SdwCache::Memo m = cache.Vouching(5, 4);
   ASSERT_NE(m.sdw, nullptr);
   EXPECT_EQ(m.sdw->base, 4242u);
-}
-
-// ---------------------------------------------------------------------------
-// Tlb: 64 sets x 4 ways, set (pageno ^ segno*0x9E3779B1) % kSets. For a
-// fixed segment, pages p, p + kSets, ... share a set.
-// ---------------------------------------------------------------------------
-
-constexpr AbsAddr kTable = 0x1000;
-
-TEST(TlbPressure, OverfilledSetEvictsRoundRobinOnly) {
-  Tlb tlb;
-  // 2 * kWays colliding pages: the second wave evicts the first wave
-  // way-for-way, in fill order.
-  for (uint64_t i = 0; i < 2 * Tlb::kWays; ++i) {
-    tlb.Fill(6, i * Tlb::kSets, kTable, 0x4000 + i * kPageWords);
-  }
-  for (uint64_t i = 0; i < Tlb::kWays; ++i) {
-    EXPECT_EQ(tlb.Lookup(6, i * Tlb::kSets, kTable), nullptr) << "stale way, fill " << i;
-  }
-  for (uint64_t i = Tlb::kWays; i < 2 * Tlb::kWays; ++i) {
-    const Tlb::Entry* e = tlb.Lookup(6, i * Tlb::kSets, kTable);
-    ASSERT_NE(e, nullptr) << "lost fill " << i;
-    EXPECT_EQ(e->frame, 0x4000 + i * kPageWords);
-  }
-  // An evicted page re-walks and refills — with a *new* frame — and the
-  // hit must serve the new frame, not the evicted one.
-  tlb.Fill(6, 0, kTable, 0xF000);
-  const Tlb::Entry* e = tlb.Lookup(6, 0, kTable);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->frame, 0xF000u);
-}
-
-TEST(TlbPressure, FullCapacityFillThenFlushLeavesNoSurvivors) {
-  Tlb tlb;
-  // Fill well past total capacity (every set overflows), then flush.
-  const uint64_t kFills = 2 * Tlb::kEntries;
-  for (uint64_t i = 0; i < kFills; ++i) {
-    tlb.Fill(3, i, kTable, 0x10000 + i * kPageWords);
-  }
-  tlb.Flush();
-  for (uint64_t i = 0; i < kFills; ++i) {
-    EXPECT_EQ(tlb.Lookup(3, i, kTable), nullptr) << "stale post-flush hit, page " << i;
-  }
-  // Refill after the generation bump serves fresh translations.
-  tlb.Fill(3, 5, kTable, 0xABC00);
-  const Tlb::Entry* e = tlb.Lookup(3, 5, kTable);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->frame, 0xABC00u);
-}
-
-TEST(TlbPressure, SnoopUnderPressureDropsOnlyTheStoredPtw) {
-  Tlb tlb;
-  // Saturate one segment's sets, then snoop a single PTW store.
-  for (uint64_t i = 0; i < Tlb::kEntries; ++i) {
-    tlb.Fill(8, i, kTable, 0x20000 + i * kPageWords);
-  }
-  const size_t resident_before = [&] {
-    size_t n = 0;
-    for (uint64_t i = 0; i < Tlb::kEntries; ++i) {
-      n += tlb.Lookup(8, i, kTable) != nullptr;
-    }
-    return n;
-  }();
-  ASSERT_GT(resident_before, 0u);
-  // Pick a resident page and store to its PTW.
-  uint64_t victim = 0;
-  for (uint64_t i = 0; i < Tlb::kEntries; ++i) {
-    if (tlb.Lookup(8, i, kTable) != nullptr) {
-      victim = i;
-      break;
-    }
-  }
-  EXPECT_EQ(tlb.NoteStore(kTable + victim), 1u);
-  EXPECT_EQ(tlb.Lookup(8, victim, kTable), nullptr);
-  size_t resident_after = 0;
-  for (uint64_t i = 0; i < Tlb::kEntries; ++i) {
-    resident_after += tlb.Lookup(8, i, kTable) != nullptr;
-  }
-  EXPECT_EQ(resident_after, resident_before - 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -668,8 +668,7 @@ TEST(ResolvedHop, PagedProcedureSegmentIsNotResolved) {
     EXPECT_FALSE(HopResolved(m.cpu(), kCode, 0, 0));
     EXPECT_EQ(m.cpu().block_cache().Lookup(kCode, 0), nullptr);
     EXPECT_EQ(m.cpu().counters().block_builds, 0u) << EngineTierName(tier);
-    install(1);  // the supervisor relocates the page and announces the PTW
-    m.cpu().NotePtwStore(table);
+    install(1);  // the page moves; no call announces the PTW store
     RunTo(m, 6'000);
     EXPECT_GT(m.Peek(data, 0), 0u);
     EXPECT_GT(m.Peek(data, 1), 0u);
@@ -911,7 +910,8 @@ TEST(ResolvedOperand, ChecksToggledBetweenSlices) {
 
 // The data segment becomes paged, then its page moves to a frame whose
 // words differ: a paged operand has no address fixed by its verdict, so
-// it is never memoised, and the move must be seen.
+// it is never memoised, and the move, which no call announces, must be
+// seen.
 TEST(ResolvedOperand, SegmentBecomesPagedAndItsPageMoves) {
   ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const MemoLoop loop = AddMemoLoop(m);
@@ -931,7 +931,6 @@ TEST(ResolvedOperand, SegmentBecomesPagedAndItsPageMoves) {
     const AbsAddr second = *InstallZeroPage(&m.memory(), table, 0);
     m.memory().Write(second + 0, m.memory().Read(first + 0) + 1'000);
     m.memory().Write(second + 1, m.memory().Read(first + 1));
-    m.cpu().NotePtwStore(table);
     RunTo(m, 100'000);
     ExpectLoopFinished(m, kLoopLimit + 1'000);
   });
@@ -1038,12 +1037,11 @@ TEST(ResolvedOperand, StoreIntoDescriptorSegmentRetiresItsOwnVerdict) {
   EXPECT_EQ(runs[0].traps[0], "write_violation");
 }
 
-// NoteStore also snoops a store onto a page-table word. The loop reads a
-// paged segment's word and stores Q over that segment's PTW through an
-// unpaged segment aliasing the page table, on every pass. Mid-run the
-// harness puts a PTW for another frame in Q, and the memoised store that
-// writes it must drop the TLB's translation: the next read sees the new
-// frame's word.
+// A guest store onto a page-table word. The loop reads a paged segment's
+// word and stores Q over that segment's PTW through an unpaged segment
+// aliasing the page table, on every pass. Mid-run the harness puts a PTW
+// for another frame in Q, and once the memoised store has written it the
+// next read's walk must see the new frame's word.
 TEST(ResolvedOperand, MemoisedStoreIntoPageTableDropsTheTranslation) {
   ExpectOperandScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const AbsAddr table = *AllocatePageTable(&m.memory(), 1);
@@ -1516,8 +1514,7 @@ TEST(ResolvedTransfer, PagedTargetIsNeverMemoised) {
     ASSERT_FALSE(m.cpu().trap_pending());
     EXPECT_EQ(HopResolved(m.cpu(), loop.code, 0, 3), tier == EngineTier::kBlocks);
     EXPECT_FALSE(OperandMemoised(m.cpu(), loop.code, 0, 3, kMemoTransfer));
-    install(Mme(7));  // the supervisor moves the page and announces the PTW
-    m.cpu().NotePtwStore(table);
+    install(Mme(7));  // the page moves; no call announces the PTW store
     RunTo(m, 100'000);
     ExpectTrapAt(m.cpu(), TrapCause::kMasterModeEntry, loop.target, kEntry + 1);
     EXPECT_EQ(m.cpu().trap_state().code, 7);

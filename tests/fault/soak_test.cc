@@ -160,13 +160,9 @@ void RunSoak(uint64_t seed) {
   EXPECT_GT(machine.cpu().counters().block_ops, 0u);
   EXPECT_GT(machine.cpu().counters().sdw_recoveries, 0u);
 
-  // The TLB engaged on the pager's paged references (hits), kept taking
-  // misses as injected descriptor-cache drops and SDW corruption retired
-  // its translations (invalidations), and recovered each time — the soak
-  // would not audit clean or reach the quantum target otherwise.
-  EXPECT_GT(machine.cpu().counters().tlb_hits, 0u);
-  EXPECT_GT(machine.cpu().counters().tlb_misses, 0u);
-  EXPECT_GT(machine.cpu().counters().tlb_invalidations, 0u);
+  // The pager's paged references walked their page tables under the
+  // injected descriptor-cache drops and SDW corruption.
+  EXPECT_GT(machine.cpu().counters().page_walks, 0u);
 
   // ...every death is attributed (no process silently disappeared)...
   for (const auto& process : machine.supervisor().processes()) {

@@ -1,6 +1,5 @@
-// The fast-path identity: the host-side verdict cache and TLB — and the
-// superblock engine and chaining built on top of them —
-// must change NOTHING the simulated machine can observe. Every workload
+// The fast-path identity: the host-side verdict cache — and the
+// superblock engine and chaining built on top of it — must change NOTHING the simulated machine can observe. Every workload
 // here runs once per engine tier (kEngineTiers), and every run must match
 // the reference tier's through the one run comparator (SameRun): the
 // simulated cycle count, architectural state (registers), every
@@ -135,12 +134,12 @@ TEST(FastPathDifferential, FleetFaultSeedB) {
 }
 
 // The fast path must actually engage for the runs above to mean anything.
-// The fleet's pager pounds a paged segment, so the TLB must be taking
-// hits as well as the verdict cache and the block engine.
+// The fleet's pager pounds a paged segment, so its page tables are walked
+// while the verdict cache and the block engine take hits.
 TEST(FastPathDifferential, FastPathEngages) {
   const RunSignature on = RunFleet(EngineTier::kBlocks, 0, 0);
   EXPECT_GT(on.counters.verdict_hits, 0u);
-  EXPECT_GT(on.counters.tlb_hits, 0u);
+  EXPECT_GT(on.counters.page_walks, 0u);
   EXPECT_GT(on.counters.block_builds, 0u);
   EXPECT_GT(on.counters.block_hits, 0u);
   EXPECT_GT(on.counters.block_ops, 0u);
@@ -150,7 +149,6 @@ TEST(FastPathDifferential, FastPathEngages) {
   EXPECT_EQ(no_block.counters.block_ops, 0u);
   const RunSignature off = RunFleet(EngineTier::kReference, 0, 0);
   EXPECT_EQ(off.counters.verdict_hits, 0u);
-  EXPECT_EQ(off.counters.tlb_hits, 0u);
   EXPECT_EQ(off.counters.block_ops, 0u);
   EXPECT_EQ(off.counters.block_builds, 0u);
 }
@@ -198,9 +196,9 @@ TEST(FastPathDifferential, SelfModifyingCode) { ExpectSameRunOnEveryTier(RunSelf
 
 // ---------------------------------------------------------------------------
 // Self-modifying PAGED code: the same patch-and-jump program, but the
-// procedure segment lives behind a page table, so instruction fetches run
-// through the TLB on the per-instruction path (no tier builds a block
-// from paged code). A stale translation would leave A at 1 instead of 99.
+// procedure segment lives behind a page table, so every instruction fetch
+// walks it on the per-instruction path (no tier builds a block from paged
+// code). A stale decode would leave A at 1 instead of 99.
 // ---------------------------------------------------------------------------
 
 RunSignature RunSelfModifyPaged(EngineTier tier) {
@@ -247,9 +245,9 @@ TEST(FastPathDifferential, SelfModifyingPagedCode) {
 // pounds a paged data segment while the "supervisor" (the test, between
 // run slices) first moves the whole page table to a new address — an SDW
 // edit, announced via InvalidateSdw — and then migrates one page to a new
-// frame — a PTW store, announced via NotePtwStore. The vacated table and
-// frame are poisoned, so any stale translation surviving either
-// announcement reads garbage and diverges from the slow-path run.
+// frame — a PTW store that nothing announces. The vacated table and frame
+// are poisoned, so any stale translation surviving either move reads
+// garbage and diverges from the slow-path run.
 // ---------------------------------------------------------------------------
 
 constexpr char kPagedCounterSource[] = R"(
@@ -323,7 +321,6 @@ RunSignature RunPageTableUpheaval(EngineTier tier) {
     machine.memory().Write(old_ptw.frame + i, 0xDEADBEEFu);
   }
   machine.memory().Write(seg->base + 1, EncodePtw(Ptw{true, *new_frame}));
-  machine.cpu().NotePtwStore(seg->base + 1);
 
   machine.Run(50'000);
 
@@ -418,14 +415,13 @@ TEST(FastPathDifferential, B645Crossings) { ExpectSameRunOnEveryTier(RunB645); }
 // Per-kind charge equality. Every reference kind crossed with every
 // outcome, on paged and unpaged segments, run on a bare processor twice
 // from the same start: the first pass walks descriptors and fills the
-// verdict, decode and TLB caches, the second meets them warm
-// (a denied or out-of-bounds reference then finds a verdict that does not
-// vouch for it). Every engine tier must agree on cycles, architectural
-// counters and the trap cause of each pass; the tiers with a live TLB
-// must agree on tlb_hits. Allowed
-// fetches, operands, indirections and transfers are left to the
-// workloads above; CALL and RETURN get allowed rows here too, so a
-// same-segment crossing also resolves through a warm SDW cache.
+// verdicts, the second meets them warm (a denied or out-of-bounds
+// reference then finds a verdict that does not vouch for it). Every
+// engine tier must agree on cycles, architectural counters and the trap
+// cause of each pass. Allowed fetches, operands, indirections and
+// transfers are left to the workloads above; CALL and RETURN get allowed
+// rows here too, so a same-segment crossing also resolves through a warm
+// SDW cache.
 // ---------------------------------------------------------------------------
 
 enum class RefCase { kFetch, kIndirect, kRead, kWrite, kTransfer, kCall, kReturn };
@@ -607,10 +603,8 @@ TEST(FastPathDifferential, PerKindChargesMatchForEveryOutcome) {
         for (size_t i = 0; i < runs.size(); ++i) {
           EXPECT_EQ(runs[i].traps, (std::vector<std::string>{want, want}));
           if (kEngineTiers[i] == EngineTier::kReference) {
-            EXPECT_EQ(runs[i].counters.tlb_hits, 0u);
             continue;
           }
-          EXPECT_EQ(runs[i].counters.tlb_hits, runs[0].counters.tlb_hits);
           // Every segment that exists got a verdict on the first pass, so
           // the second pass met it warm.
           if (row.kind != RefCase::kFetch || row.outcome != Outcome::kMissingSegment) {

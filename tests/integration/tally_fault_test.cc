@@ -91,8 +91,8 @@ std::unique_ptr<Machine> CallLoop(const MachineConfig& config) {
   return Start(std::make_unique<Machine>(config), kCallLoopSource, acls, {{"main", "start"}});
 }
 
-// A demand-paged walk, run from paged code: every fetch translates
-// through the TLB, and the data pages start absent (missing-page traps,
+// A demand-paged walk, run from paged code: every fetch walks the page
+// table, and the data pages start absent (missing-page traps,
 // supervisor page fills). The loader makes only unpaged segments, so the
 // code is assembled into a paged segment by hand and reaches its data
 // through PR1.
@@ -532,8 +532,8 @@ TEST(TallyExactness, CallLoopWithChecksOff) {
 TEST(TallyExactness, DemandPagedWalk) {
   const Counters counters = ExpectExactAtEverySlice(&PagedWalk, {}, /*in_blocks=*/false);
   EXPECT_GT(counters.TrapCount(TrapCause::kMissingPage), 0u);
-  // Paged fetches and paged operands both answered through the TLB.
-  EXPECT_GT(counters.tlb_hits, counters.instructions);
+  // Paged fetches and paged operands both walk the page table.
+  EXPECT_GT(counters.page_walks, counters.instructions);
 }
 
 TEST(TallyExactness, TwoProcessTty) {

@@ -1,6 +1,6 @@
 // PTW encoding round-trips and PageCount edge cases. The PTW is the word
-// the software TLB memoizes its translations from, so its encoding must
-// be exact for every representable frame address.
+// every paged reference reads and decodes, so its encoding must be exact
+// for every representable frame address.
 #include "src/mem/page_table.h"
 
 #include <gtest/gtest.h>

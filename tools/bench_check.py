@@ -4,7 +4,7 @@
 The gate compares *simulated* per-operation costs — benchmark counters
 prefixed ``sim_`` (e.g. ``sim_cycles_per_call`` from bench_fig8_call,
 ``sim_cycles_per_return`` from bench_fig9_return, ``sim_cycles`` /
-``sim_page_walks`` / ``sim_tlb_hits`` from the paged workloads in
+``sim_page_walks`` from the paged workloads in
 bench_paging and bench_filesearch, and the aggregate counters and
 fingerprint folds of bench_fleet and bench_serve). These are deterministic
 properties of the simulated machine's cycle model, so they must match the
@@ -22,9 +22,8 @@ the baseline, so they cover rows the baseline does not list:
   it turns off (e.g. ``_NoBlockEngine``) right before the first ``/``, none for
   the default tier.
   Names that differ only in that suffix must report identical ``sim_*``
-  counters: no host-side layer may change simulated cost. The one
-  exception is ``sim_tlb_hits``, which the ``_NoFastPath`` row (no
-  software TLB) reports as 0.
+  counters: no host-side layer may change simulated cost. No row, the
+  reference row included, is exempt from any counter.
 * Thread counts. Names that differ only in a ``threads:N`` argument (the
   fleet and serving benchmarks) must report identical ``sim_*``
   counters: thread count may change host throughput but never a
@@ -178,17 +177,11 @@ def thread_group(name):
     return key if key != name else None
 
 
-def tlb_less(name, counter):
-    """The reference row has no software TLB, so its TLB hits are not compared."""
-    return counter == "sim_tlb_hits" and engine_suffix(name) == "_NoFastPath"
-
-
-def check_invariance(results, group_of, varies_with, exempt=lambda name, counter: False):
+def check_invariance(results, group_of, varies_with):
     """sim_* counters must be identical within each group of benchmarks.
 
-    `group_of` maps a benchmark name to its group key (None: no group);
-    `exempt(name, counter)` leaves one member's counter out of the
-    comparison. Returns the failure lines (empty when the invariant holds)
+    `group_of` maps a benchmark name to its group key (None: no group).
+    Returns the failure lines (empty when the invariant holds)
     and the set of benchmark names involved in a failure.
     """
     groups = {}
@@ -204,7 +197,7 @@ def check_invariance(results, group_of, varies_with, exempt=lambda name, counter
         counters = set().union(*(sim for _, sim in members))
         group_failures = []
         for counter in sorted(counters):
-            values = {n: sim.get(counter) for n, sim in members if not exempt(n, counter)}
+            values = {n: sim.get(counter) for n, sim in members}
             if len(set(values.values())) <= 1:
                 continue
             detail = ", ".join(f"{n}={v!r}" for n, v in sorted(values.items()))
@@ -225,9 +218,7 @@ def cmd_check(args):
     results, origins = load_results(args.results)
 
     failures, failing_names = check_invariance(results, thread_group, "thread count")
-    engine_failures, engine_failing = check_invariance(
-        results, engine_group, "engine row", exempt=tlb_less
-    )
+    engine_failures, engine_failing = check_invariance(results, engine_group, "engine row")
     failures += engine_failures
     failing_names |= engine_failing
     for name, expected in sorted(baseline.items()):

@@ -4,9 +4,8 @@
 Each case writes a baseline and google-benchmark-shaped result files into a
 temporary directory, runs the checker as a subprocess, and asserts its
 exit status: a planted drift, a threads:N mismatch and an engine-row
-mismatch must fail the gate; a reference row that differs only in
-sim_tlb_hits must pass; and `update` must refuse to drop a baselined
-benchmark. Run directly or through ctest (bench_check_test).
+mismatch (the reference row's too) must fail the gate; and `update` must
+refuse to drop a baselined benchmark. Run directly or through ctest (bench_check_test).
 """
 
 import json
@@ -18,7 +17,7 @@ import unittest
 
 CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_check.py")
 
-PAGED = {"sim_cycles": 72568.0, "sim_page_walks": 3000.0, "sim_tlb_hits": 2997.0}
+PAGED = {"sim_cycles": 72568.0, "sim_page_walks": 3000.0}
 FLEET = {"sim_total_cycles": 7649480.0, "sim_fingerprint_fold": 1321392469.0}
 
 
@@ -36,8 +35,7 @@ def passing_results():
     """Every engine row and thread count agreeing with the baseline below."""
     rows = {}
     for suffix in ("", "_NoChain", "_NoBlockEngine", "_NoFastPath"):
-        paged = dict(PAGED, sim_tlb_hits=0.0) if suffix == "_NoFastPath" else dict(PAGED)
-        rows[f"BM_SumPaged{suffix}/iterations:20"] = paged
+        rows[f"BM_SumPaged{suffix}/iterations:20"] = dict(PAGED)
         for threads in (1, 4):
             rows[f"BM_FleetMixed{suffix}/threads:{threads}/iterations:5"] = dict(FLEET)
     return rows
@@ -96,12 +94,15 @@ class BenchCheckTest(unittest.TestCase):
         self.assertIn("varies with thread count", run.stderr)
 
     def test_engine_row_mismatch_fails(self):
-        # Not baselined: only the engine-row invariance can catch it.
-        rows = passing_results()
-        rows["BM_SumPaged_NoBlockEngine/iterations:20"]["sim_page_walks"] += 1
-        run = self.run_checker("check", rows)
-        self.assertEqual(run.returncode, 1, run.stdout)
-        self.assertIn("sim_page_walks varies with engine row", run.stderr)
+        # Not baselined: only the engine-row invariance can catch it. The
+        # reference row (_NoFastPath) gets no exemption either.
+        for suffix in ("_NoBlockEngine", "_NoFastPath"):
+            with self.subTest(row=suffix):
+                rows = passing_results()
+                rows[f"BM_SumPaged{suffix}/iterations:20"]["sim_page_walks"] += 1
+                run = self.run_checker("check", rows)
+                self.assertEqual(run.returncode, 1, run.stdout)
+                self.assertIn("sim_page_walks varies with engine row", run.stderr)
 
     def test_any_engine_row_suffix_is_grouped(self):
         # A row the checker has never heard of is held to the same values.
@@ -110,16 +111,6 @@ class BenchCheckTest(unittest.TestCase):
         run = self.run_checker("check", rows)
         self.assertEqual(run.returncode, 1, run.stdout)
         self.assertIn("sim_cycles varies with engine row", run.stderr)
-
-    def test_reference_row_may_differ_only_in_tlb_hits(self):
-        rows = passing_results()
-        self.assertEqual(rows["BM_SumPaged_NoFastPath/iterations:20"]["sim_tlb_hits"], 0.0)
-        self.assertEqual(self.run_checker("check", rows).returncode, 0)
-        # The exemption is the reference row's alone.
-        rows["BM_SumPaged_NoChain/iterations:20"]["sim_tlb_hits"] = 0.0
-        run = self.run_checker("check", rows)
-        self.assertEqual(run.returncode, 1, run.stdout)
-        self.assertIn("sim_tlb_hits varies with engine row", run.stderr)
 
     def test_update_refuses_to_drop_a_baselined_benchmark(self):
         rows = passing_results()
