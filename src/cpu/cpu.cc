@@ -240,14 +240,13 @@ TrapCause Cpu::Translate(bool paged, AbsAddr base, Segno segno, Wordno wordno, A
 TrapCause Cpu::WalkPageTable(AbsAddr table_base, Segno segno, Wordno wordno, AbsAddr* out) {
   // One PTW reference, read and decoded on every walk: no translation is
   // memoised, so a page-table word stored by anyone is seen at once.
-  ++counters_.page_walks;
-  cycles_ += cycle_model_.memory_ref;
-  const Ptw ptw = DecodePtw(memory_->Read(table_base + (wordno >> kPageShift)));
+  ChargeWalk();
+  const Ptw ptw = DecodePtw(memory_->Read(PtwAddress(table_base, wordno)));
   if (!ptw.present) {
     pending_fault_addr_ = SegAddr{segno, wordno};
     return TrapCause::kMissingPage;
   }
-  *out = ptw.frame + (wordno & kPageMask);
+  *out = FrameAddress(ptw, wordno);
   return TrapCause::kNone;
 }
 
@@ -298,15 +297,66 @@ TrapCause Cpu::SupervisorAccess(Segno segno, Wordno wordno, std::optional<Ring> 
 // reads the descriptor the SDW cache holds, and the slot's verdict
 // memoizes the predicate's outcome against that descriptor and lives only
 // as long as it does (sdw_cache.h), so the charges, checks and traps that
-// follow are the same either way. A reference counts its word access too:
-// the caller always makes it once the reference succeeds. A memo hit that
-// completes is tallied (one slot bump for all its counters); one that
-// traps counts directly.
+// follow are the same either way. A reference charges and counts its word
+// access too: the caller always makes it once the reference succeeds. A
+// memo hit that completes is tallied (one slot bump for all its counters);
+// one that traps counts directly. The memo hit that completes is Locate
+// plus ChargeVouched, which RunBlocks' PR-relative forms share.
 
 template <RefKind K>
 bool Cpu::Vouches(const SdwCache::Verdict& verdict, Ring ring, Ring effective) const {
   constexpr bool SdwCache::Verdict::* kBit = RuleFor(K).verdict;
   return !checks_enabled_ || (effective == ring && verdict.*kBit);
+}
+
+template <RefKind K>
+[[gnu::always_inline]] inline bool Cpu::Locate(const Sdw& sdw, Wordno wordno,
+                                               Vouched* out) const {
+  if (wordno >= sdw.bound) {
+    return false;
+  }
+  out->sdw = &sdw;
+  if constexpr (K == RefKind::kTransfer) {  // the advance check forms no address
+    return true;
+  } else {
+    AbsAddr addr = sdw.base + wordno;
+    if (sdw.paged) {
+      // The walk's PTW read, uncharged; ChargeVouched charges it.
+      const AbsAddr ptw_addr = PtwAddress(sdw.base, wordno);
+      if (ptw_addr >= memory_->size()) {
+        return false;
+      }
+      const Ptw ptw = DecodePtw(memory_->Read(ptw_addr));
+      if (!ptw.present) {
+        return false;
+      }
+      addr = FrameAddress(ptw, wordno);
+    }
+    out->addr = addr;
+    return addr < memory_->size();
+  }
+}
+
+template <RefKind K>
+[[gnu::always_inline]] inline bool Cpu::Vouch(Segno segno, Wordno wordno, Ring ring,
+                                              Ring effective, Vouched* out) const {
+  const SdwCache::Memo memo = sdw_cache_.Vouching(segno, ring);
+  return memo.sdw != nullptr && Vouches<K>(memo.verdict, ring, effective) &&
+         Locate<K>(*memo.sdw, wordno, out);
+}
+
+template <RefKind K>
+[[gnu::always_inline]] inline void Cpu::ChargeVouched(bool paged, bool checked) {
+  if (checked) {
+    cycles_ += cycle_model_.access_check;
+  }
+  if constexpr (K != RefKind::kTransfer) {
+    cycles_ += cycle_model_.memory_ref;
+    if (paged) {
+      ChargeWalk();
+    }
+  }
+  Tally(static_cast<size_t>(K));
 }
 
 // Forced inline: the memo hit is the per-reference hot path, and each
@@ -317,6 +367,16 @@ template <RefKind K>
   constexpr RefRule kRule = RuleFor(K);
   const SdwCache::Memo memo = sdw_cache_.Vouching(segno, ring);
   const bool memo_hit = memo.sdw != nullptr && Vouches<K>(memo.verdict, ring, effective);
+  if (Vouched v; memo_hit && Locate<K>(*memo.sdw, wordno, &v)) {
+    ChargeVouched<K>(v.sdw->paged, checks_enabled_);
+    out->addr = v.addr;
+    out->r1 = v.sdw->access.brackets.r1;
+    out->flags_execute = v.sdw->access.flags.execute;
+    out->memoizable = !v.sdw->paged;
+    return true;
+  }
+  // The general path: a descriptor walk, or a memo hit that traps on its
+  // bound or a missing page, or whose word lies outside the store.
   Sdw walked;
   if (memo_hit) {
     // Vouched: the check passes (or checks are off), so only its cycles
@@ -358,6 +418,9 @@ template <RefKind K>
     }
     RaiseTrap(cause);
     return false;
+  }
+  if constexpr (K != RefKind::kTransfer) {
+    cycles_ += cycle_model_.memory_ref;  // the word access
   }
   if (memo_hit) {
     Tally(static_cast<size_t>(K));
@@ -597,6 +660,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
       // The op whose final TPR was fixed at build, and so whose operand
       // memo RunInLoop may use and the handlers fill (see operand_memo_).
       BlockCache::Op* memo = nullptr;
+      bool ran = false;  // a PR-relative form ran the whole op
       if (op.hop && fault_injector_ == nullptr) {
         // The first hop TryBuildBlock resolved: the charges of Figure 5's
         // first indirect word on a verdict hit (its check and read as one
@@ -617,13 +681,16 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
         // offset TryBuildBlock checked is a word number.
         tpr_ = Tpr{regs_.ipr.ring, regs_.ipr.segno, static_cast<Wordno>(op.ins.offset)};
         memo = &op;
+      } else if (op.ins.pr_relative && PrRelativeInLoop(op.ins)) {
+        ran = true;
       } else if (op.needs_ea && !FormEffectiveAddress(op.ins)) {
         return false;
       }
       regs_.ipr.wordno = wordno + 1;
       // An in-loop form raises no trap. Any other op, or one whose memo
       // cannot answer, runs its handler, which may fill the memo.
-      if (!RunInLoop(op.ins, memo, version)) {
+      if (!ran && !RunInLoop(op.ins, memo, version)) {
+        ++counters_.block_op_fallbacks;
         operand_memo_ = memo;
         Execute(op.ins);
         operand_memo_ = nullptr;
@@ -865,7 +932,6 @@ bool Cpu::FetchInstruction(Instruction* ins) {
   if (!Reference<RefKind::kFetch>(regs_.ipr.segno, regs_.ipr.wordno, ring, ring, &ref)) {
     return false;
   }
-  cycles_ += cycle_model_.memory_ref;
   if (!DecodeInstruction(memory_->Read(ref.addr), ins)) {
     RaiseTrap(TrapCause::kIllegalOpcode);
     return false;
@@ -925,7 +991,6 @@ bool Cpu::ChaseIndirectWords(unsigned depth) {
     if (!Reference<RefKind::kIndirect>(tpr_.segno, tpr_.wordno, ring, ring, &ref)) {
       return false;
     }
-    cycles_ += cycle_model_.memory_ref;
     IndirectWord iw = DecodeIndirectWord(memory_->Read(ref.addr));
     if (fault_injector_ != nullptr && !iw.fault) {
       fault_injector_->MaybeCorruptIndirectRing(cycles_, tpr_.segno, tpr_.wordno, &iw);
@@ -966,22 +1031,19 @@ bool Cpu::ChaseIndirectWords(unsigned depth) {
 }
 
 [[gnu::always_inline]] inline Word Cpu::MemoRead(const BlockCache::Op& op) {
-  cycles_ += cycle_model_.access_check + cycle_model_.memory_ref;
-  Tally(static_cast<size_t>(RefKind::kRead));
+  ChargeVouched<RefKind::kRead>(/*paged=*/false, /*checked=*/true);
   return memory_->Read(op.memo_addr);
 }
 
 [[gnu::always_inline]] inline void Cpu::MemoWrite(const BlockCache::Op& op, Word value) {
-  cycles_ += cycle_model_.access_check + cycle_model_.memory_ref;
-  Tally(static_cast<size_t>(RefKind::kWrite));
+  ChargeVouched<RefKind::kWrite>(/*paged=*/false, /*checked=*/true);
   memory_->Write(op.memo_addr, value);
   NoteStore(op.memo_addr, (op.memo & BlockCache::Op::kMemoExecute) != 0, tpr_.segno);
 }
 
 // A memo-hit Reference<kTransfer> and the transfer it validates.
 [[gnu::always_inline]] inline void Cpu::MemoTransfer() {
-  cycles_ += cycle_model_.access_check;
-  Tally(static_cast<size_t>(RefKind::kTransfer));
+  ChargeVouched<RefKind::kTransfer>(/*paged=*/false, /*checked=*/true);
   regs_.ipr.segno = tpr_.segno;
   regs_.ipr.wordno = tpr_.wordno;
 }
@@ -1009,7 +1071,6 @@ void Cpu::KeepOperand(uint8_t kind, const Ref& ref) {
     return false;
   }
   KeepOperand(BlockCache::Op::kMemoRead, ref);
-  cycles_ += cycle_model_.memory_ref;
   *out = memory_->Read(ref.addr);
   return true;
 }
@@ -1024,7 +1085,6 @@ void Cpu::KeepOperand(uint8_t kind, const Ref& ref) {
   // store into the descriptor segment), and then bumps the version past
   // the memo's.
   KeepOperand(BlockCache::Op::kMemoWrite, ref);
-  cycles_ += cycle_model_.memory_ref;
   memory_->Write(ref.addr, value);
   NoteStore(ref.addr, ref.flags_execute, tpr_.segno);
   return true;
@@ -1517,6 +1577,99 @@ template <Opcode O>
     case Opcode::kTpl: return TransferInLoop<Opcode::kTpl>(memo, version);
     default:
       // CALL, RETURN, LDBR, SIO, SPP and the trap raisers.
+      return false;
+  }
+}
+
+// RunBlocks' forms for a PR-relative operand (DESIGN.md §7, "Ops run in
+// the loop"). Such an operand depends on a register, so no memo holds it:
+// each execution forms it afresh from the verdicts, reading a paged
+// segment's PTW as Reference does, and any step the verdicts cannot answer
+// leaves the whole op to Execute, which raises what that step would.
+template <RefKind K>
+[[gnu::always_inline]] inline bool Cpu::PrOperand(const Instruction& ins, AbsAddr* addr,
+                                                  bool* target_executable) {
+  if (mode_ != ProtectionMode::kRingHardware || fault_injector_ != nullptr) {
+    return false;
+  }
+  // Figure 5 as FormEffectiveAddress forms it.
+  const PointerRegister& pr = regs_.pr[ins.prnum];
+  int64_t wordno = static_cast<int64_t>(pr.wordno) + ins.offset;
+  if (ins.tag != 0) {
+    wordno += static_cast<int64_t>(regs_.x[ins.tag]);
+  }
+  if (wordno < 0 || wordno > kMaxWordno) {
+    return false;
+  }
+  Tpr tpr{MaxRing(regs_.ipr.ring, pr.ring), pr.segno, static_cast<Wordno>(wordno)};
+  Vouched hop;
+  if (ins.indirect) {
+    // The first hop, as ChaseIndirectWords takes it at depth 1; a word
+    // that faults or chases on is left to the full chase.
+    if (!Vouch<RefKind::kIndirect>(tpr.segno, tpr.wordno, tpr.ring, tpr.ring, &hop)) {
+      return false;
+    }
+    const IndirectWord iw = DecodeIndirectWord(memory_->Read(hop.addr));
+    if (iw.fault || iw.indirect) {
+      return false;
+    }
+    tpr = Tpr{MaxRing(tpr.ring, iw.ring, hop.sdw->access.brackets.r1), iw.segno, iw.wordno};
+  }
+  Vouched operand;
+  if (!Vouch<K>(tpr.segno, tpr.wordno, tpr.ring, tpr.ring, &operand)) {
+    return false;
+  }
+  if (ins.indirect) {
+    ChargeVouched<RefKind::kIndirect>(hop.sdw->paged, /*checked=*/true);
+  }
+  ChargeVouched<K>(operand.sdw->paged, /*checked=*/true);
+  tpr_ = tpr;
+  *addr = operand.addr;
+  *target_executable = operand.sdw->access.flags.execute;
+  return true;
+}
+
+template <Opcode O>
+[[gnu::always_inline]] inline bool Cpu::PrReadInLoop(const Instruction& ins) {
+  AbsAddr addr = 0;
+  bool target_executable = false;
+  if (!PrOperand<RefKind::kRead>(ins, &addr, &target_executable)) {
+    return false;
+  }
+  ReadEffect<O>(ins, memory_->Read(addr));
+  return true;
+}
+
+template <Opcode O>
+[[gnu::always_inline]] inline bool Cpu::PrWriteInLoop(const Instruction& ins) {
+  AbsAddr addr = 0;
+  bool target_executable = false;
+  if (!PrOperand<RefKind::kWrite>(ins, &addr, &target_executable)) {
+    return false;
+  }
+  memory_->Write(addr, StoredWord<O>(ins));
+  NoteStore(addr, target_executable, tpr_.segno);
+  return true;
+}
+
+[[gnu::always_inline]] inline bool Cpu::PrRelativeInLoop(const Instruction& ins) {
+  switch (ins.opcode) {
+    case Opcode::kLda: return PrReadInLoop<Opcode::kLda>(ins);
+    case Opcode::kLdq: return PrReadInLoop<Opcode::kLdq>(ins);
+    case Opcode::kLdx: return PrReadInLoop<Opcode::kLdx>(ins);
+    case Opcode::kAda: return PrReadInLoop<Opcode::kAda>(ins);
+    case Opcode::kSba: return PrReadInLoop<Opcode::kSba>(ins);
+    case Opcode::kMpy: return PrReadInLoop<Opcode::kMpy>(ins);
+    case Opcode::kAna: return PrReadInLoop<Opcode::kAna>(ins);
+    case Opcode::kOra: return PrReadInLoop<Opcode::kOra>(ins);
+    case Opcode::kEra: return PrReadInLoop<Opcode::kEra>(ins);
+    case Opcode::kSta: return PrWriteInLoop<Opcode::kSta>(ins);
+    case Opcode::kStq: return PrWriteInLoop<Opcode::kStq>(ins);
+    case Opcode::kStx: return PrWriteInLoop<Opcode::kStx>(ins);
+    case Opcode::kStz: return PrWriteInLoop<Opcode::kStz>(ins);
+    default:
+      // The rest: FormEffectiveAddress forms the operand, and RunInLoop
+      // (EPP, a transfer not taken) or Execute runs the op.
       return false;
   }
 }

@@ -378,6 +378,25 @@ class Cpu {
   bool WriteInLoop(const Instruction& ins, const BlockCache::Op* memo, uint64_t version);
   template <Opcode O>
   bool TransferInLoop(const BlockCache::Op* memo, uint64_t version);
+  // RunBlocks' form for a PR-relative operand (DESIGN.md §7, "Ops run in
+  // the loop"): runs `ins` whole and returns true when it is a read or
+  // write RunInLoop runs from a memo and PrOperand answers its operand;
+  // otherwise does nothing and returns false, and Execute takes the op.
+  bool PrRelativeInLoop(const Instruction& ins);
+  template <Opcode O>
+  bool PrReadInLoop(const Instruction& ins);
+  template <Opcode O>
+  bool PrWriteInLoop(const Instruction& ins);
+  // Figure 5 and the final reference of kind K for a PR-relative operand,
+  // from the verdicts alone: the TPR from PRn plus Xtag, at most one `,*`
+  // hop through a word whose F and I bits are clear, and each reference
+  // answered by Vouch. Charges and changes nothing until every step has
+  // succeeded; then charges each reference as Reference does, leaves the
+  // TPR Figure 5 forms, and returns the operand's address and the SDW
+  // execute flag NoteStore takes. Ring hardware only, and never with an
+  // injector attached (it draws once per hop).
+  template <RefKind K>
+  bool PrOperand(const Instruction& ins, AbsAddr* addr, bool* target_executable);
 
   // SDW fetch with descriptor cache and missing-segment trap.
   bool FetchSdw(Segno segno, Sdw* out);
@@ -411,14 +430,46 @@ class Cpu {
   // from the SDW cache slot whose verdict vouches for (segno, ring), else
   // from FetchSdw plus the kind's Check* predicate; then charge the check,
   // trap a denial, check bounds, and translate. `ring` keys the verdict;
-  // `effective` differs from it only for transfers. Raises the trap and
-  // returns false on any failure.
+  // `effective` differs from it only for transfers. Charges and counts the
+  // word access the caller then makes (none for a transfer). Raises the
+  // trap and returns false on any failure.
   template <RefKind K>
   bool Reference(Segno segno, Wordno wordno, Ring ring, Ring effective, Ref* out);
   // Whether `verdict` answers the kind's check at (ring, effective)
   // without a descriptor walk.
   template <RefKind K>
   bool Vouches(const SdwCache::Verdict& verdict, Ring ring, Ring effective) const;
+  // A reference the verdicts answer whole: the vouching slot's descriptor
+  // and, for any kind but a transfer, the word's absolute address.
+  struct Vouched {
+    const Sdw* sdw = nullptr;  // into the slot: holds until a slot is written
+    AbsAddr addr = 0;
+  };
+  // The memo-hit half of Reference after the probe and up to its charges,
+  // which Reference and PrOperand share: the word is in bounds under the
+  // vouching slot's descriptor `sdw`, and (but for a transfer) its address
+  // lies in the store, through a present PTW in the store for a paged
+  // segment. Charges, counts and changes nothing; false when any step
+  // fails, and Reference then takes its general path, which raises what
+  // the failed step would.
+  template <RefKind K>
+  bool Locate(const Sdw& sdw, Wordno wordno, Vouched* out) const;
+  // The probe plus Locate: the slot's verdict vouches for the kind at
+  // (ring, effective) and Locate answers.
+  template <RefKind K>
+  bool Vouch(Segno segno, Wordno wordno, Ring ring, Ring effective, Vouched* out) const;
+  // What a reference Locate answered charges and counts: its check (when
+  // `checked`: the checks are on, as they always are in a block), its word
+  // access and, for a paged segment, its page-table walk, with one tally
+  // bump for all but the walk.
+  template <RefKind K>
+  void ChargeVouched(bool paged, bool checked);
+  // One page-table walk: a memory reference for the PTW, counted in
+  // page_walks.
+  void ChargeWalk() {
+    ++counters_.page_walks;
+    cycles_ += cycle_model_.memory_ref;
+  }
   // Counts one reference a verdict answered but that trapped
   // before its word access: the SDW-cache hit the descriptor walk would
   // have counted, without the probe. A memo hit that completes is tallied
@@ -455,8 +506,8 @@ class Cpu {
   bool WriteOperand(Word value);
   // The memo-hit accesses of RunInLoop: whether `op`'s memo answers every
   // kind in `kinds` at `version`, and a read, write or transfer it answers,
-  // charged, tallied and (for a write) snooped exactly as the memo-hit
-  // Reference with its word access. Forced inline (cpu.cc).
+  // charged and tallied by ChargeVouched and (for a write) snooped exactly
+  // as the memo-hit Reference with its word access. Forced inline (cpu.cc).
   bool MemoAnswers(const BlockCache::Op* op, uint8_t kinds, uint64_t version) const;
   Word MemoRead(const BlockCache::Op& op);
   void MemoWrite(const BlockCache::Op& op, Word value);

@@ -1,29 +1,12 @@
 #include "src/mem/page_table.h"
 
-#include "src/base/bitfield.h"
-
 namespace rings {
-
-namespace {
-
-constexpr unsigned kPresentShift = 63;
-constexpr unsigned kFrameShift = 0;
-constexpr unsigned kFrameWidth = 40;
-
-}  // namespace
 
 Word EncodePtw(const Ptw& ptw) {
   Word w = 0;
-  w = DepositBits(w, kPresentShift, 1, ptw.present ? 1 : 0);
-  w = DepositBits(w, kFrameShift, kFrameWidth, ptw.frame);
+  w = DepositBits(w, kPtwPresentShift, 1, ptw.present ? 1 : 0);
+  w = DepositBits(w, 0, kPtwFrameWidth, ptw.frame);
   return w;
-}
-
-Ptw DecodePtw(Word word) {
-  Ptw ptw;
-  ptw.present = ExtractBits(word, kPresentShift, 1) != 0;
-  ptw.frame = ExtractBits(word, kFrameShift, kFrameWidth);
-  return ptw;
 }
 
 std::optional<AbsAddr> AllocatePageTable(PhysicalMemory* memory, uint64_t pages) {

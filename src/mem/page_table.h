@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/base/bitfield.h"
 #include "src/mem/physical_memory.h"
 #include "src/mem/word.h"
 
@@ -34,8 +35,25 @@ struct Ptw {
   bool operator==(const Ptw&) const = default;
 };
 
+// The PTW's fields: the present bit on top, the frame address below.
+inline constexpr unsigned kPtwPresentShift = 63;
+inline constexpr unsigned kPtwFrameWidth = 40;
+
 Word EncodePtw(const Ptw& ptw);
-Ptw DecodePtw(Word word);
+// Inline: every paged reference decodes its PTW.
+inline Ptw DecodePtw(Word word) {
+  return Ptw{ExtractBits(word, kPtwPresentShift, 1) != 0, ExtractBits(word, 0, kPtwFrameWidth)};
+}
+
+// The address of the PTW that maps `wordno` of the segment whose page
+// table starts at `table_base`, and the absolute address of `wordno` in
+// the frame a present PTW maps: the two halves of every translation.
+constexpr AbsAddr PtwAddress(AbsAddr table_base, uint64_t wordno) {
+  return table_base + (wordno >> kPageShift);
+}
+constexpr AbsAddr FrameAddress(const Ptw& ptw, uint64_t wordno) {
+  return ptw.frame + (wordno & kPageMask);
+}
 
 // Allocates a page table of `pages` PTWs (all absent) in `memory`;
 // returns its base address.

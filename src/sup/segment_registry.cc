@@ -67,8 +67,8 @@ std::optional<Segno> SegmentRegistry::CreatePagedSegment(const std::string& name
       }
     }
     for (size_t i = 0; i < contents.size(); ++i) {
-      const Ptw ptw = DecodePtw(memory_->Read(*table + (i >> kPageShift)));
-      memory_->Write(ptw.frame + (i & kPageMask), contents[i]);
+      const Ptw ptw = DecodePtw(memory_->Read(PtwAddress(*table, i)));
+      memory_->Write(FrameAddress(ptw, i), contents[i]);
     }
   }
 

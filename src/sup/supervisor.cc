@@ -428,7 +428,7 @@ bool Supervisor::HandleTrapImpl() {
           ResumeCurrent(trap.regs);
           return true;
         }
-        const Ptw ptw = DecodePtw(memory_->Read(sdw->base + (fault.wordno >> kPageShift)));
+        const Ptw ptw = DecodePtw(memory_->Read(PtwAddress(sdw->base, fault.wordno)));
         if (ptw.present) {
           // Spurious: the page is already resident. Installing a fresh
           // zero page here would discard live data, so just resume.

@@ -252,11 +252,11 @@ std::optional<AbsAddr> ResolveRegistryWord(const PhysicalMemory& memory,
   if (!seg.paged) {
     return seg.base + wordno;
   }
-  const Ptw ptw = DecodePtw(memory.Read(seg.base + (wordno >> kPageShift)));
+  const Ptw ptw = DecodePtw(memory.Read(PtwAddress(seg.base, wordno)));
   if (!ptw.present) {
     return std::nullopt;
   }
-  return ptw.frame + (wordno & kPageMask);
+  return FrameAddress(ptw, wordno);
 }
 
 }  // namespace

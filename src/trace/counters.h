@@ -56,6 +56,7 @@ struct Counters {
   uint64_t block_hits = 0;              // dispatches served by a cached block
   uint64_t block_ops = 0;               // instructions executed inside blocks
   uint64_t block_bailouts = 0;          // mid-block exits to the per-instruction path
+  uint64_t block_op_fallbacks = 0;      // block ops handed to Execute, not run in the loop
   uint64_t block_invalidations = 0;     // blocks retired (stores, SDW edits, drops, flushes)
   uint64_t chain_links = 0;             // successor links patched into blocks
   uint64_t chain_follows = 0;           // dispatches served by following a patched link
@@ -151,6 +152,7 @@ struct Counters {
     host("block_hits", &Counters::block_hits);
     host("block_ops", &Counters::block_ops);
     host("block_bailouts", &Counters::block_bailouts);
+    host("block_op_fallbacks", &Counters::block_op_fallbacks);
     host("block_invalidations", &Counters::block_invalidations);
     host("chain_links", &Counters::chain_links);
     host("chain_follows", &Counters::chain_follows);

@@ -1188,7 +1188,7 @@ constexpr uint8_t kMemoTransfer = BlockCache::Op::kMemoTransfer;
 // cycle (the default model charges none), so a memo hit that skips the
 // check's charge shows in the cycle count.
 template <class Scenario>
-std::vector<RunSignature> ExpectTransferScenarioAgrees(Scenario scenario) {
+std::vector<RunSignature> ExpectCheckedScenarioAgrees(Scenario scenario) {
   CycleModel checked = CycleModel::Default();
   checked.access_check = 1;
   return ExpectOperandScenarioAgrees(scenario, checked);
@@ -1259,7 +1259,7 @@ void WarmBranchLoop(BareMachine& m, const BranchLoop& loop, EngineTier tier) {
 // B's bound shrinks to its entry word: A's next `tmi into,*` must check
 // the new bound and trap, not jump on its memo into B.
 TEST(ResolvedTransfer, ShrunkBoundTrapsTheMemoisedTransfer) {
-  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const BranchLoop loop = AddBranchLoop(m);
     WarmBranchLoop(m, loop, tier);
     EditSdw(m, loop.target, [](Sdw& sdw) { sdw.bound = kEntry; });
@@ -1271,7 +1271,7 @@ TEST(ResolvedTransfer, ShrunkBoundTrapsTheMemoisedTransfer) {
 // The supervisor moves B and poisons its old words with `mme 9`: the loop
 // must run on from the new base.
 TEST(ResolvedTransfer, RelocatedTargetRunsFromItsNewBase) {
-  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const BranchLoop loop = AddBranchLoop(m);
     WarmBranchLoop(m, loop, tier);
     const Sdw old_sdw = *m.dseg().Fetch(loop.target);
@@ -1290,7 +1290,7 @@ TEST(ResolvedTransfer, RelocatedTargetRunsFromItsNewBase) {
 // A DBR reload to a copy of the descriptor segment in which ring 4 may no
 // longer execute B: the first transfer into B after the reload traps.
 TEST(ResolvedTransfer, DbrReloadRetiresEveryTransferMemo) {
-  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const BranchLoop loop = AddBranchLoop(m);
     WarmBranchLoop(m, loop, tier);
     const DbrValue dbr = m.dseg().dbr();
@@ -1311,7 +1311,7 @@ TEST(ResolvedTransfer, DbrReloadRetiresEveryTransferMemo) {
 // not execute, and no tier builds a block; once checks are back on, the
 // next transfer must trap, from a block on the blocks tier.
 TEST(ResolvedTransfer, ChecksToggledBetweenSlices) {
-  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const BranchLoop loop = AddBranchLoop(m, MakeProcedureSegment(3, 3));
     m.cpu().set_checks_enabled(false);
     RunTo(m, 2'000);
@@ -1337,7 +1337,7 @@ TEST(ResolvedTransfer, ChecksToggledBetweenSlices) {
 //      w10: into -> B|2  w11: other -> 16|0
 //   B: w0, w1: mme 9   w2: nop         w3: tra back,*  w4: back -> A|0
 TEST(ResolvedTransfer, CollidingSegnoEvictsTheTargetSdw) {
-  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const Segno target =
         m.AddSegment({Mme(9), Mme(9), Encode(MakeIns(Opcode::kNop)),
                       Encode(ViaLink(Opcode::kTra, 4)), 0},
@@ -1380,7 +1380,7 @@ TEST(ResolvedTransfer, CollidingSegnoEvictsTheTargetSdw) {
 //      w5: mme 0      w6: lim = 20   w7: cnt -> counter|0    w8: into -> E|0
 //   E: w0: sta 2      w1: mme 9      w2: 0
 TEST(SdwSlotReuse, CallIntoACollidingSegmentTrapsItsNarrowerWrite) {
-  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
     SegmentAccess wide = MakeProcedureSegment(4, 4);
     wide.flags.write = true;
     SegmentAccess narrow = MakeProcedureSegment(3, 4, 4, /*gate_count=*/1);
@@ -1411,7 +1411,7 @@ TEST(SdwSlotReuse, CallIntoACollidingSegmentTrapsItsNarrowerWrite) {
 // transfer or at an operand.
 TEST(ResolvedTransfer, InjectorAttachedMidRun) {
   const std::vector<RunSignature> runs =
-      ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+      ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
         const BranchLoop loop = AddBranchLoop(m);
         WarmBranchLoop(m, loop, tier);
         FaultConfig config;
@@ -1436,7 +1436,7 @@ TEST(ResolvedTransfer, InjectorAttachedMidRun) {
 // at A|0 resolves the hop, but only a transfer the execute verdict answers
 // at the ring of execution is memoised, so it traps.
 TEST(ResolvedTransfer, HopAboveTheRingOfExecutionIsNeverMemoised) {
-  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const BranchLoop loop = AddBranchLoop(m);
     m.Poke(loop.code, 8, EncodeIndirectWord(IndirectWord{5, false, loop.target, kEntry}));
     m.cpu().set_checks_enabled(false);
@@ -1461,7 +1461,7 @@ TEST(ResolvedTransfer, HopAboveTheRingOfExecutionIsNeverMemoised) {
 //      w10: one  w11: lim  w12: iter  w13: odd  w14: into -> B|2
 //   B: w0, w1: mme 9   w2: nop  w3: tra back,*  w4: back -> A|5
 TEST(ResolvedTransfer, ConditionalBranchFlipsDirection) {
-  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const Segno target =
         m.AddSegment({Mme(9), Mme(9), Encode(MakeIns(Opcode::kNop)),
                       Encode(ViaLink(Opcode::kTra, 4)), 0},
@@ -1494,7 +1494,7 @@ TEST(ResolvedTransfer, ConditionalBranchFlipsDirection) {
 // memoised. B's page then moves to a frame whose entry word is `mme 7`,
 // and the next transfer must run it.
 TEST(ResolvedTransfer, PagedTargetIsNeverMemoised) {
-  ExpectTransferScenarioAgrees([](BareMachine& m, EngineTier tier) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
     const BranchLoop loop = AddBranchLoop(m);
     const Sdw unpaged = *m.dseg().Fetch(loop.target);
     const AbsAddr table = *AllocatePageTable(&m.memory(), 1);
@@ -1518,6 +1518,298 @@ TEST(ResolvedTransfer, PagedTargetIsNeverMemoised) {
     RunTo(m, 100'000);
     ExpectTrapAt(m.cpu(), TrapCause::kMasterModeEntry, loop.target, kEntry + 1);
     EXPECT_EQ(m.cpu().trap_state().code, 7);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// PR-relative operands in the loop. A block op whose operand is PR-relative
+// (`lda pr1|0`, `sta pr3|1`, `lda pr1|0,*`, `lda pr1|0,x1`) runs in
+// RunBlocks' loop when the verdicts answer every reference it makes, and
+// reads a paged segment's PTW on every execution (DESIGN.md §7, "Ops run in
+// the loop"). Each loop below warms its verdicts, shows that its ops then
+// run in the loop (block_op_fallbacks stays put on the blocks tier), and
+// lands an event that the in-loop form must leave to Execute or must see.
+// Every tier must trap at the same instruction or finish the same way,
+// with a cycle charged per check.
+// ---------------------------------------------------------------------------
+
+// An indirect word whose RING field is `ring`.
+Word ItsAt(Ring ring, Segno segno, Wordno wordno, bool indirect = false) {
+  return EncodeIndirectWord(IndirectWord{ring, indirect, segno, wordno});
+}
+
+Instruction ViaPr(Opcode op, uint8_t prnum, int32_t offset, bool indirect = false,
+                  uint8_t tag = 0) {
+  Instruction ins = MakeInsPr(op, prnum, offset, indirect);
+  ins.tag = tag;
+  return ins;
+}
+
+// Runs the loop until it is hot and stops it at w0, then runs another
+// stretch of it, in which the blocks tier hands no op to Execute. The loop
+// must not reach its event in either stretch.
+void WarmPrLoop(BareMachine& m, EngineTier tier) {
+  RunTo(m, 2'000);
+  StepToWord(m, 0);
+  ASSERT_FALSE(m.cpu().trap_pending());
+  const Counters before = m.cpu().counters();
+  RunTo(m, m.cpu().cycles() + 1'000);
+  StepToWord(m, 0);
+  ASSERT_FALSE(m.cpu().trap_pending());
+  const Counters after = m.cpu().counters();
+  EXPECT_EQ(after.block_op_fallbacks, before.block_op_fallbacks);
+  EXPECT_EQ(after.block_ops > before.block_ops, tier == EngineTier::kBlocks);
+}
+
+// The argument loop, run in ring 1: each pass reads `secret` directly,
+// then its argument through PR1's list word, keeps it, and counts.
+//
+//   w0: lda pr2|0    w1: lda pr1|0,*  w2: sta pr3|1  w3: lda pr3|0  w4: adai 1
+//   w5: sta pr3|0    w6: sba lim      w7: tmi 0      w8: mme 0      w9: lim
+//
+// PR2 addresses `secret` (ring 1 only), PR3 the ring-1 scratch (iter, arg).
+// The list word starts out naming `open`, which ring 4 may read, so once
+// hot the block at w0 runs every op in the loop with the verdicts for
+// (secret, 1), (list, 1) and (open, 4).
+struct ArgLoop {
+  Segno secret = 0;
+  Segno open = 0;
+  Segno list = 0;
+  Segno scratch = 0;
+  Segno code = 0;
+};
+constexpr Word kArgLimit = 1'000;
+constexpr Word kSecret = 41;
+constexpr Word kOpen = 7;
+
+ArgLoop AddArgLoop(BareMachine& m, SegmentAccess list_access, Ring its_ring) {
+  ArgLoop loop;
+  loop.secret = m.AddSegment({kSecret}, MakeDataSegment(1, 1));
+  loop.open = m.AddSegment({kOpen}, UserData());
+  loop.list = m.AddSegment({ItsAt(its_ring, loop.open, 0)}, list_access);
+  loop.scratch = m.AddSegment({0, 0}, MakeDataSegment(1, 1));
+  loop.code = m.AddSegment(
+      {Encode(ViaPr(Opcode::kLda, 2, 0)), Encode(ViaPr(Opcode::kLda, 1, 0, /*indirect=*/true)),
+       Encode(ViaPr(Opcode::kSta, 3, 1)), Encode(ViaPr(Opcode::kLda, 3, 0)),
+       Encode(MakeIns(Opcode::kAdai, 1)), Encode(ViaPr(Opcode::kSta, 3, 0)),
+       Encode(MakeIns(Opcode::kSba, 9)), Encode(MakeIns(Opcode::kTmi, 0)), Mme(0), kArgLimit},
+      MakeProcedureSegment(1, 1));
+  m.SetIpr(1, loop.code, 0);
+  m.SetPr(1, 1, loop.list, 0);
+  m.SetPr(2, 1, loop.secret, 0);
+  m.SetPr(3, 1, loop.scratch, 0);
+  return loop;
+}
+
+// Warms the argument loop, then re-points its list word, as a caller that
+// may write the list could, at `forge(loop)`; the next `lda pr1|0,*` must
+// trap with `cause` at w1 on every tier.
+template <class Forge>
+void ExpectForgedArgumentTraps(SegmentAccess list_access, Ring its_ring, Forge forge,
+                               TrapCause cause) {
+  ExpectCheckedScenarioAgrees([&](BareMachine& m, EngineTier tier) {
+    const ArgLoop loop = AddArgLoop(m, list_access, its_ring);
+    WarmPrLoop(m, tier);
+    EXPECT_EQ(m.Peek(loop.scratch, 1), kOpen);
+    ASSERT_EQ(m.cpu().SupervisorWriteRaw(loop.list, 0, forge(m, loop)), TrapCause::kNone);
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), cause, loop.code, 1);
+    EXPECT_EQ(m.Peek(loop.scratch, 1), kOpen);  // never the secret
+  });
+}
+
+// A list ring 4 may write, whose word claims ring 1: Figure 5 raises the
+// ring to the list's SDW.R1, so the read of `secret` is made at ring 4.
+// The ring-1 verdict for `secret` that w0 keeps warm must not answer it.
+TEST(PrRelativeInLoop, WriteBracketOfTheListRaisesTheArgumentRing) {
+  ExpectForgedArgumentTraps(
+      UserData(), /*its_ring=*/1,
+      [](BareMachine&, const ArgLoop& loop) { return ItsAt(1, loop.secret, 0); },
+      TrapCause::kReadViolation);
+}
+
+// A list only ring 1 may write, whose word carries ring 4: the word's
+// IND.RING raises the ring to 4.
+TEST(PrRelativeInLoop, RingOfTheIndirectWordRaisesTheArgumentRing) {
+  ExpectForgedArgumentTraps(
+      MakeDataSegment(1, 4), /*its_ring=*/4,
+      [](BareMachine&, const ArgLoop& loop) { return ItsAt(4, loop.secret, 0); },
+      TrapCause::kReadViolation);
+}
+
+// An unsnapped link (F bit) in place of the argument traps on the full
+// path at w1.
+TEST(PrRelativeInLoop, UnsnappedLinkWordTraps) {
+  ExpectForgedArgumentTraps(
+      UserData(), /*its_ring=*/1,
+      [](BareMachine&, const ArgLoop& loop) {
+        IndirectWord link{1, false, loop.open, 0};
+        link.fault = true;
+        return EncodeIndirectWord(link);
+      },
+      TrapCause::kLinkFault);
+}
+
+// The list word goes on (I bit) down a 64-word chain: the chase from w1
+// takes 65 words, so the limit fires at the same hop as on the full path.
+TEST(PrRelativeInLoop, ChainedArgumentHitsIndirectionLimitAtSameHop) {
+  ExpectForgedArgumentTraps(
+      UserData(), /*its_ring=*/1,
+      [](BareMachine& m, const ArgLoop& loop) {
+        const Segno chain = loop.code + 1;  // the next segment AddSegment hands out
+        std::vector<Word> words;
+        for (Wordno k = 0; k + 1 < kMaxIndirectionDepth; ++k) {
+          words.push_back(ItsAt(4, chain, k + 1, /*indirect=*/true));
+        }
+        words.push_back(ItsAt(4, loop.open, 0));
+        EXPECT_EQ(m.AddSegment(words, UserData()), chain);
+        return ItsAt(1, chain, 0, /*indirect=*/true);
+      },
+      TrapCause::kIndirectionLimit);
+}
+
+// The paged loop, run in ring 4 over D, a two-page data segment: each pass
+// adds 1 to D|5 (page 0) through PR1, reads D|1030 (page 1) through the
+// word at D|2000 (page 1, so the hop walks too), stores it at D|1025
+// through PR1 indexed by x1, and counts in an unpaged scratch (PR3).
+//
+//   w0: lda pr1|5     w1: adai 1     w2: sta pr1|5   w3: lda pr1|2000,*
+//   w4: sta pr1|0,x1  w5: lda pr3|0  w6: adai 1      w7: sta pr3|0
+//   w8: sba lim       w9: tmi 0      w10: lda pr1|5  w11: mme 0   w12: lim
+struct PagedLoop {
+  AbsAddr table = 0;
+  Segno data = 0;
+  Segno code = 0;
+};
+constexpr Word kPagedLimit = 500;
+
+void AddPagedLoop(BareMachine& m, PagedLoop& loop) {
+  loop.table = *AllocatePageTable(&m.memory(), 2);
+  for (uint64_t page = 0; page < 2; ++page) {
+    InstallZeroPage(&m.memory(), loop.table, page);
+  }
+  loop.data = m.AddSegment({}, UserData());
+  EditSdw(m, loop.data, [&](Sdw& sdw) {
+    sdw.paged = true;
+    sdw.base = loop.table;
+    sdw.bound = 2 * kPageWords;
+  });
+  ASSERT_EQ(m.cpu().SupervisorWriteRaw(loop.data, 1030, 99), TrapCause::kNone);
+  ASSERT_EQ(m.cpu().SupervisorWriteRaw(loop.data, 2000, Its(loop.data, 1030)), TrapCause::kNone);
+  const Segno scratch = m.AddSegment({0}, UserData());
+  loop.code = m.AddSegment(
+      {Encode(ViaPr(Opcode::kLda, 1, 5)), Encode(MakeIns(Opcode::kAdai, 1)),
+       Encode(ViaPr(Opcode::kSta, 1, 5)), Encode(ViaPr(Opcode::kLda, 1, 2000, true)),
+       Encode(ViaPr(Opcode::kSta, 1, 0, false, /*tag=*/1)), Encode(ViaPr(Opcode::kLda, 3, 0)),
+       Encode(MakeIns(Opcode::kAdai, 1)), Encode(ViaPr(Opcode::kSta, 3, 0)),
+       Encode(MakeIns(Opcode::kSba, 12)), Encode(MakeIns(Opcode::kTmi, 0)),
+       Encode(ViaPr(Opcode::kLda, 1, 5)), Mme(0), kPagedLimit},
+      UserCode());
+  m.SetIpr(4, loop.code, 0);
+  m.SetPr(1, 4, loop.data, 0);
+  m.SetPr(3, 4, scratch, 0);
+  m.cpu().regs().x[1] = 1025;
+}
+
+// Page 1 goes absent behind the processor's back: the next hop through
+// D|2000 must take the missing-page trap at w3.
+TEST(PrRelativeInLoop, PagedOperandWhosePageGoesAbsent) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    PagedLoop loop;
+    ASSERT_NO_FATAL_FAILURE(AddPagedLoop(m, loop));
+    WarmPrLoop(m, tier);
+    m.memory().Write(loop.table + 1, EncodePtw(Ptw{}));
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kMissingPage, loop.code, 3);
+  });
+}
+
+// Page 0 moves to a frame whose counter is 1000 higher, announced to no
+// one: the next walk must find the new frame.
+TEST(PrRelativeInLoop, PagedOperandWhosePtwMoves) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    PagedLoop loop;
+    ASSERT_NO_FATAL_FAILURE(AddPagedLoop(m, loop));
+    WarmPrLoop(m, tier);
+    const AbsAddr old_frame = DecodePtw(m.memory().Read(loop.table)).frame;
+    const AbsAddr new_frame = *InstallZeroPage(&m.memory(), loop.table, 0);
+    for (Wordno w = 0; w < kPageWords; ++w) {
+      m.memory().Write(new_frame + w, m.memory().Read(old_frame + w));
+    }
+    m.memory().Write(new_frame + 5, m.memory().Read(old_frame + 5) + 1'000);
+    RunTo(m, 1'000'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kMasterModeEntry, loop.code, 12);
+    EXPECT_EQ(m.cpu().regs().a, kPagedLimit + 1'000);
+    Word stored = 0;
+    ASSERT_EQ(m.cpu().SupervisorReadRaw(loop.data, 1025, &stored), TrapCause::kNone);
+    EXPECT_EQ(stored, 99u);
+  });
+}
+
+// `lda pr1|0,x1` with x1 = iter walks D, whose bound is 300: the pass
+// with x1 = 300 must trap at w4.
+//
+//   w0: lda pr3|0   w1: adai 1   w2: sta pr3|0   w3: ldx x1, pr3|0
+//   w4: lda pr1|0,x1  w5: sta pr3|1  w6: sba lim  w7: tmi 0  w8: mme 0  w9: lim
+TEST(PrRelativeInLoop, TaggedOperandPastTheBoundTraps) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    const Segno data = m.AddSegment(std::vector<Word>(300, 5), UserData());
+    const Segno scratch = m.AddSegment({0, 0}, UserData());
+    const Segno code = m.AddSegment(
+        {Encode(ViaPr(Opcode::kLda, 3, 0)), Encode(MakeIns(Opcode::kAdai, 1)),
+         Encode(ViaPr(Opcode::kSta, 3, 0)), Encode(MakeInsPrReg(Opcode::kLdx, 3, /*reg=*/1, 0)),
+         Encode(ViaPr(Opcode::kLda, 1, 0, false, /*tag=*/1)), Encode(ViaPr(Opcode::kSta, 3, 1)),
+         Encode(MakeIns(Opcode::kSba, 9)), Encode(MakeIns(Opcode::kTmi, 0)), Mme(0), 1'000},
+        UserCode());
+    m.SetIpr(4, code, 0);
+    m.SetPr(1, 4, data, 0);
+    m.SetPr(3, 4, scratch, 0);
+    WarmPrLoop(m, tier);
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kBoundsViolation, code, 4);
+    EXPECT_EQ(m.cpu().regs().x[1], 300u);
+    EXPECT_EQ(m.Peek(scratch, 1), 5u);
+  });
+}
+
+// A PR-relative store into executable code retires its decodes. Each pass
+// adds w0's immediate into `sum` and stores Q over w0 through PR3, which
+// addresses the (writable) code; the harness puts `ldai 2` in Q mid-run,
+// and from the next store on each pass adds 2.
+//
+//   w0: ldai 1      w1: ada pr1|1   w2: sta pr1|1   w3: stq pr3|0   w4: lda pr1|0
+//   w5: adai 1      w6: sta pr1|0   w7: sba pr3|11  w8: tmi 0       w9: lda pr1|1
+//   w10: mme 0      w11: lim
+TEST(PrRelativeInLoop, StoreIntoExecutableCodeRetiresTheBlock) {
+  ExpectCheckedScenarioAgrees([](BareMachine& m, EngineTier tier) {
+    constexpr Word kLimit = 200;
+    SegmentAccess writable_code = UserCode();
+    writable_code.flags.write = true;
+    const Segno data = m.AddSegment({0, 0}, UserData());  // iter sum
+    const Segno code = m.AddSegment(
+        {Encode(MakeIns(Opcode::kLdai, 1)), Encode(ViaPr(Opcode::kAda, 1, 1)),
+         Encode(ViaPr(Opcode::kSta, 1, 1)), Encode(ViaPr(Opcode::kStq, 3, 0)),
+         Encode(ViaPr(Opcode::kLda, 1, 0)), Encode(MakeIns(Opcode::kAdai, 1)),
+         Encode(ViaPr(Opcode::kSta, 1, 0)), Encode(ViaPr(Opcode::kSba, 3, 11)),
+         Encode(MakeIns(Opcode::kTmi, 0)), Encode(ViaPr(Opcode::kLda, 1, 1)), Mme(0), kLimit},
+        writable_code);
+    m.SetIpr(4, code, 0);
+    m.SetPr(1, 4, data, 0);
+    m.SetPr(3, 4, code, 0);
+    m.cpu().regs().q = Encode(MakeIns(Opcode::kLdai, 1));
+    RunTo(m, 1'500);
+    ASSERT_FALSE(m.cpu().trap_pending());
+    const Word passes = m.Peek(data, 0);
+    // Every store retires the block it runs in, so each pass rebuilds its
+    // blocks and their memos: only the memoless `tmi 0` goes to Execute.
+    EXPECT_LE(m.cpu().counters().block_op_fallbacks, passes + 1);
+    EXPECT_EQ(m.cpu().counters().block_ops > 0, tier == EngineTier::kBlocks);
+    m.cpu().regs().q = Encode(MakeIns(Opcode::kLdai, 2));
+    RunTo(m, 100'000);
+    ExpectTrapAt(m.cpu(), TrapCause::kMasterModeEntry, code, 11);
+    // The pass under way at the switch, and at most one more, still add 1.
+    EXPECT_GE(m.cpu().regs().a, 2 * kLimit - passes - 2);
+    EXPECT_LE(m.cpu().regs().a, 2 * kLimit - passes - 1);
   });
 }
 

@@ -1,8 +1,14 @@
 // Adversarial end-to-end scenarios: every attack the paper's mechanisms
 // are designed to stop, mounted by real guest code on the full machine.
+// Each runs on every engine tier, and every tier must end it the same way,
+// down to the cycle (the one run comparator, tests/testutil.h): a host
+// layer that answered a reference the per-instruction path denies would
+// split the runs.
 #include <gtest/gtest.h>
 
+#include "src/fleet/fingerprint.h"
 #include "src/sys/machine.h"
+#include "tests/testutil.h"
 
 namespace rings {
 namespace {
@@ -13,15 +19,37 @@ struct Outcome {
   int64_t exit_code;
 };
 
+// Runs `scenario(machine)`, which loads and starts one process and returns
+// it, to completion on a machine of each engine tier; expects every tier's
+// run to match the reference tier's and returns the process's outcome.
+template <class Scenario>
+Outcome RunOnEveryTier(Scenario scenario) {
+  Outcome outcome{};
+  ExpectSameRunOnEveryTier([&](EngineTier tier) {
+    MachineConfig config;
+    ApplyTier(tier, &config);
+    Machine machine(config);
+    const Process* p = scenario(machine);
+    if (p == nullptr) {
+      ADD_FAILURE() << "the scenario did not start on tier " << EngineTierName(tier);
+      return RunSignature{};
+    }
+    machine.Run();
+    outcome = Outcome{p->state, p->kill_cause, p->exit_code};
+    return SignatureOf(machine);
+  });
+  return outcome;
+}
+
 Outcome RunProgram(const std::string& source, std::map<std::string, AccessControlList> acls,
                    Ring ring = kUserRing, const std::string& entry_seg = "main") {
-  Machine machine;
-  EXPECT_TRUE(machine.LoadProgramSource(source, acls));
-  Process* p = machine.Login("mallory");
-  machine.supervisor().InitiateAll(p);
-  EXPECT_TRUE(machine.Start(p, entry_seg, "start", ring));
-  machine.Run();
-  return Outcome{p->state, p->kill_cause, p->exit_code};
+  return RunOnEveryTier([&](Machine& machine) -> const Process* {
+    EXPECT_TRUE(machine.LoadProgramSource(source, acls));
+    Process* p = machine.Login("mallory");
+    machine.supervisor().InitiateAll(p);
+    EXPECT_TRUE(machine.Start(p, entry_seg, "start", ring));
+    return p;
+  });
 }
 
 TEST(Security, CannotJumpIntoSupervisorCodeDirectly) {
@@ -98,23 +126,24 @@ TEST(Security, StackOfLowerRingInaccessible) {
   // Ring-4 code reaching into the ring-1 stack segment (segno 1). Stack
   // segments are per-process and unnamed, so the pointer is planted in
   // the process's saved registers rather than via .its.
-  Machine machine;
-  std::map<std::string, AccessControlList> acls;
-  acls["main"] = AccessControlList::Public(MakeProcedureSegment(4, 4));
-  ASSERT_TRUE(machine.LoadProgramSource(R"(
+  const Outcome o = RunOnEveryTier([](Machine& machine) -> const Process* {
+    std::map<std::string, AccessControlList> acls;
+    acls["main"] = AccessControlList::Public(MakeProcedureSegment(4, 4));
+    EXPECT_TRUE(machine.LoadProgramSource(R"(
         .segment main
 start:  lda   pr3|0
         mme   0
 )",
-                                        acls));
-  Process* p = machine.Login("mallory");
-  machine.supervisor().InitiateAll(p);
-  ASSERT_TRUE(machine.Start(p, "main", "start", kUserRing));
-  // Point PR3 at the ring-1 stack (segno 1). Ring field must be >= 4.
-  p->saved_regs.pr[3] = PointerRegister{4, kStackBaseSegno + 1, 0};
-  machine.Run();
-  EXPECT_EQ(p->state, ProcessState::kKilled);
-  EXPECT_EQ(p->kill_cause, TrapCause::kReadViolation);
+                                          acls));
+    Process* p = machine.Login("mallory");
+    machine.supervisor().InitiateAll(p);
+    EXPECT_TRUE(machine.Start(p, "main", "start", kUserRing));
+    // Point PR3 at the ring-1 stack (segno 1). Ring field must be >= 4.
+    p->saved_regs.pr[3] = PointerRegister{4, kStackBaseSegno + 1, 0};
+    return p;
+  });
+  EXPECT_EQ(o.state, ProcessState::kKilled);
+  EXPECT_EQ(o.cause, TrapCause::kReadViolation);
 }
 
 TEST(Security, Ring5CannotTouchRing4Data) {
@@ -189,21 +218,76 @@ start:  lda   self
 self:   .word 0
 gateptr: .its 4, sup_gates, 4
 )";
-  Machine machine;
-  std::map<std::string, AccessControlList> acls;
-  acls["main"] = AccessControlList::Public(MakeProcedureSegment(4, 4));
-  ASSERT_TRUE(machine.LoadProgramSource(kSource, acls));
-  const Segno self = machine.registry().Find("main")->segno;
-  machine.PokeSegment("main", 5, self);
-  const Word spec = PackAccessSpec(true, false, true, 1, 1, 5);
-  Word ins = *machine.PeekSegment("main", 1);
-  machine.PokeSegment("main", 1, (ins & ~uint64_t{0x3FFFF}) | spec);
-  Process* p = machine.Login("mallory");
-  machine.supervisor().InitiateAll(p);
-  ASSERT_TRUE(machine.Start(p, "main", "start", kUserRing));
-  machine.Run();
-  EXPECT_EQ(p->state, ProcessState::kExited);
-  EXPECT_EQ(p->exit_code, -1);  // service refused
+  const Outcome o = RunOnEveryTier([&](Machine& machine) -> const Process* {
+    std::map<std::string, AccessControlList> acls;
+    acls["main"] = AccessControlList::Public(MakeProcedureSegment(4, 4));
+    EXPECT_TRUE(machine.LoadProgramSource(kSource, acls));
+    const Segno self = machine.registry().Find("main")->segno;
+    machine.PokeSegment("main", 5, self);
+    const Word spec = PackAccessSpec(true, false, true, 1, 1, 5);
+    Word ins = *machine.PeekSegment("main", 1);
+    machine.PokeSegment("main", 1, (ins & ~uint64_t{0x3FFFF}) | spec);
+    Process* p = machine.Login("mallory");
+    machine.supervisor().InitiateAll(p);
+    EXPECT_TRUE(machine.Start(p, "main", "start", kUserRing));
+    return p;
+  });
+  EXPECT_EQ(o.state, ProcessState::kExited);
+  EXPECT_EQ(o.exit_code, -1);  // service refused
+}
+
+TEST(Security, ForgedArgumentPointerFromAWarmCallLoop) {
+  // A ring-4 caller passes a ring-1 gate its argument through PR1 a hundred
+  // times: a pointer to public data, which the gate reads with `lda
+  // pr1|0,*` after reading its own ring-1 secret. Then the caller rewrites
+  // the argument to claim ring 1 and name the secret. Figure 5 validates
+  // the gate's read as if the caller made it (PR1.RING is 4, and so is the
+  // argument list's SDW.R1), so the read is denied, though the gate itself
+  // has just read the same word.
+  const Outcome o = RunProgram(R"(
+        .segment gatesg
+        .gates 1
+entry:  lda   own,*           ; the gate's own data, at ring 1
+        lda   pr1|0,*         ; the caller's argument
+        ret   pr7|0
+own:    .its  1, secret, 0
+
+        .segment main
+start:  epp   pr1, argp,*
+loop:   epp   pr2, gptr,*
+        call  pr2|0
+        aos   cntp,*
+        lda   cntp,*
+        sba   limit
+        tmi   loop
+        lda   forged
+        sta   argp,*          ; the argument now claims ring 1
+        epp   pr2, gptr,*
+        call  pr2|0
+        mme   0
+limit:  .word 100
+argp:   .its  4, arglist, 0
+cntp:   .its  4, arglist, 1
+gptr:   .its  4, gatesg, 0
+forged: .its  1, secret, 0
+
+        .segment arglist
+        .its  4, pubdata, 0
+        .word 0
+
+        .segment pubdata
+        .word 5
+
+        .segment secret
+        .word 41
+)",
+                               {{"gatesg", AccessControlList::Public(MakeProcedureSegment(1, 1, 5, 1))},
+                                {"main", AccessControlList::Public(MakeProcedureSegment(4, 4))},
+                                {"arglist", AccessControlList::Public(MakeDataSegment(4, 4))},
+                                {"pubdata", AccessControlList::Public(MakeDataSegment(4, 4))},
+                                {"secret", AccessControlList::Public(MakeDataSegment(1, 1))}});
+  EXPECT_EQ(o.state, ProcessState::kKilled);
+  EXPECT_EQ(o.cause, TrapCause::kReadViolation);
 }
 
 TEST(Security, BoundsviolationStopsSegmentOverrun) {

@@ -442,6 +442,56 @@ std::unique_ptr<Machine> InLoopGuest(const MachineConfig& config) {
   return machine;
 }
 
+// One process in ring 4 whose code is unpaged runs PR-relative loads and
+// stores, direct, indexed and through `,*` words, over an unpaged data
+// segment (PR1) and a demand-paged one (PR2); the `,*` words lie in the
+// code (PR3) and name a word of each. The block engine runs these ops in
+// its own loop once their verdicts are warm (DESIGN.md §7, "Ops run in the
+// loop"), reading the paged segment's PTWs as it goes, and the missing-page
+// traps of the first touches come from Execute.
+constexpr char kPrRelativeSource[] = R"(
+        .segment prloop
+start:  epp   pr1, uptr,*
+        epp   pr2, pptr,*
+        epp   pr3, args
+loop:   lda   pr1|0
+        adai  1
+        sta   pr1|0
+        ldx   x1, pr1|0
+        lda   pr2|0, x1
+        ada   pr3|0,*
+        sta   pr2|0, x1
+        sta   pr3|1,*
+        ldq   pr3|1,*
+        stq   pr1|1
+        lda   pr1|0
+        sba   limit
+        tmi   loop
+        mme   0
+limit:  .word 200
+uptr:   .its  4, udata, 0
+pptr:   .its  4, bigdata, 900
+args:   .its  4, udata, 2
+        .its  4, bigdata, 2100
+
+        .segment udata
+        .word 0
+        .word 0
+        .word 3
+)";
+
+std::unique_ptr<Machine> PrRelativeGuest(const MachineConfig& config) {
+  MachineConfig checked = config;
+  // Every check costs a cycle, so a form that skips a check's charge shows.
+  checked.cycle_model.access_check = 1;
+  auto machine = std::make_unique<Machine>(checked);
+  EXPECT_TRUE(AddPagedData(*machine, 3));
+  std::map<std::string, AccessControlList> acls;
+  acls["prloop"] = AccessControlList::Public(MakeProcedureSegment(4, 4));
+  acls["udata"] = AccessControlList::Public(MakeDataSegment(4, 4));
+  return Start(std::move(machine), kPrRelativeSource, acls, {{"prloop", "start"}});
+}
+
 MachineConfig TierConfig(EngineTier tier) {
   MachineConfig config{.memory_words = size_t{1} << 20};
   ApplyTier(tier, &config);
@@ -561,6 +611,16 @@ TEST(TallyExactness, InLoopForms) {
   for (const auto& process : machine->supervisor().processes()) {
     EXPECT_EQ(process->state, ProcessState::kExited) << ProcessStatusLine(*process);
   }
+}
+
+TEST(TallyExactness, PrRelativeOperands) {
+  const Counters counters = ExpectExactAtEverySlice(&PrRelativeGuest);
+  EXPECT_GT(counters.TrapCount(TrapCause::kMissingPage), 0u);
+  EXPECT_GT(counters.page_walks, 0u);
+  // Most of the loop's ten PR-relative ops per pass run in the loop; the
+  // rest of the fallbacks are the first touches and the missing-page
+  // traps.
+  EXPECT_LT(counters.block_op_fallbacks * 10, counters.block_ops);
 }
 
 TEST(TallyExactness, FaultInjection) {
