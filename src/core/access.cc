@@ -2,44 +2,6 @@
 
 namespace rings {
 
-AccessDecision CheckRead(const SegmentAccess& access, Ring effective_ring) {
-  if (!access.flags.read || !access.brackets.InReadBracket(effective_ring)) {
-    return AccessDecision::Deny(TrapCause::kReadViolation);
-  }
-  return AccessDecision::Allow();
-}
-
-AccessDecision CheckWrite(const SegmentAccess& access, Ring effective_ring) {
-  if (!access.flags.write || !access.brackets.InWriteBracket(effective_ring)) {
-    return AccessDecision::Deny(TrapCause::kWriteViolation);
-  }
-  return AccessDecision::Allow();
-}
-
-AccessDecision CheckExecute(const SegmentAccess& access, Ring ring_of_execution) {
-  if (!access.flags.execute || !access.brackets.InExecuteBracket(ring_of_execution)) {
-    return AccessDecision::Deny(TrapCause::kExecuteViolation);
-  }
-  return AccessDecision::Allow();
-}
-
-AccessDecision CheckIndirectRead(const SegmentAccess& access, Ring effective_ring) {
-  if (!access.flags.read || !access.brackets.InReadBracket(effective_ring)) {
-    return AccessDecision::Deny(TrapCause::kReadViolation);
-  }
-  return AccessDecision::Allow();
-}
-
-AccessDecision CheckTransfer(const SegmentAccess& access, Ring ring_of_execution,
-                             Ring effective_ring) {
-  if (effective_ring != ring_of_execution) {
-    // The pointer that produced this target was influenced by a higher
-    // numbered ring; a plain transfer may not act on it (Figure 7).
-    return AccessDecision::Deny(TrapCause::kTransferRingViolation);
-  }
-  return CheckExecute(access, ring_of_execution);
-}
-
 bool AnyAccess(const SegmentAccess& access, Ring ring) {
   return CheckRead(access, ring).ok() || CheckWrite(access, ring).ok() ||
          CheckExecute(access, ring).ok() ||

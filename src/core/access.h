@@ -2,7 +2,11 @@
 // the indirect-word read check of Figure 5, expressed over a SegmentAccess
 // and an effective ring. The processor (src/cpu) and the software-rings
 // baseline (src/b645) both route every reference through these functions so
-// there is exactly one statement of the paper's rules in the codebase.
+// there is exactly one statement of the paper's rules in the codebase. Each
+// is at most a flag test and two ring compares, and is forced inline: the
+// processor evaluates it on every reference, including inside the block
+// engine's op loop, where an out-of-line call would cost more than the
+// check.
 #ifndef SRC_CORE_ACCESS_H_
 #define SRC_CORE_ACCESS_H_
 
@@ -27,15 +31,33 @@ struct AccessDecision {
 // Figure 6, read side: "an instruction which reads its operand" is allowed
 // iff the read flag is on and the effective ring lies inside the read
 // bracket [0, R2].
-AccessDecision CheckRead(const SegmentAccess& access, Ring effective_ring);
+[[gnu::always_inline]] inline AccessDecision CheckRead(const SegmentAccess& access,
+                                                      Ring effective_ring) {
+  if (!access.flags.read || !access.brackets.InReadBracket(effective_ring)) {
+    return AccessDecision::Deny(TrapCause::kReadViolation);
+  }
+  return AccessDecision::Allow();
+}
 
 // Figure 6, write side: allowed iff the write flag is on and the effective
 // ring lies inside the write bracket [0, R1].
-AccessDecision CheckWrite(const SegmentAccess& access, Ring effective_ring);
+[[gnu::always_inline]] inline AccessDecision CheckWrite(const SegmentAccess& access,
+                                                       Ring effective_ring) {
+  if (!access.flags.write || !access.brackets.InWriteBracket(effective_ring)) {
+    return AccessDecision::Deny(TrapCause::kWriteViolation);
+  }
+  return AccessDecision::Allow();
+}
 
 // Figure 4: instruction fetch. Allowed iff the execute flag is on and the
 // ring of execution lies inside the execute bracket [R1, R2].
-AccessDecision CheckExecute(const SegmentAccess& access, Ring ring_of_execution);
+[[gnu::always_inline]] inline AccessDecision CheckExecute(const SegmentAccess& access,
+                                                         Ring ring_of_execution) {
+  if (!access.flags.execute || !access.brackets.InExecuteBracket(ring_of_execution)) {
+    return AccessDecision::Deny(TrapCause::kExecuteViolation);
+  }
+  return AccessDecision::Allow();
+}
 
 // Figure 5: "The capability to read an indirect word during effective
 // address formation must be validated before the indirect word is
@@ -43,7 +65,10 @@ AccessDecision CheckExecute(const SegmentAccess& access, Ring ring_of_execution)
 // time the indirect word is encountered." Identical to CheckRead; kept as
 // a distinct entry point so call sites document which figure they
 // implement and so instrumentation can count the two check kinds apart.
-AccessDecision CheckIndirectRead(const SegmentAccess& access, Ring effective_ring);
+[[gnu::always_inline]] inline AccessDecision CheckIndirectRead(const SegmentAccess& access,
+                                                              Ring effective_ring) {
+  return CheckRead(access, effective_ring);
+}
 
 // Figure 7: advance check for transfer instructions other than CALL and
 // RETURN. The transfer itself references nothing, but the next fetch will
@@ -52,8 +77,16 @@ AccessDecision CheckIndirectRead(const SegmentAccess& access, Ring effective_rin
 // transfer". A non-CALL transfer cannot change the ring of execution, so
 // an effective ring raised above the ring of execution (by PR-relative
 // addressing or indirection) is rejected.
-AccessDecision CheckTransfer(const SegmentAccess& access, Ring ring_of_execution,
-                             Ring effective_ring);
+[[gnu::always_inline]] inline AccessDecision CheckTransfer(const SegmentAccess& access,
+                                                          Ring ring_of_execution,
+                                                          Ring effective_ring) {
+  if (effective_ring != ring_of_execution) {
+    // The pointer that produced this target was influenced by a higher
+    // numbered ring; a plain transfer may not act on it (Figure 7).
+    return AccessDecision::Deny(TrapCause::kTransferRingViolation);
+  }
+  return CheckExecute(access, ring_of_execution);
+}
 
 // True if `ring` may reference *anything* in a segment with this access —
 // used by diagnostics and by the baseline's descriptor-segment compiler.

@@ -1,5 +1,6 @@
-// Superblock cache: the host-side memo of straight-line decoded runs. The
-// access verdicts make each simulated instruction cheap; this cache makes
+// Superblock cache: the host-side memo of straight-line decoded runs.
+// Answering references from the resident descriptors (Cpu::Reference)
+// makes each simulated instruction cheap; this cache makes
 // the *dispatch between* instructions cheap by decoding a run of words
 // once, at build, into a block that a single Cpu::StepBlock call executes
 // straight through, paying the fetch-probe and address revalidation once
@@ -7,7 +8,7 @@
 //
 // A block is a host artifact with no architectural footprint: every op
 // charges exactly the cycles and counters of the per-instruction path
-// taken with a verdict hit, the per-instruction boundary work (timer,
+// taken with a memo hit, the per-instruction boundary work (timer,
 // fault-injection hooks, trap capture state) runs before every op, and
 // any event that could make the recorded run diverge from what the
 // per-instruction path would do bails the remaining ops back to that
@@ -16,11 +17,12 @@
 // checks off take the per-instruction path. So an op's fetch address is
 // the block's base plus its word number, fixed by the descriptor, and no
 // translation can go stale under a block. Correctness rests on the
-// dispatch-time validation (the block's segment has a current verdict with
-// matching base/ring/bound) and on a monotonically increasing `version`
-// that every invalidation bumps: the inner loop re-reads it before each
-// op, so a mid-block SDW eviction, fault-injected cache drop, or store
-// into code retires the rest of the block.
+// dispatch-time validation (the block's segment has a resident descriptor
+// that vouches for the fetch, with matching base/ring/bound) and on a
+// monotonically increasing `version` that every invalidation bumps: the
+// inner loop re-reads it before each op, so a mid-block SDW eviction,
+// fault-injected cache drop, or store into code retires the rest of the
+// block.
 //
 // An op whose operand is `L,*` with L in the block's own segment may also
 // carry L's resolved Figure 5 step (Op::hop): the word was read and its
@@ -35,7 +37,7 @@
 // address and SDW execute flag of a validated read or write of an unpaged
 // segment, or that a transfer to an unpaged segment was validated,
 // stamped with the cache version it was filled at. Every event that could
-// retire the verdict or the SDW residency behind it bumps the version, so
+// replace the SDW behind it or end its residency bumps the version, so
 // the memo answers only while the stamp is current (DESIGN.md §7,
 // "Resolved operands"). While it answers, Cpu::RunBlocks runs the op in
 // its own loop (DESIGN.md §7, "Ops run in the loop").
@@ -67,8 +69,8 @@ class BlockCache {
   // (Cpu::TryBuildBlock): the TPR it leaves behind and whether the chase
   // goes on. An op whose final TPR is fixed at build (`direct`, or a hop
   // that ends the chase) may also keep its operand memo: the absolute
-  // address and SDW execute flag of a validated read or write, or the
-  // verdict of a validated transfer, valid for the kinds in `memo` while
+  // address and SDW execute flag of a validated read or write, or that a
+  // transfer was validated, valid for the kinds in `memo` while
   // the cache version equals `memo_version` (DESIGN.md §7, "Resolved
   // operands" and "Ops run in the loop").
   struct Op {
@@ -164,7 +166,7 @@ class BlockCache {
   size_t InvalidateSegment(Segno segno);
 
   // O(1) whole-cache invalidation (generation bump); wired to every event
-  // that retires the verdict regime wholesale (DBR reloads, SDW-cache
+  // that retires the descriptor regime wholesale (DBR reloads, SDW-cache
   // flushes, behind-the-back stores, engine/fast-path toggles).
   void Flush() {
     ++gen_;

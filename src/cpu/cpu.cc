@@ -12,51 +12,49 @@ namespace {
 constexpr uint32_t kIndexMask = (uint32_t{1} << kWordnoBits) - 1;
 
 // The one kind -> rule mapping of Figures 4-7: the Check* predicate a
-// reference of that kind must pass, the verdict bit that memoizes it, the
-// counter its check charges, and the counters its word access bumps (none
-// for a transfer, which forms no address). Reference, Vouches,
-// SettleTally and the supervisor's accesses read their rule from RuleFor.
+// reference of that kind must pass, the counter its check charges, and the
+// counters its word access bumps (none for a transfer, which forms no
+// address). Reference, Vouches, SettleTally and the supervisor's accesses
+// read their rule from RuleFor.
 struct RefRule {
   AccessDecision (*check)(const SegmentAccess& access, Ring ring, Ring effective);
-  bool SdwCache::Verdict::* verdict;
   uint64_t Counters::* charge;
   std::array<uint64_t Counters::*, 2> access;
 };
 
 // The predicates in one (access, ring, effective ring) shape; only the
-// transfer check of Figure 7 reads the effective ring.
-AccessDecision FetchCheck(const SegmentAccess& access, Ring ring, Ring) {
+// transfer check of Figure 7 reads the effective ring. Forced inline like
+// the predicates, so each probe evaluates its check in place.
+[[gnu::always_inline]] inline AccessDecision FetchCheck(const SegmentAccess& access, Ring ring,
+                                                        Ring) {
   return CheckExecute(access, ring);
 }
-AccessDecision IndirectCheck(const SegmentAccess& access, Ring ring, Ring) {
+[[gnu::always_inline]] inline AccessDecision IndirectCheck(const SegmentAccess& access,
+                                                           Ring ring, Ring) {
   return CheckIndirectRead(access, ring);
 }
-AccessDecision ReadCheck(const SegmentAccess& access, Ring ring, Ring) {
+[[gnu::always_inline]] inline AccessDecision ReadCheck(const SegmentAccess& access, Ring ring,
+                                                       Ring) {
   return CheckRead(access, ring);
 }
-AccessDecision WriteCheck(const SegmentAccess& access, Ring ring, Ring) {
+[[gnu::always_inline]] inline AccessDecision WriteCheck(const SegmentAccess& access, Ring ring,
+                                                        Ring) {
   return CheckWrite(access, ring);
 }
 
 constexpr RefRule RuleFor(RefKind kind) {
   switch (kind) {
     case RefKind::kFetch:  // Figure 4
-      return {&FetchCheck, &SdwCache::Verdict::execute_ok, &Counters::checks_fetch,
-              {&Counters::memory_reads, nullptr}};
+      return {&FetchCheck, &Counters::checks_fetch, {&Counters::memory_reads, nullptr}};
     case RefKind::kIndirect:  // Figure 5: CheckIndirectRead is CheckRead
-      return {&IndirectCheck, &SdwCache::Verdict::read_ok, &Counters::checks_indirect,
+      return {&IndirectCheck, &Counters::checks_indirect,
               {&Counters::memory_reads, &Counters::indirect_words}};
     case RefKind::kRead:  // Figure 6
-      return {&ReadCheck, &SdwCache::Verdict::read_ok, &Counters::checks_read,
-              {&Counters::memory_reads, nullptr}};
+      return {&ReadCheck, &Counters::checks_read, {&Counters::memory_reads, nullptr}};
     case RefKind::kWrite:  // Figure 6
-      return {&WriteCheck, &SdwCache::Verdict::write_ok, &Counters::checks_write,
-              {&Counters::memory_writes, nullptr}};
-    case RefKind::kTransfer:
-      // Figure 7: the execute verdict answers it only when the effective
-      // ring is the ring of execution (see Vouches).
-      return {&CheckTransfer, &SdwCache::Verdict::execute_ok, &Counters::checks_transfer,
-              {nullptr, nullptr}};
+      return {&WriteCheck, &Counters::checks_write, {&Counters::memory_writes, nullptr}};
+    case RefKind::kTransfer:  // Figure 7
+      return {&CheckTransfer, &Counters::checks_transfer, {nullptr, nullptr}};
   }
   return {};  // not reached: the switch names every RefKind
 }
@@ -130,9 +128,8 @@ void Cpu::SetDbr(const DbrValue& dbr) {
 }
 
 void Cpu::FlushForNewDbr() {
-  // The SDW-cache flush takes every verdict with it; the block cache must
-  // also go, since the same segment numbers may now name different
-  // segments.
+  // The block cache must go with the SDW cache, since the same segment
+  // numbers may now name different segments.
   sdw_cache_.Flush();
   block_cache_.Flush();
 }
@@ -203,10 +200,9 @@ bool Cpu::FetchSdw(Segno segno, Sdw* out) {
     // intact, so the supervisor can detect and recover from the mismatch.
     fault_injector_->MaybeCorruptSdw(cycles_, segno, &sdw);
   }
-  // The insert drops the slot's verdict with whatever it evicts. A running
-  // block's per-op charges assume its segment's SDW stays resident; this
-  // insert may have just evicted it (or cached a damaged copy), so any
-  // in-flight block must bail and revalidate.
+  // A running block's per-op charges assume its segment's SDW stays
+  // resident; this insert may have just evicted it (or cached a damaged
+  // copy), so any in-flight block must bail and revalidate.
   block_cache_.BumpVersion();
   sdw_cache_.Insert(segno, sdw);
   if (!sdw.present) {
@@ -292,21 +288,44 @@ TrapCause Cpu::SupervisorAccess(Segno segno, Wordno wordno, std::optional<Ring> 
 // ---------------------------------------------------------------------------
 //
 // Every reference the instruction cycle makes runs this one sequence; a
-// memo hit and a descriptor walk differ only in where the check's outcome
-// comes from. The hit is exactly the walk taken with an SDW-cache hit: it
-// reads the descriptor the SDW cache holds, and the slot's verdict
-// memoizes the predicate's outcome against that descriptor and lives only
-// as long as it does (sdw_cache.h), so the charges, checks and traps that
-// follow are the same either way. A reference charges and counts its word
-// access too: the caller always makes it once the reference succeeds. A
-// memo hit that completes is tallied (one slot bump for all its counters);
-// one that traps counts directly. The memo hit that completes is Locate
-// plus ChargeVouched, which RunBlocks' PR-relative forms share.
+// memo hit and a descriptor walk differ only in how the descriptor is
+// found. The hit is exactly the walk taken with an SDW-cache hit: it runs
+// the same Check* predicate against the present descriptor the SDW cache
+// holds (the probe), so the charges, checks and traps that follow are the
+// same either way, and no outcome is kept that could outlive the
+// descriptor. A reference charges and counts its word access too: the
+// caller always makes it once the reference succeeds. A memo hit that
+// completes is tallied (one slot bump for all its counters); one that
+// traps counts directly. The memo hit that completes is Locate plus
+// ChargeVouched, which RunBlocks' PR-relative forms share.
 
 template <RefKind K>
-bool Cpu::Vouches(const SdwCache::Verdict& verdict, Ring ring, Ring effective) const {
-  constexpr bool SdwCache::Verdict::* kBit = RuleFor(K).verdict;
-  return !checks_enabled_ || (effective == ring && verdict.*kBit);
+[[gnu::always_inline]] inline bool Cpu::Vouches(const Sdw& sdw, Ring ring,
+                                                Ring effective) const {
+  return !checks_enabled_ || RuleFor(K).check(sdw.access, ring, effective).ok();
+}
+
+template <RefKind K>
+[[gnu::always_inline]] inline const Sdw* Cpu::Probe(Segno segno, Ring ring,
+                                                    Ring effective) const {
+  const Sdw* sdw = sdw_cache_.Resident(segno);
+  return sdw != nullptr && Vouches<K>(*sdw, ring, effective) ? sdw : nullptr;
+}
+
+bool Cpu::ProbeAnswers(RefKind kind, Segno segno, Ring ring, Ring effective) const {
+  switch (kind) {
+    case RefKind::kFetch:
+      return Probe<RefKind::kFetch>(segno, ring, effective) != nullptr;
+    case RefKind::kIndirect:
+      return Probe<RefKind::kIndirect>(segno, ring, effective) != nullptr;
+    case RefKind::kRead:
+      return Probe<RefKind::kRead>(segno, ring, effective) != nullptr;
+    case RefKind::kWrite:
+      return Probe<RefKind::kWrite>(segno, ring, effective) != nullptr;
+    case RefKind::kTransfer:
+      return Probe<RefKind::kTransfer>(segno, ring, effective) != nullptr;
+  }
+  return false;  // not reached: the switch names every RefKind
 }
 
 template <RefKind K>
@@ -340,9 +359,8 @@ template <RefKind K>
 template <RefKind K>
 [[gnu::always_inline]] inline bool Cpu::Vouch(Segno segno, Wordno wordno, Ring ring,
                                               Ring effective, Vouched* out) const {
-  const SdwCache::Memo memo = sdw_cache_.Vouching(segno, ring);
-  return memo.sdw != nullptr && Vouches<K>(memo.verdict, ring, effective) &&
-         Locate<K>(*memo.sdw, wordno, out);
+  const Sdw* sdw = Probe<K>(segno, ring, effective);
+  return sdw != nullptr && Locate<K>(*sdw, wordno, out);
 }
 
 template <RefKind K>
@@ -365,9 +383,11 @@ template <RefKind K>
 [[gnu::always_inline]] inline bool Cpu::Reference(Segno segno, Wordno wordno, Ring ring,
                                                   Ring effective, Ref* out) {
   constexpr RefRule kRule = RuleFor(K);
-  const SdwCache::Memo memo = sdw_cache_.Vouching(segno, ring);
-  const bool memo_hit = memo.sdw != nullptr && Vouches<K>(memo.verdict, ring, effective);
-  if (Vouched v; memo_hit && Locate<K>(*memo.sdw, wordno, &v)) {
+  // The reference tier answers nothing from the probe: it is the leg with
+  // no host fast path.
+  const Sdw* memo = tier_ != EngineTier::kReference ? Probe<K>(segno, ring, effective) : nullptr;
+  const bool memo_hit = memo != nullptr;
+  if (Vouched v; memo_hit && Locate<K>(*memo, wordno, &v)) {
     ChargeVouched<K>(v.sdw->paged, checks_enabled_);
     out->addr = v.addr;
     out->r1 = v.sdw->access.brackets.r1;
@@ -384,12 +404,14 @@ template <RefKind K>
     if (checks_enabled_) {
       cycles_ += cycle_model_.access_check;
     }
-    out->memoizable = !memo.sdw->paged;
+    out->memoizable = !memo->paged;
   } else {
     if (!FetchSdw(segno, &walked)) {
       return false;
     }
-    FillVerdict(segno, ring);
+    if (tier_ != EngineTier::kReference) {
+      ++counters_.verdict_misses;  // a walk the probe could not spare
+    }
     if (checks_enabled_) {
       ++(counters_.*kRule.charge);
       cycles_ += cycle_model_.access_check;
@@ -400,7 +422,7 @@ template <RefKind K>
       }
     }
   }
-  const Sdw& sdw = memo_hit ? *memo.sdw : walked;
+  const Sdw& sdw = memo_hit ? *memo : walked;
   out->r1 = sdw.access.brackets.r1;
   out->flags_execute = sdw.access.flags.execute;
   TrapCause cause = wordno >= sdw.bound ? TrapCause::kBoundsViolation : TrapCause::kNone;
@@ -515,15 +537,13 @@ bool Cpu::Step() {
 bool Cpu::BoundaryInjectionHooks() {
   size_t index = 0;
   if (fault_injector_->MaybeDropCacheEntry(cycles_, SdwCache::kEntries, &index)) {
-    // The dropped register's verdict goes with it, as do any decoded
-    // blocks derived through the descriptor it held; the next reference
-    // takes the slow path and re-walks the descriptor segment, exactly as
-    // it would have without the fast path.
+    // Any decoded blocks derived through the dropped register's descriptor
+    // go with it; the next reference takes the slow path and re-walks the
+    // descriptor segment, exactly as it would have without the fast path.
     if (const auto dropped = sdw_cache_.SegnoAtIndex(index); dropped.has_value()) {
       counters_.block_invalidations += block_cache_.InvalidateSegment(*dropped);
     }
     sdw_cache_.InvalidateIndex(index);
-    ++counters_.verdict_invalidations;
   }
   if (fault_injector_->MaybeSpuriousMissingPage(cycles_, regs_.ipr.segno, regs_.ipr.wordno)) {
     pending_fault_addr_ = SegAddr{regs_.ipr.segno, regs_.ipr.wordno};
@@ -583,9 +603,8 @@ bool Cpu::StepBody() {
 // straight-line block per dispatch instead of re-entering Step per
 // instruction. Each op runs the same instruction boundary (timer, fault
 // hooks, trap-capture state) and charges exactly what the per-instruction
-// path charges when a verdict vouches for its fetch, which — since a
-// verdict lives only as long as its SDW-cache slot — is exactly what the
-// slow path charges with an SDW-cache hit. Anything a block cannot vouch
+// path charges when the resident descriptor vouches for its fetch, which
+// is exactly what the slow path charges with an SDW-cache hit. Anything a block cannot vouch
 // for bails to StepBody, the identical per-instruction path, after the
 // boundary it already consumed. The counters of those charges are
 // tallied, and StepBlock settles the tally once, after whichever exit
@@ -604,7 +623,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
   if (!InstructionBoundary()) {
     return false;
   }
-  // A disabled SDW cache holds no verdict, so ProbeOrBuildBlock builds
+  // A disabled SDW cache holds no descriptor, so ProbeOrBuildBlock builds
   // nothing under it; nor with the checks off, nor from a paged segment.
   if (tier_ != EngineTier::kBlocks) {
     return StepBody();
@@ -620,7 +639,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
   // version stamp plus a key compare against the live IPR) or runs the
   // dispatch preamble once and patches the link for next time. Either way
   // execution stays in this frame block after block instead of returning
-  // to the run loop per block; a follow additionally skips the verdict
+  // to the run loop per block; a follow additionally skips the fetch
   // probe, the cache hash, and the BlockCurrent revalidation.
   for (;;) {
     const uint64_t version = block_cache_.version();
@@ -663,7 +682,7 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
       bool ran = false;  // a PR-relative form ran the whole op
       if (op.hop && fault_injector_ == nullptr) {
         // The first hop TryBuildBlock resolved: the charges of Figure 5's
-        // first indirect word on a verdict hit (its check and read as one
+        // first indirect word on a memo hit (its check and read as one
         // add, its counters as one tally bump) and the TPR it leaves. A
         // further `,*` chases on from depth 1, so the indirection limit
         // fires at the same hop. An attached injector draws once per hop,
@@ -761,16 +780,15 @@ bool Cpu::RunBlocks(uint64_t cycle_bound) {
 }
 
 // Block formation: decode consecutive words live from the addresses the
-// fetches would form under the fetch verdict `v` and its resident unpaged
-// SDW, stopping at the segment bound, the gate-region boundary, a word
+// fetches would form under the resident unpaged SDW that vouches for the
+// fetch, stopping at the segment bound, the gate-region boundary, a word
 // outside the core store or that does not decode (the per-instruction
 // path latches or traps on it), an op the current ring may not execute
 // (it must trap on the per-instruction path), and — inclusively — any
-// control transfer or trap-raising/privileged terminator. The verdict's
-// execute bit implies the SDW's execute flag, so a store through this SDW
-// retires the block (NoteStore).
-BlockCache::Block* Cpu::TryBuildBlock(const SdwCache::Memo& v) {
-  const Sdw& sdw = *v.sdw;
+// control transfer or trap-raising/privileged terminator. A vouched fetch
+// implies the SDW's execute flag, so a store through this SDW retires the
+// block (NoteStore).
+BlockCache::Block* Cpu::TryBuildBlock(const Sdw& sdw) {
   const Segno segno = regs_.ipr.segno;
   const Wordno start = regs_.ipr.wordno;
   // The gate count marks the boundary a straight-line run may not cross.
@@ -783,13 +801,13 @@ BlockCache::Block* Cpu::TryBuildBlock(const SdwCache::Memo& v) {
   b->link_slot = BlockCache::kNoLink;
   b->link_version = 0;
   // Whether an op's IPR-relative link word may be resolved now (see
-  // DESIGN.md §7): ring hardware, so Figure 5 raises the ring; the verdict
-  // vouches for the indirect read; and no injector draws on the hop. The
-  // segment is unpaged, so the word's address is fixed under the verdict.
-  const Ring ring = v.verdict.ring;
+  // DESIGN.md §7): ring hardware, so Figure 5 raises the ring and the
+  // ring of execution is the effective ring; the descriptor vouches for
+  // the indirect read; and no injector draws on the hop. The segment is
+  // unpaged, so the word's address is fixed while the descriptor stays.
+  const Ring ring = regs_.ipr.ring;
   const bool hops = mode_ == ProtectionMode::kRingHardware &&
-                    Vouches<RefKind::kIndirect>(v.verdict, ring, ring) &&
-                    fault_injector_ == nullptr;
+                    Vouches<RefKind::kIndirect>(sdw, ring, ring) && fault_injector_ == nullptr;
   uint16_t count = 0;
   while (count < BlockCache::kMaxOps) {
     const Wordno w = start + count;
@@ -878,7 +896,7 @@ bool Cpu::EndsBlock(Opcode op) {
 }
 
 // The dispatch preamble shared by StepBlock's entry and its chain point:
-// verdict probe, block-cache probe with revalidation, rebuild on miss.
+// fetch probe, block-cache probe with revalidation, rebuild on miss.
 // Blocks hold only code run under the checks from an unpaged segment
 // (DESIGN.md §7); the rest takes the per-instruction path, which gives
 // the same results.
@@ -887,18 +905,18 @@ BlockCache::Block* Cpu::ProbeOrBuildBlock() {
     return nullptr;
   }
   const Ring ring = EffectiveRing(regs_.ipr.ring);
-  const SdwCache::Memo v = sdw_cache_.Vouching(regs_.ipr.segno, ring);
-  if (v.sdw == nullptr || v.sdw->paged || !Vouches<RefKind::kFetch>(v.verdict, ring, ring)) {
+  const Sdw* sdw = Probe<RefKind::kFetch>(regs_.ipr.segno, ring, ring);
+  if (sdw == nullptr || sdw->paged) {
     return nullptr;
   }
   BlockCache::Block* b = block_cache_.Lookup(regs_.ipr.segno, regs_.ipr.wordno);
-  if (b != nullptr && BlockCurrent(*b, *v.sdw)) {
+  if (b != nullptr && BlockCurrent(*b, *sdw)) {
     ++counters_.block_hits;
     return b;
   }
   // Miss or stale under the current descriptor/mode: rebuild in place from
   // the words the store holds right now.
-  return TryBuildBlock(v);
+  return TryBuildBlock(*sdw);
 }
 
 // Whether a block ending in `op` may chain straight into its successor.
@@ -1019,12 +1037,12 @@ bool Cpu::ChaseIndirectWords(unsigned depth) {
 }
 
 // The memo-hit accesses of RunBlocks' in-loop forms. A block op's operand
-// memo is filled by a reference a verdict answered for an unpaged
-// segment, at the block-cache version of the fill: every event that could
-// retire that verdict, the SDW behind it or its residency bumps the
-// version (DESIGN.md §7, "Resolved operands"). A hit charges and tallies
-// exactly what that memo-hit reference did, with its word access; blocks
-// run only under the checks, so that includes the check.
+// memo is filled by a reference the resident descriptor answered for an
+// unpaged segment, at the block-cache version of the fill: every event
+// that could replace that SDW or end its residency bumps the version
+// (DESIGN.md §7, "Resolved operands"). A hit charges and tallies exactly
+// what that memo-hit reference did, with its word access; blocks run only
+// under the checks, so that includes the check.
 [[gnu::always_inline]] inline bool Cpu::MemoAnswers(const BlockCache::Op* op, uint8_t kinds,
                                                     uint64_t version) const {
   return op != nullptr && (op->memo & kinds) == kinds && op->memo_version == version;
@@ -1081,7 +1099,7 @@ void Cpu::KeepOperand(uint8_t kind, const Ref& ref) {
   if (!Reference<RefKind::kWrite>(tpr_.segno, tpr_.wordno, ring, ring, &ref)) {
     return false;
   }
-  // Filled before the store: NoteStore may retire this very verdict (a
+  // Filled before the store: NoteStore may retire this very descriptor (a
   // store into the descriptor segment), and then bumps the version past
   // the memo's.
   KeepOperand(BlockCache::Op::kMemoWrite, ref);
@@ -1118,9 +1136,9 @@ void Cpu::ExecuteTransfer() {
   const Ring effective = EffectiveRing(tpr_.ring);
   Ref ref;
   if (Reference<RefKind::kTransfer>(tpr_.segno, tpr_.wordno, ring, effective, &ref)) {
-    // Only a transfer the execute verdict answered is kept, and under the
-    // checks (the only regime blocks run in) it answers only at the ring
-    // of execution.
+    // Only a transfer the probe answered is kept, and under the checks
+    // (the only regime blocks run in) it answers only at the ring of
+    // execution.
     KeepOperand(BlockCache::Op::kMemoTransfer, ref);
     regs_.ipr.segno = tpr_.segno;
     regs_.ipr.wordno = tpr_.wordno;
@@ -1583,9 +1601,9 @@ template <Opcode O>
 
 // RunBlocks' forms for a PR-relative operand (DESIGN.md §7, "Ops run in
 // the loop"). Such an operand depends on a register, so no memo holds it:
-// each execution forms it afresh from the verdicts, reading a paged
-// segment's PTW as Reference does, and any step the verdicts cannot answer
-// leaves the whole op to Execute, which raises what that step would.
+// each execution forms it afresh from resident descriptors, reading a
+// paged segment's PTW as Reference does, and any step the probe cannot
+// answer leaves the whole op to Execute, which raises what that step would.
 template <RefKind K>
 [[gnu::always_inline]] inline bool Cpu::PrOperand(const Instruction& ins, AbsAddr* addr,
                                                   bool* target_executable) {

@@ -47,8 +47,8 @@ enum class ProtectionMode {
 inline constexpr unsigned kMaxIndirectionDepth = 64;
 
 // The reference kinds of Figures 4-7. Each names one Check* predicate,
-// the verdict bit that memoizes it, the checks_* counter it charges, and
-// the counters its word access bumps (the rule table in cpu.cc).
+// the checks_* counter it charges, and the counters its word access bumps
+// (the rule table in cpu.cc).
 enum class RefKind { kFetch, kIndirect, kRead, kWrite, kTransfer };
 
 // The host engine tiers, fastest first. Each tier runs every host-side
@@ -57,8 +57,8 @@ enum class RefKind { kFetch, kIndirect, kRead, kWrite, kTransfer };
 // fault-injection stream are bit-identical on every tier (every
 // engine-equivalence test and the fuzz oracle run all of kEngineTiers).
 //   kBlocks:        superblocks (StepBlock) with block-to-block chaining.
-//   kCached:        the access verdicts (SdwCache), one instruction per
-//                   dispatch.
+//   kCached:        references answered from the resident descriptor
+//                   (SdwCache::Resident), one instruction per dispatch.
 //   kReference:     the per-instruction reference path, no host caches.
 enum class EngineTier { kBlocks, kCached, kReference };
 inline constexpr EngineTier kEngineTiers[] = {EngineTier::kBlocks, EngineTier::kCached,
@@ -103,14 +103,19 @@ class Cpu {
   SdwCache& sdw_cache() { return sdw_cache_; }
   const SdwCache& sdw_cache() const { return sdw_cache_; }
 
-  // The host engine tier (EngineTier). Switching drops every host-side
-  // memo (the SDW cache keeps its descriptors, which are architectural),
-  // so no entry filled under one tier answers under another. The host
-  // caches also disengage while the SDW cache is disabled, so the
-  // ablation benchmarks measure what they claim to.
+  // Whether a reference of `kind` to `segno` at (ring, effective) is
+  // answered from the resident descriptor, without a descriptor walk, on
+  // the cached and blocks tiers: the probe Reference makes first. It reads
+  // nothing but the SDW cache and the checks regime, and changes nothing.
+  bool ProbeAnswers(RefKind kind, Segno segno, Ring ring, Ring effective) const;
+
+  // The host engine tier (EngineTier). Switching drops every block (the
+  // SDW cache keeps its descriptors, which are architectural), so no block
+  // built under one tier runs under another. The host fast paths also
+  // disengage while the SDW cache is disabled, so the ablation benchmarks
+  // measure what they claim to.
   void set_engine_tier(EngineTier tier) {
     tier_ = tier;
-    sdw_cache_.ClearVerdicts();
     block_cache_.Flush();
   }
   const BlockCache& block_cache() const { return block_cache_; }
@@ -173,18 +178,16 @@ class Cpu {
   void SetDbr(const DbrValue& dbr);
 
   // Must be called whenever supervisor code edits an SDW that this
-  // processor may have cached. The SDW cache drops the slot's verdict with
-  // it; this also drops the other derived fast-path state: a new
-  // descriptor may change the segment's base or what its words decode to.
+  // processor may have cached. This also drops the blocks decoded under
+  // it: a new descriptor may change the segment's base or what its words
+  // decode to.
   void InvalidateSdw(Segno segno) {
     sdw_cache_.Invalidate(segno);
     counters_.block_invalidations += block_cache_.InvalidateSegment(segno);
-    ++counters_.verdict_invalidations;
   }
   void FlushSdwCache() {
-    sdw_cache_.Flush();  // and every verdict with it
+    sdw_cache_.Flush();
     block_cache_.Flush();
-    ++counters_.verdict_invalidations;
     ++counters_.block_invalidations;
   }
 
@@ -278,7 +281,7 @@ class Cpu {
 
  private:
   // The flush a DBR change (SetDbr, or Rett to a new DBR) needs: the SDW
-  // cache (and with it every verdict) and the block cache.
+  // cache and the block cache.
   void FlushForNewDbr();
 
   // --- instruction-cycle phases (see cpu.cc for figure mapping) ---
@@ -319,14 +322,15 @@ class Cpu {
            static_cast<uint64_t>(block.start) + block.count <= sdw.bound;
   }
   // Decodes the straight-line run starting at the current IPR into a
-  // block under the fetch verdict `v` of an unpaged segment; returns
-  // nullptr when not even its first word may be held. Mutable: the
-  // chaining engine patches successor links into published blocks.
-  BlockCache::Block* TryBuildBlock(const SdwCache::Memo& v);
-  // The full dispatch preamble of StepBlock: verdict probe, block lookup
+  // block under the resident unpaged descriptor `sdw`, which vouches for
+  // the fetch; returns nullptr when not even its first word may be held.
+  // Mutable: the chaining engine patches successor links into published
+  // blocks.
+  BlockCache::Block* TryBuildBlock(const Sdw& sdw);
+  // The full dispatch preamble of StepBlock: fetch probe, block lookup
   // (counting a hit) or build. Returns nullptr when the per-instruction
-  // path must take this dispatch: with the checks off, or when the fetch
-  // verdict's segment is paged.
+  // path must take this dispatch: with the checks off, when no resident
+  // descriptor vouches for the fetch, or when its segment is paged.
   BlockCache::Block* ProbeOrBuildBlock();
   // True for opcodes that must end a block: control transfers, trap
   // raisers, and state-changing privileged instructions.
@@ -388,12 +392,12 @@ class Cpu {
   template <Opcode O>
   bool PrWriteInLoop(const Instruction& ins);
   // Figure 5 and the final reference of kind K for a PR-relative operand,
-  // from the verdicts alone: the TPR from PRn plus Xtag, at most one `,*`
-  // hop through a word whose F and I bits are clear, and each reference
-  // answered by Vouch. Charges and changes nothing until every step has
-  // succeeded; then charges each reference as Reference does, leaves the
-  // TPR Figure 5 forms, and returns the operand's address and the SDW
-  // execute flag NoteStore takes. Ring hardware only, and never with an
+  // from resident descriptors alone: the TPR from PRn plus Xtag, at most
+  // one `,*` hop through a word whose F and I bits are clear, and each
+  // reference answered by Vouch. Charges and changes nothing until every
+  // step has succeeded; then charges each reference as Reference does,
+  // leaves the TPR Figure 5 forms, and returns the operand's address and
+  // the SDW execute flag NoteStore takes. Ring hardware only, and never with an
   // injector attached (it draws once per hop).
   template <RefKind K>
   bool PrOperand(const Instruction& ins, AbsAddr* addr, bool* target_executable);
@@ -421,26 +425,31 @@ class Cpu {
     AbsAddr addr = 0;            // absolute address (not formed for transfers)
     Ring r1 = 0;                 // SDW.R1, for Figure 5's ring maximization
     bool flags_execute = false;  // SDW execute flag, for NoteStore
-    // A verdict answered and the segment is unpaged: `addr` stays
-    // valid for this (segno, ring) until the block-cache version moves, so
-    // a block op's operand memo may keep it (KeepOperand).
+    // A resident descriptor answered and the segment is unpaged: `addr`
+    // stays valid for this (segno, ring) until the block-cache version
+    // moves, so a block op's operand memo may keep it (KeepOperand).
     bool memoizable = false;
   };
   // The one routine every Figure 4-7 reference runs: take the descriptor
-  // from the SDW cache slot whose verdict vouches for (segno, ring), else
-  // from FetchSdw plus the kind's Check* predicate; then charge the check,
-  // trap a denial, check bounds, and translate. `ring` keys the verdict;
-  // `effective` differs from it only for transfers. Charges and counts the
-  // word access the caller then makes (none for a transfer). Raises the
-  // trap and returns false on any failure.
+  // resident in the SDW cache when it vouches for (ring, effective) (on
+  // any tier but reference), else from FetchSdw plus the kind's Check*
+  // predicate; then charge the check, trap a denial, check bounds, and
+  // translate. `effective` differs from `ring` only for transfers. Charges
+  // and counts the word access the caller then makes (none for a
+  // transfer). Raises the trap and returns false on any failure.
   template <RefKind K>
   bool Reference(Segno segno, Wordno wordno, Ring ring, Ring effective, Ref* out);
-  // Whether `verdict` answers the kind's check at (ring, effective)
-  // without a descriptor walk.
+  // Whether the resident descriptor `sdw` answers the kind's check at
+  // (ring, effective) without a descriptor walk: the checks are off, or
+  // the kind's Check* predicate, the one the walk runs, allows it.
   template <RefKind K>
-  bool Vouches(const SdwCache::Verdict& verdict, Ring ring, Ring effective) const;
-  // A reference the verdicts answer whole: the vouching slot's descriptor
-  // and, for any kind but a transfer, the word's absolute address.
+  bool Vouches(const Sdw& sdw, Ring ring, Ring effective) const;
+  // The probe: the descriptor resident for `segno` when it vouches for
+  // the kind at (ring, effective), else nullptr.
+  template <RefKind K>
+  const Sdw* Probe(Segno segno, Ring ring, Ring effective) const;
+  // A reference a resident descriptor answers whole: that descriptor and,
+  // for any kind but a transfer, the word's absolute address.
   struct Vouched {
     const Sdw* sdw = nullptr;  // into the slot: holds until a slot is written
     AbsAddr addr = 0;
@@ -454,8 +463,8 @@ class Cpu {
   // the failed step would.
   template <RefKind K>
   bool Locate(const Sdw& sdw, Wordno wordno, Vouched* out) const;
-  // The probe plus Locate: the slot's verdict vouches for the kind at
-  // (ring, effective) and Locate answers.
+  // The probe plus Locate: the resident descriptor vouches for the kind
+  // at (ring, effective) and Locate answers.
   template <RefKind K>
   bool Vouch(Segno segno, Wordno wordno, Ring ring, Ring effective, Vouched* out) const;
   // What a reference Locate answered charges and counts: its check (when
@@ -470,7 +479,7 @@ class Cpu {
     ++counters_.page_walks;
     cycles_ += cycle_model_.memory_ref;
   }
-  // Counts one reference a verdict answered but that trapped
+  // Counts one reference a resident descriptor answered but that trapped
   // before its word access: the SDW-cache hit the descriptor walk would
   // have counted, without the probe. A memo hit that completes is tallied
   // instead (see tally_).
@@ -513,7 +522,7 @@ class Cpu {
   void MemoWrite(const BlockCache::Op& op, Word value);
   void MemoTransfer();
   // Fills operand_memo_ for `kind` from a reference that `ref` says a
-  // verdict answered for an unpaged segment.
+  // resident descriptor answered for an unpaged segment.
   void KeepOperand(uint8_t kind, const Ref& ref);
 
   // The supervisor's validated (`ring` set) and raw accesses: one
@@ -522,17 +531,6 @@ class Cpu {
   TrapCause SupervisorAccess(Segno segno, Wordno wordno, std::optional<Ring> ring, Word* word,
                              bool store);
 
-  // --- host-side fast path (see DESIGN.md) ---
-
-  // Memoizes the descriptor walk Reference just made (FetchSdw left the
-  // descriptor resident in the SDW cache) as the slot's verdict for
-  // `ring`. The reference tier fills none, and set_engine_tier clears
-  // them, so on that tier no probe (SdwCache::Vouching) ever hits.
-  void FillVerdict(Segno segno, Ring ring) {
-    if (tier_ != EngineTier::kReference && sdw_cache_.FillVerdict(segno, ring)) {
-      ++counters_.verdict_misses;
-    }
-  }
   // Post-store bookkeeping shared by the guest and supervisor write
   // paths: retires the segment's blocks when the target is executable, and
   // snoops stores that land inside the descriptor segment (an SDW edit

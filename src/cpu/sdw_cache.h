@@ -4,15 +4,10 @@
 // cycle model charges a descriptor fetch only on a miss. The cache must be
 // flushed whenever the DBR changes or the supervisor edits an SDW.
 //
-// Each slot also carries a host-only access verdict: the bracket checks
-// of Figures 4-6 evaluated once against the slot's descriptor for one
-// effective ring. The processor answers a reference from it instead of
-// re-running the checks (Cpu::Reference). A verdict is valid only while
-// its SDW stays resident, unchanged, in the same slot: every operation
-// that writes a slot (Insert, Invalidate, InvalidateIndex, Flush, and so
-// RestoreState) clears that slot's verdict, so the invariant holds by
-// construction. Verdicts change nothing the simulated machine can
-// observe and are not machine state: State does not carry them.
+// The processor answers a reference from the descriptor resident here
+// (Resident) by running the reference kind's check of Figures 4-7 against
+// it, as the hardware does against its associative memory; no outcome of
+// a check is kept, so nothing derived from a descriptor can outlive it.
 #ifndef SRC_CPU_SDW_CACHE_H_
 #define SRC_CPU_SDW_CACHE_H_
 
@@ -22,7 +17,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "src/core/ring.h"
 #include "src/mem/sdw.h"
 #include "src/mem/word.h"
 
@@ -72,7 +66,6 @@ class SdwCache {
     }
     const size_t index = segno % kEntries;
     entries_[index] = Entry{true, segno, sdw};
-    verdicts_[index] = Verdict{};
   }
   void Invalidate(Segno segno);
   // Invalidates by cache index rather than segment number (fault injection:
@@ -90,54 +83,27 @@ class SdwCache {
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
 
-  // Counts `n` hits without a lookup: the verdict fast path (src/cpu)
-  // proves residency by invariant instead of probing, but the statistics
-  // must read as if the probes happened. The processor folds its tallied
+  // Counts `n` hits without a lookup: the processor answers from Resident,
+  // which counts nothing, but the statistics must read as if each of those
+  // references had taken Lookup. The processor folds its tallied
   // hits in here once per dispatch (Cpu::SettleTally).
   void CountHits(uint64_t n) const { hits_ += n; }
 
-  // --- access verdicts (host-only; see the file comment) ----------------
-  // The outcome of each Check* predicate for `ring` against the slot's
-  // descriptor. CheckIndirectRead is CheckRead, so read_ok answers both.
-  struct Verdict {
-    bool valid = false;
-    Ring ring = 0;
-    bool read_ok = false;
-    bool write_ok = false;
-    bool execute_ok = false;
-  };
-  // A probe hit: the resident descriptor and the verdict derived from it.
-  // `sdw` points into the slot, so it holds only until the next operation
-  // that writes a slot.
-  struct Memo {
-    const Sdw* sdw = nullptr;  // nullptr: no verdict for (segno, ring)
-    Verdict verdict;
-  };
-  // The slot's verdict when it holds `segno` with a verdict for `ring`.
-  // Pure probe: no statistics, no state change.
-  Memo Vouching(Segno segno, Ring ring) const {
-    const size_t index = segno % kEntries;
-    const Verdict& v = verdicts_[index];
-    const Entry& e = entries_[index];
-    if (v.valid && v.ring == ring && e.segno == segno) {
-      return Memo{&e.sdw, v};
-    }
-    return Memo{};
+  // The present descriptor resident for `segno`, or nullptr: the one a
+  // reference may be answered from without a descriptor walk. Points into
+  // the slot, so it holds only until the next operation that writes a
+  // slot. Pure probe: no statistics, no state change.
+  const Sdw* Resident(Segno segno) const {
+    const Entry& e = entries_[segno % kEntries];
+    return e.valid && e.segno == segno && e.sdw.present ? &e.sdw : nullptr;
   }
-  // Derives the verdict for `ring` from the descriptor resident for
-  // `segno`. Returns false, filling nothing, when the slot does not hold
-  // `segno` (a disabled cache holds nothing).
-  bool FillVerdict(Segno segno, Ring ring);
-  // Drops every verdict and keeps every descriptor (an engine-tier switch:
-  // flushing the descriptors would change the simulated machine's misses).
-  void ClearVerdicts() { verdicts_ = {}; }
 
   // --- machine state (Machine::CaptureState / RestoreState) -------------
   // The descriptor cache is timing-architectural: the cycle model charges
   // a descriptor fetch only on a miss and hits/misses feed architectural
   // counters, so a cloned or restored machine must resume with the exact
-  // entries and statistics the original had (unlike the host-only
-  // verdicts and block cache, which are dropped and rebuilt).
+  // entries and statistics the original had (unlike the host-only block
+  // cache, which is dropped and rebuilt).
   struct Entry {
     bool valid = false;
     Segno segno = 0;
@@ -160,7 +126,6 @@ class SdwCache {
     }
   };
   State CaptureState() const { return State{enabled_, hits_, misses_, entries_}; }
-  // Restores with no verdicts: set_enabled flushes them with the entries.
   // The snapshot decoder rejects a state that HoldsWhileDisabled.
   void RestoreState(const State& state) {
     assert(!state.HoldsWhileDisabled());
@@ -175,7 +140,6 @@ class SdwCache {
   mutable uint64_t hits_ = 0;
   mutable uint64_t misses_ = 0;
   std::array<Entry, kEntries> entries_{};
-  std::array<Verdict, kEntries> verdicts_{};  // verdicts_[i] derives from entries_[i]
 };
 
 }  // namespace rings

@@ -8,9 +8,9 @@
 // statistics are part of machine state), the segment registry, the
 // supervisor's process table and scheduler, the event trace, the fault
 // injector's stream, and the device layer (pending I/O completions, tty
-// buffers). Host-only derived caches — verdicts and superblocks — and
-// the host-only counters that describe them are NOT serialized; restore
-// flushes the caches and rebuilds them, which is invisible to the
+// buffers). The host-only derived cache — superblocks — and the
+// host-only counters that describe the fast path are NOT serialized;
+// restore flushes the cache and rebuilds it, which is invisible to the
 // simulation by the fast path's bit-identical contract, and a restored
 // machine's host counters start at zero.
 //

@@ -50,8 +50,7 @@ struct Counters {
   // cycles and the counters above are bit-identical with the fast path
   // on or off.
   uint64_t verdict_hits = 0;
-  uint64_t verdict_misses = 0;          // slow-path reference that filled a verdict
-  uint64_t verdict_invalidations = 0;   // slots dropped (SDW edits, evictions, drops)
+  uint64_t verdict_misses = 0;          // cached/blocks-tier references the probe missed
   uint64_t block_builds = 0;            // superblocks decoded from the store
   uint64_t block_hits = 0;              // dispatches served by a cached block
   uint64_t block_ops = 0;               // instructions executed inside blocks
@@ -142,7 +141,6 @@ struct Counters {
     arch("argument_words_copied", &Counters::argument_words_copied);
     host("verdict_hits", &Counters::verdict_hits);
     host("verdict_misses", &Counters::verdict_misses);
-    host("verdict_invalidations", &Counters::verdict_invalidations);
     host("insn_cache_hits", &Counters::insn_cache_hits);
     host("insn_cache_misses", &Counters::insn_cache_misses);
     host("insn_cache_invalidations", &Counters::insn_cache_invalidations);

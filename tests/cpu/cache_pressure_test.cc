@@ -20,8 +20,9 @@ namespace rings {
 namespace {
 
 // ---------------------------------------------------------------------------
-// SdwCache verdicts: 16 direct-mapped slots, indexed segno % kEntries.
-// Segments segno and segno + kEntries collide.
+// SdwCache residency, which every probe answers from: 16 direct-mapped
+// slots, indexed segno % kEntries. Segments segno and segno + kEntries
+// collide.
 // ---------------------------------------------------------------------------
 
 Sdw PressureSdw(AbsAddr base, uint64_t bound = 32) {
@@ -33,56 +34,47 @@ Sdw PressureSdw(AbsAddr base, uint64_t bound = 32) {
   return sdw;
 }
 
-// Makes `sdw` resident for `segno` with its ring-4 verdict filled.
-void Fill(SdwCache& cache, Segno segno, const Sdw& sdw) {
-  cache.Insert(segno, sdw);
-  ASSERT_TRUE(cache.FillVerdict(segno, 4));
-}
-
 TEST(SdwCacheVerdictPressure, CollidingFillDisplacesAndNeverAliases) {
   SdwCache cache;
   // Fill every slot, then a full second wave that collides slot-for-slot.
   for (Segno s = 0; s < SdwCache::kEntries; ++s) {
-    Fill(cache, s, PressureSdw(1000 + 100 * s));
+    cache.Insert(s, PressureSdw(1000 + 100 * s));
   }
   for (Segno s = 0; s < SdwCache::kEntries; ++s) {
     const Segno hi = s + SdwCache::kEntries;
-    Fill(cache, hi, PressureSdw(5000 + 100 * s));
+    cache.Insert(hi, PressureSdw(5000 + 100 * s));
   }
   for (Segno s = 0; s < SdwCache::kEntries; ++s) {
     const Segno hi = s + SdwCache::kEntries;
     // The displaced first-wave segment must miss, not alias the winner.
-    EXPECT_EQ(cache.Vouching(s, 4).sdw, nullptr) << "stale hit for segno " << s;
-    const SdwCache::Memo m = cache.Vouching(hi, 4);
-    ASSERT_NE(m.sdw, nullptr) << "lost fill for segno " << hi;
-    EXPECT_EQ(m.sdw->base, 5000u + 100 * s);
+    EXPECT_EQ(cache.Resident(s), nullptr) << "stale hit for segno " << s;
+    const Sdw* sdw = cache.Resident(hi);
+    ASSERT_NE(sdw, nullptr) << "lost fill for segno " << hi;
+    EXPECT_EQ(sdw->base, 5000u + 100 * s);
   }
   // Re-fill of a displaced segment reclaims its slot with fresh contents.
-  Fill(cache, 3, PressureSdw(7777));
-  const SdwCache::Memo m = cache.Vouching(3, 4);
-  ASSERT_NE(m.sdw, nullptr);
-  EXPECT_EQ(m.sdw->base, 7777u);
-  EXPECT_EQ(cache.Vouching(3 + SdwCache::kEntries, 4).sdw, nullptr);
+  cache.Insert(3, PressureSdw(7777));
+  const Sdw* sdw = cache.Resident(3);
+  ASSERT_NE(sdw, nullptr);
+  EXPECT_EQ(sdw->base, 7777u);
+  EXPECT_EQ(cache.Resident(3 + SdwCache::kEntries), nullptr);
 }
 
 TEST(SdwCacheVerdictPressure, FlushRetiresEveryResidentVerdict) {
   SdwCache cache;
   for (Segno s = 0; s < SdwCache::kEntries; ++s) {
-    Fill(cache, s, PressureSdw(1000 + s));
+    cache.Insert(s, PressureSdw(1000 + s));
   }
   // The SDW cache flushed: every probe must miss.
   cache.Flush();
   for (Segno s = 0; s < SdwCache::kEntries; ++s) {
-    EXPECT_EQ(cache.Vouching(s, 4).sdw, nullptr) << "stale hit after flush, segno " << s;
+    EXPECT_EQ(cache.Resident(s), nullptr) << "stale hit after flush, segno " << s;
   }
-  // A descriptor fetched again after the flush holds no verdict until one
-  // is filled from it, and the refill serves the new descriptor.
+  // A descriptor fetched again after the flush serves the new contents.
   cache.Insert(5, PressureSdw(4242));
-  EXPECT_EQ(cache.Vouching(5, 4).sdw, nullptr);
-  ASSERT_TRUE(cache.FillVerdict(5, 4));
-  const SdwCache::Memo m = cache.Vouching(5, 4);
-  ASSERT_NE(m.sdw, nullptr);
-  EXPECT_EQ(m.sdw->base, 4242u);
+  const Sdw* sdw = cache.Resident(5);
+  ASSERT_NE(sdw, nullptr);
+  EXPECT_EQ(sdw->base, 4242u);
 }
 
 // ---------------------------------------------------------------------------

@@ -605,8 +605,8 @@ TEST(FastPathDifferential, PerKindChargesMatchForEveryOutcome) {
           if (kEngineTiers[i] == EngineTier::kReference) {
             continue;
           }
-          // Every segment that exists got a verdict on the first pass, so
-          // the second pass met it warm.
+          // Every reference the probe cannot answer counts a miss: the
+          // first pass's walks, and every denial.
           if (row.kind != RefCase::kFetch || row.outcome != Outcome::kMissingSegment) {
             EXPECT_GT(runs[i].counters.verdict_misses, 0u);
           }
